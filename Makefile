@@ -10,6 +10,11 @@ test:
 verify:
 	sh scripts/verify.sh
 
+# The fuzz leg of verify alone: 10 s per protocol-kit decoder target.
+.PHONY: fuzz-smoke
+fuzz-smoke:
+	sh scripts/verify.sh fuzz-smoke
+
 # Formatting and static checks only (the fast subset of verify).
 .PHONY: lint
 lint:

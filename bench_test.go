@@ -19,6 +19,7 @@ import (
 	"repro/internal/fairness"
 	"repro/internal/models"
 	"repro/internal/network"
+	"repro/internal/protocol"
 	"repro/internal/reduction"
 	"repro/internal/schema"
 	"repro/internal/spec"
@@ -234,7 +235,7 @@ func itoa(v int64) string {
 func BenchmarkSimulationFairRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := dbft.Config{N: 4, T: 1, MaxRounds: 12}
-		all := dbft.AllIDs(cfg.N)
+		all := protocol.AllIDs(cfg.N)
 		correct, err := dbft.Processes(cfg, []int{0, 1, 1}, all)
 		if err != nil {
 			b.Fatal(err)
@@ -242,7 +243,7 @@ func BenchmarkSimulationFairRun(b *testing.B) {
 		rng := rand.New(rand.NewSource(int64(i)))
 		procs := []network.Process{
 			correct[0], correct[1], correct[2],
-			&dbft.RandomLiar{Id: 3, All: all, Rng: rng},
+			dbft.Lies.Liar(3, all, rng),
 		}
 		sys, err := network.NewSystem(procs, fairness.Scheduler{
 			Byzantine: map[network.ProcID]bool{3: true},
@@ -274,7 +275,7 @@ func BenchmarkLemma7(b *testing.B) {
 func BenchmarkVectorConsensus(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := dbft.Config{N: 4, T: 1, MaxRounds: 14}
-		all := dbft.AllIDs(cfg.N)
+		all := protocol.AllIDs(cfg.N)
 		var correct []*dbft.VectorProcess
 		procs := make([]network.Process, 0, cfg.N)
 		for p := 0; p < cfg.N; p++ {

@@ -44,7 +44,7 @@ import (
 	"repro/internal/fairness"
 	"repro/internal/faults"
 	"repro/internal/network"
-	"repro/internal/sba"
+	"repro/internal/protocol"
 	"repro/internal/vcache"
 )
 
@@ -75,7 +75,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("dbftsim", flag.ContinueOnError)
-	protocol := fs.String("protocol", "dbft", "protocol front-end: dbft or sba (single runs, -chaos and -plan)")
+	proto := fs.String("protocol", "dbft", "protocol front-end: dbft or sba (single runs, -chaos and -plan)")
 	n := fs.Int("n", 4, "total number of processes")
 	t := fs.Int("t", 1, "tolerated Byzantine processes")
 	inputs := fs.String("inputs", "0,1,1", "comma-separated binary inputs of the correct processes")
@@ -117,10 +117,10 @@ func run(args []string) error {
 		fmt.Printf("dbftsim engine %s\n", vcache.EngineVersion)
 		return nil
 	}
-	if !faults.Protocols[*protocol] {
-		return fmt.Errorf("unknown protocol %q (known protocols: %s)", *protocol, faults.KnownProtocols)
+	if !faults.Protocols[*proto] {
+		return fmt.Errorf("unknown protocol %q (known protocols: %s)", *proto, faults.KnownProtocols)
 	}
-	isSBA := *protocol == "sba"
+	isSBA := *proto == "sba"
 	if *lemma7 {
 		if isSBA {
 			return fmt.Errorf("-lemma7 replays a dbft-specific execution; it does not accept -protocol sba")
@@ -128,7 +128,7 @@ func run(args []string) error {
 		return runLemma7(*maxRounds)
 	}
 	if *plan != "" {
-		return runPlan(*plan, *protocol, *fingerprint)
+		return runPlan(*plan, *proto, *fingerprint)
 	}
 	if *benchSim {
 		if isSBA {
@@ -149,7 +149,7 @@ func run(args []string) error {
 		})
 	}
 	if *chaos {
-		return runChaos(*protocol, *chaosSeeds, *seed, *n, *t, *maxRounds, *maxSteps, *tick, *workers, *chaosV, of)
+		return runChaos(*proto, *chaosSeeds, *seed, *n, *t, *maxRounds, *maxSteps, *tick, *workers, *chaosV, of)
 	}
 	if *torture {
 		if isSBA {
@@ -171,7 +171,7 @@ func run(args []string) error {
 	}
 
 	cfg := dbft.Config{N: *n, T: *t, MaxRounds: *maxRounds}
-	all := dbft.AllIDs(*n)
+	all := protocol.AllIDs(*n)
 	correct, err := dbft.Processes(cfg, ins, all)
 	if err != nil {
 		return err
@@ -184,21 +184,11 @@ func run(args []string) error {
 	for i, strat := range strategies {
 		id := network.ProcID(len(ins) + i)
 		byzSet[id] = true
-		switch strings.TrimSpace(strat) {
-		case "silent":
-			procs = append(procs, &dbft.Silent{Id: id})
-		case "equivocator":
-			procs = append(procs, &dbft.Equivocator{Id: id, All: all,
-				ZeroSide: func(p network.ProcID) bool { return int(p) < len(ins)/2 }})
-		case "liar":
-			// One seeded PRNG per liar — never shared between processes or
-			// with the scheduler (a shared instance is a data race under the
-			// bus's parallel drain mode and couples unrelated coin streams).
-			procs = append(procs, &dbft.RandomLiar{Id: id, All: all,
-				Rng: rand.New(rand.NewSource(*seed + 1 + 1_000_003*int64(id)))})
-		default:
-			return fmt.Errorf("unknown strategy %q", strat)
+		p, err := dbft.Lies.Strategy(strings.TrimSpace(strat), id, all, len(ins)/2, *seed)
+		if err != nil {
+			return err
 		}
+		procs = append(procs, p)
 	}
 
 	var scheduler network.Scheduler
@@ -235,14 +225,14 @@ func run(args []string) error {
 		fmt.Print(network.FormatTrace(sys.Trace, *printTrace))
 		fmt.Println(network.SummarizeTrace(sys.Trace).Format())
 	}
-	fmt.Print(dbft.Describe(correct))
+	fmt.Print(protocol.Describe(correct))
 	if done {
-		if err := dbft.Agreement(correct); err != nil {
+		if err := protocol.Agreement("dbft", correct); err != nil {
 			fmt.Println("AGREEMENT VIOLATED:", err)
 		} else {
 			fmt.Println("agreement: ok")
 		}
-		if err := dbft.Validity(correct, ins); err != nil {
+		if err := protocol.Validity("dbft", correct, ins); err != nil {
 			fmt.Println("VALIDITY VIOLATED:", err)
 		} else {
 			fmt.Println("validity: ok")
@@ -288,7 +278,7 @@ func runSingleSBA(ins []int, strategies []string, n, t, maxRounds, maxSteps, tic
 		return out.Err
 	}
 	fmt.Printf("protocol=sba n=%d t=%d f=%d scheduler=%s steps=%d\n", n, t, len(byz), sched, out.Steps)
-	fmt.Print(sba.Describe(out.SBAParticipating))
+	fmt.Print(protocol.Describe(out.SBAParticipating))
 	if out.Decided {
 		if out.AgreementErr != nil {
 			fmt.Println("AGREEMENT VIOLATED:", out.AgreementErr)
@@ -323,14 +313,14 @@ func parseInputs(s string) ([]int, error) {
 // on any safety/termination violation, printing each violation's seed and
 // replayable scenario JSON. An interrupt also exits non-zero, after flushing
 // a partial report covering the completed seed prefix.
-func runChaos(protocol string, runs int, baseSeed int64, n, t, maxRounds, maxSteps, tick, workers int, verbose bool, of *obsFlags) error {
+func runChaos(proto string, runs int, baseSeed int64, n, t, maxRounds, maxSteps, tick, workers int, verbose bool, of *obsFlags) error {
 	sink, err := of.open("dbftsim chaos")
 	if err != nil {
 		return err
 	}
 	defer sink.Close()
 	c := faults.Campaign{
-		Protocol: protocol,
+		Protocol: proto,
 		Runs:     runs,
 		BaseSeed: baseSeed,
 		N:        n,
@@ -427,7 +417,7 @@ func runTorture(runs int, baseSeed int64, n, t, maxRounds, tick, workers int, ve
 // flat-vs-bus and partition-independence byte-identity checks. A scenario
 // without a protocol field inherits the -protocol selector; one with a
 // protocol field must agree with a non-default selector.
-func runPlan(spec, protocol string, fingerprint bool) error {
+func runPlan(spec, proto string, fingerprint bool) error {
 	if strings.HasPrefix(spec, "@") {
 		b, err := os.ReadFile(spec[1:])
 		if err != nil {
@@ -439,14 +429,14 @@ func runPlan(spec, protocol string, fingerprint bool) error {
 	if err != nil {
 		return err
 	}
-	if sc.Protocol == "" && protocol != "dbft" {
-		sc.Protocol = protocol
+	if sc.Protocol == "" && proto != "dbft" {
+		sc.Protocol = proto
 		if err := sc.Validate(); err != nil {
 			return err
 		}
-	} else if protocol != "dbft" && sc.Protocol != protocol {
+	} else if proto != "dbft" && sc.Protocol != proto {
 		return fmt.Errorf("-protocol %s contradicts the scenario's protocol %q (known protocols: %s)",
-			protocol, sc.Protocol, faults.KnownProtocols)
+			proto, sc.Protocol, faults.KnownProtocols)
 	}
 	out := sc.Run()
 	if out.Err != nil {
@@ -461,11 +451,7 @@ func runPlan(spec, protocol string, fingerprint bool) error {
 	}
 	fmt.Printf("scenario: protocol=%s n=%d t=%d seed=%d plan=%s steps=%d decided=%v\n",
 		protoName(sc.Protocol), sc.N, sc.T, sc.Plan.Seed, fair, out.Steps, out.Decided)
-	if sc.Protocol == "sba" {
-		fmt.Print(sba.Describe(out.SBAProcs))
-	} else {
-		fmt.Print(dbft.Describe(out.Procs))
-	}
+	fmt.Print(protocol.Describe(out.Replicas()))
 	if out.AgreementErr != nil {
 		fmt.Println("AGREEMENT VIOLATED:", out.AgreementErr)
 	} else {

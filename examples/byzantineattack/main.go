@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dbft"
 	"repro/internal/network"
+	"repro/internal/protocol"
 )
 
 func main() {
@@ -42,7 +43,7 @@ func run() error {
 	// Part 2: the concrete attack on the executable algorithm.
 	fmt.Println("\nsimulated attack: n=4, t=1 but f=2 coordinated equivocators")
 	cfg := dbft.Config{N: 4, T: 1, MaxRounds: 8}
-	all := dbft.AllIDs(cfg.N)
+	all := protocol.AllIDs(cfg.N)
 	inputs := []int{0, 1}
 	correct, err := dbft.Processes(cfg, inputs, all)
 	if err != nil {
@@ -51,18 +52,18 @@ func run() error {
 	zeroSide := func(p network.ProcID) bool { return p == 0 }
 	procs := []network.Process{
 		correct[0], correct[1],
-		&dbft.Equivocator{Id: 2, All: all, ZeroSide: zeroSide},
-		&dbft.Equivocator{Id: 3, All: all, ZeroSide: zeroSide},
+		dbft.Lies.Equivocator(2, all, zeroSide),
+		dbft.Lies.Equivocator(3, all, zeroSide),
 	}
 	sys, err := network.NewSystem(procs, network.FIFOScheduler{})
 	if err != nil {
 		return err
 	}
-	if _, err := sys.Run(100000, func() bool { return dbft.AllDecided(correct) }); err != nil {
+	if _, err := sys.Run(100000, func() bool { return protocol.AllDecided(correct) }); err != nil {
 		return err
 	}
-	fmt.Print(dbft.Describe(correct))
-	if err := dbft.Agreement(correct); err != nil {
+	fmt.Print(protocol.Describe(correct))
+	if err := protocol.Agreement("dbft", correct); err != nil {
 		fmt.Println("=>", err)
 	} else {
 		return fmt.Errorf("attack unexpectedly failed to break agreement")

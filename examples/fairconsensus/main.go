@@ -19,6 +19,7 @@ import (
 	"repro/internal/fairness"
 	"repro/internal/models"
 	"repro/internal/network"
+	"repro/internal/protocol"
 	"repro/internal/reduction"
 	"repro/internal/ta"
 )
@@ -33,7 +34,7 @@ func main() {
 func run() error {
 	// Part 1: a fair execution of the real algorithm.
 	cfg := dbft.Config{N: 4, T: 1, MaxRounds: 12}
-	all := dbft.AllIDs(cfg.N)
+	all := protocol.AllIDs(cfg.N)
 	inputs := []int{0, 1, 1}
 	correct, err := dbft.Processes(cfg, inputs, all)
 	if err != nil {
@@ -42,7 +43,7 @@ func run() error {
 	rng := rand.New(rand.NewSource(2024))
 	procs := []network.Process{
 		correct[0], correct[1], correct[2],
-		&dbft.RandomLiar{Id: 3, All: all, Rng: rng},
+		dbft.Lies.Liar(3, all, rng),
 	}
 	sys, err := network.NewSystem(procs, fairness.Scheduler{
 		Byzantine: map[network.ProcID]bool{3: true},
@@ -55,7 +56,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("DBFT n=4 t=1, inputs %v, Byzantine liar, fair scheduler: %d deliveries\n", inputs, steps)
-	fmt.Print(dbft.Describe(correct))
+	fmt.Print(protocol.Describe(correct))
 	if !done {
 		return fmt.Errorf("no decision — the fair scheduler should terminate")
 	}

@@ -19,6 +19,7 @@ import (
 	"repro/internal/fairness"
 	"repro/internal/faults"
 	"repro/internal/network"
+	"repro/internal/protocol"
 )
 
 // Tx is a transaction payload.
@@ -285,13 +286,13 @@ func (l *Ledger) CommitHeight() (Block, error) {
 			len(l.byz), unavailable, l.cfg.T)
 	}
 
-	all := dbft.AllIDs(l.cfg.N)
+	all := protocol.AllIDs(l.cfg.N)
 	var participating []*dbft.VectorProcess
 	procs := make([]network.Process, 0, l.cfg.N)
 	for i := 0; i < l.cfg.N; i++ {
 		id := network.ProcID(i)
 		if !l.available(id) {
-			procs = append(procs, &dbft.Silent{Id: id})
+			procs = append(procs, &protocol.Silent{Id: id})
 			continue
 		}
 		p, err := dbft.NewVectorProcess(id, encodeProposal(l.mempools[id]), l.cfg, all)

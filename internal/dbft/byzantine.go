@@ -4,124 +4,33 @@ import (
 	"math/rand"
 
 	"repro/internal/network"
+	"repro/internal/protocol"
 )
 
-// Silent is the crash-like Byzantine strategy: it never sends anything.
-type Silent struct {
-	Id network.ProcID
-}
-
-var _ network.Process = (*Silent)(nil)
-
-// ID implements network.Process.
-func (s *Silent) ID() network.ProcID { return s.Id }
-
-// Start implements network.Process.
-func (s *Silent) Start(network.Sender) {}
-
-// Deliver implements network.Process.
-func (s *Silent) Deliver(network.Message, network.Sender) {}
-
-// Equivocator is the classic split-brain strategy: for every round it
-// observes, it sends (BV, 0) and aux {0} to the processes selected by
-// ZeroSide and (BV, 1) and aux {1} to the rest. With f <= t it cannot break
-// safety; with f > n/3 it drives disagreement.
-type Equivocator struct {
-	Id       network.ProcID
-	All      []network.ProcID
-	ZeroSide func(network.ProcID) bool
-
-	sent map[int]bool
-}
-
-var _ network.Process = (*Equivocator)(nil)
-
-// ID implements network.Process.
-func (e *Equivocator) ID() network.ProcID { return e.Id }
-
-// Start implements network.Process.
-func (e *Equivocator) Start(send network.Sender) {
-	e.emit(0, send)
-}
-
-// Deliver implements network.Process: the first message of each round
-// triggers that round's equivocation.
-func (e *Equivocator) Deliver(m network.Message, send network.Sender) {
-	e.emit(m.Round, send)
-}
-
-func (e *Equivocator) emit(round int, send network.Sender) {
-	if e.sent == nil {
-		e.sent = make(map[int]bool)
-	}
-	if e.sent[round] {
-		return
-	}
-	e.sent[round] = true
-	for _, to := range e.All {
-		if to == e.Id {
-			continue
+// Lies is dbft's contribution to the Byzantine scaffold of the protocol kit:
+// Lies.Equivocator, Lies.Liar and Lies.Strategy build the strategies.
+var Lies = protocol.Lies{
+	// An equivocator sends (BV, v) and aux {v} to its v side.
+	Split: func(m network.Message, v int, send network.Sender) {
+		m.Kind, m.Value = network.MsgBV, v
+		send(m)
+		m.Kind, m.Value, m.Set = network.MsgAux, -1, []int{v}
+		send(m)
+	},
+	// A liar sends uniformly random BV values (sometimes both) and a random
+	// aux set.
+	Random: func(m network.Message, rng *rand.Rand, send network.Sender) {
+		// These literal backing arrays are shared across every recipient, round
+		// and liar instance; the network's copy-on-enqueue is what keeps one
+		// in-flight copy's Set from aliasing another's.
+		sets := [][]int{{0}, {1}, {0, 1}}
+		m.Kind, m.Value = network.MsgBV, rng.Intn(2)
+		send(m)
+		if rng.Intn(2) == 0 {
+			m.Value = rng.Intn(2)
+			send(m)
 		}
-		v := 1
-		if e.ZeroSide != nil && e.ZeroSide(to) {
-			v = 0
-		}
-		send(network.Message{From: e.Id, To: to, Round: round, Kind: network.MsgBV, Value: v})
-		send(network.Message{From: e.Id, To: to, Round: round, Kind: network.MsgAux, Value: -1, Set: []int{v}})
-	}
-}
-
-// RandomLiar sends uniformly random BV values and aux sets to every process
-// for every round it observes — the fuzzing adversary for property-based
-// tests.
-//
-// Rng must be private to this process: in the bus's native drain mode each
-// Byzantine process runs on its partition's goroutine, so a *rand.Rand
-// shared between two liars is a data race (and nondeterministic even when
-// the race detector stays quiet). Construction sites derive one seeded PRNG
-// per liar id.
-type RandomLiar struct {
-	Id  network.ProcID
-	All []network.ProcID
-	Rng *rand.Rand
-
-	sent map[int]bool
-}
-
-var _ network.Process = (*RandomLiar)(nil)
-
-// ID implements network.Process.
-func (l *RandomLiar) ID() network.ProcID { return l.Id }
-
-// Start implements network.Process.
-func (l *RandomLiar) Start(send network.Sender) { l.emit(0, send) }
-
-// Deliver implements network.Process.
-func (l *RandomLiar) Deliver(m network.Message, send network.Sender) { l.emit(m.Round, send) }
-
-func (l *RandomLiar) emit(round int, send network.Sender) {
-	if l.sent == nil {
-		l.sent = make(map[int]bool)
-	}
-	if l.sent[round] {
-		return
-	}
-	l.sent[round] = true
-	// These literal backing arrays are shared across every recipient, round
-	// and liar instance; the network's copy-on-enqueue is what keeps one
-	// in-flight copy's Set from aliasing another's.
-	sets := [][]int{{0}, {1}, {0, 1}}
-	for _, to := range l.All {
-		if to == l.Id {
-			continue
-		}
-		send(network.Message{From: l.Id, To: to, Round: round, Kind: network.MsgBV, Value: l.Rng.Intn(2)})
-		if l.Rng.Intn(2) == 0 {
-			send(network.Message{From: l.Id, To: to, Round: round, Kind: network.MsgBV, Value: l.Rng.Intn(2)})
-		}
-		send(network.Message{
-			From: l.Id, To: to, Round: round, Kind: network.MsgAux, Value: -1,
-			Set: sets[l.Rng.Intn(len(sets))],
-		})
-	}
+		m.Kind, m.Value, m.Set = network.MsgAux, -1, sets[rng.Intn(len(sets))]
+		send(m)
+	},
 }

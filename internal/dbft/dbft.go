@@ -11,9 +11,10 @@ package dbft
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/network"
+	"repro/internal/obs"
+	"repro/internal/protocol"
 )
 
 // Config carries the static parameters of a run.
@@ -96,12 +97,15 @@ func (st *roundState) recountValidFavorites() {
 	st.validFavorites = c
 }
 
+// obsRetransmissions counts outbox re-broadcasts across every dbft process
+// in the OS process; each Process hands it to its protocol.Outbox.
+var obsRetransmissions = obs.Default.Counter("dbft", "retransmissions")
+
 // Process is a correct DBFT process.
 type Process struct {
 	id       network.ProcID
 	cfg      Config
-	all      []network.ProcID // broadcast targets
-	instance int              // protocol instance (vector consensus multiplexing)
+	instance int // protocol instance (vector consensus multiplexing)
 
 	est    int
 	round  int
@@ -111,25 +115,9 @@ type Process struct {
 	decision     int
 	decidedRound int
 
-	// outbox records every logical broadcast this process has made (one
-	// template per bv-echo and per aux, all rounds). The retransmission
-	// layer re-broadcasts it verbatim: handlers are idempotent, and
-	// re-sending the *recorded* content (rather than recomputing it) is what
-	// keeps a crash-recovered replica from equivocating against its
-	// pre-crash messages.
-	outbox []network.Message
-	// Retransmission backoff, counted in ticks: retxWait doubles up to
-	// retxBackoffCap after each firing and resets when the round advances.
-	// Retransmission is activity-gated: a tick period in which this process
-	// delivered at least one message skips the countdown entirely, so the
-	// timer only fires once the process has gone quiet — i.e. once the
-	// in-flight traffic that should have driven it forward has drained. This
-	// keeps retransmission from flooding a healthy network (and from starving
-	// lower-priority traffic under deterministic schedulers) while still
-	// guaranteeing a re-send whenever a needed message was lost.
-	retxWait   int
-	retxLeft   int
-	sawTraffic bool
+	// out records every logical broadcast (one template per bv-echo and per
+	// aux, all rounds) and owns the quiet-period timer that re-sends them.
+	out protocol.Outbox
 
 	// EstimateHistory[r] is the estimate held at the START of round r
 	// (diagnostics for the Lemma 7 reproduction).
@@ -139,7 +127,7 @@ type Process struct {
 	DeliveryOrder map[int][]int
 }
 
-var _ network.Process = (*Process)(nil)
+var _ protocol.Replica = (*Process)(nil)
 var _ network.Ticker = (*Process)(nil)
 
 // NewProcess builds a correct process with the given input value.
@@ -153,7 +141,7 @@ func NewProcess(id network.ProcID, input int, cfg Config, all []network.ProcID) 
 	return &Process{
 		id:            id,
 		cfg:           cfg,
-		all:           append([]network.ProcID(nil), all...),
+		out:           protocol.NewOutbox(all, obsRetransmissions),
 		est:           input,
 		rounds:        map[int]*roundState{},
 		DeliveryOrder: map[int][]int{},
@@ -209,25 +197,14 @@ func (p *Process) bvBroadcast(round, v int, send network.Sender) {
 		return
 	}
 	st.echoed[v] = true
-	p.broadcast(send, network.Message{
+	p.out.Broadcast(send, network.Message{
 		From: p.id, Round: round, Kind: network.MsgBV, Value: v, Instance: p.instance,
 	})
 }
 
-// broadcast sends m to all and records it in the outbox for retransmission.
-func (p *Process) broadcast(send network.Sender, m network.Message) {
-	p.outbox = append(p.outbox, m)
-	network.Broadcast(send, p.all, m)
-}
-
-// Deliver implements network.Process.
-//
-// Only a message that carries *new* information counts as traffic for the
-// retransmission heuristic. A stale duplicate — a laggard re-flooding its
-// outbox, or Byzantine chatter — must not reset sawTraffic, or a steady
-// stream of no-op deliveries silences every correct replica's retransmission
-// and a recovering process can never be caught up (a liveness wedge the
-// storage torture campaign actually found).
+// Deliver implements network.Process. Only a message that carries *new*
+// information is credited as traffic to the retransmission timer (see
+// protocol.Timer for the liveness wedge a duplicate's credit would open).
 func (p *Process) Deliver(m network.Message, send network.Sender) {
 	if m.Instance != p.instance {
 		return
@@ -261,7 +238,7 @@ func (p *Process) Deliver(m network.Message, send network.Sender) {
 	default:
 		return
 	}
-	p.sawTraffic = true
+	p.out.SawTraffic()
 	p.progress(m.Round, send)
 }
 
@@ -314,7 +291,7 @@ func (p *Process) progress(round int, send network.Sender) {
 	// Alg. 1 lines 7-8: once contestants is nonempty, broadcast it (once).
 	if !st.auxSent && (st.contestants[0] || st.contestants[1]) {
 		st.auxSent = true
-		p.broadcast(send, network.Message{
+		p.out.Broadcast(send, network.Message{
 			From: p.id, Round: round, Kind: network.MsgAux, Value: -1,
 			Set: contestantSlice(st), Instance: p.instance,
 		})
@@ -397,70 +374,26 @@ func (p *Process) advance(send network.Sender) {
 	}
 	p.round++
 	p.EstimateHistory = append(p.EstimateHistory, p.est)
-	p.retxWait, p.retxLeft = 0, 0 // entering a round resets the backoff
+	p.out.ResetBackoff() // entering a round
 	p.bvBroadcast(p.round, p.est, send)
 	// Guards over already-buffered messages of the new round re-fire.
 	p.progress(p.round, send)
 }
 
-// retxBackoffCap bounds the retransmission backoff (in ticks).
-const retxBackoffCap = 8
-
-// OnTick implements network.Ticker: periodic retransmission with capped
-// exponential backoff. The whole outbox — not just the current round — is
-// re-broadcast, matching the help-the-laggards loop of Alg. 1: a replica
-// recovering from a crash (or emerging from a partition) may be many rounds
-// behind and needs the old-round BV/AUX quorums replayed. Safe because every
+// OnTick implements network.Ticker: quiet-period retransmission of the whole
+// outbox, matching the help-the-laggards loop of Alg. 1. Safe because every
 // handler is idempotent (distinct-sender sets, first-aux-wins).
-func (p *Process) OnTick(step int, send network.Sender) {
-	if p.sawTraffic {
-		p.sawTraffic = false // traffic flowed this period: no need to re-send
-		return
-	}
-	if p.retxLeft > 0 {
-		p.retxLeft--
-		return
-	}
-	p.Retransmit(send)
-	if p.retxWait < retxBackoffCap {
-		if p.retxWait == 0 {
-			p.retxWait = 1
-		} else {
-			p.retxWait *= 2
-		}
-	}
-	p.retxLeft = p.retxWait
-}
+func (p *Process) OnTick(step int, send network.Sender) { p.out.OnTick(send) }
 
 // Retransmit immediately re-broadcasts every recorded logical broadcast.
-func (p *Process) Retransmit(send network.Sender) {
-	obsRetransmissions.Inc()
-	for _, m := range p.outbox {
-		network.Broadcast(send, p.all, m)
-	}
-}
+func (p *Process) Retransmit(send network.Sender) { p.out.Retransmit(send) }
 
 // Processes builds n-f correct processes with the given inputs and ids
 // 0..len(inputs)-1; ids beyond are left to Byzantine strategies.
 func Processes(cfg Config, inputs []int, all []network.ProcID) ([]*Process, error) {
-	out := make([]*Process, 0, len(inputs))
-	for i, in := range inputs {
-		p, err := NewProcess(network.ProcID(i), in, cfg, all)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// AllIDs returns the id slice [0, n).
-func AllIDs(n int) []network.ProcID {
-	out := make([]network.ProcID, n)
-	for i := range out {
-		out[i] = network.ProcID(i)
-	}
-	return out
+	return protocol.Processes(inputs, func(id network.ProcID, input int) (*Process, error) {
+		return NewProcess(id, input, cfg, all)
+	})
 }
 
 // GoodValue reports, for Def. 2, whether the round-r bv-broadcast execution
@@ -480,73 +413,4 @@ func GoodValue(procs []*Process, round int) (v int, good bool) {
 		}
 	}
 	return first, first != -1
-}
-
-// Agreement checks that no two decided processes decided differently,
-// returning the offending pair otherwise.
-func Agreement(procs []*Process) error {
-	decidedVal := -1
-	var who network.ProcID
-	for _, p := range procs {
-		v, _, ok := p.Decided()
-		if !ok {
-			continue
-		}
-		if decidedVal == -1 {
-			decidedVal, who = v, p.ID()
-		} else if v != decidedVal {
-			return fmt.Errorf("dbft: agreement violated: process %d decided %d, process %d decided %d",
-				who, decidedVal, p.ID(), v)
-		}
-	}
-	return nil
-}
-
-// Validity checks that every decision was proposed by some correct process.
-func Validity(procs []*Process, inputs []int) error {
-	proposed := map[int]bool{}
-	for _, in := range inputs {
-		proposed[in] = true
-	}
-	for _, p := range procs {
-		if v, _, ok := p.Decided(); ok && !proposed[v] {
-			return fmt.Errorf("dbft: validity violated: process %d decided %d, which no correct process proposed",
-				p.ID(), v)
-		}
-	}
-	return nil
-}
-
-// AllDecided reports whether every process in the slice decided.
-func AllDecided(procs []*Process) bool {
-	for _, p := range procs {
-		if _, _, ok := p.Decided(); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// Describe summarizes the processes' outcomes.
-func Describe(procs []*Process) string {
-	type row struct {
-		id      network.ProcID
-		est     int
-		round   int
-		decided string
-	}
-	rows := make([]row, len(procs))
-	for i, p := range procs {
-		r := row{id: p.ID(), est: p.Estimate(), round: p.Round(), decided: "-"}
-		if v, rd, ok := p.Decided(); ok {
-			r.decided = fmt.Sprintf("%d@r%d", v, rd)
-		}
-		rows[i] = r
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })
-	s := ""
-	for _, r := range rows {
-		s += fmt.Sprintf("p%d: est=%d round=%d decided=%s\n", r.id, r.est, r.round, r.decided)
-	}
-	return s
 }

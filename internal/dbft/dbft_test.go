@@ -6,11 +6,12 @@ import (
 	"testing/quick"
 
 	"repro/internal/network"
+	"repro/internal/protocol"
 )
 
 func buildSystem(t *testing.T, cfg Config, inputs []int, byzFactory func(id network.ProcID, all []network.ProcID) network.Process, sched network.Scheduler) (*network.System, []*Process) {
 	t.Helper()
-	all := AllIDs(cfg.N)
+	all := protocol.AllIDs(cfg.N)
 	correct, err := Processes(cfg, inputs, all)
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +31,7 @@ func buildSystem(t *testing.T, cfg Config, inputs []int, byzFactory func(id netw
 }
 
 func silentFactory(id network.ProcID, _ []network.ProcID) network.Process {
-	return &Silent{Id: id}
+	return &protocol.Silent{Id: id}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -43,7 +44,7 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("config %+v should be invalid", bad)
 		}
 	}
-	if _, err := NewProcess(0, 2, Config{N: 4, T: 1, MaxRounds: 5}, AllIDs(4)); err == nil {
+	if _, err := NewProcess(0, 2, Config{N: 4, T: 1, MaxRounds: 5}, protocol.AllIDs(4)); err == nil {
 		t.Error("non-binary input should be rejected")
 	}
 }
@@ -55,21 +56,21 @@ func TestUnanimousDecidesOwnValue(t *testing.T) {
 		cfg := Config{N: 4, T: 1, MaxRounds: 10}
 		inputs := []int{v, v, v}
 		sys, correct := buildSystem(t, cfg, inputs, silentFactory, network.FIFOScheduler{})
-		if _, err := sys.Run(100000, func() bool { return AllDecided(correct) }); err != nil {
+		if _, err := sys.Run(100000, func() bool { return protocol.AllDecided(correct) }); err != nil {
 			t.Fatal(err)
 		}
-		if !AllDecided(correct) {
-			t.Fatalf("v=%d: not all decided:\n%s", v, Describe(correct))
+		if !protocol.AllDecided(correct) {
+			t.Fatalf("v=%d: not all decided:\n%s", v, protocol.Describe(correct))
 		}
 		for _, p := range correct {
 			if got, _, _ := p.Decided(); got != v {
-				t.Errorf("v=%d: process %d decided %d:\n%s", v, p.ID(), got, Describe(correct))
+				t.Errorf("v=%d: process %d decided %d:\n%s", v, p.ID(), got, protocol.Describe(correct))
 			}
 		}
-		if err := Agreement(correct); err != nil {
+		if err := protocol.Agreement("dbft", correct); err != nil {
 			t.Error(err)
 		}
-		if err := Validity(correct, inputs); err != nil {
+		if err := protocol.Validity("dbft", correct, inputs); err != nil {
 			t.Error(err)
 		}
 	}
@@ -82,16 +83,16 @@ func TestSplitInputsSafetyUnderRandomSchedules(t *testing.T) {
 		cfg := Config{N: 4, T: 1, MaxRounds: 6}
 		rng := rand.New(rand.NewSource(seed))
 		inputs := []int{int(inputBits) & 1, int(inputBits>>1) & 1, int(inputBits>>2) & 1}
-		all := AllIDs(cfg.N)
+		all := protocol.AllIDs(cfg.N)
 
 		var byz network.Process
 		switch strategy % 3 {
 		case 0:
-			byz = &Silent{Id: 3}
+			byz = &protocol.Silent{Id: 3}
 		case 1:
-			byz = &Equivocator{Id: 3, All: all, ZeroSide: func(p network.ProcID) bool { return p%2 == 0 }}
+			byz = Lies.Equivocator(3, all, func(p network.ProcID) bool { return p%2 == 0 })
 		default:
-			byz = &RandomLiar{Id: 3, All: all, Rng: rng}
+			byz = Lies.Liar(3, all, rng)
 		}
 		correct, err := Processes(cfg, inputs, all)
 		if err != nil {
@@ -102,10 +103,10 @@ func TestSplitInputsSafetyUnderRandomSchedules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.Run(200000, func() bool { return AllDecided(correct) }); err != nil {
+		if _, err := sys.Run(200000, func() bool { return protocol.AllDecided(correct) }); err != nil {
 			t.Fatal(err)
 		}
-		ok := Agreement(correct) == nil && Validity(correct, inputs) == nil
+		ok := protocol.Agreement("dbft", correct) == nil && protocol.Validity("dbft", correct, inputs) == nil
 		if !ok {
 			t.Logf("replay with: seed=%d inputBits=%d strategy=%d", seed, inputBits, strategy)
 		}
@@ -125,7 +126,7 @@ func TestLargerSystemSafety(t *testing.T) {
 		for i := range inputs {
 			inputs[i] = int(inputBits>>i) & 1
 		}
-		all := AllIDs(cfg.N)
+		all := protocol.AllIDs(cfg.N)
 		correct, err := Processes(cfg, inputs, all)
 		if err != nil {
 			t.Fatal(err)
@@ -135,17 +136,17 @@ func TestLargerSystemSafety(t *testing.T) {
 			procs = append(procs, p)
 		}
 		procs = append(procs,
-			&Equivocator{Id: 5, All: all, ZeroSide: func(p network.ProcID) bool { return p < 3 }},
-			&RandomLiar{Id: 6, All: all, Rng: rng},
+			Lies.Equivocator(5, all, func(p network.ProcID) bool { return p < 3 }),
+			Lies.Liar(6, all, rng),
 		)
 		sys, err := network.NewSystem(procs, network.RandomScheduler{Rng: rng})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.Run(400000, func() bool { return AllDecided(correct) }); err != nil {
+		if _, err := sys.Run(400000, func() bool { return protocol.AllDecided(correct) }); err != nil {
 			t.Fatal(err)
 		}
-		ok := Agreement(correct) == nil && Validity(correct, inputs) == nil
+		ok := protocol.Agreement("dbft", correct) == nil && protocol.Validity("dbft", correct, inputs) == nil
 		if !ok {
 			t.Logf("replay with: seed=%d inputBits=%d", seed, inputBits)
 		}
@@ -163,7 +164,7 @@ func TestLargerSystemSafety(t *testing.T) {
 // counterexample of Section 6.
 func TestDisagreementBeyondResilience(t *testing.T) {
 	cfg := Config{N: 4, T: 1, MaxRounds: 8}
-	all := AllIDs(cfg.N)
+	all := protocol.AllIDs(cfg.N)
 	inputs := []int{0, 1}
 	correct, err := Processes(cfg, inputs, all)
 	if err != nil {
@@ -172,21 +173,21 @@ func TestDisagreementBeyondResilience(t *testing.T) {
 	zeroSide := func(p network.ProcID) bool { return p == 0 }
 	procs := []network.Process{
 		correct[0], correct[1],
-		&Equivocator{Id: 2, All: all, ZeroSide: zeroSide},
-		&Equivocator{Id: 3, All: all, ZeroSide: zeroSide},
+		Lies.Equivocator(2, all, zeroSide),
+		Lies.Equivocator(3, all, zeroSide),
 	}
 	sys, err := network.NewSystem(procs, network.FIFOScheduler{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Run(100000, func() bool { return AllDecided(correct) }); err != nil {
+	if _, err := sys.Run(100000, func() bool { return protocol.AllDecided(correct) }); err != nil {
 		t.Fatal(err)
 	}
-	if !AllDecided(correct) {
-		t.Fatalf("attack did not complete:\n%s", Describe(correct))
+	if !protocol.AllDecided(correct) {
+		t.Fatalf("attack did not complete:\n%s", protocol.Describe(correct))
 	}
-	if err := Agreement(correct); err == nil {
-		t.Errorf("expected disagreement with f=2 > t=1:\n%s", Describe(correct))
+	if err := protocol.Agreement("dbft", correct); err == nil {
+		t.Errorf("expected disagreement with f=2 > t=1:\n%s", protocol.Describe(correct))
 	}
 }
 
@@ -239,7 +240,7 @@ func TestDeliveryOrderRecorded(t *testing.T) {
 	cfg := Config{N: 4, T: 1, MaxRounds: 5}
 	inputs := []int{1, 1, 1}
 	sys, correct := buildSystem(t, cfg, inputs, silentFactory, network.FIFOScheduler{})
-	if _, err := sys.Run(100000, func() bool { return AllDecided(correct) }); err != nil {
+	if _, err := sys.Run(100000, func() bool { return protocol.AllDecided(correct) }); err != nil {
 		t.Fatal(err)
 	}
 	v, good := GoodValue(correct, 0)
@@ -281,7 +282,7 @@ func TestSanitizeSet(t *testing.T) {
 // Byzantine process cannot stuff the favorites array.
 func TestDuplicateAuxIgnored(t *testing.T) {
 	cfg := Config{N: 4, T: 1, MaxRounds: 3}
-	p, err := NewProcess(0, 0, cfg, AllIDs(4))
+	p, err := NewProcess(0, 0, cfg, protocol.AllIDs(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,13 +303,13 @@ func TestDuplicateAuxIgnored(t *testing.T) {
 func TestHandlersIdempotentUnderDuplication(t *testing.T) {
 	run := func(duplicate bool) []*Process {
 		cfg := Config{N: 4, T: 1, MaxRounds: 8}
-		all := AllIDs(cfg.N)
+		all := protocol.AllIDs(cfg.N)
 		inputs := []int{0, 1, 1}
 		correct, err := Processes(cfg, inputs, all)
 		if err != nil {
 			t.Fatal(err)
 		}
-		procs := []network.Process{correct[0], correct[1], correct[2], &Silent{Id: 3}}
+		procs := []network.Process{correct[0], correct[1], correct[2], &protocol.Silent{Id: 3}}
 		sys, err := network.NewSystem(procs, network.FIFOScheduler{})
 		if err != nil {
 			t.Fatal(err)
@@ -318,10 +319,10 @@ func TestHandlersIdempotentUnderDuplication(t *testing.T) {
 				return []network.Message{m, m}
 			}
 		}
-		if _, err := sys.Run(500_000, func() bool { return AllDecided(correct) }); err != nil {
+		if _, err := sys.Run(500_000, func() bool { return protocol.AllDecided(correct) }); err != nil {
 			t.Fatal(err)
 		}
-		if !AllDecided(correct) {
+		if !protocol.AllDecided(correct) {
 			t.Fatalf("duplicate=%v: not all decided", duplicate)
 		}
 		return correct
@@ -338,7 +339,7 @@ func TestHandlersIdempotentUnderDuplication(t *testing.T) {
 			t.Errorf("p%d: decision round %d with duplication, %d without", i, dr, br)
 		}
 	}
-	if err := Agreement(doubled); err != nil {
+	if err := protocol.Agreement("dbft", doubled); err != nil {
 		t.Error(err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/network"
+	"repro/internal/protocol"
 )
 
 // Lemma7Result records one round of the Appendix B non-termination
@@ -40,7 +41,7 @@ func RunLemma7(rounds int) ([]Lemma7Result, error) {
 		return nil, fmt.Errorf("dbft: rounds must be positive")
 	}
 	cfg := Config{N: n, T: t, MaxRounds: rounds + 1}
-	all := AllIDs(n)
+	all := protocol.AllIDs(n)
 
 	// Round 0 has parity q=0, w=1: inputs give two w-holders (p0, p1) and
 	// one q-holder (p2).

@@ -1,93 +1,92 @@
 package dbft
 
-import "repro/internal/network"
+import (
+	"fmt"
+	"slices"
 
-// Snapshot is a deep copy of a Process's durable state, the unit of
-// persistence for crash-recovery. The fault plane (internal/faults) persists
-// a snapshot after every delivery — the synchronous write-ahead model — and
-// hands it back via Restore when the replica reboots.
-//
-// Synchronous persistence is not an implementation shortcut but a safety
-// requirement: if a replica persisted less often (say at round boundaries),
-// a crash after broadcasting AUX but before persisting would let the
-// recovered replica recompute a *different* contestant set and broadcast a
-// conflicting AUX for the same round — equivocation, which only Byzantine
-// processes are budgeted for. Persisting before the effects of a delivery
-// become visible keeps a crash-recovery replica inside the "correct process"
-// envelope of the proofs.
-type Snapshot struct {
-	est      int
-	round    int
-	rounds   map[int]*roundState
-	decided  bool
-	decision int
-	decRound int
+	"repro/internal/network"
+	"repro/internal/protocol"
+)
 
-	estimateHistory []int
-	deliveryOrder   map[int][]int
-	outbox          []network.Message
+// This file is the field-by-field body of a Process's durable state inside
+// the protocol kit's snapshot envelope (see protocol.Replica for why the
+// fault plane persists it after every delivery).
+
+// snapshotVersion guards the layout; bump on any change.
+const snapshotVersion = 1
+
+// SnapshotBytes implements protocol.Replica.
+func (p *Process) SnapshotBytes() []byte {
+	e := protocol.NewEnc(snapshotVersion)
+	e.Int(p.est)
+	e.Int(p.round)
+	e.Bool(p.decided)
+	e.Int(p.decision)
+	e.Int(p.decidedRound)
+	e.Ints(p.EstimateHistory)
+	protocol.EncMap(e, p.DeliveryOrder, (*protocol.Enc).Ints)
+	protocol.EncMap(e, p.rounds, encodeRoundState)
+	e.Messages(p.out.Messages())
+	return e.Bytes()
 }
 
-func cloneRoundState(st *roundState) *roundState {
-	c := newRoundState()
-	for v := 0; v <= 1; v++ {
-		for id := range st.bvSenders[v] {
-			c.bvSenders[v][id] = true
+func encodeRoundState(e *protocol.Enc, st *roundState) {
+	e.ProcSet(st.bvSenders[0])
+	e.ProcSet(st.bvSenders[1])
+	e.Flags(st.echoed[0], st.echoed[1], st.contestants[0], st.contestants[1], st.auxSent)
+	// favorites in arrival order (favOrder), preserving first-aux-wins
+	// semantics across a recovery.
+	e.Uvarint(uint64(len(st.favOrder)))
+	for _, q := range st.favOrder {
+		e.Int(int(q))
+		e.Ints(st.favorites[q])
+	}
+}
+
+// RestoreBytes implements protocol.Replica. It never panics on malformed
+// input (fuzzed in snapshot_test.go).
+func (p *Process) RestoreBytes(b []byte) error {
+	d := protocol.NewDec(b, snapshotVersion)
+	est := d.Int()
+	round := d.Int()
+	decided := d.Bool()
+	decision := d.Int()
+	decidedRound := d.Int()
+	history := d.Ints()
+	order := protocol.DecMap(d, "delivery-order round", (*protocol.Dec).Ints)
+	rounds := protocol.DecMap(d, "round", decodeRoundState)
+	outbox := d.Messages()
+	if err := d.Finish("snapshot"); err != nil {
+		return fmt.Errorf("dbft: %w", err)
+	}
+	p.est, p.round, p.rounds = est, round, rounds
+	p.decided, p.decision, p.decidedRound = decided, decision, decidedRound
+	p.EstimateHistory, p.DeliveryOrder = history, order
+	p.out.Reboot(outbox)
+	return nil
+}
+
+func decodeRoundState(d *protocol.Dec) *roundState {
+	st := newRoundState()
+	st.bvSenders[0] = d.ProcSet("bv sender")
+	st.bvSenders[1] = d.ProcSet("bv sender")
+	d.Flags(&st.echoed[0], &st.echoed[1], &st.contestants[0], &st.contestants[1], &st.auxSent)
+	for i, n := 0, d.Len(); i < n && d.Err() == nil; i++ {
+		q := network.ProcID(d.Int())
+		set := d.Ints()
+		if _, dup := st.favorites[q]; dup {
+			d.Fail("duplicate favorite %d", q)
 		}
-		c.echoed[v] = st.echoed[v]
-		c.contestants[v] = st.contestants[v]
+		// Deliver only ever stores sanitized sets, and the handlers index
+		// contestants by their members.
+		if !slices.Equal(set, sanitizeSet(set)) {
+			d.Fail("malformed favorite set %v", set)
+		}
+		st.favorites[q] = set
+		st.favOrder = append(st.favOrder, q)
 	}
-	c.auxSent = st.auxSent
-	for id, set := range st.favorites {
-		c.favorites[id] = append([]int(nil), set...)
+	if d.Err() == nil {
+		st.recountValidFavorites()
 	}
-	c.favOrder = append([]network.ProcID(nil), st.favOrder...)
-	c.recountValidFavorites()
-	return c
-}
-
-func cloneDeliveryOrder(d map[int][]int) map[int][]int {
-	out := make(map[int][]int, len(d))
-	for r, vs := range d {
-		out[r] = append([]int(nil), vs...)
-	}
-	return out
-}
-
-// Snapshot captures the process's state.
-func (p *Process) Snapshot() *Snapshot {
-	s := &Snapshot{
-		est:             p.est,
-		round:           p.round,
-		rounds:          make(map[int]*roundState, len(p.rounds)),
-		decided:         p.decided,
-		decision:        p.decision,
-		decRound:        p.decidedRound,
-		estimateHistory: append([]int(nil), p.EstimateHistory...),
-		deliveryOrder:   cloneDeliveryOrder(p.DeliveryOrder),
-		outbox:          append([]network.Message(nil), p.outbox...),
-	}
-	for r, st := range p.rounds {
-		s.rounds[r] = cloneRoundState(st)
-	}
-	return s
-}
-
-// Restore replaces the process's in-memory state with the snapshot,
-// simulating a reboot from stable storage. Volatile retransmission backoff
-// resets, so a recovered replica re-announces its outbox promptly.
-func (p *Process) Restore(s *Snapshot) {
-	p.est = s.est
-	p.round = s.round
-	p.rounds = make(map[int]*roundState, len(s.rounds))
-	for r, st := range s.rounds {
-		p.rounds[r] = cloneRoundState(st)
-	}
-	p.decided = s.decided
-	p.decision = s.decision
-	p.decidedRound = s.decRound
-	p.EstimateHistory = append([]int(nil), s.estimateHistory...)
-	p.DeliveryOrder = cloneDeliveryOrder(s.deliveryOrder)
-	p.outbox = append([]network.Message(nil), s.outbox...)
-	p.retxWait, p.retxLeft, p.sawTraffic = 0, 0, false
+	return st
 }

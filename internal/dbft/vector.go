@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/network"
+	"repro/internal/protocol"
 	"repro/internal/rbc"
 )
 
@@ -44,11 +45,9 @@ type VectorProcess struct {
 	output  []string
 	decided bool
 
-	// Retransmission backoff, in ticks; activity-gated like Process (see the
-	// field comments there).
-	retxWait   int
-	retxLeft   int
-	sawTraffic bool
+	// retx is the one quiet-period timer that drives retransmission of the
+	// RBC layer and of every started binary instance.
+	retx protocol.Timer
 }
 
 var _ network.Process = (*VectorProcess)(nil)
@@ -97,12 +96,7 @@ func (v *VectorProcess) Start(send network.Sender) {
 // retransmission of the RBC dissemination layer and of every started binary
 // instance, so the whole vector consensus tolerates lossy links.
 func (v *VectorProcess) OnTick(step int, send network.Sender) {
-	if v.sawTraffic {
-		v.sawTraffic = false // traffic flowed this period: no need to re-send
-		return
-	}
-	if v.retxLeft > 0 {
-		v.retxLeft--
+	if !v.retx.Due() {
 		return
 	}
 	v.rbc.Retransmit(send)
@@ -116,19 +110,11 @@ func (v *VectorProcess) OnTick(step int, send network.Sender) {
 	for _, k := range keys {
 		v.instances[k].Retransmit(send)
 	}
-	if v.retxWait < retxBackoffCap {
-		if v.retxWait == 0 {
-			v.retxWait = 1
-		} else {
-			v.retxWait *= 2
-		}
-	}
-	v.retxLeft = v.retxWait
 }
 
 // Deliver implements network.Process.
 func (v *VectorProcess) Deliver(m network.Message, send network.Sender) {
-	v.sawTraffic = true
+	v.retx.SawTraffic()
 	handled, err := v.rbc.Handle(m, send)
 	if err != nil {
 		// A delivery with no handler is a programming error; surface it by

@@ -8,11 +8,12 @@ import (
 	"repro/internal/dbft"
 	"repro/internal/fairness"
 	"repro/internal/network"
+	"repro/internal/protocol"
 )
 
 func vectorSystem(t *testing.T, cfg dbft.Config, proposals []string, byz []network.Process, sched network.Scheduler) (*network.System, []*dbft.VectorProcess) {
 	t.Helper()
-	all := dbft.AllIDs(cfg.N)
+	all := protocol.AllIDs(cfg.N)
 	var correct []*dbft.VectorProcess
 	procs := make([]network.Process, 0, cfg.N)
 	for i, prop := range proposals {
@@ -69,7 +70,7 @@ func TestVectorWithSilentByzantine(t *testing.T) {
 	cfg := dbft.Config{N: 4, T: 1, MaxRounds: 14}
 	proposals := []string{"a", "b", "c"}
 	sys, correct := vectorSystem(t, cfg, proposals,
-		[]network.Process{&dbft.Silent{Id: 3}}, fairSched(3))
+		[]network.Process{&protocol.Silent{Id: 3}}, fairSched(3))
 	if _, err := sys.Run(2_000_000, func() bool { return dbft.AllVectorDecided(correct) }); err != nil {
 		t.Fatal(err)
 	}
@@ -117,10 +118,10 @@ func TestVectorAgreementUnderRandomSchedules(t *testing.T) {
 func TestVectorLargerSystem(t *testing.T) {
 	cfg := dbft.Config{N: 7, T: 2, MaxRounds: 16}
 	proposals := []string{"a", "b", "c", "d", "e"}
-	all := dbft.AllIDs(cfg.N)
+	all := protocol.AllIDs(cfg.N)
 	byz := []network.Process{
-		&dbft.Silent{Id: 5},
-		&dbft.Equivocator{Id: 6, All: all, ZeroSide: func(p network.ProcID) bool { return p < 3 }},
+		&protocol.Silent{Id: 5},
+		dbft.Lies.Equivocator(6, all, func(p network.ProcID) bool { return p < 3 }),
 	}
 	sys, correct := vectorSystem(t, cfg, proposals, byz, fairSched(5, 6))
 	if _, err := sys.Run(5_000_000, func() bool { return dbft.AllVectorDecided(correct) }); err != nil {
@@ -148,9 +149,9 @@ func TestVectorLargerSystem(t *testing.T) {
 func TestVectorWithEquivocatingProposer(t *testing.T) {
 	cfg := dbft.Config{N: 5, T: 1, MaxRounds: 14}
 	proposals := []string{"a", "b", "c", "d"}
-	all := dbft.AllIDs(cfg.N)
+	all := protocol.AllIDs(cfg.N)
 	byz := []network.Process{
-		&dbft.Equivocator{Id: 4, All: all, ZeroSide: func(p network.ProcID) bool { return p < 2 }},
+		dbft.Lies.Equivocator(4, all, func(p network.ProcID) bool { return p < 2 }),
 	}
 	sys, correct := vectorSystem(t, cfg, proposals, byz, fairSched(4))
 	if _, err := sys.Run(5_000_000, func() bool { return dbft.AllVectorDecided(correct) }); err != nil {

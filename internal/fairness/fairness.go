@@ -7,6 +7,7 @@ package fairness
 import (
 	"repro/internal/dbft"
 	"repro/internal/network"
+	"repro/internal/protocol"
 )
 
 // GoodRound reports whether round r of the recorded execution was
@@ -82,9 +83,9 @@ func (s Scheduler) key(m network.Message) int {
 // given scheduler until every correct process decides (or the step budget is
 // exhausted). It returns the steps taken and whether all decided.
 func RunToDecision(sys *network.System, correct []*dbft.Process, maxSteps int) (int, bool, error) {
-	steps, err := sys.Run(maxSteps, func() bool { return dbft.AllDecided(correct) })
+	steps, err := sys.Run(maxSteps, func() bool { return protocol.AllDecided(correct) })
 	if err != nil {
 		return steps, false, err
 	}
-	return steps, dbft.AllDecided(correct), nil
+	return steps, protocol.AllDecided(correct), nil
 }

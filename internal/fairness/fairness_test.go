@@ -7,11 +7,12 @@ import (
 
 	"repro/internal/dbft"
 	"repro/internal/network"
+	"repro/internal/protocol"
 )
 
 func run(t *testing.T, inputs []int, cfg dbft.Config, byz []network.Process, sched network.Scheduler) (*network.System, []*dbft.Process) {
 	t.Helper()
-	all := dbft.AllIDs(cfg.N)
+	all := protocol.AllIDs(cfg.N)
 	correct, err := dbft.Processes(cfg, inputs, all)
 	if err != nil {
 		t.Fatal(err)
@@ -36,13 +37,13 @@ func TestTerminationUnderFairScheduler(t *testing.T) {
 	byzSet := map[network.ProcID]bool{3: true}
 	strategies := map[string]func(all []network.ProcID, rng *rand.Rand) network.Process{
 		"silent": func(all []network.ProcID, _ *rand.Rand) network.Process {
-			return &dbft.Silent{Id: 3}
+			return &protocol.Silent{Id: 3}
 		},
 		"equivocator": func(all []network.ProcID, _ *rand.Rand) network.Process {
-			return &dbft.Equivocator{Id: 3, All: all, ZeroSide: func(p network.ProcID) bool { return p == 0 }}
+			return dbft.Lies.Equivocator(3, all, func(p network.ProcID) bool { return p == 0 })
 		},
 		"liar": func(all []network.ProcID, rng *rand.Rand) network.Process {
-			return &dbft.RandomLiar{Id: 3, All: all, Rng: rng}
+			return dbft.Lies.Liar(3, all, rng)
 		},
 	}
 	for name, mk := range strategies {
@@ -50,7 +51,7 @@ func TestTerminationUnderFairScheduler(t *testing.T) {
 			inputs := []int{bits & 1, (bits >> 1) & 1, (bits >> 2) & 1}
 			cfg := dbft.Config{N: 4, T: 1, MaxRounds: 12}
 			rng := rand.New(rand.NewSource(int64(bits)))
-			byz := mk(dbft.AllIDs(cfg.N), rng)
+			byz := mk(protocol.AllIDs(cfg.N), rng)
 			sys, correct := run(t, inputs, cfg, []network.Process{byz}, Scheduler{Byzantine: byzSet})
 			steps, done, err := RunToDecision(sys, correct, 500000)
 			if err != nil {
@@ -58,13 +59,13 @@ func TestTerminationUnderFairScheduler(t *testing.T) {
 			}
 			if !done {
 				t.Errorf("%s inputs=%v: no termination after %d steps:\n%s",
-					name, inputs, steps, dbft.Describe(correct))
+					name, inputs, steps, protocol.Describe(correct))
 				continue
 			}
-			if err := dbft.Agreement(correct); err != nil {
+			if err := protocol.Agreement("dbft", correct); err != nil {
 				t.Errorf("%s inputs=%v: %v", name, inputs, err)
 			}
-			if err := dbft.Validity(correct, inputs); err != nil {
+			if err := protocol.Validity("dbft", correct, inputs); err != nil {
 				t.Errorf("%s inputs=%v: %v", name, inputs, err)
 			}
 			if g := FirstGoodRound(correct, cfg.MaxRounds); g < 0 {
@@ -82,7 +83,7 @@ func TestGoodRoundImpliesQuickDecision(t *testing.T) {
 		inputs := []int{int(bits) & 1, int(bits>>1) & 1, int(bits>>2) & 1}
 		cfg := dbft.Config{N: 4, T: 1, MaxRounds: 12}
 		rng := rand.New(rand.NewSource(seed))
-		byz := &dbft.RandomLiar{Id: 3, All: dbft.AllIDs(cfg.N), Rng: rng}
+		byz := dbft.Lies.Liar(3, protocol.AllIDs(cfg.N), rng)
 		sys, correct := run(t, inputs, cfg, []network.Process{byz}, Scheduler{Byzantine: map[network.ProcID]bool{3: true}})
 		_, done, err := RunToDecision(sys, correct, 500000)
 		if err != nil || !done {
@@ -110,7 +111,7 @@ func TestGoodRoundDetection(t *testing.T) {
 	// Unanimous value 0 in round 0: the round is 0-good, and 0 == parity.
 	cfg := dbft.Config{N: 4, T: 1, MaxRounds: 6}
 	sys, correct := run(t, []int{0, 0, 0}, cfg,
-		[]network.Process{&dbft.Silent{Id: 3}}, network.FIFOScheduler{})
+		[]network.Process{&protocol.Silent{Id: 3}}, network.FIFOScheduler{})
 	if _, _, err := RunToDecision(sys, correct, 200000); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestGoodRoundDetection(t *testing.T) {
 	// Unanimous value 1: round 0 is 1-good but 1 != parity(0), so not a
 	// fairness witness for round 0; round 1 must be.
 	sys, correct = run(t, []int{1, 1, 1}, cfg,
-		[]network.Process{&dbft.Silent{Id: 3}}, network.FIFOScheduler{})
+		[]network.Process{&protocol.Silent{Id: 3}}, network.FIFOScheduler{})
 	if _, _, err := RunToDecision(sys, correct, 200000); err != nil {
 		t.Fatal(err)
 	}

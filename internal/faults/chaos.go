@@ -11,6 +11,7 @@ import (
 	"repro/internal/fairness"
 	"repro/internal/network"
 	"repro/internal/obs"
+	"repro/internal/protocol"
 	"repro/internal/sba"
 )
 
@@ -73,11 +74,13 @@ type Outcome struct {
 	Decided bool // every participating correct process decided
 	// Participating excludes crash-stopped processes (they count as faults);
 	// Procs holds every correct process for invariant checks. Exactly one of
-	// the dbft and sba pairs is populated, per Scenario.Protocol.
-	Procs            []*dbft.Process
-	Participating    []*dbft.Process
-	SBAProcs         []*sba.Process
-	SBAParticipating []*sba.Process
+	// the dbft and sba pairs is populated, per Scenario.Protocol (the
+	// repository benchmark reads both pairs; Replicas is the protocol-blind
+	// view).
+	Procs            []protocol.Replica
+	Participating    []protocol.Replica
+	SBAProcs         []protocol.Replica
+	SBAParticipating []protocol.Replica
 	AgreementErr     error
 	ValidityErr      error
 	Err              error // run/panic error, already annotated with the scenario
@@ -101,6 +104,74 @@ type Outcome struct {
 	ReplayChecked     int
 }
 
+// frontEnd is one executable protocol the fault plane can drive: how to
+// build a correct replica, what its Byzantine processes say, and which
+// Outcome field pair its replicas are published in (the frozen benchmark
+// reads Participating and SBAParticipating by name; everything in this
+// package goes through Outcome.Replicas).
+type frontEnd struct {
+	name       string
+	newReplica func(sc *Scenario, id network.ProcID, input int, all []network.ProcID) (protocol.Replica, error)
+	lies       protocol.Lies
+	publish    func(out *Outcome, correct, participating []protocol.Replica)
+}
+
+// frontEnds is the protocol table; the first entry is what an empty
+// Scenario.Protocol means. Protocols and KnownProtocols derive from it, so
+// adding a front-end is adding an entry.
+var frontEnds = []frontEnd{
+	{
+		name: "dbft",
+		newReplica: func(sc *Scenario, id network.ProcID, input int, all []network.ProcID) (protocol.Replica, error) {
+			return replicaOf(dbft.NewProcess(id, input, dbft.Config{N: sc.N, T: sc.T, MaxRounds: sc.MaxRounds}, all))
+		},
+		lies: dbft.Lies,
+		publish: func(out *Outcome, correct, participating []protocol.Replica) {
+			out.Procs, out.Participating = correct, participating
+		},
+	},
+	{
+		name: "sba",
+		newReplica: func(sc *Scenario, id network.ProcID, input int, all []network.ProcID) (protocol.Replica, error) {
+			return replicaOf(sba.NewProcess(id, input, sba.Config{N: sc.N, T: sc.T, MaxRounds: sc.MaxRounds}, all))
+		},
+		lies: sba.Lies,
+		publish: func(out *Outcome, correct, participating []protocol.Replica) {
+			out.SBAProcs, out.SBAParticipating = correct, participating
+		},
+	},
+}
+
+// replicaOf adapts a front-end constructor's result, keeping a failed
+// construction a nil interface rather than a typed nil pointer.
+func replicaOf[P protocol.Replica](p P, err error) (protocol.Replica, error) {
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// lookupFrontEnd resolves a Scenario.Protocol value.
+func lookupFrontEnd(name string) (frontEnd, bool) {
+	if name == "" {
+		return frontEnds[0], true
+	}
+	for _, fe := range frontEnds {
+		if fe.name == name {
+			return fe, true
+		}
+	}
+	return frontEnd{}, false
+}
+
+// Replicas is every correct process of the run, whichever protocol ran.
+func (o *Outcome) Replicas() []protocol.Replica {
+	if o.Procs != nil {
+		return o.Procs
+	}
+	return o.SBAProcs
+}
+
 // Run executes the scenario. Any panic in the protocol stack or harness is
 // converted into an error carrying the replayable scenario JSON — a chaos
 // campaign must survive a misbehaving run, not die with it.
@@ -110,49 +181,39 @@ func (sc Scenario) Run() (out Outcome) {
 			out.Err = fmt.Errorf("faults: panic in scenario %s: %v\n%s", sc.Encode(), r, debug.Stack())
 		}
 	}()
-	if sc.Protocol == "sba" {
-		sc.runSBA(&out)
-		return out
-	}
-
-	cfg := dbft.Config{N: sc.N, T: sc.T, MaxRounds: sc.MaxRounds}
-	all := dbft.AllIDs(sc.N)
-	correct, err := dbft.Processes(cfg, sc.Inputs, all)
-	if err != nil {
+	fail := func(err error) Outcome {
 		out.Err = fmt.Errorf("faults: scenario %s: %w", sc.Encode(), err)
 		return out
+	}
+	fe, ok := lookupFrontEnd(sc.Protocol)
+	if !ok {
+		return fail(fmt.Errorf("unknown protocol %q (known protocols: %s)", sc.Protocol, KnownProtocols))
+	}
+
+	all := protocol.AllIDs(sc.N)
+	newReplica := func(id network.ProcID, input int) (protocol.Replica, error) {
+		return fe.newReplica(&sc, id, input, all)
+	}
+	correct, err := protocol.Processes(sc.Inputs, newReplica)
+	if err != nil {
+		return fail(err)
 	}
 	byzSet := map[network.ProcID]bool{}
 	procs := make([]network.Process, 0, sc.N)
 	for _, p := range correct {
 		procs = append(procs, p)
 	}
-	// Byzantine randomness is decoupled from the injector's coins so the
-	// fault stream is stable across strategy changes — and derived per
-	// process, never shared: in the bus's native drain mode liar processes
-	// on different partitions run on different goroutines, so one shared
-	// *rand.Rand would be both a data race and a determinism leak.
 	for i, strat := range sc.Byz {
 		id := network.ProcID(len(sc.Inputs) + i)
 		byzSet[id] = true
-		switch strat {
-		case "silent":
-			procs = append(procs, &dbft.Silent{Id: id})
-		case "equivocator":
-			procs = append(procs, &dbft.Equivocator{Id: id, All: all,
-				ZeroSide: func(p network.ProcID) bool { return int(p) < sc.N/2 }})
-		case "liar":
-			procs = append(procs, &dbft.RandomLiar{Id: id, All: all,
-				Rng: rand.New(rand.NewSource(sc.Plan.Seed + 1 + 1_000_003*int64(id)))})
-		default:
-			out.Err = fmt.Errorf("faults: scenario %s: unknown byzantine strategy %q", sc.Encode(), strat)
-			return out
+		p, err := fe.lies.Strategy(strat, id, all, sc.N/2, sc.Plan.Seed)
+		if err != nil {
+			return fail(err)
 		}
+		procs = append(procs, p)
 	}
 	if len(sc.Inputs)+len(sc.Byz) != sc.N {
-		out.Err = fmt.Errorf("faults: scenario %s: %d inputs + %d byzantine != n=%d",
-			sc.Encode(), len(sc.Inputs), len(sc.Byz), sc.N)
-		return out
+		return fail(fmt.Errorf("%d inputs + %d byzantine != n=%d", len(sc.Inputs), len(sc.Byz), sc.N))
 	}
 
 	var inner network.Scheduler
@@ -168,26 +229,24 @@ func (sc Scenario) Run() (out Outcome) {
 		// consults a scheduler; FIFO here only satisfies the constructor.
 		inner = network.FIFOScheduler{}
 	default:
-		out.Err = fmt.Errorf("faults: scenario %s: unknown scheduler %q", sc.Encode(), sc.Sched)
-		return out
+		return fail(fmt.Errorf("unknown scheduler %q", sc.Sched))
 	}
 
 	inj := NewInjector(sc.Plan, inner)
 	if sc.Durable {
 		for _, p := range correct {
-			inj.AttachStore(p.ID(), newReplicaStore(p.ID(), cfg, all,
-				sc.Plan.storageFor(p.ID()), sc.Plan.Seed*1_000_003+int64(p.ID())+11))
+			id := p.ID()
+			inj.AttachStore(id, newReplicaStore(id, func() (protocol.Replica, error) { return newReplica(id, 0) },
+				sc.Plan.storageFor(id), sc.Plan.Seed*1_000_003+int64(id)+11))
 		}
 	}
 	netOpts, err := sc.networkOptions()
 	if err != nil {
-		out.Err = fmt.Errorf("faults: scenario %s: %w", sc.Encode(), err)
-		return out
+		return fail(err)
 	}
 	sys, err := network.NewSystemOpts(inj.Wrap(procs), inj, netOpts)
 	if err != nil {
-		out.Err = fmt.Errorf("faults: scenario %s: %w", sc.Encode(), err)
-		return out
+		return fail(err)
 	}
 	inj.Install(sys)
 	sys.TickInterval = sc.Tick
@@ -198,7 +257,7 @@ func (sc Scenario) Run() (out Outcome) {
 	for _, id := range sc.Plan.CrashStops() {
 		stopped[id] = true
 	}
-	participating := make([]*dbft.Process, 0, len(correct))
+	participating := make([]protocol.Replica, 0, len(correct))
 	for _, p := range correct {
 		if !stopped[p.ID()] {
 			participating = append(participating, p)
@@ -222,14 +281,12 @@ func (sc Scenario) Run() (out Outcome) {
 
 	steps, err := sys.Run(sc.MaxSteps, cleanDecided)
 	out.Steps = steps
-	out.Procs = correct
-	out.Participating = participating
+	fe.publish(&out, correct, participating)
 	out.Events = inj.Log
 	out.Bus = sys.BusStats()
 	out.Stalled = sys.Stalled()
 	if err != nil {
-		out.Err = fmt.Errorf("faults: scenario %s: %w", sc.Encode(), err)
-		return out
+		return fail(err)
 	}
 	out.Decided = cleanDecided()
 	// Safety invariants are checked over every correct process, including
@@ -238,15 +295,15 @@ func (sc Scenario) Run() (out Outcome) {
 	// Byzantine-equivalent, and the fault budget already accounts for them.
 	safetySet := correct
 	if sc.Durable {
-		safetySet = make([]*dbft.Process, 0, len(correct))
+		safetySet = make([]protocol.Replica, 0, len(correct))
 		for _, p := range correct {
 			if !inj.Risky(p.ID()) {
 				safetySet = append(safetySet, p)
 			}
 		}
 	}
-	out.AgreementErr = dbft.Agreement(safetySet)
-	out.ValidityErr = dbft.Validity(safetySet, sc.Inputs)
+	out.AgreementErr = protocol.Agreement(fe.name, safetySet)
+	out.ValidityErr = protocol.Validity(fe.name, safetySet, sc.Inputs)
 	if sc.Durable {
 		sc.checkDurable(inj, &out)
 	}
@@ -262,7 +319,7 @@ func (sc Scenario) checkDurable(inj *Injector, out *Outcome) {
 	out.QuarantineReasons = inj.quarantined
 	out.Contradictions = inj.Contradictions
 	out.SilentCorruptions = inj.SilentCorruptions
-	for _, p := range out.Procs {
+	for _, p := range out.Replicas() {
 		st := inj.stores[p.ID()]
 		if st == nil || st.log == nil || st.dirty ||
 			inj.Risky(p.ID()) || inj.IsQuarantined(p.ID()) || inj.downNow(p.ID()) {
@@ -273,7 +330,7 @@ func (sc Scenario) checkDurable(inj *Injector, out *Outcome) {
 			out.ReplayErrs = append(out.ReplayErrs, fmt.Sprintf("p%d: replay: %v", p.ID(), err))
 			continue
 		}
-		if !bytes.Equal(fp, dbft.EncodeSnapshot(p.Snapshot())) {
+		if !bytes.Equal(fp, p.SnapshotBytes()) {
 			out.ReplayErrs = append(out.ReplayErrs,
 				fmt.Sprintf("p%d: recovered state differs from fresh replay of its log", p.ID()))
 			continue
@@ -389,9 +446,8 @@ func (c Campaign) RandomScenario(seed int64) Scenario {
 		nByz = 1 + rng.Intn(budget)
 		budget -= nByz
 	}
-	strategies := []string{"silent", "equivocator", "liar"}
 	for i := 0; i < nByz; i++ {
-		sc.Byz = append(sc.Byz, strategies[rng.Intn(len(strategies))])
+		sc.Byz = append(sc.Byz, protocol.Strategies[rng.Intn(len(protocol.Strategies))])
 	}
 	nCorrect := c.N - nByz
 	sc.Inputs = make([]int, nCorrect)

@@ -1,4 +1,6 @@
-// Package faults is the fault-injection plane for the DBFT simulator. The
+// Package faults is the fault-injection plane for the protocol simulator: it
+// drives any front-end in its protocol table (dbft, sba — see frontEnds in
+// chaos.go) through the protocol.Replica contract, one Scenario.Run for all. The
 // paper (Section 2) assumes an asynchronous but *reliable* network: every
 // sent message is eventually delivered, processes never crash, links never
 // partition. This package relaxes each of those assumptions executably —
@@ -15,7 +17,7 @@
 // simulated time with network.Tick when everything is held). Crash faults
 // wrap processes: deliveries into a crash window are consumed and lost, and
 // on recovery a snapshot-capable process reboots from its synchronously
-// persisted state (see dbft.Snapshot for why persistence must be
+// persisted state (see protocol.Replica for why persistence must be
 // synchronous).
 //
 // Per-fault budgets make unfairness a choice rather than an accident: a
@@ -35,9 +37,8 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/dbft"
 	"repro/internal/network"
-	"repro/internal/sba"
+	"repro/internal/protocol"
 )
 
 // DropRule describes one class of message loss.
@@ -569,51 +570,31 @@ func (inj *Injector) downNow(id network.ProcID) bool {
 	return false
 }
 
-// snapshotter is the crash-recovery contract for dbft processes: processes
-// that persist their state survive a crash window with only the window's
-// deliveries lost. The durable WAL plane (replicaStore) is typed against it.
-// Processes without a snapshot contract are paused-with-memory instead (the
-// crash degrades to an omission fault for them).
-type snapshotter interface {
-	Snapshot() *dbft.Snapshot
-	Restore(*dbft.Snapshot)
-}
-
-// sbaSnapshotter is the same contract for sba processes. The volatile
-// crash-recovery path is generalized over both via capture/restore closures
-// (see Wrap); the durable WAL plane stays dbft-only.
-type sbaSnapshotter interface {
-	Snapshot() *sba.Snapshot
-	Restore(*sba.Snapshot)
-}
-
 // Wrap interposes crash handling on every process. The returned slice is
-// what the network.System must be built from. Processes with an attached
-// replicaStore persist to (and recover from) their WAL; the rest keep the
-// in-memory snapshot regime of the non-durable plane.
+// what the network.System must be built from. A protocol.Replica survives a
+// crash window with only the window's deliveries lost: with an attached
+// replicaStore it persists to (and recovers from) its WAL, otherwise it
+// reboots from the in-memory snapshot of the non-durable plane. Processes
+// without the snapshot contract (the Byzantine strategies) are
+// paused-with-memory instead — the crash degrades to an omission fault.
 func (inj *Injector) Wrap(procs []network.Process) []network.Process {
 	out := make([]network.Process, len(procs))
 	for i, p := range procs {
 		w := &wrapProc{inner: p, inj: inj}
-		switch s := p.(type) {
-		case snapshotter:
-			w.capture = func() any { return s.Snapshot() }
-			w.restore = func(v any) { s.Restore(v.(*dbft.Snapshot)) }
+		if r, ok := p.(protocol.Replica); ok {
+			w.rep = r
 			if st := inj.stores[p.ID()]; st != nil {
-				st.rec = s
+				st.rec = r
 				w.store = st
 			}
-		case sbaSnapshotter:
-			w.capture = func() any { return s.Snapshot() }
-			w.restore = func(v any) { s.Restore(v.(*sba.Snapshot)) }
 		}
 		// The in-memory snapshot regime is only consumed by revive() after a
 		// scheduled crash window on the non-durable path (storage faults and
 		// quarantine only ever down replicas that recover from their WAL).
-		// Snapshotting is a deep copy of the whole round state — O(n) map
-		// entries per delivery — so skip it entirely for replicas the plan
-		// can never crash; at thousands of replicas it would otherwise
-		// dominate the run.
+		// Snapshotting encodes the whole round state — O(n) map entries per
+		// delivery — so skip it entirely for replicas the plan can never
+		// crash; at thousands of replicas it would otherwise dominate the
+		// run.
 		if w.store == nil {
 			for _, c := range inj.Plan.Crashes {
 				if c.Proc == p.ID() {
@@ -636,19 +617,15 @@ type wrapProc struct {
 	inj   *Injector
 	store *replicaStore
 
-	// capture and restore realize the in-memory snapshot regime generically
-	// over the protocol front-ends (dbft and sba snapshots have different
-	// types; the closures erase that). Nil for processes without a snapshot
-	// contract.
-	capture func() any
-	restore func(any)
+	// rep is inner's snapshot contract; nil for processes without one.
+	rep protocol.Replica
 
 	started bool
 	down    bool
 	// volatileCrash marks replicas the plan crashes on the non-durable path —
 	// the only consumers of the per-delivery in-memory snapshot below.
 	volatileCrash bool
-	snap          any
+	snap          []byte
 }
 
 var _ network.Process = (*wrapProc)(nil)
@@ -782,8 +759,10 @@ func (w *wrapProc) revive(send network.Sender) bool {
 		} else {
 			w.down = false
 			w.inj.log(EvRecover, w.ID(), network.Message{})
-			if w.restore != nil && w.snap != nil {
-				w.restore(w.snap)
+			if w.snap != nil {
+				if err := w.rep.RestoreBytes(w.snap); err != nil {
+					panic(err) // bytes this replica encoded itself: a codec bug
+				}
 			}
 		}
 	}
@@ -800,17 +779,15 @@ func (w *wrapProc) revive(send network.Sender) bool {
 }
 
 // restoreFromDisk is crash-consistent recovery: reopen the WAL (torn tails
-// truncate, checksum failures quarantine), Restore the base snapshot, and
-// re-Deliver the logged messages with a no-op sender — their sends already
-// left pre-crash, and the rebuilt outbox retransmits on its own clock.
+// truncate, checksum failures quarantine) and rebuild the replica from it.
 func (w *wrapProc) restoreFromDisk() bool {
-	ds, err := w.store.recoverDisk()
+	fresh, err := w.store.recoverDisk()
 	if err != nil {
 		w.inj.quarantineProc(w.ID(), err.Error())
 		return false
 	}
 	w.inj.SilentCorruptions = append(w.inj.SilentCorruptions, w.store.takeSilent()...)
-	if ds.fresh {
+	if fresh {
 		if w.started {
 			// Durable state gone after messages were released: rejoining
 			// from scratch could equivocate, so retire the replica (the
@@ -820,11 +797,6 @@ func (w *wrapProc) restoreFromDisk() bool {
 		}
 		return true // never started: the Start path below boots it fresh
 	}
-	w.store.rec.Restore(ds.snap)
-	nop := func(network.Message) {}
-	for _, m := range ds.msgs {
-		w.inner.Deliver(m, nop)
-	}
 	w.store.dirty = false
 	w.inj.log(EvReplay, w.ID(), network.Message{})
 	return true
@@ -832,10 +804,10 @@ func (w *wrapProc) restoreFromDisk() bool {
 
 // persist is the synchronous stable write after every handler run — the
 // persistence regime under which a recovered replica can never equivocate
-// against its pre-crash messages (see dbft.Snapshot). Durable replicas
+// against its pre-crash messages (see protocol.Replica). Durable replicas
 // persist through their WAL instead (startDurable / Deliver).
 func (w *wrapProc) persist() {
-	if w.capture != nil && w.volatileCrash {
-		w.snap = w.capture()
+	if w.rep != nil && w.volatileCrash {
+		w.snap = w.rep.SnapshotBytes()
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/dbft"
 	"repro/internal/fairness"
 	"repro/internal/network"
+	"repro/internal/protocol"
 )
 
 // echoProc counts deliveries; used to probe the injector mechanics without
@@ -205,7 +206,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	// match the snapshot point, and replaying the same messages must be
 	// idempotent.
 	cfg := dbft.Config{N: 4, T: 1, MaxRounds: 8}
-	all := dbft.AllIDs(4)
+	all := protocol.AllIDs(4)
 	p, err := dbft.NewProcess(0, 1, cfg, all)
 	if err != nil {
 		t.Fatal(err)
@@ -221,21 +222,23 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	for _, m := range msgs {
 		p.Deliver(m, send)
 	}
-	snap := p.Snapshot()
+	snap := p.SnapshotBytes()
 	preRound, preEst := p.Round(), p.Estimate()
 
 	// Mutate past the snapshot point.
 	p.Deliver(network.Message{From: 1, To: 0, Round: 0, Kind: network.MsgAux, Set: []int{1}}, send)
-	p.Restore(snap)
+	if err := p.RestoreBytes(snap); err != nil {
+		t.Fatal(err)
+	}
 	if p.Round() != preRound || p.Estimate() != preEst {
 		t.Fatalf("restore: round/est = %d/%d, want %d/%d", p.Round(), p.Estimate(), preRound, preEst)
 	}
 	// Replaying already-seen messages must not change state (idempotence).
-	before := dbft.Describe([]*dbft.Process{p})
+	before := protocol.Describe([]*dbft.Process{p})
 	for _, m := range msgs {
 		p.Deliver(m, send)
 	}
-	if after := dbft.Describe([]*dbft.Process{p}); after != before {
+	if after := protocol.Describe([]*dbft.Process{p}); after != before {
 		t.Fatalf("replay after restore changed state:\n%s\nvs\n%s", before, after)
 	}
 }
@@ -261,7 +264,11 @@ func TestUnfairPlanLivelocksLikeLemma7(t *testing.T) {
 	}
 	// The fairness witness of Definition 2/3 must be absent: that is what
 	// forecloses Theorem 6.
-	if g := fairness.FirstGoodRound(out.Procs, sc.MaxRounds); g >= 0 {
+	procs := make([]*dbft.Process, len(out.Procs))
+	for i, p := range out.Procs {
+		procs[i] = p.(*dbft.Process)
+	}
+	if g := fairness.FirstGoodRound(procs, sc.MaxRounds); g >= 0 {
 		t.Fatalf("unfair plan produced a good round %d", g)
 	}
 }

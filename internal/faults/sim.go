@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/dbft"
 	"repro/internal/network"
-	"repro/internal/sba"
 )
 
 // SimOptions select the simulator backend and event-bus behavior for a
@@ -94,16 +92,9 @@ func (sc Scenario) Fingerprint(out *Outcome) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "steps=%d decided=%v err=%v agreement=%v validity=%v\n",
 		out.Steps, out.Decided, out.Err != nil, out.AgreementErr, out.ValidityErr)
-	// Exactly one of the protocol process slices is populated; dbft digests
-	// are byte-for-byte what they were before the sba front-end existed.
-	for _, p := range out.Procs {
+	for _, p := range out.Replicas() {
 		fmt.Fprintf(h, "p%d:", p.ID())
-		h.Write(dbft.EncodeSnapshot(p.Snapshot()))
-		h.Write([]byte{'\n'})
-	}
-	for _, p := range out.SBAProcs {
-		fmt.Fprintf(h, "p%d:", p.ID())
-		h.Write(sba.EncodeSnapshot(p.Snapshot()))
+		h.Write(p.SnapshotBytes())
 		h.Write([]byte{'\n'})
 	}
 	events := out.Events

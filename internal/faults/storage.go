@@ -28,8 +28,8 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/internal/dbft"
 	"repro/internal/network"
+	"repro/internal/protocol"
 	"repro/internal/wal"
 )
 
@@ -257,16 +257,17 @@ const walCompactEvery = 8
 
 // replicaStore is one replica's durable state: a wal.Log of delivered
 // messages over a base snapshot, on a fault-injected in-memory filesystem.
-// Recovery = Restore(base snapshot) + re-Deliver of the logged suffix.
+// Recovery = RestoreBytes(base snapshot) + re-Deliver of the logged suffix.
 type replicaStore struct {
-	id  network.ProcID
-	cfg dbft.Config
-	all []network.ProcID
-	fs  *faultFS
-	dir string
+	id network.ProcID
+	// fresh builds a blank replica of the owner's protocol and parameters,
+	// the starting point of the replay oracle.
+	fresh func() (protocol.Replica, error)
+	fs    *faultFS
+	dir   string
 
 	log          *wal.Log
-	rec          snapshotter
+	rec          protocol.Replica // the live replica; set by Injector.Wrap
 	sinceCompact int
 
 	// dirty means the replica's in-memory state has diverged from disk (a
@@ -276,13 +277,12 @@ type replicaStore struct {
 	silent []string
 }
 
-func newReplicaStore(id network.ProcID, cfg dbft.Config, all []network.ProcID, faults []StorageFault, seed int64) *replicaStore {
+func newReplicaStore(id network.ProcID, fresh func() (protocol.Replica, error), faults []StorageFault, seed int64) *replicaStore {
 	dir := "wal"
 	return &replicaStore{
-		id:  id,
-		cfg: cfg,
-		all: all,
-		dir: dir,
+		id:    id,
+		fresh: fresh,
+		dir:   dir,
 		fs: &faultFS{
 			mem:     wal.NewMemFS(),
 			rng:     rand.New(rand.NewSource(seed)),
@@ -314,19 +314,19 @@ func (s *replicaStore) begin() error {
 	if _, err := s.open(); err != nil {
 		return err
 	}
-	return s.log.SaveSnapshot(dbft.EncodeSnapshot(s.rec.Snapshot()))
+	return s.log.SaveSnapshot(s.rec.SnapshotBytes())
 }
 
 // appendMsg persists one delivered message, compacting on cadence. An
 // ErrKilled return means the replica died at the write point (the injector
 // has already been told); any other error is unrecoverable.
 func (s *replicaStore) appendMsg(m network.Message) error {
-	if err := s.log.Append(dbft.EncodeMessage(m)); err != nil {
+	if err := s.log.Append(protocol.EncodeMessage(m)); err != nil {
 		return err
 	}
 	s.sinceCompact++
 	if s.sinceCompact >= walCompactEvery {
-		if err := s.log.SaveSnapshot(dbft.EncodeSnapshot(s.rec.Snapshot())); err != nil {
+		if err := s.log.SaveSnapshot(s.rec.SnapshotBytes()); err != nil {
 			return err
 		}
 		s.sinceCompact = 0
@@ -334,45 +334,45 @@ func (s *replicaStore) appendMsg(m network.Message) error {
 	return nil
 }
 
-// diskState is what recovery reconstructed: a decoded base snapshot plus the
-// message suffix to re-deliver, or fresh (nothing durable at all).
-type diskState struct {
-	snap  *dbft.Snapshot
-	msgs  []network.Message
-	fresh bool
-}
-
-// recoverDisk reopens the log and decodes the durable state. Errors wrap
-// corruption the checksums caught — the caller quarantines.
-func (s *replicaStore) recoverDisk() (*diskState, error) {
+// recoverDisk reopens the log and rebuilds the live replica from it; fresh
+// means nothing durable exists at all (and the replica is untouched). Errors
+// wrap corruption the checksums caught — the caller quarantines.
+func (s *replicaStore) recoverDisk() (fresh bool, err error) {
 	rec, err := s.open()
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	s.checkSilent(rec)
 	if rec.Snapshot == nil && len(rec.Records) == 0 {
-		return &diskState{fresh: true}, nil
+		return true, nil
 	}
 	if rec.Snapshot == nil {
-		return nil, fmt.Errorf("faults: p%d: wal has records but no base snapshot", s.id)
+		return false, fmt.Errorf("faults: p%d: wal has records but no base snapshot", s.id)
 	}
-	return decodeDiskState(rec)
+	return false, rebuild(s.rec, rec)
 }
 
-func decodeDiskState(rec *wal.Recovery) (*diskState, error) {
-	snap, err := dbft.DecodeSnapshot(rec.Snapshot)
-	if err != nil {
-		return nil, err
-	}
-	ds := &diskState{snap: snap, msgs: make([]network.Message, 0, len(rec.Records))}
+// rebuild is recovery proper: restore the base snapshot into p and
+// re-Deliver the logged messages with a no-op sender — their sends already
+// left pre-crash, and the rebuilt outbox retransmits on its own clock. p is
+// untouched unless the whole recovery decodes.
+func rebuild(p protocol.Replica, rec *wal.Recovery) error {
+	msgs := make([]network.Message, 0, len(rec.Records))
 	for _, r := range rec.Records {
-		m, err := dbft.DecodeMessage(r)
+		m, err := protocol.DecodeMessage(r)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ds.msgs = append(ds.msgs, m)
+		msgs = append(msgs, m)
 	}
-	return ds, nil
+	if err := p.RestoreBytes(rec.Snapshot); err != nil {
+		return err
+	}
+	nop := func(network.Message) {}
+	for _, m := range msgs {
+		p.Deliver(m, nop)
+	}
+	return nil
 }
 
 // checkSilent is the flip oracle: an injected flip offset inside a byte
@@ -409,18 +409,12 @@ func (s *replicaStore) replayFingerprint() ([]byte, error) {
 	if rec.Snapshot == nil {
 		return nil, fmt.Errorf("faults: p%d: replay: no base snapshot", s.id)
 	}
-	ds, err := decodeDiskState(rec)
+	p, err := s.fresh()
 	if err != nil {
 		return nil, err
 	}
-	p, err := dbft.NewProcess(s.id, 0, s.cfg, s.all)
-	if err != nil {
+	if err := rebuild(p, rec); err != nil {
 		return nil, err
 	}
-	p.Restore(ds.snap)
-	nop := func(network.Message) {}
-	for _, m := range ds.msgs {
-		p.Deliver(m, nop)
-	}
-	return dbft.EncodeSnapshot(p.Snapshot()), nil
+	return p.SnapshotBytes(), nil
 }

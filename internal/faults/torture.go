@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/network"
 	"repro/internal/obs"
+	"repro/internal/protocol"
 )
 
 // TortureCampaign drives seeded kill/corrupt/restart schedules against
@@ -122,9 +123,8 @@ func (c TortureCampaign) RandomScenario(seed int64) Scenario {
 		nByz = 1
 		budget--
 	}
-	strategies := []string{"silent", "equivocator", "liar"}
 	for i := 0; i < nByz; i++ {
-		sc.Byz = append(sc.Byz, strategies[rng.Intn(len(strategies))])
+		sc.Byz = append(sc.Byz, protocol.Strategies[rng.Intn(len(protocol.Strategies))])
 	}
 	nCorrect := c.N - nByz
 	sc.Inputs = make([]int, nCorrect)

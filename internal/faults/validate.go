@@ -10,9 +10,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/network"
+	"repro/internal/protocol"
 )
 
 // parseScenarioStrict decodes scenario JSON rejecting unknown fields and
@@ -65,15 +67,17 @@ func lineCol(s string, off int64) (line, col int) {
 	return line, col
 }
 
-// Protocols is the accepted protocol vocabulary ("" defaults to dbft). The
-// CLI protocol selector validates against the same set.
-var Protocols = map[string]bool{"": true, "dbft": true, "sba": true}
-
-// KnownProtocols lists the selectable protocol front-ends for error text.
-const KnownProtocols = "dbft, sba"
-
-// byzStrategies is the accepted Byzantine strategy vocabulary.
-var byzStrategies = map[string]bool{"silent": true, "equivocator": true, "liar": true}
+// Protocols is the accepted protocol vocabulary ("" defaults to the first
+// table entry, dbft) and KnownProtocols lists it for error text; both derive
+// from the frontEnds table. The CLI protocol selector validates against the
+// same set.
+var Protocols, KnownProtocols = func() (map[string]bool, string) {
+	set, names := map[string]bool{"": true}, make([]string, len(frontEnds))
+	for i, fe := range frontEnds {
+		set[fe.name], names[i] = true, fe.name
+	}
+	return set, strings.Join(names, ", ")
+}()
 
 // schedulers is the accepted scheduler vocabulary ("" defaults to random).
 var schedulers = map[string]bool{"": true, "random": true, "fifo": true, "fair": true, "native": true}
@@ -132,7 +136,7 @@ func (sc Scenario) Validate() error {
 		}
 	}
 	for i, s := range sc.Byz {
-		if !byzStrategies[s] {
+		if !slices.Contains(protocol.Strategies, s) {
 			bad(fmt.Sprintf("byz[%d]", i), "unknown strategy %q (want silent, equivocator or liar)", s)
 		}
 	}

@@ -29,9 +29,10 @@ package sba
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/network"
+	"repro/internal/obs"
+	"repro/internal/protocol"
 )
 
 // Config carries the static parameters of a run.
@@ -105,11 +106,14 @@ func (st *roundState) recountJustified() {
 	st.justified = c
 }
 
+// obsRetransmissions counts outbox re-broadcasts across every sba process in
+// the OS process; each Process hands it to its protocol.Outbox.
+var obsRetransmissions = obs.Default.Counter("sba", "retransmissions")
+
 // Process is a correct SBA reduction process.
 type Process struct {
 	id  network.ProcID
 	cfg Config
-	all []network.ProcID // broadcast targets
 
 	est    int
 	round  int
@@ -119,17 +123,9 @@ type Process struct {
 	decision     int
 	decidedRound int
 
-	// outbox records every logical broadcast (vote echoes and candidates,
-	// all rounds) for verbatim retransmission — re-sending recorded content
-	// is what keeps a crash-recovered replica from equivocating against its
-	// pre-crash messages.
-	outbox []network.Message
-	// Activity-gated retransmission backoff, the dbft regime: a tick period
-	// that delivered new information skips the countdown; the wait doubles
-	// up to retxBackoffCap and resets on round entry.
-	retxWait   int
-	retxLeft   int
-	sawTraffic bool
+	// out records every logical broadcast (vote echoes and candidates, all
+	// rounds) and owns the quiet-period timer that re-sends them.
+	out protocol.Outbox
 
 	// EstimateHistory[r] is the estimate held at the START of round r.
 	EstimateHistory []int
@@ -138,7 +134,7 @@ type Process struct {
 	LockOrder map[int][]int
 }
 
-var _ network.Process = (*Process)(nil)
+var _ protocol.Replica = (*Process)(nil)
 var _ network.Ticker = (*Process)(nil)
 
 // NewProcess builds a correct process with the given input bit.
@@ -152,7 +148,7 @@ func NewProcess(id network.ProcID, input int, cfg Config, all []network.ProcID) 
 	return &Process{
 		id:        id,
 		cfg:       cfg,
-		all:       append([]network.ProcID(nil), all...),
+		out:       protocol.NewOutbox(all, obsRetransmissions),
 		est:       input,
 		rounds:    map[int]*roundState{},
 		LockOrder: map[int][]int{},
@@ -195,20 +191,14 @@ func (p *Process) vote(round, v int, send network.Sender) {
 		return
 	}
 	st.voted[v] = true
-	p.broadcast(send, network.Message{
+	p.out.Broadcast(send, network.Message{
 		From: p.id, Round: round, Kind: network.MsgVote, Value: v,
 	})
 }
 
-// broadcast sends m to all and records it in the outbox for retransmission.
-func (p *Process) broadcast(send network.Sender, m network.Message) {
-	p.outbox = append(p.outbox, m)
-	network.Broadcast(send, p.all, m)
-}
-
 // Deliver implements network.Process. Only a message carrying new
-// information counts as traffic for the retransmission heuristic (see the
-// dbft.Process.Deliver comment for the liveness wedge this avoids).
+// information is credited as traffic to the retransmission timer (see
+// protocol.Timer for the liveness wedge a duplicate's credit would open).
 func (p *Process) Deliver(m network.Message, send network.Sender) {
 	if m.Round < 0 || m.Round > p.cfg.MaxRounds {
 		return
@@ -235,7 +225,7 @@ func (p *Process) Deliver(m network.Message, send network.Sender) {
 	default:
 		return
 	}
-	p.sawTraffic = true
+	p.out.SawTraffic()
 	p.progress(m.Round, send)
 }
 
@@ -270,7 +260,7 @@ func (p *Process) progress(round int, send network.Sender) {
 	// bit as this process's candidate (once).
 	if !st.candSent && len(st.lockOrder) > 0 {
 		st.candSent = true
-		p.broadcast(send, network.Message{
+		p.out.Broadcast(send, network.Message{
 			From: p.id, Round: round, Kind: network.MsgCand, Value: st.lockOrder[0],
 		})
 	}
@@ -331,137 +321,22 @@ func (p *Process) advance(send network.Sender) {
 	}
 	p.round++
 	p.EstimateHistory = append(p.EstimateHistory, p.est)
-	p.retxWait, p.retxLeft = 0, 0 // entering a round resets the backoff
+	p.out.ResetBackoff() // entering a round
 	p.vote(p.round, p.est, send)
 	// Guards over already-buffered messages of the new round re-fire.
 	p.progress(p.round, send)
 }
 
-// retxBackoffCap bounds the retransmission backoff (in ticks).
-const retxBackoffCap = 8
-
-// OnTick implements network.Ticker: periodic retransmission with capped
-// exponential backoff, gated on quiet periods — the dbft regime. The whole
-// outbox is re-broadcast so a replica recovering from a crash or partition
-// gets the old-round vote and candidate quorums replayed; every handler is
-// idempotent (distinct-sender sets, first-candidate-wins).
-func (p *Process) OnTick(step int, send network.Sender) {
-	if p.sawTraffic {
-		p.sawTraffic = false
-		return
-	}
-	if p.retxLeft > 0 {
-		p.retxLeft--
-		return
-	}
-	p.Retransmit(send)
-	if p.retxWait < retxBackoffCap {
-		if p.retxWait == 0 {
-			p.retxWait = 1
-		} else {
-			p.retxWait *= 2
-		}
-	}
-	p.retxLeft = p.retxWait
-}
-
-// Retransmit immediately re-broadcasts every recorded logical broadcast.
-func (p *Process) Retransmit(send network.Sender) {
-	for _, m := range p.outbox {
-		network.Broadcast(send, p.all, m)
-	}
-}
+// OnTick implements network.Ticker: quiet-period retransmission of the whole
+// outbox, so a replica recovering from a crash or partition gets the
+// old-round vote and candidate quorums replayed; every handler is idempotent
+// (distinct-sender sets, first-candidate-wins).
+func (p *Process) OnTick(step int, send network.Sender) { p.out.OnTick(send) }
 
 // Processes builds correct processes with the given inputs and ids
 // 0..len(inputs)-1; ids beyond are left to Byzantine strategies.
 func Processes(cfg Config, inputs []int, all []network.ProcID) ([]*Process, error) {
-	out := make([]*Process, 0, len(inputs))
-	for i, in := range inputs {
-		p, err := NewProcess(network.ProcID(i), in, cfg, all)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// AllIDs returns the id slice [0, n).
-func AllIDs(n int) []network.ProcID {
-	out := make([]network.ProcID, n)
-	for i := range out {
-		out[i] = network.ProcID(i)
-	}
-	return out
-}
-
-// Agreement checks that no two decided processes reduced to different bits,
-// returning the offending pair otherwise.
-func Agreement(procs []*Process) error {
-	decidedVal := -1
-	var who network.ProcID
-	for _, p := range procs {
-		v, _, ok := p.Decided()
-		if !ok {
-			continue
-		}
-		if decidedVal == -1 {
-			decidedVal, who = v, p.ID()
-		} else if v != decidedVal {
-			return fmt.Errorf("sba: agreement violated: process %d reduced to %d, process %d reduced to %d",
-				who, decidedVal, p.ID(), v)
-		}
-	}
-	return nil
-}
-
-// Validity checks that every reduced bit was proposed by some correct
-// process: under unanimity the reduction must return the unanimous bit, and
-// a binary decision is always one of the proposed values otherwise.
-func Validity(procs []*Process, inputs []int) error {
-	proposed := map[int]bool{}
-	for _, in := range inputs {
-		proposed[in] = true
-	}
-	for _, p := range procs {
-		if v, _, ok := p.Decided(); ok && !proposed[v] {
-			return fmt.Errorf("sba: validity violated: process %d reduced to %d, which no correct process proposed",
-				p.ID(), v)
-		}
-	}
-	return nil
-}
-
-// AllDecided reports whether every process in the slice decided.
-func AllDecided(procs []*Process) bool {
-	for _, p := range procs {
-		if _, _, ok := p.Decided(); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// Describe summarizes the processes' outcomes.
-func Describe(procs []*Process) string {
-	type row struct {
-		id      network.ProcID
-		est     int
-		round   int
-		decided string
-	}
-	rows := make([]row, len(procs))
-	for i, p := range procs {
-		r := row{id: p.ID(), est: p.Estimate(), round: p.Round(), decided: "-"}
-		if v, rd, ok := p.Decided(); ok {
-			r.decided = fmt.Sprintf("%d@r%d", v, rd)
-		}
-		rows[i] = r
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })
-	s := ""
-	for _, r := range rows {
-		s += fmt.Sprintf("p%d: est=%d round=%d decided=%s\n", r.id, r.est, r.round, r.decided)
-	}
-	return s
+	return protocol.Processes(inputs, func(id network.ProcID, input int) (*Process, error) {
+		return NewProcess(id, input, cfg, all)
+	})
 }

@@ -6,11 +6,12 @@ import (
 	"testing/quick"
 
 	"repro/internal/network"
+	"repro/internal/protocol"
 )
 
 func buildSystem(t *testing.T, cfg Config, inputs []int, byzFactory func(id network.ProcID, all []network.ProcID) network.Process, sched network.Scheduler) (*network.System, []*Process) {
 	t.Helper()
-	all := AllIDs(cfg.N)
+	all := protocol.AllIDs(cfg.N)
 	correct, err := Processes(cfg, inputs, all)
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +31,7 @@ func buildSystem(t *testing.T, cfg Config, inputs []int, byzFactory func(id netw
 }
 
 func silentFactory(id network.ProcID, _ []network.ProcID) network.Process {
-	return &Silent{Id: id}
+	return &protocol.Silent{Id: id}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -44,7 +45,7 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("config %+v should be invalid", bad)
 		}
 	}
-	if _, err := NewProcess(0, 2, Config{N: 4, T: 1, MaxRounds: 5}, AllIDs(4)); err == nil {
+	if _, err := NewProcess(0, 2, Config{N: 4, T: 1, MaxRounds: 5}, protocol.AllIDs(4)); err == nil {
 		t.Error("non-binary input should be rejected")
 	}
 }
@@ -57,16 +58,16 @@ func TestUnanimousReducesToOwnValue(t *testing.T) {
 		cfg := Config{N: 4, T: 1, MaxRounds: 10}
 		inputs := []int{v, v, v}
 		sys, correct := buildSystem(t, cfg, inputs, silentFactory, network.FIFOScheduler{})
-		if _, err := sys.Run(100000, func() bool { return AllDecided(correct) }); err != nil {
+		if _, err := sys.Run(100000, func() bool { return protocol.AllDecided(correct) }); err != nil {
 			t.Fatal(err)
 		}
-		if !AllDecided(correct) {
-			t.Fatalf("v=%d: not all decided:\n%s", v, Describe(correct))
+		if !protocol.AllDecided(correct) {
+			t.Fatalf("v=%d: not all decided:\n%s", v, protocol.Describe(correct))
 		}
 		for _, p := range correct {
 			got, round, _ := p.Decided()
 			if got != v {
-				t.Errorf("v=%d: process %d reduced to %d:\n%s", v, p.ID(), got, Describe(correct))
+				t.Errorf("v=%d: process %d reduced to %d:\n%s", v, p.ID(), got, protocol.Describe(correct))
 			}
 			// Under unanimity only v ever locks, so the first v-parity round
 			// decides: round v itself.
@@ -74,10 +75,10 @@ func TestUnanimousReducesToOwnValue(t *testing.T) {
 				t.Errorf("v=%d: process %d decided at round %d, want %d", v, p.ID(), round, v)
 			}
 		}
-		if err := Agreement(correct); err != nil {
+		if err := protocol.Agreement("sba", correct); err != nil {
 			t.Error(err)
 		}
-		if err := Validity(correct, inputs); err != nil {
+		if err := protocol.Validity("sba", correct, inputs); err != nil {
 			t.Error(err)
 		}
 	}
@@ -91,7 +92,7 @@ func TestDecidedRoundParityMatchesBit(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		inputs := []int{int(inputBits) & 1, int(inputBits>>1) & 1, int(inputBits>>2) & 1}
 		sys, correct := buildSystem(t, cfg, inputs, silentFactory, network.RandomScheduler{Rng: rng})
-		if _, err := sys.Run(200000, func() bool { return AllDecided(correct) }); err != nil {
+		if _, err := sys.Run(200000, func() bool { return protocol.AllDecided(correct) }); err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range correct {
@@ -114,16 +115,16 @@ func TestSplitInputsSafetyUnderRandomSchedules(t *testing.T) {
 		cfg := Config{N: 4, T: 1, MaxRounds: 6}
 		rng := rand.New(rand.NewSource(seed))
 		inputs := []int{int(inputBits) & 1, int(inputBits>>1) & 1, int(inputBits>>2) & 1}
-		all := AllIDs(cfg.N)
+		all := protocol.AllIDs(cfg.N)
 
 		var byz network.Process
 		switch strategy % 3 {
 		case 0:
-			byz = &Silent{Id: 3}
+			byz = &protocol.Silent{Id: 3}
 		case 1:
-			byz = &Equivocator{Id: 3, All: all, ZeroSide: func(p network.ProcID) bool { return p%2 == 0 }}
+			byz = Lies.Equivocator(3, all, func(p network.ProcID) bool { return p%2 == 0 })
 		default:
-			byz = &RandomLiar{Id: 3, All: all, Rng: rng}
+			byz = Lies.Liar(3, all, rng)
 		}
 		correct, err := Processes(cfg, inputs, all)
 		if err != nil {
@@ -134,10 +135,10 @@ func TestSplitInputsSafetyUnderRandomSchedules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.Run(200000, func() bool { return AllDecided(correct) }); err != nil {
+		if _, err := sys.Run(200000, func() bool { return protocol.AllDecided(correct) }); err != nil {
 			t.Fatal(err)
 		}
-		ok := Agreement(correct) == nil && Validity(correct, inputs) == nil
+		ok := protocol.Agreement("sba", correct) == nil && protocol.Validity("sba", correct, inputs) == nil
 		if !ok {
 			t.Logf("replay with: seed=%d inputBits=%d strategy=%d", seed, inputBits, strategy)
 		}
@@ -157,7 +158,7 @@ func TestLargerSystemSafety(t *testing.T) {
 		for i := range inputs {
 			inputs[i] = int(inputBits>>i) & 1
 		}
-		all := AllIDs(cfg.N)
+		all := protocol.AllIDs(cfg.N)
 		correct, err := Processes(cfg, inputs, all)
 		if err != nil {
 			t.Fatal(err)
@@ -167,17 +168,17 @@ func TestLargerSystemSafety(t *testing.T) {
 			procs = append(procs, p)
 		}
 		procs = append(procs,
-			&Equivocator{Id: 5, All: all, ZeroSide: func(p network.ProcID) bool { return p < 3 }},
-			&RandomLiar{Id: 6, All: all, Rng: rng},
+			Lies.Equivocator(5, all, func(p network.ProcID) bool { return p < 3 }),
+			Lies.Liar(6, all, rng),
 		)
 		sys, err := network.NewSystem(procs, network.RandomScheduler{Rng: rng})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.Run(400000, func() bool { return AllDecided(correct) }); err != nil {
+		if _, err := sys.Run(400000, func() bool { return protocol.AllDecided(correct) }); err != nil {
 			t.Fatal(err)
 		}
-		ok := Agreement(correct) == nil && Validity(correct, inputs) == nil
+		ok := protocol.Agreement("sba", correct) == nil && protocol.Validity("sba", correct, inputs) == nil
 		if !ok {
 			t.Logf("replay with: seed=%d inputBits=%d", seed, inputBits)
 		}
@@ -197,7 +198,7 @@ func TestDisagreementBeyondResilience(t *testing.T) {
 	found := false
 	for seed := int64(0); seed < 50 && !found; seed++ {
 		cfg := Config{N: 4, T: 1, MaxRounds: 8}
-		all := AllIDs(cfg.N)
+		all := protocol.AllIDs(cfg.N)
 		inputs := []int{0, 1}
 		correct, err := Processes(cfg, inputs, all)
 		if err != nil {
@@ -207,17 +208,17 @@ func TestDisagreementBeyondResilience(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		procs := []network.Process{
 			correct[0], correct[1],
-			&Equivocator{Id: 2, All: all, ZeroSide: zeroSide},
-			&Equivocator{Id: 3, All: all, ZeroSide: zeroSide},
+			Lies.Equivocator(2, all, zeroSide),
+			Lies.Equivocator(3, all, zeroSide),
 		}
 		sys, err := network.NewSystem(procs, network.RandomScheduler{Rng: rng})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.Run(100000, func() bool { return AllDecided(correct) }); err != nil {
+		if _, err := sys.Run(100000, func() bool { return protocol.AllDecided(correct) }); err != nil {
 			t.Fatal(err)
 		}
-		if AllDecided(correct) && Agreement(correct) != nil {
+		if protocol.AllDecided(correct) && protocol.Agreement("sba", correct) != nil {
 			found = true
 		}
 	}
@@ -230,7 +231,7 @@ func TestDisagreementBeyondResilience(t *testing.T) {
 // corrupt state or panic.
 func TestMalformedContentIgnored(t *testing.T) {
 	cfg := Config{N: 4, T: 1, MaxRounds: 5}
-	p, err := NewProcess(0, 1, cfg, AllIDs(4))
+	p, err := NewProcess(0, 1, cfg, protocol.AllIDs(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestMalformedContentIgnored(t *testing.T) {
 // compare canonical encodings.
 func TestSnapshotRestoreEquivalence(t *testing.T) {
 	cfg := Config{N: 4, T: 1, MaxRounds: 6}
-	all := AllIDs(4)
+	all := protocol.AllIDs(4)
 	mk := func() *Process {
 		p, err := NewProcess(0, 1, cfg, all)
 		if err != nil {
@@ -282,11 +283,13 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 		b.Deliver(m, drop)
 		if i == 2 { // crash/recover b mid-run
 			b2 := mk()
-			b2.Restore(b.Snapshot())
+			if err := b2.RestoreBytes(b.SnapshotBytes()); err != nil {
+				t.Fatal(err)
+			}
 			b = b2
 		}
 	}
-	ea, eb := EncodeSnapshot(a.Snapshot()), EncodeSnapshot(b.Snapshot())
+	ea, eb := a.SnapshotBytes(), b.SnapshotBytes()
 	if string(ea) != string(eb) {
 		t.Errorf("restored process diverged:\n a=%x\n b=%x", ea, eb)
 	}

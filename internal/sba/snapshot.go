@@ -1,89 +1,96 @@
 package sba
 
-import "repro/internal/network"
+import (
+	"fmt"
 
-// Snapshot is a deep copy of a Process's durable state, the unit the fault
-// plane persists for crash-recovery (volatile crash-recovery for sba: the
-// plane captures a snapshot after every delivery and hands it back on
-// revival). As with dbft, synchronous persistence is a safety requirement:
-// a replica that crashed after broadcasting CAND and recovered from an older
-// state could lock the bits in a different order and announce a conflicting
-// candidate for the same round — equivocation, which only Byzantine
-// processes are budgeted for.
-type Snapshot struct {
-	est      int
-	round    int
-	rounds   map[int]*roundState
-	decided  bool
-	decision int
-	decRound int
+	"repro/internal/network"
+	"repro/internal/protocol"
+)
 
-	estimateHistory []int
-	lockOrder       map[int][]int
-	outbox          []network.Message
+// This file is the field-by-field body of a Process's durable state inside
+// the protocol kit's snapshot envelope. As with dbft, persisting it after
+// every delivery is a safety requirement: a replica that crashed after
+// broadcasting CAND and recovered from an older state could lock the bits in
+// a different order and announce a conflicting candidate for the same round
+// (see protocol.Replica).
+
+// snapshotVersion guards the layout; bump on any change.
+const snapshotVersion = 1
+
+// SnapshotBytes implements protocol.Replica.
+func (p *Process) SnapshotBytes() []byte {
+	e := protocol.NewEnc(snapshotVersion)
+	e.Int(p.est)
+	e.Int(p.round)
+	e.Bool(p.decided)
+	e.Int(p.decision)
+	e.Int(p.decidedRound)
+	e.Ints(p.EstimateHistory)
+	protocol.EncMap(e, p.LockOrder, (*protocol.Enc).Ints)
+	protocol.EncMap(e, p.rounds, encodeRoundState)
+	e.Messages(p.out.Messages())
+	return e.Bytes()
 }
 
-func cloneRoundState(st *roundState) *roundState {
-	c := newRoundState()
-	for v := 0; v <= 1; v++ {
-		for id := range st.voteSenders[v] {
-			c.voteSenders[v][id] = true
+func encodeRoundState(e *protocol.Enc, st *roundState) {
+	e.ProcSet(st.voteSenders[0])
+	e.ProcSet(st.voteSenders[1])
+	e.Flags(st.voted[0], st.voted[1], st.locked[0], st.locked[1], st.candSent)
+	e.Ints(st.lockOrder)
+	// Candidates in arrival order (candOrder), preserving
+	// first-candidate-wins semantics across a recovery.
+	e.Uvarint(uint64(len(st.candOrder)))
+	for _, q := range st.candOrder {
+		e.Int(int(q))
+		e.Int(st.candidates[q])
+	}
+}
+
+// RestoreBytes implements protocol.Replica. It never panics on malformed
+// input (fuzzed in snapshot_test.go).
+func (p *Process) RestoreBytes(b []byte) error {
+	d := protocol.NewDec(b, snapshotVersion)
+	est := d.Int()
+	round := d.Int()
+	decided := d.Bool()
+	decision := d.Int()
+	decidedRound := d.Int()
+	history := d.Ints()
+	order := protocol.DecMap(d, "lock-order round", (*protocol.Dec).Ints)
+	rounds := protocol.DecMap(d, "round", decodeRoundState)
+	outbox := d.Messages()
+	if err := d.Finish("snapshot"); err != nil {
+		return fmt.Errorf("sba: %w", err)
+	}
+	p.est, p.round, p.rounds = est, round, rounds
+	p.decided, p.decision, p.decidedRound = decided, decision, decidedRound
+	p.EstimateHistory, p.LockOrder = history, order
+	p.out.Reboot(outbox)
+	return nil
+}
+
+func decodeRoundState(d *protocol.Dec) *roundState {
+	st := newRoundState()
+	st.voteSenders[0] = d.ProcSet("vote sender")
+	st.voteSenders[1] = d.ProcSet("vote sender")
+	d.Flags(&st.voted[0], &st.voted[1], &st.locked[0], &st.locked[1], &st.candSent)
+	st.lockOrder = d.Ints()
+	for i, n := 0, d.Len(); i < n && d.Err() == nil; i++ {
+		q := network.ProcID(d.Int())
+		b := d.Int()
+		if _, dup := st.candidates[q]; dup {
+			d.Fail("duplicate candidate %d", q)
 		}
-		c.voted[v] = st.voted[v]
-		c.locked[v] = st.locked[v]
+		// Deliver only ever stores binary candidates, and the handlers index
+		// locked by them.
+		if b != 0 && b != 1 {
+			d.Fail("non-binary candidate %d", b)
+		}
+		st.candidates[q] = b
+		st.candOrder = append(st.candOrder, q)
 	}
-	c.lockOrder = append([]int(nil), st.lockOrder...)
-	c.candSent = st.candSent
-	for id, b := range st.candidates {
-		c.candidates[id] = b
+	if d.Err() == nil {
+		st.recountJustified()
 	}
-	c.candOrder = append([]network.ProcID(nil), st.candOrder...)
-	c.recountJustified()
-	return c
-}
-
-func cloneLockOrder(d map[int][]int) map[int][]int {
-	out := make(map[int][]int, len(d))
-	for r, vs := range d {
-		out[r] = append([]int(nil), vs...)
-	}
-	return out
-}
-
-// Snapshot captures the process's state.
-func (p *Process) Snapshot() *Snapshot {
-	s := &Snapshot{
-		est:             p.est,
-		round:           p.round,
-		rounds:          make(map[int]*roundState, len(p.rounds)),
-		decided:         p.decided,
-		decision:        p.decision,
-		decRound:        p.decidedRound,
-		estimateHistory: append([]int(nil), p.EstimateHistory...),
-		lockOrder:       cloneLockOrder(p.LockOrder),
-		outbox:          append([]network.Message(nil), p.outbox...),
-	}
-	for r, st := range p.rounds {
-		s.rounds[r] = cloneRoundState(st)
-	}
-	return s
-}
-
-// Restore replaces the process's in-memory state with the snapshot,
-// simulating a reboot. Volatile retransmission backoff resets, so a
-// recovered replica re-announces its outbox promptly.
-func (p *Process) Restore(s *Snapshot) {
-	p.est = s.est
-	p.round = s.round
-	p.rounds = make(map[int]*roundState, len(s.rounds))
-	for r, st := range s.rounds {
-		p.rounds[r] = cloneRoundState(st)
-	}
-	p.decided = s.decided
-	p.decision = s.decision
-	p.decidedRound = s.decRound
-	p.EstimateHistory = append([]int(nil), s.estimateHistory...)
-	p.LockOrder = cloneLockOrder(s.lockOrder)
-	p.outbox = append([]network.Message(nil), s.outbox...)
-	p.retxWait, p.retxLeft, p.sawTraffic = 0, 0, false
+	return st
 }

@@ -2,7 +2,7 @@
 // append-only, length-prefixed, CRC32C-checksummed write-ahead log with
 // configurable fsync discipline, segment rotation and snapshot+truncate
 // compaction. It is the piece PR 1's crash-recovery argument assumed but
-// never exercised: dbft.Snapshot documents that synchronous persistence is a
+// never exercised: protocol.Replica documents that synchronous persistence is a
 // *safety* requirement (a replica recovering stale state can equivocate
 // against its own pre-crash messages), and this package is where that
 // persistence actually happens — on a filesystem, behind an FS interface, so

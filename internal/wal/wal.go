@@ -34,7 +34,7 @@ type SyncMode int
 
 const (
 	// SyncEachAppend fsyncs after every record — the synchronous-persistence
-	// regime dbft.Snapshot requires for crash-recovery safety (default).
+	// regime protocol.Replica requires for crash-recovery safety (default).
 	SyncEachAppend SyncMode = iota
 	// SyncNever leaves syncing to the caller (or to nobody: the unsafe
 	// regime the torture harness budgets as Byzantine).

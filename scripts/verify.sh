@@ -7,6 +7,21 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# fuzz_smoke runs each byte-facing protocol-kit decoder under the native
+# fuzzer for 10 s, starting from the checked-in testdata/fuzz corpora: no
+# panic, and decode ok => re-encode byte-identical. `make fuzz-smoke` (or
+# `verify.sh fuzz-smoke`) runs this leg alone.
+fuzz_smoke() {
+    echo "==> fuzz smoke (10 s per target: dbft and sba snapshots, shared message codec)"
+    go test -run '^$' -fuzz '^FuzzSnapshotDecode$' -fuzztime 10s ./internal/dbft
+    go test -run '^$' -fuzz '^FuzzSnapshotDecode$' -fuzztime 10s ./internal/sba
+    go test -run '^$' -fuzz '^FuzzDecodeMessage$' -fuzztime 10s ./internal/protocol
+}
+if [ "${1:-}" = "fuzz-smoke" ]; then
+    fuzz_smoke
+    exit 0
+fi
+
 echo "==> gofmt check"
 UNFORMATTED=$(gofmt -l .)
 if [ -n "$UNFORMATTED" ]; then
@@ -37,8 +52,10 @@ go test -short -race -run 'FingerprintsBusVsFlat|NativeFingerprint|Livelock' ./i
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> chaos smoke (fixed seed, 25 runs)"
-go run ./cmd/dbftsim -chaos -chaos-seeds 25 -seed 1 -n 4 -t 1
+for PROTO in dbft sba; do
+    echo "==> chaos smoke ($PROTO, fixed seed, 25 runs)"
+    go run ./cmd/dbftsim -chaos -protocol "$PROTO" -chaos-seeds 25 -seed 1 -n 4 -t 1
+done
 
 echo "==> storage torture smoke (fixed seed, 10 runs)"
 go run ./cmd/dbftsim -torture -torture-seeds 10 -seed 1 -n 4 -t 1
@@ -47,8 +64,7 @@ echo "==> sba front-end leg (race-clean units + cross-validation vs specs/sba.ta
 go test -race ./internal/sba
 go test -race -run 'SBA' ./internal/faults ./internal/models ./internal/reduction
 
-echo "==> sba chaos smoke (fixed seed, 25 runs)"
-go run ./cmd/dbftsim -chaos -protocol sba -chaos-seeds 25 -seed 1 -n 4 -t 1
+fuzz_smoke
 
 echo "==> sba replay smoke (flat-vs-bus fingerprint byte-identity)"
 SBADIR=$(mktemp -d)
