@@ -30,23 +30,14 @@ lint:
 bench:
 	go test -bench=. -benchmem ./...
 
-# Table 2 wall-clock at 1 worker vs all CPUs, with the cross-check that both
-# runs produced identical verdicts and schema counts, plus the service
-# cold-vs-warm benchmark, the cluster scaling curve that pushes the naive
-# automaton past its single-box 100k-schema budget, and the simulator-scale
-# sweep (event-bus native drain at 100..2000 replicas under seeded chaos).
-# Writes BENCH_schema.json, BENCH_service.json, BENCH_cluster.json and
-# BENCH_sim.json. The cluster leg solves >100k naive schemas for real, so it
-# dominates the wall clock (tens of minutes on one CPU); trim with e.g.
-# CLUSTERBENCH_FLAGS='-truncate 4000'. The sim leg's 2000-replica full-mesh
-# row is the next heaviest (~4 minutes); trim with e.g.
-# SIMBENCH_FLAGS='-bench-sizes 100,500'.
-.PHONY: bench-baseline
-bench-baseline:
-	go run ./cmd/holistic bench -out BENCH_schema.json
-	go run ./cmd/holistic loadgen -queue-jobs 100000 -out BENCH_service.json
-	go run ./cmd/holistic clusterbench $(CLUSTERBENCH_FLAGS) -out BENCH_cluster.json
-	go run ./cmd/dbftsim -bench-sim $(SIMBENCH_FLAGS) -bench-out BENCH_sim.json
+# The repository's one benchmark (BENCHMARK.json): all six workloads,
+# untraced then traced, every output checked against benchmark/expected.json,
+# then compared row by row to the committed baseline. Reads benchmark/ and
+# writes only under .bench_build/; about five minutes.
+.PHONY: benchmark
+benchmark:
+	bash benchmark/run.sh
+	bash benchmark/run.sh -compare benchmark/baseline.json .bench_build/benchmark.json
 
 # Observability smoke: regenerate the fast Table 2 block with tracing and a
 # metric report enabled, then validate both artifacts with obscheck.

@@ -95,17 +95,6 @@ func run(args []string) error {
 	tortureV := fs.Bool("torture-v", false, "print one line per -torture run")
 	plan := fs.String("plan", "", "replay one chaos scenario: inline JSON or @file")
 	fingerprint := fs.Bool("fingerprint", false, "with -plan: print the outcome's replay fingerprint (byte-identity checks)")
-	backend := fs.String("backend", "bus", "single-run simulator backend: bus (default) or flat (legacy shim)")
-	benchSim := fs.Bool("bench-sim", false, "run the simulator-scale benchmark and write BENCH_sim.json (see -bench-* flags)")
-	benchSizes := fs.String("bench-sizes", "100,500,1000,2000", "comma-separated replica counts for -bench-sim")
-	benchOut := fs.String("bench-out", "BENCH_sim.json", "output file for -bench-sim")
-	benchSteps := fs.Int("bench-steps", 40000, "window budget per -bench-sim run")
-	benchCap := fs.Int("bench-cap", 4096, "per-peer ingress queue cap for -bench-sim")
-	benchBatch := fs.Int("bench-batch", 8, "per-peer deliveries per window for -bench-sim")
-	benchParts := fs.Int("bench-partitions", 1, "drain partitions for -bench-sim (fingerprints are partition-independent)")
-	benchGossip := fs.Bool("bench-gossip", true, "include kadcast-gossip topology rows (sizes <= 512) in -bench-sim")
-	benchGossipLarge := fs.Int("bench-gossip-large", 768, "gossip-only large-n row for -bench-sim: a replica count run only on the kadcast topology, past the full-mesh gossip cap (0 = off)")
-	benchProf := fs.String("bench-cpuprofile", "", "write a CPU profile of the -bench-sim sweep to this file")
 	workers := fs.Int("j", runtime.NumCPU(), "campaign worker count for -chaos and -torture (results are deterministic at any count)")
 	version := fs.Bool("version", false, "print the verification engine version and exit")
 	of := registerObsFlags(fs)
@@ -130,24 +119,6 @@ func run(args []string) error {
 	if *plan != "" {
 		return runPlan(*plan, *proto, *fingerprint)
 	}
-	if *benchSim {
-		if isSBA {
-			return fmt.Errorf("-bench-sim drives the dbft front-end; it does not accept -protocol sba")
-		}
-		return runBenchSim(benchSimConfig{
-			sizes:       *benchSizes,
-			out:         *benchOut,
-			steps:       *benchSteps,
-			queueCap:    *benchCap,
-			batch:       *benchBatch,
-			partitions:  *benchParts,
-			gossip:      *benchGossip,
-			gossipLarge: *benchGossipLarge,
-			seed:        *seed,
-			tick:        *tick,
-			cpuprofile:  *benchProf,
-		})
-	}
 	if *chaos {
 		return runChaos(*proto, *chaosSeeds, *seed, *n, *t, *maxRounds, *maxSteps, *tick, *workers, *chaosV, of)
 	}
@@ -167,7 +138,7 @@ func run(args []string) error {
 		return fmt.Errorf("%d inputs + %d byzantine strategies != n = %d", len(ins), len(strategies), *n)
 	}
 	if isSBA {
-		return runSingleSBA(ins, strategies, *n, *t, *maxRounds, *maxSteps, *tick, *seed, *sched, *backend)
+		return runSingleSBA(ins, strategies, *n, *t, *maxRounds, *maxSteps, *tick, *seed, *sched)
 	}
 
 	cfg := dbft.Config{N: *n, T: *t, MaxRounds: *maxRounds}
@@ -203,15 +174,7 @@ func run(args []string) error {
 		return fmt.Errorf("unknown scheduler %q", *sched)
 	}
 
-	var opts network.Options
-	switch *backend {
-	case "", "bus":
-	case "flat":
-		opts.Backend = network.BackendFlat
-	default:
-		return fmt.Errorf("unknown backend %q (want bus or flat)", *backend)
-	}
-	sys, err := network.NewSystemOpts(procs, scheduler, opts)
+	sys, err := network.NewSystem(procs, scheduler)
 	if err != nil {
 		return err
 	}
@@ -250,7 +213,7 @@ func run(args []string) error {
 // plane with an empty fault plan — the sba analogue of the dbft single-run
 // path, sharing the scenario machinery (scheduler wiring, retransmission
 // ticks, seeded per-liar PRNGs) with -chaos and -plan.
-func runSingleSBA(ins []int, strategies []string, n, t, maxRounds, maxSteps, tick int, seed int64, sched, backend string) error {
+func runSingleSBA(ins []int, strategies []string, n, t, maxRounds, maxSteps, tick int, seed int64, sched string) error {
 	byz := make([]string, 0, len(strategies))
 	for _, s := range strategies {
 		byz = append(byz, strings.TrimSpace(s))
@@ -266,9 +229,6 @@ func runSingleSBA(ins []int, strategies []string, n, t, maxRounds, maxSteps, tic
 		Byz:       byz,
 		Sched:     sched,
 		Plan:      faults.Plan{Seed: seed},
-	}
-	if backend != "" && backend != "bus" {
-		sc.Sim = &faults.SimOptions{Backend: backend}
 	}
 	if err := sc.Validate(); err != nil {
 		return err

@@ -2,25 +2,20 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/ltl"
 	"repro/internal/obs"
-	"repro/internal/schema"
 	"repro/internal/service"
-	"repro/internal/spec"
 	"repro/internal/taformat"
-	"repro/internal/vcache"
 )
 
 // clusterPayloads expands the cluster CLI's model/ta/spec/prop flags into one
@@ -270,250 +265,4 @@ func cmdWork(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "holistic: worker %s stopped (%d shards solved)\n", *id, w.ShardsSolved.Load())
 	return nil
-}
-
-// clusterBenchPoint is one worker count on the scaling curve.
-type clusterBenchPoint struct {
-	Workers       int     `json:"workers"`
-	Truncate      int     `json:"truncate"`
-	SchemasSolved int     `json:"schemas_solved"`
-	Outcome       string  `json:"outcome"`
-	Schemas       int     `json:"schemas"`
-	ElapsedNS     int64   `json:"elapsed_ns"`
-	SchemasPerSec float64 `json:"schemas_per_sec"`
-	Speedup       float64 `json:"speedup"`
-}
-
-// clusterBenchReport is the BENCH_cluster.json payload: the single-box
-// give-up point for the naive automaton, the cluster scaling curve at a
-// calibration prefix, and the headline run that pushes the enumeration well
-// past the single-box budget.
-type clusterBenchReport struct {
-	EngineVersion string `json:"engine_version"`
-	GeneratedAt   string `json:"generated_at"`
-	CPUs          int    `json:"cpus"`
-	Model         string `json:"model"`
-	Prop          string `json:"prop"`
-
-	// Budget is the schema cutoff a plain full-mode run refuses to cross;
-	// SingleBox is that refusal (outcome budget-exceeded after enumerating
-	// Budget+1 schemas and solving none of them).
-	Budget           int    `json:"budget"`
-	SingleBoxOutcome string `json:"single_box_outcome"`
-	SingleBoxSchemas int    `json:"single_box_schemas"`
-
-	// Curve measures cluster throughput at 1..N workers on CurveTruncate
-	// schemas; identical rows across worker counts are re-asserted per point.
-	Curve []clusterBenchPoint `json:"curve"`
-
-	// Headline is the past-the-budget run: TotalSchemasSolved counts every
-	// schema actually solved by the bench, curve points included.
-	Headline           clusterBenchPoint `json:"headline"`
-	TotalSchemasSolved int               `json:"total_schemas_solved"`
-	Identical          bool              `json:"identical"`
-	Mismatches         []string          `json:"mismatches,omitempty"`
-}
-
-// runClusterPoint boots a fresh coordinator + W in-process workers over a
-// real TCP listener, runs one truncated job, and returns the measured point
-// plus the result for cross-checking.
-func runClusterPoint(payload cluster.JobPayload, workers, solverThreads, shardSize int, stop func() bool) (clusterBenchPoint, schema.Result, error) {
-	pt := clusterBenchPoint{Workers: workers, Truncate: payload.Truncate}
-	coord, err := cluster.New(cluster.Config{
-		ShardSize:      shardSize,
-		LocalWorkers:   1,
-		IdleLocalAfter: time.Hour, // the pool never empties; measure the workers
-	})
-	if err != nil {
-		return pt, schema.Result{}, err
-	}
-	defer coord.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return pt, schema.Result{}, err
-	}
-	hs := service.HardenServer(&http.Server{Handler: coord.Handler()})
-	go hs.Serve(ln)
-	defer hs.Close()
-
-	ctx, cancel := stopContext(stop)
-	defer cancel()
-	for i := 0; i < workers; i++ {
-		w := &cluster.Worker{
-			Coordinator:  "http://" + ln.Addr().String(),
-			ID:           fmt.Sprintf("bench-%d", i),
-			Workers:      solverThreads,
-			PollInterval: 5 * time.Millisecond,
-			Stop:         stop,
-		}
-		go w.Run(ctx)
-	}
-
-	start := time.Now()
-	id, err := coord.Submit(payload)
-	if err != nil {
-		return pt, schema.Result{}, err
-	}
-	res, err := coord.Wait(ctx, id)
-	elapsed := time.Since(start)
-	if err != nil {
-		return pt, schema.Result{}, err
-	}
-	solved := payload.Truncate
-	if res.Outcome == spec.Violated {
-		solved = res.Schemas
-	}
-	pt.SchemasSolved = solved
-	pt.Outcome = res.Outcome.String()
-	pt.Schemas = res.Schemas
-	pt.ElapsedNS = elapsed.Nanoseconds()
-	if elapsed > 0 {
-		pt.SchemasPerSec = float64(solved) / elapsed.Seconds()
-	}
-	return pt, res, nil
-}
-
-// cmdClusterBench measures the distributed plane and writes
-// BENCH_cluster.json. The naive automaton is the point: a single box gives
-// up at the 100k-schema structural cutoff without solving anything, while
-// the cluster's truncated-prefix mode shards the same preorder and actually
-// solves its way past that budget, with a 1→N worker scaling curve along the
-// way. Verdict rows are asserted identical at every worker count.
-func cmdClusterBench(args []string) error {
-	fs := flag.NewFlagSet("clusterbench", flag.ContinueOnError)
-	model := fs.String("model", "naive", "model to push past its budget")
-	prop := fs.String("prop", "Inv2_0", "property to check")
-	headline := fs.Int("truncate", 110_000, "headline prefix length (past the 100k single-box budget)")
-	curveTruncate := fs.Int("curve-truncate", 2048, "calibration prefix length for the scaling curve")
-	curve := fs.String("curve", "1,2,4", "comma-separated worker counts for the scaling curve")
-	solverThreads := fs.Int("j", 1, "solver threads per in-process worker")
-	shardSize := fs.Int("shard", 256, "contexts per shard")
-	out := fs.String("out", "", "write the JSON report to this file (default: stdout)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	var workerCounts []int
-	for _, part := range strings.Split(*curve, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return fmt.Errorf("bad -curve element %q", part)
-		}
-		workerCounts = append(workerCounts, n)
-	}
-	stop := watchInterrupt()
-
-	// The single-box refusal: full mode with the default budget enumerates
-	// budget+1 schemas, solves none, reports budget-exceeded immediately.
-	a, queries, err := modelByName(*model)
-	if err != nil {
-		return err
-	}
-	var query *spec.Query
-	for i := range queries {
-		if queries[i].Name == *prop {
-			query = &queries[i]
-		}
-	}
-	if query == nil {
-		return fmt.Errorf("no property %q in model %s", *prop, *model)
-	}
-	eng, err := schema.New(a, schema.Options{Mode: schema.FullEnumeration, Stop: stop})
-	if err != nil {
-		return err
-	}
-	single, err := eng.Check(query)
-	if err != nil {
-		return err
-	}
-	rep := clusterBenchReport{
-		EngineVersion:    vcache.EngineVersion,
-		GeneratedAt:      time.Now().UTC().Format(time.RFC3339),
-		CPUs:             runtime.NumCPU(),
-		Model:            *model,
-		Prop:             *prop,
-		Budget:           100_000,
-		SingleBoxOutcome: single.Outcome.String(),
-		SingleBoxSchemas: single.Schemas,
-	}
-	fmt.Fprintf(os.Stderr, "clusterbench: single box: %s after %d schemas\n", single.Outcome, single.Schemas)
-
-	var baseline float64
-	var refRow *obs.QueryMetrics
-	for _, w := range workerCounts {
-		fmt.Fprintf(os.Stderr, "clusterbench: curve point: %d workers on %d schemas...\n", w, *curveTruncate)
-		pt, res, err := runClusterPoint(cluster.JobPayload{Model: *model, Prop: *prop, Truncate: *curveTruncate},
-			w, *solverThreads, *shardSize, stop)
-		if err != nil {
-			return err
-		}
-		if stop() {
-			return fmt.Errorf("clusterbench interrupted; timings would be meaningless")
-		}
-		if baseline == 0 {
-			baseline = float64(pt.ElapsedNS)
-		}
-		if pt.ElapsedNS > 0 {
-			pt.Speedup = baseline / float64(pt.ElapsedNS)
-		}
-		row := cluster.DeterministicRow(*model, res)
-		if refRow == nil {
-			refRow = &row
-		} else if diff := diffRows(*refRow, row); diff != "" {
-			rep.Mismatches = append(rep.Mismatches, fmt.Sprintf("workers=%d: %s", w, diff))
-		}
-		rep.Curve = append(rep.Curve, pt)
-		rep.TotalSchemasSolved += pt.SchemasSolved
-		fmt.Fprintf(os.Stderr, "clusterbench: %d workers: %.0f schemas/s (speedup %.2fx)\n", w, pt.SchemasPerSec, pt.Speedup)
-	}
-
-	maxW := workerCounts[len(workerCounts)-1]
-	fmt.Fprintf(os.Stderr, "clusterbench: headline: %d workers on %d schemas (past the %d budget)...\n",
-		maxW, *headline, rep.Budget)
-	hp, _, err := runClusterPoint(cluster.JobPayload{Model: *model, Prop: *prop, Truncate: *headline},
-		maxW, *solverThreads, *shardSize, stop)
-	if err != nil {
-		return err
-	}
-	if stop() {
-		return fmt.Errorf("clusterbench interrupted; timings would be meaningless")
-	}
-	if baseline > 0 && hp.ElapsedNS > 0 {
-		// Speedup vs the 1-worker curve rate extrapolated to the headline size.
-		curveRate := rep.Curve[0].SchemasPerSec
-		if curveRate > 0 {
-			hp.Speedup = hp.SchemasPerSec / curveRate
-		}
-	}
-	rep.Headline = hp
-	rep.TotalSchemasSolved += hp.SchemasSolved
-	rep.Identical = len(rep.Mismatches) == 0
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if *out != "" {
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("clusterbench: %s (%d schemas solved, budget %d, identical=%v)\n",
-			*out, rep.TotalSchemasSolved, rep.Budget, rep.Identical)
-	} else {
-		os.Stdout.Write(data)
-	}
-	if !rep.Identical {
-		return fmt.Errorf("worker counts disagreed: %v", rep.Mismatches)
-	}
-	return nil
-}
-
-// diffRows compares two deterministic report rows.
-func diffRows(want, got obs.QueryMetrics) string {
-	w, _ := json.Marshal(want)
-	g, _ := json.Marshal(got)
-	if string(w) != string(g) {
-		return fmt.Sprintf("row %s != %s", g, w)
-	}
-	return ""
 }

@@ -13,7 +13,6 @@
 //	holistic dot     [flags]          print a model as Graphviz DOT
 //	holistic spec    [flags]          compile & check a property file
 //	holistic specs                    list bundled specs with canonical hashes
-//	holistic bench   [flags]          Table 2 wall-clock at 1 vs N workers
 //	holistic queue   [flags]          enqueue jobs into a daemon's durable queue and watch them
 //	holistic cluster [flags]          coordinate full-mode verification across worker daemons
 //	holistic work    [flags]          solve cluster shards for a coordinator
@@ -95,20 +94,14 @@ func run(args []string) error {
 		return cmdExport(args[1:])
 	case "specs":
 		return cmdSpecs(args[1:])
-	case "bench":
-		return cmdBench(args[1:])
 	case "serve":
 		return cmdServe(args[1:])
-	case "loadgen":
-		return cmdLoadgen(args[1:])
 	case "queue":
 		return cmdQueue(args[1:])
 	case "cluster":
 		return cmdCluster(args[1:])
 	case "work":
 		return cmdWork(args[1:])
-	case "clusterbench":
-		return cmdClusterBench(args[1:])
 	case "version", "-version", "--version":
 		// The engine version is part of every cache key: entries written by
 		// one version are invisible to every other.
@@ -135,13 +128,10 @@ subcommands:
   spec       compile and check a ByMC-style property file (-model ..., -file ...)
   export     print a model in the textual automaton format (-model ...)
   specs      list the bundled specs with canonical hashes and query counts
-  bench      compare Table 2 wall-clock at 1 worker vs -j workers (-out file.json)
   serve      run the verification HTTP daemon (-addr, -cache-dir, ...)
-  loadgen    drive a service with a request mix, write BENCH_service.json
   queue      client for a daemon's durable job queue (-enqueue, -job, -dead, -wait-idle)
   cluster    run the fault-tolerant coordination plane (full mode, lease-based shards)
   work       run one shard-solving worker daemon against a cluster coordinator
-  clusterbench  1..N worker scaling curve on the naive automaton, write BENCH_cluster.json
   version    print the engine version embedded in every cache key
 
 most subcommands accept -ta <file.ta> to load a user-supplied automaton

@@ -3,8 +3,29 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
+
+// captureStderr runs f with os.Stderr redirected to a file and returns what
+// it wrote (usage text goes there).
+func captureStderr(t *testing.T, f func()) string {
+	t.Helper()
+	file, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	orig := os.Stderr
+	os.Stderr = file
+	f()
+	os.Stderr = orig
+	data, err := os.ReadFile(file.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
 
 // TestRunSubcommands smoke-tests the CLI plumbing end to end (output goes to
 // stdout; the assertions are on the error results).
@@ -47,6 +68,24 @@ func TestRunSubcommands(t *testing.T) {
 	for _, args := range bad {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v): expected error", args)
+		}
+	}
+
+	// The retired benchmark writers are ordinary unknown subcommands now,
+	// and the usage text they trigger no longer offers them.
+	for _, name := range []string{"bench", "loadgen", "clusterbench"} {
+		var err error
+		usageText := captureStderr(t, func() { err = run([]string{name}) })
+		if err == nil || !strings.Contains(err.Error(), "unknown subcommand") {
+			t.Errorf("run(%s): err = %v, want the unknown-subcommand error", name, err)
+		}
+		if !strings.Contains(usageText, "subcommands:") {
+			t.Fatalf("run(%s) printed no usage:\n%s", name, usageText)
+		}
+		for _, line := range strings.Split(usageText, "\n") {
+			if f := strings.Fields(line); len(f) > 0 && f[0] == name {
+				t.Errorf("usage still lists %q: %s", name, line)
+			}
 		}
 	}
 }

@@ -16,7 +16,6 @@
 //
 //	holistic cluster -model bv -addr 127.0.0.1:9091 -journal /tmp/cluster-journal
 //	holistic work -coordinator http://127.0.0.1:9091 -j 2
-//	holistic clusterbench -out BENCH_cluster.json
 package main
 
 import (

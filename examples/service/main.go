@@ -15,7 +15,6 @@
 //
 //	holistic serve -addr 127.0.0.1:8123 -cache-dir /tmp/vcache
 //	holistic verify -model simplified -remote http://127.0.0.1:8123
-//	holistic loadgen -url http://127.0.0.1:8123
 package main
 
 import (

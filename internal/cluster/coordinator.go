@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/queue"
 	"repro/internal/schema"
 	"repro/internal/smt"
 	"repro/internal/spec"
@@ -422,17 +423,6 @@ func (c *Coordinator) newLease() string {
 	return fmt.Sprintf("L%06d-%08x", c.leaseSeq, c.rng.Uint32())
 }
 
-// reissueBackoff is the eligibility delay before attempt n+1, exponential
-// with jitter so a flapping worker pool doesn't reclaim a poisoned shard in
-// lockstep.
-func (c *Coordinator) reissueBackoff(attempt int) time.Duration {
-	d := c.cfg.RetryBase << (attempt - 1)
-	if d > c.cfg.RetryMax || d <= 0 {
-		d = c.cfg.RetryMax
-	}
-	return d + time.Duration(c.rng.Int63n(int64(d)/2+1))
-}
-
 // claim issues the next needed shard to a worker, or returns nil when
 // nothing is claimable right now. Jobs are served in submission order and
 // shards in preorder — the order that lets the CAS-min early exit cancel the
@@ -644,7 +634,7 @@ func (c *Coordinator) sweep() {
 				c.cfg.Logf("cluster: job %s shard %d exhausted %d remote attempts; local-only",
 					j.id, s.idx, s.attempt)
 			} else {
-				s.eligible = now.Add(c.reissueBackoff(s.attempt))
+				s.eligible = now.Add(queue.Backoff(c.cfg.RetryBase, c.cfg.RetryMax, s.attempt, c.rng))
 			}
 		}
 	}

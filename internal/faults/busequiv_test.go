@@ -2,6 +2,8 @@ package faults
 
 import (
 	"testing"
+
+	"repro/internal/network"
 )
 
 // The byte-identity contract of the event-bus rearchitecture: for any seeded
@@ -25,7 +27,7 @@ func runFingerprint(t *testing.T, sc Scenario) (string, Outcome) {
 	return sc.Fingerprint(&out), out
 }
 
-func withBackend(sc Scenario, backend string) Scenario {
+func withBackend(sc Scenario, backend network.Backend) Scenario {
 	sim := SimOptions{}
 	if sc.Sim != nil {
 		sim = *sc.Sim
@@ -47,8 +49,8 @@ func TestChaosCampaignFingerprintsBusVsFlat(t *testing.T) {
 	for i := 0; i < seeds; i++ {
 		seed := int64(9000 + i)
 		sc := c.RandomScenario(seed)
-		flatFP, flatOut := runFingerprint(t, withBackend(sc, "flat"))
-		busFP, busOut := runFingerprint(t, withBackend(sc, "bus"))
+		flatFP, flatOut := runFingerprint(t, withBackend(sc, network.BackendFlat))
+		busFP, busOut := runFingerprint(t, withBackend(sc, network.BackendBus))
 		if flatFP != busFP {
 			t.Fatalf("seed %d: fingerprints diverge\n flat %s (steps=%d decided=%v)\n bus  %s (steps=%d decided=%v)\n replay: %s",
 				seed, flatFP, flatOut.Steps, flatOut.Decided, busFP, busOut.Steps, busOut.Decided, sc.Encode())
@@ -71,8 +73,8 @@ func TestTortureFingerprintsBusVsFlat(t *testing.T) {
 	for i := 0; i < runs; i++ {
 		seed := int64(4400 + i)
 		sc := c.RandomScenario(seed)
-		flatFP, _ := runFingerprint(t, withBackend(sc, "flat"))
-		busFP, busOut := runFingerprint(t, withBackend(sc, "bus"))
+		flatFP, _ := runFingerprint(t, withBackend(sc, network.BackendFlat))
+		busFP, busOut := runFingerprint(t, withBackend(sc, network.BackendBus))
 		if flatFP != busFP {
 			t.Fatalf("seed %d: durable fingerprints diverge\n flat %s\n bus  %s\n replay: %s",
 				seed, flatFP, busFP, sc.Encode())
@@ -93,8 +95,8 @@ func TestLivelockFingerprintBusVsFlat(t *testing.T) {
 		Inputs: []int{0, 1, 1}, Byz: []string{"silent"}, Sched: "random",
 		Plan: UnfairParityDrop(11),
 	}
-	flatFP, flatOut := runFingerprint(t, withBackend(sc, "flat"))
-	busFP, busOut := runFingerprint(t, withBackend(sc, "bus"))
+	flatFP, flatOut := runFingerprint(t, withBackend(sc, network.BackendFlat))
+	busFP, busOut := runFingerprint(t, withBackend(sc, network.BackendBus))
 	if flatOut.Decided || busOut.Decided {
 		t.Fatalf("unfair plan decided (flat=%v bus=%v) — livelock expected", flatOut.Decided, busOut.Decided)
 	}

@@ -36,9 +36,9 @@ type Scenario struct {
 	// fault-injectable filesystem: crashes recover from disk, not from the
 	// injector's memory, and Plan.Storage faults become live.
 	Durable bool `json:"durable,omitempty"`
-	// Sim selects the simulator backend and event-bus options (nil = the
-	// default bus with flat-identical semantics). Sched "native" switches to
-	// the bus's window-drain mode, the scale path for thousands of replicas.
+	// Sim selects the event-bus options (nil = the default bus with
+	// flat-identical semantics). Sched "native" switches to the bus's
+	// window-drain mode, the scale path for thousands of replicas.
 	Sim  *SimOptions `json:"sim,omitempty"`
 	Plan Plan        `json:"plan"`
 }

@@ -3,6 +3,8 @@ package faults
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/network"
 )
 
 // TestSBACampaignTrichotomy runs the randomized chaos campaign over the sba
@@ -44,7 +46,7 @@ func TestSBAFingerprintFlatVsBus(t *testing.T) {
 		busFP := sc.Fingerprint(&busOut)
 
 		flat := sc
-		flat.Sim = &SimOptions{Backend: "flat"}
+		flat.Sim = &SimOptions{Backend: network.BackendFlat}
 		flatOut := flat.Run()
 		flatFP := flat.Fingerprint(&flatOut)
 

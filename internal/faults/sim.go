@@ -9,39 +9,33 @@ import (
 	"repro/internal/network"
 )
 
-// SimOptions select the simulator backend and event-bus behavior for a
-// scenario. The zero value (or a nil pointer) is the default event bus with
-// flat-loop-identical semantics; "flat" selects the legacy in-flight slice,
-// kept as the compatibility shim the byte-identity tests replay against.
-// The queue, dupemap, stall and topology knobs engage the bus's bounded
-// plumbing; Batch/Partitions/ScanLimit only apply under Sched "native".
+// SimOptions select the event-bus behavior for a scenario. The zero value
+// (or a nil pointer) is the default event bus with flat-loop-identical
+// semantics. The queue, dupemap, stall and topology knobs engage the bus's
+// bounded plumbing; Batch/Partitions/ScanLimit only apply under Sched
+// "native".
 type SimOptions struct {
-	Backend    string `json:"backend,omitempty"` // "", "bus" (default) or "flat"
-	QueueCap   int    `json:"queue_cap,omitempty"`
-	EgressCap  int    `json:"egress_cap,omitempty"`
-	Dupemap    bool   `json:"dupemap,omitempty"`
-	DupemapCap int    `json:"dupemap_cap,omitempty"`
-	StallK     int    `json:"stall_k,omitempty"`
-	Topology   string `json:"topology,omitempty"` // "", "full" or "gossip"
-	Batch      int    `json:"batch,omitempty"`
-	Partitions int    `json:"partitions,omitempty"`
-	ScanLimit  int    `json:"scan_limit,omitempty"`
+	// Backend is not part of the scenario format: the byte-identity tests set
+	// network.BackendFlat from Go to replay a scenario on the reference loop.
+	Backend    network.Backend `json:"-"`
+	QueueCap   int             `json:"queue_cap,omitempty"`
+	EgressCap  int             `json:"egress_cap,omitempty"`
+	Dupemap    bool            `json:"dupemap,omitempty"`
+	DupemapCap int             `json:"dupemap_cap,omitempty"`
+	StallK     int             `json:"stall_k,omitempty"`
+	Topology   string          `json:"topology,omitempty"` // "", "full" or "gossip"
+	Batch      int             `json:"batch,omitempty"`
+	Partitions int             `json:"partitions,omitempty"`
+	ScanLimit  int             `json:"scan_limit,omitempty"`
 }
 
 // networkOptions lowers the scenario's sim block into network.Options.
 func (sc Scenario) networkOptions() (network.Options, error) {
-	var opts network.Options
 	sim := sc.Sim
 	if sim == nil {
 		sim = &SimOptions{}
 	}
-	switch sim.Backend {
-	case "", "bus":
-	case "flat":
-		opts.Backend = network.BackendFlat
-	default:
-		return opts, fmt.Errorf("unknown sim backend %q", sim.Backend)
-	}
+	opts := network.Options{Backend: sim.Backend}
 	opts.Bus = network.BusOptions{
 		QueueCap:   sim.QueueCap,
 		EgressCap:  sim.EgressCap,

@@ -82,11 +82,8 @@ var Protocols, KnownProtocols = func() (map[string]bool, string) {
 // schedulers is the accepted scheduler vocabulary ("" defaults to random).
 var schedulers = map[string]bool{"": true, "random": true, "fifo": true, "fair": true, "native": true}
 
-// simBackends and simTopologies are the accepted sim-block vocabularies.
-var (
-	simBackends   = map[string]bool{"": true, "bus": true, "flat": true}
-	simTopologies = map[string]bool{"": true, "full": true, "gossip": true}
-)
+// simTopologies is the accepted sim-block topology vocabulary.
+var simTopologies = map[string]bool{"": true, "full": true, "gossip": true}
 
 // Validate checks the scenario for internal consistency before a run. Every
 // error names the offending field with its path (e.g. plan.storage[1].kind)
@@ -150,9 +147,6 @@ func (sc Scenario) Validate() error {
 		bad("sched", "unknown scheduler %q (want random, fifo, fair or native)", sc.Sched)
 	}
 	if sim := sc.Sim; sim != nil {
-		if !simBackends[sim.Backend] {
-			bad("sim.backend", "unknown backend %q (want bus or flat)", sim.Backend)
-		}
 		if !simTopologies[sim.Topology] {
 			bad("sim.topology", "unknown topology %q (want full or gossip)", sim.Topology)
 		}
@@ -170,15 +164,6 @@ func (sc Scenario) Validate() error {
 		} {
 			if f.v < 0 {
 				bad(f.name, "must be nonnegative, got %d", f.v)
-			}
-		}
-		if sim.Backend == "flat" {
-			if sc.Sched == "native" {
-				bad("sim.backend", "native drain mode requires the bus backend")
-			}
-			if sim.QueueCap != 0 || sim.EgressCap != 0 || sim.Dupemap || sim.DupemapCap != 0 ||
-				sim.StallK != 0 || (sim.Topology != "" && sim.Topology != "full") {
-				bad("sim.backend", "the flat shim supports no bus options (queue caps, dupemap, stall detection, topology)")
 			}
 		}
 		if sim.Topology == "gossip" && sc.Sched != "native" {

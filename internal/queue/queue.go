@@ -174,8 +174,8 @@ type Config struct {
 	// Consumers is the worker pool size (default 2; negative = none, for
 	// tests that drive the queue by hand).
 	Consumers int
-	// StartPaused holds consumers until Resume — the loadgen uses it to
-	// build a full backlog before measuring the drain.
+	// StartPaused holds consumers until Resume, so a backlog can be built
+	// before anything drains.
 	StartPaused bool
 	// MaxAttempts dead-letters a job after this many failed runs (default 4).
 	MaxAttempts int
@@ -627,19 +627,24 @@ func (q *Queue) settle(j *Job, herr error) (notify func()) {
 		obsRetries.Inc()
 		j.state = StateWaiting
 		q.waiting++
-		q.scheduleRetryLocked(j, q.backoffLocked(j.Attempts))
+		q.scheduleRetryLocked(j, Backoff(q.cfg.RetryBase, q.cfg.RetryMax, j.Attempts, q.rng))
 		q.gaugesLocked()
 		return nil
 	}
 }
 
-// backoffLocked is the capped jittered exponential retry delay.
-func (q *Queue) backoffLocked(attempts int) time.Duration {
-	d := q.cfg.RetryBase << (attempts - 1)
-	if d > q.cfg.RetryMax || d <= 0 {
-		d = q.cfg.RetryMax
+// Backoff is the capped jittered exponential delay before retry attempt
+// (1-based), shared by every retry loop of the serving stack: base doubled
+// per attempt, clamped to max (also when the shift overflows), plus up to
+// half of that again drawn from rng, so retriers that failed together do not
+// come back in lockstep. It draws exactly once from rng; the caller
+// serialises access to it.
+func Backoff(base, max time.Duration, attempt int, rng *rand.Rand) time.Duration {
+	d := base << (attempt - 1)
+	if d > max || d <= 0 {
+		d = max
 	}
-	return d + time.Duration(q.rng.Int63n(int64(d)/2+1))
+	return d + time.Duration(rng.Int63n(int64(d)/2+1))
 }
 
 func (q *Queue) scheduleRetryLocked(j *Job, d time.Duration) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -625,5 +626,39 @@ func TestQueueCompactionCoversLiveJobs(t *testing.T) {
 	// no job may be lost and no schedule may run 6 jobs more than 7 times.
 	if total < 6 || total > 7 {
 		t.Errorf("total runs %d, want 6..7", total)
+	}
+}
+
+// TestBackoff pins the shared retry-delay formula on its own: the capped
+// exponential part is exact, and the jitter drawn on top stays within half
+// of it at every draw.
+func TestBackoff(t *testing.T) {
+	const base, max = 10 * time.Millisecond, 75 * time.Millisecond
+	cases := []struct {
+		name    string
+		attempt int
+		want    time.Duration // the un-jittered delay
+	}{
+		{"first attempt is the base", 1, base},
+		{"doubles per attempt", 3, 4 * base},
+		{"cap reached", 4, max},
+		{"shift overflow clamps to max", 63, max},
+		{"shift count past the word clamps to max", 70, max},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range cases {
+		var most time.Duration
+		for i := 0; i < 200; i++ {
+			d := Backoff(base, max, tc.attempt, rng)
+			if d < tc.want || d > tc.want+tc.want/2 {
+				t.Fatalf("%s: Backoff = %v, want within [%v, %v]", tc.name, d, tc.want, tc.want+tc.want/2)
+			}
+			if d > most {
+				most = d
+			}
+		}
+		if most == tc.want {
+			t.Errorf("%s: 200 draws all returned %v; jitter is not being applied", tc.name, most)
+		}
 	}
 }

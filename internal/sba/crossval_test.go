@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/models"
+	"repro/internal/network"
 	"repro/internal/schema"
 	"repro/internal/spec"
 	"repro/internal/taformat"
@@ -128,7 +129,7 @@ func TestCrossValidateSimulatorAgainstSpec(t *testing.T) {
 
 		// Replay determinism: flat shim and event bus must agree byte-for-byte.
 		flat := sc
-		flat.Sim = &faults.SimOptions{Backend: "flat"}
+		flat.Sim = &faults.SimOptions{Backend: network.BackendFlat}
 		flatOut := flat.Run()
 		if flatOut.Err != nil {
 			t.Fatalf("seed %d: flat backend: %v", seed, flatOut.Err)

@@ -11,10 +11,12 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"repro/internal/queue"
 )
 
 // HTTPClient is the shared JSON-over-HTTP client of the verification stack:
-// `holistic verify -remote`, the loadgen, and the cluster workers all speak
+// `holistic verify -remote`, `holistic queue` and the cluster workers all speak
 // through it. Its one job beyond plumbing is backpressure etiquette — a 429
 // is an invitation to come back, not a failure, so the client honors
 // Retry-After, layers jittered exponential backoff on top, and only gives up
@@ -39,9 +41,6 @@ type HTTPClient struct {
 	// RetryTransport retries connection-level failures too (for daemons that
 	// must ride out a server restart); off, they surface immediately.
 	RetryTransport bool
-	// OnRetry, when set, observes every shed-and-retried attempt (the 429
-	// count feeds the loadgen's shed-rate statistic).
-	OnRetry func(status int, delay time.Duration)
 	// Logf receives one line per retry (default: silent).
 	Logf func(format string, args ...any)
 
@@ -80,10 +79,6 @@ func (c *HTTPClient) backoff(attempt int, retryAfter time.Duration) time.Duratio
 	if maxd <= 0 {
 		maxd = 3 * time.Second
 	}
-	d := base << (attempt - 1)
-	if d > maxd || d <= 0 {
-		d = maxd
-	}
 	c.mu.Lock()
 	if c.rng == nil {
 		seed := c.Seed
@@ -92,7 +87,7 @@ func (c *HTTPClient) backoff(attempt int, retryAfter time.Duration) time.Duratio
 		}
 		c.rng = rand.New(rand.NewSource(seed))
 	}
-	d += time.Duration(c.rng.Int63n(int64(d)/2 + 1))
+	d := queue.Backoff(base, maxd, attempt, c.rng)
 	c.mu.Unlock()
 	if retryAfter > d {
 		d = retryAfter
@@ -187,9 +182,6 @@ func (c *HTTPClient) DoJSON(ctx context.Context, method, url string, in, out any
 			return lastStatus, fmt.Errorf("%w (after %d attempts)", lastErr, attempt)
 		}
 		d := c.backoff(attempt, retryAfter)
-		if c.OnRetry != nil {
-			c.OnRetry(lastStatus, d)
-		}
 		c.logf("service: attempt %d/%d failed (%v); retrying in %v", attempt, attempts, lastErr, d)
 		select {
 		case <-ctx.Done():

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ltl"
 	"repro/internal/models"
+	"repro/internal/schema"
 	"repro/internal/spec"
 	"repro/internal/ta"
 	"repro/internal/taformat"
@@ -45,44 +46,54 @@ func BuiltinModel(name string) (*ta.TA, []spec.Query, error) {
 	}
 }
 
-// resolveRequest turns a VerifyRequest into the automaton, model label and
-// query list to check. Exactly one of Model and TA must be set; TA requires
-// Spec (the LTL property file text to compile against it).
-func resolveRequest(req *VerifyRequest) (*ta.TA, string, []spec.Query, error) {
+// resolveRequest turns a VerifyRequest into the automaton, model label,
+// query list and schema mode to check — the one place a request is validated,
+// so every endpoint rejects a bad one with the same 400 before doing any
+// work. Exactly one of Model and TA must be set; TA requires Spec (the LTL
+// property file text to compile against it).
+func resolveRequest(req *VerifyRequest) (*ta.TA, string, []spec.Query, schema.Mode, error) {
 	var (
 		a       *ta.TA
 		queries []spec.Query
 		label   string
 		err     error
 	)
+	mode := schema.Staged
+	switch req.Mode {
+	case "", "staged":
+	case "full":
+		mode = schema.FullEnumeration
+	default:
+		return nil, "", nil, 0, fmt.Errorf("unknown mode %q (want staged or full)", req.Mode)
+	}
 	switch {
 	case req.Model != "" && req.TA != "":
-		return nil, "", nil, fmt.Errorf("request sets both model and ta; pick one")
+		return nil, "", nil, 0, fmt.Errorf("request sets both model and ta; pick one")
 	case req.Model != "":
 		label = req.Model
 		a, queries, err = BuiltinModel(req.Model)
 		if err != nil {
-			return nil, "", nil, err
+			return nil, "", nil, 0, err
 		}
 	case req.TA != "":
 		if req.Spec == "" {
-			return nil, "", nil, fmt.Errorf("a ta payload requires a spec payload with the properties to check")
+			return nil, "", nil, 0, fmt.Errorf("a ta payload requires a spec payload with the properties to check")
 		}
 		a, err = taformat.Parse(req.TA)
 		if err != nil {
-			return nil, "", nil, fmt.Errorf("parsing ta: %w", err)
+			return nil, "", nil, 0, fmt.Errorf("parsing ta: %w", err)
 		}
 		label = a.Name
 		pf, perr := ltl.ParseFile(req.Spec)
 		if perr != nil {
-			return nil, "", nil, fmt.Errorf("parsing spec: %w", perr)
+			return nil, "", nil, 0, fmt.Errorf("parsing spec: %w", perr)
 		}
 		queries, err = ltl.CompileFile(pf, a)
 		if err != nil {
-			return nil, "", nil, fmt.Errorf("compiling spec: %w", err)
+			return nil, "", nil, 0, fmt.Errorf("compiling spec: %w", err)
 		}
 	default:
-		return nil, "", nil, fmt.Errorf("request names no model and carries no ta")
+		return nil, "", nil, 0, fmt.Errorf("request names no model and carries no ta")
 	}
 	if req.Prop != "" {
 		var filtered []spec.Query
@@ -92,9 +103,9 @@ func resolveRequest(req *VerifyRequest) (*ta.TA, string, []spec.Query, error) {
 			}
 		}
 		if len(filtered) == 0 {
-			return nil, "", nil, fmt.Errorf("no property %q in model %s", req.Prop, label)
+			return nil, "", nil, 0, fmt.Errorf("no property %q in model %s", req.Prop, label)
 		}
 		queries = filtered
 	}
-	return a, label, queries, nil
+	return a, label, queries, mode, nil
 }

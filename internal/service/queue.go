@@ -15,6 +15,8 @@ import (
 
 	"repro/internal/queue"
 	"repro/internal/schema"
+	"repro/internal/spec"
+	"repro/internal/ta"
 	"repro/internal/vcache"
 )
 
@@ -86,8 +88,8 @@ func (s *Server) openQueue() {
 	s.cfg.Logf("service: durable queue at %s (%d consumers, depth %d)", s.cfg.QueueDir, consumers, q.Status().Depth)
 }
 
-// Queue exposes the underlying queue (nil when disabled or degraded) for
-// in-process drivers like loadgen's backlog benchmark.
+// Queue exposes the underlying queue (nil when disabled or degraded) to
+// in-process drivers that resume, watch or wait on it directly.
 func (s *Server) Queue() *queue.Queue { return s.queue }
 
 // Close releases the server's durable state: the queue drains its running
@@ -166,21 +168,13 @@ func (s *Server) queueResult(id string) (*VerifyResponse, bool) {
 	return resp, ok
 }
 
-// allCached reports whether every property of the request already has a
+// allCached reports whether every query of a resolved request already has a
 // cached verdict — the pre-enqueue dedup against vcache canonical hashes:
 // such a request is answered synchronously (pure cache reads) instead of
 // occupying backlog space.
-func (s *Server) allCached(req *VerifyRequest) bool {
+func (s *Server) allCached(a *ta.TA, queries []spec.Query, mode schema.Mode) bool {
 	if s.cfg.Cache == nil {
 		return false
-	}
-	a, _, queries, err := resolveRequest(req)
-	if err != nil {
-		return false
-	}
-	mode := schema.Staged
-	if req.Mode == "full" {
-		mode = schema.FullEnumeration
 	}
 	for i := range queries {
 		engine, err := schema.New(a, schema.Options{Mode: mode, Workers: s.cfg.Workers})
@@ -228,11 +222,12 @@ func (s *Server) handleEnqueue(w http.ResponseWriter, r *http.Request) {
 	if req.Tenant == "" {
 		req.Tenant = "default"
 	}
-	if _, _, _, err := resolveRequest(&req.VerifyRequest); err != nil {
+	a, _, queries, mode, err := resolveRequest(&req.VerifyRequest)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if !req.Force && s.allCached(&req.VerifyRequest) {
+	if !req.Force && s.allCached(a, queries, mode) {
 		// Every verdict is already content-addressed in the cache: answer
 		// now, spend no backlog.
 		resp, status, err := s.verify(r.Context(), &req.VerifyRequest)

@@ -14,9 +14,6 @@
 // Endpoints:
 //
 //	POST /v1/verify            synchronous verify; body: VerifyRequest JSON
-//	POST /v1/jobs              submit an async job; returns {"id": ...}
-//	GET  /v1/jobs/{id}         job status
-//	GET  /v1/jobs/{id}/result  job result (409 until done)
 //	POST /v1/enqueue           durable queue submit (EnqueueRequest JSON)
 //	GET  /v1/queue/status      queue depth/in-flight/dead-letter counters
 //	GET  /v1/queue/jobs/{id}   queue job state (+ results when done)
@@ -93,7 +90,7 @@ type Config struct {
 	QueueMaxAttempts   int
 	QueueSeed          int64
 	// QueuePaused starts the consumer pool held (Server.Queue().Resume()
-	// releases it) — loadgen uses it to build a backlog deterministically.
+	// releases it), so a backlog can be built before anything drains.
 	QueuePaused bool
 	// QueueFailProp, when non-empty, makes queue jobs for that property fail
 	// as transient errors — the documented fault-injection hook behind
@@ -103,9 +100,9 @@ type Config struct {
 	QueueOnTerminal func(j queue.Job, st queue.State)
 }
 
-// VerifyRequest is the POST /v1/verify and POST /v1/jobs payload. Exactly
-// one of Model (bundled) and TA (textual automaton, with Spec holding the
-// LTL property file) must be set.
+// VerifyRequest is the POST /v1/verify payload (and the body of an
+// EnqueueRequest). Exactly one of Model (bundled) and TA (textual automaton,
+// with Spec holding the LTL property file) must be set.
 type VerifyRequest struct {
 	Model string `json:"model,omitempty"`
 	TA    string `json:"ta,omitempty"`
@@ -163,11 +160,7 @@ type Server struct {
 	group *flightGroup
 
 	admitted atomic.Int64
-
-	jobsMu  sync.Mutex
-	jobs    map[string]*job
-	jobSeq  int
-	started time.Time
+	started  time.Time
 
 	// engineRuns counts real engine invocations (not cache hits, not
 	// singleflight followers); the race test pins it to exactly one for N
@@ -192,17 +185,6 @@ type Server struct {
 	qnext          int
 }
 
-type job struct {
-	ID      string    `json:"id"`
-	State   string    `json:"state"` // queued | running | done | error
-	Created time.Time `json:"created"`
-	Total   int       `json:"total_queries"`
-	Done    int       `json:"done_queries"`
-	Err     string    `json:"error,omitempty"`
-
-	resp *VerifyResponse
-}
-
 // New builds a server.
 func New(cfg Config) *Server {
 	if cfg.MaxQueue <= 0 {
@@ -222,16 +204,12 @@ func New(cfg Config) *Server {
 		mux:        http.NewServeMux(),
 		sem:        make(chan struct{}, cfg.MaxConcurrent),
 		group:      newFlightGroup(),
-		jobs:       make(map[string]*job),
 		started:    time.Now(),
 		reportRows: make(map[string]obs.QueryMetrics),
 		qresults:   make(map[string]*VerifyResponse),
 	}
 	s.openQueue()
 	s.mux.HandleFunc("POST /v1/verify", s.handleVerify)
-	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobStatus)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleJobResult)
 	s.mux.HandleFunc("POST /v1/enqueue", s.handleEnqueue)
 	s.mux.HandleFunc("GET /v1/queue/status", s.handleQueueStatus)
 	s.mux.HandleFunc("GET /v1/queue/jobs/{id}", s.handleQueueJob)
@@ -322,17 +300,9 @@ func (s *Server) verify(ctx context.Context, req *VerifyRequest) (*VerifyRespons
 	start := time.Now()
 	defer func() { mRequestNS.Observe(time.Since(start).Nanoseconds()) }()
 
-	a, label, queries, err := resolveRequest(req)
+	a, label, queries, mode, err := resolveRequest(req)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
-	}
-	mode := schema.Staged
-	switch req.Mode {
-	case "", "staged":
-	case "full":
-		mode = schema.FullEnumeration
-	default:
-		return nil, http.StatusBadRequest, fmt.Errorf("unknown mode %q (want staged or full)", req.Mode)
 	}
 	timeout := s.cfg.RequestTimeout
 	if req.TimeoutMS > 0 {
@@ -496,101 +466,6 @@ func (s *Server) Report(tool string, workers int, interrupted bool) *obs.Report 
 	rep.Observational.Interrupted = interrupted
 	rep.Observational.Registry = obs.Default.Snapshot()
 	return rep
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	mRequests.Inc()
-	release, ok := s.admit(w)
-	if !ok {
-		return
-	}
-	req, ok := decodeRequest(w, r)
-	if !ok {
-		release()
-		return
-	}
-	// Validate before accepting so submit errors surface synchronously.
-	_, _, queries, err := resolveRequest(req)
-	if err != nil {
-		release()
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.jobsMu.Lock()
-	s.jobSeq++
-	j := &job{
-		ID:      fmt.Sprintf("job-%06d", s.jobSeq),
-		State:   "queued",
-		Created: time.Now().UTC(),
-		Total:   len(queries),
-	}
-	s.jobs[j.ID] = j
-	envelope := *j
-	s.jobsMu.Unlock()
-
-	go func() {
-		defer release()
-		s.setJobState(j, "running")
-		// The job holds its admission slot for its whole life, so queued
-		// jobs count against MaxQueue exactly like synchronous requests.
-		resp, _, err := s.verify(context.Background(), req)
-		s.jobsMu.Lock()
-		defer s.jobsMu.Unlock()
-		if err != nil {
-			j.State, j.Err = "error", err.Error()
-			return
-		}
-		j.State, j.resp, j.Done = "done", resp, len(resp.Results)
-	}()
-	writeJSON(w, http.StatusAccepted, envelope)
-}
-
-func (s *Server) setJobState(j *job, state string) {
-	s.jobsMu.Lock()
-	j.State = state
-	s.jobsMu.Unlock()
-}
-
-func (s *Server) jobByID(w http.ResponseWriter, r *http.Request) (*job, bool) {
-	s.jobsMu.Lock()
-	defer s.jobsMu.Unlock()
-	j, ok := s.jobs[r.PathValue("id")]
-	if !ok {
-		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
-		return nil, false
-	}
-	return j, true
-}
-
-func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobByID(w, r)
-	if !ok {
-		return
-	}
-	s.jobsMu.Lock()
-	cp := *j
-	s.jobsMu.Unlock()
-	cp.resp = nil
-	writeJSON(w, http.StatusOK, cp)
-}
-
-func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobByID(w, r)
-	if !ok {
-		return
-	}
-	s.jobsMu.Lock()
-	state, resp, jerr := j.State, j.resp, j.Err
-	s.jobsMu.Unlock()
-	switch state {
-	case "done":
-		writeJSON(w, http.StatusOK, resp)
-	case "error":
-		writeError(w, http.StatusInternalServerError, "%s", jerr)
-	default:
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusConflict, "job %s is %s; retry later", j.ID, state)
-	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/vcache"
 )
@@ -179,65 +178,38 @@ func TestRequestDeadlineMapsToBudget(t *testing.T) {
 	_ = s
 }
 
+// TestJobsLifecycle walks the asynchronous path end to end through the
+// durable queue endpoints: submit, poll, read the result, unknown id.
 func TestJobsLifecycle(t *testing.T) {
-	_, ts := newTestServer(t, Config{Cache: memCache(t)})
-	body, _ := json.Marshal(VerifyRequest{Model: "simplified", Prop: "Inv1_1"})
-	httpResp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(string(body)))
+	s, ts := newTestServer(t, Config{Cache: memCache(t), QueueDir: t.TempDir()})
+	defer s.Close()
+	out, code := postEnqueue(t, ts.URL, EnqueueRequest{VerifyRequest: VerifyRequest{Model: "simplified", Prop: "Inv1_1"}})
+	if code != http.StatusAccepted || out.ID == "" {
+		t.Fatalf("submit: code=%d out=%+v, want 202 and a job id", code, out)
+	}
+	final := pollQueueJob(t, ts.URL, out.ID)
+	if final.State != "done" {
+		t.Fatalf("job ended %q (%s)", final.State, final.Reason)
+	}
+	if final.Results == nil || len(final.Results.Results) != 1 || final.Results.Results[0].Query != "Inv1_1" {
+		t.Fatalf("bad job result: %+v", final.Results)
+	}
+	st, err := http.Get(ts.URL + "/v1/queue/jobs/no-such-job")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if httpResp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit returned %d, want 202", httpResp.StatusCode)
-	}
-	var j job
-	json.NewDecoder(httpResp.Body).Decode(&j)
-	httpResp.Body.Close()
-	if j.ID == "" || j.Total != 1 {
-		t.Fatalf("bad job envelope: %+v", j)
-	}
-
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		st, err := http.Get(ts.URL + "/v1/jobs/" + j.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var cur job
-		json.NewDecoder(st.Body).Decode(&cur)
-		st.Body.Close()
-		if cur.State == "done" {
-			break
-		}
-		if cur.State == "error" {
-			t.Fatalf("job failed: %s", cur.Err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in state %q", cur.State)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	res, err := http.Get(ts.URL + "/v1/jobs/" + j.ID + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		t.Fatalf("result returned %d, want 200", res.StatusCode)
-	}
-	var resp VerifyResponse
-	json.NewDecoder(res.Body).Decode(&resp)
-	if len(resp.Results) != 1 || resp.Results[0].Query != "Inv1_1" {
-		t.Fatalf("bad job result: %+v", resp)
-	}
-
-	if st, _ := http.Get(ts.URL + "/v1/jobs/no-such-job"); st.StatusCode != http.StatusNotFound {
+	st.Body.Close()
+	if st.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job returned %d, want 404", st.StatusCode)
 	}
 }
 
+// TestBadRequests: every malformed request is a 400 on the synchronous and
+// the durable endpoint alike, and none of them is journaled — a bad request
+// acked with 202 would only surface later as a dead letter.
 func TestBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{QueueDir: t.TempDir()})
+	defer s.Close()
 	cases := []struct {
 		name string
 		body string
@@ -250,15 +222,20 @@ func TestBadRequests(t *testing.T) {
 		{"unknown field", `{"model":"simplified","frobnicate":1}`},
 		{"garbage", `{`},
 	}
-	for _, tc := range cases {
-		resp, err := http.Post(ts.URL+"/v1/verify", "application/json", strings.NewReader(tc.body))
-		if err != nil {
-			t.Fatal(err)
+	for _, path := range []string{"/v1/verify", "/v1/enqueue"} {
+		for _, tc := range cases {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d, want 400", path, tc.name, resp.StatusCode)
+			}
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
-		}
+	}
+	if st, dead := s.Queue().Status(), s.Queue().DeadLetters(); st.Enqueued != 0 || st.Depth != 0 || len(dead) != 0 {
+		t.Errorf("bad requests reached the queue: %+v, %d dead letters", st, len(dead))
 	}
 }
 

@@ -1,8 +1,8 @@
 #!/bin/sh
 # verify.sh — the tier-1+ gate: everything tier-1 runs (build + tests) plus
-# vet, the race detector, fixed-seed chaos and storage-torture smokes, and
-# the WAL fsync-path benchmark. Deterministic and offline; the
-# race-instrumented suite dominates (a few minutes).
+# vet, a retired-name lint, the race detector, fixed-seed chaos and
+# storage-torture smokes, and the WAL fsync-path benchmark. Deterministic
+# and offline; the race-instrumented suite dominates (a few minutes).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -32,6 +32,17 @@ fi
 
 echo "==> go vet ./..."
 go vet ./...
+
+# The retired benchmark writers, async job routes and backend knob must not
+# linger in docs or tooling (CHANGES.md, ROADMAP.md and benchmark/ keep them
+# as history). Each pattern carries a bracket so this script does not match
+# itself.
+echo "==> retired-name lint (docs, Makefile, scripts/, .claude/)"
+if grep -rnE 'BENCH[_][a-z]*\.json|load[g]en|cluster[b]ench|-bench[-]sim|/v1/[j]obs|[-]backend' \
+    README.md DESIGN.md EXPERIMENTS.md Makefile scripts .claude; then
+    echo "retired-name lint: the lines above still name a removed command, flag, route or artifact"
+    exit 1
+fi
 
 echo "==> go build ./..."
 go build ./...
@@ -66,20 +77,12 @@ go test -race -run 'SBA' ./internal/faults ./internal/models ./internal/reductio
 
 fuzz_smoke
 
-echo "==> sba replay smoke (flat-vs-bus fingerprint byte-identity)"
+echo "==> sba replay smoke (seeded liar + crash-recovery scenario decides with agreement)"
 SBADIR=$(mktemp -d)
 printf '{"protocol":"sba","n":4,"t":1,"max_rounds":12,"max_steps":120000,"tick":25,"inputs":[0,1,1],"byz":["liar"],"sched":"random","plan":{"seed":3,"drops":[{"prob":0.1,"budget":2}],"dup_prob":0.05,"delay_prob":0.05,"delay_steps":20,"crashes":[{"proc":0,"at":40,"recover":400}]}}' > "$SBADIR/bus.json"
-printf '{"protocol":"sba","n":4,"t":1,"max_rounds":12,"max_steps":120000,"tick":25,"inputs":[0,1,1],"byz":["liar"],"sched":"random","sim":{"backend":"flat"},"plan":{"seed":3,"drops":[{"prob":0.1,"budget":2}],"dup_prob":0.05,"delay_prob":0.05,"delay_steps":20,"crashes":[{"proc":0,"at":40,"recover":400}]}}' > "$SBADIR/flat.json"
-go run ./cmd/dbftsim -plan @"$SBADIR/bus.json" -fingerprint > "$SBADIR/bus.out"
-go run ./cmd/dbftsim -plan @"$SBADIR/flat.json" -fingerprint > "$SBADIR/flat.out"
+go run ./cmd/dbftsim -plan @"$SBADIR/bus.json" > "$SBADIR/bus.out"
 grep -q 'decided=true' "$SBADIR/bus.out" || { echo "sba smoke: seeded run undecided"; cat "$SBADIR/bus.out"; exit 1; }
 grep -q 'agreement: ok' "$SBADIR/bus.out" || { echo "sba smoke: agreement violated"; cat "$SBADIR/bus.out"; exit 1; }
-SFP1=$(awk '/^fingerprint:/{print $2}' "$SBADIR/bus.out")
-SFP2=$(awk '/^fingerprint:/{print $2}' "$SBADIR/flat.out")
-[ -n "$SFP1" ] && [ "$SFP1" = "$SFP2" ] || {
-    echo "sba smoke: flat-vs-bus fingerprints diverge (bus=$SFP1 flat=$SFP2)"
-    exit 1
-}
 
 echo "==> sba verification (staged determinism at -j 1 vs -j 8; full-mode incremental leg)"
 go run ./cmd/holistic verify -model sba -j 1 -report "$SBADIR/sba1.json" > /dev/null
@@ -155,8 +158,6 @@ grep -q '\[cached\]' "$SVC/corrupt.out" && { echo "service smoke: truncated entr
 grep -q 'corrupt entry' "$SVC/serve2.log" || { echo "service smoke: corruption not logged"; cat "$SVC/serve2.log"; exit 1; }
 kill -TERM "$SRV2"
 wait "$SRV2" || true
-# Warm-vs-cold latency through the service: >= 10x on the heaviest row.
-"$SVC/holistic" loadgen -models simplified -passes 2 -min-speedup 10 -out "$SVC/BENCH_service.json" > /dev/null
 
 echo "==> cluster smoke (coordinator + 2 workers, SIGKILL one mid-run)"
 CLU="$OBSDIR/cluster"
