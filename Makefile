@@ -30,6 +30,13 @@ lint:
 bench:
 	go test -bench=. -benchmem ./...
 
+# Simplex-kernel micro-benchmarks (pivot, addGE, tableau clone, one
+# Push/Check/Pop cursor step) on a 250 x 240 schema-shaped tableau; the
+# before/after table is in EXPERIMENTS.md.
+.PHONY: bench-smt
+bench-smt:
+	go test -run '^$$' -bench 'Pivot|AddGE|TableauClone|PushCheckPop' -benchmem -count 5 ./internal/smt
+
 # The repository's one benchmark (BENCHMARK.json): all six workloads,
 # untraced then traced, every output checked against benchmark/expected.json,
 # then compared row by row to the committed baseline. Reads benchmark/ and

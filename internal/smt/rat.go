@@ -1,9 +1,11 @@
 package smt
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 )
 
 // rat is an exact rational number optimized for the small values that
@@ -32,6 +34,9 @@ func (r rat) norm() rat {
 	// MinInt64 cannot be negated or safely abs'd in int64; promote.
 	if r.n == math.MinInt64 || r.d == math.MinInt64 {
 		return rat{b: big.NewRat(r.n, r.d)}
+	}
+	if r.d == 1 {
+		return r
 	}
 	if r.d < 0 {
 		r.n, r.d = -r.n, -r.d
@@ -79,21 +84,31 @@ func fromBig(b *big.Rat) rat {
 	return rat{b: new(big.Rat).Set(b)}
 }
 
-func mulOverflows(a, b int64) bool {
-	if a == 0 || b == 0 {
-		return false
+// mul128 returns the signed 128-bit product of a and b as a signed high word
+// and an unsigned low word, derived from the unsigned product.
+func mul128(a, b int64) (int64, uint64) {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	if a < 0 {
+		hi -= uint64(b)
 	}
-	// MinInt64 * -1 wraps to MinInt64 and passes the division check.
-	if (a == math.MinInt64 && b == -1) || (b == math.MinInt64 && a == -1) {
-		return true
+	if b < 0 {
+		hi -= uint64(a)
 	}
-	p := a * b
-	return p/b != a
+	return int64(hi), lo
 }
 
-func addOverflows(a, b int64) bool {
+// mul64 returns a*b and whether the product fits in int64: the high word
+// must be the sign extension of the low one. No hardware divide, and no
+// MinInt64 special case.
+func mul64(a, b int64) (int64, bool) {
+	hi, lo := mul128(a, b)
+	return int64(lo), hi == int64(lo)>>63
+}
+
+// add64 returns a+b and whether the sum fits in int64.
+func add64(a, b int64) (int64, bool) {
 	s := a + b
-	return (a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0)
+	return s, (a^s)&(b^s) >= 0
 }
 
 // fastOK reports whether both operands can go through the int64 fast path:
@@ -114,11 +129,11 @@ func (r rat) add(o rat) rat {
 			od = 1
 		}
 		// n = r.n*od + o.n*rd ; d = rd*od
-		if !mulOverflows(r.n, od) && !mulOverflows(o.n, rd) && !mulOverflows(rd, od) {
-			x, y := r.n*od, o.n*rd
-			if !addOverflows(x, y) {
-				return rat{n: x + y, d: rd * od}.norm()
-			}
+		x, ok1 := mul64(r.n, od)
+		y, ok2 := mul64(o.n, rd)
+		d, ok3 := mul64(rd, od)
+		if n, ok4 := add64(x, y); ok1 && ok2 && ok3 && ok4 {
+			return rat{n: n, d: d}.norm()
 		}
 	}
 	return fromBig(new(big.Rat).Add(r.toBig(), o.toBig()))
@@ -147,16 +162,38 @@ func (r rat) mul(o rat) rat {
 		if od == 0 {
 			od = 1
 		}
+		if rd == 1 && od == 1 {
+			if n, ok := mul64(r.n, o.n); ok {
+				return rat{n: n, d: 1}.norm()
+			}
+		}
 		// Cross-reduce before multiplying to keep magnitudes small.
 		g1 := gcd64(abs64(r.n), od)
 		g2 := gcd64(abs64(o.n), rd)
-		rn, rod := r.n/g1, od/g1
-		on, rrd := o.n/g2, rd/g2
-		if !mulOverflows(rn, on) && !mulOverflows(rod, rrd) {
-			return rat{n: rn * on, d: rod * rrd}.norm()
+		n, ok1 := mul64(r.n/g1, o.n/g2)
+		d, ok2 := mul64(od/g1, rd/g2)
+		if ok1 && ok2 {
+			return rat{n: n, d: d}.norm()
 		}
 	}
 	return fromBig(new(big.Rat).Mul(r.toBig(), o.toBig()))
+}
+
+// addMul returns r + d·x, the one operation a pivot applies to every cell it
+// touches. When all three are int64 integers (denominator 1 — nearly every
+// cell of a threshold-automaton encoding) it is one overflow-checked multiply
+// and one checked add, with no gcd; anything else, and any overflow, takes
+// the general exact path.
+func (r rat) addMul(d, x rat) rat {
+	if r.b == nil && d.b == nil && x.b == nil && r.d <= 1 && d.d <= 1 && x.d <= 1 {
+		if p, ok := mul64(d.n, x.n); ok {
+			// MinInt64 is never held on the int64 lane (see norm).
+			if s, ok := add64(r.n, p); ok && s != math.MinInt64 {
+				return rat{n: s, d: 1}
+			}
+		}
+	}
+	return r.add(d.mul(x))
 }
 
 func (r rat) div(o rat) rat {
@@ -191,8 +228,26 @@ func (r rat) sign() int {
 	}
 }
 
+// cmp returns the sign of r - o. On the int64 lane it compares the 128-bit
+// cross products r.n·o.d and o.n·r.d, so it never allocates, whatever the
+// magnitudes.
 func (r rat) cmp(o rat) int {
-	return r.sub(o).sign()
+	if r.b != nil || o.b != nil {
+		return r.toBig().Cmp(o.toBig())
+	}
+	rd, od := r.d, o.d
+	if rd == 0 {
+		rd = 1
+	}
+	if od == 0 {
+		od = 1
+	}
+	lhi, llo := mul128(r.n, od)
+	rhi, rlo := mul128(o.n, rd)
+	if c := cmp.Compare(lhi, rhi); c != 0 {
+		return c
+	}
+	return cmp.Compare(llo, rlo)
 }
 
 func (r rat) isInt() bool {

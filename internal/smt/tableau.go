@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"sort"
+	"slices"
 
 	"repro/internal/expr"
 )
@@ -26,18 +26,69 @@ import (
 // pivots instead of a full phase-one solve.
 type tableau struct {
 	colOf   map[expr.Sym]int // symbol -> variable id
-	symOf   map[int]expr.Sym // variable id -> symbol (original variables only)
+	symOf   []expr.Sym       // variable id -> symbol (NoSym for slacks and x0)
 	nextVar int
 
-	nonbasic []int   // variable ids of nonbasic columns
-	basic    []int   // variable ids of basic rows
-	consts   []rat   // row constants
-	coef     [][]rat // row coefficients, parallel to nonbasic
+	nonbasic []int // variable ids of nonbasic columns
+	basic    []int // variable ids of basic rows
+	consts   []rat // row constants
+	rows     []row // row coefficients over the nonbasic columns
 
-	// phase-one objective (nil outside the initial solve)
+	// colAt and rowAt locate a variable by id: its nonbasic column or its
+	// basic row, -1 where it is not (both -1 once x0 has been dropped).
+	colAt, rowAt []int32
+
+	// phase-one objective (nil outside the initial solve), dense over the
+	// nonbasic columns
 	objA []rat
 	objC rat
 	x0   int // variable id of the auxiliary variable, -1 if absent
+
+	// Scratch owned by this tableau and never cloned: acc is addGE's dense
+	// accumulator (all zero between calls), spare the buffer a pivot merges
+	// a rewritten row into before copying it back.
+	acc   []rat
+	spare row
+}
+
+// row holds the non-zero coefficients of one dictionary row, by ascending
+// column position. Encodings of threshold automata leave well over 85 % of a
+// tableau zero, and a pivot only ever combines a row with the pivot row, so
+// every kernel loop walks these lists instead of the full column range.
+// Which variable a position denotes is nonbasic[position], exactly as in a
+// dense layout, and Bland's rule picks by variable id, so no entering or
+// leaving choice depends on the storage.
+type row struct {
+	idx []int32
+	val []rat // val[k] is the coefficient at column idx[k]; never zero
+}
+
+// lowerBound returns the first index k with r.idx[k] >= c.
+func (r *row) lowerBound(c int32) int {
+	lo, hi := 0, len(r.idx)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if r.idx[m] < c {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// find returns the index of column c in r.idx, or -1 when the coefficient
+// is zero.
+func (r *row) find(c int32) int {
+	if k := r.lowerBound(c); k < len(r.idx) && r.idx[k] == c {
+		return k
+	}
+	return -1
+}
+
+func (r *row) push(c int32, v rat) {
+	r.idx = append(r.idx, c)
+	r.val = append(r.val, v)
 }
 
 // maxPivots bounds a single simplex phase; Bland's rule guarantees
@@ -49,38 +100,65 @@ var errPivotLimit = errors.New("smt: simplex pivot limit exceeded")
 func newTableau() *tableau {
 	return &tableau{
 		colOf: make(map[expr.Sym]int),
-		symOf: make(map[int]expr.Sym),
 		x0:    -1,
 	}
 }
 
-// clone deep-copies the tableau. rat values are immutable (operations always
-// allocate fresh big.Rats), so copying the slices suffices.
+// clone deep-copies the tableau. rat values are immutable (an operation
+// returns a new value and never writes through an operand's big.Rat), so
+// copying the cells suffices; all rows of the copy share two slabs, each row
+// capped at its own length so that growing one cannot run into the next.
 func (t *tableau) clone() *tableau {
 	out := &tableau{
-		colOf:   make(map[expr.Sym]int, len(t.colOf)),
-		symOf:   make(map[int]expr.Sym, len(t.symOf)),
-		nextVar: t.nextVar,
-		x0:      t.x0,
-		objC:    t.objC,
+		colOf:    make(map[expr.Sym]int, len(t.colOf)),
+		symOf:    append([]expr.Sym(nil), t.symOf...),
+		nextVar:  t.nextVar,
+		nonbasic: append([]int(nil), t.nonbasic...),
+		basic:    append([]int(nil), t.basic...),
+		consts:   append([]rat(nil), t.consts...),
+		rows:     make([]row, len(t.rows)),
+		colAt:    append([]int32(nil), t.colAt...),
+		rowAt:    append([]int32(nil), t.rowAt...),
+		objC:     t.objC,
+		x0:       t.x0,
 	}
 	for k, v := range t.colOf {
 		out.colOf[k] = v
 	}
-	for k, v := range t.symOf {
-		out.symOf[k] = v
+	nnz := 0
+	for i := range t.rows {
+		nnz += len(t.rows[i].idx)
 	}
-	out.nonbasic = append([]int(nil), t.nonbasic...)
-	out.basic = append([]int(nil), t.basic...)
-	out.consts = append([]rat(nil), t.consts...)
-	out.coef = make([][]rat, len(t.coef))
-	for i, row := range t.coef {
-		out.coef[i] = append([]rat(nil), row...)
+	idx, val := make([]int32, nnz), make([]rat, nnz)
+	for i := range t.rows {
+		n := copy(idx, t.rows[i].idx)
+		copy(val, t.rows[i].val)
+		out.rows[i] = row{idx: idx[:n:n], val: val[:n:n]}
+		idx, val = idx[n:], val[n:]
 	}
 	if t.objA != nil {
 		out.objA = append([]rat(nil), t.objA...)
 	}
 	return out
+}
+
+// newVar allocates the next variable id for symbol s (NoSym for a slack or
+// x0), located nowhere yet.
+func (t *tableau) newVar(s expr.Sym) int {
+	id := t.nextVar
+	t.nextVar++
+	t.symOf = append(t.symOf, s)
+	t.colAt = append(t.colAt, -1)
+	t.rowAt = append(t.rowAt, -1)
+	return id
+}
+
+// newCol appends a nonbasic column for variable id; no row mentions it yet.
+func (t *tableau) newCol(id int) int32 {
+	c := int32(len(t.nonbasic))
+	t.nonbasic = append(t.nonbasic, id)
+	t.colAt[id] = c
+	return c
 }
 
 // colFor returns the variable id for a symbol, creating a fresh nonbasic
@@ -89,74 +167,62 @@ func (t *tableau) colFor(s expr.Sym) int {
 	if id, ok := t.colOf[s]; ok {
 		return id
 	}
-	id := t.nextVar
-	t.nextVar++
+	id := t.newVar(s)
 	t.colOf[s] = id
-	t.symOf[id] = s
-	t.nonbasic = append(t.nonbasic, id)
-	for i := range t.coef {
-		t.coef[i] = append(t.coef[i], ratZero)
-	}
-	if t.objA != nil {
-		t.objA = append(t.objA, ratZero)
-	}
+	t.newCol(id)
 	return id
-}
-
-func (t *tableau) nonbasicColOf(id int) int {
-	for j, v := range t.nonbasic {
-		if v == id {
-			return j
-		}
-	}
-	return -1
-}
-
-func (t *tableau) basicRowOf(id int) int {
-	for i, v := range t.basic {
-		if v == id {
-			return i
-		}
-	}
-	return -1
 }
 
 // addGE appends the row for L >= 0, rewriting basic variables through their
 // current dictionary rows.
 func (t *tableau) addGE(l expr.Lin) {
-	// Intern all symbols first, in symbol order, so the column layout is
-	// stable. Ranging over the coefficient map here would randomize the
-	// layout per run — and with it Bland's-rule pivot choices and which
-	// optimal vertex the relaxation lands on, making solver effort (and
-	// branch-and-bound paths) differ between identical solves.
+	// Intern symbols in symbol order, so the column layout is stable.
+	// Ranging over the coefficient map here would randomize the layout per
+	// run — and with it which column a degenerate phase one pivots x0 out
+	// on and which optimal vertex the relaxation lands on, making solver
+	// effort (and branch-and-bound paths) differ between identical solves.
 	syms := make([]expr.Sym, 0, len(l.Coeffs))
 	for s := range l.Coeffs {
 		syms = append(syms, s)
 	}
-	sort.Slice(syms, func(i, j int) bool { return syms[i] < syms[j] })
-	for _, s := range syms {
-		t.colFor(s)
+	slices.Sort(syms)
+	for len(t.acc) < len(t.nonbasic)+len(syms) {
+		t.acc = append(t.acc, ratZero)
 	}
 	rowConst := ratInt(l.Const)
-	row := make([]rat, len(t.nonbasic))
-	for s, a := range l.Coeffs {
-		id := t.colOf[s]
-		ar := ratInt(a)
-		if j := t.nonbasicColOf(id); j >= 0 {
-			row[j] = row[j].add(ar)
+	for _, s := range syms {
+		id := t.colFor(s)
+		ar := ratInt(l.Coeffs[s])
+		if c := t.colAt[id]; c >= 0 {
+			t.acc[c] = t.acc[c].add(ar)
 			continue
 		}
-		r := t.basicRowOf(id)
-		rowConst = rowConst.add(ar.mul(t.consts[r]))
-		for j := range t.coef[r] {
-			row[j] = row[j].add(ar.mul(t.coef[r][j]))
+		r := t.rowAt[id]
+		rowConst = rowConst.addMul(ar, t.consts[r])
+		br := &t.rows[r]
+		for k, c := range br.idx {
+			t.acc[c] = t.acc[c].addMul(ar, br.val[k])
 		}
 	}
-	slack := t.nextVar
-	t.nextVar++
+	acc := t.acc[:len(t.nonbasic)]
+	nnz := 0
+	for _, a := range acc {
+		if a.sign() != 0 {
+			nnz++
+		}
+	}
+	nr := row{idx: make([]int32, 0, nnz), val: make([]rat, 0, nnz)}
+	for c, a := range acc {
+		if a.sign() != 0 {
+			nr.push(int32(c), a)
+			acc[c] = ratZero
+		}
+	}
+	slack := t.newVar(expr.NoSym)
+	t.rowAt[slack] = int32(len(t.basic))
 	t.basic = append(t.basic, slack)
 	t.consts = append(t.consts, rowConst)
-	t.coef = append(t.coef, row)
+	t.rows = append(t.rows, nr)
 }
 
 // addConstraint appends rows for a constraint (two for an equality).
@@ -173,6 +239,20 @@ func (t *tableau) addConstraint(c expr.Constraint) error {
 	return nil
 }
 
+// addX0 introduces the phase-one auxiliary variable with coefficient +1 in
+// every row and the objective -x0, and returns its column.
+func (t *tableau) addX0() int32 {
+	t.x0 = t.newVar(expr.NoSym)
+	c := t.newCol(t.x0)
+	for i := range t.rows {
+		t.rows[i].push(c, ratInt(1))
+	}
+	t.objA = make([]rat, len(t.nonbasic))
+	t.objA[c] = ratInt(-1)
+	t.objC = ratZero
+	return c
+}
+
 // solveFresh runs phase one from scratch. It returns feasibility and the
 // pivot count.
 func (t *tableau) solveFresh() (bool, int, error) {
@@ -186,28 +266,14 @@ func (t *tableau) solveFresh() (bool, int, error) {
 	if worstRow == -1 {
 		return true, 0, nil
 	}
-	// A row with a negative constant and no variables at all can never be
-	// repaired (it encodes a violated variable-free constraint).
-	for i, c := range t.consts {
-		if c.sign() < 0 && len(t.coef[i]) == 0 {
-			return false, 0, nil
-		}
+	// With no columns at all a negative constant can never be repaired (it
+	// encodes a violated variable-free constraint).
+	if len(t.nonbasic) == 0 {
+		return false, 0, nil
 	}
-
-	// Introduce x0 with coefficient +1 in every row; objective is -x0.
-	t.x0 = t.nextVar
-	t.nextVar++
-	x0col := len(t.nonbasic)
-	t.nonbasic = append(t.nonbasic, t.x0)
-	for i := range t.coef {
-		t.coef[i] = append(t.coef[i], ratInt(1))
-	}
-	t.objA = make([]rat, len(t.nonbasic))
-	t.objA[x0col] = ratInt(-1)
-	t.objC = ratZero
 
 	// Special first pivot: enter x0, leave the most-negative row.
-	t.pivot(x0col, worstRow)
+	t.pivot(t.addX0(), worstRow)
 	pivots := 1
 
 	for {
@@ -224,24 +290,30 @@ func (t *tableau) solveFresh() (bool, int, error) {
 		}
 		if enter == -1 {
 			feasible := t.objC.sign() == 0
+			t.objA = nil
 			if feasible {
 				if err := t.dropX0(); err != nil {
 					return false, pivots, err
 				}
 			}
-			t.objA = nil
 			return feasible, pivots, nil
 		}
-		// Ratio test over rows where the entering coefficient is negative.
+		// Ratio test over rows where the entering coefficient is negative;
+		// ties go to the smallest basic variable id.
 		leave := -1
 		var best rat
-		for i, row := range t.coef {
-			if row[enter].sign() >= 0 {
+		for i := range t.rows {
+			k := t.rows[i].find(int32(enter))
+			if k < 0 || t.rows[i].val[k].sign() >= 0 {
 				continue
 			}
-			ratio := t.consts[i].div(row[enter].neg())
-			if leave == -1 || ratio.cmp(best) < 0 ||
-				(ratio.cmp(best) == 0 && t.basic[i] < t.basic[leave]) {
+			ratio := t.consts[i].div(t.rows[i].val[k].neg())
+			take := leave == -1
+			if !take {
+				c := ratio.cmp(best)
+				take = c < 0 || (c == 0 && t.basic[i] < t.basic[leave])
+			}
+			if take {
 				leave = i
 				best = ratio
 			}
@@ -250,7 +322,7 @@ func (t *tableau) solveFresh() (bool, int, error) {
 			// -x0 is bounded above by 0, so phase one cannot be unbounded.
 			return false, pivots, errors.New("smt: phase-one simplex unbounded")
 		}
-		t.pivot(enter, leave)
+		t.pivot(int32(enter), leave)
 		pivots++
 	}
 }
@@ -261,38 +333,44 @@ func (t *tableau) dropX0() error {
 	if t.x0 == -1 {
 		return nil
 	}
-	if r := t.basicRowOf(t.x0); r >= 0 {
-		// Degenerate: pivot x0 out on any nonzero column.
-		col := -1
-		for j, a := range t.coef[r] {
-			if a.sign() != 0 {
-				col = j
-				break
-			}
-		}
-		if col == -1 {
+	if r := int(t.rowAt[t.x0]); r >= 0 {
+		if xr := &t.rows[r]; len(xr.idx) > 0 {
+			// Degenerate: pivot x0 out on its first nonzero column.
+			t.pivot(xr.idx[0], r)
+		} else {
 			// The row reads x0 = 0: delete it outright.
 			t.basic = append(t.basic[:r], t.basic[r+1:]...)
 			t.consts = append(t.consts[:r], t.consts[r+1:]...)
-			t.coef = append(t.coef[:r], t.coef[r+1:]...)
-		} else {
-			t.pivot(col, r)
+			t.rows = append(t.rows[:r], t.rows[r+1:]...)
+			t.rowAt[t.x0] = -1
+			for _, id := range t.basic[r:] {
+				t.rowAt[id]--
+			}
 		}
 	}
-	col := t.nonbasicColOf(t.x0)
+	col := t.colAt[t.x0]
 	if col == -1 {
-		if t.basicRowOf(t.x0) >= 0 {
+		if t.rowAt[t.x0] >= 0 {
 			return errors.New("smt: failed to eliminate auxiliary variable")
 		}
 		t.x0 = -1
 		return nil
 	}
 	t.nonbasic = append(t.nonbasic[:col], t.nonbasic[col+1:]...)
-	for i := range t.coef {
-		t.coef[i] = append(t.coef[i][:col], t.coef[i][col+1:]...)
+	t.colAt[t.x0] = -1
+	for _, id := range t.nonbasic[col:] {
+		t.colAt[id]--
 	}
-	if t.objA != nil {
-		t.objA = append(t.objA[:col], t.objA[col+1:]...)
+	for i := range t.rows {
+		r := &t.rows[i]
+		k := r.lowerBound(col)
+		if k < len(r.idx) && r.idx[k] == col {
+			r.idx = append(r.idx[:k], r.idx[k+1:]...)
+			r.val = append(r.val[:k], r.val[k+1:]...)
+		}
+		for ; k < len(r.idx); k++ {
+			r.idx[k]--
+		}
 	}
 	t.x0 = -1
 	return nil
@@ -320,10 +398,11 @@ func (t *tableau) dualRestore() (bool, int, error) {
 		}
 		// Entering column: the row reads w = C + Σ A_j·x_j with C < 0, so
 		// only columns with A_j > 0 can repair it. Bland: smallest id.
-		enter := -1
-		for j, a := range t.coef[leave] {
-			if a.sign() > 0 && (enter == -1 || t.nonbasic[j] < t.nonbasic[enter]) {
-				enter = j
+		enter := int32(-1)
+		lr := &t.rows[leave]
+		for k, c := range lr.idx {
+			if lr.val[k].sign() > 0 && (enter == -1 || t.nonbasic[c] < t.nonbasic[enter]) {
+				enter = c
 			}
 		}
 		if enter == -1 {
@@ -335,74 +414,111 @@ func (t *tableau) dualRestore() (bool, int, error) {
 }
 
 // pivot makes nonbasic column e basic and the basic variable of row r
-// nonbasic, rewriting every row and the objective.
-func (t *tableau) pivot(e, r int) {
-	row := t.coef[r]
-	p := row[e]
+// nonbasic, rewriting every row that mentions column e and the objective.
+func (t *tableau) pivot(e int32, r int) {
+	pr := &t.rows[r]
+	pe := pr.find(e)
+	p := pr.val[pe]
 	invNeg := ratInt(-1).div(p)
 
 	leavingVar := t.basic[r]
 	enteringVar := t.nonbasic[e]
 
-	// Solve row r for the entering variable:
+	// Solve row r for the entering variable, in place:
 	//   x_e = (-C/p) + (1/p)·x_leaving + Σ_{j≠e} (-A_j/p)·x_j
 	newConst := t.consts[r].mul(invNeg)
-	newRow := make([]rat, len(row))
-	for j := range row {
-		if j == e {
-			newRow[j] = ratInt(1).div(p)
+	for k := range pr.val {
+		if k == pe {
+			pr.val[k] = ratInt(1).div(p)
 		} else {
-			newRow[j] = row[j].mul(invNeg)
+			pr.val[k] = pr.val[k].mul(invNeg)
 		}
 	}
 	t.basic[r] = enteringVar
 	t.nonbasic[e] = leavingVar
+	t.rowAt[enteringVar], t.colAt[enteringVar] = int32(r), -1
+	t.rowAt[leavingVar], t.colAt[leavingVar] = -1, e
 	t.consts[r] = newConst
-	t.coef[r] = newRow
 
-	for i := range t.coef {
+	for i := range t.rows {
 		if i == r {
 			continue
 		}
-		d := t.coef[i][e]
-		if d.sign() == 0 {
+		k := t.rows[i].find(e)
+		if k < 0 {
 			continue
 		}
-		t.consts[i] = t.consts[i].add(d.mul(newConst))
-		ri := t.coef[i]
-		for j := range ri {
-			if j == e {
-				ri[j] = d.mul(newRow[j])
-			} else {
-				ri[j] = ri[j].add(d.mul(newRow[j]))
-			}
-		}
+		d := t.rows[i].val[k]
+		t.consts[i] = t.consts[i].addMul(d, newConst)
+		t.substitute(i, d, e, *pr)
 	}
 	if t.objA != nil {
-		d := t.objA[e]
-		if d.sign() != 0 {
-			t.objC = t.objC.add(d.mul(newConst))
-			for j := range t.objA {
-				if j == e {
-					t.objA[j] = d.mul(newRow[j])
+		if d := t.objA[e]; d.sign() != 0 {
+			t.objC = t.objC.addMul(d, newConst)
+			for k, c := range pr.idx {
+				if c == e {
+					t.objA[c] = d.mul(pr.val[k])
 				} else {
-					t.objA[j] = t.objA[j].add(d.mul(newRow[j]))
+					t.objA[c] = t.objA[c].addMul(d, pr.val[k])
 				}
 			}
 		}
 	}
 }
 
+// substitute rewrites row i, whose coefficient on column e was d, through
+// the solved pivot row pr: every column of pr gains d·pr[c], and column e —
+// now the leaving variable's — is replaced by d·pr[e]. The two sorted lists
+// are merged into the spare buffer and copied back, so a row's own storage
+// only ever grows to what fill-in has made it need.
+func (t *tableau) substitute(i int, d rat, e int32, pr row) {
+	ri := &t.rows[i]
+	out := row{idx: t.spare.idx[:0], val: t.spare.val[:0]}
+	a, b := 0, 0
+	for a < len(ri.idx) && b < len(pr.idx) {
+		switch ca, cb := ri.idx[a], pr.idx[b]; {
+		case ca < cb:
+			out.push(ca, ri.val[a])
+			a++
+		case cb < ca:
+			out.push(cb, d.mul(pr.val[b]))
+			b++
+		default:
+			var v rat
+			if ca == e {
+				v = d.mul(pr.val[b])
+			} else {
+				v = ri.val[a].addMul(d, pr.val[b])
+			}
+			if v.sign() != 0 {
+				out.push(ca, v)
+			}
+			a++
+			b++
+		}
+	}
+	out.idx = append(out.idx, ri.idx[a:]...)
+	out.val = append(out.val, ri.val[a:]...)
+	for ; b < len(pr.idx); b++ {
+		out.push(pr.idx[b], d.mul(pr.val[b]))
+	}
+	ri.idx = append(ri.idx[:0], out.idx...)
+	ri.val = append(ri.val[:0], out.val...)
+	t.spare = out
+}
+
 // model extracts the current basic solution for the original variables.
 // Nonbasic variables are 0; basic variables take their row constants.
 func (t *tableau) model() RatModel {
-	m := make(RatModel, len(t.symOf))
-	for _, s := range t.symOf {
-		m[s] = new(big.Rat)
-	}
-	for i, b := range t.basic {
-		if s, ok := t.symOf[b]; ok {
-			m[s] = t.consts[i].toBig()
+	m := make(RatModel, len(t.colOf))
+	for id, s := range t.symOf {
+		if s == expr.NoSym {
+			continue
+		}
+		if r := t.rowAt[id]; r >= 0 {
+			m[s] = t.consts[r].toBig()
+		} else {
+			m[s] = new(big.Rat)
 		}
 	}
 	return m

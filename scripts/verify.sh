@@ -53,6 +53,11 @@ go test -race ./internal/wal
 echo "==> go test -race -run Incremental ./internal/smt ./internal/schema (incremental prefix-sharing)"
 go test -short -race -run Incremental ./internal/smt ./internal/schema
 
+echo "==> smt kernel leg (dense-reference pivots, rat vs math/big, pinned effort counters; rat fuzz; kernel benchmarks compile and run)"
+go test -race -count=1 -run 'Dense|Rat|Effort' ./internal/smt ./internal/schema
+go test -run '^$' -fuzz FuzzRatOps -fuzztime 10s ./internal/smt
+go test -run '^$' -bench 'Pivot|AddGE|TableauClone|PushCheckPop' -benchtime 1x ./internal/smt
+
 echo "==> go test -race ./internal/schema ./internal/core (parallel enumeration determinism)"
 go test -race ./internal/schema ./internal/core
 
