@@ -41,6 +41,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/schema"
 	"repro/internal/service"
+	"repro/internal/smt"
 	"repro/internal/spec"
 	"repro/internal/ta"
 	"repro/internal/taformat"
@@ -169,17 +170,6 @@ func openCacheFlag(dir string) (*vcache.Cache, error) {
 	}})
 }
 
-func parseMode(s string) (schema.Mode, error) {
-	switch s {
-	case "staged", "":
-		return schema.Staged, nil
-	case "full":
-		return schema.FullEnumeration, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q (want staged or full)", s)
-	}
-}
-
 func cmdPipeline(args []string) error {
 	fs := flag.NewFlagSet("pipeline", flag.ContinueOnError)
 	mode := fs.String("mode", "staged", "schema mode: staged or full")
@@ -190,7 +180,7 @@ func cmdPipeline(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	m, err := parseMode(*mode)
+	m, err := schema.ParseMode(*mode)
 	if err != nil {
 		return err
 	}
@@ -256,36 +246,14 @@ func cmdVerify(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *remote != "" {
-		return runRemoteVerify(*remote, *model, *taFile, *specFile, *prop, *mode, *timeout, *stats, of)
-	}
-	var a *ta.TA
-	var queries []spec.Query
-	var err error
-	if *taFile != "" {
-		a, err = loadTA(*taFile)
-		if err != nil {
-			return err
-		}
-		if *specFile == "" {
-			return fmt.Errorf("-ta requires -spec with the properties to check")
-		}
-		data, rerr := os.ReadFile(*specFile)
-		if rerr != nil {
-			return rerr
-		}
-		pf, perr := ltl.ParseFile(string(data))
-		if perr != nil {
-			return perr
-		}
-		queries, err = ltl.CompileFile(pf, a)
-	} else {
-		a, queries, err = modelByName(*model)
-	}
+	req, err := verifyRequest(*model, *taFile, *specFile, *prop, *mode, *timeout)
 	if err != nil {
 		return err
 	}
-	m, err := parseMode(*mode)
+	if *remote != "" {
+		return runRemoteVerify(*remote, req, *stats, of)
+	}
+	r, err := service.Resolve(req)
 	if err != nil {
 		return err
 	}
@@ -301,48 +269,31 @@ func cmdVerify(args []string) error {
 	stop := watchInterrupt()
 	stopProgress := of.startProgress(stop)
 	defer stopProgress()
-	engine, err := schema.New(a, schema.Options{Mode: m, Timeout: *timeout, Stop: stop, Workers: *workers, Trace: sink.Tracer})
+	engine, err := schema.New(r.TA, schema.Options{Mode: r.Mode, Timeout: *timeout, Stop: stop, Workers: *workers, Trace: sink.Tracer})
 	if err != nil {
 		return err
 	}
-	modelName := *model
-	if *taFile != "" {
-		modelName = a.Name
-	}
 	obsRep := &obs.Report{Tool: "holistic verify"}
-	found := false
-	for i := range queries {
-		if *prop != "" && queries[i].Name != *prop {
-			continue
-		}
+	for i := range r.Queries {
 		if stop() {
 			fmt.Fprintln(os.Stderr, "holistic: interrupted; remaining properties skipped")
 			break
 		}
-		found = true
-		res, hit, err := core.CachedCheck(cache, engine, &queries[i])
+		res, hit, err := core.CachedCheck(cache, engine, &r.Queries[i])
 		if err != nil {
 			return err
 		}
-		addResultMetrics(obsRep, modelName, res)
-		marker := ""
-		if hit {
-			marker = " [cached]"
-		}
-		fmt.Printf("%-16s %-16s %8d schemas  avg len %6.1f  %v%s\n",
-			res.Query, res.Outcome, res.Schemas, res.AvgLen, res.Elapsed.Round(time.Millisecond), marker)
-		if *stats {
-			fmt.Printf("    smt: %d LP checks, %d pivots, %d rebuilds, %d B&B nodes, %d case splits\n",
-				res.Solver.LPChecks, res.Solver.Pivots, res.Solver.Rebuilds, res.Solver.BBNodes, res.Solver.CaseSplit)
+		addResultMetrics(obsRep, r.Label, res)
+		row := verdictRow{
+			query: res.Query, outcome: res.Outcome.String(), schemas: res.Schemas, avgLen: res.AvgLen,
+			elapsed: res.Elapsed, cached: hit, solver: res.Solver,
 		}
 		if res.CE != nil {
-			fmt.Println(res.CE.Format())
+			row.ceText = res.CE.Format()
 		}
+		row.print(*stats)
 	}
 	stopProgress()
-	if !found {
-		return fmt.Errorf("no property %q in model %s", *prop, *model)
-	}
 	finalizeReport(obsRep, *workers, stop())
 	if err := sink.Flush(obsRep); err != nil {
 		return err
@@ -351,6 +302,57 @@ func cmdVerify(args []string) error {
 		return fmt.Errorf("verify interrupted; completed verdicts were reported")
 	}
 	return nil
+}
+
+// verifyRequest builds the request `holistic verify` resolves locally or
+// posts to a daemon: a bundled model by name, or the text of -ta and -spec.
+func verifyRequest(model, taFile, specFile, prop, mode string, timeout time.Duration) (*service.VerifyRequest, error) {
+	req := &service.VerifyRequest{Prop: prop, Mode: mode, TimeoutMS: timeout.Milliseconds()}
+	if taFile == "" {
+		req.Model = model
+		return req, nil
+	}
+	if specFile == "" {
+		return nil, fmt.Errorf("-ta requires -spec with the properties to check")
+	}
+	taData, err := os.ReadFile(taFile)
+	if err != nil {
+		return nil, err
+	}
+	specData, err := os.ReadFile(specFile)
+	if err != nil {
+		return nil, err
+	}
+	req.TA, req.Spec = string(taData), string(specData)
+	return req, nil
+}
+
+// verdictRow is one `holistic verify` output row; the local and -remote
+// paths both print through it.
+type verdictRow struct {
+	query, outcome string
+	schemas        int
+	avgLen         float64
+	elapsed        time.Duration
+	cached         bool
+	solver         smt.Stats
+	ceText         string
+}
+
+func (v verdictRow) print(stats bool) {
+	marker := ""
+	if v.cached {
+		marker = " [cached]"
+	}
+	fmt.Printf("%-16s %-16s %8d schemas  avg len %6.1f  %v%s\n",
+		v.query, v.outcome, v.schemas, v.avgLen, v.elapsed.Round(time.Millisecond), marker)
+	if stats {
+		fmt.Printf("    smt: %d LP checks, %d pivots, %d rebuilds, %d B&B nodes, %d case splits\n",
+			v.solver.LPChecks, v.solver.Pivots, v.solver.Rebuilds, v.solver.BBNodes, v.solver.CaseSplit)
+	}
+	if v.ceText != "" {
+		fmt.Println(v.ceText)
+	}
 }
 
 func cmdTable2(args []string) error {
@@ -474,7 +476,7 @@ func cmdSpec(args []string) error {
 	if err != nil {
 		return err
 	}
-	m, err := parseMode(*mode)
+	m, err := schema.ParseMode(*mode)
 	if err != nil {
 		return err
 	}

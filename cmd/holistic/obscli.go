@@ -9,9 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/schema"
-	"repro/internal/smt"
-	"repro/internal/spec"
-	"repro/internal/vcache"
 )
 
 // obsFlags bundles the observability flags shared by the verification
@@ -66,53 +63,27 @@ func (o *obsFlags) startProgress(stop func() bool) func() {
 	}, stop)
 }
 
-// addQueryMetrics appends one check result to the report: the deterministic
-// row (with Budget rows' volatile fields zeroed — a timeout or interrupt
-// cuts the enumeration at a nondeterministic point) and the observational
-// per-phase timing row, which keeps the full values.
-func addQueryMetrics(rep *obs.Report, model, query, mode string, outcome spec.Outcome,
-	schemas int, avgLen float64, solver smt.Stats, elapsed time.Duration, ph schema.PhaseTimings) {
-	qm := obs.QueryMetrics{
-		Model:   model,
-		Query:   query,
-		Mode:    mode,
-		Outcome: vcache.OutcomeLabel(outcome),
-		Schemas: schemas,
-		AvgLen:  avgLen,
-		Solver: obs.SolverMetrics{
-			LPChecks:   int64(solver.LPChecks),
-			Pivots:     int64(solver.Pivots),
-			Rebuilds:   int64(solver.Rebuilds),
-			BBNodes:    int64(solver.BBNodes),
-			CaseSplits: int64(solver.CaseSplit),
-		},
-	}
-	if outcome == spec.Budget {
-		qm.Schemas, qm.AvgLen, qm.Solver = 0, 0, obs.SolverMetrics{}
-	}
-	rep.Deterministic.Queries = append(rep.Deterministic.Queries, qm)
+// addResultMetrics appends one check result to the report: the deterministic
+// row (schema.Result.Row — Budget rows arrive with their volatile fields
+// zeroed) and the observational per-phase timing row, which keeps the full
+// values.
+func addResultMetrics(rep *obs.Report, model string, res schema.Result) {
+	rep.Deterministic.Queries = append(rep.Deterministic.Queries, res.Row(model))
 	rep.Observational.Timings = append(rep.Observational.Timings, obs.QueryTimings{
 		Model:     model,
-		Query:     query,
-		ElapsedNS: elapsed.Nanoseconds(),
-		EncodeNS:  ph.Encode.Nanoseconds(),
-		SolveNS:   ph.Solve.Nanoseconds(),
-		FoldNS:    ph.Fold.Nanoseconds(),
+		Query:     res.Query,
+		ElapsedNS: res.Elapsed.Nanoseconds(),
+		EncodeNS:  res.Phases.Encode.Nanoseconds(),
+		SolveNS:   res.Phases.Solve.Nanoseconds(),
+		FoldNS:    res.Phases.Fold.Nanoseconds(),
 	})
-}
-
-// addResultMetrics is addQueryMetrics for a schema.Result.
-func addResultMetrics(rep *obs.Report, model string, res schema.Result) {
-	addQueryMetrics(rep, model, res.Query, res.Mode.String(), res.Outcome,
-		res.Schemas, res.AvgLen, res.Solver, res.Elapsed, res.Phases)
 }
 
 // reportFromRows builds the -report payload from Table 2 rows.
 func reportFromRows(tool string, rows []core.Table2Row) *obs.Report {
 	rep := &obs.Report{Tool: tool}
 	for _, r := range rows {
-		addQueryMetrics(rep, r.TA, r.Property, r.Mode.String(), r.Outcome,
-			r.Schemas, r.AvgLen, r.Solver, r.Elapsed, r.Phases)
+		addResultMetrics(rep, r.TA, r.Result)
 	}
 	return rep
 }

@@ -16,26 +16,7 @@ import (
 // whose deterministic section is byte-identical to the local one's — the
 // server computes the deterministic fields, the client copies them
 // verbatim.
-func runRemoteVerify(baseURL, model, taFile, specFile, prop, mode string,
-	timeout time.Duration, stats bool, of *obsFlags) error {
-	req := service.VerifyRequest{Prop: prop, Mode: mode, TimeoutMS: timeout.Milliseconds()}
-	if taFile != "" {
-		taData, err := os.ReadFile(taFile)
-		if err != nil {
-			return err
-		}
-		if specFile == "" {
-			return fmt.Errorf("-ta requires -spec with the properties to check")
-		}
-		specData, err := os.ReadFile(specFile)
-		if err != nil {
-			return err
-		}
-		req.TA, req.Spec = string(taData), string(specData)
-	} else {
-		req.Model = model
-	}
-
+func runRemoteVerify(baseURL string, req *service.VerifyRequest, stats bool, of *obsFlags) error {
 	sink, err := of.open("holistic verify")
 	if err != nil {
 		return err
@@ -50,7 +31,7 @@ func runRemoteVerify(baseURL, model, taFile, specFile, prop, mode string,
 		Logf: func(format string, a ...any) { fmt.Fprintf(os.Stderr, "holistic: "+format+"\n", a...) },
 	}
 	var resp service.VerifyResponse
-	if status, err := client.PostJSON(context.Background(), baseURL+"/v1/verify", &req, &resp); err != nil {
+	if status, err := client.PostJSON(context.Background(), baseURL+"/v1/verify", req, &resp); err != nil {
 		if status == 0 {
 			return fmt.Errorf("reaching %s: %w", baseURL, err)
 		}
@@ -59,27 +40,14 @@ func runRemoteVerify(baseURL, model, taFile, specFile, prop, mode string,
 
 	obsRep := &obs.Report{Tool: "holistic verify"}
 	for _, r := range resp.Results {
-		obsRep.Deterministic.Queries = append(obsRep.Deterministic.Queries, obs.QueryMetrics{
-			Model: r.Model, Query: r.Query, Mode: r.Mode, Outcome: r.Outcome,
-			Schemas: r.Schemas, AvgLen: r.AvgLen, Solver: r.Solver,
-		})
+		obsRep.Deterministic.Queries = append(obsRep.Deterministic.Queries, r.QueryMetrics)
 		obsRep.Observational.Timings = append(obsRep.Observational.Timings, obs.QueryTimings{
 			Model: r.Model, Query: r.Query, ElapsedNS: r.ElapsedNS,
 		})
-		marker := ""
-		if r.Cached {
-			marker = " [cached]"
-		}
-		fmt.Printf("%-16s %-16s %8d schemas  avg len %6.1f  %v%s\n",
-			r.Query, r.Outcome, r.Schemas, r.AvgLen,
-			time.Duration(r.ElapsedNS).Round(time.Millisecond), marker)
-		if stats {
-			fmt.Printf("    smt: %d LP checks, %d pivots, %d rebuilds, %d B&B nodes, %d case splits\n",
-				r.Solver.LPChecks, r.Solver.Pivots, r.Solver.Rebuilds, r.Solver.BBNodes, r.Solver.CaseSplits)
-		}
-		if r.CEText != "" {
-			fmt.Println(r.CEText)
-		}
+		verdictRow{
+			query: r.Query, outcome: r.Outcome, schemas: r.Schemas, avgLen: r.AvgLen,
+			elapsed: time.Duration(r.ElapsedNS), cached: r.Cached, solver: r.Solver, ceText: r.CEText,
+		}.print(stats)
 	}
 	finalizeReport(obsRep, 0, false)
 	return sink.Flush(obsRep)

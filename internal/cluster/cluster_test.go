@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -510,5 +513,72 @@ func TestWorkerCacheDirSurvivesRestart(t *testing.T) {
 	}
 	if n := w2.ShardsSolved.Load(); n != 0 {
 		t.Fatalf("restarted worker re-solved %d shards despite a warm CacheDir", n)
+	}
+}
+
+// TestSubmitBadPayloads runs the bad-request cases of the service's
+// TestBadRequests against the cluster's submit endpoint and, side by side,
+// the service's two: every entry point goes through the one resolver
+// (service.Resolve), so each rejects with a 400 carrying the same message,
+// and a rejected payload leaves no job record in the journal.
+func TestSubmitBadPayloads(t *testing.T) {
+	memfs := wal.NewMemFS()
+	c, err := New(Config{JournalDir: "j", JournalFS: memfs, JournalSync: wal.SyncNever})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	coord := httptest.NewServer(c.Handler())
+	defer coord.Close()
+	srv := service.New(service.Config{})
+	svc := httptest.NewServer(srv.Handler())
+	defer svc.Close()
+
+	cases := []struct {
+		name, body, want string
+	}{
+		{"both model and ta", `{"model":"simplified","ta":"x","prop":"Inv1_0"}`, "request sets both model and ta; pick one"},
+		{"neither", `{"prop":"Inv1_0"}`, "request names no model and carries no ta"},
+		{"ta without spec", `{"ta":"automaton x {}","prop":"p"}`, "a ta payload requires a spec payload with the properties to check"},
+		{"unknown model", `{"model":"nope","prop":"Inv1_0"}`, `unknown model "nope"`},
+		{"unknown prop", `{"model":"simplified","prop":"NoSuchProp"}`, `no property "NoSuchProp" in model simplified`},
+		{"unparsable ta", `{"ta":"automaton {","spec":"p: [](locA == 0);","prop":"p"}`, "parsing ta: "},
+		{"unparsable spec", fmt.Sprintf(`{"ta":%q,"spec":"bad_unreach: [](","prop":"bad_unreach"}`, toyTA), "parsing spec: "},
+	}
+	endpoints := []string{coord.URL + "/v1/cluster/jobs", svc.URL + "/v1/verify", svc.URL + "/v1/enqueue"}
+	for _, tc := range cases {
+		for _, url := range endpoints {
+			resp, err := http.Post(url, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var eb struct {
+				Error string `json:"error"`
+			}
+			json.NewDecoder(resp.Body).Decode(&eb)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, tc.want) {
+				t.Errorf("%s %s: status %d error %q, want 400 containing %q", url, tc.name, resp.StatusCode, eb.Error, tc.want)
+			}
+		}
+	}
+	// The one check a cluster job adds: exactly one property.
+	resp, err := http.Post(endpoints[0], "application/json", strings.NewReader(`{"model":"simplified"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("payload without a property: status %d, want 400", resp.StatusCode)
+	}
+
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ReadJournal(memfs, "j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 0 {
+		t.Errorf("rejected payloads were journaled: %+v", recs)
 	}
 }

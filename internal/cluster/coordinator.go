@@ -15,7 +15,6 @@ import (
 	"repro/internal/smt"
 	"repro/internal/spec"
 	"repro/internal/ta"
-	"repro/internal/vcache"
 	"repro/internal/wal"
 )
 
@@ -403,13 +402,7 @@ func (c *Coordinator) StatusOf(id string) (JobStatus, bool) {
 		st.Outcome = j.res.Outcome.String()
 		st.Schemas = j.res.Schemas
 		st.AvgLen = j.res.AvgLen
-		st.Solver = vcache.SolverStats{
-			LPChecks:  j.res.Solver.LPChecks,
-			Pivots:    j.res.Solver.Pivots,
-			Rebuilds:  j.res.Solver.Rebuilds,
-			BBNodes:   j.res.Solver.BBNodes,
-			CaseSplit: j.res.Solver.CaseSplit,
-		}
+		st.Solver = j.res.Solver
 		if j.res.CE != nil {
 			st.CEText = j.res.CE.Format()
 		}

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"net/http"
 
-	"repro/internal/vcache"
+	"repro/internal/smt"
 )
 
 // Wire types of the coordinator's HTTP plane. Everything here is
@@ -69,11 +69,11 @@ type JobStatus struct {
 	ShardsCancelled int    `json:"shards_cancelled"`
 	Reissues        int    `json:"reissues"`
 
-	Outcome string             `json:"outcome,omitempty"`
-	Schemas int                `json:"schemas,omitempty"`
-	AvgLen  float64            `json:"avg_len,omitempty"`
-	Solver  vcache.SolverStats `json:"solver,omitempty"`
-	CEText  string             `json:"ce_text,omitempty"`
+	Outcome string    `json:"outcome,omitempty"`
+	Schemas int       `json:"schemas,omitempty"`
+	AvgLen  float64   `json:"avg_len,omitempty"`
+	Solver  smt.Stats `json:"solver,omitempty"`
+	CEText  string    `json:"ce_text,omitempty"`
 }
 
 var (

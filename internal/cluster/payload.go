@@ -19,11 +19,10 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/ltl"
+	"repro/internal/schema"
 	"repro/internal/service"
 	"repro/internal/spec"
 	"repro/internal/ta"
-	"repro/internal/taformat"
 )
 
 // JobPayload names one full-enumeration verification job: a bundled model or
@@ -62,52 +61,19 @@ func (p *JobPayload) ID() string {
 }
 
 // Resolve turns the payload into the automaton, model label, and the single
-// query it names.
+// query it names, through the resolver every verification entry point shares
+// (service.Resolve); a job adds only that it checks exactly one property.
 func (p *JobPayload) Resolve() (*ta.TA, string, *spec.Query, error) {
-	var (
-		a       *ta.TA
-		queries []spec.Query
-		label   string
-		err     error
-	)
-	switch {
-	case p.Model != "" && p.TA != "":
-		return nil, "", nil, fmt.Errorf("cluster: payload sets both model and ta; pick one")
-	case p.Model != "":
-		label = p.Model
-		a, queries, err = service.BuiltinModel(p.Model)
-		if err != nil {
-			return nil, "", nil, err
-		}
-	case p.TA != "":
-		if p.Spec == "" {
-			return nil, "", nil, fmt.Errorf("cluster: a ta payload requires a spec payload")
-		}
-		a, err = taformat.Parse(p.TA)
-		if err != nil {
-			return nil, "", nil, fmt.Errorf("cluster: parsing ta: %w", err)
-		}
-		label = a.Name
-		pf, perr := ltl.ParseFile(p.Spec)
-		if perr != nil {
-			return nil, "", nil, fmt.Errorf("cluster: parsing spec: %w", perr)
-		}
-		queries, err = ltl.CompileFile(pf, a)
-		if err != nil {
-			return nil, "", nil, fmt.Errorf("cluster: compiling spec: %w", err)
-		}
-	default:
-		return nil, "", nil, fmt.Errorf("cluster: payload names no model and carries no ta")
+	r, err := service.Resolve(&service.VerifyRequest{
+		Model: p.Model, TA: p.TA, Spec: p.Spec, Prop: p.Prop, Mode: schema.FullEnumeration.String(),
+	})
+	if err != nil {
+		return nil, "", nil, err
 	}
 	if p.Prop == "" {
-		return nil, "", nil, fmt.Errorf("cluster: payload names no property (a job checks exactly one)")
+		return nil, "", nil, fmt.Errorf("request names no property (a cluster job checks exactly one)")
 	}
-	for i := range queries {
-		if queries[i].Name == p.Prop {
-			return a, label, &queries[i], nil
-		}
-	}
-	return nil, "", nil, fmt.Errorf("cluster: no property %q in model %s", p.Prop, label)
+	return r.TA, r.Label, &r.Queries[0], nil
 }
 
 // shardHash content-addresses one work unit: the job it belongs to, its base

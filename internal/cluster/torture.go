@@ -12,11 +12,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/schema"
 	"repro/internal/service"
-	"repro/internal/spec"
-	"repro/internal/vcache"
 	"repro/internal/wal"
 )
 
@@ -90,37 +87,14 @@ func (r TortureResult) String() string {
 		r.Runs, len(r.Violations), r.Kills, r.Restarts, r.Partitions, r.CoordRestarts, r.Reissues)
 }
 
-// DeterministicRow renders the obs deterministic report row for a result,
-// with the same Budget zeroing rule the CLI applies — the byte-comparison
-// surface of the determinism tests and the verify.sh cluster smoke leg.
-func DeterministicRow(model string, res schema.Result) obs.QueryMetrics {
-	qm := obs.QueryMetrics{
-		Model:   model,
-		Query:   res.Query,
-		Mode:    res.Mode.String(),
-		Outcome: vcache.OutcomeLabel(res.Outcome),
-		Schemas: res.Schemas,
-		AvgLen:  res.AvgLen,
-		Solver: obs.SolverMetrics{
-			LPChecks:   int64(res.Solver.LPChecks),
-			Pivots:     int64(res.Solver.Pivots),
-			Rebuilds:   int64(res.Solver.Rebuilds),
-			BBNodes:    int64(res.Solver.BBNodes),
-			CaseSplits: int64(res.Solver.CaseSplit),
-		},
-	}
-	if res.Outcome == spec.Budget {
-		qm.Schemas, qm.AvgLen, qm.Solver = 0, 0, obs.SolverMetrics{}
-	}
-	return qm
-}
-
 // CompareResults byte-compares the deterministic slice of two results — the
-// obs report row plus the full counterexample — and describes the first
-// divergence ("" = identical).
+// obs report row (schema.Result.Row, Budget rule included) plus the full
+// counterexample — and describes the first divergence ("" = identical). It
+// is the comparison surface of the determinism tests and the verify.sh
+// cluster smoke leg.
 func CompareResults(model string, want, got schema.Result) string {
-	wantRow, _ := json.Marshal(DeterministicRow(model, want))
-	gotRow, _ := json.Marshal(DeterministicRow(model, got))
+	wantRow, _ := json.Marshal(want.Row(model))
+	gotRow, _ := json.Marshal(got.Row(model))
 	if string(wantRow) != string(gotRow) {
 		return fmt.Sprintf("deterministic report row diverged:\n  want %s\n  got  %s", wantRow, gotRow)
 	}

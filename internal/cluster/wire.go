@@ -3,8 +3,6 @@ package cluster
 import (
 	"fmt"
 
-	"repro/internal/counter"
-	"repro/internal/expr"
 	"repro/internal/schema"
 	"repro/internal/smt"
 	"repro/internal/spec"
@@ -18,11 +16,11 @@ import (
 // are re-certified by replay on decode — neither a worker's report nor a
 // journal frame is ever trusted to carry a violation without proof.
 type WireRecord struct {
-	Done   bool               `json:"done"`
-	Status string             `json:"status,omitempty"`
-	Slots  int                `json:"slots,omitempty"`
-	Stats  vcache.SolverStats `json:"stats"`
-	CE     *vcache.CEData     `json:"ce,omitempty"`
+	Done   bool           `json:"done"`
+	Status string         `json:"status,omitempty"`
+	Slots  int            `json:"slots,omitempty"`
+	Stats  smt.Stats      `json:"stats"`
+	CE     *vcache.CEData `json:"ce,omitempty"`
 }
 
 func statusLabel(st smt.Status) string {
@@ -59,32 +57,9 @@ func encodeRecords(a *ta.TA, recs []schema.IndexRecord) []WireRecord {
 		if !r.Done {
 			continue
 		}
-		out[i] = WireRecord{
-			Done:   true,
-			Status: statusLabel(r.Status),
-			Slots:  r.Slots,
-			Stats: vcache.SolverStats{
-				LPChecks:  r.Stats.LPChecks,
-				Pivots:    r.Stats.Pivots,
-				Rebuilds:  r.Stats.Rebuilds,
-				BBNodes:   r.Stats.BBNodes,
-				CaseSplit: r.Stats.CaseSplit,
-			},
-		}
+		out[i] = WireRecord{Done: true, Status: statusLabel(r.Status), Slots: r.Slots, Stats: r.Stats}
 		if r.CE != nil {
-			ce := &vcache.CEData{
-				Params: make(map[string]int64, len(a.Params)),
-				InitK:  append([]int64(nil), r.CE.Run.Init.K...),
-				InitV:  append([]int64(nil), r.CE.Run.Init.V...),
-				Schema: append([]string(nil), r.CE.Schema...),
-			}
-			for _, p := range a.Params {
-				ce.Params[a.Table.Name(p)] = r.CE.Params[p]
-			}
-			for _, st := range r.CE.Run.Steps {
-				ce.Steps = append(ce.Steps, vcache.CEStep{Rule: st.Rule, Factor: st.Factor})
-			}
-			out[i].CE = ce
+			out[i].CE = vcache.EncodeCE(a, r.CE)
 		}
 	}
 	return out
@@ -92,7 +67,7 @@ func encodeRecords(a *ta.TA, recs []schema.IndexRecord) []WireRecord {
 
 // decodeRecords rebuilds per-index records from the wire, re-certifying any
 // Sat record's counterexample against the automaton and query by concrete
-// replay (schema.Certify). A Sat record without a replayable counterexample
+// replay (vcache.CEData.Decode). A Sat record without a replayable counterexample
 // is rejected outright: accepting it would let a faulty worker or a corrupt
 // journal frame fabricate a Violated verdict.
 func decodeRecords(a *ta.TA, q *spec.Query, wrecs []WireRecord) ([]schema.IndexRecord, error) {
@@ -105,58 +80,15 @@ func decodeRecords(a *ta.TA, q *spec.Query, wrecs []WireRecord) ([]schema.IndexR
 		if err != nil {
 			return nil, fmt.Errorf("record %d: %w", i, err)
 		}
-		recs[i] = schema.IndexRecord{
-			Done:   true,
-			Status: st,
-			Slots:  wr.Slots,
-			Stats: smt.Stats{
-				LPChecks:  wr.Stats.LPChecks,
-				Pivots:    wr.Stats.Pivots,
-				Rebuilds:  wr.Stats.Rebuilds,
-				BBNodes:   wr.Stats.BBNodes,
-				CaseSplit: wr.Stats.CaseSplit,
-			},
-		}
+		recs[i] = schema.IndexRecord{Done: true, Status: st, Slots: wr.Slots, Stats: wr.Stats}
 		if st == smt.Sat {
 			if wr.CE == nil {
 				return nil, fmt.Errorf("record %d: sat without a counterexample", i)
 			}
-			ce, err := decodeCE(a, q, wr.CE)
-			if err != nil {
+			if recs[i].CE, err = wr.CE.Decode(a, q); err != nil {
 				return nil, fmt.Errorf("record %d: %w", i, err)
 			}
-			recs[i].CE = ce
 		}
 	}
 	return recs, nil
-}
-
-func decodeCE(a *ta.TA, q *spec.Query, d *vcache.CEData) (*schema.Counterexample, error) {
-	params := make(map[expr.Sym]int64, len(d.Params))
-	for name, v := range d.Params {
-		s := a.Table.Lookup(name)
-		if s == expr.NoSym {
-			return nil, fmt.Errorf("counterexample parameter %q unknown to automaton %s", name, a.Name)
-		}
-		params[s] = v
-	}
-	run := counter.Run{
-		Init: counter.Config{
-			K: append([]int64(nil), d.InitK...),
-			V: append([]int64(nil), d.InitV...),
-		},
-	}
-	for _, st := range d.Steps {
-		run.Steps = append(run.Steps, counter.Step{Rule: st.Rule, Factor: st.Factor})
-	}
-	sys, err := schema.Certify(a, q, params, run)
-	if err != nil {
-		return nil, fmt.Errorf("counterexample failed re-certification: %w", err)
-	}
-	return &schema.Counterexample{
-		Params: params,
-		Run:    run,
-		System: sys,
-		Schema: append([]string(nil), d.Schema...),
-	}, nil
 }

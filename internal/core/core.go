@@ -149,33 +149,54 @@ func safeCheck(c checker, q *spec.Query) (res schema.Result, err error) {
 
 // CachedCheck is the single cache lookup/fill path every caller shares
 // (pipeline, verify, table2, the serving plane): consult the cache under the
-// engine's canonical key, fall back to a real check on a miss or a failed
-// re-certification, and fill the cache with any non-Budget verdict. A hit
-// reports the lookup's own (tiny) wall clock in Elapsed; all deterministic
-// fields are the stored ones, so reports built from hits are byte-identical
-// to reports built from cold runs.
+// engine's canonical key (Lookup), fall back to a real check on a miss or a
+// failed re-certification, and fill the cache with any non-Budget verdict
+// (CheckAndFill). A hit reports the lookup's own (tiny) wall clock in
+// Elapsed; all deterministic fields are the stored ones, so reports built
+// from hits are byte-identical to reports built from cold runs.
 func CachedCheck(cache *vcache.Cache, engine *schema.Engine, q *spec.Query) (schema.Result, bool, error) {
-	if cache == nil {
-		res, err := safeCheck(engine, q)
-		return res, false, err
-	}
-	start := time.Now()
-	key := vcache.Key(engine.TA(), q, vcache.ConfigOf(engine.Opts()), vcache.EngineVersion)
-	if ent, ok := cache.Get(key); ok {
-		if res, err := ent.ToResult(engine.TA(), q); err == nil {
-			res.Elapsed = time.Since(start)
+	key := ""
+	if cache != nil {
+		key = vcache.Key(engine.TA(), q, vcache.ConfigOf(engine.Opts()), vcache.EngineVersion)
+		if res, ok := Lookup(cache, engine, q, key); ok {
 			return res, true, nil
 		}
-		// Re-certification failed: fall through to a real check, which
-		// overwrites the bad entry.
 	}
+	res, err := CheckAndFill(cache, engine, q, key)
+	return res, false, err
+}
+
+// Lookup serves the query from the cache entry stored under key, rebuilt
+// and — for a violation — re-certified against the engine's automaton. A
+// miss, a nil cache and an entry that fails re-certification all report
+// false; the real check that follows overwrites a bad entry.
+func Lookup(cache *vcache.Cache, engine *schema.Engine, q *spec.Query, key string) (schema.Result, bool) {
+	if cache == nil {
+		return schema.Result{}, false
+	}
+	start := time.Now()
+	ent, ok := cache.Get(key)
+	if !ok {
+		return schema.Result{}, false
+	}
+	res, err := ent.ToResult(engine.TA(), q)
+	if err != nil {
+		return schema.Result{}, false
+	}
+	res.Elapsed = time.Since(start)
+	return res, true
+}
+
+// CheckAndFill runs the real check (panic-contained, see safeCheck) and
+// stores any non-Budget verdict under key; a nil cache only checks.
+func CheckAndFill(cache *vcache.Cache, engine *schema.Engine, q *spec.Query, key string) (schema.Result, error) {
 	res, err := safeCheck(engine, q)
-	if err == nil && res.Outcome != spec.Budget {
+	if cache != nil && err == nil && res.Outcome != spec.Budget {
 		if ent, eerr := vcache.FromResult(engine.TA(), key, res); eerr == nil {
 			_ = cache.Put(ent) // disk failures are logged by the cache; never fail a verdict
 		}
 	}
-	return res, false, err
+	return res, err
 }
 
 func runQueries(a *ta.TA, queries []spec.Query, opts Options) (Report, error) {

@@ -66,7 +66,7 @@ func TestTable2SkipNaive(t *testing.T) {
 	}
 	for _, r := range rows {
 		if r.Outcome != spec.Holds {
-			t.Errorf("%s/%s: %v, want holds", r.TA, r.Property, r.Outcome)
+			t.Errorf("%s/%s: %v, want holds", r.TA, r.Query, r.Outcome)
 		}
 	}
 	out := FormatTable2(rows)
@@ -92,10 +92,10 @@ func TestTable2NaiveBudget(t *testing.T) {
 		if r.TA == "naive-consensus" {
 			naiveRows++
 			if r.Outcome != spec.Budget {
-				t.Errorf("naive %s: %v, want budget-exceeded", r.Property, r.Outcome)
+				t.Errorf("naive %s: %v, want budget-exceeded", r.Query, r.Outcome)
 			}
 			if r.Schemas <= 100_000 {
-				t.Errorf("naive %s: schemas = %d, want > 100,000", r.Property, r.Schemas)
+				t.Errorf("naive %s: schemas = %d, want > 100,000", r.Query, r.Schemas)
 			}
 		}
 	}

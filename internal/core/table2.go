@@ -8,26 +8,19 @@ import (
 	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/internal/schema"
-	"repro/internal/smt"
 	"repro/internal/spec"
 	"repro/internal/ta"
 	"repro/internal/vcache"
 )
 
-// Table2Row is one line of the paper's Table 2, extended with the solver
-// effort behind the verdict and the per-phase wall-clock breakdown (the
-// latter observational: see schema.PhaseTimings).
+// Table2Row is one line of the paper's Table 2: the automaton and its size
+// next to the check's Result, which carries the Table 2 columns (property,
+// schemas, average length, time) plus the solver effort behind the verdict
+// and the per-phase wall-clock breakdown.
 type Table2Row struct {
-	TA       string
-	Size     ta.Size
-	Property string
-	Outcome  spec.Outcome
-	Schemas  int
-	AvgLen   float64
-	Elapsed  time.Duration
-	Mode     schema.Mode
-	Solver   smt.Stats
-	Phases   schema.PhaseTimings
+	TA   string
+	Size ta.Size
+	schema.Result
 }
 
 // Table2Options selects which blocks to run.
@@ -79,11 +72,7 @@ func Table2(opts Table2Options) ([]Table2Row, error) {
 			if err != nil {
 				return fmt.Errorf("core: table2 %s/%s: %w", a.Name, queries[i].Name, err)
 			}
-			rows = append(rows, Table2Row{
-				TA: a.Name, Size: size, Property: res.Query, Outcome: res.Outcome,
-				Schemas: res.Schemas, AvgLen: res.AvgLen, Elapsed: res.Elapsed, Mode: mode,
-				Solver: res.Solver, Phases: res.Phases,
-			})
+			rows = append(rows, Table2Row{TA: a.Name, Size: size, Result: res})
 		}
 		return nil
 	}
@@ -158,7 +147,7 @@ func FormatTable2(rows []Table2Row) string {
 			elapsed = "timeout"
 		}
 		fmt.Fprintf(&b, "%-22s %-28s %-14s %10s %10s %12s\n",
-			taCol, sizeCol, r.Property, schemas, avg, elapsed)
+			taCol, sizeCol, r.Query, schemas, avg, elapsed)
 	}
 	return b.String()
 }

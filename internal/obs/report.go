@@ -49,13 +49,41 @@ type QueryMetrics struct {
 	Solver  SolverMetrics `json:"solver"`
 }
 
-// SolverMetrics is the folded SMT effort behind one verdict.
+// SolverMetrics is the SMT effort behind one verdict or one schema: the one
+// definition every layer shares (smt.Stats is an alias), so a counter added
+// here reaches cache entries, cluster wire records, service responses and
+// reports without a copy site to update.
 type SolverMetrics struct {
-	LPChecks   int64 `json:"lp_checks"`
-	Pivots     int64 `json:"pivots"`
-	Rebuilds   int64 `json:"rebuilds"`
-	BBNodes    int64 `json:"bb_nodes"`
-	CaseSplits int64 `json:"case_splits"`
+	LPChecks  int `json:"lp_checks"`   // simplex runs
+	Pivots    int `json:"pivots"`      // total simplex pivots
+	Rebuilds  int `json:"rebuilds"`    // full phase-one solves (vs warm-started dual restores)
+	BBNodes   int `json:"bb_nodes"`    // branch-and-bound nodes
+	CaseSplit int `json:"case_splits"` // lazy disjunction branches explored
+}
+
+// Add accumulates another solver's effort into st. The parallel schema
+// enumeration keeps per-schema stats and merges them at join, so the
+// aggregate is independent of worker scheduling.
+func (st *SolverMetrics) Add(o SolverMetrics) {
+	st.LPChecks += o.LPChecks
+	st.Pivots += o.Pivots
+	st.Rebuilds += o.Rebuilds
+	st.BBNodes += o.BBNodes
+	st.CaseSplit += o.CaseSplit
+}
+
+// Diff returns st minus o, field by field. The incremental schema walker
+// snapshots the stats around each charged operation and records the delta,
+// so per-schema effort attribution stays exact while one solver serves many
+// schemas.
+func (st SolverMetrics) Diff(o SolverMetrics) SolverMetrics {
+	return SolverMetrics{
+		LPChecks:  st.LPChecks - o.LPChecks,
+		Pivots:    st.Pivots - o.Pivots,
+		Rebuilds:  st.Rebuilds - o.Rebuilds,
+		BBNodes:   st.BBNodes - o.BBNodes,
+		CaseSplit: st.CaseSplit - o.CaseSplit,
+	}
 }
 
 // CampaignMetrics is the deterministic aggregate of a seeded campaign: the

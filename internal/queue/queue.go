@@ -174,9 +174,6 @@ type Config struct {
 	// Consumers is the worker pool size (default 2; negative = none, for
 	// tests that drive the queue by hand).
 	Consumers int
-	// StartPaused holds consumers until Resume, so a backlog can be built
-	// before anything drains.
-	StartPaused bool
 	// MaxAttempts dead-letters a job after this many failed runs (default 4).
 	MaxAttempts int
 	// RetryBase/RetryMax bound the jittered exponential backoff between
@@ -306,7 +303,6 @@ type Queue struct {
 	rng    *rand.Rand
 	timers map[string]*time.Timer
 
-	paused bool
 	closed bool
 	killed bool
 	broken error
@@ -338,7 +334,6 @@ func Open(cfg Config) (*Queue, error) {
 		termRing:   make([]string, 0, cfg.TerminalKeep),
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		timers:     map[string]*time.Timer{},
-		paused:     cfg.StartPaused,
 		stopCh:     make(chan struct{}),
 		syncKick:   make(chan struct{}, 1),
 	}
@@ -546,7 +541,7 @@ func (q *Queue) consume() {
 	defer q.wg.Done()
 	for {
 		q.mu.Lock()
-		for !q.closed && !q.killed && q.broken == nil && (q.paused || q.queued == 0) {
+		for !q.closed && !q.killed && q.broken == nil && q.queued == 0 {
 			q.workCond.Wait()
 		}
 		if q.closed || q.killed || q.broken != nil {
@@ -747,14 +742,6 @@ func (q *Queue) compactLocked() {
 	q.syncSeq = q.appendSeq
 	q.syncCond.Broadcast()
 	obsCompactions.Inc()
-}
-
-// Resume releases a StartPaused consumer pool.
-func (q *Queue) Resume() {
-	q.mu.Lock()
-	q.paused = false
-	q.workCond.Broadcast()
-	q.mu.Unlock()
 }
 
 // JobState reports where a job got to. ok=false means the queue never saw

@@ -546,7 +546,7 @@ func TestQueuePausedBacklogThenResume(t *testing.T) {
 	fs := wal.NewMemFS()
 	rl := newRunLog()
 	cfg := baseConfig(fs)
-	cfg.StartPaused = true
+	cfg.Consumers = -1 // held: the backlog builds before anything drains
 	cfg.Handler = func(_ context.Context, j Job) error { rl.ran(j.ID); return nil }
 	q, err := Open(cfg)
 	if err != nil {
@@ -562,7 +562,7 @@ func TestQueuePausedBacklogThenResume(t *testing.T) {
 	if st := q.Status(); st.Depth != 20 || st.Inflight != 0 {
 		t.Fatalf("paused queue drained: %+v", st)
 	}
-	q.Resume()
+	q.resume(2)
 	waitIdleT(t, q)
 	if st := q.Status(); st.Done != 20 {
 		t.Errorf("done %d, want 20", st.Done)

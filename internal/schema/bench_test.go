@@ -30,7 +30,7 @@ func benchPrefixSolve(b *testing.B, fresh bool) {
 	if q == nil {
 		b.Fatal("no Inv1_0 query")
 	}
-	e, err := New(a, Options{Mode: FullEnumeration, freshSolves: fresh})
+	e, err := New(a, Options{Mode: FullEnumeration})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -45,12 +45,18 @@ func benchPrefixSolve(b *testing.B, fresh bool) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		recs, interrupted, err := plan.SolveRange(ctxs, 0, 1, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if interrupted {
-			b.Fatal("interrupted")
+		var recs []IndexRecord
+		if fresh {
+			recs = freshSolveRange(b, plan, ctxs)
+		} else {
+			var interrupted bool
+			recs, interrupted, err = plan.SolveRange(ctxs, 0, 1, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if interrupted {
+				b.Fatal("interrupted")
+			}
 		}
 		for j := range recs {
 			if !recs[j].Done {

@@ -60,6 +60,19 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode inverts Mode.String; the empty string selects the default,
+// Staged.
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "", "staged":
+		return Staged, nil
+	case "full":
+		return FullEnumeration, nil
+	default:
+		return 0, fmt.Errorf("unknown mode %q (want staged or full)", s)
+	}
+}
+
 // Options configures an Engine.
 type Options struct {
 	Mode Mode
@@ -77,8 +90,8 @@ type Options struct {
 	Stop func() bool
 	// Workers sets the number of concurrent schema solvers used by full
 	// enumeration (0 or 1 = sequential). Schemas are independent LIA
-	// queries, so the enumeration tree is embarrassingly parallel; results
-	// are deterministic regardless of the worker count — same outcome, same
+	// queries, so the solve phase is embarrassingly parallel; results are
+	// deterministic regardless of the worker count — same outcome, same
 	// schema count, and the lexicographically-least counterexample context
 	// (see parallel.go for the argument).
 	Workers int
@@ -89,13 +102,6 @@ type Options struct {
 	// and solve durations. Purely observational — a nil tracer costs one
 	// pointer check per emission point and tracing never affects verdicts.
 	Trace *obs.Tracer
-
-	// freshSolves disables the incremental prefix-sharing walker and encodes
-	// every full-mode schema from scratch (the pre-incremental strategy).
-	// Unexported on purpose: it exists for in-package cross-validation tests
-	// and benchmarks only, and being invisible to vcache.ConfigOf it can
-	// never leak strategy-relative solver statistics into cache keys.
-	freshSolves bool
 }
 
 // Result reports the verdict for one query.
@@ -120,6 +126,24 @@ type Result struct {
 	// components sum concurrent work across workers and vary run to run, so
 	// they must never feed a verdict or a deterministic report field.
 	Phases PhaseTimings
+}
+
+// Row is the deterministic report row of the verdict — the one rendering
+// behind obs reports, service responses and the cluster's byte-comparisons.
+// Budget rows zero the volatile fields (schema count, average length, solver
+// effort): a wall-clock timeout or an interrupt cuts the enumeration at a
+// nondeterministic point, so only the outcome itself is stable.
+func (r Result) Row(model string) obs.QueryMetrics {
+	row := obs.QueryMetrics{
+		Model:   model,
+		Query:   r.Query,
+		Mode:    r.Mode.String(),
+		Outcome: r.Outcome.Label(),
+	}
+	if r.Outcome != spec.Budget {
+		row.Schemas, row.AvgLen, row.Solver = r.Schemas, r.AvgLen, r.Solver
+	}
+	return row
 }
 
 // PhaseTimings is the per-phase wall-clock breakdown of one check: Encode

@@ -3,7 +3,6 @@ package schema
 import (
 	"time"
 
-	"repro/internal/smt"
 	"repro/internal/spec"
 	"repro/internal/ta"
 )
@@ -18,13 +17,17 @@ import (
 // reports spec.Budget, reproducing the fate of the naive consensus automaton
 // in Table 2 (>100,000 schemas, >24h) without burning the time.
 //
-// The check runs in two phases sharing one traversal budget:
+// The check is the four steps of the FullPlan API (shard.go) run back to
+// back — the same calls the cluster spreads over workers:
 //
-//  1. a structural pass materializes every schema context in preorder
-//     (no solving — the cutoff fires here, fast, for exploding automata);
-//  2. the contexts are solved from an ordered work queue by opts.Workers
-//     concurrent solvers (see parallel.go), each with its own encoder and
-//     SMT state, cancelling early on the first counterexample.
+//  1. plan: the structural analysis of the query;
+//  2. enumerate: one sequential pass materializes every schema context in
+//     preorder (no solving — the cutoff fires here, fast, for exploding
+//     automata);
+//  3. solve range: the contexts are solved from an ordered work queue by
+//     opts.Workers concurrent solvers (see parallel.go), each with its own
+//     encoder and SMT state, cancelling early on the first counterexample;
+//  4. fold: the per-index records are joined over the deterministic prefix.
 //
 // The result is deterministic regardless of the worker count: the same
 // outcome, the same schema count, and the preorder-least (equivalently,
@@ -34,46 +37,34 @@ func (e *Engine) checkFull(q *spec.Query, res *Result, start time.Time) error {
 	if e.opts.Timeout > 0 {
 		deadline = start.Add(e.opts.Timeout)
 	}
-	an, err := e.analyze(q, deadline)
+	plan, err := e.plan(q, deadline)
 	if err != nil {
 		return err
 	}
 
 	enumStart := time.Now()
-	ctxs, enum := e.enumerateContexts(an)
-	res.Phases.Encode = time.Since(enumStart)
-	if enum.exceeded {
-		// Structural budget: same count the sequential counting pass used to
-		// report (it stopped at exactly limit+1 nodes).
-		res.Outcome = spec.Budget
-		res.Schemas = e.opts.MaxSchemas + 1
-		return nil
-	}
-	if enum.interrupted {
+	ctxs, exceeded, interrupted := plan.Enumerate()
+	enumDur := time.Since(enumStart)
+	switch {
+	case exceeded:
+		*res = cutoffResult(q.Name, e.opts.MaxSchemas)
+	case interrupted:
 		res.Outcome = spec.Budget
 		res.Schemas = len(ctxs)
-		return nil
-	}
-
-	out, err := e.solveContexts(an, ctxs, deadline)
-	if err != nil {
-		return err
-	}
-	res.Phases.Add(out.phases)
-	res.Schemas = out.solved
-	if out.solved > 0 {
-		res.AvgLen = float64(out.totalLen) / float64(out.solved)
-	}
-	res.Solver = out.stats
-	switch {
-	case out.ce != nil:
-		res.Outcome = spec.Violated
-		res.CE = out.ce
-	case out.timedOut || out.unknown:
-		res.Outcome = spec.Budget
 	default:
-		res.Outcome = spec.Holds
+		recs, ph, cut, err := plan.solveRange(ctxs, 0, e.opts.Workers, deadline, e.opts.Stop)
+		if err != nil {
+			return err
+		}
+		foldStart := time.Now()
+		if *res, err = foldPrefix(q.Name, recs, cut); err != nil {
+			return err
+		}
+		ph.Fold = time.Since(foldStart)
+		obsFoldNS.Observe(ph.Fold.Nanoseconds())
+		res.Phases = ph
 	}
+	res.Phases.Encode += enumDur
 	return nil
 }
 
@@ -138,58 +129,4 @@ func (e *Engine) unlockable(an *analysis, unlocked map[int]bool, gi int) bool {
 		}
 	}
 	return false
-}
-
-// solveSchema encodes and solves the schema for one ordered guard context.
-// The deadline (zero = none) is threaded into the SMT limits so that a long
-// branch-and-bound solve honors the engine timeout mid-solve instead of only
-// being checked between schemas. idx is the preorder index (trace labeling
-// only); acc receives the encode/solve wall-clock split.
-func (e *Engine) solveSchema(an *analysis, ctx []int, idx int, deadline time.Time, acc *phaseAcc) (smt.Status, *Counterexample, int, smt.Stats, error) {
-	encStart := time.Now()
-	enc, err := e.newEncoding(an)
-	if err != nil {
-		return 0, nil, 0, smt.Stats{}, err
-	}
-	enc.deadline = deadline
-	unlocked := make(map[int]bool, len(ctx))
-
-	if err := enc.addSegment(unlocked); err != nil {
-		return 0, nil, 0, smt.Stats{}, err
-	}
-	for _, gi := range ctx {
-		// The guard becomes true at this boundary (its increments happened
-		// in the preceding segments).
-		if err := enc.assertGuardNow(an.guards[gi].c); err != nil {
-			return 0, nil, 0, smt.Stats{}, err
-		}
-		unlocked[gi] = true
-		if err := enc.addSegment(unlocked); err != nil {
-			return 0, nil, 0, smt.Stats{}, err
-		}
-	}
-	if err := enc.assertQueryConditions(); err != nil {
-		return 0, nil, 0, smt.Stats{}, err
-	}
-	encodeDur := time.Since(encStart)
-	acc.encode.Add(encodeDur.Nanoseconds())
-
-	solveStart := time.Now()
-	st, ce, err := enc.solve()
-	solveDur := time.Since(solveStart)
-	acc.solve.Add(solveDur.Nanoseconds())
-	e.opts.Trace.Emit("schema", "solve", map[string]int64{
-		"index":     int64(idx),
-		"slots":     int64(len(enc.slots)),
-		"status":    int64(st),
-		"encode_ns": encodeDur.Nanoseconds(),
-		"solve_ns":  solveDur.Nanoseconds(),
-		"bb_nodes":  int64(enc.solver.Stats.BBNodes),
-	})
-	if ce != nil {
-		for _, gi := range ctx {
-			ce.Schema = append(ce.Schema, an.guards[gi].key)
-		}
-	}
-	return st, ce, len(enc.slots), enc.solver.Stats, err
 }

@@ -204,7 +204,7 @@ func (cur *fullCursor) probe(c expr.Constraint) (smt.Status, error) {
 
 // solveAt seeks the cursor to ctx (preorder index idx) and discharges the
 // schema's query conditions inside a scratch scope, leaving the level state
-// warm for the next index. The returned stats are the deterministic
+// warm for the next index. The returned record's stats are the deterministic
 // per-schema charge: the work this schema's visit adds in the canonical
 // workers=1 preorder walk. Concretely, that is the query-scope solve plus
 // the push of the schema's final guard level (preorder visits every node by
@@ -213,7 +213,7 @@ func (cur *fullCursor) probe(c expr.Constraint) (smt.Status, error) {
 // mid-preorder were already charged to ancestor indices by the canonical
 // walk, so they are tracked by obsLevelReplays and excluded, which is what
 // keeps records byte-identical at any worker count.
-func (cur *fullCursor) solveAt(ctx []int, idx int, acc *phaseAcc) (smt.Status, *Counterexample, int, smt.Stats, error) {
+func (cur *fullCursor) solveAt(ctx []int, idx int, acc *phaseAcc) (IndexRecord, error) {
 	enc := cur.enc
 	var charged smt.Stats
 	encStart := time.Now()
@@ -221,7 +221,7 @@ func (cur *fullCursor) solveAt(ctx []int, idx int, acc *phaseAcc) (smt.Status, *
 	if !cur.baseDone {
 		before := enc.solver.Stats
 		if _, _, err := enc.solver.CheckRational(); err != nil {
-			return 0, nil, 0, smt.Stats{}, err
+			return IndexRecord{}, err
 		}
 		cur.baseDone = true
 		if idx == 0 {
@@ -242,7 +242,7 @@ func (cur *fullCursor) solveAt(ctx []int, idx int, acc *phaseAcc) (smt.Status, *
 			obsLevelReplays.Inc()
 		}
 		if err := cur.pushLevel(ctx[li]); err != nil {
-			return 0, nil, 0, smt.Stats{}, err
+			return IndexRecord{}, err
 		}
 		if last {
 			charged.Add(enc.solver.Stats.Diff(before))
@@ -267,7 +267,7 @@ func (cur *fullCursor) solveAt(ctx []int, idx int, acc *phaseAcc) (smt.Status, *
 			"solve_ns":  0,
 			"bb_nodes":  int64(charged.BBNodes),
 		})
-		return smt.Unsat, nil, slots, charged, nil
+		return IndexRecord{Done: true, Status: smt.Unsat, Slots: slots, Stats: charged}, nil
 	}
 
 	enc.push()
@@ -286,7 +286,7 @@ func (cur *fullCursor) solveAt(ctx []int, idx int, acc *phaseAcc) (smt.Status, *
 	acc.solve.Add(solveDur.Nanoseconds())
 	enc.pop()
 	if err != nil {
-		return 0, nil, 0, smt.Stats{}, err
+		return IndexRecord{}, err
 	}
 	charged.Add(enc.solver.Stats.Diff(before))
 
@@ -303,5 +303,5 @@ func (cur *fullCursor) solveAt(ctx []int, idx int, acc *phaseAcc) (smt.Status, *
 			ce.Schema = append(ce.Schema, cur.an.guards[gi].key)
 		}
 	}
-	return st, ce, slots, charged, nil
+	return IndexRecord{Done: true, Status: st, Slots: slots, Stats: charged, CE: ce}, nil
 }

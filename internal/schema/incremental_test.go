@@ -13,19 +13,15 @@ import (
 	"repro/internal/ta"
 )
 
-// checkStrategy runs one full-mode check with the solve strategy pinned.
+// checkStrategy runs one full-mode check with the solve strategy pinned:
+// the from-scratch reference (fresh_ref_test.go) or the shipped incremental
+// walker at the given worker count.
 func checkStrategy(t *testing.T, a *ta.TA, q spec.Query, workers, maxSchemas int, fresh bool) Result {
 	t.Helper()
-	e, err := New(a, Options{Mode: FullEnumeration, Workers: workers,
-		MaxSchemas: maxSchemas, freshSolves: fresh})
-	if err != nil {
-		t.Fatal(err)
+	if fresh {
+		return checkFresh(t, a, q, maxSchemas)
 	}
-	res, err := e.Check(&q)
-	if err != nil {
-		t.Fatalf("check %s (fresh=%v): %v", q.Name, fresh, err)
-	}
-	return res
+	return fullCheckAt(t, a, q, workers, maxSchemas)
 }
 
 // sameVerdict asserts two results agree on every strategy-independent field:
@@ -144,7 +140,7 @@ func TestIncrementalVsFreshPrefixRecords(t *testing.T) {
 	}
 
 	solve := func(fresh bool, workers int) []IndexRecord {
-		e, err := New(a, Options{Mode: FullEnumeration, freshSolves: fresh})
+		e, err := New(a, Options{Mode: FullEnumeration})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,6 +149,9 @@ func TestIncrementalVsFreshPrefixRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctxs, _ := plan.EnumeratePrefix(150, nil)
+		if fresh {
+			return freshSolveRange(t, plan, ctxs)
+		}
 		recs, interrupted, err := plan.SolveRange(ctxs, 0, workers, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -4,16 +4,13 @@ import "repro/internal/obs"
 
 // Observational-only instrumentation (see internal/obs): racing global
 // counters and gauges, never folded into verdicts or deterministic report
-// fields — those come from the per-index record fold in parallel.go.
+// fields — those come from the per-index record fold (foldPrefix).
 var (
 	// obsSchemasEnumerated counts contexts materialized by the structural
 	// pass; obsSchemasSolved counts contexts actually discharged (the two
 	// diverge when a counterexample cancels in-flight work).
 	obsSchemasEnumerated = obs.Default.Counter("schema", "schemas_enumerated")
 	obsSchemasSolved     = obs.Default.Counter("schema", "schemas_solved")
-	// obsTreeSplits counts frontier-split events of the parallel structural
-	// pass (subtree tasks fissioned for load balance).
-	obsTreeSplits = obs.Default.Counter("schema", "tree_splits")
 	// obsDeadlinePolls counts Deadline/Stop consultations of the solve
 	// queue's claim loop (strided; the per-node SMT polls are counted
 	// separately under the smt subsystem).

@@ -9,222 +9,20 @@ import (
 	"repro/internal/smt"
 )
 
-// This file implements the parallel full-enumeration machinery: a fused
-// structural pass that materializes the ordered-guard-context tree in
-// preorder (with the MaxSchemas cutoff), and an ordered work queue that
-// shards the materialized schemas across a pool of solvers.
+// This file implements the solve phase of full enumeration: an ordered work
+// queue that shards the materialized schemas across a pool of solvers.
 //
-// Determinism argument. The structural pass always produces the same context
-// list: the tree is fixed by the analysis, the frontier split preserves
-// preorder (a subtree task is replaced by its root node followed by its
-// child subtrees in alphabet order), and per-task outputs are concatenated
-// in task order, so the global list is the DFS preorder of the sequential
-// walk. The solve phase claims indices from a monotonically increasing
-// counter, so when a counterexample is found at index i every index j < i
-// has already been claimed; the join waits for those solves and reports the
-// MINIMUM Sat index — the preorder-least, i.e. lexicographically-least (by
-// alphabet position, prefix-first) counterexample context. Aggregates
+// Determinism argument. The context list is the DFS preorder of one
+// sequential walk (FullPlan.walk), fixed by the analysis. The solve phase
+// claims indices from a monotonically increasing counter, so when a
+// counterexample is found at index i every index j < i has already been
+// claimed; the join waits for those solves and the fold (foldPrefix) reports
+// the MINIMUM Sat index — the preorder-least, i.e. lexicographically-least
+// (by alphabet position, prefix-first) counterexample context. Aggregates
 // (schema count, average length, solver stats) are folded over exactly the
 // prefix [0, minSat] from per-index records, never from racing worker
 // totals, so they are byte-identical to a workers=1 run. Work performed
 // beyond the winning index by in-flight workers is discarded.
-
-// enumTask is one work item of the structural pass: either a single node
-// (its context only) or a whole subtree rooted at the context.
-type enumTask struct {
-	ctx      []int
-	unlocked map[int]bool
-	subtree  bool
-	out      [][]int
-}
-
-// enumOutcome reports how the structural pass ended.
-type enumOutcome struct {
-	exceeded    bool // tree has more than MaxSchemas nodes
-	interrupted bool // opts.Stop fired mid-enumeration
-}
-
-// enumerateContexts materializes every schema context of the enumeration
-// tree in preorder, stopping as soon as the node count exceeds MaxSchemas.
-// With Workers > 1 the tree is split into subtree tasks (keyed by the first
-// unlocked guards) that a worker pool drains; a skewed tree cannot idle
-// workers because tasks are split well below the worker count granularity
-// and claimed from a shared queue.
-func (e *Engine) enumerateContexts(an *analysis) ([][]int, enumOutcome) {
-	workers := e.opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	tasks := e.splitFrontier(an, workers)
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	limit := e.opts.MaxSchemas
-
-	var total atomic.Int64
-	var next atomic.Int64
-	var exceeded, interrupted atomic.Bool
-	run := func() {
-		for {
-			i := int(next.Add(1) - 1)
-			if i >= len(tasks) || exceeded.Load() || interrupted.Load() {
-				return
-			}
-			e.enumTaskRun(an, tasks[i], limit, &total, &exceeded, &interrupted)
-		}
-	}
-	if workers == 1 {
-		run()
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				run()
-			}()
-		}
-		wg.Wait()
-	}
-	if exceeded.Load() {
-		return nil, enumOutcome{exceeded: true}
-	}
-	var ctxs [][]int
-	for _, t := range tasks {
-		ctxs = append(ctxs, t.out...)
-	}
-	return ctxs, enumOutcome{interrupted: interrupted.Load()}
-}
-
-// splitFrontier decomposes the context tree into tasks in global preorder.
-// Splitting a subtree yields its root as a node task followed by one subtree
-// task per first unlocked guard (in alphabet order); repeating breadth-first
-// until there are comfortably more tasks than workers keeps skewed subtrees
-// from serializing the pass.
-func (e *Engine) splitFrontier(an *analysis, workers int) []*enumTask {
-	tasks := []*enumTask{{unlocked: make(map[int]bool), subtree: true}}
-	if workers <= 1 {
-		return tasks
-	}
-	target := 16 * workers
-	for depth := 0; depth < 8 && len(tasks) < target; depth++ {
-		split := false
-		next := make([]*enumTask, 0, len(tasks))
-		for _, t := range tasks {
-			if !t.subtree || len(next) >= target {
-				next = append(next, t)
-				continue
-			}
-			var children []int
-			for _, gi := range an.alphabet {
-				if !t.unlocked[gi] && e.unlockable(an, t.unlocked, gi) {
-					children = append(children, gi)
-				}
-			}
-			next = append(next, &enumTask{ctx: t.ctx, unlocked: t.unlocked})
-			for _, gi := range children {
-				ctx := make([]int, len(t.ctx)+1)
-				copy(ctx, t.ctx)
-				ctx[len(t.ctx)] = gi
-				unlocked := make(map[int]bool, len(t.unlocked)+1)
-				for k := range t.unlocked {
-					unlocked[k] = true
-				}
-				unlocked[gi] = true
-				next = append(next, &enumTask{ctx: ctx, unlocked: unlocked, subtree: true})
-			}
-			if len(children) > 0 {
-				split = true
-				obsTreeSplits.Inc()
-			}
-		}
-		tasks = next
-		if !split {
-			break
-		}
-	}
-	return tasks
-}
-
-// enumTaskRun expands one task, appending the visited contexts to t.out in
-// DFS preorder. Every emitted context is a fresh slice: branches must never
-// share a backing array with their siblings (the sequential walk used to
-// pass append(ctx, gi) down, which aliases the parent's array across
-// iterations — latent sequentially, a data race and output corruption once
-// contexts outlive the visit, as they do here).
-func (e *Engine) enumTaskRun(an *analysis, t *enumTask, limit int, total *atomic.Int64, exceeded, interrupted *atomic.Bool) {
-	emit := func(ctx []int) bool {
-		if total.Add(1) > int64(limit) {
-			exceeded.Store(true)
-			return false
-		}
-		obsSchemasEnumerated.Inc()
-		t.out = append(t.out, ctx)
-		return true
-	}
-	if !emit(t.ctx) {
-		return
-	}
-	if !t.subtree {
-		return
-	}
-	visited := 0
-	var rec func(ctx []int, unlocked map[int]bool) bool
-	rec = func(ctx []int, unlocked map[int]bool) bool {
-		for _, gi := range an.alphabet {
-			if unlocked[gi] || !e.unlockable(an, unlocked, gi) {
-				continue
-			}
-			visited++
-			if visited&255 == 0 {
-				if exceeded.Load() || interrupted.Load() {
-					return false
-				}
-				if e.opts.Stop != nil && e.opts.Stop() {
-					interrupted.Store(true)
-					return false
-				}
-			}
-			child := make([]int, len(ctx)+1)
-			copy(child, ctx)
-			child[len(ctx)] = gi
-			if !emit(child) {
-				return false
-			}
-			unlocked[gi] = true
-			ok := rec(child, unlocked)
-			delete(unlocked, gi)
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	rec(t.ctx, t.unlocked)
-}
-
-// solveRec is the per-schema record of the solve phase; keeping results by
-// preorder index (rather than racing shared accumulators) is what makes the
-// join deterministic.
-type solveRec struct {
-	done   bool
-	status smt.Status
-	slots  int
-	stats  smt.Stats
-	ce     *Counterexample
-	err    error
-}
-
-// fullOutcome aggregates the solve phase for checkFull.
-type fullOutcome struct {
-	solved   int
-	totalLen int
-	stats    smt.Stats
-	ce       *Counterexample
-	timedOut bool
-	unknown  bool
-	phases   PhaseTimings
-}
 
 // phaseAcc accumulates per-schema encode/solve durations across workers.
 // Being summed from racing atomic adds, the totals are observational only.
@@ -262,28 +60,39 @@ func solveChunkSize(n, workers int) int {
 	return c
 }
 
-// solveQueue is the shared solve loop behind solveContexts and SolveRange:
-// workers claim contiguous chunks of ctxs (global preorder indices
-// base+i) and discharge them, each worker through its own long-lived
-// incremental cursor (or fresh per-schema encodings under freshSolves).
-// The first Sat cancels indices beyond it; stop and deadline cancel
-// everything (reported as true). Errors land in recs[i].err with all later
-// work cancelled; the caller scans for the preorder-least one.
-func (e *Engine) solveQueue(an *analysis, ctxs [][]int, base, workers int, deadline time.Time, stop func() bool, recs []solveRec, acc *phaseAcc) bool {
+// solveRange is the one solve loop behind Check and SolveRange: workers
+// claim contiguous chunks of ctxs (global preorder indices base+i) and
+// discharge them, each through its own long-lived incremental cursor,
+// writing one IndexRecord per solved index. The first Sat cancels indices
+// beyond it; stop and deadline cancel everything (interrupted=true, partial
+// records). An error cancels all later work and the preorder-least one
+// among those encountered is returned.
+func (p *FullPlan) solveRange(ctxs [][]int, base, workers int, deadline time.Time, stop func() bool) (recs []IndexRecord, ph PhaseTimings, interrupted bool, err error) {
+	recs = make([]IndexRecord, len(ctxs))
+	if len(ctxs) == 0 {
+		return recs, ph, false, nil
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	if workers > len(ctxs) {
+		workers = len(ctxs)
+	}
 	chunk := int64(solveChunkSize(len(ctxs), workers))
-	var next atomic.Int64
-	var minSat, minErr atomic.Int64
+	var next, minSat atomic.Int64
 	minSat.Store(math.MaxInt64)
-	minErr.Store(math.MaxInt64)
-	var stopped atomic.Bool
+	var stopped, failed atomic.Bool
+	var acc phaseAcc
 
-	casMin := func(a *atomic.Int64, v int64) {
-		for {
-			cur := a.Load()
-			if v >= cur || a.CompareAndSwap(cur, v) {
-				return
-			}
+	var errMu sync.Mutex
+	errIdx := len(ctxs)
+	fail := func(i int, e error) {
+		errMu.Lock()
+		if i < errIdx {
+			errIdx, err = i, e
 		}
+		errMu.Unlock()
+		failed.Store(true)
 	}
 
 	run := func() {
@@ -294,12 +103,9 @@ func (e *Engine) solveQueue(an *analysis, ctxs [][]int, base, workers int, deadl
 			if lo >= int64(len(ctxs)) {
 				return
 			}
-			hi := lo + chunk
-			if hi > int64(len(ctxs)) {
-				hi = int64(len(ctxs))
-			}
+			hi := min(lo+chunk, int64(len(ctxs)))
 			for i := int(lo); i < int(hi); i++ {
-				if stopped.Load() || minErr.Load() < math.MaxInt64 {
+				if stopped.Load() || failed.Load() {
 					return
 				}
 				if int64(i) > minSat.Load() {
@@ -323,35 +129,33 @@ func (e *Engine) solveQueue(an *analysis, ctxs [][]int, base, workers int, deadl
 						return
 					}
 				}
-				var st smt.Status
-				var ce *Counterexample
-				var slots int
-				var stats smt.Stats
-				var err error
-				if e.opts.freshSolves {
-					st, ce, slots, stats, err = e.solveSchema(an, ctxs[i], base+i, deadline, acc)
-				} else {
-					if cur == nil {
-						cur, err = e.newFullCursor(an, deadline)
+				if cur == nil {
+					c, cerr := p.e.newFullCursor(p.an, deadline)
+					if cerr != nil {
+						fail(i, cerr)
+						return
 					}
-					if err == nil {
-						st, ce, slots, stats, err = cur.solveAt(ctxs[i], base+i, acc)
-					}
+					cur = c
 				}
-				if err != nil {
-					recs[i].err = err
-					casMin(&minErr, int64(i))
+				rec, serr := cur.solveAt(ctxs[i], base+i, &acc)
+				if serr != nil {
+					fail(i, serr)
 					return
 				}
 				obsSchemasSolved.Inc()
-				recs[i] = solveRec{done: true, status: st, slots: slots, stats: stats, ce: ce}
-				if st == smt.Sat {
-					casMin(&minSat, int64(i))
+				recs[i] = rec
+				if rec.Status == smt.Sat {
+					for {
+						m := minSat.Load()
+						if int64(i) >= m || minSat.CompareAndSwap(m, int64(i)) {
+							break
+						}
+					}
 				}
 			}
 		}
 	}
-	if workers <= 1 {
+	if workers == 1 {
 		run()
 	} else {
 		var wg sync.WaitGroup
@@ -364,94 +168,12 @@ func (e *Engine) solveQueue(an *analysis, ctxs [][]int, base, workers int, deadl
 		}
 		wg.Wait()
 	}
-	return stopped.Load()
-}
-
-// solveContexts discharges the materialized schemas with opts.Workers
-// concurrent solvers, each walking its claimed chunks with one incremental
-// cursor. The first Sat cancels all later work; deadline and Stop cancel
-// everything.
-func (e *Engine) solveContexts(an *analysis, ctxs [][]int, deadline time.Time) (fullOutcome, error) {
-	workers := e.opts.Workers
-	if workers < 1 {
-		workers = 1
+	if err != nil {
+		return nil, ph, false, err
 	}
-	if workers > len(ctxs) {
-		workers = len(ctxs)
+	ph = PhaseTimings{
+		Encode: time.Duration(acc.encode.Load()),
+		Solve:  time.Duration(acc.solve.Load()),
 	}
-	recs := make([]solveRec, len(ctxs))
-	var acc phaseAcc
-	timedOut := e.solveQueue(an, ctxs, 0, workers, deadline, e.opts.Stop, recs, &acc)
-
-	for i := range recs {
-		if recs[i].err != nil {
-			// Deterministic error reporting: the preorder-least failing
-			// schema among those encountered.
-			return fullOutcome{}, recs[i].err
-		}
-	}
-
-	foldStart := time.Now()
-	var out fullOutcome
-	fold := func(i int) {
-		out.solved++
-		out.totalLen += recs[i].slots
-		out.stats.Add(recs[i].stats)
-		if recs[i].status == smt.Unknown {
-			out.unknown = true
-		}
-	}
-	finish := func() fullOutcome {
-		fd := time.Since(foldStart)
-		obsFoldNS.Observe(fd.Nanoseconds())
-		out.phases = PhaseTimings{
-			Encode: time.Duration(acc.encode.Load()),
-			Solve:  time.Duration(acc.solve.Load()),
-			Fold:   fd,
-		}
-		return out
-	}
-
-	minSat := int64(math.MaxInt64)
-	for i := range recs {
-		if recs[i].done && recs[i].status == smt.Sat {
-			minSat = int64(i)
-			break
-		}
-	}
-	if ms := minSat; ms < math.MaxInt64 {
-		// All indices below the winner were claimed before it; unless a
-		// timeout raced in and skipped some, they completed, and the verdict
-		// covers exactly the prefix a sequential walk would have solved.
-		complete := true
-		for i := int64(0); i <= ms; i++ {
-			if !recs[i].done {
-				complete = false
-				break
-			}
-		}
-		if complete {
-			for i := int64(0); i <= ms; i++ {
-				fold(int(i))
-			}
-			out.ce = recs[ms].ce
-			return finish(), nil
-		}
-	}
-	for i := range recs {
-		if recs[i].done {
-			fold(i)
-		}
-	}
-	if ms := minSat; ms < math.MaxInt64 {
-		// A timeout raced in and skipped indices below the winner, so the
-		// prefix aggregates are incomplete — but the counterexample itself is
-		// real (it is replayed and certified downstream). The old code
-		// dropped it here and reported Budget; surfacing the violation is
-		// strictly more informative, and the Budget-style caveat on the
-		// aggregates is preserved by timedOut.
-		out.ce = recs[ms].ce
-	}
-	out.timedOut = timedOut
-	return finish(), nil
+	return recs, ph, stopped.Load(), nil
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/models"
 	"repro/internal/spec"
@@ -14,7 +13,7 @@ import (
 
 // refEnumerate is an independent reference implementation of the ordered
 // guard-context enumeration: plain recursive DFS over the alphabet with an
-// explicit copy at every emit. The production enumerator (tasked, sharded,
+// explicit copy at every emit. The production walker (limit-bounded,
 // cancellable) must produce exactly this list in exactly this order.
 func refEnumerate(e *Engine, an *analysis, limit int) ([][]int, bool) {
 	var out [][]int
@@ -48,12 +47,34 @@ func refEnumerate(e *Engine, an *analysis, limit int) ([][]int, bool) {
 
 func ctxKey(ctx []int) string { return fmt.Sprint(ctx) }
 
+// sameContexts asserts got is exactly want: same contexts, same preorder, no
+// duplicates.
+func sameContexts(t *testing.T, name string, got, want [][]int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d contexts, reference has %d", name, len(got), len(want))
+	}
+	seen := map[string]bool{}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("%s: context %d = %v, reference %v", name, i, got[i], want[i])
+		}
+		k := ctxKey(got[i])
+		if seen[k] {
+			t.Fatalf("%s: duplicate context %v", name, got[i])
+		}
+		seen[k] = true
+	}
+}
+
 // TestEnumerateContextsMatchesReference checks the materialized context list
-// against the reference enumerator at several worker counts: same contexts,
-// same preorder, no duplicates. This is also the regression test for the
-// context-aliasing bug: the old walk passed append(ctx, gi) down the
-// recursion, so sibling branches could share (and clobber) a backing array;
-// corrupt contexts show up here as order/content mismatches.
+// against the reference enumerator, through both entry points of the one
+// walker: Enumerate (the MaxSchemas cutoff discards everything) and
+// EnumeratePrefix (a limit keeps the prefix) at limits below, at and above
+// the tree size. This is also the regression test for the context-aliasing
+// bug: the old walk passed append(ctx, gi) down the recursion, so sibling
+// branches could share (and clobber) a backing array; corrupt contexts show
+// up here as order/content mismatches.
 func TestEnumerateContextsMatchesReference(t *testing.T) {
 	automata := []*ta.TA{models.BVBroadcast(), models.SimplifiedConsensus()}
 	rng := rand.New(rand.NewSource(42))
@@ -65,47 +86,37 @@ func TestEnumerateContextsMatchesReference(t *testing.T) {
 		automata = append(automata, a)
 	}
 	for _, a := range automata {
-		qs := []spec.Query{{Name: "visit", Kind: spec.Safety,
-			VisitNonempty: []ta.LocSet{{ta.LocID(0): true}}}}
-		for _, q := range qs {
-			if err := q.Validate(a); err != nil {
-				continue
+		q := spec.Query{Name: "visit", Kind: spec.Safety,
+			VisitNonempty: []ta.LocSet{{ta.LocID(0): true}}}
+		if err := q.Validate(a); err != nil {
+			continue
+		}
+		e, err := New(a, Options{Mode: FullEnumeration})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := e.PlanFull(&q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantExceeded := refEnumerate(e, plan.an, e.opts.MaxSchemas)
+		got, exceeded, _ := plan.Enumerate()
+		if exceeded != wantExceeded {
+			t.Fatalf("%s: exceeded=%v, reference says %v", a.Name, exceeded, wantExceeded)
+		}
+		limits := []int{0, 1, 1000}
+		if !wantExceeded {
+			sameContexts(t, a.Name, got, want)
+			limits = []int{0, 1, len(want) - 1, len(want), len(want) + 1}
+		}
+		for _, limit := range limits {
+			ref, refTruncated := refEnumerate(e, plan.an, limit)
+			prefix, truncated := plan.EnumeratePrefix(limit, nil)
+			name := fmt.Sprintf("%s prefix %d", a.Name, limit)
+			if truncated != refTruncated {
+				t.Fatalf("%s: truncated=%v, reference says %v", name, truncated, refTruncated)
 			}
-			for _, workers := range []int{1, 2, 8} {
-				e, err := New(a, Options{Mode: FullEnumeration, Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				an, err := e.analyze(&q, time.Time{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, wantExceeded := refEnumerate(e, an, e.opts.MaxSchemas)
-				got, outcome := e.enumerateContexts(an)
-				if outcome.exceeded != wantExceeded {
-					t.Fatalf("%s workers=%d: exceeded=%v, reference says %v",
-						a.Name, workers, outcome.exceeded, wantExceeded)
-				}
-				if wantExceeded {
-					continue
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s workers=%d: %d contexts, reference has %d",
-						a.Name, workers, len(got), len(want))
-				}
-				seen := map[string]bool{}
-				for i := range got {
-					if !reflect.DeepEqual(got[i], want[i]) {
-						t.Fatalf("%s workers=%d: context %d = %v, reference %v",
-							a.Name, workers, i, got[i], want[i])
-					}
-					k := ctxKey(got[i])
-					if seen[k] {
-						t.Fatalf("%s workers=%d: duplicate context %v", a.Name, workers, got[i])
-					}
-					seen[k] = true
-				}
-			}
+			sameContexts(t, name, prefix, ref)
 		}
 	}
 }

@@ -8,13 +8,14 @@ import (
 	"repro/internal/spec"
 )
 
-// This file is the shard-solving API of full enumeration: the exported
-// surface the distributed verification cluster (internal/cluster) builds on.
-// A FullPlan separates the three phases that checkFull fuses — analysis,
-// context enumeration, and per-index solving — so a coordinator can
-// materialize the preorder context list once, hand contiguous index ranges
-// to remote workers as content-addressed work units, and fold the per-index
-// records back into a Result that is byte-identical to a single-box run:
+// This file is the full-enumeration pipeline in its four separable steps —
+// plan (analysis), enumerate (preorder context list), solve a range
+// (per-index records) and fold (records to Result). A direct Check runs them
+// back to back (checkFull); the distributed verification cluster
+// (internal/cluster) runs the same four with the middle two spread over
+// workers: the coordinator materializes the context list once, hands
+// contiguous index ranges out as content-addressed work units, and folds the
+// returned records. Both therefore produce the same Result by construction:
 // same outcome, schema count, average length, solver statistics, and
 // lexicographically-least counterexample (see parallel.go for why per-index
 // records make the join worker-count- and placement-independent).
@@ -23,7 +24,6 @@ import (
 type FullPlan struct {
 	e  *Engine
 	an *analysis
-	q  *spec.Query
 }
 
 // PlanFull validates the query and runs the structural analysis, returning a
@@ -40,11 +40,16 @@ func (e *Engine) PlanFull(q *spec.Query) (*FullPlan, error) {
 	if e.opts.Timeout > 0 {
 		deadline = time.Now().Add(e.opts.Timeout)
 	}
+	return e.plan(q, deadline)
+}
+
+// plan runs the structural analysis of an already validated query.
+func (e *Engine) plan(q *spec.Query, deadline time.Time) (*FullPlan, error) {
 	an, err := e.analyze(q, deadline)
 	if err != nil {
 		return nil, err
 	}
-	return &FullPlan{e: e, an: an, q: q}, nil
+	return &FullPlan{e: e, an: an}, nil
 }
 
 // MaxSchemas reports the engine's resolved enumeration cutoff, so a caller
@@ -65,36 +70,46 @@ func (p *FullPlan) AlphabetKeys() []string {
 }
 
 // Enumerate materializes every schema context in preorder, honoring the
-// engine's MaxSchemas cutoff and Workers budget exactly like a direct Check.
+// engine's MaxSchemas cutoff and Stop hook exactly like a direct Check: a
+// tree with more than MaxSchemas nodes reports exceeded and keeps nothing.
 func (p *FullPlan) Enumerate() (ctxs [][]int, exceeded, interrupted bool) {
-	ctxs, out := p.e.enumerateContexts(p.an)
-	return ctxs, out.exceeded, out.interrupted
+	ctxs, more, interrupted := p.walk(p.e.opts.MaxSchemas, p.e.opts.Stop)
+	if more {
+		return nil, true, false
+	}
+	return ctxs, false, interrupted
 }
 
-// EnumeratePrefix materializes the first limit contexts of the preorder
-// sequentially, reporting whether the tree was truncated (has more nodes).
-// Unlike Enumerate, exceeding the limit keeps the prefix instead of
-// discarding everything — the cluster bench uses this to push a
-// budget-exceeding automaton's solve phase past its structural cutoff. The
-// sequential walk is what makes the kept prefix deterministic: the parallel
-// enumeration only decides *whether* the cutoff fired, not which nodes came
-// first.
+// EnumeratePrefix materializes the first limit contexts of the preorder,
+// reporting whether the tree was truncated (has more nodes). Unlike
+// Enumerate, exceeding the limit keeps the prefix instead of discarding
+// everything — the cluster bench uses this to push a budget-exceeding
+// automaton's solve phase past its structural cutoff.
 func (p *FullPlan) EnumeratePrefix(limit int, stop func() bool) (ctxs [][]int, truncated bool) {
-	if limit <= 0 {
-		return nil, true
-	}
+	ctxs, truncated, _ = p.walk(limit, stop)
+	return ctxs, truncated
+}
+
+// walk is the one structural pass: it materializes the guard-context tree in
+// DFS preorder — the order every index downstream refers to — keeping at
+// most limit contexts. more reports that the tree has further nodes;
+// interrupted that stop fired (polled every 256 visited nodes), leaving a
+// partial list. Every emitted context is a fresh slice: branches must never
+// share a backing array with their siblings, or contexts that outlive the
+// visit (as all of them do) would clobber each other.
+func (p *FullPlan) walk(limit int, stop func() bool) (ctxs [][]int, more, interrupted bool) {
 	an := p.an
 	emit := func(ctx []int) bool {
 		if len(ctxs) >= limit {
-			truncated = true
+			more = true
 			return false
 		}
 		obsSchemasEnumerated.Inc()
 		ctxs = append(ctxs, ctx)
 		return true
 	}
-	if !emit([]int{}) {
-		return ctxs, truncated
+	if !emit(nil) {
+		return ctxs, more, false
 	}
 	visited := 0
 	unlocked := make(map[int]bool)
@@ -106,6 +121,7 @@ func (p *FullPlan) EnumeratePrefix(limit int, stop func() bool) (ctxs [][]int, t
 			}
 			visited++
 			if visited&255 == 0 && stop != nil && stop() {
+				interrupted = true
 				return false
 			}
 			child := make([]int, len(ctx)+1)
@@ -123,8 +139,8 @@ func (p *FullPlan) EnumeratePrefix(limit int, stop func() bool) (ctxs [][]int, t
 		}
 		return true
 	}
-	rec([]int{})
-	return ctxs, truncated
+	rec(nil)
+	return ctxs, more, interrupted
 }
 
 // ValidContexts reports whether every context is a sequence of in-range
@@ -167,52 +183,52 @@ type IndexRecord struct {
 // (see incremental.go) — so two processes solving the same range produce
 // equal records.
 func (p *FullPlan) SolveRange(ctxs [][]int, base, workers int, stop func() bool) (recs []IndexRecord, interrupted bool, err error) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(ctxs) {
-		workers = len(ctxs)
-	}
-	recs = make([]IndexRecord, len(ctxs))
-	if len(ctxs) == 0 {
-		return recs, false, nil
-	}
-
-	srecs := make([]solveRec, len(ctxs))
-	var acc phaseAcc
-	stopped := p.e.solveQueue(p.an, ctxs, base, workers, time.Time{}, stop, srecs, &acc)
-	for i := range srecs {
-		if srecs[i].err != nil {
-			// Deterministic error reporting: the preorder-least failing
-			// schema among those encountered.
-			return nil, false, srecs[i].err
-		}
-		if srecs[i].done {
-			recs[i] = IndexRecord{Done: true, Status: srecs[i].status,
-				Slots: srecs[i].slots, Stats: srecs[i].stats, CE: srecs[i].ce}
-		}
-	}
-	return recs, stopped, nil
+	recs, _, interrupted, err = p.solveRange(ctxs, base, workers, time.Time{}, stop)
+	return recs, interrupted, err
 }
 
-// FoldRecords joins complete per-index records into the Result a single-box
-// full-enumeration run over the same preorder produces. The records must
-// cover the deterministic prefix: every index up to and including the first
-// Sat (or all indices when no Sat exists) must be Done, or an error is
-// returned — an incomplete prefix means the caller's bookkeeping lost a
-// shard, and folding it anyway would fabricate a nondeterministic verdict.
-func FoldRecords(query string, recs []IndexRecord) (Result, error) {
+// foldPrefix is the one join of per-index records into a Result. The
+// verdict covers the deterministic prefix: every index up to and including
+// the first Sat, or all indices when no Sat exists.
+//
+// With interrupted=false that prefix must be complete or an error is
+// returned — a hole means the caller's bookkeeping lost a shard, and folding
+// it anyway would fabricate a nondeterministic verdict. With
+// interrupted=true (a deadline or Stop cut the solve phase) holes are
+// expected: the aggregates then cover whatever finished and the outcome is
+// Budget — unless a Sat was already found, whose counterexample is real (it
+// is replayed and certified) whether or not the indices below it completed,
+// so the violation is surfaced rather than dropped.
+func foldPrefix(query string, recs []IndexRecord, interrupted bool) (Result, error) {
 	res := Result{Query: query, Mode: FullEnumeration}
-	minSat := -1
+	sat, end := -1, len(recs)
 	for i := range recs {
 		if recs[i].Done && recs[i].Status == smt.Sat {
-			minSat = i
+			sat, end = i, i+1
 			break
 		}
 	}
-	totalLen := 0
-	unknown := false
-	fold := func(i int) {
+	hole := -1
+	for i := 0; i < end; i++ {
+		if !recs[i].Done {
+			hole = i
+			break
+		}
+	}
+	switch {
+	case hole < 0:
+	case !interrupted && sat >= 0:
+		return Result{}, fmt.Errorf("schema: fold prefix incomplete at index %d (Sat at %d)", hole, sat)
+	case !interrupted:
+		return Result{}, fmt.Errorf("schema: fold incomplete at index %d with no Sat", hole)
+	default:
+		end = len(recs)
+	}
+	totalLen, unknown := 0, false
+	for i := 0; i < end; i++ {
+		if !recs[i].Done {
+			continue
+		}
 		res.Schemas++
 		totalLen += recs[i].Slots
 		res.Solver.Add(recs[i].Stats)
@@ -220,35 +236,36 @@ func FoldRecords(query string, recs []IndexRecord) (Result, error) {
 			unknown = true
 		}
 	}
-	if minSat >= 0 {
-		for i := 0; i <= minSat; i++ {
-			if !recs[i].Done {
-				return Result{}, fmt.Errorf("schema: fold prefix incomplete at index %d (Sat at %d)", i, minSat)
-			}
-			fold(i)
-		}
-		if recs[minSat].CE == nil {
-			return Result{}, fmt.Errorf("schema: Sat record at index %d carries no counterexample", minSat)
-		}
-		res.Outcome = spec.Violated
-		res.CE = recs[minSat].CE
-	} else {
-		for i := range recs {
-			if !recs[i].Done {
-				return Result{}, fmt.Errorf("schema: fold incomplete at index %d with no Sat", i)
-			}
-			fold(i)
-		}
-		if unknown {
-			res.Outcome = spec.Budget
-		} else {
-			res.Outcome = spec.Holds
-		}
-	}
 	if res.Schemas > 0 {
 		res.AvgLen = float64(totalLen) / float64(res.Schemas)
 	}
+	switch {
+	case sat >= 0:
+		if recs[sat].CE == nil {
+			return Result{}, fmt.Errorf("schema: Sat record at index %d carries no counterexample", sat)
+		}
+		res.Outcome = spec.Violated
+		res.CE = recs[sat].CE
+	case interrupted || unknown:
+		res.Outcome = spec.Budget
+	default:
+		res.Outcome = spec.Holds
+	}
 	return res, nil
+}
+
+// cutoffResult is the verdict of a tree cut at limit contexts without a
+// counterexample: Budget, reporting limit+1 schemas (the node that tripped
+// the cutoff) and nothing else.
+func cutoffResult(query string, limit int) Result {
+	return Result{Query: query, Mode: FullEnumeration, Outcome: spec.Budget, Schemas: limit + 1}
+}
+
+// FoldRecords joins complete per-index records into the Result a single-box
+// full-enumeration run over the same preorder produces (foldPrefix under
+// the strict rule: an incomplete prefix is an error).
+func FoldRecords(query string, recs []IndexRecord) (Result, error) {
+	return foldPrefix(query, recs, false)
 }
 
 // FoldTruncatedRecords joins records of a truncated preorder prefix (see
@@ -259,20 +276,9 @@ func FoldRecords(query string, recs []IndexRecord) (Result, error) {
 // never prove, so holds/unknown both stay Budget with the volatile fields
 // zeroed.
 func FoldTruncatedRecords(query string, recs []IndexRecord) (Result, error) {
-	for i := range recs {
-		if recs[i].Done && recs[i].Status == smt.Sat {
-			return FoldRecords(query, recs[:i+1])
-		}
+	res, err := foldPrefix(query, recs, false)
+	if err != nil || res.Outcome == spec.Violated {
+		return res, err
 	}
-	for i := range recs {
-		if !recs[i].Done {
-			return Result{}, fmt.Errorf("schema: truncated fold incomplete at index %d", i)
-		}
-	}
-	return Result{
-		Query:   query,
-		Mode:    FullEnumeration,
-		Outcome: spec.Budget,
-		Schemas: len(recs) + 1,
-	}, nil
+	return cutoffResult(query, len(recs)), nil
 }

@@ -46,66 +46,69 @@ func BuiltinModel(name string) (*ta.TA, []spec.Query, error) {
 	}
 }
 
-// resolveRequest turns a VerifyRequest into the automaton, model label,
-// query list and schema mode to check — the one place a request is validated,
-// so every endpoint rejects a bad one with the same 400 before doing any
-// work. Exactly one of Model and TA must be set; TA requires Spec (the LTL
-// property file text to compile against it).
-func resolveRequest(req *VerifyRequest) (*ta.TA, string, []spec.Query, schema.Mode, error) {
-	var (
-		a       *ta.TA
-		queries []spec.Query
-		label   string
-		err     error
-	)
-	mode := schema.Staged
-	switch req.Mode {
-	case "", "staged":
-	case "full":
-		mode = schema.FullEnumeration
-	default:
-		return nil, "", nil, 0, fmt.Errorf("unknown mode %q (want staged or full)", req.Mode)
+// Resolved is a validated VerifyRequest: the automaton, its report label
+// (the bundled model's name, or the parsed automaton's), the queries to
+// check and the schema mode.
+type Resolved struct {
+	TA      *ta.TA
+	Label   string
+	Queries []spec.Query
+	Mode    schema.Mode
+}
+
+// Resolve validates a VerifyRequest and turns it into what to check — the
+// one place "model | ta+spec, prop, mode" is interpreted, shared by
+// /v1/verify, /v1/enqueue, cluster job payloads and the holistic CLI, so
+// every entry point rejects a bad request with the same message before doing
+// any work. Exactly one of Model and TA must be set; TA requires Spec (the
+// LTL property file text to compile against it); a non-empty Prop must name
+// one of the resulting queries.
+func Resolve(req *VerifyRequest) (*Resolved, error) {
+	mode, err := schema.ParseMode(req.Mode)
+	if err != nil {
+		return nil, err
 	}
+	r := &Resolved{Mode: mode}
 	switch {
 	case req.Model != "" && req.TA != "":
-		return nil, "", nil, 0, fmt.Errorf("request sets both model and ta; pick one")
+		return nil, fmt.Errorf("request sets both model and ta; pick one")
 	case req.Model != "":
-		label = req.Model
-		a, queries, err = BuiltinModel(req.Model)
+		r.Label = req.Model
+		r.TA, r.Queries, err = BuiltinModel(req.Model)
 		if err != nil {
-			return nil, "", nil, 0, err
+			return nil, err
 		}
 	case req.TA != "":
 		if req.Spec == "" {
-			return nil, "", nil, 0, fmt.Errorf("a ta payload requires a spec payload with the properties to check")
+			return nil, fmt.Errorf("a ta payload requires a spec payload with the properties to check")
 		}
-		a, err = taformat.Parse(req.TA)
+		r.TA, err = taformat.Parse(req.TA)
 		if err != nil {
-			return nil, "", nil, 0, fmt.Errorf("parsing ta: %w", err)
+			return nil, fmt.Errorf("parsing ta: %w", err)
 		}
-		label = a.Name
-		pf, perr := ltl.ParseFile(req.Spec)
-		if perr != nil {
-			return nil, "", nil, 0, fmt.Errorf("parsing spec: %w", perr)
-		}
-		queries, err = ltl.CompileFile(pf, a)
+		r.Label = r.TA.Name
+		pf, err := ltl.ParseFile(req.Spec)
 		if err != nil {
-			return nil, "", nil, 0, fmt.Errorf("compiling spec: %w", err)
+			return nil, fmt.Errorf("parsing spec: %w", err)
+		}
+		r.Queries, err = ltl.CompileFile(pf, r.TA)
+		if err != nil {
+			return nil, fmt.Errorf("compiling spec: %w", err)
 		}
 	default:
-		return nil, "", nil, 0, fmt.Errorf("request names no model and carries no ta")
+		return nil, fmt.Errorf("request names no model and carries no ta")
 	}
 	if req.Prop != "" {
 		var filtered []spec.Query
-		for i := range queries {
-			if queries[i].Name == req.Prop {
-				filtered = append(filtered, queries[i])
+		for i := range r.Queries {
+			if r.Queries[i].Name == req.Prop {
+				filtered = append(filtered, r.Queries[i])
 			}
 		}
 		if len(filtered) == 0 {
-			return nil, "", nil, 0, fmt.Errorf("no property %q in model %s", req.Prop, label)
+			return nil, fmt.Errorf("no property %q in model %s", req.Prop, r.Label)
 		}
-		queries = filtered
+		r.Queries = filtered
 	}
-	return a, label, queries, mode, nil
+	return r, nil
 }

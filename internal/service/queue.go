@@ -14,10 +14,6 @@ import (
 	"net/http"
 
 	"repro/internal/queue"
-	"repro/internal/schema"
-	"repro/internal/spec"
-	"repro/internal/ta"
-	"repro/internal/vcache"
 )
 
 // EnqueueRequest is the POST /v1/enqueue payload: a VerifyRequest plus queue
@@ -68,7 +64,6 @@ func (s *Server) openQueue() {
 	q, err := queue.Open(queue.Config{
 		Dir:           s.cfg.QueueDir,
 		Consumers:     consumers,
-		StartPaused:   s.cfg.QueuePaused,
 		MaxAttempts:   s.cfg.QueueMaxAttempts,
 		MaxDepth:      s.cfg.QueueMaxDepth,
 		TenantDepth:   s.cfg.QueueTenantDepth,
@@ -168,20 +163,15 @@ func (s *Server) queueResult(id string) (*VerifyResponse, bool) {
 	return resp, ok
 }
 
-// allCached reports whether every query of a resolved request already has a
+// allCached reports whether every query of a prepared request already has a
 // cached verdict — the pre-enqueue dedup against vcache canonical hashes:
 // such a request is answered synchronously (pure cache reads) instead of
 // occupying backlog space.
-func (s *Server) allCached(a *ta.TA, queries []spec.Query, mode schema.Mode) bool {
+func (s *Server) allCached(p *prepared) bool {
 	if s.cfg.Cache == nil {
 		return false
 	}
-	for i := range queries {
-		engine, err := schema.New(a, schema.Options{Mode: mode, Workers: s.cfg.Workers})
-		if err != nil {
-			return false
-		}
-		key := vcache.Key(engine.TA(), &queries[i], vcache.ConfigOf(engine.Opts()), vcache.EngineVersion)
+	for _, key := range p.keys {
 		if _, ok := s.cfg.Cache.Get(key); !ok {
 			return false
 		}
@@ -192,18 +182,23 @@ func (s *Server) allCached(a *ta.TA, queries []spec.Query, mode schema.Mode) boo
 // serveSyncFallback runs an enqueue request through the synchronous
 // admission path — the graceful-degradation route when the queue is broken
 // or disabled. The PR-5 contract applies: bounded admission, 429 beyond it.
-func (s *Server) serveSyncFallback(w http.ResponseWriter, r *http.Request, req *EnqueueRequest, reason string) {
+func (s *Server) serveSyncFallback(w http.ResponseWriter, p *prepared, reason string) {
 	release, ok := s.admit(w)
 	if !ok {
 		return
 	}
 	defer release()
-	resp, status, err := s.verify(r.Context(), &req.VerifyRequest)
+	s.serveRun(w, p, reason)
+}
+
+// serveRun answers an enqueue request inline from a synchronous run.
+func (s *Server) serveRun(w http.ResponseWriter, p *prepared, degraded string) {
+	resp, err := s.run(p)
 	if err != nil {
-		writeError(w, status, "%v", err)
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, EnqueueResponse{State: "done", Degraded: reason, Results: resp})
+	writeJSON(w, http.StatusOK, EnqueueResponse{State: "done", Degraded: degraded, Results: resp})
 }
 
 func (s *Server) handleEnqueue(w http.ResponseWriter, r *http.Request) {
@@ -222,20 +217,18 @@ func (s *Server) handleEnqueue(w http.ResponseWriter, r *http.Request) {
 	if req.Tenant == "" {
 		req.Tenant = "default"
 	}
-	a, _, queries, mode, err := resolveRequest(&req.VerifyRequest)
+	// Resolved and keyed once: the same prepared request serves the
+	// all-cached probe and whichever synchronous path answers inline.
+	p, err := s.prepare(r.Context(), &req.VerifyRequest)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if !req.Force && s.allCached(a, queries, mode) {
+	defer p.cancel()
+	if !req.Force && s.allCached(p) {
 		// Every verdict is already content-addressed in the cache: answer
 		// now, spend no backlog.
-		resp, status, err := s.verify(r.Context(), &req.VerifyRequest)
-		if err != nil {
-			writeError(w, status, "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, EnqueueResponse{State: "done", Results: resp})
+		s.serveRun(w, p, "")
 		return
 	}
 	if s.queue == nil {
@@ -243,7 +236,7 @@ func (s *Server) handleEnqueue(w http.ResponseWriter, r *http.Request) {
 		if s.queueErr != nil {
 			reason = fmt.Sprintf("queue unavailable: %v", s.queueErr)
 		}
-		s.serveSyncFallback(w, r, &req, reason)
+		s.serveSyncFallback(w, p, reason)
 		return
 	}
 
@@ -262,7 +255,7 @@ func (s *Server) handleEnqueue(w http.ResponseWriter, r *http.Request) {
 	default:
 		// The durable plane failed mid-life (killed, closed, broken disk):
 		// degrade to the synchronous path rather than losing the request.
-		s.serveSyncFallback(w, r, &req, fmt.Sprintf("queue unavailable: %v", err))
+		s.serveSyncFallback(w, p, fmt.Sprintf("queue unavailable: %v", err))
 		return
 	}
 	out := EnqueueResponse{ID: id, State: st.String(), Duplicate: dup}

@@ -172,7 +172,7 @@ func TestEnqueueRestartResumesBacklog(t *testing.T) {
 		return c
 	}
 	// Incarnation 1: paused consumers, so accepted jobs stay unfinished.
-	s1, ts1 := newTestServer(t, Config{Cache: openCache(), QueueDir: queueDir, QueuePaused: true})
+	s1, ts1 := newTestServer(t, Config{Cache: openCache(), QueueDir: queueDir, QueueConsumers: -1})
 	var ids []string
 	for i := 0; i < 3; i++ {
 		out, code := postEnqueue(t, ts1.URL, EnqueueRequest{
@@ -213,7 +213,7 @@ func TestEnqueueTenantDepthCap(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Cache:            memCache(t),
 		QueueDir:         t.TempDir(),
-		QueuePaused:      true, // nothing drains: depth only grows
+		QueueConsumers:   -1, // nothing drains: depth only grows
 		QueueTenantDepth: 2,
 	})
 	defer s.Close()
@@ -237,7 +237,7 @@ func TestEnqueueTenantDepthCap(t *testing.T) {
 }
 
 func TestMetricszExposesQueueGauges(t *testing.T) {
-	s, ts := newTestServer(t, Config{Cache: memCache(t), QueueDir: t.TempDir(), QueuePaused: true})
+	s, ts := newTestServer(t, Config{Cache: memCache(t), QueueDir: t.TempDir(), QueueConsumers: -1})
 	defer s.Close()
 	out, code := postEnqueue(t, ts.URL, EnqueueRequest{
 		VerifyRequest: VerifyRequest{Model: "simplified", Prop: "Inv1_0"},

@@ -4,8 +4,9 @@
 // content-addressed result cache of internal/vcache.
 //
 // The request path is: admission (bounded queue, load-shedding with 429 +
-// Retry-After beyond it) → cache lookup (internal/core.CachedCheck) →
-// singleflight dedup (concurrent identical requests share one engine run) →
+// Retry-After beyond it) → resolve and key the request once (Resolve) →
+// cache lookup (internal/core.Lookup) → singleflight dedup (concurrent
+// identical requests share one engine run) →
 // engine run under a concurrency semaphore, with the per-request deadline
 // mapped onto the engine's cooperative Stop/Timeout hooks. Responses carry
 // exactly the deterministic fields of the obs report schema, so a remote
@@ -37,7 +38,6 @@ import (
 	"repro/internal/queue"
 	"repro/internal/schema"
 	"repro/internal/spec"
-	"repro/internal/ta"
 	"repro/internal/vcache"
 )
 
@@ -89,9 +89,6 @@ type Config struct {
 	QueueTenantWeights map[string]int
 	QueueMaxAttempts   int
 	QueueSeed          int64
-	// QueuePaused starts the consumer pool held (Server.Queue().Resume()
-	// releases it), so a backlog can be built before anything drains.
-	QueuePaused bool
 	// QueueFailProp, when non-empty, makes queue jobs for that property fail
 	// as transient errors — the documented fault-injection hook behind
 	// `serve -queue-fail-prop`, used by the dead-letter smoke test.
@@ -116,19 +113,13 @@ type VerifyRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// QueryResult is one property verdict. The deterministic fields (model,
-// query, mode, outcome, schemas, avg_len, solver) carry exactly the obs
-// report schema values — budget rows arrive with volatile fields zeroed —
-// so clients can reconstruct a report whose deterministic section is
-// byte-identical to a local run's.
+// QueryResult is one property verdict. The embedded deterministic row
+// (model, query, mode, outcome, schemas, avg_len, solver) is exactly the obs
+// report row — budget rows arrive with volatile fields zeroed — so clients
+// can reconstruct a report whose deterministic section is byte-identical to
+// a local run's.
 type QueryResult struct {
-	Model   string            `json:"model"`
-	Query   string            `json:"query"`
-	Mode    string            `json:"mode"`
-	Outcome string            `json:"outcome"`
-	Schemas int               `json:"schemas"`
-	AvgLen  float64           `json:"avg_len"`
-	Solver  obs.SolverMetrics `json:"solver"`
+	obs.QueryMetrics
 	// Cached marks a verdict served from the result cache; Shared marks one
 	// that joined a concurrent identical run. Observational.
 	Cached bool `json:"cached,omitempty"`
@@ -294,15 +285,32 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// verify runs one request end to end. It returns an HTTP status alongside
-// any error so handlers map failures consistently.
-func (s *Server) verify(ctx context.Context, req *VerifyRequest) (*VerifyResponse, int, error) {
-	start := time.Now()
-	defer func() { mRequestNS.Observe(time.Since(start).Nanoseconds()) }()
+// prepared is a request resolved and keyed once: what every later step —
+// the enqueue plane's all-cached probe, the cache fast path, the
+// singleflight key, the engine run — works from.
+type prepared struct {
+	label   string
+	queries []spec.Query
+	// engine carries the request's mode, deadline and Stop wiring; one
+	// engine serves every query of the request.
+	engine *schema.Engine
+	// keys[i] is the cache/singleflight content address of queries[i].
+	keys []string
+	// ctx is the request context under the effective deadline (the server's
+	// RequestTimeout, tightened by the client's timeout_ms); cancel releases
+	// it.
+	ctx    context.Context
+	cancel context.CancelFunc
+}
 
-	a, label, queries, mode, err := resolveRequest(req)
+// prepare validates and resolves a request (a failure is the caller's 400),
+// maps its deadline and the server's drain flag onto the engine's
+// cooperative Stop/Timeout hooks, and derives the per-query keys. The caller
+// must call cancel.
+func (s *Server) prepare(ctx context.Context, req *VerifyRequest) (*prepared, error) {
+	r, err := Resolve(req)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, err
 	}
 	timeout := s.cfg.RequestTimeout
 	if req.TimeoutMS > 0 {
@@ -311,28 +319,10 @@ func (s *Server) verify(ctx context.Context, req *VerifyRequest) (*VerifyRespons
 			timeout = t
 		}
 	}
+	cancel := context.CancelFunc(func() {})
 	if timeout > 0 {
-		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
 	}
-	resp := &VerifyResponse{Engine: vcache.EngineVersion}
-	for i := range queries {
-		qr, err := s.checkOne(ctx, label, a, &queries[i], mode, timeout)
-		if err != nil {
-			return nil, http.StatusInternalServerError, fmt.Errorf("checking %s/%s: %w", label, queries[i].Name, err)
-		}
-		resp.Results = append(resp.Results, qr)
-	}
-	resp.ElapsedNS = time.Since(start).Nanoseconds()
-	return resp, http.StatusOK, nil
-}
-
-// checkOne decides one property: cache first, then singleflight, then a real
-// engine run under the concurrency semaphore with the request deadline
-// mapped onto the engine's Stop hook.
-func (s *Server) checkOne(ctx context.Context, label string, a *ta.TA, q *spec.Query, mode schema.Mode, timeout time.Duration) (QueryResult, error) {
-	start := time.Now()
 	stop := func() bool {
 		if s.cfg.Stop() {
 			return true
@@ -344,42 +334,81 @@ func (s *Server) checkOne(ctx context.Context, label string, a *ta.TA, q *spec.Q
 			return false
 		}
 	}
-	engine, err := schema.New(a, schema.Options{
-		Mode:    mode,
+	engine, err := schema.New(r.TA, schema.Options{
+		Mode:    r.Mode,
 		Timeout: timeout,
 		Stop:    stop,
 		Workers: s.cfg.Workers,
 	})
 	if err != nil {
-		return QueryResult{}, err
+		cancel()
+		return nil, err
 	}
-	key := vcache.Key(engine.TA(), q, vcache.ConfigOf(engine.Opts()), vcache.EngineVersion)
+	p := &prepared{label: r.Label, queries: r.Queries, engine: engine, ctx: ctx, cancel: cancel}
+	cfg := vcache.ConfigOf(engine.Opts())
+	for i := range p.queries {
+		p.keys = append(p.keys, vcache.Key(engine.TA(), &p.queries[i], cfg, vcache.EngineVersion))
+	}
+	return p, nil
+}
 
-	var cached, shared bool
-	var res schema.Result
-	if s.cfg.Cache != nil {
-		// Fast path outside the singleflight: a warm hit never queues.
-		if ent, ok := s.cfg.Cache.Get(key); ok {
-			if r, cerr := ent.ToResult(engine.TA(), q); cerr == nil {
-				res, cached = r, true
-			}
-		}
+// verify runs one request end to end. It returns an HTTP status alongside
+// any error so handlers map failures consistently.
+func (s *Server) verify(ctx context.Context, req *VerifyRequest) (*VerifyResponse, int, error) {
+	p, err := s.prepare(ctx, req)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
 	}
+	defer p.cancel()
+	resp, err := s.run(p)
+	if err != nil {
+		return nil, http.StatusInternalServerError, err
+	}
+	return resp, http.StatusOK, nil
+}
+
+// run checks every query of a prepared request.
+func (s *Server) run(p *prepared) (*VerifyResponse, error) {
+	start := time.Now()
+	defer func() { mRequestNS.Observe(time.Since(start).Nanoseconds()) }()
+	resp := &VerifyResponse{Engine: vcache.EngineVersion}
+	for i := range p.queries {
+		qr, err := s.checkOne(p, i)
+		if err != nil {
+			return nil, fmt.Errorf("checking %s/%s: %w", p.label, p.queries[i].Name, err)
+		}
+		resp.Results = append(resp.Results, qr)
+	}
+	resp.ElapsedNS = time.Since(start).Nanoseconds()
+	return resp, nil
+}
+
+// checkOne decides one property: cache first, then singleflight, then a real
+// engine run under the concurrency semaphore.
+func (s *Server) checkOne(p *prepared, i int) (QueryResult, error) {
+	start := time.Now()
+	q, key := &p.queries[i], p.keys[i]
+	// An expired deadline — while queuing on the semaphore or while waiting
+	// on another caller's run — surfaces as a budget outcome, exactly like
+	// one that fires mid-solve via the Stop hook.
+	budget := schema.Result{Query: q.Name, Mode: p.engine.Opts().Mode, Outcome: spec.Budget}
+
+	// Fast path outside the singleflight: a warm hit never queues.
+	res, cached := core.Lookup(s.cfg.Cache, p.engine, q, key)
+	shared := false
 	if !cached {
-		res, shared, err = s.group.do(key, func() (schema.Result, error) {
-			// The semaphore bounds concurrent engine runs; an expired
-			// deadline while queuing surfaces as a budget outcome, exactly
-			// like one that fires mid-solve via the Stop hook.
+		var err error
+		res, shared, err = s.group.do(p.ctx, key, budget, func() (schema.Result, error) {
+			// The semaphore bounds concurrent engine runs.
 			select {
 			case s.sem <- struct{}{}:
-			case <-ctx.Done():
-				return schema.Result{Query: q.Name, Mode: mode, Outcome: spec.Budget}, nil
+			case <-p.ctx.Done():
+				return budget, nil
 			}
 			defer func() { <-s.sem }()
 			s.engineRuns.Add(1)
 			mEngineRuns.Inc()
-			r, _, cerr := core.CachedCheck(s.cfg.Cache, engine, q)
-			return r, cerr
+			return core.CheckAndFill(s.cfg.Cache, p.engine, q, key)
 		})
 		if err != nil {
 			return QueryResult{}, err
@@ -392,38 +421,21 @@ func (s *Server) checkOne(ctx context.Context, label string, a *ta.TA, q *spec.Q
 	mCheckNS.Observe(elapsed.Nanoseconds())
 
 	qr := QueryResult{
-		Model:   label,
-		Query:   res.Query,
-		Mode:    res.Mode.String(),
-		Outcome: vcache.OutcomeLabel(res.Outcome),
-		Schemas: res.Schemas,
-		AvgLen:  res.AvgLen,
-		Solver: obs.SolverMetrics{
-			LPChecks:   int64(res.Solver.LPChecks),
-			Pivots:     int64(res.Solver.Pivots),
-			Rebuilds:   int64(res.Solver.Rebuilds),
-			BBNodes:    int64(res.Solver.BBNodes),
-			CaseSplits: int64(res.Solver.CaseSplit),
-		},
-		Cached:    cached,
-		Shared:    shared,
-		ElapsedNS: elapsed.Nanoseconds(),
-	}
-	if res.Outcome == spec.Budget {
-		// Zero the volatile fields exactly as local reports do: a timeout
-		// cuts the search at a wall-clock-dependent point.
-		qr.Schemas, qr.AvgLen, qr.Solver = 0, 0, obs.SolverMetrics{}
+		QueryMetrics: res.Row(p.label),
+		Cached:       cached,
+		Shared:       shared,
+		ElapsedNS:    elapsed.Nanoseconds(),
 	}
 	if res.CE != nil {
 		qr.CEText = res.CE.Format()
 	}
-	s.recordReportRow(key, qr)
+	s.recordReportRow(key, qr.QueryMetrics)
 	return qr, nil
 }
 
 // recordReportRow accumulates one deterministic report row per unique
 // verification key, for the drain-time obs report.
-func (s *Server) recordReportRow(key string, qr QueryResult) {
+func (s *Server) recordReportRow(key string, row obs.QueryMetrics) {
 	s.reportMu.Lock()
 	defer s.reportMu.Unlock()
 	if len(s.reportRows) >= 10_000 {
@@ -431,10 +443,7 @@ func (s *Server) recordReportRow(key string, qr QueryResult) {
 		// snapshot still covers totals.
 		return
 	}
-	s.reportRows[key] = obs.QueryMetrics{
-		Model: qr.Model, Query: qr.Query, Mode: qr.Mode, Outcome: qr.Outcome,
-		Schemas: qr.Schemas, AvgLen: qr.AvgLen, Solver: qr.Solver,
-	}
+	s.reportRows[key] = row
 }
 
 // Report assembles the daemon's obs report: one deterministic row per unique

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/vcache"
 )
@@ -216,6 +218,8 @@ func TestBadRequests(t *testing.T) {
 	}{
 		{"both model and ta", `{"model":"simplified","ta":"x"}`},
 		{"neither", `{}`},
+		{"ta without spec", `{"ta":"automaton x {}"}`},
+		{"unparsable ta", `{"ta":"automaton {","spec":"p: [](locA == 0);"}`},
 		{"unknown model", `{"model":"nope"}`},
 		{"unknown mode", `{"model":"simplified","mode":"warp"}`},
 		{"unknown prop", `{"model":"simplified","prop":"NoSuchProp"}`},
@@ -236,6 +240,86 @@ func TestBadRequests(t *testing.T) {
 	}
 	if st, dead := s.Queue().Status(), s.Queue().DeadLetters(); st.Enqueued != 0 || st.Depth != 0 || len(dead) != 0 {
 		t.Errorf("bad requests reached the queue: %+v, %d dead letters", st, len(dead))
+	}
+}
+
+// The singleflight key excludes deadlines, so a deadline must stay its
+// caller's own: a leader whose timeout_ms runs out while it queues for the
+// engine semaphore must not hand its budget row to a follower that set no
+// deadline, and a follower with a tight deadline must not wait past it for a
+// leader that has none. The test holds the only engine slot, so neither
+// leader can start until it lets go.
+func TestSingleflightDeadlineIsPerCaller(t *testing.T) {
+	s, _ := newTestServer(t, Config{MaxConcurrent: 1})
+	verify := func(timeoutMS int64) chan *VerifyResponse {
+		ch := make(chan *VerifyResponse, 1)
+		go func() {
+			resp, _, err := s.verify(context.Background(),
+				&VerifyRequest{Model: "simplified", Prop: "Inv1_0", TimeoutMS: timeoutMS})
+			if err != nil {
+				t.Error(err)
+			}
+			ch <- resp
+		}()
+		return ch
+	}
+	inFlight := func() bool {
+		s.group.mu.Lock()
+		defer s.group.mu.Unlock()
+		return len(s.group.calls) == 1
+	}
+	await := func(what string, ch chan *VerifyResponse) QueryResult {
+		t.Helper()
+		select {
+		case resp := <-ch:
+			if resp == nil || len(resp.Results) != 1 {
+				t.Fatalf("%s: response %+v", what, resp)
+			}
+			return resp.Results[0]
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s never returned", what)
+			return QueryResult{}
+		}
+	}
+	waitInFlight := func() {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !inFlight(); {
+			if time.Now().After(deadline) {
+				t.Fatal("leader never registered its flight")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// Leader with a deadline, follower without: the follower joins while
+	// the leader queues, then outlives the leader's expiry.
+	s.sem <- struct{}{}
+	leader := verify(150)
+	waitInFlight()
+	follower := verify(0)
+	if got := await("tight leader", leader); got.Outcome != "budget" {
+		t.Fatalf("leader with an expired deadline ended %q, want budget", got.Outcome)
+	}
+	<-s.sem
+	if got := await("patient follower", follower); got.Outcome != "holds" {
+		t.Fatalf("follower without a deadline ended %q (shared=%v), want its own holds", got.Outcome, got.Shared)
+	}
+	if runs := s.EngineRuns(); runs != 1 {
+		t.Fatalf("%d engine runs, want exactly 1 (the follower's real run)", runs)
+	}
+
+	// Leader without a deadline, follower with one: the follower's wait
+	// ends at its own deadline while the leader is still queued.
+	s.sem <- struct{}{}
+	leader = verify(0)
+	waitInFlight()
+	follower = verify(20)
+	if got := await("tight follower", follower); got.Outcome != "budget" {
+		t.Fatalf("follower with an expired deadline ended %q, want budget", got.Outcome)
+	}
+	<-s.sem
+	if got := await("patient leader", leader); got.Outcome != "holds" {
+		t.Fatalf("leader without a deadline ended %q, want holds", got.Outcome)
 	}
 }
 

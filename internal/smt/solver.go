@@ -21,6 +21,7 @@ import (
 	"math/big"
 
 	"repro/internal/expr"
+	"repro/internal/obs"
 )
 
 // Status is the outcome of a satisfiability check.
@@ -82,39 +83,10 @@ type lpState struct {
 	owned bool
 }
 
-// Stats records solver effort.
-type Stats struct {
-	LPChecks  int // simplex runs
-	Pivots    int // total simplex pivots
-	Rebuilds  int // full phase-one solves (vs warm-started dual restores)
-	BBNodes   int // branch-and-bound nodes
-	CaseSplit int // lazy disjunction branches explored
-}
-
-// Add accumulates another solver's effort into st. The parallel schema
-// enumeration keeps per-schema Stats and merges them at join, so the
-// aggregate is independent of worker scheduling.
-func (st *Stats) Add(o Stats) {
-	st.LPChecks += o.LPChecks
-	st.Pivots += o.Pivots
-	st.Rebuilds += o.Rebuilds
-	st.BBNodes += o.BBNodes
-	st.CaseSplit += o.CaseSplit
-}
-
-// Diff returns st minus o, field by field. The incremental schema walker
-// snapshots Stats around each charged operation and records the delta, so
-// per-schema effort attribution stays exact while one solver serves many
-// schemas.
-func (st Stats) Diff(o Stats) Stats {
-	return Stats{
-		LPChecks:  st.LPChecks - o.LPChecks,
-		Pivots:    st.Pivots - o.Pivots,
-		Rebuilds:  st.Rebuilds - o.Rebuilds,
-		BBNodes:   st.BBNodes - o.BBNodes,
-		CaseSplit: st.CaseSplit - o.CaseSplit,
-	}
-}
+// Stats records solver effort. It is the obs report's struct, so the
+// counters cross every layer above (cache entry, wire record, response,
+// report) without being re-typed.
+type Stats = obs.SolverMetrics
 
 // NewSolver returns an empty solver over tab.
 func NewSolver(tab *expr.Table) *Solver {

@@ -203,3 +203,13 @@ func (o Outcome) String() string {
 		return fmt.Sprintf("Outcome(%d)", int(o))
 	}
 }
+
+// Label is the form outcomes take in reports, cache entries and service
+// responses: the obs report schema's "budget" rather than String's long
+// "budget-exceeded".
+func (o Outcome) Label() string {
+	if o == Budget {
+		return "budget"
+	}
+	return o.String()
+}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/models"
 	"repro/internal/schema"
+	"repro/internal/smt"
 	"repro/internal/spec"
 )
 
@@ -20,7 +21,7 @@ func testEntry(key string) *Entry {
 	return &Entry{
 		Key: key, Engine: EngineVersion, Query: "Inv1_0", Mode: "staged",
 		Outcome: "holds", Schemas: 7, AvgLen: 12.5,
-		Solver: SolverStats{LPChecks: 3, Pivots: 11},
+		Solver: smt.Stats{LPChecks: 3, Pivots: 11},
 	}
 }
 

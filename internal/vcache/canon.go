@@ -226,17 +226,8 @@ func TAHash(a *ta.TA) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// OutcomeLabel is the string form outcomes take in reports and cache
-// entries. It matches the obs report schema ("budget", not the
-// spec.Outcome.String() long form "budget-exceeded").
-func OutcomeLabel(o spec.Outcome) string {
-	if o == spec.Budget {
-		return "budget"
-	}
-	return o.String()
-}
-
-// ParseOutcome inverts OutcomeLabel (accepting the long budget form too).
+// ParseOutcome inverts spec.Outcome.Label (accepting the long budget form
+// too).
 func ParseOutcome(s string) (spec.Outcome, error) {
 	switch s {
 	case "holds":

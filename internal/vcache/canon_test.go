@@ -112,12 +112,12 @@ func TestTAHashMatchesModelsAndSpecs(t *testing.T) {
 
 func TestOutcomeLabelRoundTrip(t *testing.T) {
 	for _, o := range []spec.Outcome{spec.Holds, spec.Violated, spec.Budget} {
-		got, err := ParseOutcome(OutcomeLabel(o))
+		got, err := ParseOutcome(o.Label())
 		if err != nil || got != o {
 			t.Errorf("%v: round-trip gave %v, %v", o, got, err)
 		}
 	}
-	if lbl := OutcomeLabel(spec.Budget); lbl != "budget" {
+	if lbl := spec.Budget.Label(); lbl != "budget" {
 		t.Errorf("budget label = %q, want the obs report schema's short form", lbl)
 	}
 	if _, err := ParseOutcome("budget-exceeded"); err != nil {

@@ -1,11 +1,10 @@
 package vcache
 
 import (
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 
 	"repro/internal/counter"
 	"repro/internal/expr"
@@ -13,23 +12,15 @@ import (
 	"repro/internal/smt"
 	"repro/internal/spec"
 	"repro/internal/ta"
+	"repro/internal/wal"
 )
 
-// On-disk entry frame, reusing the WAL plane's checksum discipline
-// (internal/wal): a 4-byte magic, a 4-byte little-endian payload length, a
-// 4-byte CRC32C (Castagnoli) of the payload, then the JSON payload. A torn
-// tail fails the length check, a flipped byte fails the checksum, and either
-// way the entry is classified corrupt and treated as a miss — never decoded
-// into a verdict.
-var entryMagic = [4]byte{'V', 'C', 'E', '1'}
-
-const entryHeader = 12
-
-// maxEntryBytes bounds one entry's payload; a parsed length beyond it cannot
-// come from a legitimate write and is classified as corruption.
-const maxEntryBytes = 1 << 24
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// On-disk entry frame: a 4-byte magic, then the payload as one WAL record
+// (internal/wal's FrameRecord: 4-byte little-endian length, 4-byte CRC32C,
+// JSON payload). A torn tail fails the length check, a flipped byte fails
+// the checksum, and either way the entry is classified corrupt and treated
+// as a miss — never decoded into a verdict.
+const entryMagic = "VCE1"
 
 // ErrCorrupt marks an entry that failed structural validation: bad magic,
 // torn frame, checksum mismatch, or undecodable payload. Callers treat it as
@@ -51,18 +42,9 @@ type Entry struct {
 	Schemas int     `json:"schemas"`
 	AvgLen  float64 `json:"avg_len"`
 	// Solver is the folded SMT effort (deterministic at any worker count).
-	Solver SolverStats `json:"solver"`
+	Solver smt.Stats `json:"solver"`
 	// CE is the certified counterexample when Outcome == "violated".
 	CE *CEData `json:"ce,omitempty"`
-}
-
-// SolverStats mirrors smt.Stats with stable JSON names.
-type SolverStats struct {
-	LPChecks  int `json:"lp_checks"`
-	Pivots    int `json:"pivots"`
-	Rebuilds  int `json:"rebuilds"`
-	BBNodes   int `json:"bb_nodes"`
-	CaseSplit int `json:"case_splits"`
 }
 
 // CEData serializes a counterexample run positionally against the automaton
@@ -88,6 +70,59 @@ type CEStep struct {
 	Factor int64 `json:"factor"`
 }
 
+// EncodeCE serializes a counterexample of automaton a — the one encoder
+// behind cache entries and cluster wire records.
+func EncodeCE(a *ta.TA, ce *schema.Counterexample) *CEData {
+	d := &CEData{
+		Params: make(map[string]int64, len(a.Params)),
+		InitK:  append([]int64(nil), ce.Run.Init.K...),
+		InitV:  append([]int64(nil), ce.Run.Init.V...),
+		Schema: append([]string(nil), ce.Schema...),
+	}
+	for _, p := range a.Params {
+		d.Params[a.Table.Name(p)] = ce.Params[p]
+	}
+	for _, st := range ce.Run.Steps {
+		d.Steps = append(d.Steps, CEStep{Rule: st.Rule, Factor: st.Factor})
+	}
+	return d
+}
+
+// Decode rebuilds the counterexample and re-certifies it by replay on the
+// concrete counter system (schema.Certify) before trusting it: neither a
+// cache file, a worker's report nor a journal frame can carry a violation
+// without proof. The caller must pass the one-round automaton and the query
+// the data was produced for.
+func (d *CEData) Decode(a *ta.TA, q *spec.Query) (*schema.Counterexample, error) {
+	params := make(map[expr.Sym]int64, len(d.Params))
+	for name, v := range d.Params {
+		s := a.Table.Lookup(name)
+		if s == expr.NoSym {
+			return nil, fmt.Errorf("counterexample parameter %q unknown to automaton %s", name, a.Name)
+		}
+		params[s] = v
+	}
+	run := counter.Run{
+		Init: counter.Config{
+			K: append([]int64(nil), d.InitK...),
+			V: append([]int64(nil), d.InitV...),
+		},
+	}
+	for _, st := range d.Steps {
+		run.Steps = append(run.Steps, counter.Step{Rule: st.Rule, Factor: st.Factor})
+	}
+	sys, err := schema.Certify(a, q, params, run)
+	if err != nil {
+		return nil, fmt.Errorf("counterexample failed re-certification: %w", err)
+	}
+	return &schema.Counterexample{
+		Params: params,
+		Run:    run,
+		System: sys,
+		Schema: append([]string(nil), d.Schema...),
+	}, nil
+}
+
 // FromResult converts a finished check into a cacheable entry. Budget
 // outcomes are rejected: a timeout or interrupt cuts the search at a
 // wall-clock-dependent point, so nothing about them is stable enough to
@@ -101,55 +136,32 @@ func FromResult(a *ta.TA, key string, res schema.Result) (*Entry, error) {
 		Engine:  EngineVersion,
 		Query:   res.Query,
 		Mode:    res.Mode.String(),
-		Outcome: OutcomeLabel(res.Outcome),
+		Outcome: res.Outcome.Label(),
 		Schemas: res.Schemas,
 		AvgLen:  res.AvgLen,
-		Solver: SolverStats{
-			LPChecks:  res.Solver.LPChecks,
-			Pivots:    res.Solver.Pivots,
-			Rebuilds:  res.Solver.Rebuilds,
-			BBNodes:   res.Solver.BBNodes,
-			CaseSplit: res.Solver.CaseSplit,
-		},
+		Solver:  res.Solver,
 	}
 	if res.Outcome == spec.Violated {
 		if res.CE == nil {
 			return nil, fmt.Errorf("vcache: violated result for %s has no counterexample", res.Query)
 		}
-		ce := &CEData{
-			Params: make(map[string]int64, len(a.Params)),
-			InitK:  append([]int64(nil), res.CE.Run.Init.K...),
-			InitV:  append([]int64(nil), res.CE.Run.Init.V...),
-			Schema: append([]string(nil), res.CE.Schema...),
-		}
-		for _, p := range a.Params {
-			ce.Params[a.Table.Name(p)] = res.CE.Params[p]
-		}
-		for _, st := range res.CE.Run.Steps {
-			ce.Steps = append(ce.Steps, CEStep{Rule: st.Rule, Factor: st.Factor})
-		}
-		e.CE = ce
+		e.CE = EncodeCE(a, res.CE)
 	}
 	return e, nil
 }
 
 // ToResult rebuilds a schema.Result from the entry, re-certifying any
-// counterexample by replay on the concrete counter system before trusting
-// it. The caller must pass the same one-round automaton and query the key
-// was derived from; Elapsed is left zero for the caller to stamp.
+// counterexample (CEData.Decode). The caller must pass the same one-round
+// automaton and query the key was derived from; Elapsed is left zero for the
+// caller to stamp.
 func (e *Entry) ToResult(a *ta.TA, q *spec.Query) (schema.Result, error) {
 	outcome, err := ParseOutcome(e.Outcome)
 	if err != nil {
 		return schema.Result{}, err
 	}
-	var mode schema.Mode
-	switch e.Mode {
-	case "full":
-		mode = schema.FullEnumeration
-	case "staged":
-		mode = schema.Staged
-	default:
-		return schema.Result{}, fmt.Errorf("vcache: unknown mode %q", e.Mode)
+	mode, err := schema.ParseMode(e.Mode)
+	if err != nil {
+		return schema.Result{}, fmt.Errorf("vcache: %w", err)
 	}
 	res := schema.Result{
 		Query:   e.Query,
@@ -157,84 +169,44 @@ func (e *Entry) ToResult(a *ta.TA, q *spec.Query) (schema.Result, error) {
 		Outcome: outcome,
 		Schemas: e.Schemas,
 		AvgLen:  e.AvgLen,
-		Solver: smt.Stats{
-			LPChecks:  e.Solver.LPChecks,
-			Pivots:    e.Solver.Pivots,
-			Rebuilds:  e.Solver.Rebuilds,
-			BBNodes:   e.Solver.BBNodes,
-			CaseSplit: e.Solver.CaseSplit,
-		},
+		Solver:  e.Solver,
 	}
 	if outcome == spec.Violated {
 		if e.CE == nil {
 			return schema.Result{}, fmt.Errorf("vcache: violated entry for %s has no counterexample", e.Query)
 		}
-		params := make(map[expr.Sym]int64, len(e.CE.Params))
-		for name, v := range e.CE.Params {
-			s := a.Table.Lookup(name)
-			if s == expr.NoSym {
-				return schema.Result{}, fmt.Errorf("vcache: counterexample parameter %q unknown to automaton %s", name, a.Name)
-			}
-			params[s] = v
-		}
-		run := counter.Run{
-			Init: counter.Config{
-				K: append([]int64(nil), e.CE.InitK...),
-				V: append([]int64(nil), e.CE.InitV...),
-			},
-		}
-		for _, st := range e.CE.Steps {
-			run.Steps = append(run.Steps, counter.Step{Rule: st.Rule, Factor: st.Factor})
-		}
-		sys, err := schema.Certify(a, q, params, run)
-		if err != nil {
-			return schema.Result{}, fmt.Errorf("vcache: cached counterexample for %s failed re-certification: %w", e.Query, err)
-		}
-		res.CE = &schema.Counterexample{
-			Params: params,
-			Run:    run,
-			System: sys,
-			Schema: append([]string(nil), e.CE.Schema...),
+		if res.CE, err = e.CE.Decode(a, q); err != nil {
+			return schema.Result{}, fmt.Errorf("vcache: cached %s: %w", e.Query, err)
 		}
 	}
 	return res, nil
 }
 
-// Encode frames the entry for disk: magic, length, CRC32C, JSON payload.
+// Encode frames the entry for disk: magic, then the JSON payload as one
+// CRC32C-framed WAL record.
 func (e *Entry) Encode() ([]byte, error) {
 	payload, err := json.Marshal(e)
 	if err != nil {
 		return nil, err
 	}
-	if len(payload) > maxEntryBytes {
+	if len(payload) > wal.MaxRecord {
+		// ParseRecord classifies a longer frame as corruption.
 		return nil, fmt.Errorf("vcache: entry payload too large (%d bytes)", len(payload))
 	}
-	buf := make([]byte, entryHeader+len(payload))
-	copy(buf[0:4], entryMagic[:])
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[8:12], crc32.Checksum(payload, castagnoli))
-	copy(buf[entryHeader:], payload)
-	return buf, nil
+	return append([]byte(entryMagic), wal.FrameRecord(payload)...), nil
 }
 
 // DecodeEntry parses a framed entry, classifying any structural damage —
-// short header, bad magic, torn payload, checksum mismatch, undecodable
-// JSON — as ErrCorrupt.
+// short header, bad magic, torn payload, checksum mismatch, trailing bytes,
+// oversize length, undecodable JSON — as ErrCorrupt.
 func DecodeEntry(data []byte) (*Entry, error) {
-	if len(data) < entryHeader {
-		return nil, fmt.Errorf("%w: short frame (%d bytes)", ErrCorrupt, len(data))
+	frame, ok := bytes.CutPrefix(data, []byte(entryMagic))
+	if !ok {
+		return nil, fmt.Errorf("%w: short frame or bad magic", ErrCorrupt)
 	}
-	if [4]byte(data[0:4]) != entryMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	n := binary.LittleEndian.Uint32(data[4:8])
-	if n > maxEntryBytes || int(n) != len(data)-entryHeader {
-		return nil, fmt.Errorf("%w: torn frame (%d payload bytes of %d declared)",
-			ErrCorrupt, len(data)-entryHeader, n)
-	}
-	payload := data[entryHeader:]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[8:12]) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	payload, err := wal.ParseRecord(frame)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	var e Entry
 	if err := json.Unmarshal(payload, &e); err != nil {

@@ -1,8 +1,9 @@
 #!/bin/sh
 # verify.sh — the tier-1+ gate: everything tier-1 runs (build + tests) plus
-# vet, a retired-name lint, the race detector, fixed-seed chaos and
-# storage-torture smokes, and the WAL fsync-path benchmark. Deterministic
-# and offline; the race-instrumented suite dominates (a few minutes).
+# vet, a retired-name and a one-definition lint, the race detector,
+# fixed-seed chaos and storage-torture smokes, and the WAL fsync-path
+# benchmark. Deterministic and offline; the race-instrumented suite
+# dominates (a few minutes).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -30,6 +31,9 @@ if [ -n "$UNFORMATTED" ]; then
     exit 1
 fi
 
+echo "==> go vet ./benchmark/... (every API the benchmark reads still has its name and signature)"
+go vet ./benchmark/...
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -41,6 +45,22 @@ echo "==> retired-name lint (docs, Makefile, scripts/, .claude/)"
 if grep -rnE 'BENCH[_][a-z]*\.json|load[g]en|cluster[b]ench|-bench[-]sim|/v1/[j]obs|[-]backend' \
     README.md DESIGN.md EXPERIMENTS.md Makefile scripts .claude; then
     echo "retired-name lint: the lines above still name a removed command, flag, route or artifact"
+    exit 1
+fi
+
+# One definition each: the five solver counters are one struct, one package
+# owns the CRC32C framing, and the merged full-mode internals stay merged
+# (their names survive only in _test.go references and in CHANGES.md /
+# ROADMAP.md as history). Bracketed like the lint above.
+echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals)"
+SRC=$(find cmd internal -name '*.go' ! -name '*_test.go')
+N=$(grep -l 'json:"lp[_]checks"' $SRC | wc -l)
+[ "$N" -eq 1 ] || { echo "one-definition lint: $N non-test files declare a json:\"lp[_]checks\" field, want 1"; exit 1; }
+N=$(grep -l '"hash/crc[3]2"' $SRC | xargs -n1 dirname | sort -u | wc -l)
+[ "$N" -eq 1 ] || { echo "one-definition lint: $N non-test packages import hash/crc[3]2, want 1"; exit 1; }
+if grep -nE 'fresh[S]olves|split[F]rontier|solve[R]ec|full[O]utcome|decode[C]E' $SRC \
+    README.md DESIGN.md EXPERIMENTS.md Makefile scripts/*.sh; then
+    echo "one-definition lint: the lines above name a full-mode internal that was merged away"
     exit 1
 fi
 
