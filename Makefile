@@ -37,6 +37,16 @@ bench:
 bench-smt:
 	go test -run '^$$' -bench 'Pivot|AddGE|TableauClone|PushCheckPop' -benchmem -count 5 ./internal/smt
 
+# Simulator per-message micro-benchmarks: message identity, dupemap add, one
+# enqueue + drain through a 64-peer native bus (dupemap on and off), the fault
+# plane's send tap under the benchmark's plan; the before/after table is in
+# EXPERIMENTS.md. BenchmarkScenarioRun (internal/faults) runs the two
+# simulator workloads whole, for profiling.
+.PHONY: bench-sim
+bench-sim:
+	go test -run '^$$' -bench 'BusEnqueueDrain|DupemapAdd|MsgKey' -benchmem -count 5 ./internal/network
+	go test -run '^$$' -bench 'SendTap' -benchmem -count 5 ./internal/faults
+
 # The repository's one benchmark (BENCHMARK.json): all six workloads,
 # untraced then traced, every output checked against benchmark/expected.json,
 # then compared row by row to the committed baseline. Reads benchmark/ and

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/network"
+	"repro/internal/obs"
 )
 
 // The byte-identity contract of the event-bus rearchitecture: for any seeded
@@ -186,5 +187,33 @@ func TestNativeConsensusWithBoundedQueuesDecides(t *testing.T) {
 	}
 	if out.Bus.PeakDepth > 8 {
 		t.Fatalf("peak queue depth %d exceeds the cap 8", out.Bus.PeakDepth)
+	}
+}
+
+// TestBusObsCountersMatchStats: the process-wide bus counters /metricsz and
+// obs.Report publish must move by exactly what the run's own BusStats say,
+// on the topology that exercises them all — kadcast with tight queues relays,
+// overflows and filters replays at enqueue as well as at delivery. Not
+// parallel: the counters are process-wide.
+func TestBusObsCountersMatchStats(t *testing.T) {
+	names := []string{"bus_enqueued", "bus_delivered", "bus_relayed", "bus_cap_drops", "bus_dupemap_filtered"}
+	load := func() []int64 {
+		out := make([]int64, len(names))
+		for i, name := range names {
+			out[i] = obs.Default.Counter("network", name).Load()
+		}
+		return out
+	}
+	before := load()
+	_, out := runFingerprint(t, goldenBenchShape(40, "gossip", "dbft", 1, 64))
+	after := load()
+	want := []int64{out.Bus.Enqueued, out.Bus.Delivered, out.Bus.Relayed, out.Bus.CapDrops, out.Bus.Filtered}
+	for i, name := range names {
+		if want[i] == 0 {
+			t.Errorf("%s: the run never moved it (bus %+v)", name, out.Bus)
+		}
+		if got := after[i] - before[i]; got != want[i] {
+			t.Errorf("network.%s moved by %d, the run's BusStats say %d", name, got, want[i])
+		}
 	}
 }

@@ -291,9 +291,11 @@ type Injector struct {
 
 	step       int
 	seq        int64
-	dropCount  map[string]int // rule-scoped per-key drop tally
-	dupCount   map[string]int
+	dropCount  map[dropKey]int // per-rule, per-message drop tally
+	dupCount   map[network.MsgKey]int
 	delayUntil map[int64]int // seq -> first deliverable step
+	// out backs SendTap's result: the original and at most one duplicate.
+	out [2]network.Message
 
 	// Durable-scenario state (see storage.go). stores maps each durable
 	// replica to its WAL; storageDown holds replicas killed at a write point
@@ -323,8 +325,8 @@ func NewInjector(plan Plan, inner network.Scheduler) *Injector {
 		Plan:        plan,
 		inner:       inner,
 		rng:         rand.New(rand.NewSource(plan.Seed)),
-		dropCount:   map[string]int{},
-		dupCount:    map[string]int{},
+		dropCount:   map[dropKey]int{},
+		dupCount:    map[network.MsgKey]int{},
 		delayUntil:  map[int64]int{},
 		stores:      map[network.ProcID]*replicaStore{},
 		storageDown: map[network.ProcID]int{},
@@ -443,11 +445,11 @@ func (inj *Injector) holdTap(m network.Message) int {
 	return 0
 }
 
-// keyString is the logical-message identity (content minus the per-copy Seq
-// tag) usable as a map key despite the Set slice field.
-func keyString(m network.Message) string {
-	return fmt.Sprintf("%d>%d %s r%d v%d i%d p%d %q %v",
-		m.From, m.To, m.Kind, m.Round, m.Value, m.Instance, m.Proposer, m.Payload, m.Set)
+// dropKey scopes a drop budget: one rule's tally for one logical message
+// (network.MsgKey, the content minus the per-copy Seq tag).
+type dropKey struct {
+	rule int
+	key  network.MsgKey
 }
 
 func (inj *Injector) log(kind EventKind, proc network.ProcID, m network.Message) {
@@ -462,14 +464,15 @@ func (inj *Injector) stamp(m network.Message) network.Message {
 	return m
 }
 
-// SendTap implements the network.System send hook.
+// SendTap implements the network.System send hook. The returned slice is the
+// injector's own scratch, valid until the next call (see System.SendTap).
 func (inj *Injector) SendTap(m network.Message) []network.Message {
-	key := keyString(m)
+	key := m.Key()
 	for i, rule := range inj.Plan.Drops {
 		if !rule.matches(m) {
 			continue
 		}
-		ruleKey := fmt.Sprintf("%d|%s", i, key)
+		ruleKey := dropKey{rule: i, key: key}
 		if rule.Budget >= 0 && inj.dropCount[ruleKey] >= rule.Budget {
 			continue
 		}
@@ -481,7 +484,7 @@ func (inj *Injector) SendTap(m network.Message) []network.Message {
 		return nil
 	}
 
-	out := []network.Message{inj.stamp(m)}
+	out := append(inj.out[:0], inj.stamp(m))
 	if inj.Plan.DupProb > 0 && inj.rng.Float64() < inj.Plan.DupProb {
 		budget := inj.Plan.DupBudget
 		if budget <= 0 {

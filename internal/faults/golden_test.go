@@ -1,6 +1,11 @@
 package faults
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/network"
+)
 
 // The golden replay table: Scenario.Fingerprint digests captured at the
 // commit *before* the protocol-kit extraction (1f8ee04). The bus-vs-flat,
@@ -32,6 +37,42 @@ func goldenHandmade(protocol, sched string, byz []string, partitions int) Scenar
 		sc.Sim = &SimOptions{QueueCap: 64, Batch: 2, Partitions: partitions}
 	}
 	return sc
+}
+
+// goldenDupemap is the native handmade row with a 16-key replay filter: the
+// plan's duplicates and the retransmission timer replay far more than 16
+// distinct contents per receiver, so the FIFO eviction order is on the
+// digest, not just the filter.
+func goldenDupemap(protocol string, partitions int) Scenario {
+	sc := goldenHandmade(protocol, "native", []string{"liar", "equivocator"}, partitions)
+	sc.Sim.Dupemap, sc.Sim.DupemapCap = true, 16
+	return sc
+}
+
+// goldenBenchShape mirrors benchmark/simulator.go's simScenario (native
+// windows, bounded queues, replay filter, 5 % budget-1 drops and 5 % delays,
+// a seeded quarter of the replicas proposing 0), so the two shapes the
+// repository benchmark times are also pinned here at smoke size.
+func goldenBenchShape(n int, topo, protocol string, seed int64, queueCap int) Scenario {
+	inputs := make([]int, n)
+	for i := range inputs {
+		if i >= n/4 {
+			inputs[i] = 1
+		}
+	}
+	rand.New(rand.NewSource(seed+int64(n))).Shuffle(n, func(i, j int) {
+		inputs[i], inputs[j] = inputs[j], inputs[i]
+	})
+	return Scenario{
+		Protocol: protocol, N: n, T: (n - 1) / 3, MaxRounds: 12, MaxSteps: 200_000, Tick: 25,
+		Inputs: inputs, Sched: "native",
+		Sim: &SimOptions{QueueCap: queueCap, Dupemap: true, StallK: 512, Topology: topo, Batch: 8, Partitions: 1},
+		Plan: Plan{
+			Seed:      seed + int64(n),
+			Drops:     []DropRule{{Prob: 0.05, Budget: 1}},
+			DelayProb: 0.05, DelaySteps: 16,
+		},
+	}
 }
 
 func TestGoldenFingerprints(t *testing.T) {
@@ -82,11 +123,52 @@ func TestGoldenFingerprints(t *testing.T) {
 		{"dbft/torture-4414", torture.RandomScenario(4414),
 			"46166fda23f292ce6605bb6e046b5bcd03ea265e97f5518dd7b385f5f876cf1a"},
 	}
-	for _, r := range rows {
-		got, out := runFingerprint(t, r.sc)
-		if got != r.want {
+	// Captured at c17d0fe, before the replay filter and the fault budgets
+	// moved from rendered strings to the interned message identity: the
+	// filter under eviction pressure, the kadcast relay path under queue
+	// overflow, and the two benchmark shapes. A row that pins a mechanism
+	// must reach it: a run that filtered, overflowed or relayed nothing is a
+	// broken row, not a pass.
+	filtered := func(b network.BusStats) bool { return b.Filtered > 0 }
+	relayed := func(b network.BusStats) bool { return b.Relayed > 0 }
+	overflowed := func(b network.BusStats) bool { return b.Filtered > 0 && b.CapDrops > 0 && b.Relayed > 0 }
+	busRows := []struct {
+		name    string
+		sc      Scenario
+		want    string
+		engaged func(network.BusStats) bool
+	}{
+		{"dbft/native-p1/dupemap16", goldenDupemap("dbft", 1),
+			"25728bfdb75368d2dbbc5151197659e18903263d3e141fae6362203002c2ec4e", filtered},
+		{"dbft/native-p2/dupemap16", goldenDupemap("dbft", 2),
+			"25728bfdb75368d2dbbc5151197659e18903263d3e141fae6362203002c2ec4e", filtered},
+		{"sba/native-p1/dupemap16", goldenDupemap("sba", 1),
+			"81b8dc98911fab9c93d1e130b35d72cd3a3bc300aa92067d06e89cbd9ad85af6", filtered},
+		{"sba/native-p2/dupemap16", goldenDupemap("sba", 2),
+			"81b8dc98911fab9c93d1e130b35d72cd3a3bc300aa92067d06e89cbd9ad85af6", filtered},
+		{"dbft/gossip-40/queuecap64", goldenBenchShape(40, "gossip", "dbft", 1, 64),
+			"23cda15e0b84c8501d23e51e41aefad4651ede2e4c1c86c7cc333dd2c54f1e6b", overflowed},
+		{"sba/gossip-40/queuecap64", goldenBenchShape(40, "gossip", "sba", 1, 64),
+			"a2cdd1226963ebaf1292953c6e3dab87fff6510d051d6149c310401421c41f37", overflowed},
+		{"dbft/bench-mesh-32", goldenBenchShape(32, "full", "dbft", 1, 4096),
+			"c606f181e9c318e1c1c215f51a35c07a12fb0debb909281aa2b5d4b36487d10d", nil},
+		{"dbft/bench-gossip-40", goldenBenchShape(40, "gossip", "dbft", 1, 4096),
+			"3f3646d31f197cba3964b5889e1d01aef0554ee3a8245ff8af19216cbea425f2", relayed},
+	}
+	check := func(name string, sc Scenario, want string) Outcome {
+		got, out := runFingerprint(t, sc)
+		if got != want {
 			t.Errorf("%s: fingerprint %s, golden %s (steps=%d decided=%v events=%v)",
-				r.name, got, r.want, out.Steps, out.Decided, CountEvents(out.Events))
+				name, got, want, out.Steps, out.Decided, CountEvents(out.Events))
+		}
+		return out
+	}
+	for _, r := range rows {
+		check(r.name, r.sc, r.want)
+	}
+	for _, r := range busRows {
+		if out := check(r.name, r.sc, r.want); r.engaged != nil && !r.engaged(out.Bus) {
+			t.Errorf("%s: the run never engaged what the row pins (bus %+v)", r.name, out.Bus)
 		}
 	}
 }

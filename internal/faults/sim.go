@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"sort"
 
 	"repro/internal/network"
@@ -91,13 +92,18 @@ func (sc Scenario) Fingerprint(out *Outcome) string {
 		h.Write(p.SnapshotBytes())
 		h.Write([]byte{'\n'})
 	}
-	events := out.Events
-	if sc.canonicalEvents() {
-		events = append([]Event(nil), events...)
-		sort.SliceStable(events, func(i, j int) bool { return events[i].String() < events[j].String() })
+	// Each event is rendered once; equal lines are indistinguishable in the
+	// digest, so sorting the lines is the stable sort of the events.
+	lines := make([]string, len(out.Events))
+	for i, e := range out.Events {
+		lines[i] = e.String()
 	}
-	for _, e := range events {
-		fmt.Fprintf(h, "%s\n", e.String())
+	if sc.canonicalEvents() {
+		sort.Strings(lines)
+	}
+	for _, l := range lines {
+		io.WriteString(h, l)
+		h.Write([]byte{'\n'})
 	}
 	for _, q := range out.Quarantined {
 		fmt.Fprintf(h, "quarantined=%d:%s\n", q, out.QuarantineReasons[q])

@@ -1,6 +1,9 @@
 package network
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // BusOptions configure the event-bus message store (the default backend).
 // The zero value reproduces the reliable flat loop exactly: unbounded
@@ -15,8 +18,9 @@ type BusOptions struct {
 	// peer's egress buffer and drained FIFO on later steps. 0 = unbounded.
 	EgressCap int
 	// Dupemap enables the per-receiver replay filter: a bounded seen-set of
-	// delivered Message.Key()s; copies whose key was already delivered are
-	// dropped (at enqueue when possible, else at delivery) and counted.
+	// delivered message contents (Message.Key, interned by the bus); copies
+	// whose content was already delivered are dropped (at enqueue when
+	// possible, else at delivery) and counted.
 	Dupemap bool
 	// DupemapCap bounds each peer's seen-set; oldest keys are evicted FIFO
 	// (an evicted key may be delivered again — harmless, the protocols are
@@ -86,35 +90,50 @@ const AnyInstance = -1
 // shipped topologies never get near it (greedy XOR routing is loop-free).
 const maxHops = 64
 
-// dupemap is a bounded seen-set with FIFO eviction.
+// dupemap is one receiver's bounded seen-set of interned content ids (see
+// busStore.intern) with FIFO eviction. Ids are small dense integers, so the
+// set is a bitset — one word read per lookup, where 400 receivers' hash maps
+// were a cache miss each — and the ring remembers the insertion order.
 type dupemap struct {
-	seen map[string]struct{}
-	ring []string
+	bits []uint64 // bit id is set for every id in ring; grows to the largest id seen
+	// ring grows on demand up to cap — most receivers never see cap distinct
+	// contents — and then wraps, next pointing at the oldest id.
+	ring []uint32
 	next int
+	cap  int
 }
 
 func newDupemap(cap int) *dupemap {
 	if cap <= 0 {
 		cap = 8192
 	}
-	return &dupemap{seen: make(map[string]struct{}), ring: make([]string, cap)}
+	return &dupemap{cap: cap}
 }
 
-func (d *dupemap) has(k string) bool {
-	_, ok := d.seen[k]
-	return ok
+func (d *dupemap) has(id uint32) bool {
+	w := int(id >> 6)
+	return w < len(d.bits) && d.bits[w]&(1<<(id&63)) != 0
 }
 
-func (d *dupemap) add(k string) {
-	if _, ok := d.seen[k]; ok {
-		return
+// add records id, evicting the oldest one at capacity, and reports whether it
+// was new.
+func (d *dupemap) add(id uint32) bool {
+	if d.has(id) {
+		return false
 	}
-	if old := d.ring[d.next]; old != "" {
-		delete(d.seen, old)
+	if w := int(id >> 6); w >= len(d.bits) {
+		d.bits = append(d.bits, make([]uint64, w+1-len(d.bits))...)
 	}
-	d.ring[d.next] = k
-	d.next = (d.next + 1) % len(d.ring)
-	d.seen[k] = struct{}{}
+	if len(d.ring) < d.cap {
+		d.ring = append(d.ring, id)
+	} else {
+		old := d.ring[d.next]
+		d.bits[old>>6] &^= 1 << (old & 63)
+		d.ring[d.next] = id
+		d.next = (d.next + 1) % d.cap
+	}
+	d.bits[id>>6] |= 1 << (id & 63)
+	return true
 }
 
 // busEntry is one in-flight copy sitting in a peer's ingress queue.
@@ -124,9 +143,10 @@ type busEntry struct {
 	// hop, the relaying peer afterwards). Partition cuts apply to the
 	// physical link.
 	hopFrom   ProcID
-	arrival   int64 // global enqueue order; the compat view merges on it
-	notBefore int   // earliest step this copy may deliver (native delays)
-	hops      int
+	arrival   int64  // global enqueue order; the compat view merges on it
+	notBefore int    // earliest step this copy may deliver (native delays)
+	hops      int32  // relay hops so far, below maxHops
+	id        uint32 // interned content of msg; 0 with the dupemap off
 }
 
 // peerQueue is one peer's bounded FIFO ingress queue.
@@ -148,12 +168,9 @@ func (q *peerQueue) depth() int { return len(q.buf) - q.head }
 
 func (q *peerQueue) at(i int) *busEntry { return &q.buf[q.head+i] }
 
-func (q *peerQueue) push(e busEntry) { q.buf = append(q.buf, e) }
-
 // removeAt removes the entry at head-relative index i, preserving the order
-// of the rest, and returns it. Entries ahead of i shift back by one.
-func (q *peerQueue) removeAt(i int) busEntry {
-	e := q.buf[q.head+i]
+// of the rest. Entries ahead of i shift back by one.
+func (q *peerQueue) removeAt(i int) {
 	copy(q.buf[q.head+1:q.head+i+1], q.buf[q.head:q.head+i])
 	q.buf[q.head] = busEntry{} // release Set/Payload references
 	q.head++
@@ -165,7 +182,6 @@ func (q *peerQueue) removeAt(i int) busEntry {
 		q.buf = q.buf[:n]
 		q.head = 0
 	}
-	return e
 }
 
 func (q *peerQueue) egressDepth() int { return len(q.egress) - q.egressHead }
@@ -213,6 +229,14 @@ type busStore struct {
 	stats    BusStats
 	stallLog []StallEvent
 
+	// interned numbers every distinct message content, destination aside,
+	// that was ever enqueued with the dupemap on: a broadcast is one content
+	// sent to n receivers, so the table holds one entry per logical
+	// broadcast while each receiver's seen-set and every queued copy hold a
+	// 4-byte id. Only the sequential side of the bus (send and the window
+	// merge) reads or writes it; drain workers see ids, never the table.
+	interned map[MsgKey]uint32
+
 	// compat-view scratch, reused across steps
 	viewBuf []Message
 	viewRef []viewRef
@@ -238,7 +262,29 @@ func newBusStore(ids []ProcID, opts BusOptions) *busStore {
 			b.queues[i].seen = newDupemap(opts.DupemapCap)
 		}
 	}
+	if opts.Dupemap {
+		b.interned = make(map[MsgKey]uint32)
+	}
 	return b
+}
+
+// intern returns the id of m's content with the destination erased — the
+// receiver's own queue supplies it — assigning the next one on first sight.
+func (b *busStore) intern(m Message) uint32 {
+	k := m.Key()
+	k.to = 0
+	id, ok := b.interned[k]
+	if !ok {
+		id = uint32(len(b.interned)) + 1
+		b.interned[k] = id
+	}
+	return id
+}
+
+// filtered counts n copies the replay filter suppressed.
+func (b *busStore) filtered(n int64) {
+	b.stats.Filtered += n
+	obsFiltered.Add(n)
 }
 
 // subscribe restricts a peer's queue to the given topics (first call flips
@@ -255,34 +301,42 @@ func (b *busStore) subscribe(id ProcID, topics ...Topic) {
 
 // enqueue routes one copy onto its first hop's queue.
 func (b *busStore) enqueue(m Message, notBefore int) {
+	e := busEntry{msg: m, hopFrom: m.From, notBefore: notBefore}
+	if b.interned != nil {
+		e.id = b.intern(m)
+	}
 	hop := m.To
 	if b.sparse {
 		hop = b.topo.NextHop(m.From, m.To)
 	}
-	b.enqueueAt(hop, m.From, m, notBefore, 0)
+	b.enqueueAt(hop, &e)
 }
 
 // forward re-enqueues a relayed entry toward its destination from the peer
-// that just popped it.
-func (b *busStore) forward(e busEntry, at ProcID) {
+// that just popped it; the interned id travels with it.
+func (b *busStore) forward(e *busEntry, at ProcID) {
 	if e.hops+1 >= maxHops {
 		b.stats.TTLDrops++
 		return
 	}
 	b.stats.Relayed++
 	obsRelayed.Inc()
-	b.enqueueAt(b.topo.NextHop(at, e.msg.To), at, e.msg, e.notBefore, e.hops+1)
+	e.hops++
+	e.hopFrom = at
+	b.enqueueAt(b.topo.NextHop(at, e.msg.To), e)
 }
 
-func (b *busStore) enqueueAt(at, hopFrom ProcID, m Message, notBefore, hops int) {
+// enqueueAt pushes a copy of *e, stamped with the next arrival number, onto
+// peer at's queue.
+func (b *busStore) enqueueAt(at ProcID, e *busEntry) {
 	q := &b.queues[b.idx[at]]
-	if at == m.To { // final hop: subscription + replay filters apply
-		if !q.subscribed(m) {
+	if at == e.msg.To { // final hop: subscription + replay filters apply
+		if !q.subscribed(e.msg) {
 			b.stats.TopicDrops++
 			return
 		}
-		if q.seen != nil && q.seen.has(m.KeyString()) {
-			b.stats.Filtered++
+		if q.seen != nil && q.seen.has(e.id) {
+			b.filtered(1)
 			return
 		}
 	}
@@ -292,7 +346,8 @@ func (b *busStore) enqueueAt(at, hopFrom ProcID, m Message, notBefore, hops int)
 		return
 	}
 	b.arrival++
-	q.push(busEntry{msg: m, hopFrom: hopFrom, arrival: b.arrival, notBefore: notBefore, hops: hops})
+	e.arrival = b.arrival
+	q.buf = append(q.buf, *e)
 	b.size++
 	b.stats.Enqueued++
 	obsEnqueued.Inc()
@@ -313,7 +368,7 @@ func (b *busStore) compatView() []Message {
 			b.viewRef = append(b.viewRef, viewRef{peer: qi, pos: i, arrival: q.at(i).arrival})
 		}
 	}
-	sort.Slice(b.viewRef, func(i, j int) bool { return b.viewRef[i].arrival < b.viewRef[j].arrival })
+	slices.SortFunc(b.viewRef, func(x, y viewRef) int { return cmp.Compare(x.arrival, y.arrival) })
 	b.viewBuf = b.viewBuf[:0]
 	for _, r := range b.viewRef {
 		b.viewBuf = append(b.viewBuf, b.queues[r.peer].at(r.pos).msg)
@@ -321,14 +376,15 @@ func (b *busStore) compatView() []Message {
 	return b.viewBuf
 }
 
-func (b *busStore) takeCompat(i, step int) Message {
+func (b *busStore) takeCompat(i, step int) busEntry {
 	r := b.viewRef[i]
 	q := &b.queues[r.peer]
-	e := q.removeAt(r.pos)
+	e := *q.at(r.pos)
+	q.removeAt(r.pos)
 	q.lastProgress = step
 	q.stalled = false
 	b.size--
-	return e.msg
+	return e
 }
 
 // scanStalls flags peers whose nonempty queue has made no progress for

@@ -1,11 +1,12 @@
 package network
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // chatter floods the network deterministically: on start it broadcasts round
@@ -90,22 +91,62 @@ func TestBusCompatMatchesFlat(t *testing.T) {
 }
 
 func TestDupemapEviction(t *testing.T) {
+	const a, b, c = 1, 2, 3
 	d := newDupemap(2)
-	d.add("a")
-	d.add("b")
-	if !d.has("a") || !d.has("b") {
-		t.Fatal("fresh keys missing")
+	if !d.add(a) || !d.add(b) {
+		t.Fatal("fresh ids reported as already seen")
 	}
-	d.add("a") // idempotent: must not evict anything
-	if !d.has("a") || !d.has("b") {
-		t.Fatal("re-add of a present key evicted something")
+	if !d.has(a) || !d.has(b) {
+		t.Fatal("fresh ids missing")
 	}
-	d.add("c") // capacity 2: the oldest key (a) goes
-	if d.has("a") {
+	if d.add(a) { // idempotent: must not evict anything
+		t.Fatal("re-add of a present id reported it new")
+	}
+	if !d.has(a) || !d.has(b) {
+		t.Fatal("re-add of a present id evicted something")
+	}
+	d.add(c) // capacity 2: the oldest id (a) goes
+	if d.has(a) {
 		t.Error("a should have been evicted FIFO")
 	}
-	if !d.has("b") || !d.has("c") {
+	if !d.has(b) || !d.has(c) {
 		t.Error("b and c should survive")
+	}
+
+	// The ring grows with what the receiver has seen, not to the cap up
+	// front: at the default cap that was 8,192 slots per peer before the
+	// first message.
+	d = newDupemap(0)
+	for id := uint32(1); id <= 100; id++ {
+		d.add(id)
+	}
+	if d.cap != 8192 || len(d.ring) != 100 || cap(d.ring) >= d.cap {
+		t.Errorf("after 100 ids: cap %d, ring len %d cap %d; want 8192, 100, well under 8192", d.cap, len(d.ring), cap(d.ring))
+	}
+	// Past the cap it wraps in insertion order.
+	d = newDupemap(4)
+	for id := uint32(1); id <= 10; id++ {
+		d.add(id)
+	}
+	for id := uint32(1); id <= 10; id++ {
+		if got, want := d.has(id), id > 6; got != want {
+			t.Errorf("cap 4 after ids 1..10: has(%d) = %v, want %v", id, got, want)
+		}
+	}
+	if len(d.ring) != 4 {
+		t.Errorf("cap 4: ring holds %d ids", len(d.ring))
+	}
+}
+
+// TestBusEntrySize: a full mesh holds about n*n queue entries, so their size
+// is the simulator's resident memory. The interned id shares a word with the
+// hop count; an entry is the message plus four words.
+func TestBusEntrySize(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("sizes are for 64-bit ints")
+	}
+	if got, want := unsafe.Sizeof(busEntry{}), unsafe.Sizeof(Message{})+32; got != want {
+		t.Errorf("busEntry is %d bytes, want %d", got, want)
 	}
 }
 
@@ -580,32 +621,46 @@ func TestCompatStallDetection(t *testing.T) {
 	}
 }
 
-// TestKeyStringInjective spot-checks the dupemap key over near-colliding
+// nearCollisions are messages one rendering slip apart: a set whose digits
+// run together, a payload that contains the old keys' separators, fields
+// that differ only in which of two slots a value sits in, and set orders and
+// repeats only a Byzantine sender emits.
+var nearCollisions = []Message{
+	{From: 1, To: 2, Kind: MsgBV, Value: 3},
+	{From: 1, To: 2, Kind: MsgBV, Value: 3, Instance: 1},
+	{From: 1, To: 2, Kind: MsgAux, Set: []int{1, 2}},
+	{From: 1, To: 2, Kind: MsgAux, Set: []int{12}},
+	{From: 1, To: 2, Kind: MsgAux, Set: []int{0, 1}},
+	{From: 1, To: 2, Kind: MsgAux, Set: []int{1, 0}},
+	{From: 1, To: 2, Kind: MsgAux, Set: []int{0}},
+	{From: 1, To: 2, Kind: MsgAux, Set: []int{0, 0}},
+	{From: 1, To: 2, Kind: MsgAux, Set: []int{1}},
+	{From: 1, To: 2, Kind: MsgAux},
+	{From: 1, To: 2, Kind: MsgEcho, Payload: "a|b"},
+	{From: 1, To: 2, Kind: MsgEcho, Payload: "a", Proposer: 1},
+	{From: 1, To: 2, Kind: MsgEcho, Payload: "a"},
+	{From: 1, To: 2, Kind: MsgReady, Payload: "a"},
+}
+
+// TestKeyStringInjective spot-checks the message identity over near-colliding
 // messages (Seq must not participate; payload separators must not confuse).
+// The name is the old string key's; the property it pins moved to Key.
 func TestKeyStringInjective(t *testing.T) {
-	msgs := []Message{
-		{From: 1, To: 2, Kind: MsgBV, Value: 3},
-		{From: 1, To: 2, Kind: MsgBV, Value: 3, Instance: 1},
-		{From: 1, To: 2, Kind: MsgAux, Set: []int{1, 2}},
-		{From: 1, To: 2, Kind: MsgAux, Set: []int{12}},
-		{From: 1, To: 2, Kind: MsgEcho, Payload: "a|b"},
-		{From: 1, To: 2, Kind: MsgEcho, Payload: "a", Proposer: 1},
-	}
-	keys := map[string]int{}
-	for i, m := range msgs {
-		k := m.KeyString()
+	keys := map[MsgKey]int{}
+	for i, m := range nearCollisions {
+		k := m.Key()
 		if j, dup := keys[k]; dup {
-			t.Errorf("messages %d and %d collide on %q", i, j, k)
+			t.Errorf("messages %d and %d collide on %+v", i, j, k)
 		}
 		keys[k] = i
 	}
 	a := Message{From: 1, To: 2, Kind: MsgBV, Value: 3, Seq: 7}
 	b := a
 	b.Seq = 8
-	if a.KeyString() != b.KeyString() {
-		t.Error("Seq leaked into KeyString: retransmitted copies would never dedupe")
+	if a.Key() != b.Key() {
+		t.Error("Seq leaked into Key: retransmitted copies would never dedupe")
 	}
-	if fmt.Sprintf("%v", a.Key()) != fmt.Sprintf("%v", b.Key()) {
-		t.Error("Key() should erase Seq")
+	if (Message{Kind: MsgAux}).Key() != (Message{Kind: MsgAux, Set: []int{}}).Key() {
+		t.Error("a nil and an empty Set are the same set and must share a key")
 	}
 }

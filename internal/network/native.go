@@ -32,12 +32,7 @@ func (s *System) stepWindow() (bool, error) {
 	if s.StepTap != nil {
 		s.StepTap(step)
 	}
-	n := len(s.order)
-	nat := s.native
-	parts := nat.Partitions
-	if parts > n {
-		parts = n
-	}
+	parts := min(s.native.Partitions, len(s.order))
 
 	// Phase 2: drain deferred egress under a fresh per-window send budget.
 	egressDrained := 0
@@ -51,108 +46,49 @@ func (s *System) stepWindow() (bool, error) {
 				m := q.egressPop()
 				s.egressUsed[qi]++
 				egressDrained++
-				if s.SendTap != nil {
-					from := m.From
-					for _, c := range s.SendTap(m) {
-						c.From = from
-						s.enqueue(c)
-					}
-				} else {
-					s.enqueue(m)
-				}
+				s.release(m)
 			}
 		}
 	}
 
 	// Phase 3: parallel drain. Worker w owns peers w, w+parts, w+2*parts...
-	errs := make([]error, parts)
-	drain := func(w int) {
-		defer func() {
-			if r := recover(); r != nil {
-				errs[w] = fmt.Errorf("network: panic in bus worker %d at step %d: %v\n%s", w, step, r, debug.Stack())
-			}
-		}()
-		for qi := w; qi < n; qi += parts {
-			d := &s.drains[qi]
-			d.delivered = d.delivered[:0]
-			d.sends = d.sends[:0]
-			d.relays = d.relays[:0]
-			d.taken = 0
-			d.filtered = 0
-			q := &s.bus.queues[qi]
-			proc := s.procs[q.id]
-			sendBuf := func(m Message) { d.sends = append(d.sends, m) }
-			scanned := 0
-			for i := 0; i < q.depth() && d.taken < nat.Batch && scanned < nat.ScanLimit; {
-				e := q.at(i)
-				scanned++
-				if e.notBefore > step || (s.CutTap != nil && s.CutTap(e.hopFrom, q.id, step)) {
-					i++ // held: skip, keep scanning
-					continue
-				}
-				ent := q.removeAt(i) // the next entry slides into index i
-				d.taken++
-				if ent.msg.To != q.id {
-					d.relays = append(d.relays, ent)
-					continue
-				}
-				if q.seen != nil {
-					k := ent.msg.KeyString()
-					if q.seen.has(k) {
-						d.filtered++
-						continue
-					}
-					q.seen.add(k)
-				}
-				d.delivered = append(d.delivered, ent.msg)
-				proc.Deliver(ent.msg, sendBuf)
-			}
-			if d.taken > 0 {
-				q.lastProgress = step
-				q.stalled = false
-			}
-		}
-	}
 	if parts <= 1 {
-		drain(0)
+		if err := s.drainPeers(0, 1, step); err != nil {
+			return false, err
+		}
 	} else {
+		errs := make([]error, parts)
 		var wg sync.WaitGroup
 		wg.Add(parts)
 		for w := 0; w < parts; w++ {
 			go func(w int) {
 				defer wg.Done()
-				drain(w)
+				errs[w] = s.drainPeers(w, parts, step)
 			}(w)
 		}
 		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return false, err
+		for _, err := range errs {
+			if err != nil {
+				return false, err
+			}
 		}
 	}
 
 	// Phase 4: deterministic merge in ascending peer-id order.
-	deliveredTotal, removed := 0, 0
+	removed := 0
 	for qi, id := range s.order {
 		d := &s.drains[qi]
 		removed += d.taken
-		deliveredTotal += len(d.delivered)
-		s.bus.stats.Delivered += int64(len(d.delivered))
-		s.bus.stats.Filtered += d.filtered
-		obsDelivered.Add(int64(len(d.delivered)))
-		if d.filtered > 0 {
-			obsFiltered.Add(d.filtered)
-		}
-		if s.RecordTrace {
-			s.Trace = append(s.Trace, d.delivered...)
-		}
+		s.bus.stats.Delivered += d.delivered
+		obsDelivered.Add(d.delivered)
+		s.bus.filtered(d.filtered)
+		s.Trace = append(s.Trace, d.trace...)
 		s.sender = id
 		for _, m := range d.sends {
 			s.send(m)
 		}
-		for _, e := range d.relays {
-			s.bus.forward(e, id)
+		for i := range d.relays {
+			s.bus.forward(&d.relays[i], id)
 		}
 	}
 	s.bus.size -= removed
@@ -165,4 +101,59 @@ func (s *System) stepWindow() (bool, error) {
 		return false, nil // quiescent: nothing queued, no timers to wait on
 	}
 	return true, nil
+}
+
+// drainPeers is one drain worker's share of a window: peers w, w+parts, ...
+// each pop up to Batch eligible entries and deliver them, handler sends and
+// relays buffered per peer for the merge. It runs concurrently with the
+// other workers and touches only its own peers' queues, seen-sets, processes
+// and drain buffers. A handler panic comes back as an error.
+func (s *System) drainPeers(w, parts, step int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("network: panic in bus worker %d at step %d: %v\n%s", w, step, r, debug.Stack())
+		}
+	}()
+	nat := s.native
+	for qi := w; qi < len(s.order); qi += parts {
+		d := &s.drains[qi]
+		d.delivered = 0
+		d.trace = d.trace[:0]
+		d.sends = d.sends[:0]
+		d.relays = d.relays[:0]
+		d.taken = 0
+		d.filtered = 0
+		q := &s.bus.queues[qi]
+		proc := s.procs[q.id]
+		scanned := 0
+		for i := 0; i < q.depth() && d.taken < nat.Batch && scanned < nat.ScanLimit; {
+			e := q.at(i)
+			scanned++
+			if e.notBefore > step || (s.CutTap != nil && s.CutTap(e.hopFrom, q.id, step)) {
+				i++ // held: skip, keep scanning
+				continue
+			}
+			d.taken++
+			switch {
+			case e.msg.To != q.id:
+				d.relays = append(d.relays, *e)
+			case q.seen != nil && !q.seen.add(e.id):
+				d.filtered++
+			default:
+				d.delivered++
+				if s.RecordTrace {
+					d.trace = append(d.trace, e.msg)
+				}
+				// Handler sends go to d.sends, so the queue slot e points
+				// into is untouched until the call returns.
+				proc.Deliver(e.msg, d.send)
+			}
+			q.removeAt(i) // the next entry slides into index i
+		}
+		if d.taken > 0 {
+			q.lastProgress = step
+			q.stalled = false
+		}
+	}
+	return nil
 }

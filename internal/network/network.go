@@ -23,11 +23,11 @@
 package network
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"runtime/debug"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -83,43 +83,48 @@ type Message struct {
 	Seq int64
 }
 
-// Key returns the message's content identity: everything except the per-copy
-// Seq tag. Retransmitted or duplicated copies of one logical message share a
-// key, which is what per-message fault budgets are counted against.
-func (m Message) Key() Message {
-	m.Seq = 0
-	return m
+// MsgKey is a message's content identity: every field except the per-copy
+// Seq tag, as one comparable value. Retransmitted or duplicated copies of one
+// logical message share a key; it is what the fault plane's per-message
+// budgets are counted against and what the bus interns for its replay filter.
+// Nothing is formatted to build it, and two keys are equal exactly when the
+// messages agree field for field (a nil and an empty Set are the same set).
+type MsgKey struct {
+	from, to, proposer     ProcID
+	round, value, instance int
+	kind                   MsgKind
+	payload                string
+	set                    string // setKey(Set)
 }
 
-// KeyString renders Key() as an injective string, the dupemap's map key.
-// Built by hand because it sits on the bus's per-delivery hot path.
-func (m Message) KeyString() string {
-	var b strings.Builder
-	b.Grow(32 + len(m.Payload) + 4*len(m.Set))
-	b.WriteString(strconv.Itoa(int(m.From)))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(int(m.To)))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(m.Round))
-	b.WriteByte('|')
-	b.WriteString(string(m.Kind))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(m.Value))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(int(m.Proposer)))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(m.Instance))
-	b.WriteByte('|')
-	for _, v := range m.Set {
-		b.WriteString(strconv.Itoa(v))
-		b.WriteByte(',')
+// Key returns the message's content identity.
+func (m Message) Key() MsgKey {
+	return MsgKey{from: m.From, to: m.To, proposer: m.Proposer, round: m.Round, value: m.Value,
+		instance: m.Instance, kind: m.Kind, payload: m.Payload, set: setKey(m.Set)}
+}
+
+// setKey encodes a Set injectively, keeping order and duplicates: a Byzantine
+// sender may emit [1,0] or [0,0], and those are different messages from
+// [0,1] and [0]. Varints are prefix-free, so their concatenation needs no
+// separator. The four sets binary consensus sends are substrings of one
+// constant and cost no allocation.
+func setKey(set []int) string {
+	const zeroOne = "\x00\x02" // varint(0) varint(1)
+	switch {
+	case len(set) == 0:
+		return ""
+	case len(set) == 1 && set[0] == 0:
+		return zeroOne[:1]
+	case len(set) == 1 && set[0] == 1:
+		return zeroOne[1:]
+	case len(set) == 2 && set[0] == 0 && set[1] == 1:
+		return zeroOne
 	}
-	b.WriteByte('|')
-	// Length-prefixed so a Payload containing separators stays injective.
-	b.WriteString(strconv.Itoa(len(m.Payload)))
-	b.WriteByte(':')
-	b.WriteString(m.Payload)
-	return b.String()
+	b := make([]byte, 0, 2*len(set))
+	for _, v := range set {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	return string(b)
 }
 
 func (m Message) String() string {
@@ -221,7 +226,9 @@ type System struct {
 	// SendTap, when non-nil, interposes on the send path after the sender
 	// identity is stamped: the returned copies are enqueued instead of the
 	// original (nil = the message is dropped). It is the fault-injection
-	// hook of internal/faults; the base network is reliable.
+	// hook of internal/faults; the base network is reliable. The System is
+	// the only caller and has enqueued every returned copy before it sends
+	// again, so a tap may hand back the same scratch slice on every call.
 	SendTap func(m Message) []Message
 
 	// HoldTap, consulted once per enqueued copy in native mode, returns the
@@ -252,8 +259,10 @@ type System struct {
 // apply them deterministically in peer-id order regardless of how many
 // worker partitions produced them.
 type peerDrain struct {
-	delivered []Message  // messages handed to the process, in pop order
+	delivered int64      // messages handed to the process
+	trace     []Message  // the same messages in pop order, under RecordTrace
 	sends     []Message  // handler output, in emission order
+	send      Sender     // appends to sends; built once, handed to every Deliver
 	relays    []busEntry // in-transit entries to forward at merge
 	taken     int        // entries popped (delivered + filtered + relayed)
 	filtered  int64      // dupemap suppressions at delivery time
@@ -310,6 +319,10 @@ func NewSystemOpts(procs []Process, sched Scheduler, opts Options) (*System, err
 			}
 			s.native = &nat
 			s.drains = make([]peerDrain, len(s.order))
+			for i := range s.drains {
+				d := &s.drains[i]
+				d.send = func(m Message) { d.sends = append(d.sends, m) }
+			}
 			s.egressUsed = make([]int, len(s.order))
 		}
 	default:
@@ -396,14 +409,20 @@ func (s *System) send(m Message) {
 		}
 		s.egressUsed[fi]++
 	}
-	if s.SendTap != nil {
-		for _, c := range s.SendTap(m) {
-			c.From = m.From // the tap may copy but not forge the sender
-			s.enqueue(c)
-		}
+	s.release(m)
+}
+
+// release puts a sent message on the wire: through the send tap when one is
+// installed, enqueueing whatever copies it returns.
+func (s *System) release(m Message) {
+	if s.SendTap == nil {
+		s.enqueue(m)
 		return
 	}
-	s.enqueue(m)
+	for _, c := range s.SendTap(m) {
+		c.From = m.From // the tap may copy but not forge the sender
+		s.enqueue(c)
+	}
 }
 
 // enqueue places one copy into the backing store. Copy-on-enqueue: every
@@ -494,25 +513,18 @@ func (s *System) Step() (bool, error) {
 	s.Steps++
 	var m Message
 	if s.bus != nil {
-		m = s.bus.takeCompat(idx, s.Steps)
+		e := s.bus.takeCompat(idx, s.Steps)
+		m = e.msg
+		s.bus.scanStalls(s.Steps)
+		if q := &s.bus.queues[s.bus.idx[m.To]]; q.seen != nil && !q.seen.add(e.id) {
+			// Replay filter (opt-in): the copy is consumed but not
+			// delivered; the step still advances simulated time.
+			s.bus.filtered(1)
+			s.tick()
+			return true, nil
+		}
 		s.bus.stats.Delivered++
 		obsDelivered.Inc()
-		if q := &s.bus.queues[s.bus.idx[m.To]]; q.seen != nil {
-			k := m.KeyString()
-			if q.seen.has(k) {
-				// Replay filter (opt-in): the copy is consumed but not
-				// delivered; the step still advances simulated time.
-				s.bus.stats.Delivered--
-				s.bus.stats.Filtered++
-				obsDelivered.Add(-1)
-				obsFiltered.Inc()
-				s.bus.scanStalls(s.Steps)
-				s.tick()
-				return true, nil
-			}
-			q.seen.add(k)
-		}
-		s.bus.scanStalls(s.Steps)
 	} else {
 		m = s.flat[idx]
 		s.flat = append(s.flat[:idx], s.flat[idx+1:]...)

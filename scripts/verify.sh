@@ -10,13 +10,15 @@ cd "$(dirname "$0")/.."
 
 # fuzz_smoke runs each byte-facing protocol-kit decoder under the native
 # fuzzer for 10 s, starting from the checked-in testdata/fuzz corpora: no
-# panic, and decode ok => re-encode byte-identical. `make fuzz-smoke` (or
+# panic, and decode ok => re-encode byte-identical; and the message identity
+# against the two string keys it replaced. `make fuzz-smoke` (or
 # `verify.sh fuzz-smoke`) runs this leg alone.
 fuzz_smoke() {
-    echo "==> fuzz smoke (10 s per target: dbft and sba snapshots, shared message codec)"
+    echo "==> fuzz smoke (10 s per target: dbft and sba snapshots, shared message codec, message identity)"
     go test -run '^$' -fuzz '^FuzzSnapshotDecode$' -fuzztime 10s ./internal/dbft
     go test -run '^$' -fuzz '^FuzzSnapshotDecode$' -fuzztime 10s ./internal/sba
     go test -run '^$' -fuzz '^FuzzDecodeMessage$' -fuzztime 10s ./internal/protocol
+    go test -run '^$' -fuzz '^FuzzMsgIdentity$' -fuzztime 10s ./internal/network
 }
 if [ "${1:-}" = "fuzz-smoke" ]; then
     fuzz_smoke
@@ -52,7 +54,7 @@ fi
 # owns the CRC32C framing, and the merged full-mode internals stay merged
 # (their names survive only in _test.go references and in CHANGES.md /
 # ROADMAP.md as history). Bracketed like the lint above.
-echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals)"
+echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, message identity)"
 SRC=$(find cmd internal -name '*.go' ! -name '*_test.go')
 N=$(grep -l 'json:"lp[_]checks"' $SRC | wc -l)
 [ "$N" -eq 1 ] || { echo "one-definition lint: $N non-test files declare a json:\"lp[_]checks\" field, want 1"; exit 1; }
@@ -61,6 +63,13 @@ N=$(grep -l '"hash/crc[3]2"' $SRC | xargs -n1 dirname | sort -u | wc -l)
 if grep -nE 'fresh[S]olves|split[F]rontier|solve[R]ec|full[O]utcome|decode[C]E' $SRC \
     README.md DESIGN.md EXPERIMENTS.md Makefile scripts/*.sh; then
     echo "one-definition lint: the lines above name a full-mode internal that was merged away"
+    exit 1
+fi
+
+# A message has one identity, network.MsgKey; the two string renderings it
+# replaced live on only as the _test.go reference it is checked against.
+if grep -nE 'Key[S]tring\(|key[S]tring\(' $SRC README.md DESIGN.md Makefile scripts/*.sh; then
+    echo "one-definition lint: the lines above name a retired string message key (use network.Message.Key)"
     exit 1
 fi
 
@@ -81,9 +90,13 @@ go test -run '^$' -bench 'Pivot|AddGE|TableauClone|PushCheckPop' -benchtime 1x .
 echo "==> go test -race ./internal/schema ./internal/core (parallel enumeration determinism)"
 go test -race ./internal/schema ./internal/core
 
-echo "==> go test -race event-bus leg (queues, dupemap, stalls, gossip, flat-vs-bus identity)"
-go test -race -run 'Bus|Native|Dupemap|Kadcast|Gossip|Stall|CopyOnEnqueue|Egress|QueueCap|Topic' ./internal/network
-go test -short -race -run 'FingerprintsBusVsFlat|NativeFingerprint|Livelock' ./internal/faults
+# The golden rows include native Partitions: 2 runs with a 16-key dupemap: an
+# intern-table access that strays into a drain worker is a race here.
+echo "==> go test -race event-bus leg (queues, dupemap, message identity, stalls, gossip, flat-vs-bus identity; simulator benchmarks compile and run)"
+go test -race -run 'Bus|Native|Dupemap|Kadcast|Gossip|Stall|CopyOnEnqueue|Egress|QueueCap|Topic|Identity|KeyString|Allocs' ./internal/network
+go test -short -race -run 'FingerprintsBusVsFlat|NativeFingerprint|Livelock|GoldenFingerprints|ObsCounters' ./internal/faults
+go test -run '^$' -bench 'BusEnqueueDrain|DupemapAdd|MsgKey' -benchtime 1x ./internal/network
+go test -run '^$' -bench 'SendTap|ScenarioRun' -benchtime 1x ./internal/faults
 
 echo "==> go test -race ./..."
 go test -race ./...
