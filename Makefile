@@ -37,6 +37,14 @@ bench:
 bench-smt:
 	go test -run '^$$' -bench 'Pivot|AddGE|TableauClone|PushCheckPop' -benchmem -count 5 ./internal/smt
 
+# Full-mode solve-loop benchmarks: the solver-bound prefix (incremental
+# cursor vs the from-scratch reference) and the prune-bound one (naive/Inv2_0,
+# first 10,000 contexts, settled almost entirely from the structural table);
+# the before/after table is in EXPERIMENTS.md.
+.PHONY: bench-schema
+bench-schema:
+	go test -run '^$$' -bench 'PrefixSolveIncrementalVsFresh|SolveRangePrune' -benchmem -count 5 ./internal/schema
+
 # Simulator per-message micro-benchmarks: message identity, dupemap add, one
 # enqueue + drain through a 64-peer native bus (dupemap on and off), the fault
 # plane's send tap under the benchmark's plan; the before/after table is in

@@ -2,6 +2,7 @@ package schema
 
 import (
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/counter"
@@ -55,6 +56,114 @@ type analysis struct {
 	// staged schema (see staged.go).
 	backwardGuards int
 	gatingGuards   int
+
+	// segs memoises, per unlocked guard set, what full mode derives from the
+	// set alone (see segment). Cursors on every solveRange worker and the
+	// enumerator share it, hence the lock; it holds one entry per distinct
+	// set the walk reaches, not one per context.
+	segMu sync.Mutex
+	segs  map[string]*segment
+}
+
+// guardSet is a set of guard indices as a bitset over analysis.guards; its
+// bytes are the key of the structural table.
+type guardSet []byte
+
+func (an *analysis) newGuardSet() guardSet { return make(guardSet, (len(an.guards)+7)/8) }
+
+func (s guardSet) has(gi int) bool { return s[gi>>3]&(1<<(gi&7)) != 0 }
+func (s guardSet) add(gi int)      { s[gi>>3] |= 1 << (gi & 7) }
+func (s guardSet) remove(gi int)   { s[gi>>3] &^= 1 << (gi & 7) }
+
+// ruleEnabled is the one definition of "rule an.rules[i] is enabled under
+// the unlocked set": every guard conjunct is unlocked.
+func (an *analysis) ruleEnabled(i int, unlocked guardSet) bool {
+	for _, gi := range an.ruleGuards[i] {
+		if !unlocked.has(gi) {
+			return false
+		}
+	}
+	return true
+}
+
+// segment is everything full mode derives structurally from an unlocked
+// guard set, shared by the enumerator (next), the encoder (rules) and the
+// cursor's dead-subtree slot count (len(rules)).
+type segment struct {
+	// rules are the e.ta.Rules indices one topological segment fires, in
+	// order: guard conjuncts all unlocked and source location reachable via
+	// such rules from the initial locations.
+	rules []int
+	// next are the alphabet guards outside the set that could become true
+	// next, in alphabet order: satisfiable with zero increments, or some
+	// enabled rule increments one of their variables. Like ByMC's
+	// enumeration this prunes only by guard dependency, not by location
+	// reachability — reachability pruning would shrink the naive automaton's
+	// schema count below the explosion the paper reports (it is still
+	// applied to rules, where it is a pure optimization).
+	next []int
+}
+
+// segment returns the table entry of the unlocked set, computing it on first
+// use. The caller may keep mutating unlocked afterwards.
+func (e *Engine) segment(an *analysis, unlocked guardSet) *segment {
+	an.segMu.Lock()
+	defer an.segMu.Unlock()
+	if sg, ok := an.segs[string(unlocked)]; ok {
+		return sg
+	}
+	var enabled []int // indices into an.rules
+	for i := range an.rules {
+		if an.ruleEnabled(i, unlocked) {
+			enabled = append(enabled, i)
+		}
+	}
+	reach := make(map[ta.LocID]bool, len(e.ta.Locations))
+	for _, l := range an.initLocs {
+		reach[l] = true
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, i := range enabled {
+			r := e.ta.Rules[an.rules[i]]
+			if reach[r.From] && !reach[r.To] {
+				reach[r.To] = true
+				changed = true
+			}
+		}
+	}
+	sg := &segment{}
+	for _, i := range enabled {
+		if reach[e.ta.Rules[an.rules[i]].From] {
+			sg.rules = append(sg.rules, an.rules[i])
+		}
+	}
+	incremented := make(map[expr.Sym]bool)
+	for _, i := range enabled {
+		for v, d := range e.ta.Rules[an.rules[i]].Update {
+			if d > 0 {
+				incremented[v] = true
+			}
+		}
+	}
+	for _, gi := range an.alphabet {
+		if unlocked.has(gi) {
+			continue
+		}
+		g := an.guards[gi]
+		ok := g.initiallyTrue
+		for _, v := range g.vars {
+			ok = ok || incremented[v]
+		}
+		if ok {
+			sg.next = append(sg.next, gi)
+		}
+	}
+	if an.segs == nil {
+		an.segs = make(map[string]*segment)
+	}
+	an.segs[string(unlocked)] = sg
+	return sg
 }
 
 // analyze runs the structural pass for one query. The deadline (zero = none)
@@ -255,10 +364,10 @@ func (e *Engine) guardInitiallyTrue(g expr.Constraint, resilience []expr.Constra
 // available at wave k (guard unlocked, source reachable). It also records
 // the reachable location set per wave.
 func (an *analysis) computeLevels(a *ta.TA) error {
-	unlocked := make([]bool, len(an.guards))
+	unlocked := an.newGuardSet()
 	for gi, g := range an.guards {
 		if g.initiallyTrue || len(g.vars) == 0 {
-			unlocked[gi] = true
+			unlocked.add(gi)
 			g.level = 0
 		}
 	}
@@ -269,15 +378,7 @@ func (an *analysis) computeLevels(a *ta.TA) error {
 	}
 
 	ruleAvailable := func(i int) bool {
-		if !reach[a.Rules[an.rules[i]].From] {
-			return false
-		}
-		for _, gi := range an.ruleGuards[i] {
-			if !unlocked[gi] {
-				return false
-			}
-		}
-		return true
+		return reach[a.Rules[an.rules[i]].From] && an.ruleEnabled(i, unlocked)
 	}
 
 	// Close reachability under currently available rules.
@@ -313,12 +414,12 @@ func (an *analysis) computeLevels(a *ta.TA) error {
 		}
 		changed := false
 		for gi, g := range an.guards {
-			if unlocked[gi] {
+			if unlocked.has(gi) {
 				continue
 			}
 			for _, v := range g.vars {
 				if incrementable[v] {
-					unlocked[gi] = true
+					unlocked.add(gi)
 					g.level = level + 1
 					changed = true
 					break
@@ -335,22 +436,17 @@ func (an *analysis) computeLevels(a *ta.TA) error {
 	an.maxLevel = level
 
 	for i := range an.rules {
+		if !ruleAvailable(i) {
+			an.ruleLevel[i] = -1
+			continue
+		}
 		lv := 0
-		dead := false
 		for _, gi := range an.ruleGuards[i] {
-			if !unlocked[gi] {
-				dead = true
-				break
-			}
 			if an.guards[gi].level > lv {
 				lv = an.guards[gi].level
 			}
 		}
-		if dead || !reach[a.Rules[an.rules[i]].From] {
-			an.ruleLevel[i] = -1
-		} else {
-			an.ruleLevel[i] = lv
-		}
+		an.ruleLevel[i] = lv
 	}
 	return nil
 }

@@ -75,3 +75,28 @@ func BenchmarkPrefixSolveIncrementalVsFresh(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) { benchPrefixSolve(b, false) })
 	b.Run("fresh", func(b *testing.B) { benchPrefixSolve(b, true) })
 }
+
+// BenchmarkSolveRangePrune measures the prune-bound regime the cluster_prune
+// benchmark workload drives: the first 10,000 contexts of the naive
+// automaton's Inv2_0 preorder at one worker, where almost every context lies
+// below a rationally-Unsat level and is settled from the structural table.
+func BenchmarkSolveRangePrune(b *testing.B) {
+	const prefix = 10000
+	plan := naivePlan(b, "Inv2_0")
+	ctxs, _ := plan.EnumeratePrefix(prefix, nil)
+	if len(ctxs) != prefix {
+		b.Fatalf("prefix has %d contexts, want %d", len(ctxs), prefix)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		recs, interrupted, err := plan.SolveRange(ctxs, 0, 1, nil)
+		if err != nil || interrupted {
+			b.Fatalf("interrupted=%v err=%v", interrupted, err)
+		}
+		if !recs[prefix-1].Done {
+			b.Fatal("last record not done")
+		}
+	}
+	b.ReportMetric(float64(prefix)*float64(b.N)/b.Elapsed().Seconds(), "schemas/s")
+}

@@ -106,27 +106,11 @@ func (enc *encoding) pop() {
 	enc.shared = m.shared
 }
 
-// addSegment appends one accelerated slot (eager guards) per rule whose
-// source location is reachable and whose guard conjuncts are all unlocked —
-// one topological segment of a full-mode schema.
-func (enc *encoding) addSegment(unlocked map[int]bool) error {
-	e := enc.e
-	reach := e.reachUnder(enc.an, unlocked)
-	for i, ri := range enc.an.rules {
-		r := e.ta.Rules[ri]
-		if !reach[r.From] {
-			continue
-		}
-		ok := true
-		for _, gi := range enc.an.ruleGuards[i] {
-			if !unlocked[gi] {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
+// addSegment appends one accelerated slot (eager guards) per rule enabled
+// under the unlocked set (see segment) — one topological segment of a
+// full-mode schema.
+func (enc *encoding) addSegment(unlocked guardSet) error {
+	for _, ri := range enc.e.segment(enc.an, unlocked).rules {
 		if err := enc.addSlot(ri, false); err != nil {
 			return err
 		}
@@ -219,8 +203,14 @@ func (enc *encoding) addSlot(ruleIdx int, lazyGuard bool) error {
 	}
 	enc.solver.Assert(expr.GEZero(avail))
 
+	// Only finalizeClauses reads a frame's snapshot, and only for slots that
+	// carry lazy guards; the others keep a nil entry so indices stay aligned.
 	slotIdx := len(enc.slots)
-	enc.snapshots = append(enc.snapshots, enc.snapshotShared())
+	var snap map[expr.Sym]expr.Lin
+	if lazyGuard && len(r.Guard) > 0 {
+		snap = enc.snapshotShared()
+	}
+	enc.snapshots = append(enc.snapshots, snap)
 	if lazyGuard {
 		for _, g := range r.Guard {
 			enc.lazyGuards = append(enc.lazyGuards, pendingGuard{

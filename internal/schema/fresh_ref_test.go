@@ -16,6 +16,98 @@ import (
 // same verdicts, counterexamples and slot counts, different solver-effort
 // attribution.
 
+// The reference also keeps the three per-call loops the structural table
+// (analysis.go, segment) replaced — reachability, enabled-rule selection and
+// unlockability recomputed from a map-typed unlocked set on every call — so
+// the table is checked against an independent definition (the PR 15
+// dense-kernel pattern).
+
+// refReachUnder computes the locations reachable from the initial locations
+// via rules whose guard conjuncts are all unlocked.
+func refReachUnder(e *Engine, an *analysis, unlocked map[int]bool) map[ta.LocID]bool {
+	reach := make(map[ta.LocID]bool, len(e.ta.Locations))
+	for _, l := range an.initLocs {
+		reach[l] = true
+	}
+	for changed := true; changed; {
+		changed = false
+		for i, ri := range an.rules {
+			r := e.ta.Rules[ri]
+			if !reach[r.From] || reach[r.To] {
+				continue
+			}
+			ok := true
+			for _, gi := range an.ruleGuards[i] {
+				if !unlocked[gi] {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				reach[r.To] = true
+				changed = true
+			}
+		}
+	}
+	return reach
+}
+
+// refAddSegment appends one accelerated slot (eager guards) per rule whose
+// source location is reachable and whose guard conjuncts are all unlocked.
+func refAddSegment(enc *encoding, unlocked map[int]bool) error {
+	e := enc.e
+	reach := refReachUnder(e, enc.an, unlocked)
+	for i, ri := range enc.an.rules {
+		r := e.ta.Rules[ri]
+		if !reach[r.From] {
+			continue
+		}
+		ok := true
+		for _, gi := range enc.an.ruleGuards[i] {
+			if !unlocked[gi] {
+				ok = false
+				break
+			}
+		}
+		if !ok {
+			continue
+		}
+		if err := enc.addSlot(ri, false); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// refUnlockable reports whether the guard could become true next, given the
+// currently unlocked set: it is satisfiable with zero increments, or some
+// rule whose guards are unlocked increments one of its variables.
+func refUnlockable(e *Engine, an *analysis, unlocked map[int]bool, gi int) bool {
+	g := an.guards[gi]
+	if g.initiallyTrue {
+		return true
+	}
+	for i, ri := range an.rules {
+		r := e.ta.Rules[ri]
+		enabled := true
+		for _, gj := range an.ruleGuards[i] {
+			if !unlocked[gj] {
+				enabled = false
+				break
+			}
+		}
+		if !enabled {
+			continue
+		}
+		for _, v := range g.vars {
+			if d, ok := r.Update[v]; ok && d > 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // solveSchema encodes and solves the schema for one ordered guard context.
 func (e *Engine) solveSchema(an *analysis, ctx []int, deadline time.Time) (IndexRecord, error) {
 	enc, err := e.newEncoding(an)
@@ -25,7 +117,7 @@ func (e *Engine) solveSchema(an *analysis, ctx []int, deadline time.Time) (Index
 	enc.deadline = deadline
 	unlocked := make(map[int]bool, len(ctx))
 
-	if err := enc.addSegment(unlocked); err != nil {
+	if err := refAddSegment(enc, unlocked); err != nil {
 		return IndexRecord{}, err
 	}
 	for _, gi := range ctx {
@@ -35,7 +127,7 @@ func (e *Engine) solveSchema(an *analysis, ctx []int, deadline time.Time) (Index
 			return IndexRecord{}, err
 		}
 		unlocked[gi] = true
-		if err := enc.addSegment(unlocked); err != nil {
+		if err := refAddSegment(enc, unlocked); err != nil {
 			return IndexRecord{}, err
 		}
 	}

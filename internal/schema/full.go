@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/spec"
-	"repro/internal/ta"
 )
 
 // checkFull enumerates schemas as ordered subsets of the rule-gating guard
@@ -66,67 +65,4 @@ func (e *Engine) checkFull(q *spec.Query, res *Result, start time.Time) error {
 	}
 	res.Phases.Encode += enumDur
 	return nil
-}
-
-// reachUnder computes the locations reachable from the initial locations via
-// rules whose guard conjuncts are all unlocked.
-func (e *Engine) reachUnder(an *analysis, unlocked map[int]bool) map[ta.LocID]bool {
-	reach := make(map[ta.LocID]bool, len(e.ta.Locations))
-	for _, l := range an.initLocs {
-		reach[l] = true
-	}
-	for changed := true; changed; {
-		changed = false
-		for i, ri := range an.rules {
-			r := e.ta.Rules[ri]
-			if !reach[r.From] || reach[r.To] {
-				continue
-			}
-			ok := true
-			for _, gi := range an.ruleGuards[i] {
-				if !unlocked[gi] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				reach[r.To] = true
-				changed = true
-			}
-		}
-	}
-	return reach
-}
-
-// unlockable reports whether the guard could become true next, given the
-// currently unlocked set: it is satisfiable with zero increments, or some
-// rule whose guards are unlocked increments one of its variables. Like
-// ByMC's enumeration, this prunes only by guard dependency, not by location
-// reachability — reachability pruning would shrink the naive automaton's
-// schema count below the explosion the paper reports (it is still applied
-// to the *encoding* of each schema, where it is a pure optimization).
-func (e *Engine) unlockable(an *analysis, unlocked map[int]bool, gi int) bool {
-	g := an.guards[gi]
-	if g.initiallyTrue {
-		return true
-	}
-	for i, ri := range an.rules {
-		r := e.ta.Rules[ri]
-		enabled := true
-		for _, gj := range an.ruleGuards[i] {
-			if !unlocked[gj] {
-				enabled = false
-				break
-			}
-		}
-		if !enabled {
-			continue
-		}
-		for _, v := range g.vars {
-			if d, ok := r.Update[v]; ok && d > 0 {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -35,20 +35,27 @@ import (
 
 // fullCursor is one worker's stateful walk of the guard-context tree.
 type fullCursor struct {
-	e        *Engine
-	an       *analysis
-	enc      *encoding
-	path     []int        // guard indices currently pushed, in order
-	unlocked map[int]bool // set view of path
-	baseDone bool         // base-segment warm check performed
-	// unsatDepth is len(path) at the level whose rational check came back
-	// Unsat, or -1. The level constraints are a subset of every descendant
+	e   *Engine
+	an  *analysis
+	enc *encoding
+	// path is the current context. Only path[:live] is pushed into the
+	// encoder and solver; path[live:] is the dead suffix below an Unsat level,
+	// kept as guard indices plus deadSlots, the running slot total after each
+	// of its levels (what len(enc.slots) would read had the segments been
+	// encoded — a pure function of the unlocked sets along the path).
+	path      []int
+	live      int
+	deadSlots []int
+	unlocked  guardSet // set view of path
+	baseDone  bool     // base-segment warm check performed
+	// unsat reports that the rational check of the innermost live level came
+	// back Unsat. The level constraints are a subset of every descendant
 	// schema's constraint set, so the whole subtree is Unsat: deeper levels
-	// skip their checks and solveAt returns Unsat without a query solve —
-	// the dominant saving on trees whose guard prefixes are mostly
-	// infeasible (a fresh strategy re-proves that infeasibility from
-	// scratch once per schema).
-	unsatDepth int
+	// are counted, not encoded, and solveAt returns Unsat without a query
+	// solve — the dominant saving on trees whose guard prefixes are mostly
+	// infeasible (a fresh strategy re-proves that infeasibility from scratch
+	// once per schema).
+	unsat bool
 }
 
 // newFullCursor builds the shared base of every schema: the resilience and
@@ -59,7 +66,7 @@ func (e *Engine) newFullCursor(an *analysis, deadline time.Time) (*fullCursor, e
 		return nil, err
 	}
 	enc.deadline = deadline
-	cur := &fullCursor{e: e, an: an, enc: enc, unlocked: make(map[int]bool), unsatDepth: -1}
+	cur := &fullCursor{e: e, an: an, enc: enc, unlocked: an.newGuardSet()}
 	if err := enc.addSegment(cur.unlocked); err != nil {
 		return nil, err
 	}
@@ -74,24 +81,47 @@ func commonPrefixLen(a, b []int) int {
 	return n
 }
 
-func (cur *fullCursor) popLevel() {
-	gi := cur.path[len(cur.path)-1]
-	cur.path = cur.path[:len(cur.path)-1]
-	delete(cur.unlocked, gi)
-	cur.enc.pop()
-	if cur.unsatDepth > len(cur.path) {
-		cur.unsatDepth = -1 // the Unsat-detecting level was popped
+// truncate backtracks to the first depth levels of the path: dead levels are
+// dropped from the list, live ones popped from the encoder.
+func (cur *fullCursor) truncate(depth int) {
+	for len(cur.path) > depth {
+		last := len(cur.path) - 1
+		cur.unlocked.remove(cur.path[last])
+		cur.path = cur.path[:last]
+		if last < cur.live {
+			cur.live = last
+			cur.enc.pop()
+			cur.unsat = false // the Unsat level is the innermost live one
+		}
 	}
+	cur.deadSlots = cur.deadSlots[:len(cur.path)-cur.live]
+}
+
+// slots is the schema length at the current context.
+func (cur *fullCursor) slots() int {
+	if n := len(cur.deadSlots); n > 0 {
+		return cur.deadSlots[n-1]
+	}
+	return len(cur.enc.slots)
 }
 
 // pushLevel opens one guard segment: the guard becomes true at this
 // boundary (its increments happened in the preceding segments), then every
 // rule enabled under the grown unlocked set fires an accelerated factor.
+// Below an Unsat level no solver work can change the verdict, so the
+// segment only adds its rule count to the slot total.
 func (cur *fullCursor) pushLevel(gi int) error {
+	cur.path = append(cur.path, gi)
+	cur.unlocked.add(gi)
+	if cur.unsat {
+		n := cur.slots() + len(cur.e.segment(cur.an, cur.unlocked).rules)
+		cur.deadSlots = append(cur.deadSlots, n)
+		obsDeadLevels.Inc()
+		return nil
+	}
 	enc := cur.enc
 	enc.push()
-	cur.path = append(cur.path, gi)
-	cur.unlocked[gi] = true
+	cur.live++
 	if err := enc.assertGuardNow(cur.an.guards[gi].c); err != nil {
 		return err
 	}
@@ -99,23 +129,17 @@ func (cur *fullCursor) pushLevel(gi int) error {
 		return err
 	}
 	obsLevelPushes.Inc()
-	if cur.unsatDepth >= 0 {
-		// An ancestor level is already rationally infeasible; the segment is
-		// still encoded (slot counts feed the deterministic records) but no
-		// solver work can change the verdict down here.
-		return nil
-	}
 	// Pin a warm basis at this level. solver.Pop restores the lp snapshot
 	// taken at the matching Push, so any warming done inside a query scope
 	// never escapes it; without this check every schema in the subtree
 	// would re-solve the whole prefix from the base tableau. An Unsat
-	// answer condemns the subtree (see unsatDepth).
+	// answer condemns the subtree (see unsat).
 	st, rm, err := enc.solver.CheckRational()
 	if err != nil {
 		return err
 	}
 	if st == smt.Unsat {
-		cur.unsatDepth = len(cur.path)
+		cur.unsat = true
 		obsUnsatLevels.Inc()
 		return nil
 	}
@@ -230,15 +254,13 @@ func (cur *fullCursor) solveAt(ctx []int, idx int, acc *phaseAcc) (IndexRecord, 
 	}
 
 	p := commonPrefixLen(cur.path, ctx)
-	for len(cur.path) > p {
-		cur.popLevel()
-	}
+	cur.truncate(p)
 	for li := p; li < len(ctx); li++ {
 		last := li == len(ctx)-1
 		var before smt.Stats
 		if last {
 			before = enc.solver.Stats
-		} else {
+		} else if !cur.unsat {
 			obsLevelReplays.Inc()
 		}
 		if err := cur.pushLevel(ctx[li]); err != nil {
@@ -248,9 +270,9 @@ func (cur *fullCursor) solveAt(ctx []int, idx int, acc *phaseAcc) (IndexRecord, 
 			charged.Add(enc.solver.Stats.Diff(before))
 		}
 	}
-	slots := len(enc.slots)
+	slots := cur.slots()
 
-	if cur.unsatDepth >= 0 {
+	if cur.unsat {
 		// The guard prefix is rationally infeasible, so the schema — its
 		// constraints are a superset — is Unsat with no further solver work.
 		// Deterministic at any worker count: whichever cursor reaches this
@@ -259,14 +281,7 @@ func (cur *fullCursor) solveAt(ctx []int, idx int, acc *phaseAcc) (IndexRecord, 
 		// this schema exactly the work of its own final-level push.
 		encodeDur := time.Since(encStart)
 		acc.encode.Add(encodeDur.Nanoseconds())
-		cur.e.opts.Trace.Emit("schema", "solve", map[string]int64{
-			"index":     int64(idx),
-			"slots":     int64(slots),
-			"status":    int64(smt.Unsat),
-			"encode_ns": encodeDur.Nanoseconds(),
-			"solve_ns":  0,
-			"bb_nodes":  int64(charged.BBNodes),
-		})
+		cur.emitSolve(idx, slots, smt.Unsat, encodeDur, 0, charged)
 		return IndexRecord{Done: true, Status: smt.Unsat, Slots: slots, Stats: charged}, nil
 	}
 
@@ -290,18 +305,28 @@ func (cur *fullCursor) solveAt(ctx []int, idx int, acc *phaseAcc) (IndexRecord, 
 	}
 	charged.Add(enc.solver.Stats.Diff(before))
 
-	cur.e.opts.Trace.Emit("schema", "solve", map[string]int64{
-		"index":     int64(idx),
-		"slots":     int64(slots),
-		"status":    int64(st),
-		"encode_ns": encodeDur.Nanoseconds(),
-		"solve_ns":  solveDur.Nanoseconds(),
-		"bb_nodes":  int64(charged.BBNodes),
-	})
+	cur.emitSolve(idx, slots, st, encodeDur, solveDur, charged)
 	if ce != nil {
 		for _, gi := range ctx {
 			ce.Schema = append(ce.Schema, cur.an.guards[gi].key)
 		}
 	}
 	return IndexRecord{Done: true, Status: st, Slots: slots, Stats: charged, CE: ce}, nil
+}
+
+// emitSolve traces one discharged schema. The nil check keeps the untraced
+// path from building the attribute map.
+func (cur *fullCursor) emitSolve(idx, slots int, st smt.Status, encode, solve time.Duration, charged smt.Stats) {
+	tr := cur.e.opts.Trace
+	if tr == nil {
+		return
+	}
+	tr.Emit("schema", "solve", map[string]int64{
+		"index":     int64(idx),
+		"slots":     int64(slots),
+		"status":    int64(st),
+		"encode_ns": encode.Nanoseconds(),
+		"solve_ns":  solve.Nanoseconds(),
+		"bb_nodes":  int64(charged.BBNodes),
+	})
 }

@@ -2,7 +2,6 @@ package schema
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -91,30 +90,13 @@ func TestIncrementalVsFreshSchemaRandom(t *testing.T) {
 	if testing.Short() {
 		want, floor = 12, 8
 	}
-	trials := 0
-	for seed := int64(2000); trials < want && seed < 2300; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		a, err := randomTA(rng, fmt.Sprintf("inc%d", seed))
-		if err != nil {
-			continue
-		}
-		q := spec.Query{Name: "visit", Kind: spec.Safety}
-		for k := 0; k <= rng.Intn(2); k++ {
-			set := ta.LocSet{}
-			for j := 0; j <= rng.Intn(2); j++ {
-				set[ta.LocID(rng.Intn(len(a.Locations)))] = true
-			}
-			q.VisitNonempty = append(q.VisitNonempty, set)
-		}
-		if err := q.Validate(a); err != nil {
-			continue
-		}
-		trials++
-		base := checkStrategy(t, a, q, 1, 0, true)
-		sameVerdict(t, a.Name, base, checkStrategy(t, a, q, 1, 0, false))
+	all := randomVisitQueries(want)
+	for _, m := range all {
+		base := checkStrategy(t, m.a, m.qs[0], 1, 0, true)
+		sameVerdict(t, m.a.Name, base, checkStrategy(t, m.a, m.qs[0], 1, 0, false))
 	}
-	if trials < floor {
-		t.Fatalf("only %d valid random automata generated", trials)
+	if len(all) < floor {
+		t.Fatalf("only %d valid random automata generated", len(all))
 	}
 }
 

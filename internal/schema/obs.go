@@ -31,4 +31,7 @@ var (
 	// obsUnsatLevels counts levels whose rational check condemned their
 	// whole subtree (every descendant schema resolved without solver work).
 	obsUnsatLevels = obs.Default.Counter("schema", "unsat_levels")
+	// obsDeadLevels counts levels below an Unsat one, settled structurally:
+	// their slot count read from the table, nothing pushed or encoded.
+	obsDeadLevels = obs.Default.Counter("schema", "dead_levels")
 )

@@ -29,7 +29,7 @@ func refEnumerate(e *Engine, an *analysis, limit int) ([][]int, bool) {
 		}
 		out = append(out, append([]int(nil), ctx...))
 		for _, gi := range an.alphabet {
-			if unlocked[gi] || !e.unlockable(an, unlocked, gi) {
+			if unlocked[gi] || !refUnlockable(e, an, unlocked, gi) {
 				continue
 			}
 			child := append(append([]int(nil), ctx...), gi)

@@ -112,13 +112,10 @@ func (p *FullPlan) walk(limit int, stop func() bool) (ctxs [][]int, more, interr
 		return ctxs, more, false
 	}
 	visited := 0
-	unlocked := make(map[int]bool)
+	unlocked := an.newGuardSet()
 	var rec func(ctx []int) bool
 	rec = func(ctx []int) bool {
-		for _, gi := range an.alphabet {
-			if unlocked[gi] || !p.e.unlockable(an, unlocked, gi) {
-				continue
-			}
+		for _, gi := range p.e.segment(an, unlocked).next {
 			visited++
 			if visited&255 == 0 && stop != nil && stop() {
 				interrupted = true
@@ -130,9 +127,9 @@ func (p *FullPlan) walk(limit int, stop func() bool) (ctxs [][]int, more, interr
 			if !emit(child) {
 				return false
 			}
-			unlocked[gi] = true
+			unlocked.add(gi)
 			ok := rec(child)
-			delete(unlocked, gi)
+			unlocked.remove(gi)
 			if !ok {
 				return false
 			}

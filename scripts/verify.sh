@@ -54,7 +54,7 @@ fi
 # owns the CRC32C framing, and the merged full-mode internals stay merged
 # (their names survive only in _test.go references and in CHANGES.md /
 # ROADMAP.md as history). Bracketed like the lint above.
-echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, message identity)"
+echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity)"
 SRC=$(find cmd internal -name '*.go' ! -name '*_test.go')
 N=$(grep -l 'json:"lp[_]checks"' $SRC | wc -l)
 [ "$N" -eq 1 ] || { echo "one-definition lint: $N non-test files declare a json:\"lp[_]checks\" field, want 1"; exit 1; }
@@ -63,6 +63,18 @@ N=$(grep -l '"hash/crc[3]2"' $SRC | xargs -n1 dirname | sort -u | wc -l)
 if grep -nE 'fresh[S]olves|split[F]rontier|solve[R]ec|full[O]utcome|decode[C]E' $SRC \
     README.md DESIGN.md EXPERIMENTS.md Makefile scripts/*.sh; then
     echo "one-definition lint: the lines above name a full-mode internal that was merged away"
+    exit 1
+fi
+
+# "Rule enabled under an unlocked guard set" is decided in one place,
+# analysis.ruleEnabled: the structural table, the encoder, the enumerator and
+# the level fixpoint all call it, and the per-call loops it replaced live on
+# only as the _test.go reference. A second non-test all-unlocked loop is a
+# second definition.
+N=$(cat $SRC | grep -cE '!unlocked(\[g[a-z]\]|\.has\(g[a-z]\))' || true)
+[ "$N" -eq 1 ] || { echo "one-definition lint: $N non-test all-unlocked guard tests (the ruleGuards[i] loop), want 1 (analysis.ruleEnabled)"; exit 1; }
+if grep -nE 'func .*(reach[U]nder|\) un[l]ockable)\(' $SRC; then
+    echo "one-definition lint: the lines above re-grow a per-call loop the structural table replaced"
     exit 1
 fi
 
@@ -79,8 +91,9 @@ go build ./...
 echo "==> go test -race ./internal/wal"
 go test -race ./internal/wal
 
-echo "==> go test -race -run Incremental ./internal/smt ./internal/schema (incremental prefix-sharing)"
-go test -short -race -run Incremental ./internal/smt ./internal/schema
+echo "==> go test -race -run 'Incremental|DeadSubtree' ./internal/smt ./internal/schema (incremental prefix-sharing, structural table vs its per-call reference, dead-subtree records and allocation gate; prune benchmark compiles and runs)"
+go test -short -race -run 'Incremental|DeadSubtree' ./internal/smt ./internal/schema
+go test -run '^$' -bench 'SolveRangePrune' -benchtime 1x ./internal/schema
 
 echo "==> smt kernel leg (dense-reference pivots, rat vs math/big, pinned effort counters; rat fuzz; kernel benchmarks compile and run)"
 go test -race -count=1 -run 'Dense|Rat|Effort' ./internal/smt ./internal/schema
