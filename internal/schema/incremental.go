@@ -1,9 +1,6 @@
 package schema
 
 import (
-	"math"
-	"math/big"
-	"sort"
 	"time"
 
 	"repro/internal/expr"
@@ -134,7 +131,7 @@ func (cur *fullCursor) pushLevel(gi int) error {
 	// never escapes it; without this check every schema in the subtree
 	// would re-solve the whole prefix from the base tableau. An Unsat
 	// answer condemns the subtree (see unsat).
-	st, rm, err := enc.solver.CheckRational()
+	st, fracs, err := enc.solver.CheckFractional(maxBoundProbes)
 	if err != nil {
 		return err
 	}
@@ -143,10 +140,7 @@ func (cur *fullCursor) pushLevel(gi int) error {
 		obsUnsatLevels.Inc()
 		return nil
 	}
-	if st == smt.Sat {
-		return cur.probeBounds(rm)
-	}
-	return nil
+	return cur.probeBounds(fracs)
 }
 
 // maxBoundProbes caps the per-level probing: only the first fractional
@@ -165,28 +159,13 @@ const maxBoundProbes = 2
 // the upper side). The cut removes only non-integer points, so integer
 // verdicts are unchanged. Probe order and count are fixed by symbol order,
 // keeping the resulting solver state a function of the context path.
-func (cur *fullCursor) probeBounds(rm smt.RatModel) error {
-	var fracs []expr.Sym
-	for s, v := range rm {
-		if !v.IsInt() {
-			fracs = append(fracs, s)
-		}
-	}
-	if len(fracs) == 0 {
-		return nil
-	}
-	sort.Slice(fracs, func(i, j int) bool { return fracs[i] < fracs[j] })
-	if len(fracs) > maxBoundProbes {
-		fracs = fracs[:maxBoundProbes]
-	}
+func (cur *fullCursor) probeBounds(fracs []smt.Frac) error {
 	sv := cur.enc.solver
-	for _, s := range fracs {
-		// Denominators are positive, so Div (Euclidean) is the floor.
-		f := new(big.Int).Div(rm[s].Num(), rm[s].Denom())
-		if !f.IsInt64() || f.Int64() == math.MaxInt64 {
+	for _, f := range fracs {
+		if !f.OK {
 			continue // cut coefficients would overflow; skip, never guess
 		}
-		floor := f.Int64()
+		s, floor := f.Sym, f.Floor
 		le, err := expr.Le(expr.Var(s), expr.NewLin(floor))
 		if err != nil {
 			return err
@@ -221,7 +200,7 @@ func (cur *fullCursor) probe(c expr.Constraint) (smt.Status, error) {
 	sv := cur.enc.solver
 	sv.Push()
 	sv.Assert(c)
-	st, _, err := sv.CheckRational()
+	st, _, err := sv.CheckFractional(0)
 	sv.Pop()
 	return st, err
 }
@@ -244,7 +223,7 @@ func (cur *fullCursor) solveAt(ctx []int, idx int, acc *phaseAcc) (IndexRecord, 
 
 	if !cur.baseDone {
 		before := enc.solver.Stats
-		if _, _, err := enc.solver.CheckRational(); err != nil {
+		if _, _, err := enc.solver.CheckFractional(0); err != nil {
 			return IndexRecord{}, err
 		}
 		cur.baseDone = true

@@ -53,9 +53,9 @@ func schemaShapedSystem(seed int64, locs, slots, guards int) []expr.Lin {
 
 // benchTableau returns the solved 250 x 240 dictionary the kernel benchmarks
 // work on, and logs its sparsity.
-func benchTableau(b *testing.B) *tableau {
+func benchTableau(b testing.TB) *tableau {
 	b.Helper()
-	t := newTableau()
+	t := newTableau(new(scratch))
 	for _, l := range schemaShapedSystem(1, 10, 230, 20) {
 		t.addGE(l)
 	}
@@ -116,9 +116,15 @@ func BenchmarkPivot(b *testing.B) {
 // of factors reaching a threshold. It takes them from the variables that are
 // basic in t, so addGE has their dictionary rows to substitute.
 func guardRow(t *tableau) expr.Lin {
+	symOf := map[int]expr.Sym{}
+	for s, id := range t.varOf {
+		if id >= 0 {
+			symOf[int(id)] = expr.Sym(s)
+		}
+	}
 	l := expr.Lin{Coeffs: map[expr.Sym]int64{}, Const: -2}
 	for _, id := range t.basic {
-		if s := t.symOf[id]; s != expr.NoSym && len(l.Coeffs) < 8 {
+		if s, ok := symOf[id]; ok && len(l.Coeffs) < 8 {
 			l.Coeffs[s] = 1
 		}
 	}
@@ -136,8 +142,8 @@ func BenchmarkAddGE(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t.addGE(l)
-		t.basic, t.consts, t.rows = t.basic[:rows], t.consts[:rows], t.rows[:rows]
-		t.symOf, t.colAt, t.rowAt = t.symOf[:vars], t.colAt[:vars], t.rowAt[:vars]
+		t.basic, t.consts, t.rows, t.own = t.basic[:rows], t.consts[:rows], t.rows[:rows], t.own[:rows]
+		t.colAt, t.rowAt = t.colAt[:vars], t.rowAt[:vars]
 		t.nextVar = vars
 	}
 }
@@ -151,7 +157,7 @@ func BenchmarkTableauClone(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cloneSink = t.clone()
+		cloneSink = t.clone(0)
 	}
 }
 
@@ -177,4 +183,52 @@ func BenchmarkPushCheckPop(b *testing.B) {
 		}
 		s.Pop()
 	}
+}
+
+// caseSplitClauses hangs one side condition on every slot of the
+// schema-shaped system: "this slot's factor is zero OR its source location
+// keeps a process after the firing" — a disjunction of a factor bound and a
+// counter row, the shape of the encoder's per-firing obligations. The
+// relaxation drains locations exactly, so it keeps violating one of them,
+// and each split moves the solution by a pivot or two.
+func caseSplitClauses(rows []expr.Lin, locs, slots int) []Clause {
+	var clauses []Clause
+	for k, l := range rows[:slots] {
+		keeps := l.Clone()
+		keeps.Const--
+		clauses = append(clauses, ClauseOf(
+			expr.GEZero(expr.Lin{Coeffs: map[expr.Sym]int64{expr.Sym(locs + k): -1}}),
+			expr.GEZero(keeps)))
+	}
+	return clauses
+}
+
+// BenchmarkCaseSplit measures one whole lazy case-splitting search below the
+// solved 250 x 240 system — 43 nodes, 66 pivots, under spec_suite's 2.9 a node —
+// and so the per-node toll: a Push, a literal asserted, a warm check on a
+// clone of the parent basis, every clause evaluated at the solution, a Pop.
+func BenchmarkCaseSplit(b *testing.B) {
+	rows := schemaShapedSystem(1, 10, 230, 20)
+	clauses := caseSplitClauses(rows, 10, 230)
+	s := NewSolver(expr.NewTable())
+	for _, l := range rows {
+		s.Assert(expr.GEZero(l))
+	}
+	if st, _, err := s.CheckRational(); err != nil || st != Sat {
+		b.Fatalf("base system: %v %v", st, err)
+	}
+	before := s.Stats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Push()
+		st, _, err := s.CheckClauses(clauses, ClauseLimits{})
+		s.Pop()
+		if err != nil || st != Sat {
+			b.Fatalf("case-split search: %v %v", st, err)
+		}
+	}
+	work := s.Stats.Diff(before)
+	b.ReportMetric(float64(work.CaseSplit)/float64(b.N), "splits/op")
+	b.ReportMetric(float64(work.Pivots)/float64(b.N), "pivots/op")
 }

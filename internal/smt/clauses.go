@@ -1,7 +1,6 @@
 package smt
 
 import (
-	"math/big"
 	"time"
 
 	"repro/internal/expr"
@@ -135,7 +134,7 @@ func (s *Solver) checkClausesRec(clauses []Clause, limits ClauseLimits, splits *
 	s.Stats.CaseSplit++
 	obsCaseSplits.Inc()
 
-	st, rm, err := s.CheckRational()
+	st, err := s.check()
 	if err != nil {
 		return 0, nil, err
 	}
@@ -143,42 +142,24 @@ func (s *Solver) checkClausesRec(clauses []Clause, limits ClauseLimits, splits *
 		return Unsat, nil, nil
 	}
 
-	// Find a clause the rational model violates.
+	// Find a clause the relaxation's basic solution violates. Nothing below
+	// touches the tableau before the next check, so it stays readable while
+	// the chosen literals are asserted.
+	t := s.lp.tab
 	violated := -1
 	for ci, clause := range clauses {
-		sat := false
-		for _, l := range clause {
-			ok, herr := holdsRational(l.C, rm)
-			if herr != nil {
-				return 0, nil, herr
-			}
-			if ok {
-				sat = true
-				break
-			}
-		}
-		if !sat {
+		if t.heldLit(clause) < 0 {
 			violated = ci
 			break
 		}
 	}
 
 	if violated == -1 {
-		// Every clause is rationally satisfied. Pin the model-chosen
+		// Every clause is rationally satisfied. Pin the solution-chosen
 		// literals and look for an integer model.
 		s.Push()
 		for _, clause := range clauses {
-			for _, l := range clause {
-				ok, herr := holdsRational(l.C, rm)
-				if herr != nil {
-					s.Pop()
-					return 0, nil, herr
-				}
-				if ok {
-					s.assertLit(l)
-					break
-				}
-			}
+			s.assertLit(clause[t.heldLit(clause)])
 		}
 		st, m, err := s.checkIntegerWith(limits, p)
 		s.Pop()
@@ -221,23 +202,4 @@ func (s *Solver) checkClausesRec(clauses []Clause, limits ClauseLimits, splits *
 		return Unknown, nil, nil
 	}
 	return Unsat, nil, nil
-}
-
-// holdsRational evaluates a constraint under a rational model.
-func holdsRational(c expr.Constraint, m RatModel) (bool, error) {
-	acc := new(big.Rat).SetInt64(c.L.Const)
-	term := new(big.Rat)
-	for s, coeff := range c.L.Coeffs {
-		term.SetInt64(coeff)
-		term.Mul(term, m.Value(s))
-		acc.Add(acc, term)
-	}
-	switch c.Op {
-	case expr.GE:
-		return acc.Sign() >= 0, nil
-	case expr.EQ:
-		return acc.Sign() == 0, nil
-	default:
-		return false, nil
-	}
 }

@@ -183,7 +183,8 @@ func diffTableaus(d *denseTableau, s *tableau, big *bool) string {
 // verdict and pivot count must match the reference after every stage (so
 // its entering/leaving choices were the same ones). Stages mimic the
 // incremental cursor: one fresh solve, then rounds of a few appended rows
-// and a dual restore, on clones every other round.
+// and a dual restore, on copy-on-write clones every other round; the
+// generation cloned from must still be what it was after each round.
 func TestDenseReferenceKernel(t *testing.T) {
 	seeds := 30
 	if testing.Short() {
@@ -193,7 +194,7 @@ func TestDenseReferenceKernel(t *testing.T) {
 	var degenerate, rowDeleted, infeasible, pivots int
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		g := newSysGen(seed, 10+int(seed%4)*5)
-		dense, mirror, prod := newDenseTableau(), newTableau(), newTableau()
+		dense, mirror, prod := newDenseTableau(), newTableau(new(scratch)), newTableau(new(scratch))
 		same := func(what string, s *tableau) {
 			t.Helper()
 			if diff := diffTableaus(dense, s, &sawBig); diff != "" {
@@ -258,16 +259,24 @@ func TestDenseReferenceKernel(t *testing.T) {
 		if !stage("fresh solve", dense.solveFresh, prod.solveFresh) {
 			continue
 		}
+		var prev []frozen // the generation just cloned from, with its deep copies
 		for round := 0; round < 12; round++ {
 			if round%2 == 0 {
-				mirror, prod = mirror.clone(), prod.clone()
+				prev = []frozen{{"mirror", mirror, mirror.deepClone()}, {"drivers", prod, prod.deepClone()}}
+				mirror, prod = mirror.clone(0), prod.clone(0)
 			}
 			next := g.batch(1 + g.rng.Intn(3))
 			if seed%6 == 0 && round == 4 {
 				next = append(next, g.bigRow())
 			}
 			add(next)
-			if !stage(fmt.Sprintf("round %d", round), dense.dualRestore, prod.dualRestore) {
+			feasible := stage(fmt.Sprintf("round %d", round), dense.dualRestore, prod.dualRestore)
+			for _, f := range prev {
+				if diff := sameTableau(f.ref, f.live); diff != "" {
+					t.Fatalf("seed %d, round %d: the %s tableau this round's was cloned from changed: %s", seed, round, f.name, diff)
+				}
+			}
+			if !feasible {
 				break
 			}
 		}

@@ -17,4 +17,7 @@ var (
 	// check; Push itself no longer copies, so clones − pushes measures how
 	// much the lazy snapshot discipline saves on check-free scopes.
 	obsLazyClones = obs.Default.Counter("smt", "lazy_clones")
+	// obsRowsCopied counts the rows those clones then materialized by a
+	// first write; rows_copied ÷ lazy_clones is how local a search node is.
+	obsRowsCopied = obs.Default.Counter("smt", "rows_copied")
 )

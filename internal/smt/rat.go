@@ -257,6 +257,18 @@ func (r rat) isInt() bool {
 	return r.d == 1 || r.n == 0
 }
 
+// floor returns the largest integer not above r and whether it fits int64.
+func (r rat) floor() (int64, bool) {
+	if r.b != nil {
+		return ratFloor(r.b)
+	}
+	q := r.n / max(r.d, 1) // truncates toward zero
+	if r.n < 0 && !r.isInt() {
+		q--
+	}
+	return q, true
+}
+
 func (r rat) String() string {
 	if r.b != nil {
 		return r.b.RatString()

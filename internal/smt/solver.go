@@ -17,7 +17,6 @@ package smt
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/big"
 
 	"repro/internal/expr"
@@ -65,6 +64,7 @@ type Solver struct {
 	// branches restore their parent's basis instead of re-solving phase one.
 	lp      lpState
 	lpStack []lpState
+	scratch scratch // kernel buffers shared by every tableau of this solver
 
 	// Stats accumulates counters across checks; callers may read or reset.
 	Stats Stats
@@ -73,13 +73,15 @@ type Solver struct {
 type lpState struct {
 	tab   *tableau // nil = must rebuild from scratch
 	count int      // constraints already incorporated
-	// owned reports that tab is referenced by this lpState alone. Push used
-	// to clone eagerly; now it aliases the tableau into the saved snapshot
-	// and clears owned, and CheckRational clones on the first mutation after
-	// that (clone-on-first-check). A deep run of Pushes with no check in
-	// between — the seek phase of the incremental schema walker, and
-	// branch-and-bound nodes pruned before their first LP — therefore costs
-	// no copies at all. An un-owned tableau is never mutated in place.
+	// owned reports that tab is referenced by this lpState alone. Push
+	// aliases the tableau into the saved snapshot and clears owned, and the
+	// first check that would mutate it clones it first (clone-on-first-
+	// check), so a deep run of Pushes with no check in between — the seek
+	// phase of the incremental schema walker, and branch-and-bound nodes
+	// pruned before their first LP — costs no copies at all. The invariant
+	// everything below a Push rests on: a tableau that a Push has saved is
+	// never written again (Pop restores it un-owned), and a clone copies a
+	// row before its first write to it (tableau.own).
 	owned bool
 }
 
@@ -180,64 +182,99 @@ func (m RatModel) ToInt() (Model, error) {
 // On Sat it returns a rational model. Re-checks after new assertions are
 // warm-started from the previous feasible basis with dual-simplex pivots.
 func (s *Solver) CheckRational() (Status, RatModel, error) {
+	st, err := s.check()
+	if st != Sat {
+		return st, nil, err
+	}
+	return Sat, s.lp.tab.model(), nil
+}
+
+// Frac is a symbol whose value in the relaxation's basic solution is not
+// an integer, with the bounds a branch on it needs: x <= Floor and
+// x >= Floor+1. OK is false where either bound leaves int64 — asserting a
+// wrapped bound would be a garbage cut that can flip the verdict, so the
+// caller must give up on the symbol instead.
+type Frac struct {
+	Sym   expr.Sym
+	Floor int64
+	OK    bool
+}
+
+// CheckFractional is CheckRational for callers that need at most a
+// branching variable, not a model: on Sat it returns the first k fractional
+// symbols in symbol order (none when k is 0 or the solution is integral),
+// read off the basis without building a RatModel.
+func (s *Solver) CheckFractional(k int) (Status, []Frac, error) {
+	st, err := s.check()
+	if st != Sat {
+		return st, nil, err
+	}
+	return Sat, s.lp.tab.fractional(k), nil
+}
+
+// check is the rational feasibility check behind both. On Sat, s.lp.tab is
+// the feasible tableau of every asserted constraint, for the caller to read.
+func (s *Solver) check() (Status, error) {
 	s.Stats.LPChecks++
 	obsLPChecks.Inc()
 
 	if s.lp.tab != nil && s.lp.count <= len(s.constraints) {
 		if len(s.constraints) > s.lp.count && !s.lp.owned {
 			// Lazy snapshot: the tableau is aliased by a Push-saved lpState
-			// and about to be mutated, so materialize the private copy now.
-			// With no new constraints the stored (feasible) tableau is read
-			// only and needs no copy at all.
-			s.lp.tab = s.lp.tab.clone()
+			// and about to be mutated, so take the private copy now. With no
+			// new constraints the stored (feasible) tableau is read only and
+			// needs no copy at all.
+			s.lp.tab = s.lp.tab.clone(2 * (len(s.constraints) - s.lp.count)) // an equality is two rows
 			s.lp.owned = true
 			obsLazyClones.Inc()
 		}
 		t := s.lp.tab
 		for _, c := range s.constraints[s.lp.count:] {
 			if err := t.addConstraint(c); err != nil {
-				return 0, nil, err
+				return 0, err
 			}
 		}
 		s.lp.count = len(s.constraints)
 		feasible, pivots, err := t.dualRestore()
 		s.Stats.Pivots += pivots
 		obsPivots.Add(int64(pivots))
+		obsRowsCopied.Add(int64(t.copied))
+		t.copied = 0
 		if err == nil {
 			if !feasible {
 				// Leave the state invalid; the caller Pops back to the
 				// parent snapshot (or the next check rebuilds).
 				s.lp.tab = nil
-				return Unsat, nil, nil
+				return Unsat, nil
 			}
-			return Sat, t.model(), nil
+			return Sat, nil
 		}
 		if !errors.Is(err, errPivotLimit) {
-			return 0, nil, err
+			return 0, err
 		}
 		// Degenerate cycling guard tripped: fall through to a fresh solve.
 	}
 
 	s.Stats.Rebuilds++
 	obsRebuilds.Inc()
-	t := newTableau()
+	t := newTableau(&s.scratch)
 	for _, c := range s.constraints {
 		if err := t.addConstraint(c); err != nil {
-			return 0, nil, err
+			return 0, err
 		}
 	}
 	feasible, pivots, err := t.solveFresh()
 	s.Stats.Pivots += pivots
 	obsPivots.Add(int64(pivots))
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	if !feasible {
 		s.lp.tab = nil
-		return Unsat, nil, nil
+		return Unsat, nil
 	}
 	s.lp = lpState{tab: t, count: len(s.constraints), owned: true}
-	return Sat, t.model(), nil
+	return Sat, nil
 }
 
 // CheckInteger decides satisfiability over the nonnegative integers using
@@ -279,37 +316,24 @@ func (s *Solver) branchAndBound(limits ClauseLimits, nodes *int, p *poller) (Sta
 	s.Stats.BBNodes++
 	obsBBNodes.Inc()
 
-	st, rm, err := s.CheckRational()
+	st, fracs, err := s.CheckFractional(1)
 	if err != nil {
 		return 0, nil, err
 	}
 	if st == Unsat {
 		return Unsat, nil, nil
 	}
-	// Find a fractional variable to branch on.
-	var frac expr.Sym = expr.NoSym
-	var fracVal *big.Rat
-	for sym, v := range rm {
-		if !v.IsInt() {
-			if frac == expr.NoSym || sym < frac {
-				frac = sym
-				fracVal = v
-			}
-		}
-	}
-	if frac == expr.NoSym {
-		m, err := rm.ToInt()
+	if len(fracs) == 0 {
+		m, err := s.lp.tab.intModel()
 		if err != nil {
 			return 0, nil, err
 		}
 		return Sat, m, nil
 	}
-
-	floor, ok := ratFloor(fracVal)
-	if !ok || floor == math.MaxInt64 {
-		// The floor does not fit in int64 (or floor+1 would not): asserting a
-		// wrapped bound would be a garbage cut that can flip the verdict.
-		// Surface the budget-style honest answer instead.
+	// Branch on the smallest fractional symbol; without usable bounds,
+	// surface the budget-style honest answer instead.
+	frac, floor := fracs[0].Sym, fracs[0].Floor
+	if !fracs[0].OK {
 		return Unknown, nil, nil
 	}
 

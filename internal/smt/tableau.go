@@ -3,7 +3,7 @@ package smt
 import (
 	"errors"
 	"fmt"
-	"math/big"
+	"math"
 	"slices"
 
 	"repro/internal/expr"
@@ -25,14 +25,19 @@ import (
 // differs from its parent by one or two rows and typically needs only a few
 // pivots instead of a full phase-one solve.
 type tableau struct {
-	colOf   map[expr.Sym]int // symbol -> variable id
-	symOf   []expr.Sym       // variable id -> symbol (NoSym for slacks and x0)
+	varOf   []int32 // symbol -> variable id, -1 where the symbol is not interned
 	nextVar int
 
 	nonbasic []int // variable ids of nonbasic columns
 	basic    []int // variable ids of basic rows
 	consts   []rat // row constants
 	rows     []row // row coefficients over the nonbasic columns
+	// own[i] reports that rows[i]'s idx/val storage is this tableau's alone.
+	// clone shares every row with its source and leaves neither side owning
+	// it; the first write to a row (take) copies it. A search node therefore
+	// pays for the rows its pivots touch, not for the whole dictionary.
+	own    []bool
+	copied int // rows materialised by a first write since the last clone
 
 	// colAt and rowAt locate a variable by id: its nonbasic column or its
 	// basic row, -1 where it is not (both -1 once x0 has been dropped).
@@ -44,10 +49,17 @@ type tableau struct {
 	objC rat
 	x0   int // variable id of the auxiliary variable, -1 if absent
 
-	// Scratch owned by this tableau and never cloned: acc is addGE's dense
-	// accumulator (all zero between calls), spare the buffer a pivot merges
-	// a rewritten row into before copying it back.
+	*scratch
+}
+
+// scratch holds the buffers the kernel works in. They carry nothing between
+// calls, so one set serves every tableau of a Solver (clone passes the
+// pointer on) and is grown once per query rather than once per search node:
+// acc is addGE's dense accumulator (all zero between calls), syms its sorted
+// symbol list, spare the buffer substitute merges a rewritten row into.
+type scratch struct {
 	acc   []rat
+	syms  []expr.Sym
 	spare row
 }
 
@@ -97,57 +109,56 @@ const maxPivots = 200000
 
 var errPivotLimit = errors.New("smt: simplex pivot limit exceeded")
 
-func newTableau() *tableau {
-	return &tableau{
-		colOf: make(map[expr.Sym]int),
-		x0:    -1,
-	}
+// newTableau returns an empty tableau working in sc.
+func newTableau(sc *scratch) *tableau {
+	return &tableau{x0: -1, scratch: sc}
 }
 
-// clone deep-copies the tableau. rat values are immutable (an operation
-// returns a new value and never writes through an operand's big.Rat), so
-// copying the cells suffices; all rows of the copy share two slabs, each row
-// capped at its own length so that growing one cannot run into the next.
-func (t *tableau) clone() *tableau {
-	out := &tableau{
-		colOf:    make(map[expr.Sym]int, len(t.colOf)),
-		symOf:    append([]expr.Sym(nil), t.symOf...),
+// clone returns a tableau that can be written without disturbing t, with
+// room for extra more rows before an append reallocates. Headers, constants
+// and the id tables are copied — O(rows + variables), mostly small integers;
+// the rows' non-zeros are shared, and from here on neither side owns them
+// (see own). rat values are immutable (an operation returns a new value and
+// never writes through an operand's big.Rat), so sharing cells is safe.
+func (t *tableau) clone(extra int) *tableau {
+	clear(t.own)
+	return &tableau{
+		varOf:    slices.Clone(t.varOf),
 		nextVar:  t.nextVar,
-		nonbasic: append([]int(nil), t.nonbasic...),
-		basic:    append([]int(nil), t.basic...),
-		consts:   append([]rat(nil), t.consts...),
-		rows:     make([]row, len(t.rows)),
-		colAt:    append([]int32(nil), t.colAt...),
-		rowAt:    append([]int32(nil), t.rowAt...),
+		nonbasic: slices.Clone(t.nonbasic),
+		basic:    cloneGrow(t.basic, extra),
+		consts:   cloneGrow(t.consts, extra),
+		rows:     cloneGrow(t.rows, extra),
+		own:      make([]bool, len(t.own), len(t.own)+extra),
+		colAt:    cloneGrow(t.colAt, extra),
+		rowAt:    cloneGrow(t.rowAt, extra),
+		objA:     slices.Clone(t.objA),
 		objC:     t.objC,
 		x0:       t.x0,
+		scratch:  t.scratch,
 	}
-	for k, v := range t.colOf {
-		out.colOf[k] = v
-	}
-	nnz := 0
-	for i := range t.rows {
-		nnz += len(t.rows[i].idx)
-	}
-	idx, val := make([]int32, nnz), make([]rat, nnz)
-	for i := range t.rows {
-		n := copy(idx, t.rows[i].idx)
-		copy(val, t.rows[i].val)
-		out.rows[i] = row{idx: idx[:n:n], val: val[:n:n]}
-		idx, val = idx[n:], val[n:]
-	}
-	if t.objA != nil {
-		out.objA = append([]rat(nil), t.objA...)
-	}
-	return out
 }
 
-// newVar allocates the next variable id for symbol s (NoSym for a slack or
-// x0), located nowhere yet.
-func (t *tableau) newVar(s expr.Sym) int {
+// cloneGrow copies s into a slice with room for extra more elements.
+func cloneGrow[T any](s []T, extra int) []T {
+	return append(make([]T, 0, len(s)+extra), s...)
+}
+
+// take makes row i's storage this tableau's own before its first write.
+func (t *tableau) take(i int) {
+	if t.own[i] {
+		return
+	}
+	r := &t.rows[i]
+	r.idx, r.val = slices.Clone(r.idx), slices.Clone(r.val)
+	t.own[i] = true
+	t.copied++
+}
+
+// newVar allocates the next variable id, located nowhere yet.
+func (t *tableau) newVar() int {
 	id := t.nextVar
 	t.nextVar++
-	t.symOf = append(t.symOf, s)
 	t.colAt = append(t.colAt, -1)
 	t.rowAt = append(t.rowAt, -1)
 	return id
@@ -161,14 +172,25 @@ func (t *tableau) newCol(id int) int32 {
 	return c
 }
 
+// idOf returns the variable id of symbol s, -1 when s is not interned.
+func (t *tableau) idOf(s expr.Sym) int {
+	if uint(s) < uint(len(t.varOf)) {
+		return int(t.varOf[s])
+	}
+	return -1
+}
+
 // colFor returns the variable id for a symbol, creating a fresh nonbasic
 // column when the symbol is new.
 func (t *tableau) colFor(s expr.Sym) int {
-	if id, ok := t.colOf[s]; ok {
+	if id := t.idOf(s); id >= 0 {
 		return id
 	}
-	id := t.newVar(s)
-	t.colOf[s] = id
+	for len(t.varOf) <= int(s) {
+		t.varOf = append(t.varOf, -1)
+	}
+	id := t.newVar()
+	t.varOf[s] = int32(id)
 	t.newCol(id)
 	return id
 }
@@ -181,11 +203,12 @@ func (t *tableau) addGE(l expr.Lin) {
 	// run — and with it which column a degenerate phase one pivots x0 out
 	// on and which optimal vertex the relaxation lands on, making solver
 	// effort (and branch-and-bound paths) differ between identical solves.
-	syms := make([]expr.Sym, 0, len(l.Coeffs))
+	syms := t.syms[:0]
 	for s := range l.Coeffs {
 		syms = append(syms, s)
 	}
 	slices.Sort(syms)
+	t.syms = syms
 	for len(t.acc) < len(t.nonbasic)+len(syms) {
 		t.acc = append(t.acc, ratZero)
 	}
@@ -218,11 +241,12 @@ func (t *tableau) addGE(l expr.Lin) {
 			acc[c] = ratZero
 		}
 	}
-	slack := t.newVar(expr.NoSym)
+	slack := t.newVar()
 	t.rowAt[slack] = int32(len(t.basic))
 	t.basic = append(t.basic, slack)
 	t.consts = append(t.consts, rowConst)
 	t.rows = append(t.rows, nr)
+	t.own = append(t.own, true)
 }
 
 // addConstraint appends rows for a constraint (two for an equality).
@@ -242,9 +266,10 @@ func (t *tableau) addConstraint(c expr.Constraint) error {
 // addX0 introduces the phase-one auxiliary variable with coefficient +1 in
 // every row and the objective -x0, and returns its column.
 func (t *tableau) addX0() int32 {
-	t.x0 = t.newVar(expr.NoSym)
+	t.x0 = t.newVar()
 	c := t.newCol(t.x0)
 	for i := range t.rows {
+		t.take(i)
 		t.rows[i].push(c, ratInt(1))
 	}
 	t.objA = make([]rat, len(t.nonbasic))
@@ -342,6 +367,7 @@ func (t *tableau) dropX0() error {
 			t.basic = append(t.basic[:r], t.basic[r+1:]...)
 			t.consts = append(t.consts[:r], t.consts[r+1:]...)
 			t.rows = append(t.rows[:r], t.rows[r+1:]...)
+			t.own = append(t.own[:r], t.own[r+1:]...)
 			t.rowAt[t.x0] = -1
 			for _, id := range t.basic[r:] {
 				t.rowAt[id]--
@@ -362,6 +388,7 @@ func (t *tableau) dropX0() error {
 		t.colAt[id]--
 	}
 	for i := range t.rows {
+		t.take(i)
 		r := &t.rows[i]
 		k := r.lowerBound(col)
 		if k < len(r.idx) && r.idx[k] == col {
@@ -416,6 +443,7 @@ func (t *tableau) dualRestore() (bool, int, error) {
 // pivot makes nonbasic column e basic and the basic variable of row r
 // nonbasic, rewriting every row that mentions column e and the objective.
 func (t *tableau) pivot(e int32, r int) {
+	t.take(r)
 	pr := &t.rows[r]
 	pe := pr.find(e)
 	p := pr.val[pe]
@@ -470,7 +498,8 @@ func (t *tableau) pivot(e int32, r int) {
 // the solved pivot row pr: every column of pr gains d·pr[c], and column e —
 // now the leaving variable's — is replaced by d·pr[e]. The two sorted lists
 // are merged into the spare buffer and copied back, so a row's own storage
-// only ever grows to what fill-in has made it need.
+// only ever grows to what fill-in has made it need; a row still shared with
+// the tableau this one was cloned from is left alone and gets fresh storage.
 func (t *tableau) substitute(i int, d rat, e int32, pr row) {
 	ri := &t.rows[i]
 	out := row{idx: t.spare.idx[:0], val: t.spare.val[:0]}
@@ -502,24 +531,95 @@ func (t *tableau) substitute(i int, d rat, e int32, pr row) {
 	for ; b < len(pr.idx); b++ {
 		out.push(pr.idx[b], d.mul(pr.val[b]))
 	}
+	if !t.own[i] {
+		// First write to a shared row: the merge is its copy.
+		ri.idx, ri.val, t.own[i] = nil, nil, true
+		t.copied++
+	}
 	ri.idx = append(ri.idx[:0], out.idx...)
 	ri.val = append(ri.val[:0], out.val...)
 	t.spare = out
 }
 
-// model extracts the current basic solution for the original variables.
-// Nonbasic variables are 0; basic variables take their row constants.
-func (t *tableau) model() RatModel {
-	m := make(RatModel, len(t.colOf))
-	for id, s := range t.symOf {
-		if s == expr.NoSym {
-			continue
+// valueOf returns the value of symbol s in the current basic solution: its
+// row constant when basic, 0 when nonbasic or not interned (RatModel.Value's
+// rule for an absent symbol).
+func (t *tableau) valueOf(s expr.Sym) rat {
+	if id := t.idOf(s); id >= 0 && t.rowAt[id] >= 0 {
+		return t.consts[t.rowAt[id]]
+	}
+	return ratZero
+}
+
+// value evaluates l at the current basic solution.
+func (t *tableau) value(l expr.Lin) rat {
+	v := ratInt(l.Const)
+	for s, a := range l.Coeffs {
+		v = v.addMul(ratInt(a), t.valueOf(s))
+	}
+	return v
+}
+
+// holds reports whether c holds at the current basic solution. An operator
+// that addConstraint rejects never holds, so the search asserts such a
+// literal and the rejection surfaces there.
+func (t *tableau) holds(c expr.Constraint) bool {
+	switch sign := t.value(c.L).sign(); c.Op {
+	case expr.GE:
+		return sign >= 0
+	case expr.EQ:
+		return sign == 0
+	}
+	return false
+}
+
+// heldLit returns the index of the first literal of clause that holds at
+// the current basic solution, -1 when the solution violates the clause.
+func (t *tableau) heldLit(clause Clause) int {
+	for k, l := range clause {
+		if t.holds(l.C) {
+			return k
 		}
-		if r := t.rowAt[id]; r >= 0 {
-			m[s] = t.consts[r].toBig()
-		} else {
-			m[s] = new(big.Rat)
+	}
+	return -1
+}
+
+// fractional returns the first k symbols, in symbol order, whose value in
+// the current basic solution is not an integer.
+func (t *tableau) fractional(k int) []Frac {
+	var out []Frac
+	for s := 0; s < len(t.varOf) && len(out) < k; s++ {
+		if v := t.valueOf(expr.Sym(s)); !v.isInt() {
+			floor, ok := v.floor()
+			out = append(out, Frac{Sym: expr.Sym(s), Floor: floor, OK: ok && floor != math.MaxInt64})
+		}
+	}
+	return out
+}
+
+// model extracts the current basic solution for the original variables.
+func (t *tableau) model() RatModel {
+	m := make(RatModel, len(t.varOf))
+	for s, id := range t.varOf {
+		if id >= 0 {
+			m[expr.Sym(s)] = t.valueOf(expr.Sym(s)).toBig()
 		}
 	}
 	return m
+}
+
+// intModel is model for a basic solution that fractional found integral.
+func (t *tableau) intModel() (Model, error) {
+	m := make(Model, len(t.varOf))
+	for s, id := range t.varOf {
+		if id < 0 {
+			continue
+		}
+		v := t.valueOf(expr.Sym(s))
+		if v.b != nil {
+			return nil, fmt.Errorf("smt: value of symbol %d exceeds int64: %s", s, v.b)
+		}
+		m[expr.Sym(s)] = v.n
+	}
+	return m, nil
 }

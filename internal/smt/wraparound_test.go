@@ -25,12 +25,23 @@ func TestRatFloor(t *testing.T) {
 		{0, 5, 0, true},
 		{math.MaxInt64, 1, math.MaxInt64, true},
 		{math.MinInt64, 1, math.MinInt64, true},
+		{-1, 3, -1, true},
+		{math.MaxInt64, 2, math.MaxInt64 / 2, true},
+		{math.MinInt64 + 1, 2, math.MinInt64 / 2, true},
 	}
 	for _, c := range cases {
 		f, ok := ratFloor(big.NewRat(c.num, c.den))
 		if ok != c.ok || f != c.floor {
 			t.Errorf("ratFloor(%d/%d) = %d, %v; want %d, %v", c.num, c.den, f, ok, c.floor, c.ok)
 		}
+		// The cell-side floor the basis readers use, on whichever lane the
+		// value is held.
+		if f, ok := fromBig(big.NewRat(c.num, c.den)).floor(); ok != c.ok || f != c.floor {
+			t.Errorf("rat(%d/%d).floor() = %d, %v; want %d, %v", c.num, c.den, f, ok, c.floor, c.ok)
+		}
+	}
+	if f, ok := (rat{}).floor(); !ok || f != 0 {
+		t.Errorf("zero-value rat floor = %d, %v; want 0, true", f, ok)
 	}
 
 	// (5*2^62 + 1) / 2: fractional, floor = 5*2^61 > MaxInt64.
@@ -42,6 +53,9 @@ func TestRatFloor(t *testing.T) {
 	}
 	if _, ok := ratFloor(new(big.Rat).Neg(huge)); ok {
 		t.Errorf("ratFloor(-%s) reported ok, want overflow", huge)
+	}
+	if _, ok := fromBig(huge).floor(); ok {
+		t.Errorf("rat(%s).floor() reported ok, want overflow", huge)
 	}
 }
 

@@ -54,7 +54,7 @@ fi
 # owns the CRC32C framing, and the merged full-mode internals stay merged
 # (their names survive only in _test.go references and in CHANGES.md /
 # ROADMAP.md as history). Bracketed like the lint above.
-echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity)"
+echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers)"
 SRC=$(find cmd internal -name '*.go' ! -name '*_test.go')
 N=$(grep -l 'json:"lp[_]checks"' $SRC | wc -l)
 [ "$N" -eq 1 ] || { echo "one-definition lint: $N non-test files declare a json:\"lp[_]checks\" field, want 1"; exit 1; }
@@ -85,6 +85,19 @@ if grep -nE 'Key[S]tring\(|key[S]tring\(' $SRC README.md DESIGN.md Makefile scri
     exit 1
 fi
 
+# A search node costs what it changes: a RatModel is built only where a model
+# leaves the package (CheckRational), and only tableau.go reads or writes a
+# row's idx/val storage, so copy-on-write ownership has one place to be wrong.
+# The deep-copying clone, the math/big literal evaluator and the map-scanning
+# fractional picks live on only as the _test.go references.
+KERNEL=$(find internal/smt -name '*.go' ! -name '*_test.go')
+N=$(cat $KERNEL | grep -c '\.model()' || true)
+[ "$N" -eq 1 ] || { echo "one-definition lint: $N non-test callers of tableau.model(), want 1 (Solver.CheckRational)"; exit 1; }
+if grep -nE '\.(idx|val)\b|holds[R]ational|deep[C]lone' $(echo "$KERNEL" | grep -v '/tableau\.go$'); then
+    echo "one-definition lint: the lines above touch row storage outside tableau.go, or re-grow a per-node copy or model evaluation that lives on as a _test.go reference"
+    exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 
@@ -95,10 +108,10 @@ echo "==> go test -race -run 'Incremental|DeadSubtree' ./internal/smt ./internal
 go test -short -race -run 'Incremental|DeadSubtree' ./internal/smt ./internal/schema
 go test -run '^$' -bench 'SolveRangePrune' -benchtime 1x ./internal/schema
 
-echo "==> smt kernel leg (dense-reference pivots, rat vs math/big, pinned effort counters; rat fuzz; kernel benchmarks compile and run)"
-go test -race -count=1 -run 'Dense|Rat|Effort' ./internal/smt ./internal/schema
+echo "==> smt kernel leg (dense-reference pivots, rat vs math/big, pinned effort counters, copy-on-write ownership, basis readers vs their references, case-split allocation gate; rat fuzz; kernel benchmarks compile and run)"
+go test -race -count=1 -run 'Dense|Rat|Effort|Clone|CaseSplit' ./internal/smt ./internal/schema
 go test -run '^$' -fuzz FuzzRatOps -fuzztime 10s ./internal/smt
-go test -run '^$' -bench 'Pivot|AddGE|TableauClone|PushCheckPop' -benchtime 1x ./internal/smt
+go test -run '^$' -bench 'Pivot|AddGE|TableauClone|PushCheckPop|CaseSplit' -benchtime 1x ./internal/smt
 
 echo "==> go test -race ./internal/schema ./internal/core (parallel enumeration determinism)"
 go test -race ./internal/schema ./internal/core
