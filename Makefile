@@ -10,7 +10,8 @@ test:
 verify:
 	sh scripts/verify.sh
 
-# The fuzz leg of verify alone: 10 s per protocol-kit decoder target.
+# The fuzz leg of verify alone: 10 s per decoder target (protocol kit, message
+# identity, cluster records / contexts / journal frames).
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	sh scripts/verify.sh fuzz-smoke
@@ -55,6 +56,15 @@ bench-schema:
 bench-sim:
 	go test -run '^$$' -bench 'BusEnqueueDrain|DupemapAdd|MsgKey' -benchmem -count 5 ./internal/network
 	go test -run '^$$' -bench 'SendTap' -benchmem -count 5 ./internal/faults
+
+# Cluster result-path micro-benchmarks: one shard from solver records to the
+# journal (pack, report, unpack + certify, done append) for a 256-record
+# pruned naive shard and for the toy counterexample shard, and one claim's
+# contexts front-coded and decoded; B/op and bytes per shard. The before/after
+# of the whole plane is the cluster_prune table in EXPERIMENTS.md.
+.PHONY: bench-cluster
+bench-cluster:
+	go test -run '^$$' -bench 'ShardReport|ClaimContexts' -benchmem -count 5 ./internal/cluster
 
 # The repository's one benchmark (BENCHMARK.json): all six workloads,
 # untraced then traced, every output checked against benchmark/expected.json,

@@ -77,6 +77,21 @@ func serveCoordinator(t *testing.T, c *Coordinator) string {
 	return "http://" + ln.Addr().String()
 }
 
+// solveClaim does a worker's part by hand: unpack the claimed contexts, solve
+// them and pack the records for a report.
+func solveClaim(t *testing.T, eng *schema.Engine, plan *schema.FullPlan, cr *ClaimResponse) []byte {
+	t.Helper()
+	ctxs, err := unpackContexts(cr.Contexts, len(plan.AlphabetKeys()))
+	if err != nil {
+		t.Fatalf("claimed contexts: %v", err)
+	}
+	recs, _, err := plan.SolveRange(ctxs, cr.Base, 2, nil)
+	if err != nil {
+		t.Fatalf("solving shard: %v", err)
+	}
+	return packRecords(eng.TA(), recs)
+}
+
 func startWorker(t *testing.T, base, id string, threads int) (*Worker, context.CancelFunc) {
 	t.Helper()
 	w := &Worker{
@@ -145,10 +160,12 @@ func TestClusterMatchesLocal(t *testing.T) {
 	}
 }
 
-// A worker that claims a shard and dies mid-solve must lose its lease; the
-// shard is reissued and the verdict is byte-identical to an uninterrupted
-// run. The journal must prove the reissue: assign(attempt 1) → expire →
-// assign(attempt 2) for the abandoned shard.
+// A worker that dies mid-solve must lose its lease; the shard is reissued
+// and the verdict is byte-identical to an uninterrupted run. The lease it
+// dies with is the kind a busy worker holds — handed over on the response to
+// its previous report, journaled in that report's commit — and the journal
+// must prove the reissue: assign(attempt 1) → expire → assign(attempt 2) for
+// the abandoned shard.
 func TestLeaseExpiryReissueDeterminism(t *testing.T) {
 	payload := JobPayload{Model: "bv", Prop: "BV-Just0"}
 	ref, label := localReference(t, payload)
@@ -175,12 +192,20 @@ func TestLeaseExpiryReissueDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	// The doomed worker: claims one shard and is never heard from again —
-	// the coordinator cannot tell this from a crash, a hang, or a partition,
-	// which is the point.
-	doomed := c.claim("doomed")
-	if doomed == nil {
+	// The doomed worker: solves one shard, takes the next off its report and
+	// is never heard from again — the coordinator cannot tell this from a
+	// crash, a hang, or a partition, which is the point.
+	first := c.claim("doomed")
+	if first == nil {
 		t.Fatalf("no shard claimable")
+	}
+	eng, plan := planFor(t, payload)
+	doomed, err := c.report(&resultRequest{
+		Job: first.Job, Shard: first.Shard, Hash: first.Hash, Lease: first.Lease,
+		Worker: "doomed", Records: solveClaim(t, eng, plan, first), More: true,
+	})
+	if err != nil || doomed == nil {
+		t.Fatalf("report + claim: lease %v, err %v", doomed, err)
 	}
 	// Wait out the lease.
 	deadline := time.Now().Add(5 * time.Second)
@@ -265,13 +290,9 @@ func TestCoordinatorRestartResume(t *testing.T) {
 		if cr == nil {
 			t.Fatalf("claim %d failed", i)
 		}
-		recs, _, err := plan.SolveRange(cr.Contexts, cr.Base, 2, nil)
-		if err != nil {
-			t.Fatalf("solving shard: %v", err)
-		}
-		if err := c1.report(&resultRequest{
+		if _, err := c1.report(&resultRequest{
 			Job: cr.Job, Shard: cr.Shard, Hash: cr.Hash,
-			Lease: cr.Lease, Worker: "prequake", Records: encodeRecords(eng.TA(), recs),
+			Lease: cr.Lease, Worker: "prequake", Records: solveClaim(t, eng, plan, cr),
 		}); err != nil {
 			t.Fatalf("reporting shard: %v", err)
 		}
@@ -432,20 +453,16 @@ func TestReportHashAndDuplicates(t *testing.T) {
 	a, _, q, _ := payload.Resolve()
 	eng, _ := schema.New(a, schema.Options{Mode: schema.FullEnumeration})
 	plan, _ := eng.PlanFull(q)
-	recs, _, err := plan.SolveRange(cr.Contexts, cr.Base, 1, nil)
-	if err != nil {
-		t.Fatalf("solve: %v", err)
-	}
-	wrecs := encodeRecords(eng.TA(), recs)
-	bad := &resultRequest{Job: cr.Job, Shard: cr.Shard, Hash: "s-bogus", Worker: "w", Records: wrecs}
-	if err := c.report(bad); err == nil {
+	packed := solveClaim(t, eng, plan, cr)
+	bad := &resultRequest{Job: cr.Job, Shard: cr.Shard, Hash: "s-bogus", Worker: "w", Records: packed}
+	if _, err := c.report(bad); err == nil {
 		t.Fatalf("report under a bogus content hash was accepted")
 	}
-	good := &resultRequest{Job: cr.Job, Shard: cr.Shard, Hash: cr.Hash, Worker: "w", Records: wrecs}
-	if err := c.report(good); err != nil {
+	good := &resultRequest{Job: cr.Job, Shard: cr.Shard, Hash: cr.Hash, Worker: "w", Records: packed}
+	if _, err := c.report(good); err != nil {
 		t.Fatalf("good report rejected: %v", err)
 	}
-	if err := c.report(good); err != nil {
+	if _, err := c.report(good); err != nil {
 		t.Fatalf("duplicate report not acknowledged: %v", err)
 	}
 	if n := obsDuplicateReport.Load(); n < 1 {

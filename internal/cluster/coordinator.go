@@ -41,7 +41,8 @@ type Config struct {
 	// JournalDir, when set, WAL-journals job submissions, assignments,
 	// expiries, and completed shards so a coordinator restart resumes
 	// instead of restarting. JournalFS defaults to the OS filesystem;
-	// JournalSync to fsync-per-append.
+	// JournalSync to SyncEachAppend, under which every request that journals
+	// fsyncs once, after its last record and before it is acknowledged.
 	JournalDir  string
 	JournalFS   wal.FS
 	JournalSync wal.SyncMode
@@ -158,13 +159,19 @@ type Coordinator struct {
 	jobs    map[string]*job
 	order   []string
 	journal *wal.Log
-	rng     *rand.Rand
+	// unsynced: records appended since the last commit.
+	unsynced bool
+	rng      *rand.Rand
 	// lastClaim and leases drive pool-empty detection for the degradation
 	// ladder; leases counts live *remote* leases only.
 	lastClaim time.Time
 	leases    int
 	replaying bool
 	leaseSeq  uint64
+	// leasesViaReport counts leases issued on a report's response rather than
+	// a claim's — how the torture campaign shows its schedules met the
+	// combined round trip.
+	leasesViaReport int
 
 	stopCh  chan struct{}
 	stopped atomic.Bool
@@ -183,10 +190,11 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c.lastClaim = cfg.Now()
 	if cfg.JournalDir != "" {
+		// The log never syncs on its own: commit does, once per request.
 		log, rec, err := wal.Open(wal.Options{
 			FS:   cfg.JournalFS,
 			Dir:  cfg.JournalDir,
-			Sync: cfg.JournalSync,
+			Sync: wal.SyncNever,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: opening journal: %w", err)
@@ -214,6 +222,8 @@ func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.journal != nil {
+		// Nothing is unsynced here: every journaling request commits before
+		// it releases mu.
 		return c.journal.Close()
 	}
 	return nil
@@ -237,7 +247,7 @@ func (c *Coordinator) Submit(p JobPayload) (string, error) {
 		return "", err
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.commit()
 	if _, ok := c.jobs[id]; ok {
 		return id, nil // lost a submit race; the jobs are identical by construction
 	}
@@ -422,7 +432,12 @@ func (c *Coordinator) newLease() string {
 // most downstream work.
 func (c *Coordinator) claim(workerID string) *ClaimResponse {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.commit()
+	return c.claimLocked(workerID)
+}
+
+// claimLocked (mu held) is claim proper.
+func (c *Coordinator) claimLocked(workerID string) *ClaimResponse {
 	now := c.cfg.Now()
 	c.lastClaim = now
 	for _, id := range c.order {
@@ -450,9 +465,11 @@ func (c *Coordinator) claim(workerID string) *ClaimResponse {
 				T: recAssign, Job: j.id, Shard: s.idx,
 				Worker: workerID, Lease: s.lease, Attempt: s.attempt,
 			})
+			packed := packContexts(j.ctxs[s.base:s.end])
+			obsClaimBytes.Add(int64(len(packed)))
 			return &ClaimResponse{
 				Job: j.id, Shard: s.idx, Base: s.base, Attempt: s.attempt,
-				Contexts: j.ctxs[s.base:s.end], Hash: s.hash,
+				Contexts: packed, Hash: s.hash,
 				Lease: s.lease, TTLMS: c.cfg.LeaseTTL.Milliseconds(),
 			}
 		}
@@ -478,14 +495,28 @@ func (c *Coordinator) heartbeat(jobID, lease string, shardIdx int) bool {
 	return true
 }
 
-// report integrates a worker's completed shard. Acceptance is by content
-// hash, not lease: records are deterministic, so a report from a worker
-// whose lease expired mid-solve is byte-identical to the reissue's and
-// integrating whichever lands first is safe. Duplicate and post-cancel
-// reports are acknowledged and dropped.
-func (c *Coordinator) report(req *resultRequest) error {
+// report integrates a worker's completed shard and, when the request asks
+// for more, claims its next one under the same hold of mu — so the done, the
+// assign and a jobdone share the one fsync commit makes before the response
+// leaves. Acceptance is by content hash, not lease: records are
+// deterministic, so a report from a worker whose lease expired mid-solve is
+// byte-identical to the reissue's and integrating whichever lands first is
+// safe. Duplicate and post-cancel reports are acknowledged and dropped. A
+// refused report claims nothing.
+func (c *Coordinator) report(req *resultRequest) (*ClaimResponse, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.commit()
+	if err := c.reportLocked(req); err != nil || !req.More {
+		return nil, err
+	}
+	next := c.claimLocked(req.Worker)
+	if next != nil {
+		c.leasesViaReport++
+	}
+	return next, nil
+}
+
+func (c *Coordinator) reportLocked(req *resultRequest) error {
 	j, ok := c.jobs[req.Job]
 	if !ok {
 		return errNoJob
@@ -501,22 +532,24 @@ func (c *Coordinator) report(req *resultRequest) error {
 		obsDuplicateReport.Inc()
 		return nil
 	}
-	if len(req.Records) != s.end-s.base {
-		return errBadRecords
+	frame, err := c.doneFrame(j, s, req.Worker, req.Records)
+	if err != nil {
+		return err
 	}
-	recs, err := decodeRecords(j.a, j.query, req.Records)
+	recs, err := unpackShard(j.a, j.query, req.Records, s.end-s.base)
 	if err != nil {
 		// An undecodable or uncertifiable report is the worker's fault, not
 		// the shard's: reject it and leave the lease to expire and reissue.
 		return fmt.Errorf("%w: %v", errBadRecords, err)
 	}
-	c.integrate(j, s, recs, req.Records, req.Worker)
+	c.integrate(j, s, recs, req.Worker, frame)
 	return nil
 }
 
 // integrate (mu held) commits a solved shard: records, first-Sat CAS-min,
-// downstream cancellation, journal, and job finalization.
-func (c *Coordinator) integrate(j *job, s *shard, recs []schema.IndexRecord, wrecs []WireRecord, worker string) {
+// downstream cancellation, journal (frame is the shard's doneFrame, nil when
+// nothing is journaled), and job finalization.
+func (c *Coordinator) integrate(j *job, s *shard, recs []schema.IndexRecord, worker string, frame []byte) {
 	// Local leases are never counted in c.leases (they must not suppress the
 	// pool-idle signal), so only a remote lease holder releases one.
 	if s.state == shardLeased && s.worker != localWorkerID {
@@ -547,10 +580,9 @@ func (c *Coordinator) integrate(j *job, s *shard, recs []schema.IndexRecord, wre
 			obsShardsCancelled.Inc()
 		}
 	}
-	c.journalRec(&JournalRecord{
-		T: recDone, Job: j.id, Shard: s.idx,
-		Hash: s.hash, Worker: worker, Records: wrecs,
-	})
+	if frame != nil {
+		c.journalFrame(frame)
+	}
 	if j.open == 0 {
 		c.finalize(j)
 	}
@@ -601,7 +633,7 @@ func (c *Coordinator) sweepLoop() {
 // stops heartbeating for any reason loses the shard, no diagnosis needed.
 func (c *Coordinator) sweep() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.commit()
 	now := c.cfg.Now()
 	for _, id := range c.order {
 		j := c.jobs[id]
@@ -666,10 +698,17 @@ func (c *Coordinator) localLoop() {
 		default:
 			if !j.finished && s.state == shardLeased {
 				obsShardsLocal.Inc()
-				c.integrate(j, s, recs, encodeRecords(j.a, recs), localWorkerID)
+				frame, ferr := c.doneFrame(j, s, localWorkerID, packRecords(j.a, recs))
+				if ferr != nil {
+					// Nobody to refuse: the shard is solved and this process
+					// is its only holder. Keep it in memory, count the hole.
+					obsJournalErrors.Inc()
+					c.cfg.Logf("cluster: job %s shard %d not journaled: %v", j.id, s.idx, ferr)
+				}
+				c.integrate(j, s, recs, localWorkerID, frame)
 			}
 		}
-		c.mu.Unlock()
+		c.commit()
 	}
 }
 
@@ -683,7 +722,7 @@ func (c *Coordinator) claimLocal() (*job, *shard) {
 		return nil, nil
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.commit()
 	now := c.cfg.Now()
 	poolIdle := c.leases == 0 && now.Sub(c.lastClaim) > c.cfg.IdleLocalAfter
 	for _, id := range c.order {

@@ -7,27 +7,30 @@ import (
 	"net/http"
 
 	"repro/internal/smt"
+	"repro/internal/wal"
 )
 
 // Wire types of the coordinator's HTTP plane. Everything here is
-// coordination metadata plus WireRecords; the verdict-bearing records are
+// coordination metadata plus packed records and contexts (wire.go; base64
+// strings in these JSON envelopes); the verdict-bearing records are
 // re-certified on arrival, so the transport carries no trusted state.
 
 type claimRequest struct {
 	Worker string `json:"worker"`
 }
 
-// ClaimResponse hands a worker one leased shard: the contexts to solve, the
-// content hash to report under, and the lease to heartbeat.
+// ClaimResponse hands a worker one leased shard: the contexts to solve
+// (packContexts form), the content hash of the decoded contexts to report
+// under, and the lease to heartbeat.
 type ClaimResponse struct {
-	Job      string  `json:"job"`
-	Shard    int     `json:"shard"`
-	Base     int     `json:"base"`
-	Attempt  int     `json:"attempt"`
-	Contexts [][]int `json:"contexts"`
-	Hash     string  `json:"hash"`
-	Lease    string  `json:"lease"`
-	TTLMS    int64   `json:"ttl_ms"`
+	Job      string `json:"job"`
+	Shard    int    `json:"shard"`
+	Base     int    `json:"base"`
+	Attempt  int    `json:"attempt"`
+	Contexts []byte `json:"contexts"`
+	Hash     string `json:"hash"`
+	Lease    string `json:"lease"`
+	TTLMS    int64  `json:"ttl_ms"`
 }
 
 type heartbeatRequest struct {
@@ -36,13 +39,17 @@ type heartbeatRequest struct {
 	Lease string `json:"lease"`
 }
 
+// resultRequest reports one solved shard (Records in packRecords form) and,
+// when More is set, claims the worker's next one in the same round trip; a
+// stopping worker leaves it false so no lease is issued to nobody.
 type resultRequest struct {
-	Job     string       `json:"job"`
-	Shard   int          `json:"shard"`
-	Hash    string       `json:"hash"`
-	Lease   string       `json:"lease"`
-	Worker  string       `json:"worker"`
-	Records []WireRecord `json:"records"`
+	Job     string `json:"job"`
+	Shard   int    `json:"shard"`
+	Hash    string `json:"hash"`
+	Lease   string `json:"lease"`
+	Worker  string `json:"worker"`
+	Records []byte `json:"records"`
+	More    bool   `json:"more,omitempty"`
 }
 
 // PayloadResponse describes a job to a worker: the payload to resolve and
@@ -81,7 +88,13 @@ var (
 	errNoShard      = errors.New("unknown shard")
 	errHashMismatch = errors.New("shard content hash mismatch")
 	errBadRecords   = errors.New("malformed shard records")
+	// errRecordTooLarge refuses a report the journal could not hold: it is
+	// not integrated, so memory never runs ahead of what a restart replays.
+	errRecordTooLarge = fmt.Errorf("shard report exceeds the journal's %d-byte record limit", wal.MaxRecord)
 )
+
+// maxBody caps every request body, like the service handlers' limit.
+const maxBody = 1 << 22
 
 type errorBody struct {
 	Error string `json:"error"`
@@ -98,11 +111,15 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+	case err != nil:
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return false
 	}
-	return true
+	return err == nil
 }
 
 // Handler mounts the cluster coordination API:
@@ -110,9 +127,11 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 //	POST /v1/cluster/jobs        submit a payload (idempotent), returns {"job": id}
 //	GET  /v1/cluster/jobs/{id}          job status and, once done, the verdict
 //	GET  /v1/cluster/jobs/{id}/payload  payload + alphabet fingerprint
-//	POST /v1/cluster/claim       claim a shard (200) or nothing to do (204)
+//	POST /v1/cluster/claim       claim a shard (200) or nothing to do (204):
+//	                             the first lease, and polling
 //	POST /v1/cluster/heartbeat   extend a lease (200) or learn it is gone (410)
-//	POST /v1/cluster/result      report a solved shard's records
+//	POST /v1/cluster/result      report a solved shard's records and, with
+//	                             "more", claim the next: 200 + the lease, or 204
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/cluster/jobs", c.handleSubmit)
@@ -146,11 +165,16 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "claim names no worker")
 		return
 	}
-	resp := c.claim(req.Worker)
+	writeLease(w, c.claim(req.Worker))
+}
+
+// writeLease answers a claim, stand-alone or riding on a report.
+func writeLease(w http.ResponseWriter, resp *ClaimResponse) {
 	if resp == nil {
 		// Nothing claimable right now (all leased, backing off, or no jobs).
-		// 204 + Retry-After is the poll contract; the shared client treats
-		// 204 as success, so workers sleep rather than burn the retry budget.
+		// The shared client treats 204 as success, so workers sleep out their
+		// own poll interval rather than burn the retry budget; Retry-After is
+		// a hint for other clients (Worker does not read it).
 		w.Header().Set("Retry-After", "1")
 		w.WriteHeader(http.StatusNoContent)
 		return
@@ -175,13 +199,20 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	switch err := c.report(&req); {
+	if req.More && req.Worker == "" {
+		writeError(w, http.StatusBadRequest, "claim names no worker")
+		return
+	}
+	obsReportBytes.Add(int64(len(req.Records)))
+	switch next, err := c.report(&req); {
 	case err == nil:
-		w.WriteHeader(http.StatusOK)
+		writeLease(w, next)
 	case errors.Is(err, errNoJob) || errors.Is(err, errNoShard):
 		writeError(w, http.StatusNotFound, "%v", err)
 	case errors.Is(err, errHashMismatch):
 		writeError(w, http.StatusConflict, "%v", err)
+	case errors.Is(err, errRecordTooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, "%v", err)
 	default:
 		writeError(w, http.StatusBadRequest, "%v", err)
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"repro/internal/wal"
@@ -22,7 +23,8 @@ const (
 	recAssign = "assign"
 	// recExpire: a lease reclaimed by the sweeper.
 	recExpire = "expire"
-	// recDone: a shard's integrated records (the only bulky record).
+	// recDone: a shard's integrated records, in the packed form the worker
+	// reported them in (the only bulky record).
 	recDone = "done"
 	// recJobDone: the job folded to a verdict (informational; replay
 	// re-folds from the done records).
@@ -41,8 +43,9 @@ type JournalRecord struct {
 	Lease   string `json:"lease,omitempty"`
 	Attempt int    `json:"attempt,omitempty"`
 
-	Hash    string       `json:"hash,omitempty"`
-	Records []WireRecord `json:"records,omitempty"`
+	Hash string `json:"hash,omitempty"`
+	// Records is a done shard's packRecords bytes (a base64 string in JSON).
+	Records []byte `json:"records,omitempty"`
 
 	Payload   *JobPayload `json:"payload,omitempty"`
 	ShardSize int         `json:"shard_size,omitempty"`
@@ -51,20 +54,87 @@ type JournalRecord struct {
 	Exceeded  bool        `json:"exceeded,omitempty"`
 }
 
-// journalRec appends one record (mu held). Replay suppresses re-journaling:
-// applying a journal must not grow it. A journal write error poisons the
-// coordinator loudly rather than continuing with a silent durability hole.
-func (c *Coordinator) journalRec(r *JournalRecord) {
-	if c.journal == nil || c.replaying {
-		return
-	}
+// journaling (mu held) reports whether state transitions are being written
+// down: a journal is configured and this is not its own replay (applying a
+// journal must not grow it).
+func (c *Coordinator) journaling() bool { return c.journal != nil && !c.replaying }
+
+func encodeJournalRec(r *JournalRecord) []byte {
 	data, err := json.Marshal(r)
 	if err != nil {
 		panic(fmt.Sprintf("cluster: journal marshal: %v", err))
 	}
-	if err := c.journal.Append(data); err != nil {
-		c.cfg.Logf("cluster: JOURNAL APPEND FAILED (%v); restart durability lost", err)
+	return data
+}
+
+// journalRec appends one record (mu held); commit makes it durable.
+func (c *Coordinator) journalRec(r *JournalRecord) {
+	if c.journaling() {
+		c.journalFrame(encodeJournalRec(r))
 	}
+}
+
+// journalFrame appends one encoded record (mu held). A failed append is
+// logged and counted in cluster/journal_errors and the coordinator carries
+// on in memory: the transition is lost to the next restart, nothing else.
+// (The log refuses every later append too, so the counter keeps climbing.)
+func (c *Coordinator) journalFrame(data []byte) {
+	if err := c.journal.Append(data); err != nil {
+		obsJournalErrors.Inc()
+		c.cfg.Logf("cluster: JOURNAL APPEND FAILED (%v); restart durability lost", err)
+		return
+	}
+	c.unsynced = true
+}
+
+// commit (mu held) ends a journaling request: one fsync for everything the
+// request appended — a done, the assign riding on it, a jobdone — and only
+// then is mu released, so no response leaves before its records are on disk
+// and no other request's records slip in between. The log itself is opened
+// SyncNever; JournalSync only decides whether this fsync happens.
+func (c *Coordinator) commit() {
+	if c.unsynced && c.cfg.JournalSync == wal.SyncEachAppend {
+		obsJournalSyncs.Inc()
+		if err := c.journal.Sync(); err != nil {
+			obsJournalErrors.Inc()
+			c.cfg.Logf("cluster: JOURNAL SYNC FAILED (%v); restart durability lost", err)
+		}
+	}
+	c.unsynced = false
+	c.mu.Unlock()
+}
+
+// doneFrame (mu held) encodes a shard's done record ahead of integrating it,
+// so a report the journal cannot hold is refused while refusing is still
+// possible. Without a live journal there is nothing to encode.
+func (c *Coordinator) doneFrame(j *job, s *shard, worker string, packed []byte) ([]byte, error) {
+	if !c.journaling() {
+		return nil, nil
+	}
+	frame := encodeJournalRec(&JournalRecord{
+		T: recDone, Job: j.id, Shard: s.idx,
+		Hash: s.hash, Worker: worker, Records: packed,
+	})
+	if len(frame) > wal.MaxRecord {
+		return nil, errRecordTooLarge
+	}
+	return frame, nil
+}
+
+// parseJournalRec decodes the i-th (1-based) journal payload. Journals
+// written before records were packed hold them as a JSON array of objects;
+// those are refused by name rather than misread.
+func parseJournalRec(i int, payload []byte) (JournalRecord, error) {
+	var r JournalRecord
+	err := json.Unmarshal(payload, &r)
+	var te *json.UnmarshalTypeError
+	switch {
+	case errors.As(err, &te) && te.Field == "records":
+		return r, fmt.Errorf("cluster: journal record %d: records is a JSON array, the form that predates packed records; this journal cannot be replayed — finish it with the binary that wrote it, or remove it", i)
+	case err != nil:
+		return r, fmt.Errorf("cluster: journal record %d: %w", i, err)
+	}
+	return r, nil
 }
 
 // replay rebuilds coordinator state from a recovered journal. Jobs are
@@ -84,9 +154,9 @@ func (c *Coordinator) replay(rec *wal.Recovery) error {
 	c.replaying = true
 	defer func() { c.replaying = false }()
 	for i, payload := range rec.Records {
-		var r JournalRecord
-		if err := json.Unmarshal(payload, &r); err != nil {
-			return fmt.Errorf("cluster: journal record %d: %w", i+1, err)
+		r, err := parseJournalRec(i+1, payload)
+		if err != nil {
+			return err
 		}
 		if err := c.apply(&r); err != nil {
 			return fmt.Errorf("cluster: journal record %d (%s): %w", i+1, r.T, err)
@@ -176,14 +246,11 @@ func (c *Coordinator) apply(r *JournalRecord) error {
 		if r.Hash != s.hash {
 			return fmt.Errorf("job %s shard %d: journaled hash %s, rebuilt %s", j.id, s.idx, r.Hash, s.hash)
 		}
-		if len(r.Records) != s.end-s.base {
-			return fmt.Errorf("job %s shard %d: %d records for %d contexts", j.id, s.idx, len(r.Records), s.end-s.base)
-		}
-		recs, err := decodeRecords(j.a, j.query, r.Records)
+		recs, err := unpackShard(j.a, j.query, r.Records, s.end-s.base)
 		if err != nil {
 			return fmt.Errorf("job %s shard %d: %w", j.id, s.idx, err)
 		}
-		c.integrate(j, s, recs, r.Records, r.Worker)
+		c.integrate(j, s, recs, r.Worker, nil)
 		return nil
 	case recJobDone:
 		return nil // verdicts are re-folded from done records, never read back
@@ -213,9 +280,9 @@ func ReadJournal(fs wal.FS, dir string) ([]JournalRecord, error) {
 	defer log.Close()
 	out := make([]JournalRecord, 0, len(rec.Records))
 	for i, payload := range rec.Records {
-		var r JournalRecord
-		if err := json.Unmarshal(payload, &r); err != nil {
-			return nil, fmt.Errorf("cluster: journal record %d: %w", i+1, err)
+		r, err := parseJournalRec(i+1, payload)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, r)
 	}

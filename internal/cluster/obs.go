@@ -15,4 +15,12 @@ var (
 	obsShardsReissued  = obs.Default.Counter("cluster", "shards_reissued")
 	obsDuplicateReport = obs.Default.Counter("cluster", "duplicate_reports")
 	obsJobsCompleted   = obs.Default.Counter("cluster", "jobs_completed")
+	// Bytes of packed records workers reported and of packed contexts leased
+	// to them, fsyncs the coordinator asked its journal for (one per
+	// journaling request), and journal appends or syncs that failed — each a
+	// transition the next restart will not replay.
+	obsReportBytes   = obs.Default.Counter("cluster", "report_bytes")
+	obsClaimBytes    = obs.Default.Counter("cluster", "claim_bytes")
+	obsJournalSyncs  = obs.Default.Counter("cluster", "journal_syncs")
+	obsJournalErrors = obs.Default.Counter("cluster", "journal_errors")
 )

@@ -74,8 +74,12 @@ type TortureResult struct {
 	// Reissues totals shard reissues observed across runs — the proof that
 	// the schedules actually forced lease-expiry recovery, not just clean
 	// runs.
-	Reissues   int
-	Violations []TortureViolation
+	Reissues int
+	// LeasesViaReport counts leases that rode on a report's response instead
+	// of a claim's: after a worker's first shard, every lease the schedules'
+	// kills, partitions and coordinator restarts hit.
+	LeasesViaReport int
+	Violations      []TortureViolation
 	// Interrupted is set when Stop ended the campaign early; NextSeed is the
 	// resume point.
 	Interrupted bool
@@ -83,8 +87,8 @@ type TortureResult struct {
 }
 
 func (r TortureResult) String() string {
-	return fmt.Sprintf("cluster torture: %d runs, %d violations; %d kills, %d restarts, %d partitions, %d coordinator restarts, %d reissues",
-		r.Runs, len(r.Violations), r.Kills, r.Restarts, r.Partitions, r.CoordRestarts, r.Reissues)
+	return fmt.Sprintf("cluster torture: %d runs, %d violations; %d kills, %d restarts, %d partitions, %d coordinator restarts, %d reissues; %d leases on a report's response",
+		r.Runs, len(r.Violations), r.Kills, r.Restarts, r.Partitions, r.CoordRestarts, r.Reissues, r.LeasesViaReport)
 }
 
 // CompareResults byte-compares the deterministic slice of two results — the
@@ -192,6 +196,7 @@ func Torture(cfg TortureConfig) (TortureResult, error) {
 			res.Partitions += stats.partitions
 			res.CoordRestarts += stats.coordRestarts
 			res.Reissues += stats.reissues
+			res.LeasesViaReport += stats.viaReport
 			if detail != "" {
 				res.Violations = append(res.Violations, TortureViolation{Seed: seed, Detail: detail})
 				if cfg.Verbose != nil {
@@ -231,6 +236,16 @@ func tortureReference(p JobPayload) (schema.Result, string, error) {
 
 type tortureStats struct {
 	kills, restarts, partitions, coordRestarts, reissues int
+	viaReport                                            int
+}
+
+// retire folds a coordinator's count of leases issued on reports into the
+// run's as it leaves service (killed, or the run is over). Handlers of the
+// run's HTTP server may still be in flight, hence the lock.
+func (st *tortureStats) retire(c *Coordinator) {
+	c.mu.Lock()
+	st.viaReport += c.leasesViaReport
+	c.mu.Unlock()
 }
 
 // tortureRun executes one seeded schedule and returns the divergence detail
@@ -384,6 +399,7 @@ func tortureRun(cfg TortureConfig, label string, ref schema.Result, seed int64) 
 			swapMu.Lock()
 			old := cur.Load()
 			old.Close()
+			stats.retire(old)
 			nc, err := newCoord()
 			if err != nil {
 				swapMu.Unlock()
@@ -413,6 +429,7 @@ func tortureRun(cfg TortureConfig, label string, ref schema.Result, seed int64) 
 	}
 	cancelRun()
 	cur.Load().Close()
+	stats.retire(cur.Load())
 	switch {
 	case !done:
 		return stats, "job did not complete within 60s"

@@ -31,6 +31,13 @@ func TestTortureCampaign(t *testing.T) {
 	if res.Reissues == 0 {
 		t.Errorf("campaign drove no shard reissues; schedules never exercised lease recovery")
 	}
+	// After a worker's first shard every lease it holds rode on a report's
+	// response, so these are the leases the kills, partitions and coordinator
+	// restarts above hit (TestLeaseExpiryReissueDeterminism loses one on
+	// purpose).
+	if res.LeasesViaReport == 0 {
+		t.Errorf("no lease rode on a report's response; the campaign never exercised the combined round trip")
+	}
 	t.Log(res.String())
 }
 

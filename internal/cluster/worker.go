@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
@@ -19,9 +18,10 @@ import (
 	"repro/internal/wal"
 )
 
-// Worker is one shard-solving daemon: claim, solve, heartbeat, report,
-// repeat. It holds no durable state — a worker crash loses nothing but the
-// lease, which the coordinator's sweeper reclaims. Solved shards are cached
+// Worker is one shard-solving daemon: claim, solve, heartbeat, report —
+// and take the next lease off the report's response — repeat. It holds no
+// durable state — a worker crash loses nothing but the lease, which the
+// coordinator's sweeper reclaims. Solved shards are cached
 // in memory by content hash behind a singleflight gate, so a reissued
 // duplicate of a shard this worker already solved (or is solving) costs a
 // lookup, not a re-solve; with CacheDir set the cache also persists, so even
@@ -36,8 +36,9 @@ type Worker struct {
 	// Client is the shared retrying HTTP client (default: RetryTransport on
 	// — a worker must ride out a coordinator restart, not die with it).
 	Client *service.HTTPClient
-	// PollInterval paces claim attempts when there is no work (default
-	// 200ms; the coordinator's Retry-After hint stretches it).
+	// PollInterval is the fixed sleep between claim attempts when there is
+	// no work or the claim failed (default 200ms). Nothing stretches it: the
+	// coordinator's Retry-After header on a 204 is not read.
 	PollInterval time.Duration
 	// Stop ends the run loop at the next poll when it returns true.
 	Stop func() bool
@@ -49,9 +50,11 @@ type Worker struct {
 	// and re-solved.
 	CacheDir string
 
-	mu      sync.Mutex
-	jobs    map[string]*workerJob
-	results map[string][]WireRecord
+	mu   sync.Mutex
+	jobs map[string]*workerJob
+	// results holds each solved shard's packed records: the bytes that are
+	// also its CacheDir entry and the body of its report.
+	results map[string][]byte
 	flight  map[string]chan struct{}
 
 	// ShardsSolved counts shards this worker solved (not cache hits); the
@@ -64,6 +67,8 @@ type workerJob struct {
 	a    *ta.TA
 	q    *spec.Query
 	plan *schema.FullPlan
+	// guards is the alphabet size: no context is longer.
+	guards int
 }
 
 func (w *Worker) logf(format string, args ...any) {
@@ -104,7 +109,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	w.mu.Lock()
 	if w.jobs == nil {
 		w.jobs = make(map[string]*workerJob)
-		w.results = make(map[string][]WireRecord)
+		w.results = make(map[string][]byte)
 		w.flight = make(map[string]chan struct{})
 	}
 	w.mu.Unlock()
@@ -114,27 +119,34 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.CacheDir = ""
 		}
 	}
+	// cr is the lease in hand: the last report's response carried it, or —
+	// for the first shard, after an idle spell or a failure — a claim does.
+	var cr *ClaimResponse
 	for {
 		if w.stopping(ctx) {
 			return ctx.Err()
 		}
-		var cr ClaimResponse
-		status, err := w.client().PostJSON(ctx, w.Coordinator+"/v1/cluster/claim", claimRequest{Worker: w.ID}, &cr)
-		switch {
-		case ctx.Err() != nil:
-			return ctx.Err()
-		case err != nil:
-			w.logf("work %s: claim failed (%v); repolling", w.ID, err)
-			fallthrough
-		case status == http.StatusNoContent:
-			select {
-			case <-ctx.Done():
+		if cr == nil {
+			var claimed ClaimResponse
+			status, err := w.client().PostJSON(ctx, w.Coordinator+"/v1/cluster/claim", claimRequest{Worker: w.ID}, &claimed)
+			switch {
+			case ctx.Err() != nil:
 				return ctx.Err()
-			case <-time.After(w.poll()):
+			case err != nil:
+				w.logf("work %s: claim failed (%v); repolling", w.ID, err)
+				fallthrough
+			case status == http.StatusNoContent:
+				select {
+				case <-ctx.Done():
+					return ctx.Err()
+				case <-time.After(w.poll()):
+				}
+				continue
 			}
-			continue
+			cr = &claimed
 		}
-		if err := w.solveShard(ctx, &cr); err != nil {
+		next, err := w.solveShard(ctx, cr)
+		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
@@ -142,6 +154,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			// coordinator reissues it.
 			w.logf("work %s: job %s shard %d abandoned: %v", w.ID, cr.Job, cr.Shard, err)
 		}
+		cr = next
 	}
 }
 
@@ -185,7 +198,7 @@ func (w *Worker) jobFor(ctx context.Context, jobID string) (*workerJob, error) {
 			return nil, fmt.Errorf("alphabet fingerprint mismatch at %d: %q here, %q at coordinator", i, keys[i], pr.Alphabet[i])
 		}
 	}
-	wj = &workerJob{a: eng.TA(), q: q, plan: plan}
+	wj = &workerJob{a: eng.TA(), q: q, plan: plan, guards: len(keys)}
 	w.mu.Lock()
 	w.jobs[jobID] = wj
 	w.mu.Unlock()
@@ -193,44 +206,54 @@ func (w *Worker) jobFor(ctx context.Context, jobID string) (*workerJob, error) {
 }
 
 // solveShard runs one claimed shard end to end: validate, solve under a
-// heartbeat, report by content hash.
-func (w *Worker) solveShard(ctx context.Context, cr *ClaimResponse) error {
+// heartbeat, report by content hash. Unless the worker is stopping the
+// report also asks for the next lease, which is returned when one came back.
+func (w *Worker) solveShard(ctx context.Context, cr *ClaimResponse) (next *ClaimResponse, err error) {
 	wj, err := w.jobFor(ctx, cr.Job)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if got := shardHash(cr.Job, cr.Base, cr.Contexts); got != cr.Hash {
-		return fmt.Errorf("shard content hashes to %s, claim says %s", got, cr.Hash)
+	ctxs, err := unpackContexts(cr.Contexts, wj.guards)
+	if err != nil {
+		return nil, fmt.Errorf("claimed contexts: %w", err)
 	}
-	if err := wj.plan.ValidContexts(cr.Contexts); err != nil {
-		return err
+	if got := shardHash(cr.Job, cr.Base, ctxs); got != cr.Hash {
+		return nil, fmt.Errorf("shard content hashes to %s, claim says %s", got, cr.Hash)
+	}
+	if err := wj.plan.ValidContexts(ctxs); err != nil {
+		return nil, err
 	}
 
-	wrecs, err := w.solveCached(ctx, wj, cr)
-	if err != nil || wrecs == nil {
-		return err
+	packed, err := w.solveCached(ctx, wj, cr, ctxs)
+	if err != nil || packed == nil {
+		return nil, err
 	}
+	var lease ClaimResponse
 	status, err := w.client().PostJSON(ctx, w.Coordinator+"/v1/cluster/result", &resultRequest{
 		Job: cr.Job, Shard: cr.Shard, Hash: cr.Hash,
-		Lease: cr.Lease, Worker: w.ID, Records: wrecs,
-	}, nil)
+		Lease: cr.Lease, Worker: w.ID, Records: packed,
+		More: !w.stopping(ctx),
+	}, &lease)
 	if err != nil {
-		return fmt.Errorf("reporting (status %d): %w", status, err)
+		return nil, fmt.Errorf("reporting (status %d): %w", status, err)
 	}
-	w.logf("work %s: job %s shard %d reported (%d records)", w.ID, cr.Job, cr.Shard, len(wrecs))
-	return nil
+	w.logf("work %s: job %s shard %d reported (%d records, %d bytes)", w.ID, cr.Job, cr.Shard, len(ctxs), len(packed))
+	if status == http.StatusOK {
+		next = &lease
+	}
+	return next, nil
 }
 
-// solveCached returns the shard's records from the content-addressed cache,
-// joins an in-flight solve of the same hash, or solves. A nil, nil return
-// means the solve was abandoned (lease lost or stop).
-func (w *Worker) solveCached(ctx context.Context, wj *workerJob, cr *ClaimResponse) ([]WireRecord, error) {
+// solveCached returns the shard's packed records from the content-addressed
+// cache, joins an in-flight solve of the same hash, or solves. A nil, nil
+// return means the solve was abandoned (lease lost or stop).
+func (w *Worker) solveCached(ctx context.Context, wj *workerJob, cr *ClaimResponse, ctxs [][]int) ([]byte, error) {
 	w.mu.Lock()
 	if recs, ok := w.results[cr.Hash]; ok {
 		w.mu.Unlock()
 		return recs, nil
 	}
-	if recs, ok := w.diskLoad(cr.Hash); ok {
+	if recs, ok := w.diskLoad(cr.Hash, wj, len(ctxs)); ok {
 		w.results[cr.Hash] = recs
 		w.mu.Unlock()
 		return recs, nil
@@ -293,7 +316,7 @@ func (w *Worker) solveCached(ctx context.Context, wj *workerJob, cr *ClaimRespon
 		workers = 1
 	}
 	stop := func() bool { return lost.Load() || w.stopping(ctx) }
-	recs, interrupted, err := wj.plan.SolveRange(cr.Contexts, cr.Base, workers, stop)
+	recs, interrupted, err := wj.plan.SolveRange(ctxs, cr.Base, workers, stop)
 	if err != nil {
 		return nil, fmt.Errorf("solving: %w", err)
 	}
@@ -304,13 +327,13 @@ func (w *Worker) solveCached(ctx context.Context, wj *workerJob, cr *ClaimRespon
 		}
 		return nil, fmt.Errorf("solve interrupted")
 	}
-	wrecs := encodeRecords(wj.a, recs)
+	packed := packRecords(wj.a, recs)
 	w.mu.Lock()
-	w.results[cr.Hash] = wrecs
+	w.results[cr.Hash] = packed
 	w.mu.Unlock()
 	w.ShardsSolved.Add(1)
-	w.diskStore(cr.Hash, wrecs)
-	return wrecs, nil
+	w.diskStore(cr.Hash, packed)
+	return packed, nil
 }
 
 func (w *Worker) shardPath(hash string) string {
@@ -318,10 +341,12 @@ func (w *Worker) shardPath(hash string) string {
 }
 
 // diskLoad reads a persisted shard by content hash. The caller holds w.mu;
-// the read is cheap and a worker restart is exactly when it pays off. Any
-// damage (torn write, bit rot, wrong shape) deletes the entry and reports a
-// miss — the shard is simply re-solved.
-func (w *Worker) diskLoad(hash string) ([]WireRecord, bool) {
+// the read is cheap and a worker restart is exactly when it pays off. The
+// entry is trusted no further than a report would be: it must unpack against
+// this job — counterexamples re-certified — into one record per context. Any
+// damage (torn write, bit rot, wrong shape, an entry in an older format)
+// deletes it and reports a miss — the shard is simply re-solved.
+func (w *Worker) diskLoad(hash string, wj *workerJob, contexts int) ([]byte, bool) {
 	if w.CacheDir == "" {
 		return nil, false
 	}
@@ -329,30 +354,25 @@ func (w *Worker) diskLoad(hash string) ([]WireRecord, bool) {
 	if err != nil {
 		return nil, false
 	}
-	payload, err := wal.ParseRecord(data)
+	packed, err := wal.ParseRecord(data)
 	if err == nil {
-		var recs []WireRecord
-		if jerr := json.Unmarshal(payload, &recs); jerr == nil {
-			return recs, true
-		}
-		err = fmt.Errorf("decoding records: invalid JSON payload")
+		_, err = unpackShard(wj.a, wj.q, packed, contexts)
+	}
+	if err == nil {
+		return packed, true
 	}
 	w.logf("work %s: shard cache entry %s corrupt (%v); re-solving", w.ID, hash, err)
 	os.Remove(w.shardPath(hash))
 	return nil, false
 }
 
-// diskStore persists one solved shard. Failures cost durability, not
-// correctness, so they log and move on.
-func (w *Worker) diskStore(hash string, recs []WireRecord) {
+// diskStore persists one solved shard: its packed records in one CRC frame.
+// Failures cost durability, not correctness, so they log and move on.
+func (w *Worker) diskStore(hash string, packed []byte) {
 	if w.CacheDir == "" {
 		return
 	}
-	payload, err := json.Marshal(recs)
-	if err == nil {
-		err = vcache.AtomicWrite(w.CacheDir, w.shardPath(hash), wal.FrameRecord(payload))
-	}
-	if err != nil {
+	if err := vcache.AtomicWrite(w.CacheDir, w.shardPath(hash), wal.FrameRecord(packed)); err != nil {
 		w.logf("work %s: persisting shard %s failed: %v", w.ID, hash, err)
 	}
 }

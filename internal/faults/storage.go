@@ -2,7 +2,7 @@ package faults
 
 // This file is the storage half of the fault plane: the tentpole of the
 // durability work. Each durable replica owns a wal.Log on a private in-memory
-// filesystem, and a faultFS interposed between the log and that filesystem
+// filesystem, and a StorageFS interposed between the log and that filesystem
 // realizes the four storage failure modes the recovery code must survive —
 // kill-at-write-point, torn tail, flipped byte, lying fsync. Every failure is
 // driven by the plan seed, so a torture run that trips an assertion replays
@@ -90,11 +90,12 @@ func (p Plan) storageFor(id network.ProcID) []StorageFault {
 	return out
 }
 
-// faultFS implements wal.FS over a MemFS, firing the scheduled storage
+// StorageFS implements wal.FS over a MemFS, firing the scheduled storage
 // faults at record-append write points. Only segment writes count as append
 // ordinals; snapshot writes pass through (their crash-safety is the WAL's own
-// compaction protocol, exercised separately).
-type faultFS struct {
+// compaction protocol, exercised separately). It is exported for the
+// durability tests of other WAL users (the cluster coordinator's journal).
+type StorageFS struct {
 	mem    *wal.MemFS
 	rng    *rand.Rand
 	dir    string
@@ -114,13 +115,31 @@ type faultFS struct {
 	onCrash func(f StorageFault)
 }
 
-func (f *faultFS) isSeg(name string) bool {
+// NewStorageFS returns an injector over a fresh in-memory filesystem that
+// fires faults at their append ordinals on the log in dir; every seeded
+// choice (tear points, flipped bytes) draws from seed.
+func NewStorageFS(dir string, seed int64, faults []StorageFault) *StorageFS {
+	return &StorageFS{
+		mem:     wal.NewMemFS(),
+		rng:     rand.New(rand.NewSource(seed)),
+		dir:     dir,
+		faults:  faults,
+		fired:   make([]bool, len(faults)),
+		flipped: map[string][]int{},
+	}
+}
+
+// Crash models the machine dying between writes: every page not yet fsynced
+// is gone, and a lying fsync is honest again after the reboot.
+func (f *StorageFS) Crash() { f.crash(StorageFault{}) }
+
+func (f *StorageFS) isSeg(name string) bool {
 	return strings.HasPrefix(filepath.Base(name), "seg-")
 }
 
 // crash models the machine dying now: unsynced page cache is dropped and the
 // lying-fsync state resets (a rebooted kernel syncs honestly again).
-func (f *faultFS) crash(fault StorageFault) {
+func (f *StorageFS) crash(fault StorageFault) {
 	f.mem.Crash(nil)
 	f.syncOff = false
 	f.syncKillAt = 0
@@ -130,7 +149,7 @@ func (f *faultFS) crash(fault StorageFault) {
 }
 
 // flip corrupts one seeded durable byte in one seeded file of the log dir.
-func (f *faultFS) flip() {
+func (f *StorageFS) flip() {
 	var names []string
 	for _, n := range f.mem.Names() {
 		if strings.HasPrefix(n, f.dir+string(filepath.Separator)) && f.mem.Size(n) > 0 {
@@ -149,7 +168,7 @@ func (f *faultFS) flip() {
 }
 
 // take returns the unfired fault scheduled for the current append ordinal.
-func (f *faultFS) take() *StorageFault {
+func (f *StorageFS) take() *StorageFault {
 	for i := range f.faults {
 		if !f.fired[i] && f.faults[i].Append == f.appends {
 			f.fired[i] = true
@@ -160,7 +179,7 @@ func (f *faultFS) take() *StorageFault {
 }
 
 // OpenAppend implements wal.FS.
-func (f *faultFS) OpenAppend(name string) (wal.File, error) {
+func (f *StorageFS) OpenAppend(name string) (wal.File, error) {
 	h, err := f.mem.OpenAppend(name)
 	if err != nil {
 		return nil, err
@@ -169,19 +188,19 @@ func (f *faultFS) OpenAppend(name string) (wal.File, error) {
 }
 
 // ReadFile implements wal.FS.
-func (f *faultFS) ReadFile(name string) ([]byte, error) { return f.mem.ReadFile(name) }
+func (f *StorageFS) ReadFile(name string) ([]byte, error) { return f.mem.ReadFile(name) }
 
 // ReadDir implements wal.FS.
-func (f *faultFS) ReadDir(dir string) ([]string, error) { return f.mem.ReadDir(dir) }
+func (f *StorageFS) ReadDir(dir string) ([]string, error) { return f.mem.ReadDir(dir) }
 
 // Remove implements wal.FS.
-func (f *faultFS) Remove(name string) error { return f.mem.Remove(name) }
+func (f *StorageFS) Remove(name string) error { return f.mem.Remove(name) }
 
 // MkdirAll implements wal.FS.
-func (f *faultFS) MkdirAll(dir string) error { return f.mem.MkdirAll(dir) }
+func (f *StorageFS) MkdirAll(dir string) error { return f.mem.MkdirAll(dir) }
 
 type faultHandle struct {
-	fs    *faultFS
+	fs    *StorageFS
 	name  string
 	inner wal.File
 }
@@ -263,7 +282,7 @@ type replicaStore struct {
 	// fresh builds a blank replica of the owner's protocol and parameters,
 	// the starting point of the replay oracle.
 	fresh func() (protocol.Replica, error)
-	fs    *faultFS
+	fs    *StorageFS
 	dir   string
 
 	log          *wal.Log
@@ -283,14 +302,7 @@ func newReplicaStore(id network.ProcID, fresh func() (protocol.Replica, error), 
 		id:    id,
 		fresh: fresh,
 		dir:   dir,
-		fs: &faultFS{
-			mem:     wal.NewMemFS(),
-			rng:     rand.New(rand.NewSource(seed)),
-			dir:     dir,
-			faults:  faults,
-			fired:   make([]bool, len(faults)),
-			flipped: map[string][]int{},
-		},
+		fs:    NewStorageFS(dir, seed, faults),
 	}
 }
 

@@ -10,15 +10,20 @@ cd "$(dirname "$0")/.."
 
 # fuzz_smoke runs each byte-facing protocol-kit decoder under the native
 # fuzzer for 10 s, starting from the checked-in testdata/fuzz corpora: no
-# panic, and decode ok => re-encode byte-identical; and the message identity
-# against the two string keys it replaced. `make fuzz-smoke` (or
-# `verify.sh fuzz-smoke`) runs this leg alone.
+# panic, and decode ok => re-encode byte-identical; the message identity
+# against the two string keys it replaced; and the cluster's packed-record,
+# packed-context and journal-frame decoders (no minimizing there: shrinking
+# each coverage-expanding mutant of a 2 KB shard would eat the ten seconds).
+# `make fuzz-smoke` (or `verify.sh fuzz-smoke`) runs this leg alone.
 fuzz_smoke() {
-    echo "==> fuzz smoke (10 s per target: dbft and sba snapshots, shared message codec, message identity)"
+    echo "==> fuzz smoke (10 s per target: dbft and sba snapshots, shared message codec, message identity, cluster records / contexts / journal frames)"
     go test -run '^$' -fuzz '^FuzzSnapshotDecode$' -fuzztime 10s ./internal/dbft
     go test -run '^$' -fuzz '^FuzzSnapshotDecode$' -fuzztime 10s ./internal/sba
     go test -run '^$' -fuzz '^FuzzDecodeMessage$' -fuzztime 10s ./internal/protocol
     go test -run '^$' -fuzz '^FuzzMsgIdentity$' -fuzztime 10s ./internal/network
+    for TARGET in FuzzUnpackRecords FuzzUnpackContexts FuzzJournalApply; do
+        go test -run '^$' -fuzz "^$TARGET\$" -fuzztime 10s -fuzzminimizetime 0 ./internal/cluster
+    done
 }
 if [ "${1:-}" = "fuzz-smoke" ]; then
     fuzz_smoke
@@ -54,7 +59,7 @@ fi
 # owns the CRC32C framing, and the merged full-mode internals stay merged
 # (their names survive only in _test.go references and in CHANGES.md /
 # ROADMAP.md as history). Bracketed like the lint above.
-echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers)"
+echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form)"
 SRC=$(find cmd internal -name '*.go' ! -name '*_test.go')
 N=$(grep -l 'json:"lp[_]checks"' $SRC | wc -l)
 [ "$N" -eq 1 ] || { echo "one-definition lint: $N non-test files declare a json:\"lp[_]checks\" field, want 1"; exit 1; }
@@ -98,6 +103,20 @@ if grep -nE '\.(idx|val)\b|holds[R]ational|deep[C]lone' $(echo "$KERNEL" | grep 
     exit 1
 fi
 
+# A shard's records have one serialized form, the packed bytes of
+# internal/cluster/wire.go, on the wire, in the journal and in the worker's
+# cache: the JSON-array form and its codec must not come back, and no
+# non-test file of the package hands records to encoding/json.
+CLUSTER=$(find internal/cluster -name '*.go' ! -name '*_test.go')
+if grep -nE 'Wire[R]ecord|encode[R]ecords|decode[R]ecords' $SRC README.md DESIGN.md Makefile scripts/*.sh; then
+    echo "one-definition lint: the lines above name the retired JSON-array record form (use packRecords / unpackRecords)"
+    exit 1
+fi
+if grep -nE 'json\.(Marshal|Unmarshal|NewEncoder|NewDecoder)[^;]*\b(w?recs|packed|[Rr]ecords)\b' $CLUSTER; then
+    echo "one-definition lint: the lines above pass shard records to encoding/json (they travel as packed bytes)"
+    exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 
@@ -123,6 +142,10 @@ go test -race -run 'Bus|Native|Dupemap|Kadcast|Gossip|Stall|CopyOnEnqueue|Egress
 go test -short -race -run 'FingerprintsBusVsFlat|NativeFingerprint|Livelock|GoldenFingerprints|ObsCounters' ./internal/faults
 go test -run '^$' -bench 'BusEnqueueDrain|DupemapAdd|MsgKey' -benchtime 1x ./internal/network
 go test -run '^$' -bench 'SendTap|ScenarioRun' -benchtime 1x ./internal/faults
+
+echo "==> cluster codec leg (packed records and contexts vs hand-written bytes, legacy journal refused, one fsync per acknowledged request; benchmarks compile and run)"
+go test -race -count=1 -run 'Packed|Unpack|WireIdentity|LegacyJournal|AcknowledgedIsDurable|JournalErrors|Oversize|GracefulStop' ./internal/cluster
+go test -run '^$' -bench 'ShardReport|ClaimContexts' -benchtime 1x ./internal/cluster
 
 echo "==> go test -race ./..."
 go test -race ./...
