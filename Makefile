@@ -66,6 +66,14 @@ bench-sim:
 bench-cluster:
 	go test -run '^$$' -bench 'ShardReport|ClaimContexts' -benchmem -count 5 ./internal/cluster
 
+# Service warm-hit benchmarks: one in-process hit (memoized resolution, cache
+# lookup, row, response) over the 33 bundled requests, and the same requests
+# from two clients over loopback HTTP; the before/after table is in
+# EXPERIMENTS.md.
+.PHONY: bench-service
+bench-service:
+	go test -run '^$$' -bench 'WarmVerify|WarmHTTP' -benchmem -count 5 ./internal/service
+
 # The repository's one benchmark (BENCHMARK.json): all six workloads,
 # untraced then traced, every output checked against benchmark/expected.json,
 # then compared row by row to the committed baseline. Reads benchmark/ and

@@ -26,7 +26,10 @@ import (
 // statistics, and counterexample are byte-identical to a single-box run no
 // matter what the schedule killed. Every event draws from
 // rand.New(rand.NewSource(seed)), so a failing seed replays exactly; no
-// global math/rand state is ever consulted.
+// global math/rand state is ever consulted. The gaps between events are
+// drawn as fractions of the job's own duration, measured by one chaos-free
+// calibration run, so a job that finishes in milliseconds still meets its
+// schedule mid-flight instead of before the first event.
 type TortureConfig struct {
 	// Payload is the job every run verifies (a full-mode query).
 	Payload JobPayload
@@ -166,6 +169,10 @@ func Torture(cfg TortureConfig) (TortureResult, error) {
 	if err != nil {
 		return TortureResult{}, err
 	}
+	cal, detail := tortureRun(cfg, label, ref, cfg.BaseSeed, 0)
+	if detail != "" {
+		return TortureResult{}, fmt.Errorf("calibration run: %s", detail)
+	}
 
 	var (
 		mu          sync.Mutex
@@ -187,7 +194,7 @@ func Torture(cfg TortureConfig) (TortureResult, error) {
 		go func(seed int64) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			stats, detail := tortureRun(cfg, label, ref, seed)
+			stats, detail := tortureRun(cfg, label, ref, seed, cal.jobTime)
 			mu.Lock()
 			defer mu.Unlock()
 			res.Runs++
@@ -237,6 +244,8 @@ func tortureReference(p JobPayload) (schema.Result, string, error) {
 type tortureStats struct {
 	kills, restarts, partitions, coordRestarts, reissues int
 	viaReport                                            int
+	// jobTime is submit-to-verdict wall clock.
+	jobTime time.Duration
 }
 
 // retire folds a coordinator's count of leases issued on reports into the
@@ -248,9 +257,10 @@ func (st *tortureStats) retire(c *Coordinator) {
 	c.mu.Unlock()
 }
 
-// tortureRun executes one seeded schedule and returns the divergence detail
-// ("" = verdict identical to the reference).
-func tortureRun(cfg TortureConfig, label string, ref schema.Result, seed int64) (tortureStats, string) {
+// tortureRun executes one seeded schedule whose event gaps are fractions of
+// jobTime (0 = no events: the calibration run) and returns the divergence
+// detail ("" = verdict identical to the reference).
+func tortureRun(cfg TortureConfig, label string, ref schema.Result, seed int64, jobTime time.Duration) (tortureStats, string) {
 	var stats tortureStats
 	rng := rand.New(rand.NewSource(seed))
 	memfs := wal.NewMemFS()
@@ -360,9 +370,15 @@ func tortureRun(cfg TortureConfig, label string, ref schema.Result, seed int64) 
 	}
 
 	// The seeded chaos schedule. Sleeps, victims, and actions all come from
-	// rng, so the schedule is a pure function of the seed.
-	for e := 0; e < cfg.Events; e++ {
-		time.Sleep(time.Duration(5+rng.Intn(60)) * time.Millisecond)
+	// rng, so the schedule is a pure function of the seed; each gap is 5–64 %
+	// of the calibrated job time.
+	events := cfg.Events
+	if jobTime == 0 {
+		events = 0
+	}
+	submitted := time.Now()
+	for e := 0; e < events; e++ {
+		time.Sleep(jobTime * time.Duration(5+rng.Intn(60)) / 100)
 		if _, done, _ := cur.Load().Result(jobID); done {
 			break
 		}
@@ -420,9 +436,10 @@ func tortureRun(cfg TortureConfig, label string, ref schema.Result, seed int64) 
 	for time.Now().Before(deadline) {
 		got, done, jerr = cur.Load().Result(jobID)
 		if done {
+			stats.jobTime = time.Since(submitted)
 			break
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 	if st, ok := cur.Load().StatusOf(jobID); ok {
 		stats.reissues += st.Reissues

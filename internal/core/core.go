@@ -155,22 +155,34 @@ func safeCheck(c checker, q *spec.Query) (res schema.Result, err error) {
 // Elapsed; all deterministic fields are the stored ones, so reports built
 // from hits are byte-identical to reports built from cold runs.
 func CachedCheck(cache *vcache.Cache, engine *schema.Engine, q *spec.Query) (schema.Result, bool, error) {
-	key := ""
-	if cache != nil {
-		key = vcache.Key(engine.TA(), q, vcache.ConfigOf(engine.Opts()), vcache.EngineVersion)
-		if res, ok := Lookup(cache, engine, q, key); ok {
-			return res, true, nil
-		}
+	return checkKeyed(cache, engine, q, cacheKeys(cache, engine, []spec.Query{*q})[0])
+}
+
+// cacheKeys derives the cache keys of queries checked by engine, rendering
+// the automaton once for all of them (vcache.Keys). Without a cache there is
+// nothing to address and every key is "".
+func cacheKeys(cache *vcache.Cache, engine *schema.Engine, queries []spec.Query) []string {
+	if cache == nil {
+		return make([]string, len(queries))
+	}
+	return vcache.Keys(engine.TA(), queries, vcache.ConfigOf(engine.Opts()), vcache.EngineVersion)
+}
+
+// checkKeyed is CachedCheck under a key derived beforehand.
+func checkKeyed(cache *vcache.Cache, engine *schema.Engine, q *spec.Query, key string) (schema.Result, bool, error) {
+	if res, ok := Lookup(cache, engine.TA(), q, key); ok {
+		return res, true, nil
 	}
 	res, err := CheckAndFill(cache, engine, q, key)
 	return res, false, err
 }
 
 // Lookup serves the query from the cache entry stored under key, rebuilt
-// and — for a violation — re-certified against the engine's automaton. A
+// and — for a violation — re-certified against a, the one-round automaton
+// the key was derived from (schema.Engine.TA()); it only reads a and q. A
 // miss, a nil cache and an entry that fails re-certification all report
 // false; the real check that follows overwrites a bad entry.
-func Lookup(cache *vcache.Cache, engine *schema.Engine, q *spec.Query, key string) (schema.Result, bool) {
+func Lookup(cache *vcache.Cache, a *ta.TA, q *spec.Query, key string) (schema.Result, bool) {
 	if cache == nil {
 		return schema.Result{}, false
 	}
@@ -179,7 +191,7 @@ func Lookup(cache *vcache.Cache, engine *schema.Engine, q *spec.Query, key strin
 	if !ok {
 		return schema.Result{}, false
 	}
-	res, err := ent.ToResult(engine.TA(), q)
+	res, err := ent.ToResult(a, q)
 	if err != nil {
 		return schema.Result{}, false
 	}
@@ -214,6 +226,10 @@ func runQueries(a *ta.TA, queries []spec.Query, opts Options) (Report, error) {
 			return Report{}, err
 		}
 	}
+	// Every slot's engine checks the same automaton under the same
+	// key-relevant options (worker counts are not part of a key), so one
+	// rendering keys them all.
+	keys := cacheKeys(opts.Cache, engines[0], queries)
 	rep := Report{Model: a.Name, Size: a.Size()}
 	results := make([]schema.Result, len(queries))
 	errs := make([]error, len(queries))
@@ -229,7 +245,7 @@ func runQueries(a *ta.TA, queries []spec.Query, opts Options) (Report, error) {
 		go func(i, si int) {
 			defer wg.Done()
 			defer func() { slotCh <- si }()
-			results[i], _, errs[i] = CachedCheck(opts.Cache, engines[si], &queries[i])
+			results[i], _, errs[i] = checkKeyed(opts.Cache, engines[si], &queries[i], keys[i])
 		}(i, si)
 	}
 	wg.Wait()

@@ -63,14 +63,18 @@ func Table2(opts Table2Options) ([]Table2Row, error) {
 		if err != nil {
 			return err
 		}
-		size := a.Size()
-		for i := range queries {
-			if names != nil && !contains(names, queries[i].Name) {
-				continue
+		var picked []spec.Query
+		for _, q := range queries {
+			if names == nil || contains(names, q.Name) {
+				picked = append(picked, q)
 			}
-			res, _, err := CachedCheck(opts.Cache, engine, &queries[i])
+		}
+		keys := cacheKeys(opts.Cache, engine, picked)
+		size := a.Size()
+		for i := range picked {
+			res, _, err := checkKeyed(opts.Cache, engine, &picked[i], keys[i])
 			if err != nil {
-				return fmt.Errorf("core: table2 %s/%s: %w", a.Name, queries[i].Name, err)
+				return fmt.Errorf("core: table2 %s/%s: %w", a.Name, picked[i].Name, err)
 			}
 			rows = append(rows, Table2Row{TA: a.Name, Size: size, Result: res})
 		}

@@ -4,13 +4,16 @@
 // content-addressed result cache of internal/vcache.
 //
 // The request path is: admission (bounded queue, load-shedding with 429 +
-// Retry-After beyond it) → resolve and key the request once (Resolve) →
-// cache lookup (internal/core.Lookup) → singleflight dedup (concurrent
-// identical requests share one engine run) →
-// engine run under a concurrency semaphore, with the per-request deadline
-// mapped onto the engine's cooperative Stop/Timeout hooks. Responses carry
-// exactly the deterministic fields of the obs report schema, so a remote
-// verification's report is byte-identical to a local one's.
+// Retry-After beyond it) → the request's resolution, looked up in a bounded
+// per-server memo or built once (Resolve, the engine's one-round automaton,
+// the per-query cache keys) → cache lookup (internal/core.Lookup) →
+// singleflight dedup (concurrent identical requests share one engine run) →
+// engine run under a concurrency semaphore, on an automaton and engine
+// built for that run, with the per-request deadline mapped onto the engine's
+// cooperative Stop/Timeout hooks. A warm hit therefore reads the memo and
+// the cache and nothing else. Responses carry exactly the deterministic
+// fields of the obs report schema, so a remote verification's report is
+// byte-identical to a local one's.
 //
 // Endpoints:
 //
@@ -25,6 +28,8 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -38,6 +43,7 @@ import (
 	"repro/internal/queue"
 	"repro/internal/schema"
 	"repro/internal/spec"
+	"repro/internal/ta"
 	"repro/internal/vcache"
 )
 
@@ -50,6 +56,9 @@ var (
 	mQueueDepth = obs.Default.Gauge("service", "queue_depth")
 	mRequestNS  = obs.Default.Histogram("service", "request_ns")
 	mCheckNS    = obs.Default.Histogram("service", "check_ns")
+	// Resolution memo fills and hits (see Server.resolve).
+	mResolutions    = obs.Default.Counter("service", "resolutions")
+	mResolutionHits = obs.Default.Counter("service", "resolution_hits")
 )
 
 // Config tunes the server.
@@ -164,6 +173,10 @@ type Server struct {
 	reportMu   sync.Mutex
 	reportRows map[string]obs.QueryMetrics
 
+	// memo holds at most memoCap resolutions by memoKey (see resolve).
+	memoMu sync.RWMutex
+	memo   map[[sha256.Size]byte]*resolution
+
 	// queue is the durable ingestion plane (nil = disabled or degraded;
 	// queueErr records why). qresults is the bounded ring of completed
 	// queue-job responses.
@@ -197,6 +210,7 @@ func New(cfg Config) *Server {
 		group:      newFlightGroup(),
 		started:    time.Now(),
 		reportRows: make(map[string]obs.QueryMetrics),
+		memo:       make(map[[sha256.Size]byte]*resolution),
 		qresults:   make(map[string]*VerifyResponse),
 	}
 	s.openQueue()
@@ -285,30 +299,44 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// prepared is a request resolved and keyed once: what every later step —
-// the enqueue plane's all-cached probe, the cache fast path, the
-// singleflight key, the engine run — works from.
-type prepared struct {
+// memoCap bounds a server's resolution memo, like vcache's in-memory
+// default bounds its entries.
+const memoCap = 256
+
+// resolution is a request resolved and keyed once. It is a pure function of
+// (model | ta+spec, prop, mode) and the binary, so a server keeps it in its
+// memo and every later identical request shares it read-only. Nothing in it
+// is handed to a solve: a miss builds its own automaton and engine.
+type resolution struct {
 	label   string
+	mode    schema.Mode
 	queries []spec.Query
-	// engine carries the request's mode, deadline and Stop wiring; one
-	// engine serves every query of the request.
-	engine *schema.Engine
+	// ta is the engine's one-round automaton, the one the keys were derived
+	// from and a cached counterexample is re-certified against.
+	ta *ta.TA
 	// keys[i] is the cache/singleflight content address of queries[i].
 	keys []string
-	// ctx is the request context under the effective deadline (the server's
-	// RequestTimeout, tightened by the client's timeout_ms); cancel releases
-	// it.
-	ctx    context.Context
-	cancel context.CancelFunc
 }
 
-// prepare validates and resolves a request (a failure is the caller's 400),
-// maps its deadline and the server's drain flag onto the engine's
-// cooperative Stop/Timeout hooks, and derives the per-query keys. The caller
-// must call cancel.
+// prepared is one request on its way through the server: its shared
+// resolution — what the enqueue plane's all-cached probe, the cache fast
+// path and the singleflight key work from — plus what is the request's own.
+type prepared struct {
+	*resolution
+	// req is kept for the miss path, which builds its engine from it.
+	req VerifyRequest
+	// timeout is the effective deadline (the server's RequestTimeout,
+	// tightened by the client's timeout_ms; 0 = none), and ctx the request
+	// context under it; cancel releases ctx.
+	timeout time.Duration
+	ctx     context.Context
+	cancel  context.CancelFunc
+}
+
+// prepare resolves a request (a failure is the caller's 400) and puts it
+// under its deadline. The caller must call cancel.
 func (s *Server) prepare(ctx context.Context, req *VerifyRequest) (*prepared, error) {
-	r, err := Resolve(req)
+	r, err := s.resolve(req)
 	if err != nil {
 		return nil, err
 	}
@@ -323,7 +351,84 @@ func (s *Server) prepare(ctx context.Context, req *VerifyRequest) (*prepared, er
 	if timeout > 0 {
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 	}
-	stop := func() bool {
+	return &prepared{resolution: r, req: *req, timeout: timeout, ctx: ctx, cancel: cancel}, nil
+}
+
+// memoKey content-addresses the request fields a resolution depends on,
+// each length-prefixed so no two requests collide by concatenation.
+// TimeoutMS is left out: it changes neither the resolution nor the keys.
+func memoKey(req *VerifyRequest) [sha256.Size]byte {
+	var stack [256]byte
+	buf := stack[:0]
+	for _, f := range [...]string{req.Model, req.TA, req.Spec, req.Prop, req.Mode} {
+		buf = binary.AppendUvarint(buf, uint64(len(f)))
+		buf = append(buf, f...)
+	}
+	return sha256.Sum256(buf)
+}
+
+// resolve returns req's resolution from the memo, or builds and memoizes
+// it. Errors are never stored, so a bad request is refused with the same
+// 400 every time. A full memo drops an arbitrary entry (Go's map order) to
+// make room.
+func (s *Server) resolve(req *VerifyRequest) (*resolution, error) {
+	k := memoKey(req)
+	s.memoMu.RLock()
+	r, ok := s.memo[k]
+	s.memoMu.RUnlock()
+	if ok {
+		mResolutionHits.Inc()
+		return r, nil
+	}
+	res, engine, err := s.build(req, 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	r = &resolution{
+		label:   res.Label,
+		mode:    engine.Opts().Mode,
+		queries: res.Queries,
+		ta:      engine.TA(),
+		keys:    vcache.Keys(engine.TA(), res.Queries, vcache.ConfigOf(engine.Opts()), vcache.EngineVersion),
+	}
+	s.memoMu.Lock()
+	if _, dup := s.memo[k]; !dup && len(s.memo) >= memoCap {
+		for victim := range s.memo {
+			delete(s.memo, victim)
+			break
+		}
+	}
+	s.memo[k] = r
+	s.memoMu.Unlock()
+	mResolutions.Inc()
+	return r, nil
+}
+
+// build is the one interpretation of a request into an automaton, queries
+// and an engine (Resolve, then schema.New under the given deadline and stop
+// hook). The memo fill keeps only what its engine derived; the miss path
+// solves on its own, so no engine or automaton a solve touches is shared.
+func (s *Server) build(req *VerifyRequest, timeout time.Duration, stop func() bool) (*Resolved, *schema.Engine, error) {
+	r, err := Resolve(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	engine, err := schema.New(r.TA, schema.Options{
+		Mode:    r.Mode,
+		Timeout: timeout,
+		Stop:    stop,
+		Workers: s.cfg.Workers,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return r, engine, nil
+}
+
+// stopHook maps the server's drain flag and ctx's deadline onto the
+// engine's cooperative Stop hook.
+func (s *Server) stopHook(ctx context.Context) func() bool {
+	return func() bool {
 		if s.cfg.Stop() {
 			return true
 		}
@@ -334,22 +439,6 @@ func (s *Server) prepare(ctx context.Context, req *VerifyRequest) (*prepared, er
 			return false
 		}
 	}
-	engine, err := schema.New(r.TA, schema.Options{
-		Mode:    r.Mode,
-		Timeout: timeout,
-		Stop:    stop,
-		Workers: s.cfg.Workers,
-	})
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	p := &prepared{label: r.Label, queries: r.Queries, engine: engine, ctx: ctx, cancel: cancel}
-	cfg := vcache.ConfigOf(engine.Opts())
-	for i := range p.queries {
-		p.keys = append(p.keys, vcache.Key(engine.TA(), &p.queries[i], cfg, vcache.EngineVersion))
-	}
-	return p, nil
 }
 
 // verify runs one request end to end. It returns an HTTP status alongside
@@ -391,10 +480,10 @@ func (s *Server) checkOne(p *prepared, i int) (QueryResult, error) {
 	// An expired deadline — while queuing on the semaphore or while waiting
 	// on another caller's run — surfaces as a budget outcome, exactly like
 	// one that fires mid-solve via the Stop hook.
-	budget := schema.Result{Query: q.Name, Mode: p.engine.Opts().Mode, Outcome: spec.Budget}
+	budget := schema.Result{Query: q.Name, Mode: p.mode, Outcome: spec.Budget}
 
 	// Fast path outside the singleflight: a warm hit never queues.
-	res, cached := core.Lookup(s.cfg.Cache, p.engine, q, key)
+	res, cached := core.Lookup(s.cfg.Cache, p.ta, q, key)
 	shared := false
 	if !cached {
 		var err error
@@ -406,9 +495,13 @@ func (s *Server) checkOne(p *prepared, i int) (QueryResult, error) {
 				return budget, nil
 			}
 			defer func() { <-s.sem }()
+			r, engine, err := s.build(&p.req, p.timeout, s.stopHook(p.ctx))
+			if err != nil {
+				return schema.Result{}, err
+			}
 			s.engineRuns.Add(1)
 			mEngineRuns.Inc()
-			return core.CheckAndFill(s.cfg.Cache, p.engine, q, key)
+			return core.CheckAndFill(s.cfg.Cache, engine, &r.Queries[i], key)
 		})
 		if err != nil {
 			return QueryResult{}, err

@@ -43,7 +43,7 @@ func postVerify(t *testing.T, url string, req VerifyRequest) (*VerifyResponse, *
 	return &resp, httpResp
 }
 
-func memCache(t *testing.T) *vcache.Cache {
+func memCache(t testing.TB) *vcache.Cache {
 	t.Helper()
 	c, err := vcache.Open(vcache.Options{MemEntries: 64})
 	if err != nil {

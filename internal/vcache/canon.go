@@ -27,9 +27,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/expr"
 	"repro/internal/schema"
@@ -53,126 +52,225 @@ import (
 // 1.1.0 caches with the grown bundle would leave sba entries unpinned.
 const EngineVersion = "1.2.0"
 
-// canonLin renders a linear expression with terms sorted by symbol *name*,
-// so the form is independent of symbol-table intern order.
-func canonLin(tab *expr.Table, l expr.Lin) string {
+// canon appends canonical text to one buffer. Symbol names are read from
+// the automaton's table once, not per term.
+type canon struct {
+	b     []byte
+	a     *ta.TA
+	names []string
+}
+
+func newCanon(a *ta.TA) *canon {
+	return &canon{b: make([]byte, 0, 4096), a: a, names: a.Table.Names()}
+}
+
+func (c *canon) str(s string) { c.b = append(c.b, s...) }
+
+func (c *canon) number(v int64) { c.b = strconv.AppendInt(c.b, v, 10) }
+
+func (c *canon) boolean(v bool) { c.b = strconv.AppendBool(c.b, v) }
+
+// ints renders a slice the way fmt's %v does: "[1 2 3]".
+func (c *canon) ints(vs []int) {
+	c.b = append(c.b, '[')
+	for i, v := range vs {
+		if i > 0 {
+			c.b = append(c.b, ' ')
+		}
+		c.number(int64(v))
+	}
+	c.b = append(c.b, ']')
+}
+
+func (c *canon) syms(ss []expr.Sym) {
+	for i, s := range ss {
+		if i > 0 {
+			c.b = append(c.b, ',')
+		}
+		c.str(c.names[s])
+	}
+}
+
+func (c *canon) locs(ls []ta.LocID) {
+	for i, l := range ls {
+		if i > 0 {
+			c.b = append(c.b, ',')
+		}
+		c.str(c.a.Locations[l].Name)
+	}
+}
+
+// lin renders a linear expression with terms sorted by symbol *name*, so
+// the form is independent of symbol-table intern order.
+func (c *canon) lin(l expr.Lin) {
 	type term struct {
 		name  string
 		coeff int64
 	}
 	terms := make([]term, 0, len(l.Coeffs))
-	for s, c := range l.Coeffs {
-		if c == 0 {
+	for s, k := range l.Coeffs {
+		if k == 0 {
 			continue
 		}
-		terms = append(terms, term{tab.Name(s), c})
+		terms = append(terms, term{c.names[s], k})
 	}
 	sort.Slice(terms, func(i, j int) bool { return terms[i].name < terms[j].name })
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d", l.Const)
+	c.number(l.Const)
 	for _, t := range terms {
-		fmt.Fprintf(&b, "%+d*%s", t.coeff, t.name)
+		if t.coeff > 0 {
+			c.b = append(c.b, '+')
+		}
+		c.number(t.coeff)
+		c.b = append(c.b, '*')
+		c.str(t.name)
 	}
-	return b.String()
 }
 
-func canonConstraint(tab *expr.Table, c expr.Constraint) string {
-	return canonLin(tab, c.L) + " " + c.Op.String() + " 0"
-}
-
-func canonConstraints(tab *expr.Table, cs []expr.Constraint) string {
-	parts := make([]string, len(cs))
-	for i, c := range cs {
-		parts[i] = canonConstraint(tab, c)
+func (c *canon) constraints(cs []expr.Constraint) {
+	for i, k := range cs {
+		if i > 0 {
+			c.str("; ")
+		}
+		c.lin(k.L)
+		c.b = append(c.b, ' ')
+		c.str(k.Op.String())
+		c.str(" 0")
 	}
-	return strings.Join(parts, "; ")
 }
 
-// canonLocSet renders a location set with member names sorted: LocSet is a
-// map, and its iteration order must never leak into a key.
-func canonLocSet(a *ta.TA, s ta.LocSet) string {
+// locSet renders a location set with member names sorted: LocSet is a map,
+// and its iteration order must never leak into a key.
+func (c *canon) locSet(s ta.LocSet) {
 	names := make([]string, 0, len(s))
 	for l, in := range s {
 		if in {
-			names = append(names, a.Locations[l].Name)
+			names = append(names, c.a.Locations[l].Name)
 		}
 	}
 	sort.Strings(names)
-	return "{" + strings.Join(names, ",") + "}"
+	c.b = append(c.b, '{')
+	for i, n := range names {
+		if i > 0 {
+			c.b = append(c.b, ',')
+		}
+		c.str(n)
+	}
+	c.b = append(c.b, '}')
 }
 
-// CanonicalTA renders the automaton in a canonical textual form: stable
-// across process runs and map iteration order, sensitive to everything the
-// checker's semantics depend on (location and rule order included — rule
-// indices appear in cached counterexamples).
-func CanonicalTA(a *ta.TA) string {
-	tab := a.Table
-	names := func(syms []expr.Sym) string {
-		out := make([]string, len(syms))
-		for i, s := range syms {
-			out[i] = tab.Name(s)
+func (c *canon) locSets(ss []ta.LocSet) {
+	for i, s := range ss {
+		if i > 0 {
+			c.b = append(c.b, ';')
 		}
-		return strings.Join(out, ",")
+		c.locSet(s)
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "ta %s\n", a.Name)
-	fmt.Fprintf(&b, "params %s\n", names(a.Params))
-	fmt.Fprintf(&b, "shared %s\n", names(a.Shared))
-	fmt.Fprintf(&b, "resilience %s\n", canonConstraints(tab, a.Resilience))
-	fmt.Fprintf(&b, "correct %s\n", canonLin(tab, a.CorrectCount))
+}
+
+// automaton renders the automaton: stable across process runs and map
+// iteration order, sensitive to everything the checker's semantics depend on
+// (location and rule order included — rule indices appear in cached
+// counterexamples).
+func (c *canon) automaton() {
+	a := c.a
+	c.str("ta ")
+	c.str(a.Name)
+	c.str("\nparams ")
+	c.syms(a.Params)
+	c.str("\nshared ")
+	c.syms(a.Shared)
+	c.str("\nresilience ")
+	c.constraints(a.Resilience)
+	c.str("\ncorrect ")
+	c.lin(a.CorrectCount)
+	c.b = append(c.b, '\n')
 	for _, l := range a.Locations {
-		fmt.Fprintf(&b, "loc %s initial=%t broadcast=%v delivered=%v\n",
-			l.Name, l.Initial, l.Broadcast, l.Delivered)
+		c.str("loc ")
+		c.str(l.Name)
+		c.str(" initial=")
+		c.boolean(l.Initial)
+		c.str(" broadcast=")
+		c.ints(l.Broadcast)
+		c.str(" delivered=")
+		c.ints(l.Delivered)
+		c.b = append(c.b, '\n')
 	}
+	var ups []string
 	for _, r := range a.Rules {
-		fmt.Fprintf(&b, "rule %s %s->%s switch=%t guard=[%s] update=[",
-			r.Name, a.Locations[r.From].Name, a.Locations[r.To].Name,
-			r.RoundSwitch, canonConstraints(tab, r.Guard))
-		// Update is a map: sort increments by variable name.
-		ups := make([]string, 0, len(r.Update))
+		c.str("rule ")
+		c.str(r.Name)
+		c.b = append(c.b, ' ')
+		c.str(a.Locations[r.From].Name)
+		c.str("->")
+		c.str(a.Locations[r.To].Name)
+		c.str(" switch=")
+		c.boolean(r.RoundSwitch)
+		c.str(" guard=[")
+		c.constraints(r.Guard)
+		c.str("] update=[")
+		// Update is a map: sort the rendered increments.
+		ups = ups[:0]
 		for s, d := range r.Update {
-			ups = append(ups, fmt.Sprintf("%s+=%d", tab.Name(s), d))
+			ups = append(ups, c.names[s]+"+="+strconv.FormatInt(d, 10))
 		}
 		sort.Strings(ups)
-		b.WriteString(strings.Join(ups, ","))
-		b.WriteString("]\n")
+		for i, u := range ups {
+			if i > 0 {
+				c.b = append(c.b, ',')
+			}
+			c.str(u)
+		}
+		c.str("]\n")
 	}
-	return b.String()
+}
+
+// query renders the query over the automaton's location and symbol names.
+func (c *canon) query(q *spec.Query) {
+	c.str("query ")
+	c.str(q.Name)
+	c.str(" kind=")
+	c.str(q.Kind.String())
+	c.str("\ninit_empty ")
+	c.locs(q.InitEmpty)
+	c.str("\nglobal_empty ")
+	c.locs(q.GlobalEmpty)
+	c.str("\nvisit ")
+	c.locSets(q.VisitNonempty)
+	c.str("\nfinal_shared ")
+	c.constraints(q.FinalShared)
+	c.str("\nfinal_nonempty ")
+	c.locSets(q.FinalNonempty)
+	c.b = append(c.b, '\n')
+	for _, j := range q.Justice {
+		c.str("justice ")
+		c.str(j.Name)
+		c.str(" trigger=[")
+		c.constraints(j.Trigger)
+		c.str("] loc=")
+		c.str(c.a.Locations[j.Loc].Name)
+		c.b = append(c.b, '\n')
+	}
+	if q.RelaxResilience != nil {
+		c.str("relax_resilience ")
+		c.constraints(q.RelaxResilience)
+		c.b = append(c.b, '\n')
+	}
+}
+
+// CanonicalTA renders the automaton in a canonical textual form (see
+// canon.automaton).
+func CanonicalTA(a *ta.TA) string {
+	c := newCanon(a)
+	c.automaton()
+	return string(c.b)
 }
 
 // CanonicalQuery renders the query in a canonical textual form over the
 // automaton's location and symbol names.
 func CanonicalQuery(a *ta.TA, q *spec.Query) string {
-	tab := a.Table
-	locNames := func(ls []ta.LocID) string {
-		out := make([]string, len(ls))
-		for i, l := range ls {
-			out[i] = a.Locations[l].Name
-		}
-		return strings.Join(out, ",")
-	}
-	sets := func(ss []ta.LocSet) string {
-		out := make([]string, len(ss))
-		for i, s := range ss {
-			out[i] = canonLocSet(a, s)
-		}
-		return strings.Join(out, ";")
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "query %s kind=%s\n", q.Name, q.Kind)
-	fmt.Fprintf(&b, "init_empty %s\n", locNames(q.InitEmpty))
-	fmt.Fprintf(&b, "global_empty %s\n", locNames(q.GlobalEmpty))
-	fmt.Fprintf(&b, "visit %s\n", sets(q.VisitNonempty))
-	fmt.Fprintf(&b, "final_shared %s\n", canonConstraints(tab, q.FinalShared))
-	fmt.Fprintf(&b, "final_nonempty %s\n", sets(q.FinalNonempty))
-	for _, j := range q.Justice {
-		fmt.Fprintf(&b, "justice %s trigger=[%s] loc=%s\n",
-			j.Name, canonConstraints(tab, j.Trigger), a.Locations[j.Loc].Name)
-	}
-	if q.RelaxResilience != nil {
-		fmt.Fprintf(&b, "relax_resilience %s\n", canonConstraints(tab, q.RelaxResilience))
-	}
-	return b.String()
+	c := newCanon(a)
+	c.query(q)
+	return string(c.b)
 }
 
 // Config is the slice of the engine configuration that participates in a
@@ -198,32 +296,56 @@ func ConfigOf(o schema.Options) Config {
 	}
 }
 
-func (c Config) canon() string {
-	return fmt.Sprintf("mode %s max_schemas %d max_splits %d extra_passes %d\n",
-		c.Mode, c.MaxSchemas, c.MaxSplits, c.ExtraPasses)
+func (c *canon) config(cfg Config) {
+	c.str("mode ")
+	c.str(cfg.Mode)
+	c.str(" max_schemas ")
+	c.number(int64(cfg.MaxSchemas))
+	c.str(" max_splits ")
+	c.number(int64(cfg.MaxSplits))
+	c.str(" extra_passes ")
+	c.number(int64(cfg.ExtraPasses))
+	c.b = append(c.b, '\n')
 }
 
-// Key derives the content address of one (automaton, query, configuration,
-// engine version) quadruple: the hex SHA-256 of the canonical serialization.
-// The automaton must be the one-round form the engine actually checks
+// Keys derives the content addresses of the (automaton, query, configuration,
+// engine version) quadruples of every query in qs: keys[i] is the hex
+// SHA-256 of the canonical serialization of qs[i]. The engine, configuration
+// and automaton prefix is rendered once and shared by every query. The
+// automaton must be the one-round form the engine actually checks
 // (schema.Engine.TA()).
+func Keys(a *ta.TA, qs []spec.Query, cfg Config, engineVersion string) []string {
+	c := newCanon(a)
+	c.str("vcache/1\nengine ")
+	c.str(engineVersion)
+	c.b = append(c.b, '\n')
+	c.config(cfg)
+	c.automaton()
+	prefix := len(c.b)
+	keys := make([]string, len(qs))
+	for i := range qs {
+		c.b = c.b[:prefix]
+		c.query(&qs[i])
+		sum := sha256.Sum256(c.b)
+		keys[i] = hex.EncodeToString(sum[:])
+	}
+	return keys
+}
+
+// Key is the one-query case of Keys.
 func Key(a *ta.TA, q *spec.Query, cfg Config, engineVersion string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "vcache/1\nengine %s\n", engineVersion)
-	io.WriteString(h, cfg.canon())
-	io.WriteString(h, CanonicalTA(a))
-	io.WriteString(h, CanonicalQuery(a, q))
-	return hex.EncodeToString(h.Sum(nil))
+	return Keys(a, []spec.Query{*q}, cfg, engineVersion)[0]
 }
 
 // TAHash is the canonical structural hash of one automaton alone, the
 // quantity pinned by the golden-hash test: it must only change together
 // with an EngineVersion bump.
 func TAHash(a *ta.TA) string {
-	h := sha256.New()
-	io.WriteString(h, "vcache/1\n")
-	io.WriteString(h, CanonicalTA(a))
-	return hex.EncodeToString(h.Sum(nil))
+	c := newCanon(a)
+	c.str("vcache/1\n")
+	c.automaton()
+	sum := sha256.Sum256(c.b)
+	return hex.EncodeToString(sum[:])
 }
 
 // ParseOutcome inverts spec.Outcome.Label (accepting the long budget form

@@ -59,7 +59,7 @@ fi
 # owns the CRC32C framing, and the merged full-mode internals stay merged
 # (their names survive only in _test.go references and in CHANGES.md /
 # ROADMAP.md as history). Bracketed like the lint above.
-echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form)"
+echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form, request resolution)"
 SRC=$(find cmd internal -name '*.go' ! -name '*_test.go')
 N=$(grep -l 'json:"lp[_]checks"' $SRC | wc -l)
 [ "$N" -eq 1 ] || { echo "one-definition lint: $N non-test files declare a json:\"lp[_]checks\" field, want 1"; exit 1; }
@@ -117,6 +117,15 @@ if grep -nE 'json\.(Marshal|Unmarshal|NewEncoder|NewDecoder)[^;]*\b(w?recs|packe
     exit 1
 fi
 
+# A server interprets each distinct request once: Resolve and schema.New are
+# called only from Server.build, and Server.build only by the memo fill and
+# the miss path, so a warm hit cannot drift back to rebuilding the automaton.
+SERVICE=$(find internal/service -name '*.go' ! -name '*_test.go')
+N=$(cat $SERVICE | grep -E '\bResolve\(|schema\.New\(' | grep -vc '^func Resolve(' || true)
+[ "$N" -eq 2 ] || { echo "one-definition lint: $N non-test calls of Resolve / schema.New in internal/service, want 2 (Server.build)"; exit 1; }
+N=$(cat $SERVICE | grep -c 's\.build(' || true)
+[ "$N" -eq 2 ] || { echo "one-definition lint: $N callers of Server.build, want 2 (the memo fill and the miss path)"; exit 1; }
+
 echo "==> go build ./..."
 go build ./...
 
@@ -146,6 +155,11 @@ go test -run '^$' -bench 'SendTap|ScenarioRun' -benchtime 1x ./internal/faults
 echo "==> cluster codec leg (packed records and contexts vs hand-written bytes, legacy journal refused, one fsync per acknowledged request; benchmarks compile and run)"
 go test -race -count=1 -run 'Packed|Unpack|WireIdentity|LegacyJournal|AcknowledgedIsDurable|JournalErrors|Oversize|GracefulStop' ./internal/cluster
 go test -run '^$' -bench 'ShardReport|ClaimContexts' -benchtime 1x ./internal/cluster
+
+echo "==> service leg (warm hits share one memoized resolution and still re-certify, bounded memo, errors never stored, allocation gate; canonical keys vs the fmt reference; warm-hit benchmarks compile and run)"
+go test -race -count=1 -run 'WarmHitsShareResolution|MemoHitStillRecertifies|MemoBounded|WarmHitAllocs' ./internal/service
+go test -count=1 -run 'CanonicalMatchesReference|Golden' ./internal/vcache
+go test -run '^$' -bench 'WarmVerify|WarmHTTP' -benchtime 1x ./internal/service
 
 echo "==> go test -race ./..."
 go test -race ./...
