@@ -31,7 +31,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/signal"
 	"runtime"
@@ -162,15 +161,13 @@ func run(args []string) error {
 		procs = append(procs, p)
 	}
 
+	// A dbft single run is scheduled: "native" builds no scheduler and is
+	// rejected with the unknown names.
 	var scheduler network.Scheduler
-	switch *sched {
-	case "fair":
-		scheduler = fairness.Scheduler{Byzantine: byzSet}
-	case "random":
-		scheduler = network.RandomScheduler{Rng: rand.New(rand.NewSource(*seed + 2))}
-	case "fifo":
-		scheduler = network.FIFOScheduler{}
-	default:
+	if newSched, ok := faults.Schedulers[*sched]; ok {
+		scheduler = newSched(*seed, byzSet)
+	}
+	if scheduler == nil {
 		return fmt.Errorf("unknown scheduler %q", *sched)
 	}
 
@@ -374,7 +371,7 @@ func runTorture(runs int, baseSeed int64, n, t, maxRounds, tick, workers int, ve
 // runPlan replays a single chaos scenario (inline JSON or @file) and prints
 // the outcome, the per-process states and the fault log. With fingerprint
 // set it also prints the outcome's replay digest, the currency of the
-// flat-vs-bus and partition-independence byte-identity checks. A scenario
+// golden and partition-independence byte-identity checks. A scenario
 // without a protocol field inherits the -protocol selector; one with a
 // protocol field must agree with a non-default selector.
 func runPlan(spec, proto string, fingerprint bool) error {

@@ -314,14 +314,12 @@ func (l *Ledger) CommitHeight() (Block, error) {
 			silent[id] = true
 		}
 	}
-	var sched network.Scheduler = fairness.Scheduler{Byzantine: silent}
 	var inj *faults.Injector
 	if l.Faults != nil {
-		inj = faults.NewInjector(*l.Faults, sched)
-		sched = inj
+		inj = faults.NewInjector(*l.Faults)
 		procs = inj.Wrap(procs)
 	}
-	sys, err := network.NewSystem(procs, sched)
+	sys, err := network.NewSystem(procs, fairness.Scheduler{Byzantine: silent})
 	if err != nil {
 		return Block{}, err
 	}

@@ -33,14 +33,14 @@ var benchOut []network.Message
 // benchmark's plan, drops and delays included at their 5 % rates.
 func BenchmarkSendTap(b *testing.B) {
 	sends, plan := benchSends(0), benchPlan()
-	inj := NewInjector(plan, nil)
+	inj := NewInjector(plan)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%len(sends) == 0 {
 			// A fresh injector per pass: every message is a first copy, as in
 			// a run, and the budget tallies do not grow with b.N.
-			inj = NewInjector(plan, nil)
+			inj = NewInjector(plan)
 		}
 		benchOut = inj.SendTap(sends[i%len(sends)])
 	}
@@ -51,7 +51,7 @@ func BenchmarkSendTap(b *testing.B) {
 // delayed — nineteen in twenty — allocates nothing. It used to render the
 // message twice with fmt.Sprintf and allocate its result slice.
 func TestSendTapAllocs(t *testing.T) {
-	inj := NewInjector(benchPlan(), nil)
+	inj := NewInjector(benchPlan())
 	clean := 0
 	for _, m := range benchSends(0)[:4000] {
 		logged := len(inj.Log)

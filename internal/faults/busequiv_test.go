@@ -1,20 +1,27 @@
 package faults
 
 import (
+	"bufio"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
-	"repro/internal/network"
 	"repro/internal/obs"
 )
 
-// The byte-identity contract of the event-bus rearchitecture: for any seeded
-// scenario the bus (the default backend) must replay exactly what the legacy
-// flat in-flight slice produced — same step count, same per-process state,
-// same fault-event log — because the arrival-ordered merge of the per-peer
-// queues *is* the flat slice, entry for entry. These tests pin that contract
-// across the chaos campaign generator, the durable torture generator and the
-// scripted Lemma-7 livelock plan, and pin native drain mode's determinism
-// across worker partition counts.
+// The byte-identity contract of the one-store simulator: for any seeded
+// scenario the bus must replay exactly what the removed flat in-flight slice
+// produced — same step count, same per-process state, same fault-event log —
+// because the Scheduler's view of the bus *is* the flat slice under the
+// fault plane's filter, entry for entry. The flat side is the fingerprint
+// table in testdata/flat_fingerprints.txt, recorded with the flat backend
+// before it was deleted; the step-by-step comparison against a flat
+// reference loop lives in internal/network (TestBusMatchesFlatReference).
+// The tests below pin the contract across the chaos campaign generator, the
+// durable torture generator, the sba front-end and the scripted Lemma-7
+// livelock plan, and pin native drain mode's determinism across worker
+// partition counts.
 
 func runFingerprint(t *testing.T, sc Scenario) (string, Outcome) {
 	t.Helper()
@@ -28,35 +35,64 @@ func runFingerprint(t *testing.T, sc Scenario) (string, Outcome) {
 	return sc.Fingerprint(&out), out
 }
 
-func withBackend(sc Scenario, backend network.Backend) Scenario {
-	sim := SimOptions{}
-	if sc.Sim != nil {
-		sim = *sc.Sim
+// flatFingerprints reads the fingerprints the flat backend produced, keyed
+// "generator seed".
+func flatFingerprints(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := os.Open("testdata/flat_fingerprints.txt")
+	if err != nil {
+		t.Fatal(err)
 	}
-	sim.Backend = backend
-	sc.Sim = &sim
-	return sc
+	defer f.Close()
+	out := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) != 3 {
+			t.Fatalf("malformed fingerprint line %q", line)
+		}
+		out[fields[0]+" "+fields[1]] = fields[2]
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// flatFingerprint is the recorded flat-backend fingerprint of one run.
+func flatFingerprint(t *testing.T, table map[string]string, gen string, seed int64) string {
+	t.Helper()
+	fp, ok := table[fmt.Sprintf("%s %d", gen, seed)]
+	if !ok {
+		t.Fatalf("no flat fingerprint recorded for %s seed %d", gen, seed)
+	}
+	return fp
 }
 
 // TestChaosCampaignFingerprintsBusVsFlat replays the randomized chaos
-// generator seed for seed on both backends and requires bit-identical
-// fingerprints — the 200-seed regression net for the rearchitecture.
+// generator seed for seed on the bus and requires the fingerprint the flat
+// backend produced — the 200-seed regression net for the one-store
+// simulator.
 func TestChaosCampaignFingerprintsBusVsFlat(t *testing.T) {
 	seeds := 200
 	if testing.Short() {
 		seeds = 30
 	}
+	flat := flatFingerprints(t)
 	c := Campaign{N: 4, T: 1, MaxSteps: 30_000}
 	for i := 0; i < seeds; i++ {
 		seed := int64(9000 + i)
 		sc := c.RandomScenario(seed)
-		flatFP, flatOut := runFingerprint(t, withBackend(sc, network.BackendFlat))
-		busFP, busOut := runFingerprint(t, withBackend(sc, network.BackendBus))
-		if flatFP != busFP {
-			t.Fatalf("seed %d: fingerprints diverge\n flat %s (steps=%d decided=%v)\n bus  %s (steps=%d decided=%v)\n replay: %s",
-				seed, flatFP, flatOut.Steps, flatOut.Decided, busFP, busOut.Steps, busOut.Decided, sc.Encode())
+		busFP, busOut := runFingerprint(t, sc)
+		if want := flatFingerprint(t, flat, "chaos", seed); busFP != want {
+			t.Fatalf("seed %d: fingerprints diverge\n flat %s\n bus  %s (steps=%d decided=%v)\n replay: %s",
+				seed, want, busFP, busOut.Steps, busOut.Decided, sc.Encode())
 		}
-		if busOut.Bus.Delivered == 0 && busOut.Steps > 0 && flatOut.Steps > 0 {
+		if busOut.Bus.Delivered == 0 && busOut.Steps > 0 {
 			t.Fatalf("seed %d: bus counted no deliveries over %d steps", seed, busOut.Steps)
 		}
 	}
@@ -64,21 +100,21 @@ func TestChaosCampaignFingerprintsBusVsFlat(t *testing.T) {
 
 // TestTortureFingerprintsBusVsFlat does the same over the durable torture
 // generator: WAL recovery, storage faults and the replay oracle must all
-// behave identically on the bus.
+// behave on the bus as they did on the flat backend.
 func TestTortureFingerprintsBusVsFlat(t *testing.T) {
 	runs := 25
 	if testing.Short() {
 		runs = 6
 	}
+	flat := flatFingerprints(t)
 	c := TortureCampaign{N: 4, T: 1, MaxSteps: 30_000}
 	for i := 0; i < runs; i++ {
 		seed := int64(4400 + i)
 		sc := c.RandomScenario(seed)
-		flatFP, _ := runFingerprint(t, withBackend(sc, network.BackendFlat))
-		busFP, busOut := runFingerprint(t, withBackend(sc, network.BackendBus))
-		if flatFP != busFP {
+		busFP, busOut := runFingerprint(t, sc)
+		if want := flatFingerprint(t, flat, "torture", seed); busFP != want {
 			t.Fatalf("seed %d: durable fingerprints diverge\n flat %s\n bus  %s\n replay: %s",
-				seed, flatFP, busFP, sc.Encode())
+				seed, want, busFP, sc.Encode())
 		}
 		if len(busOut.SilentCorruptions) != 0 || len(busOut.Contradictions) != 0 {
 			t.Fatalf("seed %d: durability oracle hits on the bus: %v %v",
@@ -88,21 +124,21 @@ func TestTortureFingerprintsBusVsFlat(t *testing.T) {
 }
 
 // TestLivelockFingerprintBusVsFlat pins the Lemma-7 analogue: the scripted
-// unfair parity-drop plan livelocks identically on both backends — same
-// (undecided) outcome, same 50k-step fault log, same process states.
+// unfair parity-drop plan livelocks on the bus exactly as it did on the flat
+// backend — same (undecided) outcome, same 50k-step fault log, same process
+// states.
 func TestLivelockFingerprintBusVsFlat(t *testing.T) {
 	sc := Scenario{
 		N: 4, T: 1, MaxRounds: 12, MaxSteps: 50_000, Tick: 25,
 		Inputs: []int{0, 1, 1}, Byz: []string{"silent"}, Sched: "random",
 		Plan: UnfairParityDrop(11),
 	}
-	flatFP, flatOut := runFingerprint(t, withBackend(sc, network.BackendFlat))
-	busFP, busOut := runFingerprint(t, withBackend(sc, network.BackendBus))
-	if flatOut.Decided || busOut.Decided {
-		t.Fatalf("unfair plan decided (flat=%v bus=%v) — livelock expected", flatOut.Decided, busOut.Decided)
+	busFP, busOut := runFingerprint(t, sc)
+	if busOut.Decided {
+		t.Fatal("unfair plan decided on the bus — livelock expected")
 	}
-	if flatFP != busFP {
-		t.Fatalf("livelock fingerprints diverge:\n flat %s\n bus  %s", flatFP, busFP)
+	if want := flatFingerprint(t, flatFingerprints(t), "livelock", 11); busFP != want {
+		t.Fatalf("livelock fingerprints diverge:\n flat %s\n bus  %s", want, busFP)
 	}
 }
 

@@ -36,9 +36,9 @@ type Scenario struct {
 	// fault-injectable filesystem: crashes recover from disk, not from the
 	// injector's memory, and Plan.Storage faults become live.
 	Durable bool `json:"durable,omitempty"`
-	// Sim selects the event-bus options (nil = the default bus with
-	// flat-identical semantics). Sched "native" switches to the bus's
-	// window-drain mode, the scale path for thousands of replicas.
+	// Sim selects the event-bus options (nil = the reliable, unbounded
+	// full-mesh bus). Sched "native" switches to the bus's window-drain
+	// mode, the scale path for thousands of replicas.
 	Sim  *SimOptions `json:"sim,omitempty"`
 	Plan Plan        `json:"plan"`
 }
@@ -86,8 +86,8 @@ type Outcome struct {
 	Err              error // run/panic error, already annotated with the scenario
 	Events           []Event
 
-	// Bus is the event-bus counter snapshot (zero on the flat backend);
-	// Stalled lists peers the stall detector left flagged at run end.
+	// Bus is the event-bus counter snapshot; Stalled lists peers the stall
+	// detector left flagged at run end.
 	Bus     network.BusStats
 	Stalled []network.ProcID
 
@@ -140,6 +140,21 @@ var frontEnds = []frontEnd{
 			out.SBAProcs, out.SBAParticipating = correct, participating
 		},
 	},
+}
+
+// Schedulers is the scheduler vocabulary of scenarios and of dbftsim's
+// single runs: each name builds its scheduler from the run's seed and its
+// Byzantine set. An empty Scenario.Sched means "random". "native" builds
+// nil: the bus drains its queues in windows and consults no scheduler.
+var Schedulers = map[string]func(seed int64, byz map[network.ProcID]bool) network.Scheduler{
+	"random": func(seed int64, _ map[network.ProcID]bool) network.Scheduler {
+		return network.RandomScheduler{Rng: rand.New(rand.NewSource(seed + 2))}
+	},
+	"fifo": func(int64, map[network.ProcID]bool) network.Scheduler { return network.FIFOScheduler{} },
+	"fair": func(_ int64, byz map[network.ProcID]bool) network.Scheduler {
+		return fairness.Scheduler{Byzantine: byz}
+	},
+	"native": func(int64, map[network.ProcID]bool) network.Scheduler { return nil },
 }
 
 // replicaOf adapts a front-end constructor's result, keeping a failed
@@ -216,23 +231,16 @@ func (sc Scenario) Run() (out Outcome) {
 		return fail(fmt.Errorf("%d inputs + %d byzantine != n=%d", len(sc.Inputs), len(sc.Byz), sc.N))
 	}
 
-	var inner network.Scheduler
-	switch sc.Sched {
-	case "", "random":
-		inner = network.RandomScheduler{Rng: rand.New(rand.NewSource(sc.Plan.Seed + 2))}
-	case "fifo":
-		inner = network.FIFOScheduler{}
-	case "fair":
-		inner = fairness.Scheduler{Byzantine: byzSet}
-	case "native":
-		// Window-drain mode: the bus drains queues directly and never
-		// consults a scheduler; FIFO here only satisfies the constructor.
-		inner = network.FIFOScheduler{}
-	default:
+	schedName := sc.Sched
+	if schedName == "" {
+		schedName = "random"
+	}
+	newSched, ok := Schedulers[schedName]
+	if !ok {
 		return fail(fmt.Errorf("unknown scheduler %q", sc.Sched))
 	}
 
-	inj := NewInjector(sc.Plan, inner)
+	inj := NewInjector(sc.Plan)
 	if sc.Durable {
 		for _, p := range correct {
 			id := p.ID()
@@ -244,7 +252,7 @@ func (sc Scenario) Run() (out Outcome) {
 	if err != nil {
 		return fail(err)
 	}
-	sys, err := network.NewSystemOpts(inj.Wrap(procs), inj, netOpts)
+	sys, err := network.NewSystemOpts(inj.Wrap(procs), newSched(sc.Plan.Seed, byzSet), netOpts)
 	if err != nil {
 		return fail(err)
 	}
@@ -378,8 +386,7 @@ type Campaign struct {
 	Trace *obs.Tracer
 
 	// Sim, when non-nil, is attached to every generated scenario — the
-	// hook for running a whole campaign on a specific simulator backend
-	// (flat shim vs. bus) or bus configuration.
+	// hook for running a whole campaign on a specific bus configuration.
 	Sim *SimOptions
 }
 

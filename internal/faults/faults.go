@@ -11,14 +11,16 @@
 // be stress-tested under exactly the fault mixes the proofs distinguish.
 //
 // A FaultPlan is a deterministic, seeded, serializable description of the
-// faults; an Injector interposes the plan on a network.System via the two
-// hooks the simulator exposes: the send tap (drop/duplicate/delay outgoing
-// copies) and the scheduler (hold partitioned or delayed copies, advancing
-// simulated time with network.Tick when everything is held). Crash faults
-// wrap processes: deliveries into a crash window are consumed and lost, and
-// on recovery a snapshot-capable process reboots from its synchronously
-// persisted state (see protocol.Replica for why persistence must be
-// synchronous).
+// faults; an Injector interposes the plan on a network.System through the
+// taps the simulator exposes, the same in both delivery models: the send tap
+// drops and duplicates outgoing copies, the hold tap stamps a delay on each
+// enqueued copy, the cut tap holds copies on partitioned links, and the step
+// tap keeps the injector's clock. A held copy stays in flight; while every
+// copy is held the system ticks until a cut heals or a delay expires. Crash
+// faults wrap processes: deliveries into a crash window are consumed and
+// lost, and on recovery a snapshot-capable process reboots from its
+// synchronously persisted state (see protocol.Replica for why persistence
+// must be synchronous).
 //
 // Per-fault budgets make unfairness a choice rather than an accident: a
 // drop rule with a nonnegative budget drops at most that many copies of any
@@ -272,16 +274,17 @@ func CountEvents(events []Event) map[EventKind]int {
 	return out
 }
 
-// Injector executes a Plan against one network.System. It is the system's
-// Scheduler (holding partitioned/delayed copies, ticking when everything is
-// held) and its SendTap (dropping, duplicating, delaying), and it wraps
-// processes to realize crash windows. All randomness comes from the plan
-// seed; the injector is fully deterministic.
+// Injector executes a Plan against one network.System. Install sets the
+// system's taps: SendTap drops and duplicates, HoldTap turns a chosen delay
+// into the copy's earliest delivery step, CutTap severs partitioned links
+// and StepTap advances the injector's clock. The system's own Scheduler, or
+// native drain mode, then picks among the copies the taps leave
+// deliverable. Wrap realizes crash windows around the processes. All
+// randomness comes from the plan seed; the injector is fully deterministic.
 type Injector struct {
-	Plan  Plan
-	Log   []Event
-	inner network.Scheduler
-	rng   *rand.Rand
+	Plan Plan
+	Log  []Event
+	rng  *rand.Rand
 
 	// mu guards Log. In the bus's native drain mode crash-window events
 	// (EvLost, EvCrash, EvRecover) are logged from parallel drain workers;
@@ -293,7 +296,7 @@ type Injector struct {
 	seq        int64
 	dropCount  map[dropKey]int // per-rule, per-message drop tally
 	dupCount   map[network.MsgKey]int
-	delayUntil map[int64]int // seq -> first deliverable step
+	delayUntil map[int64]int // seq -> first deliverable step, until HoldTap takes it
 	// out backs SendTap's result: the original and at most one duplicate.
 	out [2]network.Message
 
@@ -318,12 +321,10 @@ type Injector struct {
 	SilentCorruptions []string
 }
 
-// NewInjector builds an injector that defers delivery ordering among
-// eligible messages to the inner scheduler.
-func NewInjector(plan Plan, inner network.Scheduler) *Injector {
+// NewInjector builds an injector for the plan.
+func NewInjector(plan Plan) *Injector {
 	return &Injector{
 		Plan:        plan,
-		inner:       inner,
 		rng:         rand.New(rand.NewSource(plan.Seed)),
 		dropCount:   map[dropKey]int{},
 		dupCount:    map[network.MsgKey]int{},
@@ -419,24 +420,19 @@ func (inj *Injector) recordRelease(id network.ProcID, m network.Message) {
 	inj.auxSeen[key] = content
 }
 
-// Install points the system's send path at the injector. The injector must
-// also be the system's scheduler (pass it to network.NewSystem). On a
-// native-mode system the injector additionally threads through the bus's
-// tap points instead of the scheduler: delays become per-copy notBefore
-// stamps (HoldTap), partitions are checked at dequeue (CutTap), and the
-// injector clock follows the window clock (StepTap).
+// Install sets the system's four taps: the send path, per-copy delays as
+// notBefore stamps (HoldTap), partitions checked when the system looks for
+// deliverable copies (CutTap), and the injector clock following the
+// system's (StepTap).
 func (inj *Injector) Install(sys *network.System) {
 	sys.SendTap = inj.SendTap
-	if sys.NativeMode() {
-		sys.HoldTap = inj.holdTap
-		sys.CutTap = inj.cut
-		sys.StepTap = inj.observeStep
-	}
+	sys.HoldTap = inj.holdTap
+	sys.CutTap = inj.cut
+	sys.StepTap = inj.observeStep
 }
 
-// holdTap implements the native-mode delay plane: the delay SendTap chose
-// for this copy is consumed here and becomes the entry's notBefore step.
-// (The compat path leaves delayUntil to Next instead.)
+// holdTap implements the delay plane: the delay SendTap chose for this copy
+// is consumed here and becomes the entry's notBefore step.
 func (inj *Injector) holdTap(m network.Message) int {
 	if until, ok := inj.delayUntil[m.Seq]; ok {
 		delete(inj.delayUntil, m.Seq)
@@ -508,46 +504,15 @@ func (inj *Injector) SendTap(m network.Message) []network.Message {
 	return out
 }
 
-// observeStep advances the injector clock. The scheduler's Next does this on
-// every delivery, but a fully drained network (every correct replica down at
-// once) bypasses the scheduler entirely — only ticks still flow. Without this
-// hook the clock freezes and no recovery window can ever expire.
+// observeStep advances the injector clock. The system reports its clock
+// before it looks for a deliverable copy, but a fully drained network (every
+// correct replica down at once) skips that — only ticks still flow, and
+// OnTick reports the clock too. Without it the clock freezes and no recovery
+// window can ever expire.
 func (inj *Injector) observeStep(step int) {
 	if step > inj.step {
 		inj.step = step
 	}
-}
-
-// Next implements network.Scheduler: it exposes only the currently
-// deliverable copies to the inner scheduler and maps its choice back. When
-// every in-flight copy is held (partition or delay) it returns network.Tick
-// so simulated time keeps passing until a cut heals or a delay expires.
-func (inj *Injector) Next(inflight []network.Message, step int) int {
-	inj.step = step
-	eligible := make([]int, 0, len(inflight))
-	for i, m := range inflight {
-		if until, ok := inj.delayUntil[m.Seq]; ok && step < until {
-			continue
-		}
-		if inj.cut(m.From, m.To, step) {
-			continue
-		}
-		eligible = append(eligible, i)
-	}
-	if len(eligible) == 0 {
-		return network.Tick
-	}
-	sub := make([]network.Message, len(eligible))
-	for i, idx := range eligible {
-		sub[i] = inflight[idx]
-	}
-	j := inj.inner.Next(sub, step)
-	if j < 0 || j >= len(eligible) {
-		return network.Tick
-	}
-	idx := eligible[j]
-	delete(inj.delayUntil, inflight[idx].Seq)
-	return idx
 }
 
 func (inj *Injector) cut(from, to network.ProcID, step int) bool {

@@ -32,10 +32,10 @@ func TestDropBudgetBoundsLoss(t *testing.T) {
 	// A rule with budget 2 may eat at most two copies of the same logical
 	// message, no matter how often it is retransmitted.
 	plan := Plan{Seed: 1, Drops: []DropRule{{Prob: 1, Budget: 2}}}
-	inj := NewInjector(plan, network.FIFOScheduler{})
+	inj := NewInjector(plan)
 	recv := &echoProc{id: 1}
 	sender := &echoProc{id: 0}
-	sys, err := network.NewSystem(inj.Wrap([]network.Process{sender, recv}), inj)
+	sys, err := network.NewSystem(inj.Wrap([]network.Process{sender, recv}), network.FIFOScheduler{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +77,10 @@ func TestPartitionHoldsThenHeals(t *testing.T) {
 	// A cut between {0} and {1} holds the message; the injector ticks time
 	// forward until the heal step, after which delivery happens.
 	plan := Plan{Seed: 1, Partitions: []Partition{{Start: 0, Heal: 40, GroupA: []network.ProcID{0}}}}
-	inj := NewInjector(plan, network.FIFOScheduler{})
+	inj := NewInjector(plan)
 	recv := &echoProc{id: 1}
 	sender := &echoProc{id: 0}
-	sys, err := network.NewSystem(inj.Wrap([]network.Process{sender, recv}), inj)
+	sys, err := network.NewSystem(inj.Wrap([]network.Process{sender, recv}), network.FIFOScheduler{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,6 +95,38 @@ func TestPartitionHoldsThenHeals(t *testing.T) {
 	}
 	if got := recv.gotSteps[0]; got < 40 {
 		t.Fatalf("delivered at step %d, before the heal step 40", got)
+	}
+}
+
+// TestSchedulerChoiceUnderInjector: with the fault plane installed, a
+// scheduler's Tick still only advances time, and a choice past the end of
+// its view is a reported error instead of a tick that burns the step budget.
+func TestSchedulerChoiceUnderInjector(t *testing.T) {
+	run := func(sched network.FuncScheduler) (*echoProc, int, error) {
+		inj := NewInjector(Plan{Seed: 1})
+		recv := &echoProc{id: 1}
+		sys, err := network.NewSystem(inj.Wrap([]network.Process{&echoProc{id: 0}, recv}), sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj.Install(sys)
+		recv.sys = sys
+		sys.Inject(network.Message{From: 0, To: 1, Kind: network.MsgBV, Value: 1})
+		steps, err := sys.Run(100, nil)
+		return recv, steps, err
+	}
+	recv, _, err := run(func(view []network.Message, step int) int {
+		if step < 5 {
+			return network.Tick
+		}
+		return 0
+	})
+	if err != nil || len(recv.got) != 1 || recv.gotSteps[0] != 6 {
+		t.Fatalf("ticking scheduler: err=%v, delivered at steps %v, want one delivery at step 6", err, recv.gotSteps)
+	}
+	_, steps, err := run(func(view []network.Message, _ int) int { return len(view) })
+	if err == nil || !strings.Contains(err.Error(), "out-of-range") {
+		t.Fatalf("out-of-range choice ran %d steps with err=%v, want an out-of-range error", steps, err)
 	}
 }
 

@@ -122,6 +122,13 @@ func TestGoldenFingerprints(t *testing.T) {
 			"a6b05428ffdbd0be8b88ad3e09cbafbb48782beda4ba01e49323e64b21bcb45a"},
 		{"dbft/torture-4414", torture.RandomScenario(4414),
 			"46166fda23f292ce6605bb6e046b5bcd03ea265e97f5518dd7b385f5f876cf1a"},
+		// The Lemma-7 analogue: unbounded parity-BV drops livelock a random
+		// schedule for the whole 50,000-step budget, undecided.
+		{"dbft/random/unfair-parity-drop", Scenario{
+			N: 4, T: 1, MaxRounds: 12, MaxSteps: 50_000, Tick: 25,
+			Inputs: []int{0, 1, 1}, Byz: []string{"silent"}, Sched: "random",
+			Plan: UnfairParityDrop(11),
+		}, "572cb7333c717b4f8659e16a31179aa54e563d0b7b9d677ac57c480c713d164d"},
 	}
 	// Captured at c17d0fe, before the replay filter and the fault budgets
 	// moved from rendered strings to the interned message identity: the

@@ -3,8 +3,6 @@ package faults
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/network"
 )
 
 // TestSBACampaignTrichotomy runs the randomized chaos campaign over the sba
@@ -33,9 +31,10 @@ func TestSBACampaignLargerSystem(t *testing.T) {
 	}
 }
 
-// TestSBAFingerprintFlatVsBus: a seeded sba scenario must produce
-// byte-identical fingerprints on the flat shim and the default bus backend.
+// TestSBAFingerprintFlatVsBus: a seeded sba scenario must produce on the bus
+// the fingerprint the flat backend produced.
 func TestSBAFingerprintFlatVsBus(t *testing.T) {
+	flat := flatFingerprints(t)
 	c := Campaign{Protocol: "sba", N: 4, T: 1}
 	for seed := int64(7200); seed < 7215; seed++ {
 		sc := c.RandomScenario(seed)
@@ -43,18 +42,12 @@ func TestSBAFingerprintFlatVsBus(t *testing.T) {
 			t.Fatalf("seed %d: generated scenario invalid: %v", seed, err)
 		}
 		busOut := sc.Run()
-		busFP := sc.Fingerprint(&busOut)
-
-		flat := sc
-		flat.Sim = &SimOptions{Backend: network.BackendFlat}
-		flatOut := flat.Run()
-		flatFP := flat.Fingerprint(&flatOut)
-
-		if busOut.Err != nil || flatOut.Err != nil {
-			t.Fatalf("seed %d: bus err=%v flat err=%v", seed, busOut.Err, flatOut.Err)
+		if busOut.Err != nil {
+			t.Fatalf("seed %d: bus err=%v", seed, busOut.Err)
 		}
-		if busFP != flatFP {
-			t.Errorf("seed %d: fingerprint mismatch\n bus:  %s\n flat: %s", seed, busFP, flatFP)
+		busFP := sc.Fingerprint(&busOut)
+		if want := flatFingerprint(t, flat, "sba", seed); busFP != want {
+			t.Errorf("seed %d: fingerprint mismatch\n bus:  %s\n flat: %s", seed, busFP, want)
 		}
 	}
 }

@@ -11,23 +11,19 @@ import (
 )
 
 // SimOptions select the event-bus behavior for a scenario. The zero value
-// (or a nil pointer) is the default event bus with flat-loop-identical
-// semantics. The queue, dupemap, stall and topology knobs engage the bus's
-// bounded plumbing; Batch/Partitions/ScanLimit only apply under Sched
-// "native".
+// (or a nil pointer) is the reliable, unbounded full-mesh bus. The queue,
+// dupemap, stall and topology knobs engage the bus's bounded plumbing;
+// Batch/Partitions/ScanLimit only apply under Sched "native".
 type SimOptions struct {
-	// Backend is not part of the scenario format: the byte-identity tests set
-	// network.BackendFlat from Go to replay a scenario on the reference loop.
-	Backend    network.Backend `json:"-"`
-	QueueCap   int             `json:"queue_cap,omitempty"`
-	EgressCap  int             `json:"egress_cap,omitempty"`
-	Dupemap    bool            `json:"dupemap,omitempty"`
-	DupemapCap int             `json:"dupemap_cap,omitempty"`
-	StallK     int             `json:"stall_k,omitempty"`
-	Topology   string          `json:"topology,omitempty"` // "", "full" or "gossip"
-	Batch      int             `json:"batch,omitempty"`
-	Partitions int             `json:"partitions,omitempty"`
-	ScanLimit  int             `json:"scan_limit,omitempty"`
+	QueueCap   int    `json:"queue_cap,omitempty"`
+	EgressCap  int    `json:"egress_cap,omitempty"`
+	Dupemap    bool   `json:"dupemap,omitempty"`
+	DupemapCap int    `json:"dupemap_cap,omitempty"`
+	StallK     int    `json:"stall_k,omitempty"`
+	Topology   string `json:"topology,omitempty"` // "", "full" or "gossip"
+	Batch      int    `json:"batch,omitempty"`
+	Partitions int    `json:"partitions,omitempty"`
+	ScanLimit  int    `json:"scan_limit,omitempty"`
 }
 
 // networkOptions lowers the scenario's sim block into network.Options.
@@ -36,14 +32,13 @@ func (sc Scenario) networkOptions() (network.Options, error) {
 	if sim == nil {
 		sim = &SimOptions{}
 	}
-	opts := network.Options{Backend: sim.Backend}
-	opts.Bus = network.BusOptions{
+	opts := network.Options{Bus: network.BusOptions{
 		QueueCap:   sim.QueueCap,
 		EgressCap:  sim.EgressCap,
 		Dupemap:    sim.Dupemap,
 		DupemapCap: sim.DupemapCap,
 		StallK:     sim.StallK,
-	}
+	}}
 	switch sim.Topology {
 	case "", "full":
 	case "gossip":
@@ -80,9 +75,8 @@ func (sc Scenario) canonicalEvents() bool {
 // Fingerprint digests everything replay-relevant about an outcome: step
 // count, the decided predicate, every correct process's canonical state
 // snapshot, the fault-event log, and the durable-run verdict fields. Two
-// runs of one seeded scenario — on any backend whose semantics promise
-// byte-identical replay (flat loop vs. compat bus, or native mode at any
-// partition count) — must produce equal fingerprints.
+// runs of one seeded scenario must produce equal fingerprints, in native
+// mode at any partition count too.
 func (sc Scenario) Fingerprint(out *Outcome) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "steps=%d decided=%v err=%v agreement=%v validity=%v\n",

@@ -79,9 +79,6 @@ var Protocols, KnownProtocols = func() (map[string]bool, string) {
 	return set, strings.Join(names, ", ")
 }()
 
-// schedulers is the accepted scheduler vocabulary ("" defaults to random).
-var schedulers = map[string]bool{"": true, "random": true, "fifo": true, "fair": true, "native": true}
-
 // simTopologies is the accepted sim-block topology vocabulary.
 var simTopologies = map[string]bool{"": true, "full": true, "gossip": true}
 
@@ -143,7 +140,7 @@ func (sc Scenario) Validate() error {
 	if len(sc.Byz) > sc.T {
 		bad("byz", "%d byzantine processes exceed t = %d", len(sc.Byz), sc.T)
 	}
-	if !schedulers[sc.Sched] {
+	if _, ok := Schedulers[sc.Sched]; !ok && sc.Sched != "" {
 		bad("sched", "unknown scheduler %q (want random, fifo, fair or native)", sc.Sched)
 	}
 	if sim := sc.Sim; sim != nil {

@@ -5,9 +5,9 @@ import (
 	"slices"
 )
 
-// BusOptions configure the event-bus message store (the default backend).
-// The zero value reproduces the reliable flat loop exactly: unbounded
-// queues, no replay filtering, no stall detection, full mesh.
+// BusOptions configure the event-bus message store. The zero value is the
+// reliable network of Section 2: unbounded queues, no replay filtering, no
+// stall detection, full mesh.
 type BusOptions struct {
 	// QueueCap bounds each peer's ingress queue (and, in native mode, its
 	// deferred egress buffer). Enqueues beyond the cap are dropped and
@@ -32,7 +32,7 @@ type BusOptions struct {
 	StallK int
 	// Topology routes messages; nil = FullMesh. Sparse topologies relay
 	// through intermediate peers' queues and require native drain mode
-	// (the compat Scheduler contract exposes end-to-end messages).
+	// (the Scheduler's view exposes end-to-end messages).
 	Topology Topology
 }
 
@@ -143,8 +143,8 @@ type busEntry struct {
 	// hop, the relaying peer afterwards). Partition cuts apply to the
 	// physical link.
 	hopFrom   ProcID
-	arrival   int64  // global enqueue order; the compat view merges on it
-	notBefore int    // earliest step this copy may deliver (native delays)
+	arrival   int64  // global enqueue order; the Scheduler's view merges on it
+	notBefore int    // earliest step this copy may deliver (HoldTap delays)
 	hops      int32  // relay hops so far, below maxHops
 	id        uint32 // interned content of msg; 0 with the dupemap off
 }
@@ -209,11 +209,11 @@ func (q *peerQueue) subscribed(m Message) bool {
 		q.subs[Topic{Kind: m.Kind, Instance: AnyInstance}]
 }
 
-// busStore is the event-bus in-flight store: a broker over per-peer bounded
-// FIFO queues. Arrival stamps give it a second identity: merging every
-// queue in arrival order reproduces, entry for entry, the flat loop's
-// in-flight slice (appends are monotone and index-removal preserves order),
-// which is what makes the compat Scheduler path byte-identical.
+// busStore is the in-flight store: a broker over per-peer bounded FIFO
+// queues. Arrival stamps give it a second identity: merging every queue in
+// arrival order yields the in-flight multiset in send order (appends are
+// monotone and index-removal preserves order), the sequence a Scheduler
+// picks from.
 type busStore struct {
 	opts   BusOptions
 	topo   Topology
@@ -237,7 +237,7 @@ type busStore struct {
 	// merge) reads or writes it; drain workers see ids, never the table.
 	interned map[MsgKey]uint32
 
-	// compat-view scratch, reused across steps
+	// Scheduler-view scratch, reused across steps
 	viewBuf []Message
 	viewRef []viewRef
 }
@@ -357,15 +357,20 @@ func (b *busStore) enqueueAt(at ProcID, e *busEntry) {
 	}
 }
 
-// compatView materializes every queued entry in arrival order — exactly the
-// flat loop's in-flight slice. The returned slice is valid until the next
-// mutation; takeCompat(i) removes the entry backing view index i.
-func (b *busStore) compatView() []Message {
+// compatView materializes, in arrival order, every queued entry deliverable
+// at step: its notBefore has passed and cut does not sever its link. The
+// returned slice is valid until the next mutation; takeCompat(i) removes the
+// entry backing view index i.
+func (b *busStore) compatView(step int, cut func(from, to ProcID, step int) bool) []Message {
 	b.viewRef = b.viewRef[:0]
 	for qi := range b.queues {
 		q := &b.queues[qi]
 		for i := 0; i < q.depth(); i++ {
-			b.viewRef = append(b.viewRef, viewRef{peer: qi, pos: i, arrival: q.at(i).arrival})
+			e := q.at(i)
+			if e.notBefore > step || (cut != nil && cut(e.hopFrom, q.id, step)) {
+				continue
+			}
+			b.viewRef = append(b.viewRef, viewRef{peer: qi, pos: i, arrival: e.arrival})
 		}
 	}
 	slices.SortFunc(b.viewRef, func(x, y viewRef) int { return cmp.Compare(x.arrival, y.arrival) })

@@ -12,7 +12,7 @@ import (
 // chatter floods the network deterministically: on start it broadcasts round
 // 0 to every peer, and every delivery of a round below the horizon triggers a
 // broadcast of the next round. No randomness — traces must be identical
-// across backends and partition counts.
+// across partition counts.
 type chatter struct {
 	id       ProcID
 	all      []ProcID
@@ -61,25 +61,37 @@ func chatterSystem(t *testing.T, n, horizon int, sched Scheduler, opts Options) 
 }
 
 // TestBusCompatMatchesFlat is the byte-identity invariant at network level:
-// under an adversarial random scheduler the bus's arrival-ordered compat view
-// must reproduce the flat loop's in-flight slice entry for entry, so the
-// same seed yields the same step count and the same delivery trace.
+// under an adversarial random scheduler the bus's Scheduler view must
+// reproduce the flat reference loop's in-flight slice entry for entry, so
+// the same seed yields the same step count and the same delivery trace.
 func TestBusCompatMatchesFlat(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1001} {
-		flat := chatterSystem(t, 5, 4, RandomScheduler{Rng: rand.New(rand.NewSource(seed))},
-			Options{Backend: BackendFlat})
-		bus := chatterSystem(t, 5, 4, RandomScheduler{Rng: rand.New(rand.NewSource(seed))},
-			Options{Backend: BackendBus})
-		fs, err := flat.Run(10_000, nil)
-		if err != nil {
-			t.Fatal(err)
+		const n, horizon = 5, 4
+		all := make([]ProcID, n)
+		procs := make([]Process, n)
+		for i := range all {
+			all[i] = ProcID(i)
 		}
+		for i := range procs {
+			procs[i] = &chatter{id: ProcID(i), all: all, horizon: horizon}
+		}
+		flat := newFlatSystem(procs, RandomScheduler{Rng: rand.New(rand.NewSource(seed))})
+		for i := 0; i < 10_000; i++ {
+			progressed, err := flat.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !progressed {
+				break
+			}
+		}
+		bus := chatterSystem(t, n, horizon, RandomScheduler{Rng: rand.New(rand.NewSource(seed))}, Options{})
 		bs, err := bus.Run(10_000, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fs != bs {
-			t.Fatalf("seed %d: steps flat=%d bus=%d", seed, fs, bs)
+		if flat.Steps != bs {
+			t.Fatalf("seed %d: steps flat=%d bus=%d", seed, flat.Steps, bs)
 		}
 		if !reflect.DeepEqual(flat.Trace, bus.Trace) {
 			t.Fatalf("seed %d: traces diverge (flat %d entries, bus %d)", seed, len(flat.Trace), len(bus.Trace))
@@ -233,27 +245,25 @@ func TestTopicSubscriptionFilter(t *testing.T) {
 
 // TestCopyOnEnqueueAliasing is the regression test for the Set-aliasing bug
 // family: a sender that mutates its Set slice after the send must not reach
-// into copies already in flight, on either backend.
+// into copies already in flight.
 func TestCopyOnEnqueueAliasing(t *testing.T) {
-	for _, backend := range []Backend{BackendBus, BackendFlat} {
-		a := &collectProc{id: 0}
-		b := &collectProc{id: 1}
-		sys, err := NewSystemOpts([]Process{a, b}, FIFOScheduler{}, Options{Backend: backend})
-		if err != nil {
-			t.Fatal(err)
-		}
-		shared := []int{0, 1}
-		sys.Inject(Message{From: 0, To: 1, Kind: MsgAux, Set: shared})
-		shared[0] = 9 // mutation after enqueue: in-flight copy must not see it
-		if _, err := sys.Run(100, nil); err != nil {
-			t.Fatal(err)
-		}
-		if len(b.received) != 1 {
-			t.Fatalf("backend %d: deliveries = %d", backend, len(b.received))
-		}
-		if got := b.received[0].Set; !reflect.DeepEqual(got, []int{0, 1}) {
-			t.Errorf("backend %d: delivered Set = %v, want the pre-mutation {0,1}", backend, got)
-		}
+	a := &collectProc{id: 0}
+	b := &collectProc{id: 1}
+	sys, err := NewSystem([]Process{a, b}, FIFOScheduler{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := []int{0, 1}
+	sys.Inject(Message{From: 0, To: 1, Kind: MsgAux, Set: shared})
+	shared[0] = 9 // mutation after enqueue: in-flight copy must not see it
+	if _, err := sys.Run(100, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(b.received) != 1 {
+		t.Fatalf("deliveries = %d", len(b.received))
+	}
+	if got := b.received[0].Set; !reflect.DeepEqual(got, []int{0, 1}) {
+		t.Errorf("delivered Set = %v, want the pre-mutation {0,1}", got)
 	}
 }
 
@@ -558,26 +568,6 @@ func TestGossipAllPairsConsensusScale(t *testing.T) {
 		if got := len(p.(*collectProc).received); got != n-1 {
 			t.Errorf("peer %d received %d, want %d", i, got, n-1)
 		}
-	}
-}
-
-// TestFlatBackendRejectsBusOptions: the compatibility shim exposes none of
-// the bus plumbing; asking for it is a configuration error, not a silent
-// no-op.
-func TestFlatBackendRejectsBusOptions(t *testing.T) {
-	procs := []Process{&collectProc{id: 0}, &collectProc{id: 1}}
-	cases := []Options{
-		{Backend: BackendFlat, Bus: BusOptions{QueueCap: 1}},
-		{Backend: BackendFlat, Bus: BusOptions{Dupemap: true}},
-		{Backend: BackendFlat, Native: &NativeOptions{}},
-	}
-	for i, opts := range cases {
-		if _, err := NewSystemOpts(procs, FIFOScheduler{}, opts); err == nil {
-			t.Errorf("case %d: %+v accepted on the flat backend", i, opts)
-		}
-	}
-	if _, err := NewSystemOpts(procs, nil, Options{Backend: BackendFlat}); err == nil {
-		t.Error("flat backend without a scheduler should error")
 	}
 }
 

@@ -11,15 +11,18 @@
 // assumption of Section 3.3, and both fail in the regimes the paper
 // identifies (f > n/3, unfair schedules — Appendix B).
 //
-// Two message stores back the System. The default is an event bus — a
-// broker over bounded per-peer FIFO queues with arrival stamps, optional
-// replay filtering (dupemap), stall detection, topic subscriptions and
-// pluggable topologies — which also scales to thousands of replicas via its
-// native window-drain mode (see bus.go). The legacy flat in-flight slice
-// survives as BackendFlat, the compatibility shim the byte-identity tests
-// replay against: for any seeded run the bus's arrival-ordered view is, by
-// construction, entry-for-entry the flat slice, so schedulers, traces and
-// fault logs are identical across backends.
+// One message store backs the System: an event bus, a broker over bounded
+// per-peer FIFO queues with arrival stamps, optional replay filtering
+// (dupemap), stall detection, topic subscriptions and pluggable topologies
+// (see bus.go). It serves both delivery models. Under a Scheduler, the
+// adversary of Section 2, each Step merges the queues in arrival order into
+// a view of the copies deliverable now and delivers the one the Scheduler
+// picks; any in-flight copy can be picked, which FIFO queue heads alone
+// cannot express. In native window-drain mode, the scale path for thousands
+// of replicas, every peer pops its own queue instead (see native.go). The
+// fault plane reaches both models through the same taps: SendTap on the
+// send path, HoldTap stamping a delay on each enqueued copy, CutTap
+// severing links and StepTap reporting the clock.
 package network
 
 import (
@@ -157,11 +160,12 @@ type Process interface {
 	Deliver(m Message, send Sender)
 }
 
-// Scheduler resolves asynchrony: given the in-flight messages, it picks the
-// index of the next one to deliver. It fully determines the adversarial
-// message ordering. Returning Tick delivers nothing but still advances
-// simulated time — the escape hatch a fault layer uses while every in-flight
-// message is held behind a partition or a delivery delay.
+// Scheduler resolves asynchrony: given the in-flight copies deliverable now,
+// in send order, it picks the index of the next one to deliver. It fully
+// determines the adversarial message ordering. Returning Tick delivers
+// nothing but still advances simulated time. Copies the fault plane holds (a
+// pending delay, a cut link) are not in the view; while every in-flight copy
+// is held the System ticks without consulting the Scheduler.
 type Scheduler interface {
 	Next(inflight []Message, step int) int
 }
@@ -177,23 +181,9 @@ type Ticker interface {
 	OnTick(step int, send Sender)
 }
 
-// Backend selects the in-flight message store.
-type Backend int
-
-const (
-	// BackendBus (the default) stores messages in per-peer queues behind a
-	// broker. With zero BusOptions it replays byte-identically to the flat
-	// loop under any Scheduler.
-	BackendBus Backend = iota
-	// BackendFlat is the legacy flat in-flight slice, kept as the
-	// compatibility shim the byte-identity tests cross-validate against.
-	BackendFlat
-)
-
 // Options configure a System beyond processes and scheduler.
 type Options struct {
-	Backend Backend
-	Bus     BusOptions
+	Bus BusOptions
 	// Native, when non-nil, switches the bus to window-drain mode: the
 	// Scheduler is no longer consulted (it may be nil); every Step drains
 	// up to Batch eligible entries per peer, optionally across parallel
@@ -207,8 +197,7 @@ type System struct {
 	order []ProcID
 	sched Scheduler
 
-	flat    []Message // BackendFlat store
-	bus     *busStore // BackendBus store
+	bus     *busStore
 	native  *NativeOptions
 	started bool
 	sender  ProcID // process currently executing Start/Deliver
@@ -231,20 +220,18 @@ type System struct {
 	// again, so a tap may hand back the same scratch slice on every call.
 	SendTap func(m Message) []Message
 
-	// HoldTap, consulted once per enqueued copy in native mode, returns the
-	// earliest step the copy may deliver (0 = immediately). It is how the
-	// fault plane's delivery delays thread through the bus: the compat path
-	// keeps them inside the Scheduler instead.
+	// HoldTap, consulted once per enqueued copy, returns the earliest step
+	// the copy may deliver (0 = immediately): the fault plane's delivery
+	// delays, stamped on the bus entry.
 	HoldTap func(m Message) int
 
-	// CutTap, consulted at dequeue time in native mode, reports whether the
-	// physical from->to link is severed at the given step (partitions).
-	// It must be pure: native workers call it concurrently.
+	// CutTap reports whether the physical from->to link is severed at the
+	// given step (partitions); a copy on a severed link stays queued. It
+	// must be pure: native workers call it concurrently.
 	CutTap func(from, to ProcID, step int) bool
 
-	// StepTap observes the window clock at the top of each native step,
-	// before any delivery — the native analogue of the fault injector
-	// advancing its clock inside Scheduler.Next.
+	// StepTap observes the clock before any delivery: at the top of each
+	// native window, and before the Scheduler is consulted.
 	StepTap func(step int)
 
 	// TickInterval > 0 invokes OnTick on every Ticker process each
@@ -268,14 +255,13 @@ type peerDrain struct {
 	filtered  int64      // dupemap suppressions at delivery time
 }
 
-// NewSystem builds a system over the given processes with the default
-// event-bus backend (byte-identical to the legacy flat loop).
+// NewSystem builds a system over the given processes with default bus
+// options: unbounded queues, no replay filter, full mesh.
 func NewSystem(procs []Process, sched Scheduler) (*System, error) {
 	return NewSystemOpts(procs, sched, Options{})
 }
 
-// NewSystemOpts builds a system with explicit backend, bus and drain-mode
-// options.
+// NewSystemOpts builds a system with explicit bus and drain-mode options.
 func NewSystemOpts(procs []Process, sched Scheduler, opts Options) (*System, error) {
 	if len(procs) == 0 {
 		return nil, fmt.Errorf("network: no processes")
@@ -292,57 +278,37 @@ func NewSystemOpts(procs []Process, sched Scheduler, opts Options) (*System, err
 		s.order = append(s.order, p.ID())
 	}
 	sort.Slice(s.order, func(i, j int) bool { return s.order[i] < s.order[j] })
-	switch opts.Backend {
-	case BackendFlat:
-		if opts.Native != nil {
-			return nil, fmt.Errorf("network: native drain mode requires the bus backend")
+	s.bus = newBusStore(s.order, opts.Bus)
+	if s.bus.sparse && opts.Native == nil {
+		return nil, fmt.Errorf("network: topology %q relays through peers and requires native drain mode", s.bus.topo.Name())
+	}
+	if opts.Native != nil {
+		nat := *opts.Native
+		if nat.Batch <= 0 {
+			nat.Batch = 4
 		}
-		if opts.Bus.QueueCap != 0 || opts.Bus.EgressCap != 0 || opts.Bus.Dupemap ||
-			opts.Bus.DupemapCap != 0 || opts.Bus.StallK != 0 || opts.Bus.Topology != nil {
-			return nil, fmt.Errorf("network: flat backend does not support bus options")
+		if nat.Partitions <= 0 {
+			nat.Partitions = 1
 		}
-	case BackendBus:
-		s.bus = newBusStore(s.order, opts.Bus)
-		if s.bus.sparse && opts.Native == nil {
-			return nil, fmt.Errorf("network: topology %q relays through peers and requires native drain mode", s.bus.topo.Name())
+		if nat.ScanLimit <= 0 {
+			nat.ScanLimit = 128
 		}
-		if opts.Native != nil {
-			nat := *opts.Native
-			if nat.Batch <= 0 {
-				nat.Batch = 4
-			}
-			if nat.Partitions <= 0 {
-				nat.Partitions = 1
-			}
-			if nat.ScanLimit <= 0 {
-				nat.ScanLimit = 128
-			}
-			s.native = &nat
-			s.drains = make([]peerDrain, len(s.order))
-			for i := range s.drains {
-				d := &s.drains[i]
-				d.send = func(m Message) { d.sends = append(d.sends, m) }
-			}
-			s.egressUsed = make([]int, len(s.order))
+		s.native = &nat
+		s.drains = make([]peerDrain, len(s.order))
+		for i := range s.drains {
+			d := &s.drains[i]
+			d.send = func(m Message) { d.sends = append(d.sends, m) }
 		}
-	default:
-		return nil, fmt.Errorf("network: unknown backend %d", opts.Backend)
+		s.egressUsed = make([]int, len(s.order))
 	}
 	return s, nil
 }
 
-// NativeMode reports whether the system drains in native windows (no
-// Scheduler consultation).
-func (s *System) NativeMode() bool { return s.native != nil }
-
 // Subscribe restricts a process's queue to the given topics. Before the
 // first call a peer receives everything; afterwards only matching
 // (Kind, Instance) messages are enqueued (AnyInstance wildcards the
-// instance). Bus backend only.
+// instance).
 func (s *System) Subscribe(id ProcID, topics ...Topic) error {
-	if s.bus == nil {
-		return fmt.Errorf("network: subscriptions require the bus backend")
-	}
 	if _, ok := s.procs[id]; !ok {
 		return fmt.Errorf("network: subscribe: unknown process %d", id)
 	}
@@ -350,29 +316,19 @@ func (s *System) Subscribe(id ProcID, topics ...Topic) error {
 	return nil
 }
 
-// BusStats returns a snapshot of the bus counters (zero value on the flat
-// backend).
+// BusStats returns a snapshot of the bus counters.
 func (s *System) BusStats() BusStats {
-	if s.bus == nil {
-		return BusStats{}
-	}
 	return s.bus.stats
 }
 
 // StallEvents returns the first stall transitions observed (capped), and
 // Stalled the set of currently-stalled peers.
 func (s *System) StallEvents() []StallEvent {
-	if s.bus == nil {
-		return nil
-	}
 	return s.bus.stallLog
 }
 
 // Stalled returns the peers currently flagged by the stall detector.
 func (s *System) Stalled() []ProcID {
-	if s.bus == nil {
-		return nil
-	}
 	var out []ProcID
 	for qi := range s.bus.queues {
 		if s.bus.queues[qi].stalled {
@@ -435,10 +391,6 @@ func (s *System) enqueue(m Message) {
 	if m.Set != nil {
 		m.Set = append([]int(nil), m.Set...)
 	}
-	if s.bus == nil {
-		s.flat = append(s.flat, m)
-		return
-	}
 	notBefore := 0
 	if s.HoldTap != nil {
 		notBefore = s.HoldTap(m)
@@ -449,9 +401,6 @@ func (s *System) enqueue(m Message) {
 // Inflight returns the number of undelivered messages (including native-mode
 // deferred egress).
 func (s *System) Inflight() int {
-	if s.bus == nil {
-		return len(s.flat)
-	}
 	n := s.bus.size
 	if s.native != nil && s.bus.opts.EgressCap > 0 {
 		n += s.bus.egressPending()
@@ -476,9 +425,11 @@ func (s *System) start() {
 	}
 }
 
-// Step delivers exactly one message (after starting all processes on the
-// first call). It reports whether a delivery happened (false = quiescent).
-// In native mode one Step is one drain window instead (see stepWindow).
+// Step delivers the deliverable copy the Scheduler picks (after starting all
+// processes on the first call); when nothing is deliverable, or the
+// Scheduler returns Tick, the step only advances time. It reports false once
+// the system is quiescent. In native mode one Step is one drain window
+// instead (see stepWindow).
 func (s *System) Step() (bool, error) {
 	if s.native != nil {
 		return s.stepWindow()
@@ -497,11 +448,14 @@ func (s *System) Step() (bool, error) {
 		}
 		return false, nil
 	}
-	view := s.flat
-	if s.bus != nil {
-		view = s.bus.compatView()
+	if s.StepTap != nil {
+		s.StepTap(s.Steps)
 	}
-	idx := s.sched.Next(view, s.Steps)
+	view := s.bus.compatView(s.Steps, s.CutTap)
+	idx := Tick // nothing deliverable: time passes until a hold expires
+	if len(view) > 0 {
+		idx = s.sched.Next(view, s.Steps)
+	}
 	if idx == Tick {
 		s.Steps++
 		s.tick()
@@ -511,24 +465,18 @@ func (s *System) Step() (bool, error) {
 		return false, fmt.Errorf("network: scheduler chose out-of-range message %d of %d", idx, len(view))
 	}
 	s.Steps++
-	var m Message
-	if s.bus != nil {
-		e := s.bus.takeCompat(idx, s.Steps)
-		m = e.msg
-		s.bus.scanStalls(s.Steps)
-		if q := &s.bus.queues[s.bus.idx[m.To]]; q.seen != nil && !q.seen.add(e.id) {
-			// Replay filter (opt-in): the copy is consumed but not
-			// delivered; the step still advances simulated time.
-			s.bus.filtered(1)
-			s.tick()
-			return true, nil
-		}
-		s.bus.stats.Delivered++
-		obsDelivered.Inc()
-	} else {
-		m = s.flat[idx]
-		s.flat = append(s.flat[:idx], s.flat[idx+1:]...)
+	e := s.bus.takeCompat(idx, s.Steps)
+	m := e.msg
+	s.bus.scanStalls(s.Steps)
+	if q := &s.bus.queues[s.bus.idx[m.To]]; q.seen != nil && !q.seen.add(e.id) {
+		// Replay filter (opt-in): the copy is consumed but not delivered;
+		// the step still advances simulated time.
+		s.bus.filtered(1)
+		s.tick()
+		return true, nil
 	}
+	s.bus.stats.Delivered++
+	obsDelivered.Inc()
 	if s.RecordTrace {
 		s.Trace = append(s.Trace, m)
 	}

@@ -59,7 +59,7 @@ fi
 # owns the CRC32C framing, and the merged full-mode internals stay merged
 # (their names survive only in _test.go references and in CHANGES.md /
 # ROADMAP.md as history). Bracketed like the lint above.
-echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form, request resolution)"
+echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form, request resolution, in-flight store)"
 SRC=$(find cmd internal -name '*.go' ! -name '*_test.go')
 N=$(grep -l 'json:"lp[_]checks"' $SRC | wc -l)
 [ "$N" -eq 1 ] || { echo "one-definition lint: $N non-test files declare a json:\"lp[_]checks\" field, want 1"; exit 1; }
@@ -126,6 +126,15 @@ N=$(cat $SERVICE | grep -E '\bResolve\(|schema\.New\(' | grep -vc '^func Resolve
 N=$(cat $SERVICE | grep -c 's\.build(' || true)
 [ "$N" -eq 2 ] || { echo "one-definition lint: $N callers of Server.build, want 2 (the memo fill and the miss path)"; exit 1; }
 
+# One in-flight store and one fault plane: the event bus serves both
+# delivery models and the injector reaches both through the bus taps. The
+# flat slice and the injector's eligibility filter live on only as the
+# _test.go reference in internal/network.
+if grep -nE 'Backend[F]lat|Backend[B]us|network\.B[a]ckend|NativeM[o]de|func \(inj \*Injector\) N[e]xt' $SRC README.md DESIGN.md; then
+    echo "one-definition lint: the lines above name the retired flat backend, its knob, NativeMode or the injector's scheduler"
+    exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 
@@ -146,9 +155,9 @@ go test -race ./internal/schema ./internal/core
 
 # The golden rows include native Partitions: 2 runs with a 16-key dupemap: an
 # intern-table access that strays into a drain worker is a race here.
-echo "==> go test -race event-bus leg (queues, dupemap, message identity, stalls, gossip, flat-vs-bus identity; simulator benchmarks compile and run)"
-go test -race -run 'Bus|Native|Dupemap|Kadcast|Gossip|Stall|CopyOnEnqueue|Egress|QueueCap|Topic|Identity|KeyString|Allocs' ./internal/network
-go test -short -race -run 'FingerprintsBusVsFlat|NativeFingerprint|Livelock|GoldenFingerprints|ObsCounters' ./internal/faults
+echo "==> go test -race event-bus leg (queues, dupemap, message identity, stalls, gossip, bus vs the flat reference; simulator benchmarks compile and run)"
+go test -race -run 'Bus|FlatReference|Native|Dupemap|Kadcast|Gossip|Stall|CopyOnEnqueue|Egress|QueueCap|Topic|Identity|KeyString|Allocs' ./internal/network
+go test -short -race -run 'BusVsFlat|FlatVsBus|NativeFingerprint|GoldenFingerprints|ObsCounters|SchedulerChoice' ./internal/faults
 go test -run '^$' -bench 'BusEnqueueDrain|DupemapAdd|MsgKey' -benchtime 1x ./internal/network
 go test -run '^$' -bench 'SendTap|ScenarioRun' -benchtime 1x ./internal/faults
 
