@@ -89,7 +89,7 @@ func run(args []string) error {
 	chaosSeeds := fs.Int("chaos-seeds", 200, "number of seeds in the -chaos campaign")
 	tick := fs.Int("tick", 25, "retransmission tick interval in steps (-chaos, -torture and -plan)")
 	chaosV := fs.Bool("chaos-v", false, "print one line per -chaos run")
-	torture := fs.Bool("torture", false, "run a storage-fault torture campaign over durable replicas (uses -n, -t, -seed, -rounds, -tick)")
+	torture := fs.Bool("torture", false, "run a storage-fault torture campaign over durable replicas (uses -n, -t, -seed, -rounds, -tick; not -steps)")
 	tortureSeeds := fs.Int("torture-seeds", 200, "number of seeds in the -torture campaign")
 	tortureV := fs.Bool("torture-v", false, "print one line per -torture run")
 	plan := fs.String("plan", "", "replay one chaos scenario: inline JSON or @file")
@@ -118,14 +118,19 @@ func run(args []string) error {
 	if *plan != "" {
 		return runPlan(*plan, *proto, *fingerprint)
 	}
+	c := faults.Campaign{BaseSeed: *seed, N: *n, T: *t, MaxRounds: *maxRounds, Tick: *tick, Workers: *workers}
 	if *chaos {
-		return runChaos(*proto, *chaosSeeds, *seed, *n, *t, *maxRounds, *maxSteps, *tick, *workers, *chaosV, of)
+		c.Runs, c.Protocol, c.MaxSteps = *chaosSeeds, *proto, *maxSteps
+		return runCampaign(c, *chaosV, of)
 	}
 	if *torture {
 		if isSBA {
 			return fmt.Errorf("-torture exercises durable WAL replicas, which are dbft-only; it does not accept -protocol sba")
 		}
-		return runTorture(*tortureSeeds, *seed, *n, *t, *maxRounds, *tick, *workers, *tortureV, of)
+		// Torture schedules keep the campaign's default step budget: -steps
+		// is not applied.
+		c.Runs, c.Durable = *tortureSeeds, true
+		return runCampaign(c, *tortureV, of)
 	}
 
 	ins, err := parseInputs(*inputs)
@@ -266,41 +271,37 @@ func parseInputs(s string) ([]int, error) {
 	return out, nil
 }
 
-// runChaos executes a randomized fault-injection campaign and exits non-zero
-// on any safety/termination violation, printing each violation's seed and
-// replayable scenario JSON. An interrupt also exits non-zero, after flushing
-// a partial report covering the completed seed prefix.
-func runChaos(proto string, runs int, baseSeed int64, n, t, maxRounds, maxSteps, tick, workers int, verbose bool, of *obsFlags) error {
-	sink, err := of.open("dbftsim chaos")
+// runCampaign executes a seeded campaign and exits non-zero on any violation,
+// printing each violation's seed and replayable scenario JSON. A durable
+// campaign is the storage-fault torture mode: every seed runs the consensus
+// over WAL-backed replicas while the injector kills, tears, bit-flips and
+// fsync-lies at the storage layer, then asserts Agreement/Validity,
+// post-recovery consistency and byte-identical replay. An interrupt also
+// exits non-zero, after flushing a partial report covering the completed
+// seed prefix.
+func runCampaign(c faults.Campaign, verbose bool, of *obsFlags) error {
+	kind := "chaos"
+	if c.Durable {
+		kind = "torture"
+	}
+	tool := "dbftsim " + kind
+	sink, err := of.open(tool)
 	if err != nil {
 		return err
 	}
 	defer sink.Close()
-	c := faults.Campaign{
-		Protocol: proto,
-		Runs:     runs,
-		BaseSeed: baseSeed,
-		N:        n,
-		T:        t,
-
-		MaxRounds: maxRounds,
-		MaxSteps:  maxSteps,
-		Tick:      tick,
-
-		Stop:    watchInterrupt(),
-		Workers: workers,
-		Trace:   sink.Tracer,
-	}
+	c.Stop = watchInterrupt()
+	c.Trace = sink.Tracer
 	if verbose {
 		c.Verbose = func(format string, args ...any) {
 			fmt.Printf(format+"\n", args...)
 		}
 	}
-	stopProgress := of.startProgress(runs, c.Stop)
+	stopProgress := of.startProgress(c.Runs, c.Stop)
 	res := c.Run()
 	stopProgress()
-	rep := campaignReport("dbftsim chaos", "chaos", res.Runs, res.Decided,
-		len(res.Violations), res.Events, workers, res.Interrupted)
+	rep := campaignReport(tool, kind, res.Runs, res.Decided,
+		len(res.Violations), res.Events, c.Workers, res.Interrupted)
 	if err := sink.Flush(rep); err != nil {
 		return err
 	}
@@ -312,58 +313,7 @@ func runChaos(proto string, runs int, baseSeed int64, n, t, maxRounds, maxSteps,
 		return fmt.Errorf("%d violations in %d runs", len(res.Violations), res.Runs)
 	}
 	if res.Interrupted {
-		return fmt.Errorf("chaos campaign interrupted after %d/%d seeds; resume with -seed %d", res.Runs, runs, res.NextSeed)
-	}
-	return nil
-}
-
-// runTorture executes a storage-fault torture campaign: every seed runs the
-// consensus over durable WAL-backed replicas while the injector kills,
-// tears, bit-flips and fsync-lies at the storage layer, then asserts
-// Agreement/Validity, post-recovery consistency and byte-identical replay.
-// Exits non-zero on any violation, printing each one's replayable seed and
-// scenario JSON.
-func runTorture(runs int, baseSeed int64, n, t, maxRounds, tick, workers int, verbose bool, of *obsFlags) error {
-	sink, err := of.open("dbftsim torture")
-	if err != nil {
-		return err
-	}
-	defer sink.Close()
-	c := faults.TortureCampaign{
-		Runs:     runs,
-		BaseSeed: baseSeed,
-		N:        n,
-		T:        t,
-
-		MaxRounds: maxRounds,
-		Tick:      tick,
-
-		Stop:    watchInterrupt(),
-		Workers: workers,
-		Trace:   sink.Tracer,
-	}
-	if verbose {
-		c.Verbose = func(format string, args ...any) {
-			fmt.Printf(format+"\n", args...)
-		}
-	}
-	stopProgress := of.startProgress(runs, c.Stop)
-	res := c.Run()
-	stopProgress()
-	rep := campaignReport("dbftsim torture", "torture", res.Runs, res.Decided,
-		len(res.Violations), res.Events, workers, res.Interrupted)
-	if err := sink.Flush(rep); err != nil {
-		return err
-	}
-	fmt.Println(res.String())
-	if len(res.Violations) > 0 {
-		for _, v := range res.Violations {
-			fmt.Println(v.String())
-		}
-		return fmt.Errorf("%d violations in %d runs", len(res.Violations), res.Runs)
-	}
-	if res.Interrupted {
-		return fmt.Errorf("torture campaign interrupted after %d/%d seeds; resume with -seed %d", res.Runs, runs, res.NextSeed)
+		return fmt.Errorf("%s campaign interrupted after %d/%d seeds; resume with -seed %d", kind, res.Runs, c.Runs, res.NextSeed)
 	}
 	return nil
 }

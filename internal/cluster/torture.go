@@ -14,11 +14,12 @@ import (
 
 	"repro/internal/schema"
 	"repro/internal/service"
+	"repro/internal/sweep"
 	"repro/internal/wal"
 )
 
 // Torture is the cluster's fault-injection acceptance gate, in the style of
-// faults.TortureCampaign: every run spins up a real coordinator (in-memory
+// the durable faults.Campaign: every run spins up a real coordinator (in-memory
 // WAL journal) and real workers over real HTTP, then drives a seeded
 // schedule of worker kills, worker restarts, network partitions, and
 // coordinator restarts against it. The single assertion is the tentpole
@@ -48,22 +49,9 @@ type TortureConfig struct {
 	// Parallel runs schedules concurrently (0 or 1 = sequential). Runs are
 	// independent; violations are collected in seed order.
 	Parallel int
-	// Verbose, when set, receives one line per run.
+	// Verbose, when set, receives one line per run; with Parallel > 1 it is
+	// called from concurrent runs.
 	Verbose func(format string, args ...any)
-	// Stop, when set, is polled between runs; true ends the campaign early.
-	Stop func() bool
-}
-
-// TortureViolation is one seed whose cluster verdict diverged (or never
-// arrived). The seed is the replay handle: rerun the campaign with
-// BaseSeed=Seed, Runs=1 to reproduce the schedule exactly.
-type TortureViolation struct {
-	Seed   int64
-	Detail string
-}
-
-func (v TortureViolation) String() string {
-	return fmt.Sprintf("seed %d: %s", v.Seed, v.Detail)
 }
 
 // TortureResult aggregates a campaign.
@@ -82,11 +70,7 @@ type TortureResult struct {
 	// of a claim's: after a worker's first shard, every lease the schedules'
 	// kills, partitions and coordinator restarts hit.
 	LeasesViaReport int
-	Violations      []TortureViolation
-	// Interrupted is set when Stop ended the campaign early; NextSeed is the
-	// resume point.
-	Interrupted bool
-	NextSeed    int64
+	Violations      []sweep.Violation
 }
 
 func (r TortureResult) String() string {
@@ -161,9 +145,6 @@ func Torture(cfg TortureConfig) (TortureResult, error) {
 	if cfg.ShardSize <= 0 {
 		cfg.ShardSize = 8
 	}
-	if cfg.Parallel <= 0 {
-		cfg.Parallel = 1
-	}
 
 	ref, label, err := tortureReference(cfg.Payload)
 	if err != nil {
@@ -174,50 +155,36 @@ func Torture(cfg TortureConfig) (TortureResult, error) {
 		return TortureResult{}, fmt.Errorf("calibration run: %s", detail)
 	}
 
-	var (
-		mu          sync.Mutex
-		res         TortureResult
-		interrupted atomic.Bool
-	)
-	sem := make(chan struct{}, cfg.Parallel)
-	var wg sync.WaitGroup
-	next := cfg.BaseSeed
-	for i := 0; i < cfg.Runs; i++ {
-		if cfg.Stop != nil && cfg.Stop() {
-			interrupted.Store(true)
-			break
-		}
+	type run struct {
+		stats  tortureStats
+		detail string
+	}
+	runs, _, _ := sweep.Run(cfg.Runs, cfg.Parallel, nil, func(i int) run {
 		seed := cfg.BaseSeed + int64(i)
-		next = seed + 1
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(seed int64) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			stats, detail := tortureRun(cfg, label, ref, seed, cal.jobTime)
-			mu.Lock()
-			defer mu.Unlock()
-			res.Runs++
-			res.Kills += stats.kills
-			res.Restarts += stats.restarts
-			res.Partitions += stats.partitions
-			res.CoordRestarts += stats.coordRestarts
-			res.Reissues += stats.reissues
-			res.LeasesViaReport += stats.viaReport
+		stats, detail := tortureRun(cfg, label, ref, seed, cal.jobTime)
+		if cfg.Verbose != nil {
 			if detail != "" {
-				res.Violations = append(res.Violations, TortureViolation{Seed: seed, Detail: detail})
-				if cfg.Verbose != nil {
-					cfg.Verbose("cluster torture seed %d FAILED: %s", seed, detail)
-				}
-			} else if cfg.Verbose != nil {
+				cfg.Verbose("cluster torture seed %d FAILED: %s", seed, detail)
+			} else {
 				cfg.Verbose("cluster torture seed %d ok: %d kills, %d partitions, %d coord restarts, %d reissues",
 					seed, stats.kills, stats.partitions, stats.coordRestarts, stats.reissues)
 			}
-		}(seed)
+		}
+		return run{stats, detail}
+	})
+	var res TortureResult
+	for i, r := range runs {
+		res.Runs++
+		res.Kills += r.stats.kills
+		res.Restarts += r.stats.restarts
+		res.Partitions += r.stats.partitions
+		res.CoordRestarts += r.stats.coordRestarts
+		res.Reissues += r.stats.reissues
+		res.LeasesViaReport += r.stats.viaReport
+		if r.detail != "" {
+			res.Violations = append(res.Violations, sweep.Violation{Seed: cfg.BaseSeed + int64(i), Detail: r.detail})
+		}
 	}
-	wg.Wait()
-	res.Interrupted = interrupted.Load()
-	res.NextSeed = next
 	return res, nil
 }
 

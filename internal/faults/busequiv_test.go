@@ -107,7 +107,7 @@ func TestTortureFingerprintsBusVsFlat(t *testing.T) {
 		runs = 6
 	}
 	flat := flatFingerprints(t)
-	c := TortureCampaign{N: 4, T: 1, MaxSteps: 30_000}
+	c := Campaign{N: 4, T: 1, MaxSteps: 30_000, Durable: true}
 	for i := 0; i < runs; i++ {
 		seed := int64(4400 + i)
 		sc := c.RandomScenario(seed)

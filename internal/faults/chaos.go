@@ -10,7 +10,6 @@ import (
 	"repro/internal/dbft"
 	"repro/internal/fairness"
 	"repro/internal/network"
-	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/sba"
 )
@@ -347,105 +346,9 @@ func (sc Scenario) checkDurable(inj *Injector, out *Outcome) {
 	}
 }
 
-// Campaign drives randomized fault mixes across many seeds, asserting the
-// paper's trichotomy executably: Agreement and Validity must hold under
-// *every* fault mix with f <= t; Termination must hold whenever the plan
-// guarantees eventual delivery (fair plans, with retransmission enabled);
-// unfair plans are exempt from the termination obligation.
-type Campaign struct {
-	Runs     int
-	BaseSeed int64
-	N        int
-	T        int
-
-	// Protocol selects the executable front-end for every generated
-	// scenario: "" or "dbft" (default), or "sba".
-	Protocol string
-
-	MaxRounds int // default 12
-	MaxSteps  int // default 120_000
-	Tick      int // default 25
-
-	// Verbose, when set, receives one line per run.
-	Verbose func(format string, args ...any)
-
-	// Stop, when set, is polled between seeds; a true return ends the
-	// campaign early with Interrupted set and NextSeed pointing at the first
-	// seed not run (signal handlers use it for graceful shutdown).
-	Stop func() bool
-
-	// Workers runs up to this many seeds concurrently (0 or 1 =
-	// sequential). Seeds are independent simulations; results are folded in
-	// seed order over the contiguous completed prefix, so the aggregate —
-	// and the resume seed after an interrupt — is identical to a sequential
-	// campaign. Verbose lines may interleave across seeds.
-	Workers int
-
-	// Trace, when non-nil, receives one "chaos" event per executed seed
-	// (steps, decided, failed). Observational only.
-	Trace *obs.Tracer
-
-	// Sim, when non-nil, is attached to every generated scenario — the
-	// hook for running a whole campaign on a specific bus configuration.
-	Sim *SimOptions
-}
-
-// Violation is one failed assertion, carrying everything needed to replay
-// it.
-type Violation struct {
-	Seed     int64
-	Scenario Scenario
-	Reason   string
-}
-
-func (v Violation) String() string {
-	return fmt.Sprintf("seed %d: %s\n  replay: %s", v.Seed, v.Reason, v.Scenario.Encode())
-}
-
-// CampaignResult aggregates a campaign.
-type CampaignResult struct {
-	Runs       int
-	FairRuns   int
-	UnfairRuns int
-	Decided    int
-	Events     map[EventKind]int
-	Violations []Violation
-
-	// Interrupted is set when Stop ended the campaign early; NextSeed is the
-	// first seed that did not run, so a rerun with -seed NextSeed resumes.
-	Interrupted bool
-	NextSeed    int64
-}
-
-func (r CampaignResult) String() string {
-	s := fmt.Sprintf("chaos: %d runs (%d fair, %d unfair), %d decided, %d violations; faults: %d drops, %d dups, %d delays, %d lost, %d crashes, %d recoveries",
-		r.Runs, r.FairRuns, r.UnfairRuns, r.Decided, len(r.Violations),
-		r.Events[EvDrop], r.Events[EvDuplicate], r.Events[EvDelay],
-		r.Events[EvLost], r.Events[EvCrash], r.Events[EvRecover])
-	if r.Interrupted {
-		s += fmt.Sprintf(" (interrupted; resume from seed %d)", r.NextSeed)
-	}
-	return s
-}
-
-// RandomScenario derives a random-but-replayable scenario for one seed: a
-// random fault mix (drops, duplicates, delays, a healing partition,
-// crash-recovery and crash-stop windows) with the fault budget f <= t
-// respected by construction.
-func (c Campaign) RandomScenario(seed int64) Scenario {
-	rng := rand.New(rand.NewSource(seed))
-	sc := Scenario{
-		Protocol:  c.Protocol,
-		N:         c.N,
-		T:         c.T,
-		MaxRounds: c.maxRounds(),
-		MaxSteps:  c.maxSteps(),
-		Tick:      c.tick(),
-		Sched:     "random",
-		Sim:       c.Sim,
-		Plan:      Plan{Seed: seed},
-	}
-
+// chaosFaults draws the chaos campaign's Byzantine set, inputs and fault
+// plan into sc.
+func (c Campaign) chaosFaults(rng *rand.Rand, sc *Scenario) {
 	// Fault budget: Byzantine processes and crash-stops together stay <= t.
 	budget := c.T
 	nByz := 0
@@ -526,92 +429,4 @@ func (c Campaign) RandomScenario(seed int64) Scenario {
 			})
 		}
 	}
-	return sc
-}
-
-func (c Campaign) maxRounds() int {
-	if c.MaxRounds > 0 {
-		return c.MaxRounds
-	}
-	return 12
-}
-
-func (c Campaign) maxSteps() int {
-	if c.MaxSteps > 0 {
-		return c.MaxSteps
-	}
-	return 120_000
-}
-
-func (c Campaign) tick() int {
-	if c.Tick > 0 {
-		return c.Tick
-	}
-	return 25
-}
-
-// Run executes the campaign. It never panics and never aborts early: every
-// seed runs, every violation is collected with its replayable scenario.
-// With Workers > 1 seeds execute concurrently; the fold over results still
-// happens in seed order (see runIndexed), so the aggregate is deterministic.
-func (c Campaign) Run() CampaignResult {
-	type chaosRun struct {
-		sc  Scenario
-		out Outcome
-	}
-	recs, nextIdx, interrupted := runIndexed(c.Runs, c.Workers, c.Stop, func(i int) chaosRun {
-		seed := c.BaseSeed + int64(i)
-		obsCurrentSeed.Set(seed)
-		sc := c.RandomScenario(seed)
-		out := sc.Run()
-		obsSeedsRun.Inc()
-		traceSeed(c.Trace, "chaos", seed, &out)
-		if c.Verbose != nil {
-			c.Verbose("seed %d: steps=%d decided=%v fair=%v faults=%v",
-				seed, out.Steps, out.Decided, sc.Plan.FairDelivery(), CountEvents(out.Events))
-		}
-		return chaosRun{sc: sc, out: out}
-	})
-
-	res := CampaignResult{Events: map[EventKind]int{}}
-	for i, r := range recs {
-		seed := c.BaseSeed + int64(i)
-		out := r.out
-		res.Runs++
-		fair := r.sc.Plan.FairDelivery()
-		if fair {
-			res.FairRuns++
-		} else {
-			res.UnfairRuns++
-		}
-		if out.Decided {
-			res.Decided++
-		}
-		for k, n := range CountEvents(out.Events) {
-			res.Events[k] += n
-		}
-		fail := func(reason string) {
-			obsSeedsFailed.Inc()
-			res.Violations = append(res.Violations, Violation{Seed: seed, Scenario: r.sc, Reason: reason})
-		}
-		switch {
-		case out.Err != nil:
-			fail(fmt.Sprintf("run error: %v", out.Err))
-		default:
-			if out.AgreementErr != nil {
-				fail(fmt.Sprintf("agreement: %v", out.AgreementErr))
-			}
-			if out.ValidityErr != nil {
-				fail(fmt.Sprintf("validity: %v", out.ValidityErr))
-			}
-			if fair && !out.Decided {
-				fail(fmt.Sprintf("termination: fair plan undecided after %d steps", out.Steps))
-			}
-		}
-	}
-	if interrupted {
-		res.Interrupted = true
-		res.NextSeed = c.BaseSeed + int64(nextIdx)
-	}
-	return res
 }

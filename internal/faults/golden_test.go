@@ -80,7 +80,7 @@ func TestGoldenFingerprints(t *testing.T) {
 	quiet := []string{"equivocator", "silent"}
 	dbftChaos := Campaign{N: 4, T: 1}
 	sbaChaos := Campaign{Protocol: "sba", N: 4, T: 1}
-	torture := TortureCampaign{N: 4, T: 1}
+	torture := Campaign{N: 4, T: 1, Durable: true}
 	rows := []struct {
 		name string
 		sc   Scenario

@@ -3,11 +3,11 @@ package faults
 import "repro/internal/obs"
 
 // Observational-only instrumentation (see internal/obs). Campaign verdicts
-// and aggregates come from the seed-ordered prefix fold in parallel.go,
-// never from these racing counters.
+// and aggregates come from Campaign.fold over the seed-ordered prefix that
+// sweep.Run returns, never from these racing counters.
 var (
 	// obsSeedsRun counts scenario executions across all campaigns;
-	// obsSeedsFailed counts the ones folded as violations.
+	// obsSeedsFailed counts the folded seeds with at least one violation.
 	obsSeedsRun    = obs.Default.Counter("faults", "seeds_run")
 	obsSeedsFailed = obs.Default.Counter("faults", "seeds_failed")
 	// obsCurrentSeed holds the most recently started seed — what a progress
@@ -15,23 +15,22 @@ var (
 	obsCurrentSeed = obs.Default.Gauge("faults", "current_seed")
 )
 
-// traceSeed emits one per-seed trace event (nil tracer = no-op).
-func traceSeed(tr *obs.Tracer, kind string, seed int64, out *Outcome) {
+// traceSeed emits one per-seed trace event (nil tracer = no-op); failed is
+// whether the per-seed check found any violation.
+func traceSeed(tr *obs.Tracer, kind string, seed int64, out *Outcome, failed bool) {
 	if tr == nil {
 		return
 	}
-	decided := int64(0)
-	if out.Decided {
-		decided = 1
-	}
-	failed := int64(0)
-	if out.Err != nil || out.AgreementErr != nil || out.ValidityErr != nil {
-		failed = 1
+	flag := func(b bool) int64 {
+		if b {
+			return 1
+		}
+		return 0
 	}
 	tr.Emit(kind, "seed", map[string]int64{
 		"seed":    seed,
 		"steps":   int64(out.Steps),
-		"decided": decided,
-		"failed":  failed,
+		"decided": flag(out.Decided),
+		"failed":  flag(failed),
 	})
 }

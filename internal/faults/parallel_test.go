@@ -4,14 +4,18 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/sweep"
 )
+
+// The TestRunIndexed* tests drive sweep.Run, the seed loop under Campaign.Run.
 
 // TestRunIndexedComplete: without a stop, every worker count yields the full
 // result set in index order.
 func TestRunIndexedComplete(t *testing.T) {
 	const runs = 37
 	for _, workers := range []int{1, 4, 8, 64} {
-		out, next, interrupted := runIndexed(runs, workers, nil, func(i int) int { return i * i })
+		out, next, interrupted := sweep.Run(runs, workers, nil, func(i int) int { return i * i })
 		if interrupted {
 			t.Fatalf("workers=%d: interrupted without a stop", workers)
 		}
@@ -36,7 +40,7 @@ func TestRunIndexedStop(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var calls atomic.Int64
 		stop := func() bool { return calls.Add(1) > 20 }
-		out, next, interrupted := runIndexed(runs, workers, stop, func(i int) int { return i + 1 })
+		out, next, interrupted := sweep.Run(runs, workers, stop, func(i int) int { return i + 1 })
 		if !interrupted {
 			t.Fatalf("workers=%d: stop fired but not interrupted", workers)
 		}
@@ -57,7 +61,7 @@ func TestRunIndexedStop(t *testing.T) {
 // TestRunIndexedEmpty: zero (and negative) runs are a clean no-op.
 func TestRunIndexedEmpty(t *testing.T) {
 	for _, runs := range []int{0, -3} {
-		out, next, interrupted := runIndexed(runs, 4, nil, func(i int) int { return i })
+		out, next, interrupted := sweep.Run(runs, 4, nil, func(i int) int { return i })
 		if len(out) != 0 || next != 0 || interrupted {
 			t.Fatalf("runs=%d: out=%v next=%d interrupted=%v", runs, out, next, interrupted)
 		}
@@ -84,7 +88,7 @@ func TestCampaignWorkersDeterministic(t *testing.T) {
 // TestTortureWorkersDeterministic: same for the storage-fault torture
 // campaign over durable replicas.
 func TestTortureWorkersDeterministic(t *testing.T) {
-	base := TortureCampaign{Runs: 6, BaseSeed: 5, N: 4, T: 1, MaxRounds: 8}
+	base := Campaign{Runs: 6, BaseSeed: 5, N: 4, T: 1, MaxRounds: 8, Durable: true}
 	seq := base
 	seq.Workers = 1
 	want := seq.Run()

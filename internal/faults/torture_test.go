@@ -14,7 +14,7 @@ func TestTortureCampaign(t *testing.T) {
 	if testing.Short() {
 		runs = 40
 	}
-	c := TortureCampaign{Runs: runs, BaseSeed: 6000, N: 4, T: 1}
+	c := Campaign{Runs: runs, BaseSeed: 6000, N: 4, T: 1, Durable: true}
 	res := c.Run()
 	if res.Runs != runs {
 		t.Fatalf("ran %d of %d", res.Runs, runs)
@@ -55,8 +55,8 @@ func TestTortureCampaign(t *testing.T) {
 // partial results and a resumable seed.
 func TestTortureStop(t *testing.T) {
 	n := 0
-	c := TortureCampaign{
-		Runs: 50, BaseSeed: 100, N: 4, T: 1,
+	c := Campaign{
+		Runs: 50, BaseSeed: 100, N: 4, T: 1, Durable: true,
 		Stop: func() bool { n++; return n > 3 },
 	}
 	res := c.Run()
@@ -74,7 +74,7 @@ func TestTortureStop(t *testing.T) {
 // TestTortureScenarioReplayable: a torture scenario replays bit-identically
 // from its JSON — the property every violation report relies on.
 func TestTortureScenarioReplayable(t *testing.T) {
-	c := TortureCampaign{N: 4, T: 1}
+	c := Campaign{N: 4, T: 1, Durable: true}
 	for seed := int64(0); seed < 10; seed++ {
 		sc := c.RandomScenario(6000 + seed)
 		back, err := ParseScenario(sc.Encode())

@@ -29,13 +29,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/sweep"
 	"repro/internal/wal"
 )
 
@@ -51,23 +51,12 @@ type TortureConfig struct {
 	Consumers int
 	// Events is the chaos-event count per run (default 6).
 	Events int
-	// Parallel runs schedules concurrently (0 or 1 = sequential).
+	// Parallel runs schedules concurrently (0 or 1 = sequential). Results
+	// are folded in seed order.
 	Parallel int
-	// Verbose, when set, receives one line per run.
+	// Verbose, when set, receives one line per run; with Parallel > 1 it is
+	// called from concurrent runs.
 	Verbose func(format string, args ...any)
-	// Stop, when set, is polled between runs; true ends the campaign early.
-	Stop func() bool
-}
-
-// TortureViolation is one seed that broke a guarantee. The seed is the
-// replay handle: rerun with BaseSeed=Seed, Runs=1 to reproduce.
-type TortureViolation struct {
-	Seed   int64
-	Detail string
-}
-
-func (v TortureViolation) String() string {
-	return fmt.Sprintf("seed %d: %s", v.Seed, v.Detail)
 }
 
 // TortureResult aggregates a campaign.
@@ -84,11 +73,7 @@ type TortureResult struct {
 	// Resubmits counts enqueue acks lost to a crash and submitted again.
 	Resubmits  int
 	Dead       int
-	Violations []TortureViolation
-	// Interrupted is set when Stop ended the campaign early; NextSeed is the
-	// resume point.
-	Interrupted bool
-	NextSeed    int64
+	Violations []sweep.Violation
 }
 
 func (r TortureResult) String() string {
@@ -113,55 +98,37 @@ func Torture(cfg TortureConfig) TortureResult {
 	if cfg.Events <= 0 {
 		cfg.Events = 6
 	}
-	if cfg.Parallel <= 0 {
-		cfg.Parallel = 1
-	}
 
-	var (
-		mu          sync.Mutex
-		res         TortureResult
-		interrupted atomic.Bool
-	)
-	sem := make(chan struct{}, cfg.Parallel)
-	var wg sync.WaitGroup
-	next := cfg.BaseSeed
-	for i := 0; i < cfg.Runs; i++ {
-		if cfg.Stop != nil && cfg.Stop() {
-			interrupted.Store(true)
-			break
-		}
+	type run struct {
+		stats  tortureStats
+		detail string
+	}
+	runs, _, _ := sweep.Run(cfg.Runs, cfg.Parallel, nil, func(i int) run {
 		seed := cfg.BaseSeed + int64(i)
-		next = seed + 1
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(seed int64) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			stats, detail := tortureRun(cfg, seed)
-			mu.Lock()
-			defer mu.Unlock()
-			res.Runs++
-			res.Kills += stats.kills
-			res.Recovered += stats.recovered
-			res.Floods += stats.floods
-			res.Rejections += stats.rejections
-			res.Resubmits += stats.resubmits
-			res.Dead += stats.dead
+		stats, detail := tortureRun(cfg, seed)
+		if cfg.Verbose != nil {
 			if detail != "" {
-				res.Violations = append(res.Violations, TortureViolation{Seed: seed, Detail: detail})
-				if cfg.Verbose != nil {
-					cfg.Verbose("queue torture seed %d FAILED: %s", seed, detail)
-				}
-			} else if cfg.Verbose != nil {
+				cfg.Verbose("queue torture seed %d FAILED: %s", seed, detail)
+			} else {
 				cfg.Verbose("queue torture seed %d ok: %d kills, %d recovered, %d floods, %d rejections, %d resubmits",
 					seed, stats.kills, stats.recovered, stats.floods, stats.rejections, stats.resubmits)
 			}
-		}(seed)
+		}
+		return run{stats, detail}
+	})
+	var res TortureResult
+	for i, r := range runs {
+		res.Runs++
+		res.Kills += r.stats.kills
+		res.Recovered += r.stats.recovered
+		res.Floods += r.stats.floods
+		res.Rejections += r.stats.rejections
+		res.Resubmits += r.stats.resubmits
+		res.Dead += r.stats.dead
+		if r.detail != "" {
+			res.Violations = append(res.Violations, sweep.Violation{Seed: cfg.BaseSeed + int64(i), Detail: r.detail})
+		}
 	}
-	wg.Wait()
-	sort.Slice(res.Violations, func(i, k int) bool { return res.Violations[i].Seed < res.Violations[k].Seed })
-	res.Interrupted = interrupted.Load()
-	res.NextSeed = next
 	return res
 }
 

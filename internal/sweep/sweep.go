@@ -1,11 +1,16 @@
-package faults
+// Package sweep is the one seed loop of the repository's seeded campaigns:
+// the chaos and storage-torture campaigns of internal/faults and the queue
+// and cluster torture campaigns all run their seeds through Run. It imports
+// only the standard library.
+package sweep
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
 
-// runIndexed runs fn for every index in [0, runs) across a pool of workers
+// Run runs fn for every index in [0, runs) across a pool of workers
 // (workers <= 1 = sequential), polling stop before each run. Indices are
 // claimed from a monotonically increasing counter, so when stop fires every
 // index below the first unstarted one has been claimed; runs that were
@@ -18,7 +23,7 @@ import (
 // rerun starting from the returned index covers exactly the runs that were
 // not aggregated — completed-but-past-the-gap work is discarded rather than
 // double-counted after a resume.
-func runIndexed[T any](runs, workers int, stop func() bool, fn func(i int) T) ([]T, int, bool) {
+func Run[T any](runs, workers int, stop func() bool, fn func(i int) T) ([]T, int, bool) {
 	if runs < 0 {
 		runs = 0
 	}
@@ -64,4 +69,16 @@ func runIndexed[T any](runs, workers int, stop func() bool, fn func(i int) T) ([
 		n++
 	}
 	return out[:n], n, n < runs
+}
+
+// Violation is one seed that broke a campaign's guarantee. The seed is the
+// replay handle: rerun the campaign with BaseSeed=Seed, Runs=1 to reproduce
+// the schedule exactly.
+type Violation struct {
+	Seed   int64
+	Detail string
+}
+
+func (v Violation) String() string {
+	return fmt.Sprintf("seed %d: %s", v.Seed, v.Detail)
 }

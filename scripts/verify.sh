@@ -59,7 +59,7 @@ fi
 # owns the CRC32C framing, and the merged full-mode internals stay merged
 # (their names survive only in _test.go references and in CHANGES.md /
 # ROADMAP.md as history). Bracketed like the lint above.
-echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form, request resolution, in-flight store)"
+echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form, request resolution, in-flight store, campaign seed sweep)"
 SRC=$(find cmd internal -name '*.go' ! -name '*_test.go')
 N=$(grep -l 'json:"lp[_]checks"' $SRC | wc -l)
 [ "$N" -eq 1 ] || { echo "one-definition lint: $N non-test files declare a json:\"lp[_]checks\" field, want 1"; exit 1; }
@@ -135,6 +135,14 @@ if grep -nE 'Backend[F]lat|Backend[B]us|network\.B[a]ckend|NativeM[o]de|func \(i
     exit 1
 fi
 
+# One seed sweep for every campaign: sweep.Run is the only seed loop, the
+# storage-torture campaign is a Durable faults.Campaign, and queue and
+# cluster torture report sweep.Violation.
+if grep -nE 'TortureC[a]mpaign|TortureV[i]olation|func runI[n]dexed' $SRC README.md DESIGN.md; then
+    echo "one-definition lint: the lines above name a retired campaign type or seed loop (use faults.Campaign{Durable: true}, sweep.Violation, sweep.Run)"
+    exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 
@@ -173,13 +181,29 @@ go test -run '^$' -bench 'WarmVerify|WarmHTTP' -benchtime 1x ./internal/service
 echo "==> go test -race ./..."
 go test -race ./...
 
+# Every campaign folds its seeds in seed order (sweep.Run), so -j 1 and -j 4
+# must print the same summary and write the same deterministic report.
+CAMPDIR=$(mktemp -d)
+go build -o "$CAMPDIR/dbftsim" ./cmd/dbftsim
+go build -o "$CAMPDIR/obscheck" ./cmd/obscheck
+campaign_smoke() {
+    NAME=$1
+    shift
+    for J in 1 4; do
+        "$CAMPDIR/dbftsim" "$@" -seed 1 -n 4 -t 1 -j "$J" -report "$CAMPDIR/$NAME.r$J.json" > "$CAMPDIR/$NAME.j$J.out"
+    done
+    cat "$CAMPDIR/$NAME.j1.out"
+    cmp "$CAMPDIR/$NAME.j1.out" "$CAMPDIR/$NAME.j4.out" || { echo "$NAME smoke: stdout differs between -j 1 and -j 4"; exit 1; }
+    "$CAMPDIR/obscheck" "$CAMPDIR/$NAME.r1.json" "$CAMPDIR/$NAME.r4.json"
+}
 for PROTO in dbft sba; do
-    echo "==> chaos smoke ($PROTO, fixed seed, 25 runs)"
-    go run ./cmd/dbftsim -chaos -protocol "$PROTO" -chaos-seeds 25 -seed 1 -n 4 -t 1
+    echo "==> chaos smoke ($PROTO, fixed seed, 25 runs, -j 1 vs -j 4)"
+    campaign_smoke "chaos-$PROTO" -chaos -protocol "$PROTO" -chaos-seeds 25
 done
 
-echo "==> storage torture smoke (fixed seed, 10 runs)"
-go run ./cmd/dbftsim -torture -torture-seeds 10 -seed 1 -n 4 -t 1
+echo "==> storage torture smoke (fixed seed, 10 runs, -j 1 vs -j 4)"
+campaign_smoke torture -torture -torture-seeds 10
+rm -rf "$CAMPDIR"
 
 echo "==> sba front-end leg (race-clean units + cross-validation vs specs/sba.ta)"
 go test -race ./internal/sba
