@@ -43,6 +43,7 @@ import (
 	"repro/internal/fairness"
 	"repro/internal/faults"
 	"repro/internal/network"
+	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/vcache"
 )
@@ -96,7 +97,7 @@ func run(args []string) error {
 	fingerprint := fs.Bool("fingerprint", false, "with -plan: print the outcome's replay fingerprint (byte-identity checks)")
 	workers := fs.Int("j", runtime.NumCPU(), "campaign worker count for -chaos and -torture (results are deterministic at any count)")
 	version := fs.Bool("version", false, "print the verification engine version and exit")
-	of := registerObsFlags(fs)
+	of := obs.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -279,13 +280,13 @@ func parseInputs(s string) ([]int, error) {
 // post-recovery consistency and byte-identical replay. An interrupt also
 // exits non-zero, after flushing a partial report covering the completed
 // seed prefix.
-func runCampaign(c faults.Campaign, verbose bool, of *obsFlags) error {
+func runCampaign(c faults.Campaign, verbose bool, of *obs.Flags) error {
 	kind := "chaos"
 	if c.Durable {
 		kind = "torture"
 	}
 	tool := "dbftsim " + kind
-	sink, err := of.open(tool)
+	sink, err := of.Open(tool)
 	if err != nil {
 		return err
 	}
@@ -297,7 +298,7 @@ func runCampaign(c faults.Campaign, verbose bool, of *obsFlags) error {
 			fmt.Printf(format+"\n", args...)
 		}
 	}
-	stopProgress := of.startProgress(c.Runs, c.Stop)
+	stopProgress := of.StartProgress(seedProgress(c.Runs), c.Stop)
 	res := c.Run()
 	stopProgress()
 	rep := campaignReport(tool, kind, res.Runs, res.Decided,

@@ -1,64 +1,24 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/faults"
 	"repro/internal/obs"
 )
 
-// obsFlags bundles the observability flags of the campaign modes: -trace
-// (JSONL per-seed events), -report (metric snapshot), -pprof and -progress.
-type obsFlags struct {
-	trace    *string
-	report   *string
-	pprof    *string
-	progress *time.Duration
-}
-
-func registerObsFlags(fs *flag.FlagSet) *obsFlags {
-	return &obsFlags{
-		trace:    fs.String("trace", "", "write a JSONL event trace to this file (one event per seed)"),
-		report:   fs.String("report", "", "write the campaign metric snapshot as JSON to this file"),
-		pprof:    fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)"),
-		progress: fs.Duration("progress", 0, "print a progress line at this interval (0 = off)"),
-	}
-}
-
-// open validates every requested output up front, before any seeds run.
-func (o *obsFlags) open(tool string) (*obs.Sink, error) {
-	sink, err := obs.OpenSink(obs.SinkOptions{
-		Tool:       tool,
-		TracePath:  *o.trace,
-		ReportPath: *o.report,
-		PprofAddr:  *o.pprof,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if addr := sink.PprofAddr(); addr != "" {
-		fmt.Fprintf(os.Stderr, "dbftsim: pprof listening on http://%s/debug/pprof/\n", addr)
-	}
-	return sink, nil
-}
-
-// startProgress begins the periodic seeds/s status line (no-op at interval
-// 0). The returned stop func is idempotent.
-func (o *obsFlags) startProgress(total int, stop func() bool) func() {
-	if *o.progress <= 0 {
-		return func() {}
-	}
+// seedProgress is the -progress line of a campaign of total seeds: seeds
+// run since the call, the rate, the ETA and the seed in flight.
+func seedProgress(total int) func() string {
 	run := obs.Default.Counter("faults", "seeds_run")
 	cur := obs.Default.Gauge("faults", "current_seed")
 	base := run.Load()
 	start := time.Now()
-	return obs.StartProgress(os.Stderr, *o.progress, func() string {
+	return func() string {
 		return obs.RateLine("seeds", run.Load()-base, int64(total), time.Since(start)) +
 			fmt.Sprintf(" (seed %d)", cur.Load())
-	}, stop)
+	}
 }
 
 // campaignReport builds the -report payload of a campaign: the deterministic
@@ -74,8 +34,6 @@ func campaignReport(tool, kind string, runs, decided, violations int,
 		}
 	}
 	rep := &obs.Report{Tool: tool, Deterministic: obs.Deterministic{Campaign: cm}}
-	rep.Observational.Workers = workers
-	rep.Observational.Interrupted = interrupted
-	rep.Observational.Registry = obs.Default.Snapshot()
+	rep.Stamp(workers, interrupted)
 	return rep
 }

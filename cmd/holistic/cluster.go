@@ -12,87 +12,10 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/ltl"
 	"repro/internal/obs"
+	"repro/internal/schema"
 	"repro/internal/service"
-	"repro/internal/taformat"
 )
-
-// clusterPayloads expands the cluster CLI's model/ta/spec/prop flags into one
-// JobPayload per property, resolving the query list locally first so the
-// submission order (and hence the printed row order) matches `holistic
-// verify`.
-func clusterPayloads(model, taFile, specFile, prop string, maxSchemas, truncate int) ([]cluster.JobPayload, error) {
-	base := cluster.JobPayload{MaxSchemas: maxSchemas, Truncate: truncate}
-	switch {
-	case taFile != "":
-		if specFile == "" {
-			return nil, fmt.Errorf("-ta requires -spec with the properties to check")
-		}
-		taText, err := os.ReadFile(taFile)
-		if err != nil {
-			return nil, err
-		}
-		specText, err := os.ReadFile(specFile)
-		if err != nil {
-			return nil, err
-		}
-		base.TA, base.Spec = string(taText), string(specText)
-	default:
-		base.Model = model
-	}
-	names, err := clusterQueryNames(&base)
-	if err != nil {
-		return nil, err
-	}
-	var payloads []cluster.JobPayload
-	for _, name := range names {
-		if prop != "" && name != prop {
-			continue
-		}
-		p := base
-		p.Prop = name
-		payloads = append(payloads, p)
-	}
-	if len(payloads) == 0 {
-		return nil, fmt.Errorf("no property %q in the selected model", prop)
-	}
-	return payloads, nil
-}
-
-// clusterQueryNames lists the property names a payload's model/spec defines.
-func clusterQueryNames(base *cluster.JobPayload) ([]string, error) {
-	if base.Model != "" {
-		_, queries, err := service.BuiltinModel(base.Model)
-		if err != nil {
-			return nil, err
-		}
-		names := make([]string, len(queries))
-		for i := range queries {
-			names[i] = queries[i].Name
-		}
-		return names, nil
-	}
-	// Inline ta/spec: compile once locally to list the properties — the same
-	// parse the coordinator and every worker will repeat from the payload.
-	a, err := taformat.Parse(base.TA)
-	if err != nil {
-		return nil, err
-	}
-	pf, err := ltl.ParseFile(base.Spec)
-	if err != nil {
-		return nil, err
-	}
-	queries, err := ltl.CompileFile(pf, a)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, len(queries))
-	for i := range queries {
-		names[i] = queries[i].Name
-	}
-	return names, nil
-}
 
 // stopContext cancels the returned context as soon as the cooperative stop
 // flag trips (the CLI's signal handler owns the flag).
@@ -118,9 +41,9 @@ func stopContext(stop func() bool) (context.Context, context.CancelFunc) {
 // locally — and with -journal a killed coordinator resumes on restart.
 func cmdCluster(args []string) error {
 	fs := flag.NewFlagSet("cluster", flag.ContinueOnError)
-	model := fs.String("model", "bv", "model: bv, naive, simplified, strb or bosco")
+	model := fs.String("model", "bv", modelHelp())
 	taFile := fs.String("ta", "", "load the automaton from a .ta file instead of a bundled model")
-	specFile := fs.String("spec", "", "property file to check (required with -ta)")
+	specFile := fs.String("spec", "", "property file to check (required with -ta; with -model it replaces the bundled properties)")
 	prop := fs.String("prop", "", "check only this property (default: all)")
 	addr := fs.String("addr", "127.0.0.1:9091", "coordination API listen address (use :0 for an ephemeral port)")
 	addrFile := fs.String("addr-file", "", "write the bound address to this file once listening")
@@ -133,15 +56,19 @@ func cmdCluster(args []string) error {
 	idleLocal := fs.Duration("idle-local", 0, "worker-pool silence before the coordinator drains shards itself (0 = 2x lease)")
 	local := fs.Int("local", runtime.NumCPU(), "solver threads for locally drained shards")
 	stats := fs.Bool("stats", false, "print shard/reissue statistics per property")
-	of := registerObsFlags(fs)
+	of := obs.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	payloads, err := clusterPayloads(*model, *taFile, *specFile, *prop, *maxSchemas, *truncate)
+	req, err := verifyRequest(*model, *taFile, *specFile, *prop, schema.FullEnumeration.String(), 0)
 	if err != nil {
 		return err
 	}
-	sink, err := of.open("holistic cluster")
+	r, err := service.Resolve(req)
+	if err != nil {
+		return err
+	}
+	sink, err := of.Open("holistic cluster")
 	if err != nil {
 		return err
 	}
@@ -179,9 +106,14 @@ func cmdCluster(args []string) error {
 		}
 	}
 
-	ids := make([]string, len(payloads))
-	for i := range payloads {
-		id, err := coord.Submit(payloads[i])
+	// One job per resolved property, submitted in resolution order so the
+	// rows print in `holistic verify` order.
+	ids := make([]string, len(r.Queries))
+	for i := range r.Queries {
+		id, err := coord.Submit(cluster.JobPayload{
+			Model: req.Model, TA: req.TA, Spec: req.Spec, Prop: r.Queries[i].Name,
+			MaxSchemas: *maxSchemas, Truncate: *truncate,
+		})
 		if err != nil {
 			return err
 		}
@@ -190,9 +122,8 @@ func cmdCluster(args []string) error {
 
 	ctx, cancel := stopContext(stop)
 	defer cancel()
-	modelName := *model
 	obsRep := &obs.Report{Tool: "holistic cluster"}
-	for i, id := range ids {
+	for _, id := range ids {
 		res, err := coord.Wait(ctx, id)
 		if err != nil {
 			if stop() {
@@ -200,25 +131,17 @@ func cmdCluster(args []string) error {
 			}
 			return err
 		}
-		if *taFile != "" && i == 0 {
-			if st, ok := coord.StatusOf(id); ok {
-				modelName = st.Model
-			}
-		}
-		addResultMetrics(obsRep, modelName, res)
-		fmt.Printf("%-16s %-16s %8d schemas  avg len %6.1f  %v\n",
-			res.Query, res.Outcome, res.Schemas, res.AvgLen, res.Elapsed.Round(time.Millisecond))
+		addResultMetrics(obsRep, r.Label, res)
+		row := resultRow(res, false, false)
 		if *stats {
 			if st, ok := coord.StatusOf(id); ok {
-				fmt.Printf("    cluster: %d shards (%d done, %d cancelled), %d reissues\n",
+				row.stats = fmt.Sprintf("    cluster: %d shards (%d done, %d cancelled), %d reissues",
 					st.ShardsTotal, st.ShardsDone, st.ShardsCancelled, st.Reissues)
 			}
 		}
-		if res.CE != nil {
-			fmt.Println(res.CE.Format())
-		}
+		row.print()
 	}
-	finalizeReport(obsRep, *local, stop())
+	obsRep.Stamp(*local, stop())
 	if err := sink.Flush(obsRep); err != nil {
 		return err
 	}

@@ -1,17 +1,15 @@
 // Command holistic is the verification CLI: it runs the paper's holistic
-// pipeline, checks individual properties of the three threshold automata,
-// regenerates Table 2, produces the Section 6 counterexample, emits the
-// automata as Graphviz figures, and compiles/checks ByMC-style property
-// files.
+// pipeline, checks the properties of a bundled threshold automaton or of a
+// ByMC-style property file, regenerates Table 2, produces the Section 6
+// counterexample, and emits the automata as Graphviz figures.
 //
 // Usage:
 //
 //	holistic pipeline                 run the full two-phase verification
-//	holistic verify  [flags]          check properties of one model
+//	holistic verify  [flags]          check properties of one model or property file
 //	holistic table2  [flags]          regenerate Table 2
 //	holistic ce                       generate the n<=3t counterexample
 //	holistic dot     [flags]          print a model as Graphviz DOT
-//	holistic spec    [flags]          compile & check a property file
 //	holistic specs                    list bundled specs with canonical hashes
 //	holistic queue   [flags]          enqueue jobs into a daemon's durable queue and watch them
 //	holistic cluster [flags]          coordinate full-mode verification across worker daemons
@@ -37,12 +35,10 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/ltl"
 	"repro/internal/obs"
 	"repro/internal/schema"
 	"repro/internal/service"
 	"repro/internal/smt"
-	"repro/internal/spec"
 	"repro/internal/ta"
 	"repro/internal/taformat"
 	"repro/internal/vcache"
@@ -89,8 +85,6 @@ func run(args []string) error {
 		return cmdCE(args[1:])
 	case "dot":
 		return cmdDot(args[1:])
-	case "spec":
-		return cmdSpec(args[1:])
 	case "export":
 		return cmdExport(args[1:])
 	case "specs":
@@ -122,11 +116,10 @@ func usage() {
 
 subcommands:
   pipeline   run the full two-phase holistic verification (Theorem 6)
-  verify     check properties of one model (-model bv|naive|simplified)
+  verify     check properties of one model (-model ..., -spec file.ltl to check a property file)
   table2     regenerate the paper's Table 2
   ce         generate the disagreement counterexample for n <= 3t
   dot        print a model as Graphviz DOT (-model ...)
-  spec       compile and check a ByMC-style property file (-model ..., -file ...)
   export     print a model in the textual automaton format (-model ...)
   specs      list the bundled specs with canonical hashes and query counts
   serve      run the verification HTTP daemon (-addr, -cache-dir, ...)
@@ -152,13 +145,6 @@ verification subcommands also accept the observability flags:
 `)
 }
 
-// modelByName resolves a bundled model through the same registry the serving
-// plane uses, so local and remote verifications of a name run identical
-// query sets.
-func modelByName(name string) (*ta.TA, []spec.Query, error) {
-	return service.BuiltinModel(name)
-}
-
 // openCacheFlag opens the -cache directory (empty = caching off). Corrupt
 // entries are logged to stderr and re-verified.
 func openCacheFlag(dir string) (*vcache.Cache, error) {
@@ -176,7 +162,7 @@ func cmdPipeline(args []string) error {
 	asJSON := fs.Bool("json", false, "emit a machine-readable JSON certificate")
 	workers := fs.Int("j", runtime.NumCPU(), "total worker budget (verdicts are deterministic at any count)")
 	cacheDir := fs.String("cache", "", "reuse verdicts from this result-cache directory")
-	of := registerObsFlags(fs)
+	of := obs.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -188,13 +174,13 @@ func cmdPipeline(args []string) error {
 	if err != nil {
 		return err
 	}
-	sink, err := of.open("holistic pipeline")
+	sink, err := of.Open("holistic pipeline")
 	if err != nil {
 		return err
 	}
 	defer sink.Close()
 	stop := watchInterrupt()
-	stopProgress := of.startProgress(stop)
+	stopProgress := of.StartProgress(schemaProgress(), stop)
 	rep, err := core.HolisticVerification(core.Options{Mode: m, Stop: stop, Parallel: *workers, Trace: sink.Tracer, Cache: cache})
 	stopProgress()
 	if err != nil {
@@ -208,7 +194,7 @@ func cmdPipeline(args []string) error {
 	for _, res := range rep.Outer.Results {
 		addResultMetrics(obsRep, rep.Outer.Model, res)
 	}
-	finalizeReport(obsRep, *workers, interrupted)
+	obsRep.Stamp(*workers, interrupted)
 	if err := sink.Flush(obsRep); err != nil {
 		return err
 	}
@@ -232,9 +218,9 @@ func cmdPipeline(args []string) error {
 
 func cmdVerify(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ContinueOnError)
-	model := fs.String("model", "bv", "model: bv, naive or simplified")
+	model := fs.String("model", "bv", modelHelp())
 	taFile := fs.String("ta", "", "load the automaton from a .ta file instead of a bundled model")
-	specFile := fs.String("spec", "", "property file to check (required with -ta)")
+	specFile := fs.String("spec", "", "property file to check (required with -ta; with -model it replaces the bundled properties)")
 	mode := fs.String("mode", "staged", "schema mode: staged or full")
 	prop := fs.String("prop", "", "check only this property (default: all)")
 	stats := fs.Bool("stats", false, "print SMT effort statistics per property")
@@ -242,7 +228,7 @@ func cmdVerify(args []string) error {
 	workers := fs.Int("j", runtime.NumCPU(), "schema-enumeration workers (verdicts are deterministic at any count)")
 	cacheDir := fs.String("cache", "", "reuse verdicts from this result-cache directory")
 	remote := fs.String("remote", "", "send the request to this running service base URL instead of solving locally")
-	of := registerObsFlags(fs)
+	of := obs.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -261,13 +247,13 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	sink, err := of.open("holistic verify")
+	sink, err := of.Open("holistic verify")
 	if err != nil {
 		return err
 	}
 	defer sink.Close()
 	stop := watchInterrupt()
-	stopProgress := of.startProgress(stop)
+	stopProgress := of.StartProgress(schemaProgress(), stop)
 	defer stopProgress()
 	engine, err := schema.New(r.TA, schema.Options{Mode: r.Mode, Timeout: *timeout, Stop: stop, Workers: *workers, Trace: sink.Tracer})
 	if err != nil {
@@ -284,17 +270,10 @@ func cmdVerify(args []string) error {
 			return err
 		}
 		addResultMetrics(obsRep, r.Label, res)
-		row := verdictRow{
-			query: res.Query, outcome: res.Outcome.String(), schemas: res.Schemas, avgLen: res.AvgLen,
-			elapsed: res.Elapsed, cached: hit, solver: res.Solver,
-		}
-		if res.CE != nil {
-			row.ceText = res.CE.Format()
-		}
-		row.print(*stats)
+		resultRow(res, hit, *stats).print()
 	}
 	stopProgress()
-	finalizeReport(obsRep, *workers, stop())
+	obsRep.Stamp(*workers, stop())
 	if err := sink.Flush(obsRep); err != nil {
 		return err
 	}
@@ -304,51 +283,75 @@ func cmdVerify(args []string) error {
 	return nil
 }
 
-// verifyRequest builds the request `holistic verify` resolves locally or
-// posts to a daemon: a bundled model by name, or the text of -ta and -spec.
+// verifyRequest builds the request every subcommand hands to service.Resolve
+// or a daemon: a bundled model by name or the text of -ta, plus the text of
+// -spec when given (required with -ta).
 func verifyRequest(model, taFile, specFile, prop, mode string, timeout time.Duration) (*service.VerifyRequest, error) {
-	req := &service.VerifyRequest{Prop: prop, Mode: mode, TimeoutMS: timeout.Milliseconds()}
-	if taFile == "" {
-		req.Model = model
-		return req, nil
+	req := &service.VerifyRequest{Model: model, Prop: prop, Mode: mode, TimeoutMS: timeout.Milliseconds()}
+	if taFile != "" {
+		if specFile == "" {
+			return nil, fmt.Errorf("-ta requires -spec with the properties to check")
+		}
+		taData, err := os.ReadFile(taFile)
+		if err != nil {
+			return nil, err
+		}
+		req.Model, req.TA = "", string(taData)
 	}
-	if specFile == "" {
-		return nil, fmt.Errorf("-ta requires -spec with the properties to check")
+	if specFile != "" {
+		specData, err := os.ReadFile(specFile)
+		if err != nil {
+			return nil, err
+		}
+		req.Spec = string(specData)
 	}
-	taData, err := os.ReadFile(taFile)
-	if err != nil {
-		return nil, err
-	}
-	specData, err := os.ReadFile(specFile)
-	if err != nil {
-		return nil, err
-	}
-	req.TA, req.Spec = string(taData), string(specData)
 	return req, nil
 }
 
-// verdictRow is one `holistic verify` output row; the local and -remote
-// paths both print through it.
+// verdictRow is one verdict as every subcommand prints it: verify (local
+// and -remote), cluster and queue.
 type verdictRow struct {
 	query, outcome string
 	schemas        int
 	avgLen         float64
 	elapsed        time.Duration
 	cached         bool
-	solver         smt.Stats
-	ceText         string
+	// stats is the -stats line under the row ("" = off): verify prints the
+	// SMT effort, cluster its shard accounting.
+	stats  string
+	ceText string
 }
 
-func (v verdictRow) print(stats bool) {
+// resultRow is the row of a verdict solved in this process.
+func resultRow(res schema.Result, cached, stats bool) verdictRow {
+	row := verdictRow{
+		query: res.Query, outcome: res.Outcome.String(), schemas: res.Schemas, avgLen: res.AvgLen,
+		elapsed: res.Elapsed, cached: cached,
+	}
+	if stats {
+		row.stats = smtStats(res.Solver)
+	}
+	if res.CE != nil {
+		row.ceText = res.CE.Format()
+	}
+	return row
+}
+
+// smtStats is verify's -stats line: the SMT effort behind one verdict.
+func smtStats(st smt.Stats) string {
+	return fmt.Sprintf("    smt: %d LP checks, %d pivots, %d rebuilds, %d B&B nodes, %d case splits",
+		st.LPChecks, st.Pivots, st.Rebuilds, st.BBNodes, st.CaseSplit)
+}
+
+func (v verdictRow) print() {
 	marker := ""
 	if v.cached {
 		marker = " [cached]"
 	}
 	fmt.Printf("%-16s %-16s %8d schemas  avg len %6.1f  %v%s\n",
 		v.query, v.outcome, v.schemas, v.avgLen, v.elapsed.Round(time.Millisecond), marker)
-	if stats {
-		fmt.Printf("    smt: %d LP checks, %d pivots, %d rebuilds, %d B&B nodes, %d case splits\n",
-			v.solver.LPChecks, v.solver.Pivots, v.solver.Rebuilds, v.solver.BBNodes, v.solver.CaseSplit)
+	if v.stats != "" {
+		fmt.Println(v.stats)
 	}
 	if v.ceText != "" {
 		fmt.Println(v.ceText)
@@ -361,7 +364,7 @@ func cmdTable2(args []string) error {
 	naiveTimeout := fs.Duration("naive-timeout", 30*time.Second, "budget for the naive block")
 	workers := fs.Int("j", runtime.NumCPU(), "schema-enumeration workers per row (counts are deterministic at any -j)")
 	cacheDir := fs.String("cache", "", "reuse verdicts from this result-cache directory")
-	of := registerObsFlags(fs)
+	of := obs.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -369,13 +372,13 @@ func cmdTable2(args []string) error {
 	if err != nil {
 		return err
 	}
-	sink, err := of.open("holistic table2")
+	sink, err := of.Open("holistic table2")
 	if err != nil {
 		return err
 	}
 	defer sink.Close()
 	stop := watchInterrupt()
-	stopProgress := of.startProgress(stop)
+	stopProgress := of.StartProgress(schemaProgress(), stop)
 	rows, err := core.Table2(core.Table2Options{SkipNaive: *skipNaive, NaiveTimeout: *naiveTimeout, Stop: stop, Workers: *workers, Trace: sink.Tracer, Cache: cache})
 	stopProgress()
 	if err != nil {
@@ -383,7 +386,7 @@ func cmdTable2(args []string) error {
 	}
 	interrupted := stop()
 	rep := reportFromRows("holistic table2", rows)
-	finalizeReport(rep, *workers, interrupted)
+	rep.Stamp(*workers, interrupted)
 	if err := sink.Flush(rep); err != nil {
 		return err
 	}
@@ -420,7 +423,7 @@ func cmdCE(args []string) error {
 
 func cmdDot(args []string) error {
 	fs := flag.NewFlagSet("dot", flag.ContinueOnError)
-	model := fs.String("model", "bv", "model: bv, naive or simplified")
+	model := fs.String("model", "bv", modelHelp())
 	taFile := fs.String("ta", "", "load the automaton from a .ta file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -430,74 +433,12 @@ func cmdDot(args []string) error {
 	if *taFile != "" {
 		a, err = loadTA(*taFile)
 	} else {
-		a, _, err = modelByName(*model)
+		a, _, err = service.BuiltinModel(*model)
 	}
 	if err != nil {
 		return err
 	}
 	return a.WriteDOT(os.Stdout)
-}
-
-func cmdSpec(args []string) error {
-	fs := flag.NewFlagSet("spec", flag.ContinueOnError)
-	model := fs.String("model", "bv", "model: bv, naive or simplified")
-	file := fs.String("file", "", "property file (default: the bundled spec for the model)")
-	mode := fs.String("mode", "staged", "schema mode")
-	workers := fs.Int("j", runtime.NumCPU(), "schema-enumeration workers (verdicts are deterministic at any count)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	a, _, err := modelByName(*model)
-	if err != nil {
-		return err
-	}
-	src := ""
-	switch {
-	case *file != "":
-		data, err := os.ReadFile(*file)
-		if err != nil {
-			return err
-		}
-		src = string(data)
-	case strings.HasPrefix(*model, "bv"):
-		src = ltl.BVBroadcastSpec
-	case *model == "simplified":
-		src = ltl.SimplifiedConsensusSpec
-	case *model == "strb":
-		src = ltl.STRBSpec
-	default:
-		return fmt.Errorf("no bundled spec for model %s; pass -file", *model)
-	}
-	pf, err := ltl.ParseFile(src)
-	if err != nil {
-		return err
-	}
-	queries, err := ltl.CompileFile(pf, a)
-	if err != nil {
-		return err
-	}
-	m, err := schema.ParseMode(*mode)
-	if err != nil {
-		return err
-	}
-	stop := watchInterrupt()
-	engine, err := schema.New(a, schema.Options{Mode: m, Stop: stop, Workers: *workers})
-	if err != nil {
-		return err
-	}
-	for i := range queries {
-		if stop() {
-			fmt.Fprintln(os.Stderr, "holistic: interrupted; remaining properties skipped")
-			break
-		}
-		res, err := engine.Check(&queries[i])
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-24s %-16s %8d schemas  %v\n",
-			res.Query, res.Outcome, res.Schemas, res.Elapsed.Round(time.Millisecond))
-	}
-	return nil
 }
 
 // loadTA reads an automaton from a .ta description file.
@@ -511,11 +452,11 @@ func loadTA(path string) (*ta.TA, error) {
 
 func cmdExport(args []string) error {
 	fs := flag.NewFlagSet("export", flag.ContinueOnError)
-	model := fs.String("model", "bv", "model: bv, naive, simplified, strb, bosco or sba")
+	model := fs.String("model", "bv", modelHelp())
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	a, _, err := modelByName(*model)
+	a, _, err := service.BuiltinModel(*model)
 	if err != nil {
 		return err
 	}
@@ -534,6 +475,15 @@ var bundledSpecs = []struct{ model, file string }{
 	{"sba", "sba.ta"},
 }
 
+// modelHelp is the -model flag help of every subcommand: the bundled names.
+func modelHelp() string {
+	names := make([]string, len(bundledSpecs))
+	for i, s := range bundledSpecs {
+		names[i] = s.model
+	}
+	return "model: " + strings.Join(names[:len(names)-1], ", ") + " or " + names[len(names)-1]
+}
+
 // cmdSpecs lists the bundled specs with their sizes, query counts and
 // canonical vcache hashes — the identities under which verdicts are cached.
 // The hashes must match testdata/golden_hashes.txt in internal/vcache; a
@@ -547,7 +497,7 @@ func cmdSpecs(args []string) error {
 	fmt.Printf("engine %s\n", vcache.EngineVersion)
 	fmt.Printf("%-12s %-16s %5s %6s %8s  %s\n", "MODEL", "SPEC", "LOCS", "RULES", "QUERIES", "HASH")
 	for _, s := range bundledSpecs {
-		a, queries, err := modelByName(s.model)
+		a, queries, err := service.BuiltinModel(s.model)
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,52 +9,31 @@ import (
 	"repro/internal/obs"
 )
 
-// TestObsFailurePaths asserts the fail-fast contract of the observability
-// flags: a bad -trace or -report destination, or an already-bound -pprof
-// port, must fail before any verification work, with a one-line diagnostic.
+// TestObsFailurePaths asserts that every subcommand taking the
+// observability flags validates them before any verification work: a bad
+// -trace or -report destination fails with the one-line diagnostic naming
+// that output. (The flags themselves, -pprof included, are tested in
+// internal/obs.)
 func TestObsFailurePaths(t *testing.T) {
-	dir := t.TempDir()
-	missing := filepath.Join(dir, "no-such-dir", "out")
+	missing := filepath.Join(t.TempDir(), "no-such-dir", "out")
 
-	bad := [][]string{
-		{"table2", "-skip-naive", "-report", missing},
-		{"table2", "-skip-naive", "-trace", missing},
-		{"verify", "-model", "strb", "-report", missing},
-		{"pipeline", "-trace", missing},
-		{"bench", "-report", missing},
+	bad := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"table2", "-skip-naive", "-report", missing}, "obs: report: "},
+		{[]string{"table2", "-skip-naive", "-trace", missing}, "obs: trace: "},
+		{[]string{"verify", "-model", "strb", "-report", missing}, "obs: report: "},
+		{[]string{"verify", "-model", "strb", "-remote", "http://127.0.0.1:1", "-trace", missing}, "obs: trace: "},
+		{[]string{"pipeline", "-trace", missing}, "obs: trace: "},
+		{[]string{"cluster", "-model", "strb", "-addr", "127.0.0.1:0", "-report", missing}, "obs: report: "},
+		{[]string{"serve", "-addr", "127.0.0.1:0", "-trace", missing}, "obs: trace: "},
 	}
-	for _, args := range bad {
-		err := run(args)
-		if err == nil {
-			t.Errorf("run(%v): expected error", args)
-			continue
+	for _, tc := range bad {
+		err := run(tc.args)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) || strings.Contains(err.Error(), "\n") {
+			t.Errorf("run(%v): err = %v, want one line starting %q", tc.args, err, tc.want)
 		}
-		if strings.Contains(err.Error(), "\n") {
-			t.Errorf("run(%v): diagnostic spans multiple lines: %q", args, err)
-		}
-	}
-}
-
-// TestObsPprofPortBound asserts that a -pprof address that is already bound
-// fails fast and removes the report skeleton written moments earlier — a
-// run that never started must leave no artifact behind.
-func TestObsPprofPortBound(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	report := filepath.Join(t.TempDir(), "report.json")
-	runErr := run([]string{"table2", "-skip-naive", "-report", report, "-pprof", ln.Addr().String()})
-	if runErr == nil {
-		t.Fatal("expected error for an already-bound pprof address")
-	}
-	if strings.Contains(runErr.Error(), "\n") {
-		t.Errorf("diagnostic spans multiple lines: %q", runErr)
-	}
-	if _, serr := os.Stat(report); !os.IsNotExist(serr) {
-		t.Errorf("report skeleton survived a failed startup (stat err %v)", serr)
 	}
 }
 

@@ -21,7 +21,7 @@ func cmdQueue(args []string) error {
 	fs := flag.NewFlagSet("queue", flag.ContinueOnError)
 	url := fs.String("url", "http://127.0.0.1:8123", "service base URL")
 	enqueue := fs.Bool("enqueue", false, "enqueue one verification job (-model/-prop/-mode/-tenant/-tag/-force)")
-	model := fs.String("model", "bv", "model for -enqueue: bv, naive or simplified")
+	model := fs.String("model", "bv", modelHelp()+" (for -enqueue)")
 	prop := fs.String("prop", "", "property for -enqueue (empty = all properties of the model)")
 	mode := fs.String("mode", "", "schema mode for -enqueue: staged (default) or full")
 	tenant := fs.String("tenant", "", "tenant the job is billed to (default: \"default\")")
@@ -42,16 +42,19 @@ func cmdQueue(args []string) error {
 
 	switch {
 	case *enqueue:
+		req, err := verifyRequest(*model, "", "", *prop, *mode, 0)
+		if err != nil {
+			return err
+		}
 		return queueEnqueue(ctx, client, base, service.EnqueueRequest{
-			VerifyRequest: service.VerifyRequest{Model: *model, Prop: *prop, Mode: *mode},
-			Tenant:        *tenant, Tag: *tag, Force: *force,
-		}, *poll)
+			VerifyRequest: *req, Tenant: *tenant, Tag: *tag, Force: *force,
+		})
 	case *jobID != "":
 		out, err := queuePollJob(ctx, client, base, *jobID, *poll)
 		if err != nil {
 			return err
 		}
-		printQueueJob(out)
+		printResponse(out.Results, false)
 		if out.State == "dead" {
 			return fmt.Errorf("job %s was dead-lettered: %s", out.ID, out.Reason)
 		}
@@ -76,7 +79,7 @@ func cmdQueue(args []string) error {
 // queueEnqueue submits one job and reports how it was accepted: short-
 // circuited from the cache, served through the degraded synchronous path, or
 // durably acked with a job ID.
-func queueEnqueue(ctx context.Context, client *service.HTTPClient, base string, req service.EnqueueRequest, poll time.Duration) error {
+func queueEnqueue(ctx context.Context, client *service.HTTPClient, base string, req service.EnqueueRequest) error {
 	var out service.EnqueueResponse
 	status, err := client.PostJSON(ctx, base+"/v1/enqueue", &req, &out)
 	if err != nil {
@@ -85,10 +88,10 @@ func queueEnqueue(ctx context.Context, client *service.HTTPClient, base string, 
 	switch {
 	case out.Degraded != "":
 		fmt.Fprintf(os.Stderr, "holistic: served synchronously, queue degraded: %s\n", out.Degraded)
-		printQueueJob(out)
+		printResponse(out.Results, false)
 	case status == http.StatusOK && out.ID == "":
 		fmt.Fprintln(os.Stderr, "holistic: every verdict was already cached; no job spent")
-		printQueueJob(out)
+		printResponse(out.Results, false)
 	default:
 		dup := ""
 		if out.Duplicate {
@@ -113,24 +116,6 @@ func queuePollJob(ctx context.Context, client *service.HTTPClient, base, id stri
 		case <-ctx.Done():
 			return out, fmt.Errorf("job %s still %s: %w", id, out.State, ctx.Err())
 		case <-time.After(poll):
-		}
-	}
-}
-
-// printQueueJob renders a terminal job the way `holistic verify` prints rows.
-func printQueueJob(out service.EnqueueResponse) {
-	if out.Results == nil {
-		return
-	}
-	for _, r := range out.Results.Results {
-		marker := ""
-		if r.Cached {
-			marker = " [cached]"
-		}
-		fmt.Printf("%-16s %-16s %8d schemas  avg len %6.1f%s\n",
-			r.Query, r.Outcome, r.Schemas, r.AvgLen, marker)
-		if r.CEText != "" {
-			fmt.Print(r.CEText)
 		}
 	}
 }

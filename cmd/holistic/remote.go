@@ -16,8 +16,8 @@ import (
 // whose deterministic section is byte-identical to the local one's — the
 // server computes the deterministic fields, the client copies them
 // verbatim.
-func runRemoteVerify(baseURL string, req *service.VerifyRequest, stats bool, of *obsFlags) error {
-	sink, err := of.open("holistic verify")
+func runRemoteVerify(baseURL string, req *service.VerifyRequest, stats bool, of *obs.Flags) error {
+	sink, err := of.Open("holistic verify")
 	if err != nil {
 		return err
 	}
@@ -44,11 +44,27 @@ func runRemoteVerify(baseURL string, req *service.VerifyRequest, stats bool, of 
 		obsRep.Observational.Timings = append(obsRep.Observational.Timings, obs.QueryTimings{
 			Model: r.Model, Query: r.Query, ElapsedNS: r.ElapsedNS,
 		})
-		verdictRow{
-			query: r.Query, outcome: r.Outcome, schemas: r.Schemas, avgLen: r.AvgLen,
-			elapsed: time.Duration(r.ElapsedNS), cached: r.Cached, solver: r.Solver, ceText: r.CEText,
-		}.print(stats)
 	}
-	finalizeReport(obsRep, 0, false)
+	printResponse(&resp, stats)
+	obsRep.Stamp(0, false)
 	return sink.Flush(obsRep)
+}
+
+// printResponse prints a daemon's verdicts as verify rows: the one place a
+// service.QueryResult becomes a row (verify -remote, queue -job, queue
+// -enqueue). A nil response prints nothing.
+func printResponse(resp *service.VerifyResponse, stats bool) {
+	if resp == nil {
+		return
+	}
+	for _, r := range resp.Results {
+		row := verdictRow{
+			query: r.Query, outcome: r.Outcome, schemas: r.Schemas, avgLen: r.AvgLen,
+			elapsed: time.Duration(r.ElapsedNS), cached: r.Cached, ceText: r.CEText,
+		}
+		if stats {
+			row.stats = smtStats(r.Solver)
+		}
+		row.print()
+	}
 }

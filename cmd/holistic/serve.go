@@ -15,6 +15,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/vcache"
 )
@@ -43,7 +44,7 @@ func cmdServe(args []string) error {
 	queueWeights := fs.String("queue-weights", "", "per-tenant dequeue weights, e.g. alpha=3,beta=1 (unlisted tenants weigh 1)")
 	queueAttempts := fs.Int("queue-attempts", 0, "attempts before a failing job is dead-lettered (0 = queue default)")
 	queueFailProp := fs.String("queue-fail-prop", "", "fault injection: queued jobs for this property fail (smoke tests drive dead-lettering with it)")
-	of := registerObsFlags(fs)
+	of := obs.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -60,7 +61,7 @@ func cmdServe(args []string) error {
 			return err
 		}
 	}
-	sink, err := of.open("holistic serve")
+	sink, err := of.Open("holistic serve")
 	if err != nil {
 		return err
 	}

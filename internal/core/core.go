@@ -281,17 +281,6 @@ func VerifySimplifiedConsensus(opts Options) (Report, error) {
 	return runQueries(a, qs, opts)
 }
 
-// VerifyNaiveConsensus attempts the monolithic verification the paper shows
-// to be infeasible (with full enumeration it exceeds the schema budget).
-func VerifyNaiveConsensus(opts Options) (Report, error) {
-	a := models.NaiveConsensus()
-	qs, err := models.NaiveQueries(a)
-	if err != nil {
-		return Report{}, err
-	}
-	return runQueries(a, qs, opts)
-}
-
 // HolisticReport is the outcome of the full two-phase pipeline.
 type HolisticReport struct {
 	Inner Report // bv-broadcast (Fig. 2)

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -252,6 +254,44 @@ func TestSinkFailFastAndSkeleton(t *testing.T) {
 	}
 	if _, err := os.Stat(report); !os.IsNotExist(err) {
 		t.Error("skeleton survived a failed OpenSink")
+	}
+}
+
+// TestFlagsFailFast: the observability flags both CLIs register validate
+// every output before any work. A bad -report or -trace path fails with a
+// one-line diagnostic naming the output, and an already-bound -pprof port
+// fails after removing the report skeleton written moments earlier: a run
+// that never started leaves no artifact behind.
+func TestFlagsFailFast(t *testing.T) {
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "no-such-dir", "out")
+	report := filepath.Join(dir, "report.json")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-report", missing}, "obs: report: "},
+		{[]string{"-trace", missing}, "obs: trace: "},
+		{[]string{"-report", report, "-pprof", ln.Addr().String()}, "obs: pprof listen "},
+	} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		f := RegisterFlags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		_, err := f.Open("t")
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) || strings.Contains(err.Error(), "\n") {
+			t.Errorf("Open with %v: err = %v, want one line starting %q", tc.args, err, tc.want)
+		}
+	}
+	if _, err := os.Stat(report); !os.IsNotExist(err) {
+		t.Errorf("report skeleton survived a failed startup (stat err %v)", err)
 	}
 }
 

@@ -113,6 +113,14 @@ type Observational struct {
 	Registry Snapshot `json:"registry"`
 }
 
+// Stamp fills the observational envelope: the worker count, the interrupt
+// flag and the process-wide instrument snapshot taken now.
+func (r *Report) Stamp(workers int, interrupted bool) {
+	r.Observational.Workers = workers
+	r.Observational.Interrupted = interrupted
+	r.Observational.Registry = Default.Snapshot()
+}
+
 // QueryTimings is the per-phase wall-clock breakdown of one check: how a
 // Table 2 row's time splits across building LIA encodings (encode),
 // discharging them (solve) and joining per-index records (fold).

@@ -60,9 +60,10 @@ type Resolved struct {
 // one place "model | ta+spec, prop, mode" is interpreted, shared by
 // /v1/verify, /v1/enqueue, cluster job payloads and the holistic CLI, so
 // every entry point rejects a bad request with the same message before doing
-// any work. Exactly one of Model and TA must be set; TA requires Spec (the
-// LTL property file text to compile against it); a non-empty Prop must name
-// one of the resulting queries.
+// any work. Exactly one of Model and TA must be set. Spec is the text of an
+// LTL property file compiled against the automaton: TA requires it, and with
+// Model it replaces the bundled queries (the label stays the model name). A
+// non-empty Prop must name one of the resulting queries.
 func Resolve(req *VerifyRequest) (*Resolved, error) {
 	mode, err := schema.ParseMode(req.Mode)
 	if err != nil {
@@ -78,6 +79,11 @@ func Resolve(req *VerifyRequest) (*Resolved, error) {
 		if err != nil {
 			return nil, err
 		}
+		if req.Spec != "" {
+			if r.Queries, err = compileSpec(req.Spec, r.TA); err != nil {
+				return nil, err
+			}
+		}
 	case req.TA != "":
 		if req.Spec == "" {
 			return nil, fmt.Errorf("a ta payload requires a spec payload with the properties to check")
@@ -87,13 +93,8 @@ func Resolve(req *VerifyRequest) (*Resolved, error) {
 			return nil, fmt.Errorf("parsing ta: %w", err)
 		}
 		r.Label = r.TA.Name
-		pf, err := ltl.ParseFile(req.Spec)
-		if err != nil {
-			return nil, fmt.Errorf("parsing spec: %w", err)
-		}
-		r.Queries, err = ltl.CompileFile(pf, r.TA)
-		if err != nil {
-			return nil, fmt.Errorf("compiling spec: %w", err)
+		if r.Queries, err = compileSpec(req.Spec, r.TA); err != nil {
+			return nil, err
 		}
 	default:
 		return nil, fmt.Errorf("request names no model and carries no ta")
@@ -111,4 +112,17 @@ func Resolve(req *VerifyRequest) (*Resolved, error) {
 		r.Queries = filtered
 	}
 	return r, nil
+}
+
+// compileSpec parses an LTL property file and compiles it against a.
+func compileSpec(src string, a *ta.TA) ([]spec.Query, error) {
+	pf, err := ltl.ParseFile(src)
+	if err != nil {
+		return nil, fmt.Errorf("parsing spec: %w", err)
+	}
+	queries, err := ltl.CompileFile(pf, a)
+	if err != nil {
+		return nil, fmt.Errorf("compiling spec: %w", err)
+	}
+	return queries, nil
 }

@@ -564,9 +564,7 @@ func (s *Server) Report(tool string, workers int, interrupted bool) *obs.Report 
 		rep.Deterministic.Queries = append(rep.Deterministic.Queries, s.reportRows[k])
 	}
 	s.reportMu.Unlock()
-	rep.Observational.Workers = workers
-	rep.Observational.Interrupted = interrupted
-	rep.Observational.Registry = obs.Default.Snapshot()
+	rep.Stamp(workers, interrupted)
 	return rep
 }
 

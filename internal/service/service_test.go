@@ -7,11 +7,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/ltl"
 	"repro/internal/vcache"
 )
 
@@ -220,6 +222,7 @@ func TestBadRequests(t *testing.T) {
 		{"neither", `{}`},
 		{"ta without spec", `{"ta":"automaton x {}"}`},
 		{"unparsable ta", `{"ta":"automaton {","spec":"p: [](locA == 0);"}`},
+		{"model with unparsable spec", `{"model":"strb","spec":"p: [](;"}`},
 		{"unknown model", `{"model":"nope"}`},
 		{"unknown mode", `{"model":"simplified","mode":"warp"}`},
 		{"unknown prop", `{"model":"simplified","prop":"NoSuchProp"}`},
@@ -408,5 +411,38 @@ func TestVerifyRequestTAInline(t *testing.T) {
 	}
 	if r.Outcome != "holds" {
 		t.Fatalf("unforgeability outcome %q, want holds", r.Outcome)
+	}
+}
+
+// A bundled model with a spec checks exactly the spec's properties, compiled
+// against the model's automaton and labeled with the model's name; a spec
+// that does not parse is refused, never dropped in favour of the bundled
+// queries.
+func TestResolveModelSpec(t *testing.T) {
+	const src = "unforgeability: [](locV1 == 0) -> [](locAC == 0);\n"
+	r, err := Resolve(&VerifyRequest{Model: "strb", Spec: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _, err := BuiltinModel("strb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := ltl.ParseFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ltl.CompileFile(pf, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Label != "strb" || !reflect.DeepEqual(r.Queries, want) {
+		t.Errorf("resolved %s with %d queries, want strb with exactly the compiled %q", r.Label, len(r.Queries), want[0].Name)
+	}
+
+	for _, bad := range []string{"p: [](;", "p: [](noSuchLoc == 0);"} {
+		if _, err := Resolve(&VerifyRequest{Model: "strb", Spec: bad}); err == nil {
+			t.Errorf("spec %q: resolved without error", bad)
+		}
 	}
 }

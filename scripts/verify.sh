@@ -59,7 +59,7 @@ fi
 # owns the CRC32C framing, and the merged full-mode internals stay merged
 # (their names survive only in _test.go references and in CHANGES.md /
 # ROADMAP.md as history). Bracketed like the lint above.
-echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form, request resolution, in-flight store, campaign seed sweep)"
+echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form, request resolution, CLI request front door, in-flight store, campaign seed sweep)"
 SRC=$(find cmd internal -name '*.go' ! -name '*_test.go')
 N=$(grep -l 'json:"lp[_]checks"' $SRC | wc -l)
 [ "$N" -eq 1 ] || { echo "one-definition lint: $N non-test files declare a json:\"lp[_]checks\" field, want 1"; exit 1; }
@@ -140,6 +140,20 @@ fi
 # cluster torture report sweep.Violation.
 if grep -nE 'TortureC[a]mpaign|TortureV[i]olation|func runI[n]dexed' $SRC README.md DESIGN.md; then
     echo "one-definition lint: the lines above name a retired campaign type or seed loop (use faults.Campaign{Durable: true}, sweep.Violation, sweep.Run)"
+    exit 1
+fi
+
+# One front door for a verification request: every holistic subcommand
+# builds a service.VerifyRequest and lets service.Resolve interpret it, so no
+# non-test file under cmd/ parses or compiles a spec itself, and the spec
+# subcommand, cluster's own resolver and queue's own row printer stay gone.
+if grep -nE 'ltl\.(P[a]rseFile|C[o]mpileFile)\(' $(find cmd -name '*.go' ! -name '*_test.go'); then
+    echo "one-definition lint: the lines above parse or compile a spec outside service.Resolve"
+    exit 1
+fi
+if grep -rnE 'cmd[S]pec\b|clusterP[a]yloads|clusterQ[u]eryNames|printQ[u]eueJob|holistic s[p]ec ' \
+    cmd README.md DESIGN.md EXPERIMENTS.md .claude; then
+    echo "retired-name lint: the lines above name the retired spec subcommand or a request path it shared (use holistic verify -model M -spec F)"
     exit 1
 fi
 
@@ -274,6 +288,11 @@ grep -q '\[cached\]' "$SVC/cold.out" && { echo "service smoke: cold run claimed 
 "$SVC/holistic" verify -model simplified -remote "http://$ADDR" -report "$SVC/remote_warm.json" > "$SVC/warm.out"
 grep -q '\[cached\]' "$SVC/warm.out" || { echo "service smoke: warm run not served from cache"; exit 1; }
 "$SVC/obscheck" "$SVC/local.json" "$SVC/remote_warm.json"
+# A property file against a bundled model resolves the same way locally and
+# on the daemon.
+"$SVC/holistic" verify -model strb -spec specs/strb.ltl -report "$SVC/spec_local.json" > /dev/null
+"$SVC/holistic" verify -model strb -spec specs/strb.ltl -remote "http://$ADDR" -report "$SVC/spec_remote.json" > /dev/null
+"$SVC/obscheck" "$SVC/spec_local.json" "$SVC/spec_remote.json"
 # Graceful SIGTERM drain must flush a valid report.
 kill -TERM "$SRV"
 wait "$SRV" || { echo "service smoke: daemon exited non-zero on drain"; cat "$SVC/serve.log"; exit 1; }
