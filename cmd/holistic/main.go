@@ -29,12 +29,12 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/internal/schema"
 	"repro/internal/service"
@@ -463,26 +463,8 @@ func cmdExport(args []string) error {
 	return taformat.Write(os.Stdout, a)
 }
 
-// bundledSpecs maps every builtin model name to its shipped spec file under
-// specs/ (the artifact `holistic export` regenerates and the golden-hash
-// test pins).
-var bundledSpecs = []struct{ model, file string }{
-	{"bv", "bvbroadcast.ta"},
-	{"naive", "naive.ta"},
-	{"simplified", "simplified.ta"},
-	{"strb", "strb.ta"},
-	{"bosco", "bosco.ta"},
-	{"sba", "sba.ta"},
-}
-
 // modelHelp is the -model flag help of every subcommand: the bundled names.
-func modelHelp() string {
-	names := make([]string, len(bundledSpecs))
-	for i, s := range bundledSpecs {
-		names[i] = s.model
-	}
-	return "model: " + strings.Join(names[:len(names)-1], ", ") + " or " + names[len(names)-1]
-}
+func modelHelp() string { return "model: " + models.Names() }
 
 // cmdSpecs lists the bundled specs with their sizes, query counts and
 // canonical vcache hashes — the identities under which verdicts are cached.
@@ -496,14 +478,14 @@ func cmdSpecs(args []string) error {
 	}
 	fmt.Printf("engine %s\n", vcache.EngineVersion)
 	fmt.Printf("%-12s %-16s %5s %6s %8s  %s\n", "MODEL", "SPEC", "LOCS", "RULES", "QUERIES", "HASH")
-	for _, s := range bundledSpecs {
-		a, queries, err := service.BuiltinModel(s.model)
+	for _, m := range models.Bundled {
+		a, queries, err := service.BuiltinModel(m.Name)
 		if err != nil {
 			return err
 		}
 		size := a.Size()
 		fmt.Printf("%-12s %-16s %5d %6d %8d  %s\n",
-			s.model, s.file, size.Locations, size.Rules, len(queries), vcache.TAHash(a))
+			m.Name, m.File, size.Locations, size.Rules, len(queries), vcache.TAHash(a))
 	}
 	return nil
 }

@@ -11,21 +11,23 @@ import (
 	"repro/internal/obs"
 	"repro/internal/schema"
 	"repro/internal/service"
+	"repro/internal/vcache"
+	"repro/specs"
 )
 
-// captureStderr runs f with os.Stderr redirected to a file and returns what
-// it wrote (usage text goes there).
-func captureStderr(t *testing.T, f func()) string {
+// capture runs f with *stream (os.Stdout or os.Stderr) redirected to a file
+// and returns what it wrote.
+func capture(t *testing.T, stream **os.File, f func()) string {
 	t.Helper()
-	file, err := os.CreateTemp(t.TempDir(), "stderr")
+	file, err := os.CreateTemp(t.TempDir(), "out")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer file.Close()
-	orig := os.Stderr
-	os.Stderr = file
+	orig := *stream
+	*stream = file
 	f()
-	os.Stderr = orig
+	*stream = orig
 	data, err := os.ReadFile(file.Name())
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +89,7 @@ func TestRunSubcommands(t *testing.T) {
 	// they trigger no longer offers them.
 	for _, name := range []string{"bench", "loadgen", "clusterbench", "spec"} {
 		var err error
-		usageText := captureStderr(t, func() { err = run([]string{name}) })
+		usageText := capture(t, &os.Stderr, func() { err = run([]string{name}) })
 		if err == nil || !strings.Contains(err.Error(), "unknown subcommand") {
 			t.Errorf("run(%s): err = %v, want the unknown-subcommand error", name, err)
 		}
@@ -170,12 +172,16 @@ func TestVerifySpecMatchesSpecReference(t *testing.T) {
 	os.Stdout = devNull
 	defer func() { os.Stdout = stdout }()
 
-	for _, tc := range []struct{ model, file, src string }{
-		{"bv", "bvbroadcast.ltl", ltl.BVBroadcastSpec},
-		{"simplified", "simplified.ltl", ltl.SimplifiedConsensusSpec},
-		{"strb", "strb.ltl", ltl.STRBSpec},
+	for _, tc := range []struct{ model, file string }{
+		{"bv", "bvbroadcast.ltl"},
+		{"simplified", "simplified.ltl"},
+		{"strb", "strb.ltl"},
 	} {
-		want := specReference(t, tc.model, tc.src)
+		src, err := specs.FS.ReadFile(tc.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := specReference(t, tc.model, string(src))
 		report := filepath.Join(t.TempDir(), "report.json")
 		if err := run([]string{"verify", "-model", tc.model, "-spec", filepath.Join("..", "..", "specs", tc.file),
 			"-j", "1", "-report", report}); err != nil {
@@ -220,4 +226,44 @@ func specReference(t *testing.T, model, src string) []obs.QueryMetrics {
 		rows = append(rows, res.Row(model))
 	}
 	return rows
+}
+
+// TestSpecsPrintsGoldenHashes: `holistic specs` lists every bundled model
+// under the hash its spec file has in the vcache golden file, so -model M
+// and -ta specs/<file> share one cache identity.
+func TestSpecsPrintsGoldenHashes(t *testing.T) {
+	var err error
+	out := capture(t, &os.Stdout, func() { err = run([]string{"specs"}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if want := "engine " + vcache.EngineVersion; lines[0] != want {
+		t.Fatalf("first line %q, want %q", lines[0], want)
+	}
+	got := map[string]string{}
+	for _, line := range lines[2:] {
+		f := strings.Fields(line)
+		got[f[1]] = f[len(f)-1]
+	}
+	golden := goldenHashes(t)
+	if !reflect.DeepEqual(got, golden) {
+		t.Errorf("holistic specs prints\n%v\nthe golden file pins\n%v", got, golden)
+	}
+}
+
+// goldenHashes reads internal/vcache/testdata/golden_hashes.txt as a map
+// from spec file to canonical hash.
+func goldenHashes(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "internal", "vcache", "testdata", "golden_hashes.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n")[1:] {
+		f := strings.Fields(line)
+		out[f[0]] = f[1]
+	}
+	return out
 }

@@ -1,9 +1,10 @@
 // Verifybroadcast: model-check the binary value broadcast from its LTL
 // specification text, in both engine modes.
 //
-// The example parses the ByMC-style property file bundled in internal/ltl
-// (the Section 3.2 properties), compiles each property into a
-// counterexample query against the Fig. 2 automaton, and checks it twice:
+// The example parses the ByMC-style property file shipped as
+// specs/bvbroadcast.ltl (the Section 3.2 properties), compiles each
+// property into a counterexample query against the Fig. 2 automaton, and
+// checks it twice:
 // with full schema enumeration (the mode whose schema counts Table 2
 // reports) and with the staged engine. It also demonstrates counterexample
 // generation by dropping the premise of BV-Justification.
@@ -19,6 +20,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/spec"
 	"repro/internal/ta"
+	"repro/specs"
 )
 
 func main() {
@@ -32,7 +34,11 @@ func run() error {
 	a := models.BVBroadcast()
 	fmt.Printf("model: %s\n\n", a)
 
-	pf, err := ltl.ParseFile(ltl.BVBroadcastSpec)
+	src, err := specs.FS.ReadFile("bvbroadcast.ltl")
+	if err != nil {
+		return err
+	}
+	pf, err := ltl.ParseFile(string(src))
 	if err != nil {
 		return err
 	}

@@ -44,8 +44,8 @@ func FuzzParseFormula(f *testing.F) {
 // FuzzParseFile checks the property-file parser on arbitrary inputs.
 func FuzzParseFile(f *testing.F) {
 	f.Add("p1: locA == 0; p2: <>(locB != 0) -> [](locA == 0);")
-	f.Add(BVBroadcastSpec)
-	f.Add(SimplifiedConsensusSpec)
+	f.Add(shippedSpec(f, "bvbroadcast.ltl"))
+	f.Add(shippedSpec(f, "simplified.ltl"))
 	f.Add(":;:;")
 	f.Fuzz(func(t *testing.T, src string) {
 		pf, err := ParseFile(src)

@@ -8,7 +8,18 @@ import (
 	"repro/internal/models"
 	"repro/internal/spec"
 	"repro/internal/ta"
+	"repro/specs"
 )
+
+// shippedSpec returns the text of a property file under specs/.
+func shippedSpec(tb testing.TB, name string) string {
+	tb.Helper()
+	src, err := specs.FS.ReadFile(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return string(src)
+}
 
 func TestLexBasics(t *testing.T) {
 	toks, err := lex("<>[]( locV0 == 0 && b0 < T + 1 ) -> x != 2*y; // c\n/* block */ a:b<=1;")
@@ -115,7 +126,7 @@ func TestParseFile(t *testing.T) {
 
 func TestBVSpecParsesAndCompiles(t *testing.T) {
 	a := models.BVBroadcast()
-	pf, err := ParseFile(BVBroadcastSpec)
+	pf, err := ParseFile(shippedSpec(t, "bvbroadcast.ltl"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +189,7 @@ func TestBVSpecParsesAndCompiles(t *testing.T) {
 
 func TestSimplifiedSpecParsesAndCompiles(t *testing.T) {
 	a := models.SimplifiedConsensus()
-	pf, err := ParseFile(SimplifiedConsensusSpec)
+	pf, err := ParseFile(shippedSpec(t, "simplified.ltl"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,88 +36,7 @@ import (
 // communication step under n > 5t when f = 0 and inputs are unanimous;
 // strongly one-step under n > 7t with any f <= t; and the gap in between,
 // where the checker produces the adopt-instead-of-decide counterexample.
-func Bosco() *ta.TA {
-	b := ta.NewBuilder("bosco")
-	x0 := b.Shared("x0")
-	x1 := b.Shared("x1")
-	n, t, f := b.N(), b.T(), b.F()
-
-	v0 := b.Loc("V0", ta.Initial())
-	v1 := b.Loc("V1", ta.Initial())
-	s0 := b.Loc("S0")
-	s1 := b.Loc("S1")
-	d0 := b.Loc("D0")
-	d1 := b.Loc("D1")
-	u0 := b.Loc("U0")
-	u1 := b.Loc("U1")
-	uu := b.Loc("UU")
-
-	// 2*x_v + [params] >= 0 builders.
-	guard := func(xv expr.Sym, xCoeff int64, terms ...ta.LinTerm) expr.Constraint {
-		l := expr.Term(xv, xCoeff)
-		for _, tm := range terms {
-			_ = l.AddTerm(tm.Sym, tm.Coeff)
-		}
-		return expr.GEZero(l)
-	}
-	addConst := func(c expr.Constraint, k int64) expr.Constraint {
-		out := c.Clone()
-		_ = out.L.AddConst(k)
-		return out
-	}
-
-	// Availability: x0 + x1 >= n - t - f.
-	avail := b.SumGeThreshold([]expr.Sym{x0, x1}, b.Lin(0,
-		ta.LinTerm{Coeff: 1, Sym: n}, ta.LinTerm{Coeff: -1, Sym: t}, ta.LinTerm{Coeff: -1, Sym: f}))
-	// Param-only: one-step decisions need a sample large enough,
-	// 2(n-t) >= n+3t+1, i.e. n - 5t - 1 >= 0.
-	sampleBigEnough := expr.GEZero(func() expr.Lin {
-		l := expr.Var(n)
-		_ = l.AddTerm(t, -5)
-		_ = l.AddConst(-1)
-		return l
-	}())
-
-	// decide v: 2x_v >= n+3t+1-2f.
-	decide := func(xv expr.Sym) expr.Constraint {
-		return addConst(guard(xv, 2,
-			ta.LinTerm{Coeff: -1, Sym: n}, ta.LinTerm{Coeff: -3, Sym: t}, ta.LinTerm{Coeff: 2, Sym: f}), -1)
-	}
-	// adopt v threshold: 2x_v >= n-t+1-2f.
-	adopt := func(xv expr.Sym) expr.Constraint {
-		return addConst(guard(xv, 2,
-			ta.LinTerm{Coeff: -1, Sym: n}, ta.LinTerm{Coeff: 1, Sym: t}, ta.LinTerm{Coeff: 2, Sym: f}), -1)
-	}
-	// priority conjunct for adopting v: the other value must be present
-	// enough that some sample misses the decide-v threshold,
-	// 2x_{1-v} >= n-5t-2f.
-	spoiler := func(xOther expr.Sym) expr.Constraint {
-		return guard(xOther, 2,
-			ta.LinTerm{Coeff: -1, Sym: n}, ta.LinTerm{Coeff: 5, Sym: t}, ta.LinTerm{Coeff: 2, Sym: f})
-	}
-	// keep-own: both values fill half a sample, 2x_v >= n-t-2f.
-	half := func(xv expr.Sym) expr.Constraint {
-		return guard(xv, 2,
-			ta.LinTerm{Coeff: -1, Sym: n}, ta.LinTerm{Coeff: 1, Sym: t}, ta.LinTerm{Coeff: 2, Sym: f})
-	}
-
-	b.Rule("i0", v0, s0, ta.Inc(x0))
-	b.Rule("i1", v1, s1, ta.Inc(x1))
-	for _, src := range []struct {
-		loc  ta.LocID
-		name string
-	}{{s0, "0"}, {s1, "1"}} {
-		b.Rule("d0_"+src.name, src.loc, d0, ta.Guarded(decide(x0), sampleBigEnough, avail))
-		b.Rule("d1_"+src.name, src.loc, d1, ta.Guarded(decide(x1), sampleBigEnough, avail))
-		b.Rule("a0_"+src.name, src.loc, u0, ta.Guarded(adopt(x0), spoiler(x1), avail))
-		b.Rule("a1_"+src.name, src.loc, u1, ta.Guarded(adopt(x1), spoiler(x0), avail))
-		b.Rule("uu_"+src.name, src.loc, uu, ta.Guarded(half(x0), half(x1), avail))
-	}
-	for _, l := range []ta.LocID{d0, d1, u0, u1, uu} {
-		b.SelfLoop(l)
-	}
-	return b.MustBuild()
-}
+func Bosco() *ta.TA { return mustParse("bosco.ta") }
 
 // BoscoQueries returns the checkable forms of BOSCO's classic results.
 func BoscoQueries(a *ta.TA) ([]spec.Query, error) {

@@ -1,8 +1,3 @@
-// Package models contains the three threshold automata of the paper —
-// the binary-value broadcast (Fig. 2), the naive Byzantine-consensus
-// automaton (Fig. 3 / Table 3) and the simplified consensus automaton
-// (Fig. 4) — together with their LTL properties rendered as counterexample
-// queries (internal/spec) and fairness assumptions (Appendix F).
 package models
 
 import (
@@ -28,57 +23,7 @@ import (
 // the f messages Byzantine processes may contribute are folded into the
 // guards (a threshold of t+1 received messages becomes b_v >= t+1-f sent by
 // correct processes).
-func BVBroadcast() *ta.TA {
-	b := ta.NewBuilder("bv-broadcast")
-	b0 := b.Shared("b0")
-	b1 := b.Shared("b1")
-
-	// Guard thresholds: t+1-f and 2t+1-f.
-	tPlus1 := b.Lin(1, ta.LinTerm{Coeff: 1, Sym: b.T()}, ta.LinTerm{Coeff: -1, Sym: b.F()})
-	twoTPlus1 := b.Lin(1, ta.LinTerm{Coeff: 2, Sym: b.T()}, ta.LinTerm{Coeff: -1, Sym: b.F()})
-
-	v0 := b.Loc("V0", ta.Initial(), ta.Semantics(nil, nil))
-	v1 := b.Loc("V1", ta.Initial(), ta.Semantics(nil, nil))
-	b0l := b.Loc("B0", ta.Semantics([]int{0}, nil))
-	b1l := b.Loc("B1", ta.Semantics([]int{1}, nil))
-	b01 := b.Loc("B01", ta.Semantics([]int{0, 1}, nil))
-	c0 := b.Loc("C0", ta.Semantics([]int{0}, []int{0}))
-	c1 := b.Loc("C1", ta.Semantics([]int{1}, []int{1}))
-	cb0 := b.Loc("CB0", ta.Semantics([]int{0, 1}, []int{0}))
-	cb1 := b.Loc("CB1", ta.Semantics([]int{0, 1}, []int{1}))
-	c01 := b.Loc("C01", ta.Semantics([]int{0, 1}, []int{0, 1}))
-
-	// r1, r2: initial broadcast of the input value (Fig. 1 line 2).
-	b.Rule("r1", v0, b0l, ta.Inc(b0))
-	b.Rule("r2", v1, b1l, ta.Inc(b1))
-	// r3: deliver 0 after 2t+1 distinct BV(0) (Fig. 1 lines 6-7).
-	b.Rule("r3", b0l, c0, ta.Guarded(b.GeThreshold(b0, twoTPlus1)))
-	// r4: echo 1 after t+1 distinct BV(1) (Fig. 1 lines 4-5).
-	b.Rule("r4", b0l, b01, ta.Guarded(b.GeThreshold(b1, tPlus1)), ta.Inc(b1))
-	// r5: echo 0.
-	b.Rule("r5", b1l, b01, ta.Guarded(b.GeThreshold(b0, tPlus1)), ta.Inc(b0))
-	// r6: deliver 1.
-	b.Rule("r6", b1l, c1, ta.Guarded(b.GeThreshold(b1, twoTPlus1)))
-	// r7: having delivered 0, echo 1.
-	b.Rule("r7", c0, cb0, ta.Guarded(b.GeThreshold(b1, tPlus1)), ta.Inc(b1))
-	// r8: from B01 (both echoed), deliver 0 first.
-	b.Rule("r8", b01, cb0, ta.Guarded(b.GeThreshold(b0, twoTPlus1)))
-	// r9: from B01, deliver 1 first.
-	b.Rule("r9", b01, cb1, ta.Guarded(b.GeThreshold(b1, twoTPlus1)))
-	// r10: having delivered 1, echo 0.
-	b.Rule("r10", c1, cb1, ta.Guarded(b.GeThreshold(b0, tPlus1)), ta.Inc(b0))
-	// r11: second delivery 1.
-	b.Rule("r11", cb0, c01, ta.Guarded(b.GeThreshold(b1, twoTPlus1)))
-	// r12: second delivery 0.
-	b.Rule("r12", cb1, c01, ta.Guarded(b.GeThreshold(b0, twoTPlus1)))
-
-	// The 7 self-loops of Fig. 2 model per-process asynchrony: a process may
-	// linger in any location it is not forced out of by fairness.
-	for _, l := range []ta.LocID{b0l, b1l, c0, c1, cb0, cb1, c01} {
-		b.SelfLoop(l)
-	}
-	return b.MustBuild()
-}
+func BVBroadcast() *ta.TA { return mustParse("bvbroadcast.ta") }
 
 // bvLocsWithout returns Locs_v of the paper: every location a correct
 // process may occupy while v is not in its contestants set.

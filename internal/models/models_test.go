@@ -1,10 +1,13 @@
 package models
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/counter"
+	"repro/internal/expr"
 	"repro/internal/spec"
 	"repro/internal/ta"
 )
@@ -32,10 +35,13 @@ func TestBVBroadcastStructure(t *testing.T) {
 	}
 }
 
-// TestTable1LocationSemantics reproduces Table 1: the broadcast/delivered
-// values attached to each location of the bv-broadcast automaton.
+// TestTable1LocationSemantics reproduces Table 1 from the rules of the
+// bv-broadcast automaton: walking the rule DAG from the initial locations,
+// a location has broadcast every v whose b_v a path to it increments, and
+// delivered every v whose delivery guard b_v >= 2t+1-f that path crosses.
+// Every path to a location must agree, and the result must be the paper's
+// table.
 func TestTable1LocationSemantics(t *testing.T) {
-	a := BVBroadcast()
 	want := map[string]struct{ broadcast, delivered []int }{
 		"V0":  {nil, nil},
 		"V1":  {nil, nil},
@@ -48,32 +54,85 @@ func TestTable1LocationSemantics(t *testing.T) {
 		"CB1": {[]int{0, 1}, []int{1}},
 		"C01": {[]int{0, 1}, []int{0, 1}},
 	}
-	if len(want) != len(a.Locations) {
-		t.Fatalf("table has %d rows, automaton has %d locations", len(want), len(a.Locations))
+	a := BVBroadcast()
+	tParam, fParam := a.Params[1], a.Params[2]
+	value := map[expr.Sym]int{} // b_v -> v
+	deliver := map[string]int{} // rendered b_v - 2t + f - 1 >= 0 -> v
+	for v := 0; v <= 1; v++ {
+		bv, err := a.SharedByName(fmt.Sprintf("b%d", v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		value[bv] = v
+		g := expr.Var(bv)
+		if g.AddTerm(tParam, -2) != nil || g.AddTerm(fParam, 1) != nil || g.AddConst(-1) != nil {
+			t.Fatal("building the delivery guard overflowed")
+		}
+		deliver[expr.GEZero(g).String(a.Table)] = v
 	}
-	for _, l := range a.Locations {
-		w, ok := want[l.Name]
+
+	// A location's sets as bit masks over v.
+	type sets struct{ broadcast, delivered uint }
+	derived := map[ta.LocID]sets{}
+	var walk func(l ta.LocID, s sets)
+	walk = func(l ta.LocID, s sets) {
+		if prev, seen := derived[l]; seen {
+			if prev != s {
+				t.Errorf("%s: paths disagree: %+v vs %+v", a.Locations[l].Name, prev, s)
+			}
+			return
+		}
+		derived[l] = s
+		for _, r := range a.Rules {
+			if r.From != l || r.SelfLoop() {
+				continue
+			}
+			next := s
+			for sym := range r.Update {
+				v, ok := value[sym]
+				if !ok {
+					t.Fatalf("rule %s increments %s, not a b_v", r.Name, a.Table.Name(sym))
+				}
+				next.broadcast |= 1 << v
+			}
+			for _, g := range r.Guard {
+				if v, ok := deliver[g.String(a.Table)]; ok {
+					next.delivered |= 1 << v
+				}
+			}
+			walk(r.To, next)
+		}
+	}
+	for _, l := range a.InitialLocs() {
+		walk(l, sets{})
+	}
+
+	values := func(mask uint) []int {
+		var out []int
+		for v := 0; v <= 1; v++ {
+			if mask&(1<<v) != 0 {
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+	if len(derived) != len(a.Locations) || len(want) != len(a.Locations) {
+		t.Fatalf("derived %d rows, table has %d, automaton has %d locations", len(derived), len(want), len(a.Locations))
+	}
+	for id, s := range derived {
+		name := a.Locations[id].Name
+		w, ok := want[name]
 		if !ok {
-			t.Errorf("unexpected location %s", l.Name)
+			t.Errorf("unexpected location %s", name)
 			continue
 		}
-		if !equalInts(l.Broadcast, w.broadcast) || !equalInts(l.Delivered, w.delivered) {
-			t.Errorf("%s: broadcast=%v delivered=%v, want %v %v",
-				l.Name, l.Broadcast, l.Delivered, w.broadcast, w.delivered)
+		if got := values(s.broadcast); !reflect.DeepEqual(got, w.broadcast) {
+			t.Errorf("%s: broadcast %v, Table 1 says %v", name, got, w.broadcast)
+		}
+		if got := values(s.delivered); !reflect.DeepEqual(got, w.delivered) {
+			t.Errorf("%s: delivered %v, Table 1 says %v", name, got, w.delivered)
 		}
 	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestNaiveConsensusStructure checks the Fig. 3 shape. The paper's Table 2

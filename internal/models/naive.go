@@ -1,9 +1,6 @@
 package models
 
 import (
-	"fmt"
-
-	"repro/internal/expr"
 	"repro/internal/spec"
 	"repro/internal/ta"
 )
@@ -19,108 +16,7 @@ import (
 // (aux messages); the second (even) half uses the primed b0x..a1x. Entering
 // a first-delivery location additionally broadcasts the corresponding aux
 // message (a_v++), per line 8 of Algorithm 1 and Table 3.
-func NaiveConsensus() *ta.TA {
-	b := ta.NewBuilder("naive-consensus")
-
-	tPlus1 := b.Lin(1, ta.LinTerm{Coeff: 1, Sym: b.T()}, ta.LinTerm{Coeff: -1, Sym: b.F()})
-	twoTPlus1 := b.Lin(1, ta.LinTerm{Coeff: 2, Sym: b.T()}, ta.LinTerm{Coeff: -1, Sym: b.F()})
-	nMinusTMinusF := b.Lin(0,
-		ta.LinTerm{Coeff: 1, Sym: b.N()},
-		ta.LinTerm{Coeff: -1, Sym: b.T()},
-		ta.LinTerm{Coeff: -1, Sym: b.F()})
-
-	// half holds the bv-broadcast locations of one round of the superround.
-	type half struct {
-		suffix                string
-		v0, v1, b0l, b1l, b01 ta.LocID
-		c0, c1, cb0, cb1, c01 ta.LocID
-	}
-	buildLocs := func(suffix string, initial bool) half {
-		h := half{suffix: suffix}
-		var opts []ta.LocOpt
-		if initial {
-			opts = append(opts, ta.Initial())
-		}
-		h.v0 = b.Loc("V0"+suffix, opts...)
-		h.v1 = b.Loc("V1"+suffix, opts...)
-		h.b0l = b.Loc("B0" + suffix)
-		h.b1l = b.Loc("B1" + suffix)
-		h.b01 = b.Loc("B01" + suffix)
-		h.c0 = b.Loc("C0" + suffix)
-		h.c1 = b.Loc("C1" + suffix)
-		h.cb0 = b.Loc("CB0" + suffix)
-		h.cb1 = b.Loc("CB1" + suffix)
-		h.c01 = b.Loc("C01" + suffix)
-		return h
-	}
-
-	first := buildLocs("", true)
-	second := buildLocs("x", false)
-
-	// Outcome locations. Odd half (round parity 1): qualifiers {0} -> E0
-	// (estimate 0), {1} -> D1 (decide 1), {0,1} -> E1 (estimate = parity).
-	// Even half (parity 0): {0} -> D0 (decide 0), {1} -> E1x, {0,1} -> E0x.
-	e0 := b.Loc("E0")
-	e1 := b.Loc("E1")
-	d1 := b.Loc("D1")
-	e0x := b.Loc("E0x")
-	e1x := b.Loc("E1x")
-	d0 := b.Loc("D0")
-
-	// wireHalf adds the 19 non-switch rules of one half (Table 3), sending
-	// singleton-zero qualifiers to qZero, singleton-one to qOne and mixed
-	// qualifiers to qMix.
-	wireHalf := func(h half, qZero, qOne, qMix ta.LocID) {
-		s := h.suffix
-		b0v := b.Shared("b0" + s)
-		b1v := b.Shared("b1" + s)
-		a0v := b.Shared("a0" + s)
-		a1v := b.Shared("a1" + s)
-		rn := func(i int) string { return fmt.Sprintf("r%d%s", i, s) }
-
-		// Embedded bv-broadcast (dashed in Fig. 3).
-		b.Rule(rn(1), h.v0, h.b0l, ta.Inc(b0v))
-		b.Rule(rn(2), h.v1, h.b1l, ta.Inc(b1v))
-		b.Rule(rn(3), h.b0l, h.c0, ta.Guarded(b.GeThreshold(b0v, twoTPlus1)), ta.Inc(a0v))
-		b.Rule(rn(4), h.b0l, h.b01, ta.Guarded(b.GeThreshold(b1v, tPlus1)), ta.Inc(b1v))
-		b.Rule(rn(5), h.b1l, h.b01, ta.Guarded(b.GeThreshold(b0v, tPlus1)), ta.Inc(b0v))
-		b.Rule(rn(6), h.b1l, h.c1, ta.Guarded(b.GeThreshold(b1v, twoTPlus1)), ta.Inc(a1v))
-		b.Rule(rn(8), h.c0, h.cb0, ta.Guarded(b.GeThreshold(b1v, tPlus1)), ta.Inc(b1v))
-		b.Rule(rn(9), h.b01, h.cb1, ta.Guarded(b.GeThreshold(b1v, twoTPlus1)), ta.Inc(a1v))
-		b.Rule(rn(10), h.b01, h.cb0, ta.Guarded(b.GeThreshold(b0v, twoTPlus1)), ta.Inc(a0v))
-		b.Rule(rn(11), h.c1, h.cb1, ta.Guarded(b.GeThreshold(b0v, tPlus1)), ta.Inc(b0v))
-		b.Rule(rn(12), h.cb0, h.c01, ta.Guarded(b.GeThreshold(b1v, twoTPlus1)))
-		b.Rule(rn(13), h.cb1, h.c01, ta.Guarded(b.GeThreshold(b0v, twoTPlus1)))
-
-		// Decision layer (solid in Fig. 3): wait for n-t aux messages whose
-		// values all lie in contestants (line 9 of Algorithm 1).
-		auxZero := b.GeThreshold(a0v, nMinusTMinusF)
-		auxOne := b.GeThreshold(a1v, nMinusTMinusF)
-		auxMix := b.SumGeThreshold([]expr.Sym{a0v, a1v}, nMinusTMinusF)
-		b.Rule(rn(14), h.c0, qZero, ta.Guarded(auxZero))
-		b.Rule(rn(15), h.cb0, qZero, ta.Guarded(auxZero))
-		b.Rule(rn(16), h.c01, qZero, ta.Guarded(auxZero))
-		b.Rule(rn(7), h.c1, qOne, ta.Guarded(auxOne))
-		b.Rule(rn(18), h.cb1, qOne, ta.Guarded(auxOne))
-		b.Rule(rn(19), h.c01, qOne, ta.Guarded(auxOne))
-		b.Rule(rn(17), h.c01, qMix, ta.Guarded(auxMix))
-	}
-
-	wireHalf(first, e0, d1, e1)
-	wireHalf(second, d0, e1x, e0x)
-
-	// Transitions from the odd half into the even half (r20-r22 of Fig. 3).
-	b.Rule("r20", e0, second.v0)
-	b.Rule("r21", e1, second.v1)
-	b.Rule("r22", d1, second.v1)
-
-	// Dotted round-switch rules into the next superround.
-	b.Rule("rsD0", d0, first.v0, ta.RoundSwitch())
-	b.Rule("rsE0x", e0x, first.v0, ta.RoundSwitch())
-	b.Rule("rsE1x", e1x, first.v1, ta.RoundSwitch())
-
-	return b.MustBuild()
-}
+func NaiveConsensus() *ta.TA { return mustParse("naive.ta") }
 
 // NaiveQueries returns the Table 2 properties for the naive automaton:
 // Inv1_0, Inv2_0 and SRoundTerm. Because the bv-broadcast structure is

@@ -36,92 +36,7 @@ import (
 // the adversary may contribute leaves c >= n - t - f correct ones. Mixed
 // exits additionally require both bits locked locally, which is the L01
 // location, not a guard.
-func SBA() *ta.TA {
-	b := ta.NewBuilder("sba-reduction")
-
-	v0 := b.Shared("v0")
-	v1 := b.Shared("v1")
-	c0 := b.Shared("c0")
-	c1 := b.Shared("c1")
-	v0x := b.Shared("v0x")
-	v1x := b.Shared("v1x")
-	c0x := b.Shared("c0x")
-	c1x := b.Shared("c1x")
-
-	one := b.Lin(1)
-	// n - t - f : candidates needed from correct processes once the f
-	// Byzantine contributions are discounted from the n-t exit quorum.
-	nMinusTMinusF := b.Lin(0,
-		ta.LinTerm{Coeff: 1, Sym: b.N()},
-		ta.LinTerm{Coeff: -1, Sym: b.T()},
-		ta.LinTerm{Coeff: -1, Sym: b.F()})
-
-	i0 := b.Loc("I0", ta.Initial())
-	i1 := b.Loc("I1", ta.Initial())
-	w := b.Loc("W")
-	l0 := b.Loc("L0")
-	l1 := b.Loc("L1")
-	l01 := b.Loc("L01")
-	d0 := b.Loc("D0")
-	e1 := b.Loc("E1")
-	e01 := b.Loc("E01")
-
-	i0x := b.Loc("I0x")
-	i1x := b.Loc("I1x")
-	wx := b.Loc("Wx")
-	l0x := b.Loc("L0x")
-	l1x := b.Loc("L1x")
-	l01x := b.Loc("L01x")
-	d1x := b.Loc("D1x")
-	e0x := b.Loc("E0x")
-	e01x := b.Loc("E01x")
-
-	// First (parity-0) half.
-	b.Rule("s1", i0, w, ta.Inc(v0))
-	b.Rule("s2", i1, w, ta.Inc(v1))
-	// Lock-justification is baked into the structure: a bit can only lock
-	// first (W -> Lb, candidate broadcast) if some correct process entered
-	// the round estimating it.
-	b.Rule("s3", w, l0, ta.Guarded(b.GeThreshold(v0, one)), ta.Inc(c0))
-	b.Rule("s4", w, l1, ta.Guarded(b.GeThreshold(v1, one)), ta.Inc(c1))
-	b.Rule("s5", l0, l01, ta.Guarded(b.GeThreshold(v1, one)))
-	b.Rule("s6", l1, l01, ta.Guarded(b.GeThreshold(v0, one)))
-	b.Rule("s7", l0, d0, ta.Guarded(b.GeThreshold(c0, nMinusTMinusF)))
-	b.Rule("s8", l1, e1, ta.Guarded(b.GeThreshold(c1, nMinusTMinusF)))
-	b.Rule("s9", l01, d0, ta.Guarded(b.GeThreshold(c0, nMinusTMinusF)))
-	b.Rule("s10", l01, e1, ta.Guarded(b.GeThreshold(c1, nMinusTMinusF)))
-	b.Rule("s11", l01, e01, ta.Guarded(b.SumGeThreshold([]expr.Sym{c0, c1}, nMinusTMinusF)))
-	// Mid-superround switches into the parity-1 half (solid edges: they stay
-	// within the superround). A mixed exit adopts the parity (0).
-	b.Rule("s12", d0, i0x)
-	b.Rule("s13", e1, i1x)
-	b.Rule("s14", e01, i0x)
-
-	// Second (parity-1) half: identical with primed counters; the parity
-	// flips which uniform exit decides (1) and what a mixed exit adopts (1).
-	b.Rule("s1x", i0x, wx, ta.Inc(v0x))
-	b.Rule("s2x", i1x, wx, ta.Inc(v1x))
-	b.Rule("s3x", wx, l0x, ta.Guarded(b.GeThreshold(v0x, one)), ta.Inc(c0x))
-	b.Rule("s4x", wx, l1x, ta.Guarded(b.GeThreshold(v1x, one)), ta.Inc(c1x))
-	b.Rule("s5x", l0x, l01x, ta.Guarded(b.GeThreshold(v1x, one)))
-	b.Rule("s6x", l1x, l01x, ta.Guarded(b.GeThreshold(v0x, one)))
-	b.Rule("s7x", l0x, e0x, ta.Guarded(b.GeThreshold(c0x, nMinusTMinusF)))
-	b.Rule("s8x", l1x, d1x, ta.Guarded(b.GeThreshold(c1x, nMinusTMinusF)))
-	b.Rule("s9x", l01x, e0x, ta.Guarded(b.GeThreshold(c0x, nMinusTMinusF)))
-	b.Rule("s10x", l01x, d1x, ta.Guarded(b.GeThreshold(c1x, nMinusTMinusF)))
-	b.Rule("s11x", l01x, e01x, ta.Guarded(b.SumGeThreshold([]expr.Sym{c0x, c1x}, nMinusTMinusF)))
-
-	// Round-switch rules into the next superround (dotted edges).
-	b.Rule("rsD1x", d1x, i1, ta.RoundSwitch())
-	b.Rule("rsE0x", e0x, i0, ta.RoundSwitch())
-	b.Rule("rsE01x", e01x, i1, ta.RoundSwitch())
-
-	// Self-loops (asynchrony) on the waiting locations.
-	for _, l := range []ta.LocID{w, l0, l1, l01, wx, l0x, l1x, l01x, d0} {
-		b.SelfLoop(l)
-	}
-	return b.MustBuild()
-}
+func SBA() *ta.TA { return mustParse("sba.ta") }
 
 // SBAJustice returns the fairness assumptions of the sba automaton — the
 // executable protocol's retransmission-backed delivery guarantees expressed

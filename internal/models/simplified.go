@@ -28,92 +28,7 @@ import (
 // Shared variables: bvb0/bvb1 count correct processes that bv-broadcast 0/1
 // (incremented on entering M), a0/a1 count aux messages sent by correct
 // processes for value 0/1.
-func SimplifiedConsensus() *ta.TA {
-	b := ta.NewBuilder("simplified-consensus")
-
-	bvb0 := b.Shared("bvb0")
-	bvb1 := b.Shared("bvb1")
-	a0 := b.Shared("a0")
-	a1 := b.Shared("a1")
-	bvb0x := b.Shared("bvb0x")
-	bvb1x := b.Shared("bvb1x")
-	a0x := b.Shared("a0x")
-	a1x := b.Shared("a1x")
-
-	one := b.Lin(1)
-	// n - t - f : aux messages needed from correct processes once the f
-	// Byzantine contributions are discounted from the n-t total.
-	nMinusTMinusF := b.Lin(0,
-		ta.LinTerm{Coeff: 1, Sym: b.N()},
-		ta.LinTerm{Coeff: -1, Sym: b.T()},
-		ta.LinTerm{Coeff: -1, Sym: b.F()})
-
-	v0 := b.Loc("V0", ta.Initial())
-	v1 := b.Loc("V1", ta.Initial())
-	m := b.Loc("M")
-	m0 := b.Loc("M0")
-	m1 := b.Loc("M1")
-	m01 := b.Loc("M01")
-	e0 := b.Loc("E0")
-	e1 := b.Loc("E1")
-	d1 := b.Loc("D1")
-
-	v0x := b.Loc("V0x")
-	v1x := b.Loc("V1x")
-	mx := b.Loc("Mx")
-	m0x := b.Loc("M0x")
-	m1x := b.Loc("M1x")
-	m01x := b.Loc("M01x")
-	e0x := b.Loc("E0x")
-	e1x := b.Loc("E1x")
-	d0 := b.Loc("D0")
-
-	// First (odd) half.
-	b.Rule("s1", v0, m, ta.Inc(bvb0))
-	b.Rule("s2", v1, m, ta.Inc(bvb1))
-	// BV-Justification is baked into the structure: a value can only be
-	// delivered first (M -> Mv) if some correct process bv-broadcast it.
-	b.Rule("s3", m, m0, ta.Guarded(b.GeThreshold(bvb0, one)), ta.Inc(a0))
-	b.Rule("s4", m, m1, ta.Guarded(b.GeThreshold(bvb1, one)), ta.Inc(a1))
-	b.Rule("s5", m0, e0, ta.Guarded(b.GeThreshold(a0, nMinusTMinusF)))
-	b.Rule("s6", m0, m01, ta.Guarded(b.GeThreshold(bvb1, one)))
-	b.Rule("s7", m1, m01, ta.Guarded(b.GeThreshold(bvb0, one)))
-	b.Rule("s8", m1, d1, ta.Guarded(b.GeThreshold(a1, nMinusTMinusF)))
-	b.Rule("s9", m01, e0, ta.Guarded(b.GeThreshold(a0, nMinusTMinusF)))
-	b.Rule("s10", m01, e1, ta.Guarded(b.SumGeThreshold([]expr.Sym{a0, a1}, nMinusTMinusF)))
-	b.Rule("s11", m01, d1, ta.Guarded(b.GeThreshold(a1, nMinusTMinusF)))
-	// Mid-superround switches into the even half (solid edges, not dotted:
-	// they stay within the superround).
-	b.Rule("s12", e0, v0x)
-	b.Rule("s13", e1, v1x)
-	b.Rule("s14", d1, v1x)
-
-	// Second (even) half: identical with primed counters; the parity flips
-	// which qualifier set decides (0) and which adopts the parity (0).
-	b.Rule("s1x", v0x, mx, ta.Inc(bvb0x))
-	b.Rule("s2x", v1x, mx, ta.Inc(bvb1x))
-	b.Rule("s3x", mx, m0x, ta.Guarded(b.GeThreshold(bvb0x, one)), ta.Inc(a0x))
-	b.Rule("s4x", mx, m1x, ta.Guarded(b.GeThreshold(bvb1x, one)), ta.Inc(a1x))
-	b.Rule("s5x", m0x, d0, ta.Guarded(b.GeThreshold(a0x, nMinusTMinusF)))
-	b.Rule("s6x", m0x, m01x, ta.Guarded(b.GeThreshold(bvb1x, one)))
-	b.Rule("s7x", m1x, m01x, ta.Guarded(b.GeThreshold(bvb0x, one)))
-	b.Rule("s8x", m1x, e1x, ta.Guarded(b.GeThreshold(a1x, nMinusTMinusF)))
-	b.Rule("s9x", m01x, d0, ta.Guarded(b.GeThreshold(a0x, nMinusTMinusF)))
-	b.Rule("s10x", m01x, e0x, ta.Guarded(b.SumGeThreshold([]expr.Sym{a0x, a1x}, nMinusTMinusF)))
-	b.Rule("s11x", m01x, e1x, ta.Guarded(b.GeThreshold(a1x, nMinusTMinusF)))
-
-	// Round-switch rules into the next superround (dotted in Fig. 4).
-	b.Rule("rsD0", d0, v0, ta.RoundSwitch())
-	b.Rule("rsE0x", e0x, v0, ta.RoundSwitch())
-	b.Rule("rsE1x", e1x, v1, ta.RoundSwitch())
-
-	// Self-loops (asynchrony); placement is semantically inert, the count
-	// matches the 37-rule total of Table 2.
-	for _, l := range []ta.LocID{m, m0, m1, m01, mx, m0x, m1x, m01x, d1} {
-		b.SelfLoop(l)
-	}
-	return b.MustBuild()
-}
+func SimplifiedConsensus() *ta.TA { return mustParse("simplified.ta") }
 
 // SimplifiedJustice returns the fairness assumptions of the simplified
 // automaton, the Appendix F preconditions: the proven bv-broadcast

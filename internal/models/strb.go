@@ -25,25 +25,7 @@ import (
 // The three properties are the classic ones: Unforgeability (nobody accepts
 // if nobody got the INIT), Correctness (if everybody got the INIT,
 // everybody accepts) and Relay (if somebody accepts, everybody accepts).
-func STReliableBroadcast() *ta.TA {
-	b := ta.NewBuilder("st-reliable-broadcast")
-	e := b.Shared("e")
-
-	tPlus1 := b.Lin(1, ta.LinTerm{Coeff: 1, Sym: b.T()}, ta.LinTerm{Coeff: -1, Sym: b.F()})
-	twoTPlus1 := b.Lin(1, ta.LinTerm{Coeff: 2, Sym: b.T()}, ta.LinTerm{Coeff: -1, Sym: b.F()})
-
-	v0 := b.Loc("V0", ta.Initial())
-	v1 := b.Loc("V1", ta.Initial())
-	se := b.Loc("SE")
-	ac := b.Loc("AC")
-
-	b.Rule("r1", v1, se, ta.Inc(e))
-	b.Rule("r2", v0, se, ta.Guarded(b.GeThreshold(e, tPlus1)), ta.Inc(e))
-	b.Rule("r3", se, ac, ta.Guarded(b.GeThreshold(e, twoTPlus1)))
-	b.SelfLoop(se)
-	b.SelfLoop(ac)
-	return b.MustBuild()
-}
+func STReliableBroadcast() *ta.TA { return mustParse("strb.ta") }
 
 // STRBQueries returns the counterexample queries for the three reliable
 // broadcast properties.

@@ -32,7 +32,7 @@ func taVerdicts(t *testing.T) map[string]spec.Outcome {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("..", "..", "specs", "sba.ta"))
 	if err != nil {
-		t.Fatalf("shipped spec missing: %v (regenerate with `holistic export -model sba`)", err)
+		t.Fatalf("shipped spec missing: %v", err)
 	}
 	a, err := taformat.Parse(string(data))
 	if err != nil {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ltl"
 	"repro/internal/models"
@@ -12,38 +13,18 @@ import (
 )
 
 // BuiltinModel resolves a bundled model name to its automaton and property
-// set — the single registry shared by the holistic CLI and the serving
-// plane, so a remote verification of "simplified" runs exactly the queries a
-// local one does.
+// set — the single registry (models.Bundled) shared by the holistic CLI and
+// the serving plane, so a remote verification of "simplified" runs exactly
+// the queries a local one does.
 func BuiltinModel(name string) (*ta.TA, []spec.Query, error) {
-	switch name {
-	case "bv", "bvbroadcast":
-		a := models.BVBroadcast()
-		qs, err := models.BVQueries(a)
-		return a, qs, err
-	case "naive":
-		a := models.NaiveConsensus()
-		qs, err := models.NaiveQueries(a)
-		return a, qs, err
-	case "simplified":
-		a := models.SimplifiedConsensus()
-		qs, err := models.SimplifiedQueries(a)
-		return a, qs, err
-	case "strb":
-		a := models.STReliableBroadcast()
-		qs, err := models.STRBQueries(a)
-		return a, qs, err
-	case "bosco":
-		a := models.Bosco()
-		qs, err := models.BoscoQueries(a)
-		return a, qs, err
-	case "sba":
-		a := models.SBA()
-		qs, err := models.SBAQueries(a)
-		return a, qs, err
-	default:
-		return nil, nil, fmt.Errorf("unknown model %q (want bv, naive, simplified, strb, bosco or sba)", name)
+	for _, m := range models.Bundled {
+		if m.Name == name || slices.Contains(m.Aliases, name) {
+			a := m.TA()
+			qs, err := m.Queries(a)
+			return a, qs, err
+		}
 	}
+	return nil, nil, fmt.Errorf("unknown model %q (want %s)", name, models.Names())
 }
 
 // Resolved is a validated VerifyRequest: the automaton, its report label

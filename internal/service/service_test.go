@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/ltl"
+	"repro/internal/models"
 	"repro/internal/vcache"
 )
 
@@ -443,6 +444,32 @@ func TestResolveModelSpec(t *testing.T) {
 	for _, bad := range []string{"p: [](;", "p: [](noSuchLoc == 0);"} {
 		if _, err := Resolve(&VerifyRequest{Model: "strb", Spec: bad}); err == nil {
 			t.Errorf("spec %q: resolved without error", bad)
+		}
+	}
+}
+
+// TestBuiltinModelsHashToGolden: every registry name and alias resolves to
+// the automaton its spec file pins in the vcache golden file, so -model M
+// and -ta specs/<file> are cached under one identity.
+func TestBuiltinModelsHashToGolden(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "vcache", "testdata", "golden_hashes.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n")[1:] {
+		f := strings.Fields(line)
+		golden[f[0]] = f[1]
+	}
+	for _, m := range models.Bundled {
+		for _, name := range append([]string{m.Name}, m.Aliases...) {
+			a, _, err := BuiltinModel(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := vcache.TAHash(a), golden[m.File]; got != want {
+				t.Errorf("%s: TAHash %s, golden %s pins %s", name, got, m.File, want)
+			}
 		}
 	}
 }

@@ -24,11 +24,6 @@ type LocID int
 type Location struct {
 	Name    string
 	Initial bool
-	// Broadcast and Delivered record the Table 1 semantics of the location
-	// for the bv-broadcast automaton: which binary values a process in this
-	// location has broadcast resp. delivered. Nil when not applicable.
-	Broadcast []int
-	Delivered []int
 }
 
 // Rule is a guarded edge of a TA. A process at From may move to To when every
@@ -154,14 +149,6 @@ type LocOpt func(*Location)
 
 // Initial marks the location as a start location.
 func Initial() LocOpt { return func(l *Location) { l.Initial = true } }
-
-// Semantics records the Table 1 broadcast/delivered metadata.
-func Semantics(broadcast, delivered []int) LocOpt {
-	return func(l *Location) {
-		l.Broadcast = broadcast
-		l.Delivered = delivered
-	}
-}
 
 // Loc adds a location and returns its id.
 func (b *Builder) Loc(name string, opts ...LocOpt) LocID {

@@ -1,33 +1,35 @@
-package taformat
+package taformat_test
 
 import (
 	"testing"
 
-	"repro/internal/models"
+	"repro/internal/taformat"
+	"repro/specs"
 )
 
 // FuzzParse checks that the automaton parser never panics and that accepted
 // automata survive a render/parse round trip.
 func FuzzParse(f *testing.F) {
-	for _, mk := range []func() string{
-		func() string { s, _ := Format(models.BVBroadcast()); return s },
-		func() string { s, _ := Format(models.SimplifiedConsensus()); return s },
-	} {
-		f.Add(mk())
+	for _, file := range []string{"bvbroadcast.ta", "simplified.ta"} {
+		src, err := specs.FS.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
 	}
 	f.Add("automaton x { parameters n,t,f; correct n - f; initial A; }")
 	f.Add("automaton x { }")
 	f.Add("{}{}{}")
 	f.Fuzz(func(t *testing.T, src string) {
-		a, err := Parse(src)
+		a, err := taformat.Parse(src)
 		if err != nil {
 			return
 		}
-		text, err := Format(a)
+		text, err := taformat.Format(a)
 		if err != nil {
 			t.Fatalf("accepted automaton fails to render: %v", err)
 		}
-		b, err := Parse(text)
+		b, err := taformat.Parse(text)
 		if err != nil {
 			t.Fatalf("rendering does not reparse: %v\n%s", err, text)
 		}

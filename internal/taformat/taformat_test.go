@@ -1,41 +1,40 @@
-package taformat
+package taformat_test
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/expr"
 	"repro/internal/models"
 	"repro/internal/ta"
+	"repro/internal/taformat"
 )
 
-// TestRoundTripModels renders each of the paper's automata and parses the
-// text back, requiring full structural equivalence (the Table 1 semantic
-// metadata is intentionally not part of the format).
+// TestRoundTripModels holds the writer honest: rendering each bundled
+// automaton and parsing the text back yields a deeply equal automaton,
+// symbol table included, and rendering that again reproduces the text.
 func TestRoundTripModels(t *testing.T) {
-	for _, mk := range []func() *ta.TA{
-		models.BVBroadcast, models.NaiveConsensus, models.SimplifiedConsensus,
-	} {
-		orig := mk()
-		text, err := Format(orig)
+	for _, m := range models.Bundled {
+		orig := m.TA()
+		text, err := taformat.Format(orig)
 		if err != nil {
-			t.Fatalf("%s: %v", orig.Name, err)
+			t.Fatalf("%s: %v", m.Name, err)
 		}
-		parsed, err := Parse(text)
+		parsed, err := taformat.Parse(text)
 		if err != nil {
-			t.Fatalf("%s: parse: %v\n%s", orig.Name, err, text)
+			t.Fatalf("%s: parse: %v\n%s", m.Name, err, text)
 		}
-		if err := equivalent(orig, parsed); err != nil {
-			t.Errorf("%s: round trip not equivalent: %v\n%s", orig.Name, err, text)
+		if !reflect.DeepEqual(orig, parsed) {
+			t.Errorf("%s: round trip not deeply equal: %v\n%s", m.Name, equivalent(orig, parsed), text)
 		}
-		// Idempotence: rendering the parsed automaton reproduces the text.
-		text2, err := Format(parsed)
+		text2, err := taformat.Format(parsed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if text != text2 {
-			t.Errorf("%s: second render differs:\n--- first\n%s\n--- second\n%s", orig.Name, text, text2)
+			t.Errorf("%s: second render differs:\n--- first\n%s\n--- second\n%s", m.Name, text, text2)
 		}
 	}
 }
@@ -133,7 +132,7 @@ automaton toy {
   switch rs: C ~> A;
 }
 `
-	a, err := Parse(src)
+	a, err := taformat.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +166,7 @@ func TestParseErrors(t *testing.T) {
 			initial A; locations B; rule r: A -> B when 1 >= x; }`},
 	}
 	for _, c := range cases {
-		if _, err := Parse(c.src); err == nil {
+		if _, err := taformat.Parse(c.src); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
 	}
@@ -176,11 +175,11 @@ func TestParseErrors(t *testing.T) {
 // TestParsedModelVerifies: a parsed automaton is a first-class citizen — it
 // validates and exposes the same structure the checker consumes.
 func TestParsedModelVerifies(t *testing.T) {
-	text, err := Format(models.BVBroadcast())
+	text, err := taformat.Format(models.BVBroadcast())
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Parse(text)
+	a, err := taformat.Parse(text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +201,7 @@ func TestParseRejectsEffectfulSelfLoop(t *testing.T) {
   initial A;
   rule r1: A -> A do x += 1;
 }`
-	if _, err := Parse(src); err == nil {
+	if _, err := taformat.Parse(src); err == nil {
 		t.Error("effectful self-loop should be rejected")
 	}
 }
@@ -218,7 +217,7 @@ func TestParseRejectsMissingCorrect(t *testing.T) {
   locations B;
   rule r1: A -> B do x += 1;
 }`
-	if _, err := Parse(src); err == nil {
+	if _, err := taformat.Parse(src); err == nil {
 		t.Error("missing correct clause should be rejected")
 	}
 }

@@ -73,8 +73,8 @@ func refCanonicalTA(a *ta.TA) string {
 	fmt.Fprintf(&b, "resilience %s\n", refCanonConstraints(tab, a.Resilience))
 	fmt.Fprintf(&b, "correct %s\n", refCanonLin(tab, a.CorrectCount))
 	for _, l := range a.Locations {
-		fmt.Fprintf(&b, "loc %s initial=%t broadcast=%v delivered=%v\n",
-			l.Name, l.Initial, l.Broadcast, l.Delivered)
+		// Fixed empty Table 1 fields, as in canon.automaton.
+		fmt.Fprintf(&b, "loc %s initial=%t broadcast=[] delivered=[]\n", l.Name, l.Initial)
 	}
 	for _, r := range a.Rules {
 		fmt.Fprintf(&b, "rule %s %s->%s switch=%t guard=[%s] update=[",

@@ -4,42 +4,36 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
-	"repro/internal/taformat"
+	"repro/internal/models"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_hashes.txt from the current specs/")
-
-// goldenSpecs are the bundled automata whose canonical hashes are pinned.
-var goldenSpecs = []string{"bosco.ta", "bvbroadcast.ta", "naive.ta", "sba.ta", "simplified.ta", "strb.ta"}
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_hashes.txt from the bundled models")
 
 const goldenPath = "testdata/golden_hashes.txt"
 
-func computeSpecHashes(t *testing.T) map[string]string {
-	t.Helper()
-	out := make(map[string]string, len(goldenSpecs))
-	for _, name := range goldenSpecs {
-		data, err := os.ReadFile(filepath.Join("..", "..", "specs", name))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		a, err := taformat.Parse(string(data))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		out[name] = TAHash(a)
+// computeSpecHashes hashes every bundled model, keyed by its spec file.
+func computeSpecHashes() map[string]string {
+	out := make(map[string]string, len(models.Bundled))
+	for _, m := range models.Bundled {
+		out[m.File] = TAHash(m.TA())
 	}
 	return out
 }
 
 func renderGolden(hashes map[string]string) string {
+	files := make([]string, 0, len(hashes))
+	for file := range hashes {
+		files = append(files, file)
+	}
+	sort.Strings(files)
 	var b strings.Builder
 	fmt.Fprintf(&b, "engine %s\n", EngineVersion)
-	for _, name := range goldenSpecs {
-		fmt.Fprintf(&b, "%s %s\n", name, hashes[name])
+	for _, file := range files {
+		fmt.Fprintf(&b, "%s %s\n", file, hashes[file])
 	}
 	return b.String()
 }
@@ -53,7 +47,7 @@ func renderGolden(hashes map[string]string) string {
 //
 //	go test ./internal/vcache -run TestGoldenSpecHashes -update-golden
 func TestGoldenSpecHashes(t *testing.T) {
-	hashes := computeSpecHashes(t)
+	hashes := computeSpecHashes()
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -69,14 +63,14 @@ func TestGoldenSpecHashes(t *testing.T) {
 		t.Fatalf("golden file missing (regenerate with -update-golden): %v", err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != len(goldenSpecs)+1 {
-		t.Fatalf("golden file has %d lines, want %d", len(lines), len(goldenSpecs)+1)
+	if len(lines) != len(hashes)+1 {
+		t.Fatalf("golden file has %d lines, want %d", len(lines), len(hashes)+1)
 	}
 	var goldenEngine string
 	if _, err := fmt.Sscanf(lines[0], "engine %s", &goldenEngine); err != nil {
 		t.Fatalf("golden file header %q unparsable: %v", lines[0], err)
 	}
-	golden := make(map[string]string, len(goldenSpecs))
+	golden := make(map[string]string, len(hashes))
 	for _, line := range lines[1:] {
 		fields := strings.Fields(line)
 		if len(fields) != 2 {
@@ -91,13 +85,14 @@ func TestGoldenSpecHashes(t *testing.T) {
 		t.Fatalf("golden file pins engine %s but EngineVersion is %s; regenerate with -update-golden",
 			goldenEngine, EngineVersion)
 	}
-	for _, name := range goldenSpecs {
+	for _, m := range models.Bundled {
+		name, got := m.File, hashes[m.File]
 		want, ok := golden[name]
 		if !ok {
 			t.Errorf("%s: missing from golden file", name)
 			continue
 		}
-		if got := hashes[name]; got != want {
+		if got != want {
 			t.Errorf("%s: canonical hash drifted at engine version %s:\n  got  %s\n  want %s\n"+
 				"a serialization change must come with an EngineVersion bump (then -update-golden)",
 				name, EngineVersion, got, want)

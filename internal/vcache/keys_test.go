@@ -3,8 +3,6 @@ package vcache
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -14,7 +12,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/spec"
 	"repro/internal/ta"
-	"repro/internal/taformat"
+	"repro/specs"
 )
 
 // keyCase is one automaton with the queries stated over it.
@@ -25,8 +23,8 @@ type keyCase struct {
 }
 
 // bundledCases returns every bundled automaton with all of its queries:
-// the Go models (plus the relaxed-resilience counterexample query) and the
-// textual specs/ pairs.
+// the registry's Go queries (plus the relaxed-resilience counterexample
+// query) and, where specs/ ships a property file, its compiled properties.
 func bundledCases(t *testing.T) []keyCase {
 	t.Helper()
 	var out []keyCase
@@ -36,47 +34,25 @@ func bundledCases(t *testing.T) []keyCase {
 		}
 		out = append(out, keyCase{name, a, qs})
 	}
-	for _, m := range []struct {
-		name  string
-		build func() *ta.TA
-		qs    func(*ta.TA) ([]spec.Query, error)
-	}{
-		{"bv", models.BVBroadcast, models.BVQueries},
-		{"naive", models.NaiveConsensus, models.NaiveQueries},
-		{"simplified", models.SimplifiedConsensus, models.SimplifiedQueries},
-		{"strb", models.STReliableBroadcast, models.STRBQueries},
-		{"bosco", models.Bosco, models.BoscoQueries},
-		{"sba", models.SBA, models.SBAQueries},
-	} {
-		a := m.build()
-		qs, err := m.qs(a)
-		add(m.name, a, qs, err)
+	for _, m := range models.Bundled {
+		a := m.TA()
+		qs, err := m.Queries(a)
+		add(m.Name, a, qs, err)
+
+		ltlFile := strings.TrimSuffix(m.File, ".ta") + ".ltl"
+		src, rerr := specs.FS.ReadFile(ltlFile)
+		if rerr != nil {
+			continue
+		}
+		pf, err := ltl.ParseFile(string(src))
+		if err == nil {
+			qs, err = ltl.CompileFile(pf, a)
+		}
+		add("specs/"+ltlFile, a, qs, err)
 	}
 	simp := models.SimplifiedConsensus()
 	ce, err := models.Inv1CounterexampleQuery(simp)
 	add("simplified/ce", simp, []spec.Query{ce}, err)
-
-	for _, name := range goldenSpecs {
-		data, err := os.ReadFile(filepath.Join("..", "..", "specs", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := taformat.Parse(string(data))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		var qs []spec.Query
-		ltlPath := filepath.Join("..", "..", "specs", strings.TrimSuffix(name, ".ta")+".ltl")
-		if src, rerr := os.ReadFile(ltlPath); rerr == nil {
-			pf, perr := ltl.ParseFile(string(src))
-			if perr == nil {
-				qs, err = ltl.CompileFile(pf, a)
-			} else {
-				err = perr
-			}
-		}
-		add("specs/"+name, a, qs, err)
-	}
 	return out
 }
 
@@ -98,9 +74,6 @@ func randomCase(rng *rand.Rand, name string) (keyCase, error) {
 		var opts []ta.LocOpt
 		if i < 2 {
 			opts = append(opts, ta.Initial())
-		}
-		if rng.Intn(2) == 0 {
-			opts = append(opts, ta.Semantics([]int{rng.Intn(3) - 1, rng.Intn(4)}, []int{rng.Intn(5)}[:rng.Intn(2)]))
 		}
 		locs[i] = b.Loc(fmt.Sprintf("L%d", i), opts...)
 	}

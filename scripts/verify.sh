@@ -59,7 +59,7 @@ fi
 # owns the CRC32C framing, and the merged full-mode internals stay merged
 # (their names survive only in _test.go references and in CHANGES.md /
 # ROADMAP.md as history). Bracketed like the lint above.
-echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form, request resolution, CLI request front door, in-flight store, campaign seed sweep)"
+echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form, request resolution, CLI request front door, in-flight store, campaign seed sweep, one source per automaton)"
 SRC=$(find cmd internal -name '*.go' ! -name '*_test.go')
 N=$(grep -l 'json:"lp[_]checks"' $SRC | wc -l)
 [ "$N" -eq 1 ] || { echo "one-definition lint: $N non-test files declare a json:\"lp[_]checks\" field, want 1"; exit 1; }
@@ -157,8 +157,33 @@ if grep -rnE 'cmd[S]pec\b|clusterP[a]yloads|clusterQ[u]eryNames|printQ[u]eueJob|
     exit 1
 fi
 
+# One source per automaton: the bundled automata are parsed from specs/*.ta
+# (registry models.Bundled), so no non-test file outside internal/ta builds
+# one in Go, and the retired builder metadata, LTL string constants, CLI
+# spec table and sync tests stay gone.
+if grep -nE 'ta\.NewB[u]ilder\(' $(echo "$SRC" | grep -v '^internal/ta/'); then
+    echo "one-definition lint: the lines above build an automaton in Go (write specs/<proto>.ta and add a models.Bundled row)"
+    exit 1
+fi
+if grep -rnE 'ta\.S[e]mantics|BVBroadcastS[p]ec|SimplifiedConsensusS[p]ec|STRBS[p]ec|bundledS[p]ecs|TestShippedSpecsInS[y]nc' \
+    cmd internal examples README.md DESIGN.md EXPERIMENTS.md .claude; then
+    echo "retired-name lint: the lines above name a retired builder annotation, LTL constant, spec table or sync test (read specs/ through models.Bundled or repro/specs)"
+    exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
+
+# -model M and -ta specs/<file> share one cache identity: the hash column
+# of `holistic specs` is exactly the golden file of internal/vcache.
+echo "==> bundled-model identity (holistic specs vs internal/vcache/testdata/golden_hashes.txt)"
+SPECSDIR=$(mktemp -d)
+go run ./cmd/holistic specs | awk 'NR == 1 { print; next } NR > 2 { print $2, $NF }' | sort > "$SPECSDIR/specs.txt"
+sort internal/vcache/testdata/golden_hashes.txt > "$SPECSDIR/golden.txt"
+diff "$SPECSDIR/golden.txt" "$SPECSDIR/specs.txt" || {
+    echo "bundled-model identity: holistic specs (right) differs from the golden hashes (left)"; exit 1
+}
+rm -rf "$SPECSDIR"
 
 echo "==> go test -race ./internal/wal"
 go test -race ./internal/wal
