@@ -47,15 +47,15 @@ bench-smt:
 bench-schema:
 	go test -run '^$$' -bench 'PrefixSolveIncrementalVsFresh|SolveRangePrune' -benchmem -count 5 ./internal/schema
 
-# Simulator per-message micro-benchmarks: message identity, dupemap add, one
-# enqueue + drain through a 64-peer native bus (dupemap on and off), the fault
-# plane's send tap under the benchmark's plan; the before/after table is in
-# EXPERIMENTS.md. BenchmarkScenarioRun (internal/faults) runs the two
-# simulator workloads whole, for profiling.
+# Simulator benchmarks: message identity, dupemap add, one enqueue + drain
+# through a 64-peer native bus (dupemap on and off), the fault plane's send
+# tap under the benchmark's plan, and the two simulator workloads whole
+# (BenchmarkScenarioRun, msgs/s, also the handle for profiling them); the
+# before/after tables are in EXPERIMENTS.md.
 .PHONY: bench-sim
 bench-sim:
 	go test -run '^$$' -bench 'BusEnqueueDrain|DupemapAdd|MsgKey' -benchmem -count 5 ./internal/network
-	go test -run '^$$' -bench 'SendTap' -benchmem -count 5 ./internal/faults
+	go test -run '^$$' -bench 'SendTap|ScenarioRun' -benchmem -count 5 ./internal/faults
 
 # Cluster result-path micro-benchmarks: one shard from solver records to the
 # journal (pack, report, unpack + certify, done append) for a 256-record

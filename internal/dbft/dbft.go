@@ -242,6 +242,13 @@ func (p *Process) Deliver(m network.Message, send network.Sender) {
 	p.progress(m.Round, send)
 }
 
+// zeroOne backs the three canonical contestant sets sanitizeSet returns.
+var zeroOne = []int{0, 1}
+
+// sanitizeSet reduces an AUX set to its canonical form — sorted, without
+// repeats — or nil when it is empty or names a value other than 0 and 1. The
+// result is one of three shared slices, {0}, {1} and {0,1}, capacity-capped
+// so an append copies: favorites are only ever read.
 func sanitizeSet(set []int) []int {
 	var has [2]bool
 	for _, v := range set {
@@ -250,17 +257,15 @@ func sanitizeSet(set []int) []int {
 		}
 		has[v] = true
 	}
-	var out []int
-	if has[0] {
-		out = append(out, 0)
+	switch {
+	case has[0] && has[1]:
+		return zeroOne[0:2:2]
+	case has[0]:
+		return zeroOne[0:1:1]
+	case has[1]:
+		return zeroOne[1:2:2]
 	}
-	if has[1] {
-		out = append(out, 1)
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	return nil
 }
 
 // progress re-evaluates the guarded statements of Fig. 1 and Alg. 1 for a

@@ -266,6 +266,9 @@ func TestSanitizeSet(t *testing.T) {
 	}
 	for _, c := range cases {
 		got := sanitizeSet(c.in)
+		if cap(got) != len(got) {
+			t.Errorf("sanitizeSet(%v) has capacity %d past its length %d: an append would write the shared set", c.in, cap(got), len(got))
+		}
 		if len(got) != len(c.want) {
 			t.Errorf("sanitizeSet(%v) = %v, want %v", c.in, got, c.want)
 			continue
@@ -315,8 +318,8 @@ func TestHandlersIdempotentUnderDuplication(t *testing.T) {
 			t.Fatal(err)
 		}
 		if duplicate {
-			sys.SendTap = func(m network.Message) []network.Message {
-				return []network.Message{m, m}
+			sys.SendTap = func(m network.Message, _ uint32) []network.Stamp {
+				return []network.Stamp{{Seq: m.Seq}, {Seq: m.Seq}}
 			}
 		}
 		if _, err := sys.Run(500_000, func() bool { return protocol.AllDecided(correct) }); err != nil {

@@ -11,23 +11,30 @@ import (
 // duplication.
 func benchPlan() Plan { return goldenBenchShape(400, "full", "", 1, 4096).Plan }
 
+// benchSend is one send as the tap sees it: the message and the content id
+// the bus interned it as.
+type benchSend struct {
+	m  network.Message
+	id uint32
+}
+
 // benchSends is one round of a 400-replica mesh as the send tap sees it:
-// every replica broadcasts a BV and an AUX{0,1}.
-func benchSends(round int) []network.Message {
+// every replica broadcasts a BV and an AUX{0,1}, two contents each.
+func benchSends(round int) []benchSend {
 	const n = 400
-	out := make([]network.Message, 0, 2*n*n)
+	out := make([]benchSend, 0, 2*n*n)
 	for from := 0; from < n; from++ {
 		bv := network.Message{From: network.ProcID(from), Kind: network.MsgBV, Round: round, Value: 1}
 		aux := network.Message{From: network.ProcID(from), Kind: network.MsgAux, Round: round, Set: []int{0, 1}}
 		for to := 0; to < n; to++ {
 			bv.To, aux.To = network.ProcID(to), network.ProcID(to)
-			out = append(out, bv, aux)
+			out = append(out, benchSend{bv, uint32(2 * from)}, benchSend{aux, uint32(2*from + 1)})
 		}
 	}
 	return out
 }
 
-var benchOut []network.Message
+var benchOut []network.Stamp
 
 // BenchmarkSendTap: one op is one send through the injector under the
 // benchmark's plan, drops and delays included at their 5 % rates.
@@ -42,7 +49,8 @@ func BenchmarkSendTap(b *testing.B) {
 			// a run, and the budget tallies do not grow with b.N.
 			inj = NewInjector(plan)
 		}
-		benchOut = inj.SendTap(sends[i%len(sends)])
+		s := &sends[i%len(sends)]
+		benchOut = inj.SendTap(s.m, s.id)
 	}
 }
 
@@ -53,15 +61,15 @@ func BenchmarkSendTap(b *testing.B) {
 func TestSendTapAllocs(t *testing.T) {
 	inj := NewInjector(benchPlan())
 	clean := 0
-	for _, m := range benchSends(0)[:4000] {
-		logged := len(inj.Log)
-		allocs := testing.AllocsPerRun(1, func() { benchOut = inj.SendTap(m) })
-		if len(inj.Log) != logged {
+	for _, s := range benchSends(0)[:4000] {
+		logged := len(inj.Events())
+		allocs := testing.AllocsPerRun(1, func() { benchOut = inj.SendTap(s.m, s.id) })
+		if len(inj.Events()) != logged {
 			continue // dropped or delayed: the log entry and the tally allocate
 		}
 		clean++
 		if allocs != 0 {
-			t.Fatalf("SendTap(%v) allocated %v times on the clean path", m, allocs)
+			t.Fatalf("SendTap(%v, %d) allocated %v times on the clean path", s.m, s.id, allocs)
 		}
 	}
 	if clean < 3000 {

@@ -40,6 +40,10 @@ type Scenario struct {
 	// mode, the scale path for thousands of replicas.
 	Sim  *SimOptions `json:"sim,omitempty"`
 	Plan Plan        `json:"plan"`
+
+	// wrap, when set, wraps the processes the System is built from, around
+	// the injector's crash wrappers: the hook tests watch deliveries through.
+	wrap func([]network.Process) []network.Process
 }
 
 // Encode renders the scenario as compact JSON.
@@ -251,7 +255,11 @@ func (sc Scenario) Run() (out Outcome) {
 	if err != nil {
 		return fail(err)
 	}
-	sys, err := network.NewSystemOpts(inj.Wrap(procs), newSched(sc.Plan.Seed, byzSet), netOpts)
+	sysProcs := inj.Wrap(procs)
+	if sc.wrap != nil {
+		sysProcs = sc.wrap(sysProcs)
+	}
+	sys, err := network.NewSystemOpts(sysProcs, newSched(sc.Plan.Seed, byzSet), netOpts)
 	if err != nil {
 		return fail(err)
 	}
@@ -289,7 +297,7 @@ func (sc Scenario) Run() (out Outcome) {
 	steps, err := sys.Run(sc.MaxSteps, cleanDecided)
 	out.Steps = steps
 	fe.publish(&out, correct, participating)
-	out.Events = inj.Log
+	out.Events = inj.Events()
 	out.Bus = sys.BusStats()
 	out.Stalled = sys.Stalled()
 	if err != nil {

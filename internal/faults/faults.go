@@ -13,14 +13,14 @@
 // A FaultPlan is a deterministic, seeded, serializable description of the
 // faults; an Injector interposes the plan on a network.System through the
 // taps the simulator exposes, the same in both delivery models: the send tap
-// drops and duplicates outgoing copies, the hold tap stamps a delay on each
-// enqueued copy, the cut tap holds copies on partitioned links, and the step
-// tap keeps the injector's clock. A held copy stays in flight; while every
-// copy is held the system ticks until a cut heals or a delay expires. Crash
-// faults wrap processes: deliveries into a crash window are consumed and
-// lost, and on recovery a snapshot-capable process reboots from its
-// synchronously persisted state (see protocol.Replica for why persistence
-// must be synchronous).
+// drops, duplicates and delays outgoing copies, returning one stamp (Seq and
+// earliest delivery step) per copy to enqueue, the cut tap holds copies on
+// partitioned links, and the step tap keeps the injector's clock. A held
+// copy stays in flight; while every copy is held the system ticks until a
+// cut heals or a delay expires. Crash faults wrap processes: deliveries into
+// a crash window are consumed and lost, and on recovery a snapshot-capable
+// process reboots from its synchronously persisted state (see
+// protocol.Replica for why persistence must be synchronous).
 //
 // Per-fault budgets make unfairness a choice rather than an accident: a
 // drop rule with a nonnegative budget drops at most that many copies of any
@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -275,30 +276,31 @@ func CountEvents(events []Event) map[EventKind]int {
 }
 
 // Injector executes a Plan against one network.System. Install sets the
-// system's taps: SendTap drops and duplicates, HoldTap turns a chosen delay
-// into the copy's earliest delivery step, CutTap severs partitioned links
-// and StepTap advances the injector's clock. The system's own Scheduler, or
-// native drain mode, then picks among the copies the taps leave
-// deliverable. Wrap realizes crash windows around the processes. All
+// system's taps: SendTap drops, duplicates and delays (a delay is the copy's
+// earliest delivery step, stamped on the copy), CutTap severs partitioned
+// links and StepTap advances the injector's clock. The system's own
+// Scheduler, or native drain mode, then picks among the copies the taps
+// leave deliverable. Wrap realizes crash windows around the processes. All
 // randomness comes from the plan seed; the injector is fully deterministic.
 type Injector struct {
 	Plan Plan
-	Log  []Event
 	rng  *rand.Rand
 
-	// mu guards Log. In the bus's native drain mode crash-window events
-	// (EvLost, EvCrash, EvRecover) are logged from parallel drain workers;
-	// everything else stays on the coordinator goroutine. Parallel runs
-	// canonicalize event order before fingerprinting (see Fingerprint).
-	mu sync.Mutex
+	// events is the fault log (see Events), in fixed-size chunks of
+	// eventChunk so that it never copies itself to grow. mu guards it. In
+	// the bus's native drain mode crash-window events (EvLost, EvCrash,
+	// EvRecover) are logged from parallel drain workers; everything else
+	// stays on the coordinator goroutine. Parallel runs canonicalize event
+	// order before fingerprinting (see Fingerprint).
+	events [][]Event
+	mu     sync.Mutex
 
-	step       int
-	seq        int64
-	dropCount  map[dropKey]int // per-rule, per-message drop tally
-	dupCount   map[network.MsgKey]int
-	delayUntil map[int64]int // seq -> first deliverable step, until HoldTap takes it
+	step      int
+	seq       int64
+	dropCount map[dropKey]int // per-rule, per-message drop tally
+	dupCount  map[copyKey]int // per-message duplicate tally
 	// out backs SendTap's result: the original and at most one duplicate.
-	out [2]network.Message
+	out [2]network.Stamp
 
 	// Durable-scenario state (see storage.go). stores maps each durable
 	// replica to its WAL; storageDown holds replicas killed at a write point
@@ -327,8 +329,7 @@ func NewInjector(plan Plan) *Injector {
 		Plan:        plan,
 		rng:         rand.New(rand.NewSource(plan.Seed)),
 		dropCount:   map[dropKey]int{},
-		dupCount:    map[network.MsgKey]int{},
-		delayUntil:  map[int64]int{},
+		dupCount:    map[copyKey]int{},
 		stores:      map[network.ProcID]*replicaStore{},
 		storageDown: map[network.ProcID]int{},
 		quarantined: map[network.ProcID]string{},
@@ -420,55 +421,76 @@ func (inj *Injector) recordRelease(id network.ProcID, m network.Message) {
 	inj.auxSeen[key] = content
 }
 
-// Install sets the system's four taps: the send path, per-copy delays as
-// notBefore stamps (HoldTap), partitions checked when the system looks for
+// Install sets the system's three taps: the send path, which also stamps
+// per-copy delays (SendTap), partitions checked when the system looks for
 // deliverable copies (CutTap), and the injector clock following the
 // system's (StepTap).
 func (inj *Injector) Install(sys *network.System) {
 	sys.SendTap = inj.SendTap
-	sys.HoldTap = inj.holdTap
 	sys.CutTap = inj.cut
 	sys.StepTap = inj.observeStep
 }
 
-// holdTap implements the delay plane: the delay SendTap chose for this copy
-// is consumed here and becomes the entry's notBefore step.
-func (inj *Injector) holdTap(m network.Message) int {
-	if until, ok := inj.delayUntil[m.Seq]; ok {
-		delete(inj.delayUntil, m.Seq)
-		return until
-	}
-	return 0
+// copyKey is one logical message at the injector: the bus's content id and
+// the destination, which together are the message's network.MsgKey (the
+// content minus the per-copy Seq tag) in two integers.
+type copyKey struct {
+	to network.ProcID
+	id uint32
 }
 
-// dropKey scopes a drop budget: one rule's tally for one logical message
-// (network.MsgKey, the content minus the per-copy Seq tag).
+// dropKey scopes a drop budget: one rule's tally for one logical message.
+// Its fields fill 16 bytes without padding, so the map hashes it in one go.
 type dropKey struct {
-	rule int
-	key  network.MsgKey
+	to   network.ProcID
+	id   uint32
+	rule int32
 }
+
+// eventChunk is the fault log's allocation unit.
+const eventChunk = 256
 
 func (inj *Injector) log(kind EventKind, proc network.ProcID, m network.Message) {
 	inj.mu.Lock()
-	inj.Log = append(inj.Log, Event{Step: inj.step, Kind: kind, Proc: proc, Msg: m})
+	n := len(inj.events)
+	if n == 0 || len(inj.events[n-1]) == eventChunk {
+		inj.events = append(inj.events, make([]Event, 0, eventChunk))
+		n++
+	}
+	inj.events[n-1] = append(inj.events[n-1], Event{Step: inj.step, Kind: kind, Proc: proc, Msg: m})
 	inj.mu.Unlock()
 }
 
-func (inj *Injector) stamp(m network.Message) network.Message {
+// Events returns the fault log in append order, flattened into one slice of
+// exactly its length (nil when nothing was logged).
+func (inj *Injector) Events() []Event {
+	inj.mu.Lock()
+	defer inj.mu.Unlock()
+	return slices.Concat(inj.events...)
+}
+
+func (inj *Injector) stamp() network.Stamp {
 	inj.seq++
-	m.Seq = inj.seq
+	return network.Stamp{Seq: inj.seq}
+}
+
+// withSeq is m as the copy stamped st, for the fault log.
+func withSeq(m network.Message, st network.Stamp) network.Message {
+	m.Seq = st.Seq
 	return m
 }
 
-// SendTap implements the network.System send hook. The returned slice is the
-// injector's own scratch, valid until the next call (see System.SendTap).
-func (inj *Injector) SendTap(m network.Message) []network.Message {
-	key := m.Key()
+// SendTap implements the network.System send hook for message m, whose
+// content the bus interned as id: it returns one stamp per copy to enqueue
+// — none when a drop rule fires, a second one when a duplicate is injected —
+// each with its delay as NotBefore. The returned slice is the injector's own
+// scratch, valid until the next call (see System.SendTap).
+func (inj *Injector) SendTap(m network.Message, id uint32) []network.Stamp {
 	for i, rule := range inj.Plan.Drops {
 		if !rule.matches(m) {
 			continue
 		}
-		ruleKey := dropKey{rule: i, key: key}
+		ruleKey := dropKey{to: m.To, id: id, rule: int32(i)}
 		if rule.Budget >= 0 && inj.dropCount[ruleKey] >= rule.Budget {
 			continue
 		}
@@ -480,24 +502,24 @@ func (inj *Injector) SendTap(m network.Message) []network.Message {
 		return nil
 	}
 
-	out := append(inj.out[:0], inj.stamp(m))
+	out := append(inj.out[:0], inj.stamp())
 	if inj.Plan.DupProb > 0 && inj.rng.Float64() < inj.Plan.DupProb {
 		budget := inj.Plan.DupBudget
 		if budget <= 0 {
 			budget = 1
 		}
-		if inj.dupCount[key] < budget {
+		if key := (copyKey{to: m.To, id: id}); inj.dupCount[key] < budget {
 			inj.dupCount[key]++
-			d := inj.stamp(m)
-			inj.log(EvDuplicate, m.To, d)
+			d := inj.stamp()
+			inj.log(EvDuplicate, m.To, withSeq(m, d))
 			out = append(out, d)
 		}
 	}
 	if inj.Plan.DelayProb > 0 && inj.Plan.DelaySteps > 0 {
-		for _, c := range out {
+		for i := range out {
 			if inj.rng.Float64() < inj.Plan.DelayProb {
-				inj.delayUntil[c.Seq] = inj.step + inj.Plan.DelaySteps
-				inj.log(EvDelay, c.To, c)
+				out[i].NotBefore = inj.step + inj.Plan.DelaySteps
+				inj.log(EvDelay, m.To, withSeq(m, out[i]))
 			}
 		}
 	}

@@ -50,9 +50,9 @@ func TestDropBudgetBoundsLoss(t *testing.T) {
 	}
 	if len(recv.got) != 3 {
 		t.Fatalf("budget 2 with 5 sends: want 3 deliveries, got %d (log:\n%s)",
-			len(recv.got), FormatEvents(inj.Log, 0))
+			len(recv.got), FormatEvents(inj.Events(), 0))
 	}
-	if n := CountEvents(inj.Log)[EvDrop]; n != 2 {
+	if n := CountEvents(inj.Events())[EvDrop]; n != 2 {
 		t.Fatalf("want 2 drop events, got %d", n)
 	}
 }

@@ -18,7 +18,7 @@ type BusOptions struct {
 	// peer's egress buffer and drained FIFO on later steps. 0 = unbounded.
 	EgressCap int
 	// Dupemap enables the per-receiver replay filter: a bounded seen-set of
-	// delivered message contents (Message.Key, interned by the bus); copies
+	// delivered message contents (the bus's content ids); copies
 	// whose content was already delivered are dropped (at enqueue when
 	// possible, else at delivery) and counted.
 	Dupemap bool
@@ -90,7 +90,7 @@ const AnyInstance = -1
 // shipped topologies never get near it (greedy XOR routing is loop-free).
 const maxHops = 64
 
-// dupemap is one receiver's bounded seen-set of interned content ids (see
+// dupemap is one receiver's bounded seen-set of content ids (see
 // busStore.intern) with FIFO eviction. Ids are small dense integers, so the
 // set is a bitset — one word read per lookup, where 400 receivers' hash maps
 // were a cache miss each — and the ring remembers the insertion order.
@@ -136,17 +136,20 @@ func (d *dupemap) add(id uint32) bool {
 	return true
 }
 
-// busEntry is one in-flight copy sitting in a peer's ingress queue.
+// busEntry is one in-flight copy sitting in a peer's ingress queue: its
+// content is the table entry id names, and the rest is what differs between
+// copies of one content.
 type busEntry struct {
-	msg Message
-	// hopFrom is the physical sender of this hop (== msg.From on the first
-	// hop, the relaying peer afterwards). Partition cuts apply to the
+	to ProcID // final destination
+	// hopFrom is the physical sender of this hop (the content's From on the
+	// first hop, the relaying peer afterwards). Partition cuts apply to the
 	// physical link.
 	hopFrom   ProcID
+	seq       int64  // the copy's Seq tag
 	arrival   int64  // global enqueue order; the Scheduler's view merges on it
-	notBefore int    // earliest step this copy may deliver (HoldTap delays)
+	notBefore int    // earliest step this copy may deliver (the stamp's delay)
 	hops      int32  // relay hops so far, below maxHops
-	id        uint32 // interned content of msg; 0 with the dupemap off
+	id        uint32 // content id (busStore.contents index)
 }
 
 // peerQueue is one peer's bounded FIFO ingress queue.
@@ -172,13 +175,9 @@ func (q *peerQueue) at(i int) *busEntry { return &q.buf[q.head+i] }
 // of the rest. Entries ahead of i shift back by one.
 func (q *peerQueue) removeAt(i int) {
 	copy(q.buf[q.head+1:q.head+i+1], q.buf[q.head:q.head+i])
-	q.buf[q.head] = busEntry{} // release Set/Payload references
 	q.head++
 	if q.head > 64 && q.head > len(q.buf)/2 {
 		n := copy(q.buf, q.buf[q.head:])
-		for j := n; j < len(q.buf); j++ {
-			q.buf[j] = busEntry{}
-		}
 		q.buf = q.buf[:n]
 		q.head = 0
 	}
@@ -201,7 +200,7 @@ func (q *peerQueue) egressPop() Message {
 	return m
 }
 
-func (q *peerQueue) subscribed(m Message) bool {
+func (q *peerQueue) subscribed(m *Message) bool {
 	if q.subs == nil {
 		return true
 	}
@@ -221,6 +220,7 @@ type busStore struct {
 
 	ids    []ProcID
 	idx    map[ProcID]int
+	dense  bool // ids are 0..len(ids)-1, so an id is its own queue index
 	queues []peerQueue
 
 	arrival int64
@@ -229,13 +229,22 @@ type busStore struct {
 	stats    BusStats
 	stallLog []StallEvent
 
-	// interned numbers every distinct message content, destination aside,
-	// that was ever enqueued with the dupemap on: a broadcast is one content
-	// sent to n receivers, so the table holds one entry per logical
-	// broadcast while each receiver's seen-set and every queued copy hold a
-	// 4-byte id. Only the sequential side of the bus (send and the window
-	// merge) reads or writes it; drain workers see ids, never the table.
+	// contents is the content table: every distinct message content ever
+	// sent, destination and Seq erased, indexed by content id. A broadcast
+	// is one content sent to n receivers, so the table holds one entry per
+	// logical broadcast while every queued copy and each receiver's
+	// seen-set hold a 4-byte id. Only the sequential side of the bus (send,
+	// the egress drain and the window merge) appends to it; native drain
+	// workers read it, to rebuild the messages they deliver, only while no
+	// append can run. Entries are never changed once written, so a
+	// delivered Set is shared by every copy and must be treated as
+	// read-only.
+	contents []Message
+	// interned maps each content's key (MsgKey with To erased) to its id;
+	// last is the id of the most recent send, checked before the map so a
+	// broadcast's n copies cost one lookup.
 	interned map[MsgKey]uint32
+	last     uint32
 
 	// Scheduler-view scratch, reused across steps
 	viewBuf []Message
@@ -255,30 +264,67 @@ func newBusStore(ids []ProcID, opts BusOptions) *busStore {
 	}
 	b.sparse = b.topo.Neighbors(ids[0]) != nil
 	b.queues = make([]peerQueue, len(ids))
+	b.dense = true
 	for i, id := range ids {
 		b.idx[id] = i
+		b.dense = b.dense && id == ProcID(i)
 		b.queues[i] = peerQueue{id: id}
 		if opts.Dupemap {
 			b.queues[i].seen = newDupemap(opts.DupemapCap)
 		}
 	}
-	if opts.Dupemap {
-		b.interned = make(map[MsgKey]uint32)
-	}
+	b.interned = make(map[MsgKey]uint32)
 	return b
 }
 
-// intern returns the id of m's content with the destination erased — the
-// receiver's own queue supplies it — assigning the next one on first sight.
-func (b *busStore) intern(m Message) uint32 {
+// queueIndex returns the index of peer id's queue, and whether id is a peer.
+func (b *busStore) queueIndex(id ProcID) (int, bool) {
+	if b.dense {
+		return int(id), id >= 0 && int(id) < len(b.ids)
+	}
+	i, ok := b.idx[id]
+	return i, ok
+}
+
+// intern returns the id of m's content with the destination and Seq erased —
+// each copy carries its own — adding the content to the table on first
+// sight. Copy-on-intern: the table owns the Set it stores, so a later
+// mutation through the sender's template (a Byzantine strategy reusing one
+// literal, a retransmitted outbox entry) cannot bleed into copies already in
+// flight. An empty Set is stored as nil, the same set.
+func (b *busStore) intern(m *Message) uint32 {
+	if len(b.contents) > 0 && sameContent(&b.contents[b.last], m) {
+		return b.last
+	}
 	k := m.Key()
 	k.to = 0
 	id, ok := b.interned[k]
 	if !ok {
-		id = uint32(len(b.interned)) + 1
+		id = uint32(len(b.contents))
 		b.interned[k] = id
+		c := *m
+		c.To, c.Seq = 0, 0
+		if c.Set != nil {
+			c.Set = append([]int(nil), c.Set...)
+		}
+		b.contents = append(b.contents, c)
 	}
+	b.last = id
 	return id
+}
+
+// sameContent reports whether two messages are the same content: equal Keys
+// but for To.
+func sameContent(a, b *Message) bool {
+	return a.From == b.From && a.Round == b.Round && a.Value == b.Value && a.Instance == b.Instance &&
+		a.Proposer == b.Proposer && a.Kind == b.Kind && a.Payload == b.Payload && slices.Equal(a.Set, b.Set)
+}
+
+// message rebuilds the Message an entry carries.
+func (b *busStore) message(e *busEntry) Message {
+	m := b.contents[e.id]
+	m.To, m.Seq = e.to, e.seq
+	return m
 }
 
 // filtered counts n copies the replay filter suppressed.
@@ -299,15 +345,13 @@ func (b *busStore) subscribe(id ProcID, topics ...Topic) {
 	}
 }
 
-// enqueue routes one copy onto its first hop's queue.
-func (b *busStore) enqueue(m Message, notBefore int) {
-	e := busEntry{msg: m, hopFrom: m.From, notBefore: notBefore}
-	if b.interned != nil {
-		e.id = b.intern(m)
-	}
-	hop := m.To
+// enqueue routes one copy of content id, sent from -> to, onto its first
+// hop's queue.
+func (b *busStore) enqueue(id uint32, from, to ProcID, st Stamp) {
+	e := busEntry{to: to, hopFrom: from, seq: st.Seq, notBefore: st.NotBefore, id: id}
+	hop := to
 	if b.sparse {
-		hop = b.topo.NextHop(m.From, m.To)
+		hop = b.topo.NextHop(from, to)
 	}
 	b.enqueueAt(hop, &e)
 }
@@ -323,15 +367,16 @@ func (b *busStore) forward(e *busEntry, at ProcID) {
 	obsRelayed.Inc()
 	e.hops++
 	e.hopFrom = at
-	b.enqueueAt(b.topo.NextHop(at, e.msg.To), e)
+	b.enqueueAt(b.topo.NextHop(at, e.to), e)
 }
 
 // enqueueAt pushes a copy of *e, stamped with the next arrival number, onto
 // peer at's queue.
 func (b *busStore) enqueueAt(at ProcID, e *busEntry) {
-	q := &b.queues[b.idx[at]]
-	if at == e.msg.To { // final hop: subscription + replay filters apply
-		if !q.subscribed(e.msg) {
+	qi, _ := b.queueIndex(at)
+	q := &b.queues[qi]
+	if at == e.to { // final hop: subscription + replay filters apply
+		if !q.subscribed(&b.contents[e.id]) {
 			b.stats.TopicDrops++
 			return
 		}
@@ -376,7 +421,7 @@ func (b *busStore) compatView(step int, cut func(from, to ProcID, step int) bool
 	slices.SortFunc(b.viewRef, func(x, y viewRef) int { return cmp.Compare(x.arrival, y.arrival) })
 	b.viewBuf = b.viewBuf[:0]
 	for _, r := range b.viewRef {
-		b.viewBuf = append(b.viewBuf, b.queues[r.peer].at(r.pos).msg)
+		b.viewBuf = append(b.viewBuf, b.message(b.queues[r.peer].at(r.pos)))
 	}
 	return b.viewBuf
 }

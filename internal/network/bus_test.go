@@ -151,14 +151,23 @@ func TestDupemapEviction(t *testing.T) {
 }
 
 // TestBusEntrySize: a full mesh holds about n*n queue entries, so their size
-// is the simulator's resident memory. The interned id shares a word with the
-// hop count; an entry is the message plus four words.
+// is the simulator's resident memory. An entry names its content by id in the
+// bus's content table and holds no Message — nor anything else the garbage
+// collector must scan — so the content id shares a word with the hop count
+// and an entry is six words.
 func TestBusEntrySize(t *testing.T) {
 	if strconv.IntSize != 64 {
 		t.Skip("sizes are for 64-bit ints")
 	}
-	if got, want := unsafe.Sizeof(busEntry{}), unsafe.Sizeof(Message{})+32; got != want {
-		t.Errorf("busEntry is %d bytes, want %d", got, want)
+	if got := unsafe.Sizeof(busEntry{}); got > 48 {
+		t.Errorf("busEntry is %d bytes, want at most 48", got)
+	}
+	typ := reflect.TypeOf(busEntry{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Struct, reflect.Slice, reflect.String, reflect.Pointer, reflect.Map, reflect.Interface:
+			t.Errorf("busEntry.%s is a %s: an entry holds its content by id, not by value or reference", f.Name, f.Type)
+		}
 	}
 }
 
@@ -340,16 +349,16 @@ func TestNativeHoldAndStallDetection(t *testing.T) {
 	}
 }
 
-// TestNativeHoldTapDelays: HoldTap's notBefore is honored — the copy is
-// skipped (not popped) until the step it becomes eligible.
-func TestNativeHoldTapDelays(t *testing.T) {
+// TestNativeStampDelays: a send-tap stamp's NotBefore is honored — the copy
+// is skipped (not popped) until the step it becomes eligible.
+func TestNativeStampDelays(t *testing.T) {
 	a := &pingProc{id: 0, peer: 1}
 	b := &sink{id: 1}
 	sys, err := NewSystemOpts([]Process{a, b}, nil, Options{Native: &NativeOptions{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.HoldTap = func(m Message) int { return 4 }
+	sys.SendTap = func(Message, uint32) []Stamp { return []Stamp{{NotBefore: 4}} }
 	for i := 0; i < 3; i++ {
 		if _, err := sys.Step(); err != nil {
 			t.Fatal(err)

@@ -12,8 +12,10 @@ import (
 // slice in send order, delivered from by index, under the fault plane's
 // eligibility filter. A copy whose hold has not expired, or whose link is
 // cut, is hidden from the scheduler; with nothing eligible the step ticks.
-// The taps have the System's signatures and are consulted at the same
-// points, so one seeded fault plane drives both sides identically.
+// The taps are consulted at the same points as the System's, and the send
+// tap returns the same per-copy stamps (it has no content id to take), so
+// one seeded fault plane drives both sides identically. Each flat copy is a
+// whole Message that owns its Set.
 type flatSystem struct {
 	procs   map[ProcID]Process
 	order   []ProcID
@@ -27,8 +29,7 @@ type flatSystem struct {
 	DroppedPast  int
 	TickInterval int
 
-	SendTap func(m Message) []Message
-	HoldTap func(m Message) int
+	SendTap func(m Message) []Stamp
 	CutTap  func(from, to ProcID, step int) bool
 	StepTap func(step int)
 }
@@ -54,20 +55,17 @@ func (s *flatSystem) send(m Message) {
 		return
 	}
 	m.From = s.sender
-	copies := []Message{m}
+	stamps := []Stamp{{Seq: m.Seq}}
 	if s.SendTap != nil {
-		copies = s.SendTap(m)
+		stamps = s.SendTap(m)
 	}
-	for _, c := range copies {
-		c.From = m.From
+	for _, st := range stamps {
+		c := m
+		c.Seq = st.Seq
 		if c.Set != nil {
 			c.Set = append([]int(nil), c.Set...)
 		}
-		e := flatEntry{msg: c}
-		if s.HoldTap != nil {
-			e.notBefore = s.HoldTap(c)
-		}
-		s.flat = append(s.flat, e)
+		s.flat = append(s.flat, flatEntry{msg: c, notBefore: st.NotBefore})
 	}
 }
 
@@ -168,16 +166,16 @@ func (p *randProc) burst(send Sender) {
 	}
 }
 
-// faultPlane is a seeded stand-in for the fault injector: SendTap drops one
-// copy in ten and duplicates about one in seven, HoldTap delays one copy in
-// five by up to 15 steps past the clock StepTap keeps, and CutTap severs the
-// links across a random bipartition during two scheduled windows.
+// faultPlane is a seeded stand-in for the fault injector: its send tap drops
+// one copy in ten, duplicates about one in seven and delays one copy in five
+// by up to 15 steps past the clock StepTap keeps, and CutTap severs the links
+// across a random bipartition during two scheduled windows.
 type faultPlane struct {
 	rng   *rand.Rand
 	clock int
 	seq   int64
 	cuts  [2]struct{ start, heal, sideA int }
-	out   []Message
+	out   []Stamp
 }
 
 func newFaultPlane(seed int64, n int) *faultPlane {
@@ -189,28 +187,27 @@ func newFaultPlane(seed int64, n int) *faultPlane {
 	return f
 }
 
-func (f *faultPlane) sendTap(m Message) []Message {
+func (f *faultPlane) sendTap(Message) []Stamp {
 	r := f.rng.Float64()
 	if r < 0.1 {
 		return nil
 	}
 	f.seq++
-	m.Seq = f.seq
-	f.out = append(f.out[:0], m)
+	f.out = append(f.out[:0], Stamp{Seq: f.seq})
 	if r > 0.85 {
 		f.seq++
-		m.Seq = f.seq
-		f.out = append(f.out, m)
+		f.out = append(f.out, Stamp{Seq: f.seq})
+	}
+	for i := range f.out {
+		if f.rng.Intn(5) == 0 {
+			f.out[i].NotBefore = f.clock + 1 + f.rng.Intn(15)
+		}
 	}
 	return f.out
 }
 
-func (f *faultPlane) holdTap(Message) int {
-	if f.rng.Intn(5) == 0 {
-		return f.clock + 1 + f.rng.Intn(15)
-	}
-	return 0
-}
+// busTap is sendTap with the System's signature.
+func (f *faultPlane) busTap(m Message, _ uint32) []Stamp { return f.sendTap(m) }
 
 func (f *faultPlane) cutTap(from, to ProcID, step int) bool {
 	for _, c := range f.cuts {
@@ -276,13 +273,13 @@ func TestBusMatchesFlatReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		bf := newFaultPlane(seed, n)
-		bus.SendTap, bus.HoldTap, bus.CutTap, bus.StepTap = bf.sendTap, bf.holdTap, bf.cutTap, bf.stepTap
+		bus.SendTap, bus.CutTap, bus.StepTap = bf.busTap, bf.cutTap, bf.stepTap
 		bus.TickInterval, bus.RecordTrace = tickEvery, true
 
 		refSched := &viewRecorder{rng: rand.New(rand.NewSource(seed))}
 		ref := newFlatSystem(procs(), refSched)
 		rf := newFaultPlane(seed, n)
-		ref.SendTap, ref.HoldTap, ref.CutTap, ref.StepTap = rf.sendTap, rf.holdTap, rf.cutTap, rf.stepTap
+		ref.SendTap, ref.CutTap, ref.StepTap = rf.sendTap, rf.cutTap, rf.stepTap
 		ref.TickInterval = tickEvery
 
 		for i := 0; i < maxSteps; i++ {

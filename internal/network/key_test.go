@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -52,14 +53,44 @@ func refFaultKey(m Message) string {
 var allKinds = []MsgKind{MsgBV, MsgAux, MsgProp, MsgEcho, MsgReady, MsgVote, MsgCand}
 
 // identityChecker holds two messages against the three identities and the
-// bus's interned id, and tallies which cases it has seen.
+// bus's content id, and tallies which cases it has seen. Over every message
+// it was handed it also keeps both directions of the MsgKey <-> (id, To)
+// correspondence, which must stay a bijection: the fault plane's budgets
+// count against (id, To) in place of MsgKey.
 type identityChecker struct {
 	bus                        *busStore
 	same, differ, sameButForTo int
+	byKey                      map[MsgKey]copyID
+	byCopy                     map[copyID]MsgKey
+}
+
+type copyID struct {
+	id uint32
+	to ProcID
 }
 
 func newIdentityChecker() *identityChecker {
-	return &identityChecker{bus: newBusStore([]ProcID{0}, BusOptions{Dupemap: true})}
+	return &identityChecker{bus: newBusStore([]ProcID{0}, BusOptions{}),
+		byKey: map[MsgKey]copyID{}, byCopy: map[copyID]MsgKey{}}
+}
+
+// copyOf interns m and checks it against everything seen so far: one key,
+// one (id, To) and back, and the table rebuilds m's content.
+func (c *identityChecker) copyOf(t *testing.T, m Message) copyID {
+	t.Helper()
+	cp, k := copyID{c.bus.intern(&m), m.To}, m.Key()
+	if prev, ok := c.byKey[k]; ok && prev != cp {
+		t.Fatalf("one key, two copy ids %v and %v: %#v", prev, cp, m)
+	}
+	if prev, ok := c.byCopy[cp]; ok && prev != k {
+		t.Fatalf("copy id %v names two keys %+v and %+v: %#v", cp, prev, k, m)
+	}
+	c.byKey[k], c.byCopy[cp] = cp, k
+	got := c.bus.message(&busEntry{id: cp.id, to: m.To, seq: m.Seq})
+	if got.Key() != k || got.Seq != m.Seq || refKeyString(got) != refKeyString(m) {
+		t.Fatalf("content table rebuilt %#v from %#v", got, m)
+	}
+	return cp
 }
 
 func (c *identityChecker) check(t *testing.T, a, b Message) {
@@ -71,15 +102,22 @@ func (c *identityChecker) check(t *testing.T, a, b Message) {
 	if ref := refFaultKey(a) == refFaultKey(b); key != ref {
 		t.Fatalf("Key equal = %v but faults.keyString equal = %v\na %#v\nb %#v", key, ref, a, b)
 	}
-	// The interned id forgets the destination and nothing else.
+	// The content id forgets the destination and nothing else; with the
+	// destination put back it is the key. Interning b right after a takes
+	// the last-send shortcut when they share content, and a again after b
+	// takes the map (or the shortcut, if b's content is a's).
 	a0, b0 := a, b
 	a0.To, b0.To = 0, 0
-	id, ref := c.bus.intern(a) == c.bus.intern(b), refKeyString(a0) == refKeyString(b0)
-	if id != ref {
-		t.Fatalf("interned ids equal = %v but contents minus To equal = %v\na %#v\nb %#v", id, ref, a, b)
+	ca, cb := c.copyOf(t, a), c.copyOf(t, b)
+	if again := c.copyOf(t, a); again != ca {
+		t.Fatalf("a interned as %v, then %v after b", ca, again)
 	}
-	if c.bus.intern(a) == 0 {
-		t.Fatal("id 0 is reserved for entries enqueued with the dupemap off")
+	id, ref := ca.id == cb.id, refKeyString(a0) == refKeyString(b0)
+	if id != ref {
+		t.Fatalf("content ids equal = %v but contents minus To equal = %v\na %#v\nb %#v", id, ref, a, b)
+	}
+	if (ca == cb) != key {
+		t.Fatalf("(id, To) equal = %v but Key equal = %v\na %#v\nb %#v", ca == cb, key, a, b)
 	}
 	switch {
 	case key:
@@ -235,5 +273,48 @@ func TestFuzzMsgRoundTrip(t *testing.T) {
 		if len(rest) != 0 || refKeyString(got) != refKeyString(m) || (got.Set == nil) != (m.Set == nil) {
 			t.Errorf("round trip of %#v gave %#v (%d bytes left)", m, got, len(rest))
 		}
+	}
+}
+
+// TestContentIDSets pins the content id on the sets that make identity
+// subtle: a nil and an empty Set are one content, a Byzantine [1,0] or [0,0]
+// is not [0,1] or [0], and the table keeps its own copy of the first Set it
+// saw — interned through the last-send shortcut or through the map alike.
+func TestContentIDSets(t *testing.T) {
+	c := newIdentityChecker()
+	aux := func(to ProcID, set []int) Message { return Message{From: 3, To: to, Kind: MsgAux, Round: 2, Set: set} }
+	template := []int{0, 1}
+	ids := map[string]copyID{}
+	for _, tc := range []struct {
+		name string
+		m    Message
+	}{
+		{"nil", aux(1, nil)}, {"empty", aux(1, []int{})}, {"nil to 2", aux(2, nil)},
+		{"01", aux(1, template)}, {"10", aux(1, []int{1, 0})}, {"01 again", aux(1, []int{0, 1})},
+		{"0", aux(1, []int{0})}, {"00", aux(1, []int{0, 0})}, {"01 to 2", aux(2, template)},
+	} {
+		ids[tc.name] = c.copyOf(t, tc.m)
+	}
+	same := [][2]string{{"nil", "empty"}, {"01", "01 again"}}
+	differ := [][2]string{{"nil", "nil to 2"}, {"01", "10"}, {"0", "00"}, {"01", "01 to 2"}, {"nil", "0"}}
+	for _, p := range same {
+		if ids[p[0]] != ids[p[1]] {
+			t.Errorf("%s and %s: copy ids %v and %v, want one", p[0], p[1], ids[p[0]], ids[p[1]])
+		}
+	}
+	for _, p := range differ {
+		if ids[p[0]] == ids[p[1]] {
+			t.Errorf("%s and %s share copy id %v", p[0], p[1], ids[p[0]])
+		}
+	}
+	if ids["nil"].id != ids["nil to 2"].id || ids["01"].id != ids["01 to 2"].id {
+		t.Error("the content id must not depend on the destination")
+	}
+	if got := c.bus.contents[ids["empty"].id].Set; got != nil {
+		t.Errorf("empty Set stored as %#v, want nil", got)
+	}
+	template[0] = 9 // the sender reuses its literal: the table must not see it
+	if got := c.bus.contents[ids["01"].id].Set; !reflect.DeepEqual(got, []int{0, 1}) {
+		t.Errorf("interned Set = %v after the sender mutated its template, want [0 1]", got)
 	}
 }

@@ -84,7 +84,9 @@ func (s *System) stepWindow() (bool, error) {
 		s.bus.filtered(d.filtered)
 		s.Trace = append(s.Trace, d.trace...)
 		s.sender = id
-		for _, m := range d.sends {
+		for _, r := range d.sends {
+			m := d.contents[r.content]
+			m.To = r.to
 			s.send(m)
 		}
 		for i := range d.relays {
@@ -119,6 +121,7 @@ func (s *System) drainPeers(w, parts, step int) (err error) {
 		d := &s.drains[qi]
 		d.delivered = 0
 		d.trace = d.trace[:0]
+		d.contents = d.contents[:0]
 		d.sends = d.sends[:0]
 		d.relays = d.relays[:0]
 		d.taken = 0
@@ -135,18 +138,21 @@ func (s *System) drainPeers(w, parts, step int) (err error) {
 			}
 			d.taken++
 			switch {
-			case e.msg.To != q.id:
+			case e.to != q.id:
 				d.relays = append(d.relays, *e)
 			case q.seen != nil && !q.seen.add(e.id):
 				d.filtered++
 			default:
 				d.delivered++
+				// Reading the content table is safe here: only the
+				// sequential phases append to it, never while workers run.
+				m := s.bus.message(e)
 				if s.RecordTrace {
-					d.trace = append(d.trace, e.msg)
+					d.trace = append(d.trace, m)
 				}
 				// Handler sends go to d.sends, so the queue slot e points
 				// into is untouched until the call returns.
-				proc.Deliver(e.msg, d.send)
+				proc.Deliver(m, d.send)
 			}
 			q.removeAt(i) // the next entry slides into index i
 		}

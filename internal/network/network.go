@@ -14,15 +14,18 @@
 // One message store backs the System: an event bus, a broker over bounded
 // per-peer FIFO queues with arrival stamps, optional replay filtering
 // (dupemap), stall detection, topic subscriptions and pluggable topologies
-// (see bus.go). It serves both delivery models. Under a Scheduler, the
-// adversary of Section 2, each Step merges the queues in arrival order into
-// a view of the copies deliverable now and delivers the one the Scheduler
-// picks; any in-flight copy can be picked, which FIFO queue heads alone
-// cannot express. In native window-drain mode, the scale path for thousands
-// of replicas, every peer pops its own queue instead (see native.go). The
-// fault plane reaches both models through the same taps: SendTap on the
-// send path, HoldTap stamping a delay on each enqueued copy, CutTap
-// severing links and StepTap reporting the clock.
+// (see bus.go). The bus stores each sent content once, in a content table
+// numbered by content id; a queued copy is that id plus its destination and
+// per-copy stamps, and delivery rebuilds the Message from the table. It
+// serves both delivery models. Under a Scheduler, the adversary of Section 2,
+// each Step merges the queues in arrival order into a view of the copies
+// deliverable now and delivers the one the Scheduler picks; any in-flight
+// copy can be picked, which FIFO queue heads alone cannot express. In native
+// window-drain mode, the scale path for thousands of replicas, every peer
+// pops its own queue instead (see native.go). The fault plane reaches both
+// models through the same taps: SendTap on the send path, deciding each
+// copy's Seq and delay as a Stamp, CutTap severing links and StepTap
+// reporting the clock.
 package network
 
 import (
@@ -80,18 +83,27 @@ type Message struct {
 	Payload  string
 
 	// Seq tags one enqueued copy of a message. The base reliable network
-	// leaves it zero; a fault layer installed via SendTap may stamp it to
+	// leaves it as sent; a fault layer installed via SendTap stamps it to
 	// track per-copy metadata (delays, duplicates) across the in-flight
 	// multiset. Two copies of the same logical message differ only in Seq.
 	Seq int64
 }
 
+// Stamp is what the send tap decides for one copy of a sent message: its
+// Seq tag and the earliest step it may deliver (0 = immediately).
+type Stamp struct {
+	Seq       int64
+	NotBefore int
+}
+
 // MsgKey is a message's content identity: every field except the per-copy
 // Seq tag, as one comparable value. Retransmitted or duplicated copies of one
-// logical message share a key; it is what the fault plane's per-message
-// budgets are counted against and what the bus interns for its replay filter.
-// Nothing is formatted to build it, and two keys are equal exactly when the
-// messages agree field for field (a nil and an empty Set are the same set).
+// logical message share a key. The bus interns it with To erased into a
+// content id (see busStore.intern), so (id, To) is the same identity as
+// MsgKey, and that pair is what the fault plane's per-message budgets count
+// against. Nothing is formatted to build it, and two keys are equal exactly
+// when the messages agree field for field (a nil and an empty Set are the
+// same set).
 type MsgKey struct {
 	from, to, proposer     ProcID
 	round, value, instance int
@@ -213,17 +225,18 @@ type System struct {
 	DroppedPast int // deliveries to finished processes etc. (diagnostics)
 
 	// SendTap, when non-nil, interposes on the send path after the sender
-	// identity is stamped: the returned copies are enqueued instead of the
-	// original (nil = the message is dropped). It is the fault-injection
-	// hook of internal/faults; the base network is reliable. The System is
-	// the only caller and has enqueued every returned copy before it sends
-	// again, so a tap may hand back the same scratch slice on every call.
-	SendTap func(m Message) []Message
-
-	// HoldTap, consulted once per enqueued copy, returns the earliest step
-	// the copy may deliver (0 = immediately): the fault plane's delivery
-	// delays, stamped on the bus entry.
-	HoldTap func(m Message) int
+	// identity is stamped and the content interned: it gets the message and
+	// its content id, and returns one Stamp per copy to enqueue (nil = the
+	// message is dropped). Every copy carries m's content; the tap decides
+	// only how many copies there are, their Seq tags and their delays. It is
+	// the fault-injection hook of internal/faults; the base network is
+	// reliable and enqueues one copy stamped {m.Seq, 0}. The content id is
+	// stable for the System's lifetime and equal for two messages exactly
+	// when their Keys agree but for To, so (id, m.To) can key per-message
+	// tallies. The System is the only caller and has enqueued every returned
+	// copy before it sends again, so a tap may hand back the same scratch
+	// slice on every call.
+	SendTap func(m Message, id uint32) []Stamp
 
 	// CutTap reports whether the physical from->to link is severed at the
 	// given step (partitions); a copy on a severed link stays queued. It
@@ -246,13 +259,33 @@ type System struct {
 // apply them deterministically in peer-id order regardless of how many
 // worker partitions produced them.
 type peerDrain struct {
-	delivered int64      // messages handed to the process
-	trace     []Message  // the same messages in pop order, under RecordTrace
-	sends     []Message  // handler output, in emission order
-	send      Sender     // appends to sends; built once, handed to every Deliver
-	relays    []busEntry // in-transit entries to forward at merge
-	taken     int        // entries popped (delivered + filtered + relayed)
-	filtered  int64      // dupemap suppressions at delivery time
+	delivered int64     // messages handed to the process
+	trace     []Message // the same messages in pop order, under RecordTrace
+	// Handler output, in emission order: contents holds each distinct
+	// message a run of sends carried (a broadcast is one entry), sends one
+	// record per send. Drain workers never write the bus's content table,
+	// so handler output waits here for the merge to intern it.
+	contents []Message
+	sends    []drainSend
+	send     Sender     // appends to sends; built once, handed to every Deliver
+	relays   []busEntry // in-transit entries to forward at merge
+	taken    int        // entries popped (delivered + filtered + relayed)
+	filtered int64      // dupemap suppressions at delivery time
+}
+
+// drainSend is one buffered handler send: contents[content] addressed to to.
+type drainSend struct {
+	content int32
+	to      ProcID
+}
+
+// buffer records one handler send, sharing the previous content entry when
+// the message differs from it only in To.
+func (d *peerDrain) buffer(m Message) {
+	if n := len(d.contents); n == 0 || !sameContent(&d.contents[n-1], &m) || d.contents[n-1].Seq != m.Seq {
+		d.contents = append(d.contents, m)
+	}
+	d.sends = append(d.sends, drainSend{content: int32(len(d.contents) - 1), to: m.To})
 }
 
 // NewSystem builds a system over the given processes with default bus
@@ -296,8 +329,7 @@ func NewSystemOpts(procs []Process, sched Scheduler, opts Options) (*System, err
 		s.native = &nat
 		s.drains = make([]peerDrain, len(s.order))
 		for i := range s.drains {
-			d := &s.drains[i]
-			d.send = func(m Message) { d.sends = append(d.sends, m) }
+			s.drains[i].send = s.drains[i].buffer
 		}
 		s.egressUsed = make([]int, len(s.order))
 	}
@@ -344,7 +376,7 @@ func (s *System) Stalled() []ProcID {
 // cannot forge another process's From — forging would defeat every
 // distinct-sender threshold of the protocols above.
 func (s *System) send(m Message) {
-	if _, ok := s.procs[m.To]; !ok {
+	if _, ok := s.bus.queueIndex(m.To); !ok {
 		s.DroppedPast++
 		return
 	}
@@ -368,34 +400,21 @@ func (s *System) send(m Message) {
 	s.release(m)
 }
 
-// release puts a sent message on the wire: through the send tap when one is
-// installed, enqueueing whatever copies it returns.
+// release puts a sent message on the wire: it interns the content, then
+// enqueues one copy per stamp the send tap returns, or one copy stamped with
+// the message's own Seq when no tap is installed. The tap sees the interned
+// Set, so a sender that later mutates its template cannot reach what the
+// fault log recorded either.
 func (s *System) release(m Message) {
+	id := s.bus.intern(&m)
 	if s.SendTap == nil {
-		s.enqueue(m)
+		s.bus.enqueue(id, m.From, m.To, Stamp{Seq: m.Seq})
 		return
 	}
-	for _, c := range s.SendTap(m) {
-		c.From = m.From // the tap may copy but not forge the sender
-		s.enqueue(c)
+	m.Set = s.bus.contents[id].Set
+	for _, st := range s.SendTap(m, id) {
+		s.bus.enqueue(id, m.From, m.To, st)
 	}
-}
-
-// enqueue places one copy into the backing store. Copy-on-enqueue: every
-// in-flight copy owns its Set backing array, so a later mutation through the
-// sender's template (a Byzantine strategy reusing one literal, a
-// retransmitted outbox entry, a fault-layer duplicate) cannot bleed into
-// copies already in flight — the append-backing-array aliasing family PR 3
-// fixed in fullWalk.
-func (s *System) enqueue(m Message) {
-	if m.Set != nil {
-		m.Set = append([]int(nil), m.Set...)
-	}
-	notBefore := 0
-	if s.HoldTap != nil {
-		notBefore = s.HoldTap(m)
-	}
-	s.bus.enqueue(m, notBefore)
 }
 
 // Inflight returns the number of undelivered messages (including native-mode
@@ -466,9 +485,9 @@ func (s *System) Step() (bool, error) {
 	}
 	s.Steps++
 	e := s.bus.takeCompat(idx, s.Steps)
-	m := e.msg
 	s.bus.scanStalls(s.Steps)
-	if q := &s.bus.queues[s.bus.idx[m.To]]; q.seen != nil && !q.seen.add(e.id) {
+	qi, _ := s.bus.queueIndex(e.to)
+	if q := &s.bus.queues[qi]; q.seen != nil && !q.seen.add(e.id) {
 		// Replay filter (opt-in): the copy is consumed but not delivered;
 		// the step still advances simulated time.
 		s.bus.filtered(1)
@@ -477,6 +496,7 @@ func (s *System) Step() (bool, error) {
 	}
 	s.bus.stats.Delivered++
 	obsDelivered.Inc()
+	m := s.bus.message(&e)
 	if s.RecordTrace {
 		s.Trace = append(s.Trace, m)
 	}

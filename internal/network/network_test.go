@@ -90,6 +90,31 @@ func TestSendToUnknownProcessDropped(t *testing.T) {
 	}
 }
 
+// TestSparseProcessIDs: process ids need not be 0..n-1. With ids 3 and 7
+// the ping-pong runs to completion on both delivery paths, and sends to 5,
+// to -1 and to 0 — not processes here, though 0 would be a queue index —
+// are dropped.
+func TestSparseProcessIDs(t *testing.T) {
+	for _, native := range []*NativeOptions{nil, {}} {
+		a := &pingProc{id: 3, peer: 7, relay: true}
+		b := &pingProc{id: 7, peer: 3, relay: true}
+		sys, err := NewSystemOpts([]Process{a, b}, FIFOScheduler{}, Options{Native: native})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, to := range []ProcID{5, -1, 0} {
+			sys.Inject(Message{From: 3, To: to, Kind: MsgBV})
+		}
+		if _, err := sys.Run(100, nil); err != nil {
+			t.Fatal(err)
+		}
+		if len(a.received) != 4 || len(b.received) != 4 || sys.DroppedPast != 3 {
+			t.Errorf("native=%v: received %d and %d, dropped %d; want 4, 4 and 3",
+				native != nil, len(a.received), len(b.received), sys.DroppedPast)
+		}
+	}
+}
+
 func TestRandomSchedulerDeliversEverything(t *testing.T) {
 	a := &pingProc{id: 0, peer: 1, relay: true}
 	b := &pingProc{id: 1, peer: 0, relay: true}

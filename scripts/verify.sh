@@ -59,7 +59,7 @@ fi
 # owns the CRC32C framing, and the merged full-mode internals stay merged
 # (their names survive only in _test.go references and in CHANGES.md /
 # ROADMAP.md as history). Bracketed like the lint above.
-echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form, request resolution, CLI request front door, in-flight store, campaign seed sweep, one source per automaton)"
+echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form, request resolution, CLI request front door, in-flight store, campaign seed sweep, one source per automaton, queued copy as content id)"
 SRC=$(find cmd internal -name '*.go' ! -name '*_test.go')
 N=$(grep -l 'json:"lp[_]checks"' $SRC | wc -l)
 [ "$N" -eq 1 ] || { echo "one-definition lint: $N non-test files declare a json:\"lp[_]checks\" field, want 1"; exit 1; }
@@ -135,6 +135,19 @@ if grep -nE 'Backend[F]lat|Backend[B]us|network\.B[a]ckend|NativeM[o]de|func \(i
     exit 1
 fi
 
+# A queued copy is a content id: the bus stores each sent content once, a
+# queue entry names it by id, and the send tap returns per-copy stamps (Seq
+# and delay), so no hold tap, no injector-side delay map and no whole
+# Message in a queue entry come back.
+if grep -nE 'Hold[T]ap|delay[U]ntil' $SRC README.md DESIGN.md; then
+    echo "one-definition lint: the lines above name the retired hold tap or the injector's delay map (a delay is a network.Stamp's NotBefore)"
+    exit 1
+fi
+if awk '/^type busEntry struct/,/^}/' internal/network/bus.go | grep -nE '^[[:space:]]+[A-Za-z_]+[[:space:]]+\*?[M]essage([[:space:]]|$)'; then
+    echo "one-definition lint: busEntry holds a Message again (a queued copy names its content by id)"
+    exit 1
+fi
+
 # One seed sweep for every campaign: sweep.Run is the only seed loop, the
 # storage-torture campaign is a Durable faults.Campaign, and queue and
 # cluster torture report sweep.Violation.
@@ -200,11 +213,13 @@ go test -run '^$' -bench 'Pivot|AddGE|TableauClone|PushCheckPop|CaseSplit' -benc
 echo "==> go test -race ./internal/schema ./internal/core (parallel enumeration determinism)"
 go test -race ./internal/schema ./internal/core
 
-# The golden rows include native Partitions: 2 runs with a 16-key dupemap: an
-# intern-table access that strays into a drain worker is a race here.
+# The golden rows include native Partitions: 2 runs with a 16-key dupemap, and
+# the read-only guard drains at two partitions: drain workers read the
+# content table while only the merge phase appends to it, so a table write
+# that strays into a worker is a race here.
 echo "==> go test -race event-bus leg (queues, dupemap, message identity, stalls, gossip, bus vs the flat reference; simulator benchmarks compile and run)"
-go test -race -run 'Bus|FlatReference|Native|Dupemap|Kadcast|Gossip|Stall|CopyOnEnqueue|Egress|QueueCap|Topic|Identity|KeyString|Allocs' ./internal/network
-go test -short -race -run 'BusVsFlat|FlatVsBus|NativeFingerprint|GoldenFingerprints|ObsCounters|SchedulerChoice' ./internal/faults
+go test -race -run 'Bus|FlatReference|Native|Dupemap|Kadcast|Gossip|Stall|CopyOnEnqueue|Egress|QueueCap|Topic|Identity|KeyString|ContentID|Allocs' ./internal/network
+go test -short -race -run 'BusVsFlat|FlatVsBus|NativeFingerprint|GoldenFingerprints|ObsCounters|SchedulerChoice|DeliveredSetsReadOnly|SendTapAllocs' ./internal/faults
 go test -run '^$' -bench 'BusEnqueueDrain|DupemapAdd|MsgKey' -benchtime 1x ./internal/network
 go test -run '^$' -bench 'SendTap|ScenarioRun' -benchtime 1x ./internal/faults
 
