@@ -40,12 +40,13 @@ bench-smt:
 	go test -run '^$$' -bench 'Pivot|AddGE|TableauClone|PushCheckPop|CaseSplit' -benchmem -count 5 ./internal/smt
 
 # Full-mode solve-loop benchmarks: the solver-bound prefix (incremental
-# cursor vs the from-scratch reference) and the prune-bound one (naive/Inv2_0,
-# first 10,000 contexts, settled almost entirely from the structural table);
-# the before/after table is in EXPERIMENTS.md.
+# cursor vs the from-scratch reference), the prune-bound one (naive/Inv2_0,
+# first 10,000 contexts, settled almost entirely from the structural table)
+# and the solver-bound window the full_solve workload samples (naive/Inv1_0
+# contexts [26800, 27400)); the before/after tables are in EXPERIMENTS.md.
 .PHONY: bench-schema
 bench-schema:
-	go test -run '^$$' -bench 'PrefixSolveIncrementalVsFresh|SolveRangePrune' -benchmem -count 5 ./internal/schema
+	go test -run '^$$' -bench 'PrefixSolveIncrementalVsFresh|SolveRangePrune|SolveRangeSolverBound' -benchmem -count 5 ./internal/schema
 
 # Simulator benchmarks: message identity, dupemap add, one enqueue + drain
 # through a 64-peer native bus (dupemap on and off), the fault plane's send

@@ -100,3 +100,28 @@ func BenchmarkSolveRangePrune(b *testing.B) {
 	}
 	b.ReportMetric(float64(prefix)*float64(b.N)/b.Elapsed().Seconds(), "schemas/s")
 }
+
+// BenchmarkSolveRangeSolverBound measures the solver-bound regime the
+// full_solve benchmark workload drives: naive/Inv1_0 contexts [26800, 27400)
+// at one worker, past the prefix that level pruning settles cheaply, where
+// simplex pivots and branch-and-bound do the work.
+func BenchmarkSolveRangeSolverBound(b *testing.B) {
+	const base, window = 26800, 600
+	plan := naivePlan(b, "Inv1_0")
+	ctxs, _ := plan.EnumeratePrefix(base+window, nil)
+	if len(ctxs) != base+window {
+		b.Fatalf("prefix has %d contexts, want %d", len(ctxs), base+window)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		recs, interrupted, err := plan.SolveRange(ctxs[base:], base, 1, nil)
+		if err != nil || interrupted {
+			b.Fatalf("interrupted=%v err=%v", interrupted, err)
+		}
+		if !recs[window-1].Done {
+			b.Fatal("last record not done")
+		}
+	}
+	b.ReportMetric(float64(window)*float64(b.N)/b.Elapsed().Seconds(), "schemas/s")
+}

@@ -81,3 +81,43 @@ func TestEffortCountersPinned(t *testing.T) {
 		t.Errorf("process-wide smt counters %v moved by %v, want %v", names, after, wantGlobal)
 	}
 }
+
+// TestFullSolveWindowEffortPinned pins the process-wide solver effort of the
+// full_solve benchmark workload's window at seed 1 — plan, enumerate and
+// solve naive/Inv1_0 contexts [26801, 27401) at one worker — to the values
+// recorded at commit f092816, before the dictionary's rows gained an int64
+// lane. Bland's rule reads only signs and exact ratios, so a change to how
+// cells are stored must leave every count here byte-identical.
+func TestFullSolveWindowEffortPinned(t *testing.T) {
+	const base, window = 26801, 600
+	names := []string{"lp_checks", "pivots", "rebuilds", "bb_nodes", "case_splits", "lazy_clones"}
+	global := func() (v [6]int64) {
+		for i, n := range names {
+			v[i] = obs.Default.Counter("smt", n).Load()
+		}
+		return v
+	}
+	before := global()
+	plan := naivePlan(t, "Inv1_0")
+	ctxs, _ := plan.EnumeratePrefix(base+window, nil)
+	if len(ctxs) != base+window {
+		t.Fatalf("prefix has %d contexts, want %d", len(ctxs), base+window)
+	}
+	recs, interrupted, err := plan.SolveRange(ctxs[base:], base, 1, nil)
+	after := global()
+	if err != nil || interrupted {
+		t.Fatalf("SolveRange: interrupted=%v err=%v", interrupted, err)
+	}
+	for i := range recs {
+		if !recs[i].Done {
+			t.Fatalf("context %d not solved", base+i)
+		}
+	}
+	want := [6]int64{221, 8177, 15, 14, 53, 206}
+	for i := range after {
+		after[i] -= before[i]
+	}
+	if after != want {
+		t.Errorf("process-wide smt counters %v moved by %v, want %v", names, after, want)
+	}
+}

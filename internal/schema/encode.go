@@ -196,12 +196,13 @@ func (enc *encoding) addSlot(ruleIdx int, lazyGuard bool) error {
 	r := e.ta.Rules[ruleIdx]
 	d := enc.tab.Intern(fmt.Sprintf("$d%d.%s", len(enc.slots), r.Name))
 
-	// κ[from] >= δ at this frame.
-	avail := enc.kappa[r.From].Clone()
-	if err := avail.AddTerm(d, -1); err != nil {
+	// κ[from] >= δ at this frame: κ[from] − δ is both the availability
+	// constraint and the new κ[from] (Lins are immutable once stored).
+	from := enc.kappa[r.From].Clone()
+	if err := from.AddTerm(d, -1); err != nil {
 		return err
 	}
-	enc.solver.Assert(expr.GEZero(avail))
+	enc.solver.Assert(expr.GEZero(from))
 
 	// Only finalizeClauses reads a frame's snapshot, and only for slots that
 	// carry lazy guards; the others keep a nil entry so indices stay aligned.
@@ -222,10 +223,6 @@ func (enc *encoding) addSlot(ruleIdx int, lazyGuard bool) error {
 	}
 
 	// Apply the symbolic update.
-	from := enc.kappa[r.From].Clone()
-	if err := from.AddTerm(d, -1); err != nil {
-		return err
-	}
 	enc.kappa[r.From] = from
 	to := enc.kappa[r.To].Clone()
 	if err := to.AddTerm(d, 1); err != nil {

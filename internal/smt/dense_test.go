@@ -2,6 +2,7 @@ package smt
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -90,6 +91,19 @@ func (g *sysGen) bigRow() expr.Lin {
 	return g.lin(l.Coeffs, int64(g.rng.Intn(3)))
 }
 
+// edgeRow puts one coefficient of ±2^62 into an ordinary row: a pivot that
+// multiplies it by 2 lands exactly on 2^63 (out of int64) or on MinInt64
+// (which num never holds), so an int-lane merge gives up at the boundary.
+func (g *sysGen) edgeRow() expr.Lin {
+	l := g.row()
+	a := int64(1) << 62
+	if g.rng.Intn(2) == 0 {
+		a = -a
+	}
+	l.Coeffs[expr.Sym(g.rng.Intn(g.nvars))] = a
+	return g.lin(l.Coeffs, int64(g.rng.Intn(3)))
+}
+
 // batch returns n rows, one in ten of them half of an equality pair.
 func (g *sysGen) batch(n int) []expr.Lin {
 	var out []expr.Lin
@@ -112,6 +126,72 @@ func ratSame(a, b rat) bool {
 		return a.norm() == b.norm()
 	}
 	return a.b != nil && b.b != nil && a.b.Cmp(b.b) == 0
+}
+
+// rowInvariants describes the first way a production row breaks its
+// storage rules ("" when it keeps them): exactly one lane holds the cells,
+// num never holds 0 or MinInt64, a row whose cells are all int64 integers is
+// on num, and sig has the bit of every column in idx.
+func rowInvariants(r *row) string {
+	switch {
+	case r.val == nil && len(r.num) != len(r.idx):
+		return fmt.Sprintf("on num with %d columns and %d cells", len(r.idx), len(r.num))
+	case r.val != nil && (r.num != nil || len(r.val) != len(r.idx)):
+		return fmt.Sprintf("on val with %d columns, %d cells and num %v", len(r.idx), len(r.val), r.num)
+	}
+	allInt := true
+	for k, c := range r.idx {
+		if r.sig&(1<<(uint(c)%64)) == 0 {
+			return fmt.Sprintf("signature %#x misses column %d", r.sig, c)
+		}
+		if r.val == nil {
+			if v := r.num[k]; v == 0 || v == math.MinInt64 {
+				return fmt.Sprintf("num holds %d at column %d", v, c)
+			}
+		} else {
+			allInt = allInt && r.val[k].b == nil && r.val[k].isInt()
+		}
+	}
+	if r.val != nil && allInt {
+		return fmt.Sprintf("on val, but every cell is an int64 integer: %v", r.val)
+	}
+	return ""
+}
+
+// onNum reports, per row, whether it is on the int lane.
+func onNum(t *tableau) []bool {
+	out := make([]bool, len(t.rows))
+	for i := range t.rows {
+		out[i] = t.rows[i].val == nil
+	}
+	return out
+}
+
+// laneMoves tallies the ways rows change lanes in pivots: a pivot row
+// leaving num on a non-unit element, a row leaving num because a merge of
+// two rows on num overflowed, and a row returning from val to num.
+type laneMoves struct{ nonUnit, overflow, demoted int }
+
+// pivot applies t.pivot(e, r) and tallies the lane changes it made.
+func (m *laneMoves) pivot(t *tableau, e int32, r int) {
+	before := onNum(t)
+	unit := false
+	if k := t.rows[r].find(e); k >= 0 {
+		p := t.rows[r].cell(k)
+		unit = p.cmp(ratInt(1)) == 0 || p.cmp(ratInt(-1)) == 0
+	}
+	t.pivot(e, r)
+	after := onNum(t)
+	for i := range after {
+		switch {
+		case before[i] && !after[i] && i == r && !unit:
+			m.nonUnit++
+		case before[i] && !after[i] && i != r && after[r]:
+			m.overflow++
+		case !before[i] && after[i]:
+			m.demoted++
+		}
+	}
 }
 
 // diffTableaus compares the sparse production tableau with the dense
@@ -147,8 +227,11 @@ func diffTableaus(d *denseTableau, s *tableau, big *bool) string {
 		*big = *big || s.consts[i].b != nil
 		full := make([]rat, len(s.nonbasic))
 		prev := int32(-1)
+		if diff := rowInvariants(&s.rows[i]); diff != "" {
+			return fmt.Sprintf("row %d: %s", i, diff)
+		}
 		for k, c := range s.rows[i].idx {
-			v := s.rows[i].val[k]
+			v := s.rows[i].cell(k)
 			if c <= prev || int(c) >= len(full) || v.sign() == 0 {
 				return fmt.Sprintf("row %d entry %d: column %d after %d, value %s", i, k, c, prev, v)
 			}
@@ -184,13 +267,17 @@ func diffTableaus(d *denseTableau, s *tableau, big *bool) string {
 // its entering/leaving choices were the same ones). Stages mimic the
 // incremental cursor: one fresh solve, then rounds of a few appended rows
 // and a dual restore, on copy-on-write clones every other round; the
-// generation cloned from must still be what it was after each round.
+// generation cloned from must still be what it was after each round. Every
+// row keeps its storage rules after every step (rowInvariants), and the
+// mirrored pivots must move rows off the int lane both ways — a non-unit
+// pivot element, an int merge overflowing at 2^62·2 — and back onto it.
 func TestDenseReferenceKernel(t *testing.T) {
 	seeds := 30
 	if testing.Short() {
 		seeds = 12
 	}
 	var sawBig bool
+	var moves laneMoves
 	var degenerate, rowDeleted, infeasible, pivots int
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		g := newSysGen(seed, 10+int(seed%4)*5)
@@ -209,7 +296,7 @@ func TestDenseReferenceKernel(t *testing.T) {
 			case "addX0":
 				mirror.addX0()
 			case "pivot":
-				mirror.pivot(int32(e), r)
+				moves.pivot(mirror, int32(e), r)
 			case "dropX0":
 				mirror.objA = nil
 				if err := mirror.dropX0(); err != nil {
@@ -252,8 +339,11 @@ func TestDenseReferenceKernel(t *testing.T) {
 		// multiplies cell magnitudes by another 2^59: one or two are enough
 		// to leave int64, more only slow the test down.
 		first := g.batch(g.nvars + 10)
-		if seed%3 == 0 {
+		switch seed % 3 {
+		case 0:
 			first = append(first, g.bigRow())
+		case 1:
+			first = append(first, g.edgeRow())
 		}
 		add(first)
 		if !stage("fresh solve", dense.solveFresh, prod.solveFresh) {
@@ -283,8 +373,11 @@ func TestDenseReferenceKernel(t *testing.T) {
 		degenerate += dense.x0Basic
 		rowDeleted += dense.x0RowDeleted
 	}
-	t.Logf("%d seeds: %d pivots, %d infeasible endings, %d degenerate phase ones (%d by row deletion), big.Rat cells seen: %v",
-		seeds, pivots, infeasible, degenerate, rowDeleted, sawBig)
+	t.Logf("%d seeds: %d pivots, %d infeasible endings, %d degenerate phase ones (%d by row deletion), big.Rat cells seen: %v, lane moves %+v",
+		seeds, pivots, infeasible, degenerate, rowDeleted, sawBig, moves)
+	if moves.nonUnit == 0 || moves.overflow == 0 || moves.demoted == 0 {
+		t.Errorf("lane moves %+v: want rows to leave num on a non-unit pivot and on an overflowing merge, and to return to it", moves)
+	}
 	if !sawBig {
 		t.Error("no generated system promoted a cell to big.Rat")
 	}

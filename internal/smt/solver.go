@@ -4,10 +4,11 @@
 // backend (Z3) that ByMC uses in the paper.
 //
 // The core is an exact-arithmetic two-phase simplex for rational feasibility
-// (cells are int64 fractions that promote to big.Rat on overflow, rows keep
-// only their non-zeros), with branch-and-bound on top for integer
-// feasibility, and a model-guided lazy case-splitting loop for disjunctions
-// (used for the justice/fairness side conditions of liveness queries).
+// (rows keep only their non-zeros, as plain int64 integers while every one
+// fits and as int64 fractions that promote to big.Rat on overflow
+// otherwise), with branch-and-bound on top for integer feasibility, and a
+// model-guided lazy case-splitting loop for disjunctions (used for the
+// justice/fairness side conditions of liveness queries).
 //
 // Every variable is implicitly constrained to be >= 0; all quantities in the
 // threshold-automata encodings (parameters, location counters, acceleration

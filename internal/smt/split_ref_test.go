@@ -3,6 +3,7 @@ package smt
 import (
 	"math"
 	"math/big"
+	"slices"
 	"sort"
 
 	"repro/internal/expr"
@@ -36,13 +37,18 @@ func (t *tableau) deepClone() *tableau {
 	for i := range t.rows {
 		nnz += len(t.rows[i].idx)
 	}
-	idx, val := make([]int32, nnz), make([]rat, nnz)
+	idx := make([]int32, nnz)
 	for i := range t.rows {
-		n := copy(idx, t.rows[i].idx)
-		copy(val, t.rows[i].val)
-		out.rows[i] = row{idx: idx[:n:n], val: val[:n:n]}
+		r := &t.rows[i]
+		n := copy(idx, r.idx)
+		out.rows[i] = row{idx: idx[:n:n], sig: r.sig}
+		if r.val == nil {
+			out.rows[i].num = slices.Clone(r.num)
+		} else {
+			out.rows[i].val = slices.Clone(r.val)
+		}
 		out.own[i] = true
-		idx, val = idx[n:], val[n:]
+		idx = idx[n:]
 	}
 	if t.objA != nil {
 		out.objA = append([]rat(nil), t.objA...)

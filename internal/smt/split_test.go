@@ -26,7 +26,7 @@ func toDense(t *tableau) *denseTableau {
 	for i := range t.rows {
 		full := make([]rat, len(t.nonbasic))
 		for k, c := range t.rows[i].idx {
-			full[c] = t.rows[i].val[k]
+			full[c] = t.rows[i].cell(k)
 		}
 		d.coef = append(d.coef, full)
 	}
@@ -77,11 +77,14 @@ type frozen struct {
 // every frozen tableau to the deep copy taken when it was frozen. A quarter
 // of the time the roles are swapped (the clone is frozen, the source driven):
 // clone leaves neither side owning a shared row. Rounds include a pivot on
-// a still-shared row, a bigRow that promotes cells, a row over a symbol the
-// parent never saw, and a row no point satisfies.
+// a still-shared row, a bigRow that promotes cells, an edgeRow whose merges
+// overflow at 2^62·2, a row over a symbol the parent never saw, and a row no
+// point satisfies. The driven tableau's rows keep their storage rules after
+// every step, and shared rows must see their first write on both lanes.
 func TestCloneSourceIntact(t *testing.T) {
 	var sawBig, sawNewSym bool
 	var infeasible, driven, copied, rowsSeen int
+	var firstWrites struct{ num, val int }
 	for seed := int64(1); seed <= 24; seed++ {
 		g := newSysGen(seed, 10+int(seed%4)*5)
 		root := newTableau(new(scratch))
@@ -115,6 +118,28 @@ func TestCloneSourceIntact(t *testing.T) {
 				cur = parent
 			}
 			check("clone of " + pool[pi].name)
+			// write runs one mutation of cur, tallies the shared rows it
+			// wrote by the lane they were on, and checks every row after it.
+			write := func(what string, f func()) {
+				t.Helper()
+				owned, num := slices.Clone(cur.own), onNum(cur)
+				f()
+				for i := range owned {
+					switch {
+					case owned[i] || !cur.own[i]:
+					case num[i]:
+						firstWrites.num++
+					default:
+						firstWrites.val++
+					}
+				}
+				for i := range cur.rows {
+					if diff := rowInvariants(&cur.rows[i]); diff != "" {
+						t.Fatalf("seed %d, %s: row %d: %s", seed, what, i, diff)
+					}
+				}
+				check(what)
+			}
 
 			rows := g.batch(1 + g.rng.Intn(3))
 			switch round % 7 {
@@ -123,11 +148,13 @@ func TestCloneSourceIntact(t *testing.T) {
 				// never makes one (a row's constant only turns negative in a
 				// pivot that rewrote the row), so make it by hand.
 				if r := g.rng.Intn(len(cur.rows)); len(cur.rows[r].idx) > 0 {
-					cur.pivot(cur.rows[r].idx[g.rng.Intn(len(cur.rows[r].idx))], r)
-					check(name + " pivot on a shared row")
+					e := cur.rows[r].idx[g.rng.Intn(len(cur.rows[r].idx))]
+					write(name+" pivot on a shared row", func() { cur.pivot(e, r) })
 				}
 			case 2:
 				rows = append(rows, g.bigRow())
+			case 3:
+				rows = append(rows, g.edgeRow())
 			case 4:
 				fresh := expr.Sym(g.nvars + round)
 				sawNewSym = sawNewSym || cur.idOf(fresh) < 0
@@ -136,14 +163,14 @@ func TestCloneSourceIntact(t *testing.T) {
 				rows = append(rows, expr.Lin{Coeffs: map[expr.Sym]int64{expr.Sym(g.rng.Intn(g.nvars)): -1}, Const: -1})
 			}
 			for k, l := range rows {
-				cur.addGE(l)
-				check(fmt.Sprintf("%s addGE %d", name, k))
+				write(fmt.Sprintf("%s addGE %d", name, k), func() { cur.addGE(l) })
 			}
-			feasible, _, err := cur.dualRestore()
+			var feasible bool
+			var err error
+			write(name+" dualRestore", func() { feasible, _, err = cur.dualRestore() })
 			if err != nil {
 				t.Fatalf("seed %d, %s: %v", seed, name, err)
 			}
-			check(name + " dualRestore")
 			driven++
 			copied += cur.copied
 			rowsSeen += len(cur.rows)
@@ -155,8 +182,11 @@ func TestCloneSourceIntact(t *testing.T) {
 			pool = append(pool, frozen{name, cur, cur.deepClone()})
 		}
 	}
-	t.Logf("%d driven clones copied %d of %d rows, %d infeasible endings, big.Rat cells: %v, new symbols: %v",
-		driven, copied, rowsSeen, infeasible, sawBig, sawNewSym)
+	t.Logf("%d driven clones copied %d of %d rows, %d infeasible endings, big.Rat cells: %v, new symbols: %v, first writes by lane %+v",
+		driven, copied, rowsSeen, infeasible, sawBig, sawNewSym, firstWrites)
+	if firstWrites.num == 0 || firstWrites.val == 0 {
+		t.Errorf("first writes to shared rows by lane %+v: want some on num and some on val", firstWrites)
+	}
 	if !sawBig || !sawNewSym || infeasible == 0 {
 		t.Error("the generated rounds missed a promoted cell, a new symbol or an infeasible ending")
 	}
@@ -424,9 +454,9 @@ func TestCaseSplitAllocs(t *testing.T) {
 
 	step() // warm: grows the scratch
 	sc := &s.scratch
-	caps := [4]int{cap(sc.acc), cap(sc.syms), cap(sc.spare.idx), cap(sc.spare.val)}
+	caps := [5]int{cap(sc.acc), cap(sc.syms), cap(sc.spare.idx), cap(sc.spare.num), cap(sc.spare.val)}
 	step()
-	if now := [4]int{cap(sc.acc), cap(sc.syms), cap(sc.spare.idx), cap(sc.spare.val)}; now != caps {
+	if now := [5]int{cap(sc.acc), cap(sc.syms), cap(sc.spare.idx), cap(sc.spare.num), cap(sc.spare.val)}; now != caps {
 		t.Errorf("a second identical step grew the scratch: capacities %v -> %v", caps, now)
 	}
 

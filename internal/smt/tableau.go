@@ -32,7 +32,7 @@ type tableau struct {
 	basic    []int // variable ids of basic rows
 	consts   []rat // row constants
 	rows     []row // row coefficients over the nonbasic columns
-	// own[i] reports that rows[i]'s idx/val storage is this tableau's alone.
+	// own[i] reports that rows[i]'s storage is this tableau's alone.
 	// clone shares every row with its source and leaves neither side owning
 	// it; the first write to a row (take) copies it. A search node therefore
 	// pays for the rows its pivots touch, not for the whole dictionary.
@@ -70,9 +70,72 @@ type scratch struct {
 // Which variable a position denotes is nonbasic[position], exactly as in a
 // dense layout, and Bland's rule picks by variable id, so no entering or
 // leaving choice depends on the storage.
+//
+// The coefficients live on exactly one of two lanes: rat's own int64 lane,
+// moved from the cell to the row. num holds them while every one is an int64
+// integer other than MinInt64 — nearly every row of a threshold-automaton
+// search — as 8-byte cells with no pointer, and val is nil; val holds them,
+// and num is nil, only while some cell is fractional or promoted to big.Rat.
+// A row returns to num as soon as it fits again (settle). sig has bit c mod
+// 64 set for every column c in idx (a superset would do), so a pivot passes
+// over a row that cannot mention the entering column without searching it.
 type row struct {
 	idx []int32
-	val []rat // val[k] is the coefficient at column idx[k]; never zero
+	num []int64 // num[k] is the coefficient at column idx[k]; never 0 or MinInt64
+	val []rat   // val[k] likewise, never zero; nil while the row is on num
+	sig uint64
+}
+
+// colBit is column c's bit in a row signature.
+func colBit(c int32) uint64 { return 1 << (uint32(c) & 63) }
+
+// fitsNum reports whether v can be held on the int lane.
+func fitsNum(v rat) bool { return v.b == nil && v.d == 1 && v.n != math.MinInt64 }
+
+// cell returns the coefficient at idx[k].
+func (r *row) cell(k int) rat {
+	if r.val == nil {
+		return ratInt(r.num[k])
+	}
+	return r.val[k]
+}
+
+// sign returns the sign of the coefficient at idx[k] (never 0).
+func (r *row) sign(k int) int {
+	if r.val == nil {
+		if r.num[k] > 0 {
+			return 1
+		}
+		return -1
+	}
+	return r.val[k].sign()
+}
+
+// settle moves a row on val whose cells all fit the int lane back to num,
+// appending them to buf.
+func (r *row) settle(buf []int64) {
+	if r.val == nil {
+		return
+	}
+	for _, v := range r.val {
+		if !fitsNum(v) {
+			return
+		}
+	}
+	for _, v := range r.val {
+		buf = append(buf, v.n)
+	}
+	r.num, r.val = buf, nil
+}
+
+// mulNum returns d·x and whether it fits the int lane. A unit multiplier
+// needs no check: num never holds MinInt64, so ±x always fits.
+func mulNum(d, x int64, unit bool) (int64, bool) {
+	if unit {
+		return d * x, true
+	}
+	p, ok := mul64(d, x)
+	return p, ok && p != math.MinInt64
 }
 
 // lowerBound returns the first index k with r.idx[k] >= c.
@@ -90,17 +153,22 @@ func (r *row) lowerBound(c int32) int {
 }
 
 // find returns the index of column c in r.idx, or -1 when the coefficient
-// is zero.
+// is zero; the signature answers most misses without a search.
 func (r *row) find(c int32) int {
+	if r.sig&colBit(c) == 0 {
+		return -1
+	}
 	if k := r.lowerBound(c); k < len(r.idx) && r.idx[k] == c {
 		return k
 	}
 	return -1
 }
 
+// push appends a cell to a row on val.
 func (r *row) push(c int32, v rat) {
 	r.idx = append(r.idx, c)
 	r.val = append(r.val, v)
+	r.sig |= colBit(c)
 }
 
 // maxPivots bounds a single simplex phase; Bland's rule guarantees
@@ -150,7 +218,12 @@ func (t *tableau) take(i int) {
 		return
 	}
 	r := &t.rows[i]
-	r.idx, r.val = slices.Clone(r.idx), slices.Clone(r.val)
+	r.idx = slices.Clone(r.idx)
+	if r.val == nil {
+		r.num = slices.Clone(r.num)
+	} else {
+		r.val = slices.Clone(r.val)
+	}
 	t.own[i] = true
 	t.copied++
 }
@@ -223,23 +296,42 @@ func (t *tableau) addGE(l expr.Lin) {
 		r := t.rowAt[id]
 		rowConst = rowConst.addMul(ar, t.consts[r])
 		br := &t.rows[r]
-		for k, c := range br.idx {
-			t.acc[c] = t.acc[c].addMul(ar, br.val[k])
+		if br.val == nil {
+			for k, c := range br.idx {
+				t.acc[c] = t.acc[c].addMul(ar, ratInt(br.num[k]))
+			}
+		} else {
+			for k, c := range br.idx {
+				t.acc[c] = t.acc[c].addMul(ar, br.val[k])
+			}
 		}
 	}
 	acc := t.acc[:len(t.nonbasic)]
-	nnz := 0
+	nnz, ints := 0, true
 	for _, a := range acc {
 		if a.sign() != 0 {
 			nnz++
+			ints = ints && fitsNum(a)
 		}
 	}
-	nr := row{idx: make([]int32, 0, nnz), val: make([]rat, 0, nnz)}
+	nr := row{idx: make([]int32, 0, nnz)}
+	if ints {
+		nr.num = make([]int64, 0, nnz)
+	} else {
+		nr.val = make([]rat, 0, nnz)
+	}
 	for c, a := range acc {
-		if a.sign() != 0 {
-			nr.push(int32(c), a)
-			acc[c] = ratZero
+		if a.sign() == 0 {
+			continue
 		}
+		if ints {
+			nr.idx = append(nr.idx, int32(c))
+			nr.num = append(nr.num, a.n)
+			nr.sig |= colBit(int32(c))
+		} else {
+			nr.push(int32(c), a)
+		}
+		acc[c] = ratZero
 	}
 	slack := t.newVar()
 	t.rowAt[slack] = int32(len(t.basic))
@@ -270,7 +362,13 @@ func (t *tableau) addX0() int32 {
 	c := t.newCol(t.x0)
 	for i := range t.rows {
 		t.take(i)
-		t.rows[i].push(c, ratInt(1))
+		if r := &t.rows[i]; r.val == nil {
+			r.idx = append(r.idx, c)
+			r.num = append(r.num, 1)
+			r.sig |= colBit(c)
+		} else {
+			r.push(c, ratInt(1))
+		}
 	}
 	t.objA = make([]rat, len(t.nonbasic))
 	t.objA[c] = ratInt(-1)
@@ -328,11 +426,12 @@ func (t *tableau) solveFresh() (bool, int, error) {
 		leave := -1
 		var best rat
 		for i := range t.rows {
-			k := t.rows[i].find(int32(enter))
-			if k < 0 || t.rows[i].val[k].sign() >= 0 {
+			ri := &t.rows[i]
+			k := ri.find(int32(enter))
+			if k < 0 || ri.sign(k) > 0 {
 				continue
 			}
-			ratio := t.consts[i].div(t.rows[i].val[k].neg())
+			ratio := t.consts[i].div(ri.cell(k).neg())
 			take := leave == -1
 			if !take {
 				c := ratio.cmp(best)
@@ -393,11 +492,20 @@ func (t *tableau) dropX0() error {
 		k := r.lowerBound(col)
 		if k < len(r.idx) && r.idx[k] == col {
 			r.idx = append(r.idx[:k], r.idx[k+1:]...)
-			r.val = append(r.val[:k], r.val[k+1:]...)
+			if r.val == nil {
+				r.num = append(r.num[:k], r.num[k+1:]...)
+			} else {
+				r.val = append(r.val[:k], r.val[k+1:]...)
+			}
 		}
 		for ; k < len(r.idx); k++ {
 			r.idx[k]--
 		}
+		r.sig = 0
+		for _, c := range r.idx {
+			r.sig |= colBit(c)
+		}
+		r.settle(nil)
 	}
 	t.x0 = -1
 	return nil
@@ -428,7 +536,7 @@ func (t *tableau) dualRestore() (bool, int, error) {
 		enter := int32(-1)
 		lr := &t.rows[leave]
 		for k, c := range lr.idx {
-			if lr.val[k].sign() > 0 && (enter == -1 || t.nonbasic[c] < t.nonbasic[enter]) {
+			if lr.sign(k) > 0 && (enter == -1 || t.nonbasic[c] < t.nonbasic[enter]) {
 				enter = c
 			}
 		}
@@ -446,21 +554,42 @@ func (t *tableau) pivot(e int32, r int) {
 	t.take(r)
 	pr := &t.rows[r]
 	pe := pr.find(e)
-	p := pr.val[pe]
-	invNeg := ratInt(-1).div(p)
+	p := pr.cell(pe)
 
 	leavingVar := t.basic[r]
 	enteringVar := t.nonbasic[e]
 
 	// Solve row r for the entering variable, in place:
 	//   x_e = (-C/p) + (1/p)·x_leaving + Σ_{j≠e} (-A_j/p)·x_j
-	newConst := t.consts[r].mul(invNeg)
-	for k := range pr.val {
-		if k == pe {
-			pr.val[k] = ratInt(1).div(p)
-		} else {
-			pr.val[k] = pr.val[k].mul(invNeg)
+	// On a unit element of a row on num that is a negation (p = 1) or
+	// nothing at all (p = -1); any other element leaves the int lane.
+	var newConst rat
+	switch {
+	case pr.val == nil && p.n == 1:
+		newConst = t.consts[r].neg()
+		for k := range pr.num {
+			if k != pe {
+				pr.num[k] = -pr.num[k]
+			}
 		}
+	case pr.val == nil && p.n == -1:
+		newConst = t.consts[r]
+	default:
+		invNeg := ratInt(-1).div(p)
+		newConst = t.consts[r].mul(invNeg)
+		val := pr.val
+		if val == nil {
+			val = make([]rat, len(pr.num))
+		}
+		for k := range val {
+			if k == pe {
+				val[k] = ratInt(1).div(p)
+			} else {
+				val[k] = pr.cell(k).mul(invNeg)
+			}
+		}
+		pr.num, pr.val = nil, val
+		pr.settle(nil)
 	}
 	t.basic[r] = enteringVar
 	t.nonbasic[e] = leavingVar
@@ -468,26 +597,27 @@ func (t *tableau) pivot(e int32, r int) {
 	t.rowAt[leavingVar], t.colAt[leavingVar] = -1, e
 	t.consts[r] = newConst
 
+	bit := colBit(e)
 	for i := range t.rows {
-		if i == r {
+		if i == r || t.rows[i].sig&bit == 0 {
 			continue
 		}
 		k := t.rows[i].find(e)
 		if k < 0 {
 			continue
 		}
-		d := t.rows[i].val[k]
+		d := t.rows[i].cell(k)
 		t.consts[i] = t.consts[i].addMul(d, newConst)
-		t.substitute(i, d, e, *pr)
+		t.substitute(i, d, e, pr)
 	}
 	if t.objA != nil {
 		if d := t.objA[e]; d.sign() != 0 {
 			t.objC = t.objC.addMul(d, newConst)
 			for k, c := range pr.idx {
 				if c == e {
-					t.objA[c] = d.mul(pr.val[k])
+					t.objA[c] = d.mul(pr.cell(k))
 				} else {
-					t.objA[c] = t.objA[c].addMul(d, pr.val[k])
+					t.objA[c] = t.objA[c].addMul(d, pr.cell(k))
 				}
 			}
 		}
@@ -500,24 +630,110 @@ func (t *tableau) pivot(e int32, r int) {
 // are merged into the spare buffer and copied back, so a row's own storage
 // only ever grows to what fill-in has made it need; a row still shared with
 // the tableau this one was cloned from is left alone and gets fresh storage.
-func (t *tableau) substitute(i int, d rat, e int32, pr row) {
+// The merge runs on the int lane when both rows are there; the rat merge is
+// its fallback, taken when either row is on val or an int merge overflows.
+func (t *tableau) substitute(i int, d rat, e int32, pr *row) {
 	ri := &t.rows[i]
+	out, ok := t.mergeNum(ri, d.n, e, pr)
+	if !ok {
+		out = t.mergeVal(ri, d, e, pr)
+	}
+	if !t.own[i] {
+		// First write to a shared row: the merge is its copy.
+		ri.idx, ri.num, ri.val, t.own[i] = nil, nil, nil, true
+		t.copied++
+	}
+	ri.idx, ri.sig = append(ri.idx[:0], out.idx...), out.sig
+	if out.val == nil {
+		ri.num, ri.val = append(ri.num[:0], out.num...), nil
+	} else {
+		ri.num, ri.val = nil, append(ri.val[:0], out.val...)
+	}
+}
+
+// mergeNum is substitute's merge on the int lane, into the spare buffer:
+// every product and sum is overflow-checked, and it gives up (false) as soon
+// as one leaves int64 or lands on MinInt64, having written nothing but the
+// spare buffer.
+func (t *tableau) mergeNum(ri *row, d int64, e int32, pr *row) (row, bool) {
+	if ri.val != nil || pr.val != nil {
+		return row{}, false
+	}
+	n := len(ri.idx) + len(pr.idx)
+	idx, num := slices.Grow(t.spare.idx[:0], n)[:n], slices.Grow(t.spare.num[:0], n)[:n]
+	t.spare.idx, t.spare.num = idx, num
+	var sig uint64
+	unit := d == 1 || d == -1
+	o, a, b := 0, 0, 0
+	for a < len(ri.idx) && b < len(pr.idx) {
+		c, v := ri.idx[a], int64(0)
+		switch cb := pr.idx[b]; {
+		case c < cb:
+			v = ri.num[a]
+			a++
+		case cb < c:
+			p, ok := mulNum(d, pr.num[b], unit)
+			if !ok {
+				return row{}, false
+			}
+			c, v = cb, p
+			b++
+		default:
+			p, ok := mulNum(d, pr.num[b], unit)
+			if ok && c != e {
+				p, ok = add64(ri.num[a], p)
+				ok = ok && p != math.MinInt64
+			}
+			if !ok {
+				return row{}, false
+			}
+			a++
+			b++
+			if p == 0 {
+				continue
+			}
+			v = p
+		}
+		idx[o], num[o] = c, v
+		sig |= colBit(c)
+		o++
+	}
+	for ; a < len(ri.idx); a++ {
+		idx[o], num[o] = ri.idx[a], ri.num[a]
+		sig |= colBit(ri.idx[a])
+		o++
+	}
+	for ; b < len(pr.idx); b++ {
+		p, ok := mulNum(d, pr.num[b], unit)
+		if !ok {
+			return row{}, false
+		}
+		idx[o], num[o] = pr.idx[b], p
+		sig |= colBit(pr.idx[b])
+		o++
+	}
+	return row{idx: idx[:o], num: num[:o], sig: sig}, true
+}
+
+// mergeVal is substitute's exact merge, for rows on either lane, into the
+// spare buffer; a result that fits the int lane comes back on num.
+func (t *tableau) mergeVal(ri *row, d rat, e int32, pr *row) row {
 	out := row{idx: t.spare.idx[:0], val: t.spare.val[:0]}
 	a, b := 0, 0
 	for a < len(ri.idx) && b < len(pr.idx) {
 		switch ca, cb := ri.idx[a], pr.idx[b]; {
 		case ca < cb:
-			out.push(ca, ri.val[a])
+			out.push(ca, ri.cell(a))
 			a++
 		case cb < ca:
-			out.push(cb, d.mul(pr.val[b]))
+			out.push(cb, d.mul(pr.cell(b)))
 			b++
 		default:
 			var v rat
 			if ca == e {
-				v = d.mul(pr.val[b])
+				v = d.mul(pr.cell(b))
 			} else {
-				v = ri.val[a].addMul(d, pr.val[b])
+				v = ri.cell(a).addMul(d, pr.cell(b))
 			}
 			if v.sign() != 0 {
 				out.push(ca, v)
@@ -526,19 +742,17 @@ func (t *tableau) substitute(i int, d rat, e int32, pr row) {
 			b++
 		}
 	}
-	out.idx = append(out.idx, ri.idx[a:]...)
-	out.val = append(out.val, ri.val[a:]...)
+	for ; a < len(ri.idx); a++ {
+		out.push(ri.idx[a], ri.cell(a))
+	}
 	for ; b < len(pr.idx); b++ {
-		out.push(pr.idx[b], d.mul(pr.val[b]))
+		out.push(pr.idx[b], d.mul(pr.cell(b)))
 	}
-	if !t.own[i] {
-		// First write to a shared row: the merge is its copy.
-		ri.idx, ri.val, t.own[i] = nil, nil, true
-		t.copied++
+	t.spare.idx, t.spare.val = out.idx, out.val
+	if out.settle(t.spare.num[:0]); out.val == nil {
+		t.spare.num = out.num
 	}
-	ri.idx = append(ri.idx[:0], out.idx...)
-	ri.val = append(ri.val[:0], out.val...)
-	t.spare = out
+	return out
 }
 
 // valueOf returns the value of symbol s in the current basic solution: its

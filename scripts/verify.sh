@@ -92,13 +92,14 @@ fi
 
 # A search node costs what it changes: a RatModel is built only where a model
 # leaves the package (CheckRational), and only tableau.go reads or writes a
-# row's idx/val storage, so copy-on-write ownership has one place to be wrong.
+# row's idx/num/val storage or its column signature, so copy-on-write
+# ownership and the int-lane rules have one place to be wrong.
 # The deep-copying clone, the math/big literal evaluator and the map-scanning
 # fractional picks live on only as the _test.go references.
 KERNEL=$(find internal/smt -name '*.go' ! -name '*_test.go')
 N=$(cat $KERNEL | grep -c '\.model()' || true)
 [ "$N" -eq 1 ] || { echo "one-definition lint: $N non-test callers of tableau.model(), want 1 (Solver.CheckRational)"; exit 1; }
-if grep -nE '\.(idx|val)\b|holds[R]ational|deep[C]lone' $(echo "$KERNEL" | grep -v '/tableau\.go$'); then
+if grep -nE '\.(idx|num|val|sig)\b|holds[R]ational|deep[C]lone' $(echo "$KERNEL" | grep -v '/tableau\.go$'); then
     echo "one-definition lint: the lines above touch row storage outside tableau.go, or re-grow a per-node copy or model evaluation that lives on as a _test.go reference"
     exit 1
 fi
@@ -201,9 +202,9 @@ rm -rf "$SPECSDIR"
 echo "==> go test -race ./internal/wal"
 go test -race ./internal/wal
 
-echo "==> go test -race -run 'Incremental|DeadSubtree' ./internal/smt ./internal/schema (incremental prefix-sharing, structural table vs its per-call reference, dead-subtree records and allocation gate; prune benchmark compiles and runs)"
+echo "==> go test -race -run 'Incremental|DeadSubtree' ./internal/smt ./internal/schema (incremental prefix-sharing, structural table vs its per-call reference, dead-subtree records and allocation gate; prune and solver-bound benchmarks compile and run)"
 go test -short -race -run 'Incremental|DeadSubtree' ./internal/smt ./internal/schema
-go test -run '^$' -bench 'SolveRangePrune' -benchtime 1x ./internal/schema
+go test -run '^$' -bench 'SolveRangePrune|SolveRangeSolverBound' -benchtime 1x ./internal/schema
 
 echo "==> smt kernel leg (dense-reference pivots, rat vs math/big, pinned effort counters, copy-on-write ownership, basis readers vs their references, case-split allocation gate; rat fuzz; kernel benchmarks compile and run)"
 go test -race -count=1 -run 'Dense|Rat|Effort|Clone|CaseSplit' ./internal/smt ./internal/schema
