@@ -65,7 +65,7 @@ func benchQueryWorkers(b *testing.B, a *ta.TA, queries []spec.Query, name string
 // wall clock moves.
 func BenchmarkTable2BV(b *testing.B) {
 	a := models.BVBroadcast()
-	queries, err := models.BVQueries(a)
+	queries, err := models.Named("bv").Queries(a)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func BenchmarkTable2BV(b *testing.B) {
 // Table 2 (staged engine).
 func BenchmarkTable2Simplified(b *testing.B) {
 	a := models.SimplifiedConsensus()
-	queries, err := models.SimplifiedQueries(a)
+	queries, err := models.Named("simplified").Queries(a)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func BenchmarkTable2Simplified(b *testing.B) {
 // paper's 100,000-schema cutoff (the paper's >24h timeout).
 func BenchmarkTable2NaiveExplosion(b *testing.B) {
 	a := models.NaiveConsensus()
-	queries, err := models.NaiveQueries(a)
+	queries, err := models.Named("naive").Queries(a)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func BenchmarkCounterexample(b *testing.B) {
 // trade-off between exhaustive schema enumeration and lazy case splitting.
 func BenchmarkAblationStagedVsFull(b *testing.B) {
 	a := models.BVBroadcast()
-	queries, err := models.BVQueries(a)
+	queries, err := models.Named("bv").Queries(a)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func BenchmarkAblationStagedVsFull(b *testing.B) {
 // space for growing n (the staged engine covers ALL n in a few ms).
 func BenchmarkAblationExplicitState(b *testing.B) {
 	a := models.BVBroadcast()
-	queries, err := models.BVQueries(a)
+	queries, err := models.Named("bv").Queries(a)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -161,8 +161,9 @@ func TestRunFileWorkflow(t *testing.T) {
 
 // TestVerifySpecMatchesSpecReference pins `verify -model M -spec F` to the
 // subcommand it replaced, kept here as specReference: for every property of
-// the three shipped spec files, the same outcome, schema count, average
-// length and solver effort.
+// the shipped spec files (all but naive.ltl, whose staged checks do not
+// finish), the same outcome, schema count, average length and solver
+// effort.
 func TestVerifySpecMatchesSpecReference(t *testing.T) {
 	stdout := os.Stdout
 	devNull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
@@ -176,6 +177,8 @@ func TestVerifySpecMatchesSpecReference(t *testing.T) {
 		{"bv", "bvbroadcast.ltl"},
 		{"simplified", "simplified.ltl"},
 		{"strb", "strb.ltl"},
+		{"bosco", "bosco.ltl"},
+		{"sba", "sba.ltl"},
 	} {
 		src, err := specs.FS.ReadFile(tc.file)
 		if err != nil {

@@ -2,9 +2,10 @@
 // specification text, in both engine modes.
 //
 // The example parses the ByMC-style property file shipped as
-// specs/bvbroadcast.ltl (the Section 3.2 properties), compiles each
-// property into a counterexample query against the Fig. 2 automaton, and
-// checks it twice:
+// specs/bvbroadcast.ltl (the Section 3.2 properties, BV-Just0 … BV-Term: the
+// query set `holistic verify -model bv` checks), compiles each property
+// into a counterexample query against the Fig. 2 automaton, and checks it
+// twice:
 // with full schema enumeration (the mode whose schema counts Table 2
 // reports) and with the staged engine. It also demonstrates counterexample
 // generation by dropping the premise of BV-Justification.

@@ -263,7 +263,7 @@ func runQueries(a *ta.TA, queries []spec.Query, opts Options) (Report, error) {
 // for all parameters.
 func VerifyBVBroadcast(opts Options) (Report, error) {
 	a := models.BVBroadcast()
-	qs, err := models.BVQueries(a)
+	qs, err := models.Named("bv").Queries(a)
 	if err != nil {
 		return Report{}, err
 	}
@@ -274,7 +274,7 @@ func VerifyBVBroadcast(opts Options) (Report, error) {
 // simplified consensus automaton for all parameters.
 func VerifySimplifiedConsensus(opts Options) (Report, error) {
 	a := models.SimplifiedConsensus()
-	qs, err := models.SimplifiedQueries(a)
+	qs, err := models.Named("simplified").Queries(a)
 	if err != nil {
 		return Report{}, err
 	}

@@ -83,7 +83,7 @@ func Table2(opts Table2Options) ([]Table2Row, error) {
 
 	// Block 1: bv-broadcast — the four properties the paper reports.
 	bv := models.BVBroadcast()
-	bvq, err := models.BVQueries(bv)
+	bvq, err := models.Named("bv").Queries(bv)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +95,7 @@ func Table2(opts Table2Options) ([]Table2Row, error) {
 	// Block 2: naive consensus — full enumeration explodes.
 	if !opts.SkipNaive {
 		naive := models.NaiveConsensus()
-		nq, err := models.NaiveQueries(naive)
+		nq, err := models.Named("naive").Queries(naive)
 		if err != nil {
 			return nil, err
 		}
@@ -108,7 +108,7 @@ func Table2(opts Table2Options) ([]Table2Row, error) {
 	// Block 3: simplified consensus — the staged engine verifies every
 	// property in well under a second each.
 	simp := models.SimplifiedConsensus()
-	sq, err := models.SimplifiedQueries(simp)
+	sq, err := models.Named("simplified").Queries(simp)
 	if err != nil {
 		return nil, err
 	}

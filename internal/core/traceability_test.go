@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/models"
+	"repro/internal/ta"
 )
 
 // TestGadgetJusticeTraceability pins down the soundness argument of the
@@ -29,10 +30,18 @@ func TestGadgetJusticeTraceability(t *testing.T) {
 		"advance_": "scheduling",
 	}
 
-	simp := models.SimplifiedConsensus()
-	justice, err := models.SimplifiedJustice(simp)
+	qs, err := models.Named("simplified").Queries(models.SimplifiedConsensus())
 	if err != nil {
 		t.Fatal(err)
+	}
+	var justice []ta.Justice
+	for _, q := range qs {
+		if q.Name == "SRoundTerm" {
+			justice = q.Justice
+		}
+	}
+	if len(justice) != 23 {
+		t.Fatalf("SRoundTerm has %d justice requirements, want 23", len(justice))
 	}
 	inner, err := VerifyBVBroadcast(Options{})
 	if err != nil {

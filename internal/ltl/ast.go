@@ -3,6 +3,18 @@
 // files of Appendix F (`<>` eventually, `[]` always, `->`, `&&`, `||`,
 // comparisons over location counters and shared variables), and a compiler
 // from the checkable fragment into spec.Query counterexample problems.
+//
+// A property file is a list of `name: formula;` entries. Beyond the formula
+// syntax of Appendix F it has three things:
+//
+//   - a property name may join identifiers and numbers with '-' (BV-Just0);
+//   - a conjunct of a <>[] premise may carry a label, `bv_obl0: (locM1 == 0
+//     || bvb0 < T + 1)`, which names its justice requirement;
+//   - a property may end in `resilience c1, c2, ...`, comparisons over the
+//     parameters that replace the automaton's resilience condition for that
+//     property alone (the syntax of the .ta resilience line).
+//
+// The bundled properties are specs/*.ltl, compiled by internal/models.
 package ltl
 
 import (
@@ -122,6 +134,18 @@ type Binary struct {
 func (Binary) isFormula() {}
 func (b Binary) String() string {
 	return fmt.Sprintf("(%s %s %s)", b.L, b.Op, b.R)
+}
+
+// Labeled names its subformula. Labels name the conjuncts of a <>[]
+// premise: each becomes a justice requirement of that name.
+type Labeled struct {
+	Label string
+	Sub   Formula
+}
+
+func (Labeled) isFormula() {}
+func (l Labeled) String() string {
+	return fmt.Sprintf("%s: %s", l.Label, l.Sub)
 }
 
 // conjuncts flattens nested && into a list.

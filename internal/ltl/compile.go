@@ -2,6 +2,7 @@ package ltl
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/expr"
@@ -28,29 +29,24 @@ import (
 // where P and G are conjunctions of `locX == 0`, W is a disjunction of
 // `locX != 0`, A is a rising threshold comparison, D is a conjunction of
 // `locX == 0`, and J is a conjunction of justice preconditions
-// (`locX == 0` or `locX == 0 || threshold-still-locked`).
+// (`locX == 0` or `locX == 0 || threshold-still-locked`), each optionally
+// labelled with its requirement's name (unlabelled ones are justice_<i>).
+// A [] premise's locations keep the order P names them in.
 //
 // Liveness shapes other than <>[] -> <> take the automaton's default
 // (reliable-communication) justice; the <>[] premise *replaces* it.
 func Compile(name string, f Formula, a *ta.TA) (spec.Query, error) {
-	c := &compiler{a: a}
-	q, err := c.compile(f)
-	if err != nil {
-		return spec.Query{}, fmt.Errorf("ltl: property %s: %w", name, err)
-	}
-	q.Name = name
-	oneRound := a.OneRound()
-	if err := q.Validate(oneRound); err != nil {
-		return spec.Query{}, err
-	}
-	return q, nil
+	return newCompiler(a).property(name, f, nil)
 }
 
-// CompileFile compiles every property of a parsed file.
+// CompileFile compiles every property of a parsed file, in file order. The
+// one-round automaton the queries are validated against and the default
+// justice are derived once for the whole file.
 func CompileFile(pf *PropertyFile, a *ta.TA) ([]spec.Query, error) {
+	c := newCompiler(a)
 	out := make([]spec.Query, 0, len(pf.Names))
 	for _, name := range pf.Names {
-		q, err := Compile(name, pf.Formulas[name], a)
+		q, err := c.property(name, pf.Formulas[name], pf.Resilience[name])
 		if err != nil {
 			return nil, err
 		}
@@ -60,7 +56,38 @@ func CompileFile(pf *PropertyFile, a *ta.TA) ([]spec.Query, error) {
 }
 
 type compiler struct {
-	a *ta.TA
+	a        *ta.TA
+	oneRound *ta.TA
+	justice  []ta.Justice // the default justice, built on first use
+}
+
+func newCompiler(a *ta.TA) *compiler {
+	return &compiler{a: a, oneRound: a.OneRound()}
+}
+
+// property compiles one named formula and its resilience clause, if any.
+func (c *compiler) property(name string, f Formula, resilience []Atom) (spec.Query, error) {
+	q, err := c.compile(f)
+	if err == nil && resilience != nil {
+		q.RelaxResilience, err = c.resilience(resilience)
+	}
+	if err != nil {
+		return spec.Query{}, fmt.Errorf("ltl: property %s: %w", name, err)
+	}
+	q.Name = name
+	if err := q.Validate(c.oneRound); err != nil {
+		return spec.Query{}, err
+	}
+	return q, nil
+}
+
+// defaultJustice is the one-round automaton's reliable-communication
+// justice, shared by the file's queries that take it.
+func (c *compiler) defaultJustice() []ta.Justice {
+	if c.justice == nil {
+		c.justice = c.oneRound.DefaultJustice()
+	}
+	return c.justice
 }
 
 func (c *compiler) compile(f Formula) (spec.Query, error) {
@@ -78,7 +105,7 @@ func (c *compiler) compile(f Formula) (spec.Query, error) {
 			return spec.Query{
 				Kind:          spec.Liveness,
 				FinalNonempty: []ta.LocSet{goal},
-				Justice:       c.a.OneRound().DefaultJustice(),
+				Justice:       c.defaultJustice(),
 			}, nil
 		case OpAlways:
 			// [](A -> <>(D)): threshold-triggered liveness.
@@ -102,7 +129,7 @@ func (c *compiler) compile(f Formula) (spec.Query, error) {
 				Kind:          spec.Liveness,
 				FinalShared:   []expr.Constraint{trigger},
 				FinalNonempty: []ta.LocSet{goal},
-				Justice:       c.a.OneRound().DefaultJustice(),
+				Justice:       c.defaultJustice(),
 			}, nil
 		}
 	}
@@ -123,13 +150,12 @@ func (c *compiler) compileImplication(b Binary) (spec.Query, error) {
 	switch prem.Op {
 	case OpAlways:
 		// [](P): locations empty forever.
-		locs, err := c.emptyLocs(prem.Sub)
+		locs, err := c.emptyLocList(prem.Sub)
 		if err != nil {
 			return spec.Query{}, err
 		}
-		oneRound := c.a.OneRound()
-		for l := range locs {
-			if oneRound.NoIncoming(l) {
+		for _, l := range locs {
+			if c.oneRound.NoIncoming(l) {
 				q.InitEmpty = append(q.InitEmpty, l)
 			} else {
 				q.GlobalEmpty = append(q.GlobalEmpty, l)
@@ -176,7 +202,7 @@ func (c *compiler) compileImplication(b Binary) (spec.Query, error) {
 		q.Kind = spec.Liveness
 		q.FinalNonempty = []ta.LocSet{goal}
 		if q.Justice == nil {
-			q.Justice = c.a.OneRound().DefaultJustice()
+			q.Justice = c.defaultJustice()
 		}
 	default:
 		return spec.Query{}, fmt.Errorf("unsupported conclusion %s", concl)
@@ -184,9 +210,10 @@ func (c *compiler) compileImplication(b Binary) (spec.Query, error) {
 	return q, nil
 }
 
-// emptyLocs interprets a conjunction of `locX == 0` atoms as a location set.
-func (c *compiler) emptyLocs(f Formula) (ta.LocSet, error) {
-	set := make(ta.LocSet)
+// emptyLocList interprets a conjunction of `locX == 0` atoms as the
+// locations it names, in order, each once.
+func (c *compiler) emptyLocList(f Formula) ([]ta.LocID, error) {
+	var out []ta.LocID
 	for _, conj := range conjuncts(f) {
 		atom, ok := conj.(Atom)
 		if !ok {
@@ -199,7 +226,22 @@ func (c *compiler) emptyLocs(f Formula) (ta.LocSet, error) {
 		if !zero {
 			return nil, fmt.Errorf("expected locX == 0, got %s", atom)
 		}
-		set[loc] = true
+		if !slices.Contains(out, loc) {
+			out = append(out, loc)
+		}
+	}
+	return out, nil
+}
+
+// emptyLocs interprets a conjunction of `locX == 0` atoms as a location set.
+func (c *compiler) emptyLocs(f Formula) (ta.LocSet, error) {
+	locs, err := c.emptyLocList(f)
+	if err != nil {
+		return nil, err
+	}
+	set := make(ta.LocSet, len(locs))
+	for _, l := range locs {
+		set[l] = true
 	}
 	return set, nil
 }
@@ -226,11 +268,20 @@ func (c *compiler) nonemptyLocs(f Formula) (ta.LocSet, error) {
 
 // justicePremises interprets a conjunction of justice preconditions:
 // `locX == 0` (unconditional drain) or `locX == 0 || cmp` where cmp is the
-// negation of a rising trigger.
+// negation of a rising trigger. A labelled precondition is named by its
+// label, an unlabelled one by its position.
 func (c *compiler) justicePremises(f Formula) ([]ta.Justice, error) {
 	var out []ta.Justice
 	for i, conj := range conjuncts(f) {
-		name := fmt.Sprintf("justice_%d", i)
+		var name string
+		if l, ok := conj.(Labeled); ok {
+			name, conj = l.Label, l.Sub
+		} else {
+			name = fmt.Sprintf("justice_%d", i)
+		}
+		if slices.ContainsFunc(out, func(j ta.Justice) bool { return j.Name == name }) {
+			return nil, fmt.Errorf("two justice preconditions named %s", name)
+		}
 		ds := disjuncts(conj)
 		var loc ta.LocID = -1
 		var triggers []expr.Constraint
@@ -305,19 +356,55 @@ func (c *compiler) risingConstraint(f Formula) (expr.Constraint, error) {
 	return c.constraint(atom)
 }
 
-// constraint compiles a comparison atom into a single GE constraint.
-// Equality and strict operators are normalized over the integers.
-func (c *compiler) constraint(a Atom) (expr.Constraint, error) {
-	l, err := c.expr(a.Left)
+// resilience compiles a resilience clause: comparisons over the
+// parameters, in order, with `==` kept as an equality.
+func (c *compiler) resilience(atoms []Atom) ([]expr.Constraint, error) {
+	out := make([]expr.Constraint, 0, len(atoms))
+	for _, atom := range atoms {
+		var con expr.Constraint
+		var err error
+		if atom.Op == OpEq {
+			var diff expr.Lin
+			if diff, err = c.difference(atom); err == nil {
+				con = expr.EQZero(diff)
+			}
+		} else {
+			con, err = c.constraint(atom)
+		}
+		if err != nil {
+			return nil, err
+		}
+		for s := range con.L.Coeffs {
+			if !slices.Contains(c.a.Params, s) {
+				return nil, fmt.Errorf("resilience condition %s names %s, which is not a parameter", atom, c.a.Table.Name(s))
+			}
+		}
+		out = append(out, con)
+	}
+	return out, nil
+}
+
+// difference compiles the two sides of a comparison into left - right.
+func (c *compiler) difference(a Atom) (expr.Lin, error) {
+	diff, err := c.expr(a.Left)
 	if err != nil {
-		return expr.Constraint{}, err
+		return expr.Lin{}, err
 	}
 	r, err := c.expr(a.Right)
 	if err != nil {
-		return expr.Constraint{}, err
+		return expr.Lin{}, err
 	}
-	diff := l.Clone()
 	if err := diff.Sub(r); err != nil {
+		return expr.Lin{}, err
+	}
+	return diff, nil
+}
+
+// constraint compiles a comparison atom into a single GE constraint.
+// Equality and strict operators are normalized over the integers.
+func (c *compiler) constraint(a Atom) (expr.Constraint, error) {
+	diff, err := c.difference(a)
+	if err != nil {
 		return expr.Constraint{}, err
 	}
 	switch a.Op {

@@ -1,8 +1,11 @@
 package ltl
 
 import (
+	"io/fs"
 	"strings"
 	"testing"
+
+	"repro/specs"
 )
 
 // FuzzParseFormula checks that the parser never panics and that successful
@@ -21,6 +24,7 @@ func FuzzParseFormula(f *testing.F) {
 		"x == 0 &&",
 		"/*",
 		"p: q;",
+		"a: locA == 0 && b: (locB == 0 || x < T + 1) && !(c: locC != 0)",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -44,9 +48,19 @@ func FuzzParseFormula(f *testing.F) {
 // FuzzParseFile checks the property-file parser on arbitrary inputs.
 func FuzzParseFile(f *testing.F) {
 	f.Add("p1: locA == 0; p2: <>(locB != 0) -> [](locA == 0);")
-	f.Add(shippedSpec(f, "bvbroadcast.ltl"))
-	f.Add(shippedSpec(f, "simplified.ltl"))
+	files, err := fs.Glob(specs.FS, "*.ltl")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, file := range files {
+		f.Add(shippedSpec(f, file))
+	}
 	f.Add(":;:;")
+	f.Add("p: <>[](a: locA == 0 && b: (locB == 0 || x < T + 1) && locC == 0) -> <>(locA == 0);")
+	f.Add("p: <>[](a: b: locA == 0 && a: locB == 0) -> <>(a: locA == 0);")
+	f.Add("BV-Just0: locA == 0; a-1-b: locA == 0; a - b: locA == 0; a-: locA == 0;")
+	f.Add("p: locA == 0 resilience N >= 3 * T + 1, T >= F, F == 0;")
+	f.Add("p: locA == 0 resilience; q: locA == 0 resilience N > 1,;")
 	f.Fuzz(func(t *testing.T, src string) {
 		pf, err := ParseFile(src)
 		if err != nil {
@@ -54,6 +68,11 @@ func FuzzParseFile(f *testing.F) {
 		}
 		if len(pf.Names) != len(pf.Formulas) {
 			t.Fatalf("names/formulas mismatch: %d vs %d", len(pf.Names), len(pf.Formulas))
+		}
+		for name, atoms := range pf.Resilience {
+			if pf.Formulas[name] == nil || len(atoms) == 0 {
+				t.Fatalf("resilience clause %v of %q without a property or a comparison", atoms, name)
+			}
 		}
 		for _, name := range pf.Names {
 			if strings.TrimSpace(name) == "" {

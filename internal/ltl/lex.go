@@ -25,7 +25,7 @@ const (
 func lex(src string) ([]token, error) {
 	toks, err := lexer.Tokens(src, lexer.Config{
 		MultiOps:  []string{"<>", "[]", "&&", "||", "->", "==", "!=", "<=", ">="},
-		SingleOps: "()<>!+-*:;",
+		SingleOps: "()<>!+-*:;,",
 	})
 	if err != nil {
 		return nil, fmt.Errorf("ltl: %w", err)

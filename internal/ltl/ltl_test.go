@@ -1,15 +1,28 @@
 package ltl
 
 import (
-	"sort"
+	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/models"
+	"repro/internal/expr"
+	"repro/internal/schema"
 	"repro/internal/spec"
 	"repro/internal/ta"
+	"repro/internal/taformat"
+	"repro/internal/vcache"
 	"repro/specs"
 )
+
+// shippedTA parses an automaton file under specs/.
+func shippedTA(tb testing.TB, name string) *ta.TA {
+	tb.Helper()
+	a, err := taformat.Parse(shippedSpec(tb, name))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return a
+}
 
 // shippedSpec returns the text of a property file under specs/.
 func shippedSpec(tb testing.TB, name string) string {
@@ -124,8 +137,80 @@ func TestParseFile(t *testing.T) {
 	}
 }
 
+// wantQuery is the expected compilation of one property, written by
+// location and variable names so that it does not depend on location ids.
+type wantQuery struct {
+	name        string
+	kind        spec.Kind
+	initEmpty   []string
+	globalEmpty []string
+	visit       [][]string
+	final       [][]string
+	finalShared []string
+}
+
+// checkQuery compares a compiled query with its expected shape.
+func checkQuery(t *testing.T, a *ta.TA, q spec.Query, w wantQuery) {
+	t.Helper()
+	if q.Name != w.name {
+		t.Errorf("query %s, want %s", q.Name, w.name)
+		return
+	}
+	if q.Kind != w.kind {
+		t.Errorf("%s: kind %v, want %v", w.name, q.Kind, w.kind)
+	}
+	ids := func(names []string) []ta.LocID {
+		var out []ta.LocID
+		for _, n := range names {
+			l, err := a.LocByName(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, l)
+		}
+		return out
+	}
+	sets := func(groups [][]string) []ta.LocSet {
+		var out []ta.LocSet
+		for _, g := range groups {
+			s, err := a.LocSetByName(g...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, s)
+		}
+		return out
+	}
+	if want := ids(w.initEmpty); !reflect.DeepEqual(q.InitEmpty, want) {
+		t.Errorf("%s: InitEmpty %v, want %v", w.name, q.InitEmpty, want)
+	}
+	if want := ids(w.globalEmpty); !reflect.DeepEqual(q.GlobalEmpty, want) {
+		t.Errorf("%s: GlobalEmpty %v, want %v", w.name, q.GlobalEmpty, want)
+	}
+	if want := sets(w.visit); !reflect.DeepEqual(q.VisitNonempty, want) {
+		t.Errorf("%s: VisitNonempty %v, want %v", w.name, q.VisitNonempty, want)
+	}
+	if want := sets(w.final); !reflect.DeepEqual(q.FinalNonempty, want) {
+		t.Errorf("%s: FinalNonempty %v, want %v", w.name, q.FinalNonempty, want)
+	}
+	var shared []string
+	for _, c := range q.FinalShared {
+		shared = append(shared, c.String(a.Table))
+	}
+	if !reflect.DeepEqual(shared, w.finalShared) {
+		t.Errorf("%s: FinalShared %q, want %q", w.name, shared, w.finalShared)
+	}
+	if q.RelaxResilience != nil {
+		t.Errorf("%s: unexpected resilience clause %+v", w.name, q.RelaxResilience)
+	}
+}
+
+// The shipped bv-broadcast properties compile to the Section 3.2 queries:
+// justification as a safety query on the delivery locations, obligation,
+// uniformity and termination as liveness queries under the automaton's
+// reliable-communication justice.
 func TestBVSpecParsesAndCompiles(t *testing.T) {
-	a := models.BVBroadcast()
+	a := shippedTA(t, "bvbroadcast.ta")
 	pf, err := ParseFile(shippedSpec(t, "bvbroadcast.ltl"))
 	if err != nil {
 		t.Fatal(err)
@@ -137,58 +222,44 @@ func TestBVSpecParsesAndCompiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := make(map[string]spec.Query)
-	for _, q := range qs {
-		byName[q.Name] = q
+	without := [][]string{
+		{"V0", "V1", "B0", "B1", "B01", "C1", "CB1"},
+		{"V0", "V1", "B0", "B1", "B01", "C0", "CB0"},
 	}
-
-	// Compare against the programmatic queries of the models package.
-	mqs, err := models.BVQueries(a)
-	if err != nil {
-		t.Fatal(err)
+	delivered := [][]string{{"C0", "CB0", "C01"}, {"C1", "CB1", "C01"}}
+	want := []wantQuery{
+		{name: "BV-Just0", kind: spec.Safety, initEmpty: []string{"V0"}, visit: delivered[:1]},
+		{name: "BV-Obl0", kind: spec.Liveness, final: without[:1], finalShared: []string{"-t + b0 - 1 >= 0"}},
+		{name: "BV-Unif0", kind: spec.Liveness, visit: delivered[:1], final: without[:1]},
+		{name: "BV-Just1", kind: spec.Safety, initEmpty: []string{"V1"}, visit: delivered[1:]},
+		{name: "BV-Obl1", kind: spec.Liveness, final: without[1:], finalShared: []string{"-t + b1 - 1 >= 0"}},
+		{name: "BV-Unif1", kind: spec.Liveness, visit: delivered[1:], final: without[1:]},
+		{name: "BV-Term", kind: spec.Liveness, final: [][]string{{"V0", "V1", "B0", "B1", "B01"}}},
 	}
-	pairs := map[string]string{
-		"BV-Just0": "bv_just0", "BV-Just1": "bv_just1",
-		"BV-Obl0": "bv_obl0", "BV-Obl1": "bv_obl1",
-		"BV-Unif0": "bv_unif0", "BV-Unif1": "bv_unif1",
-		"BV-Term": "bv_term",
+	if len(qs) != len(want) {
+		t.Fatalf("compiled %d queries, want %d", len(qs), len(want))
 	}
-	for _, mq := range mqs {
-		lq, ok := byName[pairs[mq.Name]]
-		if !ok {
-			t.Errorf("no compiled property for %s", mq.Name)
-			continue
-		}
-		if lq.Kind != mq.Kind {
-			t.Errorf("%s: kind %v vs %v", mq.Name, lq.Kind, mq.Kind)
-		}
-		if !sameLocSets(lq.VisitNonempty, mq.VisitNonempty) {
-			t.Errorf("%s: VisitNonempty differs: %v vs %v", mq.Name, lq.VisitNonempty, mq.VisitNonempty)
-		}
-		if !sameLocSets(lq.FinalNonempty, mq.FinalNonempty) {
-			t.Errorf("%s: FinalNonempty differs: %v vs %v", mq.Name, lq.FinalNonempty, mq.FinalNonempty)
-		}
-		if !sameLocIDs(lq.InitEmpty, mq.InitEmpty) {
-			t.Errorf("%s: InitEmpty differs: %v vs %v", mq.Name, lq.InitEmpty, mq.InitEmpty)
-		}
-		if len(lq.FinalShared) != len(mq.FinalShared) {
-			t.Errorf("%s: FinalShared count differs", mq.Name)
-		} else {
-			for i := range lq.FinalShared {
-				if lq.FinalShared[i].String(a.Table) != mq.FinalShared[i].String(a.Table) {
-					t.Errorf("%s: FinalShared[%d]: %s vs %s", mq.Name, i,
-						lq.FinalShared[i].String(a.Table), mq.FinalShared[i].String(a.Table))
-				}
+	justice := a.DefaultJustice()
+	for i, w := range want {
+		checkQuery(t, a, qs[i], w)
+		switch w.kind {
+		case spec.Safety:
+			if len(qs[i].Justice) != 0 {
+				t.Errorf("%s: safety query has %d justice requirements", w.name, len(qs[i].Justice))
 			}
-		}
-		if len(lq.Justice) != len(mq.Justice) {
-			t.Errorf("%s: justice count %d vs %d", mq.Name, len(lq.Justice), len(mq.Justice))
+		case spec.Liveness:
+			if !reflect.DeepEqual(qs[i].Justice, justice) {
+				t.Errorf("%s: justice differs from the automaton's default justice", w.name)
+			}
 		}
 	}
 }
 
+// The shipped simplified-consensus properties compile to the Section 5
+// queries, and the Appendix F premise of SRoundTerm to its 23 labelled
+// justice requirements in premise order.
 func TestSimplifiedSpecParsesAndCompiles(t *testing.T) {
-	a := models.SimplifiedConsensus()
+	a := shippedTA(t, "simplified.ta")
 	pf, err := ParseFile(shippedSpec(t, "simplified.ltl"))
 	if err != nil {
 		t.Fatal(err)
@@ -200,136 +271,73 @@ func TestSimplifiedSpecParsesAndCompiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := make(map[string]spec.Query)
-	for _, q := range qs {
-		byName[q.Name] = q
+	want := []wantQuery{
+		{name: "Inv1_0", kind: spec.Safety, visit: [][]string{{"D0"}, {"D1", "E1x"}}},
+		{name: "Inv1_1", kind: spec.Safety, visit: [][]string{{"D1"}, {"D0", "E0x"}}},
+		{name: "Inv2_0", kind: spec.Safety, initEmpty: []string{"V0"}, visit: [][]string{{"D0", "E0x"}}},
+		{name: "Inv2_1", kind: spec.Safety, initEmpty: []string{"V1"}, visit: [][]string{{"D1", "E1x"}}},
+		{name: "SRoundTerm", kind: spec.Liveness, final: [][]string{{
+			"V0", "V1", "M", "M0", "M1", "M01", "E0", "E1", "D1",
+			"V0x", "V1x", "Mx", "M0x", "M1x", "M01x",
+		}}},
+		{name: "Dec_0", kind: spec.Safety, initEmpty: []string{"V0"}, visit: [][]string{{"E0", "E1"}}},
+		{name: "Dec_1", kind: spec.Safety, initEmpty: []string{"V1"}, visit: [][]string{{"E0x", "E1x"}}},
+		{name: "Good_0", kind: spec.Safety, globalEmpty: []string{"M0"}, visit: [][]string{{"D0", "E0x"}}},
+		{name: "Good_1", kind: spec.Safety, globalEmpty: []string{"M1x"}, visit: [][]string{{"E1x"}}},
+	}
+	if len(qs) != len(want) {
+		t.Fatalf("compiled %d queries, want %d", len(qs), len(want))
+	}
+	for i, w := range want {
+		checkQuery(t, a, qs[i], w)
+		if w.kind == spec.Safety && len(qs[i].Justice) != 0 {
+			t.Errorf("%s: safety query has %d justice requirements", w.name, len(qs[i].Justice))
+		}
 	}
 
-	mqs, err := models.SimplifiedQueries(a)
-	if err != nil {
-		t.Fatal(err)
+	// Each requirement: its label, the location that must drain and the
+	// threshold that triggers it (empty: always triggered).
+	type wantJustice struct{ name, loc, trigger string }
+	wantJ := []wantJustice{
+		{"start_V0", "V0", ""},
+		{"start_V1", "V1", ""},
+		{"bv_term", "M", ""},
+		{"bv_obl0", "M1", "-t + bvb0 - 1 >= 0"},
+		{"bv_obl1", "M0", "-t + bvb1 - 1 >= 0"},
+		{"bv_unif0", "M1", "a0 - 1 >= 0"},
+		{"bv_unif1", "M0", "a1 - 1 >= 0"},
+		{"aux0", "M0", "-n + t + f + a0 >= 0"},
+		{"aux1", "M1", "-n + t + f + a1 >= 0"},
+		{"aux01", "M01", "-n + t + f + a0 + a1 >= 0"},
+		{"start_V0x", "V0x", ""},
+		{"start_V1x", "V1x", ""},
+		{"bv_termx", "Mx", ""},
+		{"bv_obl0x", "M1x", "-t + bvb0x - 1 >= 0"},
+		{"bv_obl1x", "M0x", "-t + bvb1x - 1 >= 0"},
+		{"bv_unif0x", "M1x", "a0x - 1 >= 0"},
+		{"bv_unif1x", "M0x", "a1x - 1 >= 0"},
+		{"aux0x", "M0x", "-n + t + f + a0x >= 0"},
+		{"aux1x", "M1x", "-n + t + f + a1x >= 0"},
+		{"aux01x", "M01x", "-n + t + f + a0x + a1x >= 0"},
+		{"advance_E0", "E0", ""},
+		{"advance_E1", "E1", ""},
+		{"advance_D1", "D1", ""},
 	}
-	pairs := map[string]string{
-		"Inv1_0": "inv1_0", "Inv1_1": "inv1_1",
-		"Inv2_0": "inv2_0", "Inv2_1": "inv2_1",
-		"SRoundTerm": "s_round_termination",
-		"Dec_0":      "dec_0", "Dec_1": "dec_1",
-		"Good_0": "good_0", "Good_1": "good_1",
-	}
-	for _, mq := range mqs {
-		lq, ok := byName[pairs[mq.Name]]
-		if !ok {
-			t.Errorf("no compiled property for %s", mq.Name)
-			continue
+	var got []wantJustice
+	for _, j := range qs[4].Justice {
+		var trig []string
+		for _, c := range j.Trigger {
+			trig = append(trig, c.String(a.Table))
 		}
-		if lq.Kind != mq.Kind {
-			t.Errorf("%s: kind %v vs %v", mq.Name, lq.Kind, mq.Kind)
-		}
-		if !sameLocSets(lq.VisitNonempty, mq.VisitNonempty) {
-			t.Errorf("%s: VisitNonempty differs", mq.Name)
-		}
-		if !sameLocSets(lq.FinalNonempty, mq.FinalNonempty) {
-			t.Errorf("%s: FinalNonempty differs", mq.Name)
-		}
-		if !sameLocIDs(lq.InitEmpty, mq.InitEmpty) || !sameLocIDs(lq.GlobalEmpty, mq.GlobalEmpty) {
-			t.Errorf("%s: premise locations differ", mq.Name)
-		}
-		if mq.Name == "SRoundTerm" {
-			// The Appendix F premise must reproduce the 23 justice
-			// requirements of the programmatic model.
-			if len(lq.Justice) != len(mq.Justice) {
-				t.Errorf("SRoundTerm: justice count %d vs %d", len(lq.Justice), len(mq.Justice))
-			}
-			if !sameJustice(a, lq.Justice, mq.Justice) {
-				t.Errorf("SRoundTerm: justice requirements differ")
-			}
-		}
+		got = append(got, wantJustice{j.Name, a.Locations[j.Loc].Name, strings.Join(trig, " && ")})
 	}
-}
-
-func sameLocIDs(a, b []ta.LocID) bool {
-	if len(a) != len(b) {
-		return false
+	if !reflect.DeepEqual(got, wantJ) {
+		t.Errorf("SRoundTerm justice:\n got %v\nwant %v", got, wantJ)
 	}
-	as := append([]ta.LocID(nil), a...)
-	bs := append([]ta.LocID(nil), b...)
-	sort.Slice(as, func(i, j int) bool { return as[i] < as[j] })
-	sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sameLocSets(a, b []ta.LocSet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	key := func(s ta.LocSet) string {
-		var ids []int
-		for l := range s {
-			ids = append(ids, int(l))
-		}
-		sort.Ints(ids)
-		var sb strings.Builder
-		for _, id := range ids {
-			sb.WriteString(",")
-			sb.WriteByte(byte('0' + id%10))
-			sb.WriteString(strings.Repeat("#", id/10))
-		}
-		return sb.String()
-	}
-	ka := make([]string, len(a))
-	kb := make([]string, len(b))
-	for i := range a {
-		ka[i] = key(a[i])
-		kb[i] = key(b[i])
-	}
-	sort.Strings(ka)
-	sort.Strings(kb)
-	for i := range ka {
-		if ka[i] != kb[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// sameJustice compares justice lists as multisets of (trigger,loc) pairs.
-func sameJustice(a *ta.TA, x, y []ta.Justice) bool {
-	key := func(j ta.Justice) string {
-		var parts []string
-		for _, t := range j.Trigger {
-			parts = append(parts, t.String(a.Table))
-		}
-		sort.Strings(parts)
-		return strings.Join(parts, "&") + "@" + a.Locations[j.Loc].Name
-	}
-	kx := make([]string, len(x))
-	ky := make([]string, len(y))
-	for i, j := range x {
-		kx[i] = key(j)
-	}
-	for i, j := range y {
-		ky[i] = key(j)
-	}
-	sort.Strings(kx)
-	sort.Strings(ky)
-	if len(kx) != len(ky) {
-		return false
-	}
-	for i := range kx {
-		if kx[i] != ky[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestCompileRejectsUnsupported(t *testing.T) {
-	a := models.BVBroadcast()
+	a := shippedTA(t, "bvbroadcast.ta")
 	bad := []string{
 		"locV0 != 0",                         // bare atom
 		"[](locV0 == 0) -> <>[](locC0 == 0)", // nested temporal conclusion
@@ -343,6 +351,133 @@ func TestCompileRejectsUnsupported(t *testing.T) {
 		}
 		if _, err := Compile("bad", f, a); err == nil {
 			t.Errorf("%q: expected compile error", src)
+		}
+	}
+}
+
+// compileFile parses and compiles a property file, failing the test on any
+// error.
+func compileFile(t *testing.T, src string, a *ta.TA) []spec.Query {
+	t.Helper()
+	pf, err := ParseFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := CompileFile(pf, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return qs
+}
+
+// A [] premise over two locations compiles to one query, not one of two
+// orders picked by map iteration, so it has one cache key; its locations
+// keep the order the premise names them in.
+func TestPremiseOrderDeterministic(t *testing.T) {
+	a := shippedTA(t, "sba.ta")
+	const src = "Quiet_0: [](locL1 == 0 && locL01 == 0) -> [](locE1 == 0);"
+	eng, err := schema.New(a, schema.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := vcache.ConfigOf(eng.Opts())
+	keys := make(map[string]bool)
+	for range 200 {
+		q := compileFile(t, src, a)[0]
+		keys[vcache.Key(eng.TA(), &q, cfg, vcache.EngineVersion)] = true
+	}
+	if len(keys) != 1 {
+		t.Fatalf("200 compiles gave %d distinct cache keys, want 1", len(keys))
+	}
+	q := compileFile(t, src, a)[0]
+	l1, _ := a.LocByName("L1")
+	l01, _ := a.LocByName("L01")
+	if want := []ta.LocID{l1, l01}; !reflect.DeepEqual(q.GlobalEmpty, want) {
+		t.Errorf("GlobalEmpty = %v, want %v (the premise's order)", q.GlobalEmpty, want)
+	}
+}
+
+// Labelled <>[] conjuncts name their justice requirements, in premise
+// order; unlabelled ones are named by position.
+func TestJusticeLabels(t *testing.T) {
+	a := shippedTA(t, "simplified.ta")
+	const goal = "<>(locV0 == 0 && locV1 == 0 && locM == 0 && locM0 == 0 && locM1 == 0 && locM01 == 0 && " +
+		"locE0 == 0 && locE1 == 0 && locD1 == 0 && locV0x == 0 && locV1x == 0 && locMx == 0 && " +
+		"locM0x == 0 && locM1x == 0 && locM01x == 0)"
+	q := compileFile(t, "p: <>[](aux1: (locM1 == 0 || a1 < N - T - F) && locM == 0 && "+
+		"aux0: (locM0 == 0 || a0 < N - T - F)) -> "+goal+";", a)[0]
+	var names []string
+	for _, j := range q.Justice {
+		names = append(names, j.Name)
+	}
+	if want := []string{"aux1", "justice_1", "aux0"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("justice names %v, want %v", names, want)
+	}
+	for _, bad := range []string{
+		"p: <>[](x: locM == 0 && x: locE0 == 0) -> " + goal + ";",   // one label twice
+		"p: <>[](x: (locM == 0 && locE0 == 0)) -> " + goal + ";",    // a label over a conjunction
+		"p: <>[](locM1 == 0 || x: a1 < N - T - F) -> " + goal + ";", // a label inside a disjunction
+		"p: [](x: locV0 == 0) -> [](locD0 == 0);",                   // a label outside <>[]
+		"p: x: <>(locD0 != 0) -> [](locD1 == 0);",                   // a label on the property
+	} {
+		pf, err := ParseFile(bad)
+		if err != nil {
+			t.Errorf("%q should parse: %v", bad, err)
+			continue
+		}
+		if _, err := CompileFile(pf, a); err == nil {
+			t.Errorf("%q: expected compile error", bad)
+		}
+	}
+}
+
+// Property names may join identifiers and numbers with '-', written with
+// no space around it.
+func TestPropertyNamesWithDashes(t *testing.T) {
+	pf, err := ParseFile("BV-Just0: locA == 0; Inv1_0-no-resilience: locA == 0; a-1: locA == 0;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"BV-Just0", "Inv1_0-no-resilience", "a-1"}; !reflect.DeepEqual(pf.Names, want) {
+		t.Errorf("names = %v, want %v", pf.Names, want)
+	}
+	for _, bad := range []string{"BV - Just0: locA == 0;", "BV -Just0: locA == 0;", "BV-: locA == 0;", "-BV: locA == 0;"} {
+		if _, err := ParseFile(bad); err == nil {
+			t.Errorf("%q: expected parse error", bad)
+		}
+	}
+}
+
+// A resilience clause compiles, in order, to the property's replacement
+// resilience condition; `==` stays an equality.
+func TestResilienceClause(t *testing.T) {
+	a := shippedTA(t, "bosco.ta")
+	qs := compileFile(t, "p: <>(locD0 != 0) -> [](locD1 == 0) resilience N > 5 * T, F == 0;\n"+
+		"q: <>(locD0 != 0) -> [](locD1 == 0);", a)
+	n, tt, f := a.Params[0], a.Params[1], a.Params[2]
+	want := []expr.Constraint{
+		expr.GEZero(expr.Lin{Coeffs: map[expr.Sym]int64{n: 1, tt: -5}, Const: -1}),
+		expr.EQZero(expr.Var(f)),
+	}
+	if !reflect.DeepEqual(qs[0].RelaxResilience, want) {
+		t.Errorf("resilience = %+v, want %+v", qs[0].RelaxResilience, want)
+	}
+	if qs[1].RelaxResilience != nil {
+		t.Errorf("a property without a clause has resilience %+v", qs[1].RelaxResilience)
+	}
+	for _, bad := range []string{
+		"p: <>(locD0 != 0) -> [](locD1 == 0) resilience x0 >= 1;",     // a shared variable
+		"p: <>(locD0 != 0) -> [](locD1 == 0) resilience locD0 == 0;",  // a location
+		"p: <>(locD0 != 0) -> [](locD1 == 0) resilience N >= 1, ;",    // a dangling comma
+		"p: <>(locD0 != 0) -> [](locD1 == 0) resilience;",             // no comparison
+		"p: <>(locD0 != 0) -> [](locD1 == 0) resilience N > 1 T > 0;", // no comma
+	} {
+		pf, err := ParseFile(bad)
+		if err == nil {
+			_, err = CompileFile(pf, a)
+		}
+		if err == nil {
+			t.Errorf("%q: expected an error", bad)
 		}
 	}
 }

@@ -6,10 +6,12 @@ import (
 )
 
 // PropertyFile is a parsed ByMC-style property file: named formulas in
-// declaration order.
+// declaration order, and the resilience clause of each property that has
+// one.
 type PropertyFile struct {
-	Names    []string
-	Formulas map[string]Formula
+	Names      []string
+	Formulas   map[string]Formula
+	Resilience map[string][]Atom
 }
 
 type parser struct {
@@ -47,18 +49,19 @@ func (p *parser) expect(text string) error {
 	return nil
 }
 
-// ParseFile parses a property file of the form "name: formula; ...".
+// ParseFile parses a property file of the form
+// "name: formula [resilience atom, ...]; ...".
 func ParseFile(src string) (*PropertyFile, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	out := &PropertyFile{Formulas: make(map[string]Formula)}
+	out := &PropertyFile{Formulas: make(map[string]Formula), Resilience: make(map[string][]Atom)}
 	for p.peek().Kind != tokEOF {
-		name := p.next()
-		if name.Kind != tokIdent {
-			return nil, fmt.Errorf("ltl: line %d: expected property name, found %q", name.Line, name.Text)
+		name, err := p.propertyName()
+		if err != nil {
+			return nil, err
 		}
 		if err := p.expect(":"); err != nil {
 			return nil, err
@@ -66,6 +69,12 @@ func ParseFile(src string) (*PropertyFile, error) {
 		f, err := p.parseFormula()
 		if err != nil {
 			return nil, err
+		}
+		if t := p.peek(); t.Kind == tokIdent && t.Text == "resilience" {
+			p.next()
+			if out.Resilience[name.Text], err = p.parseResilience(); err != nil {
+				return nil, err
+			}
 		}
 		if err := p.expect(";"); err != nil {
 			return nil, err
@@ -77,6 +86,40 @@ func ParseFile(src string) (*PropertyFile, error) {
 		out.Formulas[name.Text] = f
 	}
 	return out, nil
+}
+
+// propertyName reads an identifier, or identifiers and numbers joined by
+// '-' with no space around it (BV-Just0, Inv1_0-no-resilience).
+func (p *parser) propertyName() (token, error) {
+	name := p.next()
+	if name.Kind != tokIdent {
+		return token{}, fmt.Errorf("ltl: line %d: expected property name, found %q", name.Line, name.Text)
+	}
+	for p.at("-") && p.peek().Pos == name.Pos+len(name.Text) {
+		part := p.toks[p.pos+1]
+		if (part.Kind != tokIdent && part.Kind != tokNumber) || part.Pos != p.peek().Pos+1 {
+			break
+		}
+		p.pos += 2
+		name.Text += "-" + part.Text
+	}
+	return name, nil
+}
+
+// parseResilience parses the comparisons of a resilience clause, separated
+// by commas.
+func (p *parser) parseResilience() ([]Atom, error) {
+	var out []Atom
+	for {
+		f, err := p.parseAtom()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, f.(Atom))
+		if !p.accept(",") {
+			return out, nil
+		}
+	}
 }
 
 // ParseFormula parses a single formula.
@@ -163,6 +206,15 @@ func (p *parser) parseUnary() (Formula, error) {
 			return nil, err
 		}
 		return Unary{Op: OpNot, Sub: sub}, nil
+	case p.peek().Kind == tokIdent && p.toks[p.pos+1].Text == ":":
+		// A label: IDENT ':' names the unary formula after it.
+		label := p.next().Text
+		p.next()
+		sub, err := p.parseUnary()
+		if err != nil {
+			return nil, err
+		}
+		return Labeled{Label: label, Sub: sub}, nil
 	case p.at("("):
 		// Parenthesized formula (expressions may not contain parentheses,
 		// so '(' always opens a formula).

@@ -16,7 +16,7 @@ func TestBoscoStructure(t *testing.T) {
 	if size.Rules != 17 {
 		t.Errorf("rules = %d, want 17", size.Rules)
 	}
-	qs, err := BoscoQueries(a)
+	qs, err := Named("bosco").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestBoscoStructure(t *testing.T) {
 // TestBoscoLemma1ExplicitSmall: ground truth for the safety lemma.
 func TestBoscoLemma1ExplicitSmall(t *testing.T) {
 	a := Bosco()
-	qs, err := BoscoQueries(a)
+	qs, err := Named("bosco").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,21 +193,21 @@ func TestSimplifiedConsensusStructure(t *testing.T) {
 
 func TestQueriesValidate(t *testing.T) {
 	bv := BVBroadcast()
-	if _, err := BVQueries(bv); err != nil {
-		t.Errorf("BVQueries: %v", err)
+	if _, err := Named("bv").Queries(bv); err != nil {
+		t.Errorf("bv queries: %v", err)
 	}
 	simp := SimplifiedConsensus()
-	qs, err := SimplifiedQueries(simp)
+	qs, err := Named("simplified").Queries(simp)
 	if err != nil {
-		t.Fatalf("SimplifiedQueries: %v", err)
+		t.Fatalf("simplified queries: %v", err)
 	}
 	if len(qs) != 9 {
 		t.Errorf("simplified queries = %d, want 9", len(qs))
 	}
 	naive := NaiveConsensus()
-	nq, err := NaiveQueries(naive)
+	nq, err := Named("naive").Queries(naive)
 	if err != nil {
-		t.Fatalf("NaiveQueries: %v", err)
+		t.Fatalf("naive queries: %v", err)
 	}
 	if len(nq) != 3 {
 		t.Errorf("naive queries = %d, want 3", len(nq))
@@ -217,12 +217,27 @@ func TestQueriesValidate(t *testing.T) {
 	}
 }
 
-func TestSimplifiedJusticeShape(t *testing.T) {
-	a := SimplifiedConsensus()
-	js, err := SimplifiedJustice(a)
+// justiceOf returns the justice requirements of one bundled property.
+func justiceOf(t *testing.T, model, prop string) []ta.Justice {
+	t.Helper()
+	m := Named(model)
+	qs, err := m.Queries(m.TA())
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, q := range qs {
+		if q.Name == prop {
+			return q.Justice
+		}
+	}
+	t.Fatalf("%s has no property %s", model, prop)
+	return nil
+}
+
+// TestSimplifiedJusticeShape: SRoundTerm's justice is the Appendix F
+// premise, not the default per-rule justice.
+func TestSimplifiedJusticeShape(t *testing.T) {
+	js := justiceOf(t, "simplified", "SRoundTerm")
 	// 10 per half (start x2, bv_term, obl x2, unif x2, aux x3) + 3 advance.
 	if len(js) != 23 {
 		t.Errorf("justice requirements = %d, want 23", len(js))
@@ -269,7 +284,7 @@ func explicitCheck(t *testing.T, a *ta.TA, q spec.Query, n, tt, f int64) spec.Ou
 // truth the parameterized checker must agree with.
 func TestBVPropertiesExplicitSmall(t *testing.T) {
 	a := BVBroadcast()
-	qs, err := BVQueries(a)
+	qs, err := Named("bv").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +301,7 @@ func TestBVPropertiesExplicitSmall(t *testing.T) {
 // the simplified automaton for small parameters.
 func TestSimplifiedPropertiesExplicitSmall(t *testing.T) {
 	a := SimplifiedConsensus()
-	qs, err := SimplifiedQueries(a)
+	qs, err := Named("simplified").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +348,7 @@ func TestNaivePropertiesExplicitSmall(t *testing.T) {
 		t.Skip("naive explicit exploration is slow")
 	}
 	a := NaiveConsensus()
-	qs, err := NaiveQueries(a)
+	qs, err := Named("naive").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}

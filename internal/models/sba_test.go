@@ -38,11 +38,7 @@ func TestSBAStructure(t *testing.T) {
 // lock uniformity x2, exit x3) plus 3 advance requirements on the mid-round
 // exits.
 func TestSBAJusticeShape(t *testing.T) {
-	a := SBA()
-	js, err := SBAJustice(a)
-	if err != nil {
-		t.Fatal(err)
-	}
+	js := justiceOf(t, "sba", "SBARoundTerm")
 	if len(js) != 21 {
 		t.Errorf("justice requirements = %d, want 21", len(js))
 	}
@@ -64,7 +60,7 @@ func TestSBAJusticeShape(t *testing.T) {
 // one-round automaton.
 func TestSBAQueriesValidate(t *testing.T) {
 	a := SBA()
-	qs, err := SBAQueries(a)
+	qs, err := Named("sba").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +86,7 @@ func TestSBAQueriesValidate(t *testing.T) {
 // parameterized (SMT) verification must agree with.
 func TestSBAPropertiesExplicitSmall(t *testing.T) {
 	a := SBA()
-	qs, err := SBAQueries(a)
+	qs, err := Named("sba").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}

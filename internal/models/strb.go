@@ -1,9 +1,6 @@
 package models
 
-import (
-	"repro/internal/spec"
-	"repro/internal/ta"
-)
+import "repro/internal/ta"
 
 // STReliableBroadcast builds the threshold automaton of the classic
 // Srikanth-Toueg authenticated/reliable broadcast — the original benchmark
@@ -26,58 +23,3 @@ import (
 // if nobody got the INIT), Correctness (if everybody got the INIT,
 // everybody accepts) and Relay (if somebody accepts, everybody accepts).
 func STReliableBroadcast() *ta.TA { return mustParse("strb.ta") }
-
-// STRBQueries returns the counterexample queries for the three reliable
-// broadcast properties.
-func STRBQueries(a *ta.TA) ([]spec.Query, error) {
-	justice := a.DefaultJustice()
-	var err error
-	set := func(names ...string) ta.LocSet {
-		s, serr := a.LocSetByName(names...)
-		if serr != nil && err == nil {
-			err = serr
-		}
-		return s
-	}
-	loc := func(name string) ta.LocID {
-		id, lerr := a.LocByName(name)
-		if lerr != nil && err == nil {
-			err = lerr
-		}
-		return id
-	}
-	queries := []spec.Query{
-		{
-			// Unforgeability: [](locV1 == 0) -> [](locAC == 0).
-			Name:          "Unforgeability",
-			Kind:          spec.Safety,
-			InitEmpty:     []ta.LocID{loc("V1")},
-			VisitNonempty: []ta.LocSet{set("AC")},
-		},
-		{
-			// Correctness: [](locV0 == 0) -> <> all correct accepted.
-			Name:          "Correctness",
-			Kind:          spec.Liveness,
-			InitEmpty:     []ta.LocID{loc("V0")},
-			FinalNonempty: []ta.LocSet{set("V0", "V1", "SE")},
-			Justice:       justice,
-		},
-		{
-			// Relay: <>(locAC != 0) -> <> all correct accepted.
-			Name:          "Relay",
-			Kind:          spec.Liveness,
-			VisitNonempty: []ta.LocSet{set("AC")},
-			FinalNonempty: []ta.LocSet{set("V0", "V1", "SE")},
-			Justice:       justice,
-		},
-	}
-	if err != nil {
-		return nil, err
-	}
-	for i := range queries {
-		if verr := queries[i].Validate(a); verr != nil {
-			return nil, verr
-		}
-	}
-	return queries, nil
-}

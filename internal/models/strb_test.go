@@ -15,7 +15,7 @@ func TestSTRBStructure(t *testing.T) {
 	if len(a.InitialLocs()) != 2 {
 		t.Errorf("initial locations = %v", a.InitialLocs())
 	}
-	qs, err := STRBQueries(a)
+	qs, err := Named("strb").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestSTRBStructure(t *testing.T) {
 // TestSTRBPropertiesExplicitSmall: ground truth by exhaustive enumeration.
 func TestSTRBPropertiesExplicitSmall(t *testing.T) {
 	a := STReliableBroadcast()
-	qs, err := STRBQueries(a)
+	qs, err := Named("strb").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}

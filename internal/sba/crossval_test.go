@@ -38,7 +38,7 @@ func taVerdicts(t *testing.T) map[string]spec.Outcome {
 	if err != nil {
 		t.Fatalf("specs/sba.ta does not parse: %v", err)
 	}
-	qs, err := models.SBAQueries(a)
+	qs, err := models.Named("sba").Queries(a)
 	if err != nil {
 		t.Fatalf("building queries against the parsed spec: %v", err)
 	}

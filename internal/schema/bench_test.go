@@ -17,7 +17,7 @@ import (
 func benchPrefixSolve(b *testing.B, fresh bool) {
 	b.Helper()
 	a := models.SimplifiedConsensus()
-	qs, err := models.SimplifiedQueries(a)
+	qs, err := models.Named("simplified").Queries(a)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 //     f >= 1.
 func TestBoscoClassicResults(t *testing.T) {
 	a := models.Bosco()
-	qs, err := models.BoscoQueries(a)
+	qs, err := models.Named("bosco").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestBoscoClassicResults(t *testing.T) {
 // exhaustive enumeration at concrete parameters in each regime.
 func TestBoscoExplicitCrossValidation(t *testing.T) {
 	a := models.Bosco()
-	qs, err := models.BoscoQueries(a)
+	qs, err := models.Named("bosco").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,7 +151,7 @@ func TestCrossValidationRandomQueries(t *testing.T) {
 func TestCrossValidationSimplifiedInstances(t *testing.T) {
 	a := models.SimplifiedConsensus()
 	oneRound := a.OneRound()
-	qs, err := models.SimplifiedQueries(a)
+	qs, err := models.Named("simplified").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 func TestEffortCountersPinned(t *testing.T) {
 	const base, window = 26864, 64
 	a := models.NaiveConsensus()
-	qs, err := models.NaiveQueries(a)
+	qs, err := models.Named("naive").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}

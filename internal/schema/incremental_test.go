@@ -61,7 +61,7 @@ func sameVerdict(t *testing.T, name string, base, got Result) {
 // indistinguishable at any worker count.
 func TestIncrementalVsFreshSchemaBV(t *testing.T) {
 	a := models.BVBroadcast()
-	qs, err := models.BVQueries(a)
+	qs, err := models.Named("bv").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestIncrementalVsFreshSchemaRandom(t *testing.T) {
 // accounting may differ between strategies.
 func TestIncrementalVsFreshPrefixRecords(t *testing.T) {
 	a := models.SimplifiedConsensus()
-	qs, err := models.SimplifiedQueries(a)
+	qs, err := models.Named("simplified").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func withGuard(t *testing.T, a *ta.TA, name string, guard expr.Constraint) *ta.T
 // counterexample, and the explicit checker must confirm it.
 func TestMutantNoEchoBreaksObligation(t *testing.T) {
 	a := withoutRule(t, models.BVBroadcast(), "r5")
-	qs, err := models.BVQueries(a)
+	qs, err := models.Named("bv").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestMutantWeakAuxThresholdBreaksAgreement(t *testing.T) {
 	}
 	mutant := withGuard(t, orig, "s8", expr.GEZero(weak)) // a1 >= 1
 
-	qs, err := models.SimplifiedQueries(mutant)
+	qs, err := models.Named("simplified").Queries(mutant)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestMutantWeakAuxThresholdBreaksAgreement(t *testing.T) {
 // companion check below pins down.
 func TestMutantMissingDecisionBreaksTermination(t *testing.T) {
 	mutant := withoutRule(t, models.SimplifiedConsensus(), "s5x")
-	qs, err := models.SimplifiedQueries(mutant)
+	qs, err := models.Named("simplified").Queries(mutant)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestMutantMissingDecisionBreaksTermination(t *testing.T) {
 func TestMutantsDoNotBreakUnrelatedProperties(t *testing.T) {
 	// Removing the echo rule must keep BV-Justification intact.
 	a := withoutRule(t, models.BVBroadcast(), "r5")
-	qs, err := models.BVQueries(a)
+	qs, err := models.Named("bv").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,7 +171,7 @@ func sameResult(t *testing.T, name string, workers int, base, got Result) {
 // results.
 func TestParallelDeterminismBV(t *testing.T) {
 	a := models.BVBroadcast()
-	qs, err := models.BVQueries(a)
+	qs, err := models.Named("bv").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestParallelDeterminismViolated(t *testing.T) {
 // worker count.
 func TestParallelDeterminismBudget(t *testing.T) {
 	a := models.NaiveConsensus()
-	qs, err := models.NaiveQueries(a)
+	qs, err := models.Named("naive").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestParallelDeterminismRandom(t *testing.T) {
 // with a Budget outcome at any worker count instead of hanging or solving.
 func TestParallelStop(t *testing.T) {
 	a := models.BVBroadcast()
-	qs, err := models.BVQueries(a)
+	qs, err := models.Named("bv").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func check(t *testing.T, e *Engine, q spec.Query) Result {
 // parameters with the staged engine.
 func TestBVPropertiesStaged(t *testing.T) {
 	a := models.BVBroadcast()
-	qs, err := models.BVQueries(a)
+	qs, err := models.Named("bv").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestBVPropertiesStaged(t *testing.T) {
 // enumeration, the mode whose schema counts Table 2 reports.
 func TestBVPropertiesFull(t *testing.T) {
 	a := models.BVBroadcast()
-	qs, err := models.BVQueries(a)
+	qs, err := models.Named("bv").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestBVTermViolatedWithoutJustice(t *testing.T) {
 // headline result.
 func TestSimplifiedPropertiesStaged(t *testing.T) {
 	a := models.SimplifiedConsensus()
-	qs, err := models.SimplifiedQueries(a)
+	qs, err := models.Named("simplified").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestInv1CounterexampleWithoutResilience(t *testing.T) {
 // Appendix F discussion predicts.
 func TestSRoundTermNeedsBVFairness(t *testing.T) {
 	a := models.SimplifiedConsensus()
-	qs, err := models.SimplifiedQueries(a)
+	qs, err := models.Named("simplified").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestSRoundTermNeedsBVFairness(t *testing.T) {
 // the holistic decomposition.
 func TestNaiveFullEnumerationExplodes(t *testing.T) {
 	a := models.NaiveConsensus()
-	qs, err := models.NaiveQueries(a)
+	qs, err := models.Named("naive").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestNaiveFullEnumerationExplodes(t *testing.T) {
 // including mutated (violated) variants.
 func TestFullAndStagedAgree(t *testing.T) {
 	a := models.BVBroadcast()
-	qs, err := models.BVQueries(a)
+	qs, err := models.Named("bv").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}

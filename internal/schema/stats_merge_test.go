@@ -19,7 +19,7 @@ import (
 // counter rather than the post-fold schema count.
 func TestStatsMergeParallel(t *testing.T) {
 	a := models.BVBroadcast()
-	qs, err := models.BVQueries(a)
+	qs, err := models.Named("bv").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // paper's three automata.
 func TestSTRBParameterized(t *testing.T) {
 	a := models.STReliableBroadcast()
-	qs, err := models.STRBQueries(a)
+	qs, err := models.Named("strb").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestSTRBUnforgeabilityNeedsEchoThreshold(t *testing.T) {
 	}
 	mutant := withGuard(t, a, "r2", expr.GEZero(weak))
 
-	base, err := models.STRBQueries(mutant)
+	base, err := models.Named("strb").Queries(mutant)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,12 +31,12 @@ func bundledQueries(t testing.TB) []modelQueries {
 		a  *ta.TA
 		qs func(*ta.TA) ([]spec.Query, error)
 	}{
-		{models.BVBroadcast(), models.BVQueries},
-		{models.SimplifiedConsensus(), models.SimplifiedQueries},
-		{models.NaiveConsensus(), models.NaiveQueries},
-		{models.SBA(), models.SBAQueries},
-		{models.STReliableBroadcast(), models.STRBQueries},
-		{models.Bosco(), models.BoscoQueries},
+		{models.BVBroadcast(), models.Named("bv").Queries},
+		{models.SimplifiedConsensus(), models.Named("simplified").Queries},
+		{models.NaiveConsensus(), models.Named("naive").Queries},
+		{models.SBA(), models.Named("sba").Queries},
+		{models.STReliableBroadcast(), models.Named("strb").Queries},
+		{models.Bosco(), models.Named("bosco").Queries},
 	} {
 		qs, err := m.qs(m.a)
 		if err != nil {
@@ -89,7 +89,7 @@ func planOf(t testing.TB, a *ta.TA, q *spec.Query) *FullPlan {
 func naivePlan(t testing.TB, name string) *FullPlan {
 	t.Helper()
 	a := models.NaiveConsensus()
-	qs, err := models.NaiveQueries(a)
+	qs, err := models.Named("naive").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}

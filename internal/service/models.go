@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/ltl"
 	"repro/internal/models"
@@ -17,14 +16,13 @@ import (
 // the serving plane, so a remote verification of "simplified" runs exactly
 // the queries a local one does.
 func BuiltinModel(name string) (*ta.TA, []spec.Query, error) {
-	for _, m := range models.Bundled {
-		if m.Name == name || slices.Contains(m.Aliases, name) {
-			a := m.TA()
-			qs, err := m.Queries(a)
-			return a, qs, err
-		}
+	m, err := models.Lookup(name)
+	if err != nil {
+		return nil, nil, err
 	}
-	return nil, nil, fmt.Errorf("unknown model %q (want %s)", name, models.Names())
+	a := m.TA()
+	qs, err := m.Queries(a)
+	return a, qs, err
 }
 
 // Resolved is a validated VerifyRequest: the automaton, its report label

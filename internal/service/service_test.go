@@ -402,16 +402,16 @@ func TestVerifyRequestTAInline(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ts := newTestServer(t, Config{})
-	resp, _ := postVerify(t, ts.URL, VerifyRequest{TA: string(taText), Spec: string(specText), Prop: "unforgeability"})
+	resp, _ := postVerify(t, ts.URL, VerifyRequest{TA: string(taText), Spec: string(specText), Prop: "Unforgeability"})
 	if len(resp.Results) != 1 {
 		t.Fatalf("inline TA produced %d results, want 1", len(resp.Results))
 	}
 	r := resp.Results[0]
-	if r.Model != "st-reliable-broadcast" || r.Query != "unforgeability" {
-		t.Fatalf("row labeled %s/%s, want st-reliable-broadcast/unforgeability", r.Model, r.Query)
+	if r.Model != "st-reliable-broadcast" || r.Query != "Unforgeability" {
+		t.Fatalf("row labeled %s/%s, want st-reliable-broadcast/Unforgeability", r.Model, r.Query)
 	}
 	if r.Outcome != "holds" {
-		t.Fatalf("unforgeability outcome %q, want holds", r.Outcome)
+		t.Fatalf("Unforgeability outcome %q, want holds", r.Outcome)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 func simplifiedEngine(t *testing.T) (*schema.Engine, []spec.Query) {
 	t.Helper()
 	a := models.SimplifiedConsensus()
-	qs, err := models.SimplifiedQueries(a)
+	qs, err := models.Named("simplified").Queries(a)
 	if err != nil {
 		t.Fatal(err)
 	}

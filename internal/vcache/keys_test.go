@@ -7,12 +7,10 @@ import (
 	"testing"
 
 	"repro/internal/expr"
-	"repro/internal/ltl"
 	"repro/internal/models"
 	"repro/internal/schema"
 	"repro/internal/spec"
 	"repro/internal/ta"
-	"repro/specs"
 )
 
 // keyCase is one automaton with the queries stated over it.
@@ -22,9 +20,9 @@ type keyCase struct {
 	qs   []spec.Query
 }
 
-// bundledCases returns every bundled automaton with all of its queries:
-// the registry's Go queries (plus the relaxed-resilience counterexample
-// query) and, where specs/ ships a property file, its compiled properties.
+// bundledCases returns every bundled automaton with all of its queries
+// (compiled from its property file), plus the relaxed-resilience
+// counterexample query.
 func bundledCases(t *testing.T) []keyCase {
 	t.Helper()
 	var out []keyCase
@@ -38,17 +36,6 @@ func bundledCases(t *testing.T) []keyCase {
 		a := m.TA()
 		qs, err := m.Queries(a)
 		add(m.Name, a, qs, err)
-
-		ltlFile := strings.TrimSuffix(m.File, ".ta") + ".ltl"
-		src, rerr := specs.FS.ReadFile(ltlFile)
-		if rerr != nil {
-			continue
-		}
-		pf, err := ltl.ParseFile(string(src))
-		if err == nil {
-			qs, err = ltl.CompileFile(pf, a)
-		}
-		add("specs/"+ltlFile, a, qs, err)
 	}
 	simp := models.SimplifiedConsensus()
 	ce, err := models.Inv1CounterexampleQuery(simp)

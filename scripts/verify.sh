@@ -59,7 +59,7 @@ fi
 # owns the CRC32C framing, and the merged full-mode internals stay merged
 # (their names survive only in _test.go references and in CHANGES.md /
 # ROADMAP.md as history). Bracketed like the lint above.
-echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form, request resolution, CLI request front door, in-flight store, campaign seed sweep, one source per automaton, queued copy as content id)"
+echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form, request resolution, CLI request front door, in-flight store, campaign seed sweep, one source per automaton and per property, queued copy as content id)"
 SRC=$(find cmd internal -name '*.go' ! -name '*_test.go')
 N=$(grep -l 'json:"lp[_]checks"' $SRC | wc -l)
 [ "$N" -eq 1 ] || { echo "one-definition lint: $N non-test files declare a json:\"lp[_]checks\" field, want 1"; exit 1; }
@@ -182,6 +182,26 @@ fi
 if grep -rnE 'ta\.S[e]mantics|BVBroadcastS[p]ec|SimplifiedConsensusS[p]ec|STRBS[p]ec|bundledS[p]ecs|TestShippedSpecsInS[y]nc' \
     cmd internal examples README.md DESIGN.md EXPERIMENTS.md .claude; then
     echo "retired-name lint: the lines above name a retired builder annotation, LTL constant, spec table or sync test (read specs/ through models.Bundled or repro/specs)"
+    exit 1
+fi
+
+# One source per property: every bundled query compiles from the property
+# file its models.Bundled row names (specs/*.ltl), so no non-test file or
+# doc names a retired Go query builder, every row's file exists, and a
+# registry row holds file names, not code.
+if grep -rnE '\b(BV|Naive|Simplified|STRB|Bosco|SBA)Q[u]eries\b|\b(Simplified|SBA)J[u]stice\b' \
+    $SRC $(find examples benchmark -name '*.go' ! -name '*_test.go') README.md DESIGN.md EXPERIMENTS.md .claude; then
+    echo "retired-name lint: the lines above name a retired Go query builder (state the property in specs/<model>.ltl)"
+    exit 1
+fi
+ROWS=$(grep -c '{Name: "' internal/models/models.go)
+PROPS=$(sed -n 's/.*{Name: ".*Props: "\([^"]*\)".*/\1/p' internal/models/models.go)
+[ "$(echo "$PROPS" | grep -c .)" -eq "$ROWS" ] || { echo "one-definition lint: a models.Bundled row names no property file"; exit 1; }
+for LTL in $PROPS; do
+    [ -f "specs/$LTL" ] || { echo "one-definition lint: models.Bundled names specs/$LTL, which does not exist"; exit 1; }
+done
+if sed -n '/^type Model struct {/,/^}/p' internal/models/models.go | grep -nE '\bfunc\b'; then
+    echo "one-definition lint: models.Model holds a func-typed field (a model's queries come from its .ltl file)"
     exit 1
 fi
 
