@@ -20,7 +20,6 @@ import (
 	"repro/internal/models"
 	"repro/internal/network"
 	"repro/internal/protocol"
-	"repro/internal/reduction"
 	"repro/internal/schema"
 	"repro/internal/spec"
 	"repro/internal/ta"
@@ -194,7 +193,7 @@ func BenchmarkAblationExplicitState(b *testing.B) {
 	}
 	for _, c := range cases {
 		b.Run(benchName(c.n, c.t, c.f), func(b *testing.B) {
-			sys, err := counter.NewSystem(a, counter.ParamsFor(a, c.n, c.t, c.f))
+			sys, err := counter.NewSystem(a, counter.ParamsFor(a, c.n, c.t, c.f), 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -323,7 +322,7 @@ func BenchmarkBlockchainHeight(b *testing.B) {
 // double replay on a 150-step random multi-round run.
 func BenchmarkRoundRigidReduction(b *testing.B) {
 	a := models.SimplifiedConsensus()
-	sys, err := reduction.NewSystem(a, counter.ParamsFor(a, 4, 1, 1), 3)
+	sys, err := counter.NewSystem(a, counter.ParamsFor(a, 4, 1, 1), 3)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -332,12 +331,12 @@ func BenchmarkRoundRigidReduction(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
-	var steps []reduction.Step
+	var steps []counter.Step
 	cur := init.Clone()
 	for len(steps) < 150 {
 		type cand struct{ round, rule int }
 		var cands []cand
-		for r := 0; r < sys.MaxRounds; r++ {
+		for r := 0; r < sys.Rounds; r++ {
 			for ri, rule := range a.Rules {
 				if rule.SelfLoop() {
 					continue
@@ -351,7 +350,7 @@ func BenchmarkRoundRigidReduction(b *testing.B) {
 			break
 		}
 		pick := cands[rng.Intn(len(cands))]
-		st := reduction.Step{Round: pick.round, Rule: pick.rule, Factor: 1}
+		st := counter.Step{Round: pick.round, Rule: pick.rule, Factor: 1}
 		next, err := sys.Apply(cur, st)
 		if err != nil {
 			b.Fatal(err)
@@ -361,7 +360,7 @@ func BenchmarkRoundRigidReduction(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Verify(init, steps); err != nil {
+		if _, err := sys.Verify(counter.Run{Init: init, Steps: steps}); err != nil {
 			b.Fatal(err)
 		}
 	}

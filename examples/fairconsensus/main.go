@@ -20,7 +20,6 @@ import (
 	"repro/internal/models"
 	"repro/internal/network"
 	"repro/internal/protocol"
-	"repro/internal/reduction"
 	"repro/internal/ta"
 )
 
@@ -67,7 +66,7 @@ func run() error {
 	// Part 2: round-rigid reduction on the simplified automaton.
 	fmt.Println("\nAppendix A reduction on a random multi-round counter-system run:")
 	a := models.SimplifiedConsensus()
-	msys, err := reduction.NewSystem(a, counter.ParamsFor(a, 4, 1, 1), 3)
+	msys, err := counter.NewSystem(a, counter.ParamsFor(a, 4, 1, 1), 3)
 	if err != nil {
 		return err
 	}
@@ -78,22 +77,22 @@ func run() error {
 		return err
 	}
 	steps2 := randomRun(msys, init, rng, 150)
-	rigid, err := msys.Verify(init, steps2)
+	rigid, err := msys.Verify(counter.Run{Init: init, Steps: steps2})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("random asynchronous run: %d steps; round-rigid reordering replays to the\n", len(steps2))
-	fmt.Printf("same final configuration (rigid: %v)\n", reduction.IsRoundRigid(rigid))
+	fmt.Printf("same final configuration (rigid: %v)\n", counter.IsRoundRigid(rigid))
 	return nil
 }
 
-func randomRun(s *reduction.System, init reduction.Config, rng *rand.Rand, maxSteps int) []reduction.Step {
-	var steps []reduction.Step
+func randomRun(s *counter.System, init counter.Config, rng *rand.Rand, maxSteps int) []counter.Step {
+	var steps []counter.Step
 	cur := init.Clone()
 	for i := 0; i < maxSteps; i++ {
 		type cand struct{ round, rule int }
 		var cands []cand
-		for r := 0; r < s.MaxRounds; r++ {
+		for r := 0; r < s.Rounds; r++ {
 			for ri, rule := range s.TA.Rules {
 				if rule.SelfLoop() {
 					continue
@@ -107,7 +106,7 @@ func randomRun(s *reduction.System, init reduction.Config, rng *rand.Rand, maxSt
 			break
 		}
 		pick := cands[rng.Intn(len(cands))]
-		st := reduction.Step{Round: pick.round, Rule: pick.rule, Factor: 1}
+		st := counter.Step{Round: pick.round, Rule: pick.rule, Factor: 1}
 		next, err := s.Apply(cur, st)
 		if err != nil {
 			break

@@ -1,10 +1,10 @@
 package counter
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/spec"
 	"repro/internal/ta"
 )
 
@@ -35,7 +35,7 @@ func chainTA(t *testing.T) *ta.TA {
 func sys(t *testing.T, a *ta.TA, n, tt, f int64) *System {
 	t.Helper()
 	params := map[expr.Sym]int64{a.Params[0]: n, a.Params[1]: tt, a.Params[2]: f}
-	s, err := NewSystem(a, params)
+	s, err := NewSystem(a, params, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,15 +45,15 @@ func sys(t *testing.T, a *ta.TA, n, tt, f int64) *System {
 func TestNewSystemChecksResilience(t *testing.T) {
 	a := chainTA(t)
 	params := map[expr.Sym]int64{a.Params[0]: 3, a.Params[1]: 1, a.Params[2]: 1}
-	if _, err := NewSystem(a, params); err == nil {
+	if _, err := NewSystem(a, params, 1); err == nil {
 		t.Error("n=3,t=1 violates n>3t; expected error")
 	}
 	params[a.Params[0]] = 4
-	if _, err := NewSystem(a, params); err != nil {
+	if _, err := NewSystem(a, params, 1); err != nil {
 		t.Errorf("n=4,t=1,f=1: %v", err)
 	}
 	delete(params, a.Params[2])
-	if _, err := NewSystem(a, params); err == nil {
+	if _, err := NewSystem(a, params, 1); err == nil {
 		t.Error("missing parameter should error")
 	}
 }
@@ -69,7 +69,7 @@ func TestNewSystemRejectsRoundSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := map[expr.Sym]int64{a.Params[0]: 4, a.Params[1]: 1, a.Params[2]: 0}
-	if _, err := NewSystem(a, params); err == nil {
+	if _, err := NewSystem(a, params, 1); err == nil {
 		t.Error("multi-round TA should be rejected")
 	}
 }
@@ -81,11 +81,11 @@ func TestApplySemantics(t *testing.T) {
 	init := Config{K: []int64{3, 0, 0}, V: []int64{0}}
 
 	// r2 is locked initially (x=0 < 1).
-	if _, err := s.Apply(init, 1, 1); err == nil {
+	if _, err := s.Apply(init, Step{Rule: 1, Factor: 1}); err == nil {
 		t.Error("r2 should be blocked while x=0")
 	}
 	// r1 fires with acceleration 2.
-	c1, err := s.Apply(init, 0, 2)
+	c1, err := s.Apply(init, Step{Rule: 0, Factor: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +93,11 @@ func TestApplySemantics(t *testing.T) {
 		t.Errorf("after r1 x2: %s", s.String(c1))
 	}
 	// Over-accelerating beyond the source counter fails.
-	if _, err := s.Apply(c1, 0, 2); err == nil {
+	if _, err := s.Apply(c1, Step{Rule: 0, Factor: 2}); err == nil {
 		t.Error("r1 x2 with only 1 process at A should fail")
 	}
 	// r2 now unlocked.
-	c2, err := s.Apply(c1, 1, 2)
+	c2, err := s.Apply(c1, Step{Rule: 1, Factor: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +105,14 @@ func TestApplySemantics(t *testing.T) {
 		t.Errorf("after r2 x2: %s", s.String(c2))
 	}
 	// factor 0 is a no-op clone.
-	c3, err := s.Apply(c2, 0, 0)
+	c3, err := s.Apply(c2, Step{Rule: 0, Factor: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c3.Key() != c2.Key() {
 		t.Error("factor 0 should not change the configuration")
 	}
-	if _, err := s.Apply(c2, 0, -1); err == nil {
+	if _, err := s.Apply(c2, Step{Rule: 0, Factor: -1}); err == nil {
 		t.Error("negative factor should error")
 	}
 }
@@ -200,111 +200,113 @@ func TestEnumerateInitial(t *testing.T) {
 	}
 }
 
+// xAbove is the safety query "x > v": a violation is a reachable
+// configuration with shared variable x at v+1 or more.
+func xAbove(a *ta.TA, v int64) spec.Query {
+	return spec.Query{
+		Name:        "x-above",
+		Kind:        spec.Safety,
+		FinalShared: []expr.Constraint{expr.GEZero(expr.Lin{Coeffs: map[expr.Sym]int64{a.Shared[0]: 1}, Const: -v - 1})},
+	}
+}
+
+// stable is the liveness query whose violation is a reachable
+// justice-stable configuration with a process in every goal set.
+func stable(justice []ta.Justice, goal ...ta.LocSet) spec.Query {
+	return spec.Query{Name: "stable", Kind: spec.Liveness, FinalNonempty: goal, Justice: justice}
+}
+
 func TestBFSReachability(t *testing.T) {
 	a := chainTA(t)
 	s := sys(t, a, 4, 1, 1)
-	e := &Explorer{Sys: s}
 
-	seenAllInC := false
-	stats, err := e.BFS(func(c Config, frozen bool) error {
-		if c.K[2] == 3 {
-			seenAllInC = true
-			if !frozen {
-				t.Error("all-in-C configuration should be frozen")
-			}
-		}
-		return nil
-	})
+	// Under default justice the only stable configurations have everyone
+	// in C: r1's justice drains A, and then x = 3 makes r2's drain B.
+	q := stable(a.DefaultJustice())
+	res, err := CheckQueryExplicit(s, &q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !seenAllInC {
-		t.Error("BFS never reached the all-in-C configuration")
+	if res.Outcome != spec.Violated || res.Witness.K[2] != 3 {
+		t.Errorf("search never reached the all-in-C configuration as a stable one: %v %s", res.Outcome, s.String(res.Witness))
 	}
-	if stats.States == 0 || stats.Transitions == 0 {
-		t.Errorf("implausible stats %+v", stats)
+	if res.States == 0 || len(res.Run.Steps) == 0 {
+		t.Errorf("implausible search: %d states, run %+v", res.States, res.Run)
 	}
 }
 
 func TestFindViolationProducesReplayableRun(t *testing.T) {
 	a := chainTA(t)
 	s := sys(t, a, 4, 1, 1)
-	e := &Explorer{Sys: s}
 
-	run, _, err := e.FindViolation(func(c Config) bool { return c.K[2] >= 2 })
+	q := spec.Query{Name: "reach-C", Kind: spec.Safety, VisitNonempty: []ta.LocSet{ta.NewLocSet(a.MustLoc("C"))}}
+	res, err := CheckQueryExplicit(s, &q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run == nil {
-		t.Fatal("expected to find a configuration with 2 processes in C")
+	if res.Run == nil {
+		t.Fatal("expected to find a configuration with a process in C")
 	}
-	trace, err := s.Replay(*run)
+	trace, err := s.Replay(*res.Run)
 	if err != nil {
-		t.Fatalf("violation run does not replay: %v\n%s", err, s.Format(*run))
+		t.Fatalf("violation run does not replay: %v\n%s", err, s.Format(*res.Run))
 	}
-	if final := trace[len(trace)-1]; final.K[2] < 2 {
-		t.Errorf("replayed run ends at %s, want >=2 in C", s.String(final))
+	if final := trace[len(trace)-1]; final.K[2] < 1 {
+		t.Errorf("replayed run ends at %s, want a process in C", s.String(final))
 	}
 
-	run, _, err = e.FindViolation(func(c Config) bool { return c.V[0] > 3 })
+	q = xAbove(a, 3)
+	res, err = CheckQueryExplicit(s, &q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run != nil {
-		t.Errorf("x can never exceed 3 with 3 correct processes, got run:\n%s", s.Format(*run))
+	if res.Run != nil {
+		t.Errorf("x can never exceed 3 with 3 correct processes, got run:\n%s", s.Format(*res.Run))
 	}
 }
 
 func TestFindStableViolation(t *testing.T) {
 	a := chainTA(t)
 	s := sys(t, a, 4, 1, 1)
-	e := &Explorer{Sys: s}
+	ab := ta.NewLocSet(a.MustLoc("A"), a.MustLoc("B"))
 
 	// Liveness "eventually everyone reaches C" holds under default justice:
 	// every configuration with a process outside C violates some justice
 	// requirement (r1's or r2's source must drain).
-	run, _, err := e.FindStableViolation(
-		func(c Config) bool { return c.K[0]+c.K[1] > 0 },
-		a.DefaultJustice(),
-	)
+	q := stable(a.DefaultJustice(), ab)
+	res, err := CheckQueryExplicit(s, &q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run != nil {
-		t.Errorf("unexpected liveness counterexample:\n%s", s.Format(*run))
+	if res.Run != nil {
+		t.Errorf("unexpected liveness counterexample:\n%s", s.Format(*res.Run))
 	}
 
 	// Without any justice, stuttering forever in the initial configuration
 	// is fair, so the same goal is violated.
-	run, _, err = e.FindStableViolation(
-		func(c Config) bool { return c.K[0]+c.K[1] > 0 },
-		nil,
-	)
+	q = stable(nil, ab)
+	res, err = CheckQueryExplicit(s, &q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run == nil {
+	if res.Run == nil {
 		t.Error("with no justice at all, staying at A forever should violate the goal")
 	}
 
-	// Dropping only r1's justice is not enough: r2's justice still forces B
-	// to drain once x >= 1, and A-dwellers violate nothing... they do:
-	// keeping justice only for r2 means a process may stay at A forever, so
-	// a violation must exist with all processes still at A.
+	// Keeping justice only for r2 means a process may stay at A forever, so
+	// a violation must exist with processes still at A.
 	var justR2 []ta.Justice
 	for _, j := range a.DefaultJustice() {
 		if j.Name == "rc_r2" {
 			justR2 = append(justR2, j)
 		}
 	}
-	run, _, err = e.FindStableViolation(
-		func(c Config) bool { return c.K[0] > 0 },
-		justR2,
-	)
+	q = stable(justR2, ta.NewLocSet(a.MustLoc("A")))
+	res, err = CheckQueryExplicit(s, &q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run == nil {
+	if res.Run == nil {
 		t.Error("without r1's justice, processes may legitimately stay at A")
 	}
 }
@@ -312,27 +314,27 @@ func TestFindStableViolation(t *testing.T) {
 func TestBFSBudget(t *testing.T) {
 	a := chainTA(t)
 	s := sys(t, a, 7, 2, 0) // 7 correct processes -> more states
-	e := &Explorer{Sys: s, MaxStates: 3}
-	_, err := e.BFS(nil)
-	if !errors.Is(err, ErrStateBudget) {
-		t.Errorf("err = %v, want ErrStateBudget", err)
+	q := xAbove(a, 7)
+	res, err := CheckQueryExplicit(s, &q, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcome != spec.Budget {
+		t.Errorf("outcome = %v, want %v", res.Outcome, spec.Budget)
 	}
 }
 
 func TestBFSEarlyStop(t *testing.T) {
 	a := chainTA(t)
 	s := sys(t, a, 4, 1, 1)
-	e := &Explorer{Sys: s}
-	visits := 0
-	_, err := e.BFS(func(Config, bool) error {
-		visits++
-		return Stop()
-	})
+	// A query without conditions is violated by the first state visited.
+	q := spec.Query{Name: "any", Kind: spec.Safety}
+	res, err := CheckQueryExplicit(s, &q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if visits != 1 {
-		t.Errorf("visits = %d, want 1", visits)
+	if res.Outcome != spec.Violated || res.States != 1 {
+		t.Errorf("outcome %v after %d states, want violated after 1", res.Outcome, res.States)
 	}
 }
 

@@ -1,99 +1,126 @@
 package counter
 
 import (
-	"errors"
 	"fmt"
 
+	"repro/internal/expr"
+	"repro/internal/spec"
 	"repro/internal/ta"
 )
 
-// Explorer performs explicit-state breadth-first exploration of a counter
-// system for fixed parameters. This is the baseline verification method
-// (à la TLC/SPIN) that the paper's related work contrasts with parameterized
-// model checking: exact for one parameter instance, but subject to state
-// explosion as n grows.
-type Explorer struct {
-	Sys *System
-	// MaxStates bounds exploration (0 = default 2,000,000).
-	MaxStates int
+// ExplicitResult is the outcome of checking one query for fixed parameters.
+type ExplicitResult struct {
+	Outcome spec.Outcome
+	// Witness is a configuration witnessing the violation (zero-value when
+	// the property holds).
+	Witness Config
+	// Run is the full violating execution, replayable with System.Replay
+	// (nil when the property holds).
+	Run    *Run
+	States int
 }
 
-// ErrStateBudget is returned when exploration exceeds MaxStates.
-var ErrStateBudget = errors.New("counter: state budget exhausted")
-
-// Stats describes an exploration.
-type Stats struct {
-	States      int
-	Transitions int
-	Frozen      int // states with no enabled progress rule
-}
-
-// errStop is the internal sentinel used to end exploration early.
-var errStop = errors.New("stop exploration")
-
-// BFS explores all reachable configurations, invoking visit for each newly
-// discovered one (frozen reports whether no progress rule is enabled there).
-// Returning a non-nil error from visit aborts the search; the sentinel
-// returned by Stop() aborts without error.
-func (e *Explorer) BFS(visit func(c Config, frozen bool) error) (Stats, error) {
-	_, stats, err := e.search(func(c Config, frozen bool) (bool, error) {
-		if visit == nil {
-			return false, nil
-		}
-		if err := visit(c, frozen); err != nil {
-			if errors.Is(err, errStop) {
-				return true, nil
-			}
-			return false, err
-		}
-		return false, nil
-	})
-	return stats, err
-}
-
-// Stop returns the sentinel that ends a BFS early without error.
-func Stop() error { return errStop }
-
-type parentLink struct {
-	key  string
-	rule int
-}
-
-// search runs BFS and returns the run reaching the first configuration for
-// which found returns true (nil if none).
-func (e *Explorer) search(found func(c Config, frozen bool) (bool, error)) (*Run, Stats, error) {
-	maxStates := e.MaxStates
+// CheckQueryExplicit decides a spec.Query by explicit-state breadth-first
+// search over the counter system: the fixed-parameter baseline against
+// which the parameterized schema checker is cross-validated, exact for one
+// parameter instance but subject to state explosion as n grows.
+//
+// Visit witnesses are tracked with per-set "visited" flags folded into the
+// explored state, so the search is exact even for location sets that a
+// process can leave again. In a multi-round system a set counts as visited
+// when any round holds a process in it, and InitEmpty constrains round 0:
+// the search then decides cross-round properties such as the full
+// Agreement and Validity of Section 5.1, with their two independent round
+// quantifiers, which the paper reduces to one-superround invariants.
+// Successors are generated round by round, and within a round in rule
+// order.
+func CheckQueryExplicit(sys *System, q *spec.Query, maxStates int) (ExplicitResult, error) {
+	vt := sys.TA
+	if sys.Rounds > 1 {
+		// Round 0's entry locations have incoming round switches; InitEmpty
+		// is about round 0 only, as in the one-round projection.
+		vt = vt.OneRound()
+	}
+	if err := q.Validate(vt); err != nil {
+		return ExplicitResult{}, err
+	}
 	if maxStates <= 0 {
 		maxStates = 2_000_000
 	}
-	sys := e.Sys
 
-	visited := make(map[string]bool)
-	parents := make(map[string]parentLink)
-	initKeys := make(map[string]Config)
-	var queue []Config
-	var stats Stats
-
-	err := sys.EnumerateInitial(func(c Config) error {
-		key := c.Key()
-		if visited[key] {
-			return nil
-		}
-		visited[key] = true
-		initKeys[key] = c
-		queue = append(queue, c)
-		return nil
-	})
-	if err != nil {
-		return nil, stats, err
+	globalEmpty := make(map[ta.LocID]bool, len(q.GlobalEmpty))
+	for _, l := range q.GlobalEmpty {
+		globalEmpty[l] = true
+	}
+	initEmpty := make(map[ta.LocID]bool, len(q.InitEmpty))
+	for _, l := range q.InitEmpty {
+		initEmpty[l] = true
 	}
 
-	reconstruct := func(c Config) (*Run, error) {
+	type state struct {
+		c     Config
+		flags uint32
+	}
+	if len(q.VisitNonempty) > 31 {
+		return ExplicitResult{}, fmt.Errorf("counter: too many visit witnesses (%d)", len(q.VisitNonempty))
+	}
+	allFlags := uint32(1)<<len(q.VisitNonempty) - 1
+
+	flagsOf := func(base uint32, c Config) uint32 {
+		f := base
+		for i, set := range q.VisitNonempty {
+			if f&(1<<i) == 0 && sys.SumLocs(c, set) > 0 {
+				f |= 1 << i
+			}
+		}
+		return f
+	}
+
+	isViolation := func(s state) (bool, error) {
+		if s.flags != allFlags {
+			return false, nil
+		}
+		switch err := sys.Final(s.c, q).(type) {
+		case nil:
+			return true, nil
+		case *unmet:
+			return false, nil
+		default:
+			return false, err
+		}
+	}
+
+	type parentLink struct {
+		key  string
+		step Step
+	}
+	visited := make(map[string]bool)
+	parents := make(map[string]parentLink)
+	initials := make(map[string]Config)
+	var queue []state
+	res := ExplicitResult{Outcome: spec.Holds}
+
+	stateKey := func(s state) string {
+		return fmt.Sprintf("%s#%d", s.c.Key(), s.flags)
+	}
+	push := func(s state, from string, step Step) {
+		key := stateKey(s)
+		if visited[key] {
+			return
+		}
+		visited[key] = true
+		if from == "" {
+			initials[key] = s.c
+		} else {
+			parents[key] = parentLink{key: from, step: step}
+		}
+		queue = append(queue, s)
+	}
+	reconstruct := func(s state) (*Run, error) {
 		var steps []Step
-		key := c.Key()
+		key := stateKey(s)
 		for {
-			if init, ok := initKeys[key]; ok {
-				// reverse steps
+			if init, ok := initials[key]; ok {
 				for i, j := 0, len(steps)-1; i < j; i, j = i+1, j-1 {
 					steps[i], steps[j] = steps[j], steps[i]
 				}
@@ -101,114 +128,83 @@ func (e *Explorer) search(found func(c Config, frozen bool) (bool, error)) (*Run
 			}
 			link, ok := parents[key]
 			if !ok {
-				return nil, fmt.Errorf("counter: broken parent chain at %s", key)
+				return nil, fmt.Errorf("counter: broken parent chain")
 			}
-			steps = append(steps, Step{Rule: link.rule, Factor: 1})
+			steps = append(steps, link.step)
 			key = link.key
 		}
 	}
 
-	for len(queue) > 0 {
-		c := queue[0]
-		queue = queue[1:]
-		stats.States++
-		if stats.States > maxStates {
-			return nil, stats, ErrStateBudget
+	err := sys.EnumerateInitial(func(c Config) error {
+		for l := range initEmpty {
+			if c.K[l] != 0 {
+				return nil
+			}
 		}
+		for l := range globalEmpty {
+			if c.K[l] != 0 {
+				return nil
+			}
+		}
+		push(state{c: c, flags: flagsOf(0, c)}, "", Step{})
+		return nil
+	})
+	if err != nil {
+		return ExplicitResult{}, err
+	}
 
-		frozen := true
-		cKey := c.Key()
-		for ri, r := range sys.TA.Rules {
-			en, err := sys.Enabled(c, ri)
-			if err != nil {
-				return nil, stats, err
-			}
-			if !en {
-				continue
-			}
-			if !r.SelfLoop() {
-				frozen = false
-				next, err := sys.Apply(c, ri, 1)
-				if err != nil {
-					return nil, stats, err
-				}
-				nKey := next.Key()
-				if !visited[nKey] {
-					visited[nKey] = true
-					parents[nKey] = parentLink{key: cKey, rule: ri}
-					queue = append(queue, next)
-					stats.Transitions++
-				}
-			}
+	for len(queue) > 0 {
+		s := queue[0]
+		queue = queue[1:]
+		res.States++
+		if res.States > maxStates {
+			res.Outcome = spec.Budget
+			return res, nil
 		}
-		if frozen {
-			stats.Frozen++
-		}
-		hit, err := found(c, frozen)
+		hit, err := isViolation(s)
 		if err != nil {
-			return nil, stats, err
+			return ExplicitResult{}, err
 		}
 		if hit {
-			run, err := reconstruct(c)
-			return run, stats, err
-		}
-	}
-	return nil, stats, nil
-}
-
-// FindViolation searches for a reachable configuration satisfying bad and
-// returns the run reaching it (nil if the predicate is unreachable).
-func (e *Explorer) FindViolation(bad func(Config) bool) (*Run, Stats, error) {
-	return e.search(func(c Config, _ bool) (bool, error) {
-		return bad(c), nil
-	})
-}
-
-// FindStableViolation searches for a reachable configuration that satisfies
-// every justice requirement yet violates the goal. Extending the run by
-// stuttering there forever yields a fair infinite execution on which the goal
-// never holds, so such a configuration witnesses a liveness violation; nil
-// means the liveness property holds for these parameters under the given
-// justice assumptions.
-//
-// Pass the automaton's DefaultJustice (possibly extended with gadget
-// requirements) to obtain the reliable-communication semantics of the paper;
-// note that a configuration with an enabled rule is justice-stable only if no
-// justice requirement forces that rule's source to drain.
-func (e *Explorer) FindStableViolation(goalViolated func(Config) bool, justice []ta.Justice) (*Run, Stats, error) {
-	return e.search(func(c Config, _ bool) (bool, error) {
-		if !goalViolated(c) {
-			return false, nil
-		}
-		ok, err := e.justiceHolds(c, justice)
-		if err != nil {
-			return false, err
-		}
-		return ok, nil
-	})
-}
-
-// justiceHolds reports whether the frozen configuration is consistent with
-// every justice requirement: a triggered requirement must have an empty
-// location (otherwise the frozen continuation would be unfair and is not a
-// legitimate counterexample).
-func (e *Explorer) justiceHolds(c Config, justice []ta.Justice) (bool, error) {
-	val := e.Sys.valuation(c)
-	for _, j := range justice {
-		triggered := true
-		for _, t := range j.Trigger {
-			ok, err := t.Holds(val)
+			res.Outcome = spec.Violated
+			res.Witness = s.c
+			run, err := reconstruct(s)
 			if err != nil {
-				return false, err
+				return ExplicitResult{}, err
 			}
-			if !ok {
-				triggered = false
-				break
-			}
+			res.Run = run
+			return res, nil
 		}
-		if triggered && c.K[j.Loc] > 0 {
-			return false, nil
+		sKey := stateKey(s)
+		for round := 0; round < sys.Rounds; round++ {
+			for ri, r := range sys.TA.Rules {
+				if r.SelfLoop() {
+					continue
+				}
+				if globalEmpty[r.To] {
+					continue // runs violating the □-premise are not counterexamples
+				}
+				en, err := sys.Enabled(s.c, round, ri)
+				if err != nil {
+					return ExplicitResult{}, err
+				}
+				if !en {
+					continue
+				}
+				st := Step{Round: round, Rule: ri, Factor: 1}
+				next, err := sys.Apply(s.c, st)
+				if err != nil {
+					return ExplicitResult{}, err
+				}
+				push(state{c: next, flags: flagsOf(s.flags, next)}, sKey, st)
+			}
 		}
 	}
-	return true, nil
+	return res, nil
+}
+
+// ParamsFor builds a parameter valuation for the conventional n, t, f
+// parameters of a TA.
+func ParamsFor(a *ta.TA, n, t, f int64) map[expr.Sym]int64 {
+	return map[expr.Sym]int64{a.Params[0]: n, a.Params[1]: t, a.Params[2]: f}
 }

@@ -265,7 +265,7 @@ func TestSimplifiedJusticeShape(t *testing.T) {
 func explicitCheck(t *testing.T, a *ta.TA, q spec.Query, n, tt, f int64) spec.Outcome {
 	t.Helper()
 	oneRound := a.OneRound()
-	sys, err := counter.NewSystem(oneRound, counter.ParamsFor(oneRound, n, tt, f))
+	sys, err := counter.NewSystem(oneRound, counter.ParamsFor(oneRound, n, tt, f), 1)
 	if err != nil {
 		t.Fatalf("system n=%d t=%d f=%d: %v", n, tt, f, err)
 	}

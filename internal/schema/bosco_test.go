@@ -89,7 +89,7 @@ func TestBoscoExplicitCrossValidation(t *testing.T) {
 		if q.RelaxResilience != nil {
 			sys = a.WithResilience(q.RelaxResilience)
 		}
-		csys, err := counter.NewSystem(sys, counter.ParamsFor(a, c.n, c.t, c.f))
+		csys, err := counter.NewSystem(sys, counter.ParamsFor(a, c.n, c.t, c.f), 1)
 		if err != nil {
 			t.Fatalf("%s n=%d t=%d f=%d: %v", c.query, c.n, c.t, c.f, err)
 		}

@@ -16,19 +16,6 @@ func certify(sys *counter.System, q *spec.Query, trace []counter.Config) error {
 		return fmt.Errorf("empty trace")
 	}
 	a := sys.TA
-	final := trace[len(trace)-1]
-
-	valAt := func(c counter.Config) func(expr.Sym) int64 {
-		return func(s expr.Sym) int64 {
-			for i, sh := range a.Shared {
-				if sh == s {
-					return c.V[i]
-				}
-			}
-			return sys.Params[s]
-		}
-	}
-
 	for _, l := range q.InitEmpty {
 		if trace[0].K[l] != 0 {
 			return fmt.Errorf("InitEmpty violated at %s", a.Locations[l].Name)
@@ -44,7 +31,7 @@ func certify(sys *counter.System, q *spec.Query, trace []counter.Config) error {
 	for _, set := range q.VisitNonempty {
 		visited := false
 		for _, c := range trace {
-			if counter.SumLocs(c, set) > 0 {
+			if sys.SumLocs(c, set) > 0 {
 				visited = true
 				break
 			}
@@ -53,41 +40,7 @@ func certify(sys *counter.System, q *spec.Query, trace []counter.Config) error {
 			return fmt.Errorf("visit witness %s never satisfied", set.String(a))
 		}
 	}
-	for _, c := range q.FinalShared {
-		ok, err := c.Holds(valAt(final))
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("final shared condition %s violated", c.String(a.Table))
-		}
-	}
-	for _, set := range q.FinalNonempty {
-		if counter.SumLocs(final, set) == 0 {
-			return fmt.Errorf("final nonemptiness of %s violated", set.String(a))
-		}
-	}
-	if q.Kind == spec.Liveness {
-		val := valAt(final)
-		for _, j := range q.Justice {
-			triggered := true
-			for _, t := range j.Trigger {
-				ok, err := t.Holds(val)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					triggered = false
-					break
-				}
-			}
-			if triggered && final.K[j.Loc] > 0 {
-				return fmt.Errorf("final configuration is not justice-stable: %s triggered but %s nonempty",
-					j.Name, a.Locations[j.Loc].Name)
-			}
-		}
-	}
-	return nil
+	return sys.Final(trace[len(trace)-1], q)
 }
 
 // Certify replays a counterexample run on the concrete counter system of the
@@ -101,7 +54,7 @@ func Certify(a *ta.TA, q *spec.Query, params map[expr.Sym]int64, run counter.Run
 	if q.RelaxResilience != nil {
 		sysTA = a.WithResilience(q.RelaxResilience)
 	}
-	sys, err := counter.NewSystem(sysTA, params)
+	sys, err := counter.NewSystem(sysTA, params, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -101,7 +101,7 @@ func TestCrossValidationRandomQueries(t *testing.T) {
 		switch rs.Outcome {
 		case spec.Holds:
 			for _, inst := range instances {
-				sys, err := counter.NewSystem(oneRound, counter.ParamsFor(oneRound, inst[0], inst[1], inst[2]))
+				sys, err := counter.NewSystem(oneRound, counter.ParamsFor(oneRound, inst[0], inst[1], inst[2]), 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -126,7 +126,7 @@ func TestCrossValidationRandomQueries(t *testing.T) {
 			if n > 9 {
 				continue // too large for explicit confirmation
 			}
-			sys, err := counter.NewSystem(oneRound, counter.ParamsFor(oneRound, n, tt, f))
+			sys, err := counter.NewSystem(oneRound, counter.ParamsFor(oneRound, n, tt, f), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,7 +163,7 @@ func TestCrossValidationSimplifiedInstances(t *testing.T) {
 			continue
 		}
 		for _, inst := range [][3]int64{{4, 1, 1}, {4, 1, 0}} {
-			sys, err := counter.NewSystem(oneRound, counter.ParamsFor(oneRound, inst[0], inst[1], inst[2]))
+			sys, err := counter.NewSystem(oneRound, counter.ParamsFor(oneRound, inst[0], inst[1], inst[2]), 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -453,7 +453,7 @@ func (enc *encoding) extract(m smt.Model) (*Counterexample, error) {
 	if enc.an.q.RelaxResilience != nil {
 		sysTA = a.WithResilience(enc.an.q.RelaxResilience)
 	}
-	sys, err := counter.NewSystem(sysTA, params)
+	sys, err := counter.NewSystem(sysTA, params, 1)
 	if err != nil {
 		return nil, fmt.Errorf("schema: extracted parameters invalid: %w", err)
 	}

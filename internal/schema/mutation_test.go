@@ -76,7 +76,7 @@ func TestMutantNoEchoBreaksObligation(t *testing.T) {
 	tt := res.CE.Params[a.Params[1]]
 	f := res.CE.Params[a.Params[2]]
 	if n <= 12 {
-		sys, err := counter.NewSystem(a.OneRound(), counter.ParamsFor(a, n, tt, f))
+		sys, err := counter.NewSystem(a.OneRound(), counter.ParamsFor(a, n, tt, f), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -104,7 +104,7 @@ func TestRandomAutomataCrossValidation(t *testing.T) {
 		switch rs.Outcome {
 		case spec.Holds:
 			for _, inst := range instances {
-				sys, err := counter.NewSystem(a, counter.ParamsFor(a, inst[0], inst[1], inst[2]))
+				sys, err := counter.NewSystem(a, counter.ParamsFor(a, inst[0], inst[1], inst[2]), 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -123,7 +123,7 @@ func TestRandomAutomataCrossValidation(t *testing.T) {
 			if n > 10 {
 				continue
 			}
-			sys, err := counter.NewSystem(a, counter.ParamsFor(a, n, tt, f))
+			sys, err := counter.NewSystem(a, counter.ParamsFor(a, n, tt, f), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,7 +184,7 @@ func TestRandomAutomataLiveness(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		// Cross-check against the explicit justice-stable search.
-		sys, err := counter.NewSystem(a, counter.ParamsFor(a, 4, 1, 1))
+		sys, err := counter.NewSystem(a, counter.ParamsFor(a, 4, 1, 1), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

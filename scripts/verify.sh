@@ -59,7 +59,7 @@ fi
 # owns the CRC32C framing, and the merged full-mode internals stay merged
 # (their names survive only in _test.go references and in CHANGES.md /
 # ROADMAP.md as history). Bracketed like the lint above.
-echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form, request resolution, CLI request front door, in-flight store, campaign seed sweep, one source per automaton and per property, queued copy as content id)"
+echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form, request resolution, CLI request front door, in-flight store, campaign seed sweep, one source per automaton and per property, queued copy as content id, one counter system)"
 SRC=$(find cmd internal -name '*.go' ! -name '*_test.go')
 N=$(grep -l 'json:"lp[_]checks"' $SRC | wc -l)
 [ "$N" -eq 1 ] || { echo "one-definition lint: $N non-test files declare a json:\"lp[_]checks\" field, want 1"; exit 1; }
@@ -205,6 +205,20 @@ if sed -n '/^type Model struct {/,/^}/p' internal/models/models.go | grep -nE '\
     exit 1
 fi
 
+# One counter system: a round is an index of counter.System, so the
+# multi-round package, its query type and the callback explorers stay gone,
+# CheckQueryExplicit is the only explicit-state search, and a concrete
+# configuration's justice stability is evaluated in one place
+# (counter.System.Final; the symbolic uses in schema's analysis and encoder
+# are a different job and are not counted).
+if grep -nE 'repro/internal/r[e]duction|Multi[Q]uery|FindStable[V]iolation|^type Expl[o]rer\b' \
+    $SRC $(find examples -name '*.go'); then
+    echo "one-definition lint: the lines above bring back the multi-round package or a second explicit-state search (use counter.NewSystem with rounds and counter.CheckQueryExplicit)"
+    exit 1
+fi
+N=$(cat $(find internal/counter -name '*.go' ! -name '*_test.go') internal/schema/certify.go | grep -c 'range j\.Trigger' || true)
+[ "$N" -eq 1 ] || { echo "one-definition lint: $N concrete justice-stability loops in internal/counter and schema/certify.go, want 1 (counter.System.Final)"; exit 1; }
+
 echo "==> go build ./..."
 go build ./...
 
@@ -282,7 +296,14 @@ rm -rf "$CAMPDIR"
 
 echo "==> sba front-end leg (race-clean units + cross-validation vs specs/sba.ta)"
 go test -race ./internal/sba
-go test -race -run 'SBA' ./internal/faults ./internal/models ./internal/reduction
+go test -race -run 'SBA' ./internal/faults ./internal/models ./internal/counter
+
+# Every example program runs to a zero exit. Only fairconsensus and
+# blockchain print byte-stable output, so the exit code is the gate.
+echo "==> examples leg (every examples/* program exits 0)"
+for EX in examples/*/; do
+    go run "./$EX" > /dev/null || { echo "examples leg: $EX exited non-zero"; exit 1; }
+done
 
 fuzz_smoke
 
