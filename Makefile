@@ -31,13 +31,13 @@ lint:
 bench:
 	go test -bench=. -benchmem ./...
 
-# Simplex-kernel micro-benchmarks (pivot, addGE, tableau clone, one
+# Simplex-kernel micro-benchmarks (pivot, addGE, one scope undone, one
 # Push/Check/Pop cursor step, one whole lazy case-splitting search) on a
 # 250 x 240 schema-shaped tableau; the before/after tables are in
 # EXPERIMENTS.md.
 .PHONY: bench-smt
 bench-smt:
-	go test -run '^$$' -bench 'Pivot|AddGE|TableauClone|PushCheckPop|CaseSplit' -benchmem -count 5 ./internal/smt
+	go test -run '^$$' -bench 'Pivot|AddGE|ScopeUndo|PushCheckPop|CaseSplit' -benchmem -count 5 ./internal/smt
 
 # Full-mode solve-loop benchmarks: the solver-bound prefix (incremental
 # cursor vs the from-scratch reference), the prune-bound one (naive/Inv2_0,

@@ -107,7 +107,11 @@ func (c Config) Clone() Config {
 
 // Key returns a canonical string identity for visited-set hashing.
 func (c Config) Key() string {
-	b := make([]byte, 0, 4*(len(c.K)+len(c.V)))
+	return string(c.appendKey(make([]byte, 0, 4*(len(c.K)+len(c.V)))))
+}
+
+// appendKey appends Key's bytes to b.
+func (c Config) appendKey(b []byte) []byte {
 	for _, k := range c.K {
 		b = append(strconv.AppendInt(b, k, 10), ',')
 	}
@@ -115,7 +119,7 @@ func (c Config) Key() string {
 	for _, v := range c.V {
 		b = append(strconv.AppendInt(b, v, 10), ',')
 	}
-	return string(b)
+	return b
 }
 
 // inRound suffixes a name with its round in a multi-round system.
@@ -393,9 +397,9 @@ func (s *System) EnumerateInitial(fn func(Config) error) error {
 func (s *System) SumLocs(c Config, set ta.LocSet) int64 {
 	nl := len(s.TA.Locations)
 	var sum int64
-	for off := 0; off < len(c.K); off += nl {
-		for id := range set {
-			sum += c.K[off+int(id)]
+	for id := range set {
+		for off := int(id); off < len(c.K); off += nl {
+			sum += c.K[off]
 		}
 	}
 	return sum

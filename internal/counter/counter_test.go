@@ -203,10 +203,12 @@ func TestEnumerateInitial(t *testing.T) {
 // xAbove is the safety query "x > v": a violation is a reachable
 // configuration with shared variable x at v+1 or more.
 func xAbove(a *ta.TA, v int64) spec.Query {
+	x := expr.Var(a.Shared[0])
+	x.Const = -v - 1
 	return spec.Query{
 		Name:        "x-above",
 		Kind:        spec.Safety,
-		FinalShared: []expr.Constraint{expr.GEZero(expr.Lin{Coeffs: map[expr.Sym]int64{a.Shared[0]: 1}, Const: -v - 1})},
+		FinalShared: []expr.Constraint{expr.GEZero(x)},
 	}
 }
 

@@ -2,6 +2,7 @@ package counter
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/expr"
 	"repro/internal/spec"
@@ -90,29 +91,32 @@ func CheckQueryExplicit(sys *System, q *spec.Query, maxStates int) (ExplicitResu
 		}
 	}
 
+	// seen holds every state pushed, with the state it was reached from
+	// ("" for an initial state) and the step.
 	type parentLink struct {
 		key  string
 		step Step
 	}
-	visited := make(map[string]bool)
-	parents := make(map[string]parentLink)
+	seen := make(map[string]parentLink)
 	initials := make(map[string]Config)
 	var queue []state
 	res := ExplicitResult{Outcome: spec.Holds}
 
-	stateKey := func(s state) string {
-		return fmt.Sprintf("%s#%d", s.c.Key(), s.flags)
+	// A state's key is its configuration's Key, '#', and its visit flags.
+	var keyBuf []byte
+	keyBytes := func(s state) []byte {
+		keyBuf = strconv.AppendUint(append(s.c.appendKey(keyBuf[:0]), '#'), uint64(s.flags), 10)
+		return keyBuf
 	}
+	stateKey := func(s state) string { return string(keyBytes(s)) }
 	push := func(s state, from string, step Step) {
-		key := stateKey(s)
-		if visited[key] {
+		if _, ok := seen[string(keyBytes(s))]; ok {
 			return
 		}
-		visited[key] = true
+		key := string(keyBuf)
+		seen[key] = parentLink{key: from, step: step}
 		if from == "" {
 			initials[key] = s.c
-		} else {
-			parents[key] = parentLink{key: from, step: step}
 		}
 		queue = append(queue, s)
 	}
@@ -126,7 +130,7 @@ func CheckQueryExplicit(sys *System, q *spec.Query, maxStates int) (ExplicitResu
 				}
 				return &Run{Init: init, Steps: steps}, nil
 			}
-			link, ok := parents[key]
+			link, ok := seen[key]
 			if !ok {
 				return nil, fmt.Errorf("counter: broken parent chain")
 			}

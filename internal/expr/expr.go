@@ -10,7 +10,8 @@ package expr
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/big"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -135,11 +136,20 @@ func (t *Table) Names() []string {
 	return out
 }
 
-// Lin is a linear expression Const + Σ Coeffs[s]·s. The zero value is the
-// constant 0. Lin values are mutable; use Clone before sharing.
+// LinTerm is one term Coeff·Sym of a linear expression.
+type LinTerm struct {
+	Sym   Sym
+	Coeff int64
+}
+
+// Lin is a linear expression Const + Σ Coeff·Sym over its terms. The terms
+// are kept sorted by symbol, each symbol at most once and never with a zero
+// coefficient, so reading them (Terms) is a walk in symbol order and
+// combining two expressions is a merge. The zero value is the constant 0.
+// Copies of a Lin share its terms; use Clone before mutating a copy.
 type Lin struct {
-	Coeffs map[Sym]int64
-	Const  int64
+	terms []LinTerm
+	Const int64
 }
 
 // NewLin returns the constant expression c.
@@ -149,7 +159,7 @@ func NewLin(c int64) Lin {
 
 // Var returns the expression 1·s.
 func Var(s Sym) Lin {
-	return Lin{Coeffs: map[Sym]int64{s: 1}}
+	return Lin{terms: []LinTerm{{Sym: s, Coeff: 1}}}
 }
 
 // Term returns the expression coeff·s.
@@ -157,24 +167,51 @@ func Term(s Sym, coeff int64) Lin {
 	if coeff == 0 {
 		return Lin{}
 	}
-	return Lin{Coeffs: map[Sym]int64{s: coeff}}
+	return Lin{terms: []LinTerm{{Sym: s, Coeff: coeff}}}
 }
+
+// LinOf returns c + Σ terms; a symbol named twice gets the sum of its
+// coefficients.
+func LinOf(c int64, terms ...LinTerm) (Lin, error) {
+	l := NewLin(c)
+	for _, t := range terms {
+		if err := l.AddTerm(t.Sym, t.Coeff); err != nil {
+			return Lin{}, err
+		}
+	}
+	return l, nil
+}
+
+// Terms returns l's terms in symbol order. The slice is l's own: callers
+// read it and never write it.
+func (l Lin) Terms() []LinTerm { return l.terms }
 
 // Clone returns a deep copy of l.
 func (l Lin) Clone() Lin {
-	out := Lin{Const: l.Const}
-	if len(l.Coeffs) > 0 {
-		out.Coeffs = make(map[Sym]int64, len(l.Coeffs))
-		for s, c := range l.Coeffs {
-			out.Coeffs[s] = c
+	return Lin{terms: slices.Clone(l.terms), Const: l.Const}
+}
+
+// search returns the position of s in l's terms, or where it would go, and
+// whether it is there.
+func (l Lin) search(s Sym) (int, bool) {
+	lo, hi := 0, len(l.terms)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if l.terms[m].Sym < s {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	return out
+	return lo, lo < len(l.terms) && l.terms[lo].Sym == s
 }
 
 // Coeff returns the coefficient of s (0 if absent).
 func (l Lin) Coeff(s Sym) int64 {
-	return l.Coeffs[s]
+	if i, ok := l.search(s); ok {
+		return l.terms[i].Coeff
+	}
+	return 0
 }
 
 func addChecked(a, b int64) (int64, error) {
@@ -201,17 +238,19 @@ func (l *Lin) AddTerm(s Sym, coeff int64) error {
 	if coeff == 0 {
 		return nil
 	}
-	if l.Coeffs == nil {
-		l.Coeffs = make(map[Sym]int64)
+	i, ok := l.search(s)
+	if !ok {
+		l.terms = slices.Insert(l.terms, i, LinTerm{Sym: s, Coeff: coeff})
+		return nil
 	}
-	c, err := addChecked(l.Coeffs[s], coeff)
+	c, err := addChecked(l.terms[i].Coeff, coeff)
 	if err != nil {
 		return err
 	}
-	if c == 0 {
-		delete(l.Coeffs, s)
-	} else {
-		l.Coeffs[s] = c
+	if c != 0 {
+		l.terms[i].Coeff = c
+	} else if l.terms = slices.Delete(l.terms, i, i+1); len(l.terms) == 0 {
+		l.terms = nil
 	}
 	return nil
 }
@@ -226,41 +265,75 @@ func (l *Lin) AddConst(c int64) error {
 	return nil
 }
 
-// Add adds other to l in place.
+// Add adds other to l in place; on error l is unchanged.
 func (l *Lin) Add(other Lin) error {
-	if err := l.AddConst(other.Const); err != nil {
-		return err
-	}
-	for s, c := range other.Coeffs {
-		if err := l.AddTerm(s, c); err != nil {
-			return err
-		}
-	}
-	return nil
+	return l.AddScaled(other, 1)
 }
 
-// AddScaled adds k·other to l in place.
+// AddScaled adds k·other to l in place; on error l is unchanged.
 func (l *Lin) AddScaled(other Lin, k int64) error {
+	return l.addScaledSkip(-1, other, k)
+}
+
+// addScaledSkip is AddScaled with l's term at position skip dropped first
+// (none when skip is -1). The terms are merged into fresh storage and
+// committed only once every product and sum has fit int64.
+func (l *Lin) addScaledSkip(skip int, other Lin, k int64) error {
 	kc, err := mulChecked(other.Const, k)
 	if err != nil {
 		return err
 	}
-	if err := l.AddConst(kc); err != nil {
+	c, err := addChecked(l.Const, kc)
+	if err != nil {
 		return err
 	}
-	for s, c := range other.Coeffs {
-		p, err := mulChecked(c, k)
-		if err != nil {
-			return err
+	if k == 0 {
+		other.terms = nil
+	}
+	a, b := l.terms, other.terms
+	out := make([]LinTerm, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		if i == skip {
+			i++
+			continue
 		}
-		if err := l.AddTerm(s, p); err != nil {
-			return err
+		var t LinTerm
+		switch {
+		case j == len(b) || i < len(a) && a[i].Sym < b[j].Sym:
+			t = a[i]
+			i++
+		case i == len(a) || b[j].Sym < a[i].Sym:
+			p, err := mulChecked(b[j].Coeff, k)
+			if err != nil {
+				return err
+			}
+			t = LinTerm{Sym: b[j].Sym, Coeff: p}
+			j++
+		default:
+			p, err := mulChecked(b[j].Coeff, k)
+			if err == nil {
+				p, err = addChecked(a[i].Coeff, p)
+			}
+			if err != nil {
+				return err
+			}
+			t = LinTerm{Sym: a[i].Sym, Coeff: p}
+			i++
+			j++
+		}
+		if t.Coeff != 0 {
+			out = append(out, t)
 		}
 	}
+	if len(out) == 0 {
+		out = nil
+	}
+	l.terms, l.Const = out, c
 	return nil
 }
 
-// Sub subtracts other from l in place.
+// Sub subtracts other from l in place; on error l is unchanged.
 func (l *Lin) Sub(other Lin) error {
 	return l.AddScaled(other, -1)
 }
@@ -268,59 +341,71 @@ func (l *Lin) Sub(other Lin) error {
 // Neg returns -l as a new expression.
 func (l Lin) Neg() Lin {
 	out := Lin{Const: -l.Const}
-	if len(l.Coeffs) > 0 {
-		out.Coeffs = make(map[Sym]int64, len(l.Coeffs))
-		for s, c := range l.Coeffs {
-			out.Coeffs[s] = -c
+	if len(l.terms) > 0 {
+		out.terms = make([]LinTerm, len(l.terms))
+		for i, t := range l.terms {
+			out.terms[i] = LinTerm{Sym: t.Sym, Coeff: -t.Coeff}
 		}
 	}
 	return out
 }
 
 // IsConst reports whether l has no variable terms.
-func (l Lin) IsConst() bool { return len(l.Coeffs) == 0 }
+func (l Lin) IsConst() bool { return len(l.terms) == 0 }
 
-// Eval evaluates l under the given valuation.
+// Eval evaluates l under the given valuation. It fails only when the value
+// itself leaves int64: a partial sum that overflows on the way is finished
+// exactly, so the outcome does not depend on the order of the terms.
 func (l Lin) Eval(val func(Sym) int64) (int64, error) {
 	acc := l.Const
-	for s, c := range l.Coeffs {
-		p, err := mulChecked(c, val(s))
-		if err != nil {
-			return 0, err
+	for _, t := range l.terms {
+		p, err := mulChecked(t.Coeff, val(t.Sym))
+		if err == nil {
+			acc, err = addChecked(acc, p)
 		}
-		acc, err = addChecked(acc, p)
 		if err != nil {
-			return 0, err
+			return l.evalBig(val)
 		}
 	}
 	return acc, nil
 }
 
-// Substitute replaces every occurrence of s in l by repl, in place.
+// evalBig is Eval in math/big, for a valuation under which some product or
+// partial sum leaves int64.
+func (l Lin) evalBig(val func(Sym) int64) (int64, error) {
+	acc := big.NewInt(l.Const)
+	var p, v big.Int
+	for _, t := range l.terms {
+		acc.Add(acc, p.Mul(p.SetInt64(t.Coeff), v.SetInt64(val(t.Sym))))
+	}
+	if !acc.IsInt64() {
+		return 0, fmt.Errorf("expr: int64 overflow evaluating to %s", acc)
+	}
+	return acc.Int64(), nil
+}
+
+// Substitute replaces every occurrence of s in l by repl, in place; on
+// error l is unchanged.
 func (l *Lin) Substitute(s Sym, repl Lin) error {
-	c, ok := l.Coeffs[s]
+	i, ok := l.search(s)
 	if !ok {
 		return nil
 	}
-	delete(l.Coeffs, s)
-	return l.AddScaled(repl, c)
+	return l.addScaledSkip(i, repl, l.terms[i].Coeff)
 }
 
 // String renders l using names from tab (or raw symbol numbers when tab is
 // nil), with deterministic term ordering.
 func (l Lin) String(tab *Table) string {
-	syms := make([]Sym, 0, len(l.Coeffs))
-	for s := range l.Coeffs {
-		syms = append(syms, s)
-	}
-	sort.Slice(syms, func(i, j int) bool { return syms[i] < syms[j] })
 	var b strings.Builder
 	first := true
-	for _, s := range syms {
-		c := l.Coeffs[s]
-		name := fmt.Sprintf("x%d", s)
+	for _, t := range l.terms {
+		s, c := t.Sym, t.Coeff
+		var name string
 		if tab != nil {
 			name = tab.Name(s)
+		} else {
+			name = fmt.Sprintf("x%d", s)
 		}
 		switch {
 		case first && c == 1:

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -90,7 +91,7 @@ func TestAddTermCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !l.IsConst() {
-		t.Errorf("x - x should be constant, got %v", l.Coeffs)
+		t.Errorf("x - x should be constant, got %v", l.Terms())
 	}
 }
 
@@ -341,5 +342,65 @@ func TestTableTruncate(t *testing.T) {
 	}
 	if tab.Intern("ta") != Sym(0) {
 		t.Error("intern after full truncate did not restart at id 0")
+	}
+}
+
+// TestEvalIndependentOfTermOrder: Eval's result is the value of the
+// expression whenever that value fits int64, however the partial sums run,
+// and an error only when the value itself does not fit. Over a coefficient
+// map, MaxInt64·x − y + 1 at x = y = 1 overflowed or not by map order.
+func TestEvalIndependentOfTermOrder(t *testing.T) {
+	tab := NewTable()
+	x, y := tab.Intern("x"), tab.Intern("y")
+	l, err := LinOf(1, LinTerm{Sym: x, Coeff: math.MaxInt64}, LinTerm{Sym: y, Coeff: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	over, err := LinOf(1, LinTerm{Sym: x, Coeff: math.MaxInt64}, LinTerm{Sym: y, Coeff: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := func(Sym) int64 { return 1 }
+	for i := 0; i < 200; i++ {
+		if v, err := l.Eval(one); err != nil || v != math.MaxInt64 {
+			t.Fatalf("call %d: Eval = %d, %v; want %d", i, v, err, int64(math.MaxInt64))
+		}
+		if v, err := over.Eval(one); err == nil {
+			t.Fatalf("call %d: Eval of a value past MaxInt64 = %d, want an overflow error", i, v)
+		}
+	}
+}
+
+// TestFailedMergeLeavesLinUnchanged: AddScaled, Add, Sub and Substitute
+// that overflow on some term leave the expression exactly as it was. Over a
+// coefficient map they had already written the terms the map yielded before
+// the overflowing one (Substitute had always removed the substituted term).
+func TestFailedMergeLeavesLinUnchanged(t *testing.T) {
+	tab := NewTable()
+	s, x, y := tab.Intern("s"), tab.Intern("x"), tab.Intern("y")
+	orig, err := LinOf(5, LinTerm{Sym: s, Coeff: 2}, LinTerm{Sym: x, Coeff: 1}, LinTerm{Sym: y, Coeff: math.MaxInt64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := LinOf(1, LinTerm{Sym: x, Coeff: 1}, LinTerm{Sym: y, Coeff: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := map[string]func(*Lin) error{
+		"AddScaled":  func(l *Lin) error { return l.AddScaled(other, 1) },
+		"Add":        func(l *Lin) error { return l.Add(other) },
+		"Sub":        func(l *Lin) error { return l.Sub(other.Neg()) },
+		"Substitute": func(l *Lin) error { return l.Substitute(s, other) },
+	}
+	for name, op := range ops {
+		for i := 0; i < 200; i++ {
+			l := orig.Clone()
+			if err := op(&l); err == nil {
+				t.Fatalf("%s: no overflow error", name)
+			}
+			if l.Const != orig.Const || !slices.Equal(l.Terms(), orig.Terms()) {
+				t.Fatalf("%s, call %d: failed merge left %s, want %s", name, i, l.String(tab), orig.String(tab))
+			}
+		}
 	}
 }

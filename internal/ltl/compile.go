@@ -374,9 +374,9 @@ func (c *compiler) resilience(atoms []Atom) ([]expr.Constraint, error) {
 		if err != nil {
 			return nil, err
 		}
-		for s := range con.L.Coeffs {
-			if !slices.Contains(c.a.Params, s) {
-				return nil, fmt.Errorf("resilience condition %s names %s, which is not a parameter", atom, c.a.Table.Name(s))
+		for _, t := range con.L.Terms() {
+			if !slices.Contains(c.a.Params, t.Sym) {
+				return nil, fmt.Errorf("resilience condition %s names %s, which is not a parameter", atom, c.a.Table.Name(t.Sym))
 			}
 		}
 		out = append(out, con)

@@ -455,8 +455,12 @@ func TestResilienceClause(t *testing.T) {
 	qs := compileFile(t, "p: <>(locD0 != 0) -> [](locD1 == 0) resilience N > 5 * T, F == 0;\n"+
 		"q: <>(locD0 != 0) -> [](locD1 == 0);", a)
 	n, tt, f := a.Params[0], a.Params[1], a.Params[2]
+	bound, err := expr.LinOf(-1, expr.LinTerm{Sym: n, Coeff: 1}, expr.LinTerm{Sym: tt, Coeff: -5})
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := []expr.Constraint{
-		expr.GEZero(expr.Lin{Coeffs: map[expr.Sym]int64{n: 1, tt: -5}, Const: -1}),
+		expr.GEZero(bound),
 		expr.EQZero(expr.Var(f)),
 	}
 	if !reflect.DeepEqual(qs[0].RelaxResilience, want) {

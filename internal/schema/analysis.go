@@ -1,7 +1,6 @@
 package schema
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -43,6 +42,9 @@ type analysis struct {
 	alphabet   []int
 	resilience []expr.Constraint
 	initLocs   []ta.LocID // initial locations minus Init/GlobalEmpty
+	// visitSets and goalSets are q.VisitNonempty and q.FinalNonempty, each
+	// set's locations in ascending order.
+	visitSets, goalSets [][]ta.LocID
 
 	// reachByLevel[k] = locations reachable using rules whose guards have
 	// level <= k. The last entry is the fixpoint.
@@ -192,6 +194,12 @@ func (e *Engine) analyze(q *spec.Query, deadline time.Time) (*analysis, error) {
 			an.initLocs = append(an.initLocs, l)
 		}
 	}
+	for _, set := range q.VisitNonempty {
+		an.visitSets = append(an.visitSets, set.Sorted())
+	}
+	for _, set := range q.FinalNonempty {
+		an.goalSets = append(an.goalSets, set.Sorted())
+	}
 
 	sorted, err := counter.SortedRules(a)
 	if err != nil {
@@ -214,12 +222,11 @@ func (e *Engine) analyze(q *spec.Query, deadline time.Time) (*analysis, error) {
 		}
 		gi := len(an.guards)
 		info := &guardInfo{key: key, c: c}
-		for s, coeff := range c.L.Coeffs {
-			if coeff > 0 && isShared(a, s) {
-				info.vars = append(info.vars, s)
+		for _, t := range c.L.Terms() {
+			if t.Coeff > 0 && isShared(a, t.Sym) {
+				info.vars = append(info.vars, t.Sym)
 			}
 		}
-		sort.Slice(info.vars, func(i, j int) bool { return info.vars[i] < info.vars[j] })
 		it, err := e.guardInitiallyTrue(c, an.resilience, deadline)
 		if err != nil {
 			return 0, err

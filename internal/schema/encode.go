@@ -2,7 +2,7 @@ package schema
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/counter"
@@ -30,13 +30,13 @@ type encoding struct {
 	deadline time.Time
 
 	kappa    []expr.Lin // symbolic counter per location
-	shared   map[expr.Sym]expr.Lin
+	shared   []expr.Lin // symbolic value per shared variable, as e.ta.Shared
 	slots    []slot
 	initVars map[ta.LocID]expr.Sym
 
 	// lazy-guard bookkeeping: the shared-variable snapshot before each slot,
 	// and which slots carry which guard conjuncts.
-	snapshots  []map[expr.Sym]expr.Lin
+	snapshots  [][]expr.Lin
 	lazyGuards []pendingGuard
 
 	goalClauses    []smt.Clause
@@ -61,7 +61,7 @@ type encMark struct {
 	goals      int
 	justice    int
 	kappa      []expr.Lin
-	shared     map[expr.Sym]expr.Lin
+	shared     []expr.Lin
 }
 
 type pendingGuard struct {
@@ -83,8 +83,8 @@ func (enc *encoding) push() {
 		lazyGuards: len(enc.lazyGuards),
 		goals:      len(enc.goalClauses),
 		justice:    len(enc.justiceClauses),
-		kappa:      append([]expr.Lin(nil), enc.kappa...),
-		shared:     enc.snapshotShared(),
+		kappa:      slices.Clone(enc.kappa),
+		shared:     slices.Clone(enc.shared),
 	})
 }
 
@@ -132,7 +132,7 @@ func (e *Engine) newEncoding(an *analysis) (*encoding, error) {
 		an:       an,
 		tab:      tab,
 		solver:   smt.NewSolver(tab),
-		shared:   make(map[expr.Sym]expr.Lin, len(e.ta.Shared)),
+		shared:   make([]expr.Lin, len(e.ta.Shared)),
 		initVars: make(map[ta.LocID]expr.Sym, len(an.initLocs)),
 	}
 	enc.solver.AssertAll(an.resilience)
@@ -153,19 +153,23 @@ func (e *Engine) newEncoding(an *analysis) (*encoding, error) {
 		return nil, err
 	}
 	enc.solver.Assert(eq)
-
-	for _, s := range e.ta.Shared {
-		enc.shared[s] = expr.Lin{}
-	}
 	return enc, nil
 }
 
-// at substitutes a shared-variable snapshot into a constraint over shared
-// variables and parameters.
-func at(c expr.Constraint, snapshot map[expr.Sym]expr.Lin) (expr.Constraint, error) {
-	out := c.Clone()
-	for s, val := range snapshot {
-		if err := out.L.Substitute(s, val); err != nil {
+// at substitutes a shared-variable snapshot (one value per e.ta.Shared)
+// into a constraint over shared variables and parameters: a walk over the
+// constraint's terms that keeps each parameter term and merges in each
+// shared variable's value, scaled by its coefficient.
+func (e *Engine) at(c expr.Constraint, snapshot []expr.Lin) (expr.Constraint, error) {
+	out := expr.Constraint{L: expr.NewLin(c.L.Const), Op: c.Op}
+	for _, t := range c.L.Terms() {
+		var err error
+		if i := e.sharedPos(t.Sym); i >= 0 {
+			err = out.L.AddScaled(snapshot[i], t.Coeff)
+		} else {
+			err = out.L.AddTerm(t.Sym, t.Coeff)
+		}
+		if err != nil {
 			return expr.Constraint{}, err
 		}
 	}
@@ -174,15 +178,7 @@ func at(c expr.Constraint, snapshot map[expr.Sym]expr.Lin) (expr.Constraint, err
 
 // atNow substitutes the current symbolic shared-variable values.
 func (enc *encoding) atNow(c expr.Constraint) (expr.Constraint, error) {
-	return at(c, enc.shared)
-}
-
-func (enc *encoding) snapshotShared() map[expr.Sym]expr.Lin {
-	snap := make(map[expr.Sym]expr.Lin, len(enc.shared))
-	for s, l := range enc.shared {
-		snap[s] = l // Lins are treated as immutable once stored
-	}
-	return snap
+	return enc.e.at(c, enc.shared)
 }
 
 // addSlot appends an accelerated firing of the rule. When lazyGuard is set,
@@ -207,9 +203,9 @@ func (enc *encoding) addSlot(ruleIdx int, lazyGuard bool) error {
 	// Only finalizeClauses reads a frame's snapshot, and only for slots that
 	// carry lazy guards; the others keep a nil entry so indices stay aligned.
 	slotIdx := len(enc.slots)
-	var snap map[expr.Sym]expr.Lin
+	var snap []expr.Lin
 	if lazyGuard && len(r.Guard) > 0 {
-		snap = enc.snapshotShared()
+		snap = slices.Clone(enc.shared) // Lins are immutable once stored
 	}
 	enc.snapshots = append(enc.snapshots, snap)
 	if lazyGuard {
@@ -229,12 +225,12 @@ func (enc *encoding) addSlot(ruleIdx int, lazyGuard bool) error {
 		return err
 	}
 	enc.kappa[r.To] = to
-	for s, inc := range r.Update {
-		v := enc.shared[s].Clone()
-		if err := v.AddTerm(d, inc); err != nil {
+	for _, u := range e.updates[ruleIdx] {
+		v := enc.shared[u.pos].Clone()
+		if err := v.AddTerm(d, u.inc); err != nil {
 			return err
 		}
-		enc.shared[s] = v
+		enc.shared[u.pos] = v
 	}
 	enc.slots = append(enc.slots, slot{ruleIdx: ruleIdx, delta: d})
 	return nil
@@ -274,9 +270,9 @@ func (enc *encoding) assertQueryConditions() error {
 
 	// Visit witnesses: initial occupancy of the set plus total inflow from
 	// outside is at least one.
-	for _, set := range q.VisitNonempty {
+	for k, set := range q.VisitNonempty {
 		flow := expr.Lin{}
-		for l := range set {
+		for _, l := range enc.an.visitSets[k] {
 			if x, ok := enc.initVars[l]; ok {
 				if err := flow.AddTerm(x, 1); err != nil {
 					return err
@@ -309,13 +305,8 @@ func (enc *encoding) assertQueryConditions() error {
 	// Final nonemptiness of (predecessor-closed) goal sets: asserted as a
 	// linear constraint for relaxation tightness AND as a clause so the
 	// case split branches on *which* location stays occupied first.
-	for _, set := range q.FinalNonempty {
+	for _, locs := range enc.an.goalSets {
 		sum := expr.Lin{}
-		var locs []ta.LocID
-		for l := range set {
-			locs = append(locs, l)
-		}
-		sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
 		var clause smt.Clause
 		for _, l := range locs {
 			if err := sum.Add(enc.kappa[l]); err != nil {
@@ -380,7 +371,7 @@ func (enc *encoding) finalizeClauses() ([]smt.Clause, error) {
 		sl := enc.slots[pg.slotIdx]
 		dZero := expr.GEZero(expr.Term(sl.delta, -1))
 
-		now, err := at(pg.g, enc.snapshots[pg.slotIdx])
+		now, err := enc.e.at(pg.g, enc.snapshots[pg.slotIdx])
 		if err != nil {
 			return nil, err
 		}
@@ -389,7 +380,7 @@ func (enc *encoding) finalizeClauses() ([]smt.Clause, error) {
 			if j <= pg.slotIdx {
 				continue
 			}
-			later, err := at(pg.g, enc.snapshots[j])
+			later, err := enc.e.at(pg.g, enc.snapshots[j])
 			if err != nil {
 				return nil, err
 			}

@@ -29,6 +29,7 @@ package schema
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/counter"
@@ -195,6 +196,27 @@ type Engine struct {
 	opts Options
 
 	baseSyms int // symbol-table length at construction: the snapshot prefix
+
+	// sharedAt maps a symbol to its position in ta.Shared (-1 for any other
+	// symbol), and updates lists each rule's shared-variable increments by
+	// that position: the encoder's view of the automaton as slices.
+	sharedAt []int32
+	updates  [][]sharedInc
+}
+
+// sharedInc is a rule's increment of the shared variable at position pos.
+type sharedInc struct {
+	pos int
+	inc int64
+}
+
+// sharedPos returns s's position in the automaton's shared variables, -1
+// when s is not one.
+func (e *Engine) sharedPos(s expr.Sym) int {
+	if uint(s) < uint(len(e.sharedAt)) {
+		return int(e.sharedAt[s])
+	}
+	return -1
 }
 
 // New builds an engine for the automaton (round-switch rules are stripped
@@ -220,7 +242,22 @@ func New(a *ta.TA, opts Options) (*Engine, error) {
 		// Negative margins would undercut the staged soundness bound.
 		opts.ExtraPasses = 1
 	}
-	return &Engine{ta: oneRound, opts: opts, baseSyms: oneRound.Table.Len()}, nil
+	e := &Engine{ta: oneRound, opts: opts, baseSyms: oneRound.Table.Len()}
+	e.sharedAt = make([]int32, e.baseSyms)
+	for s := range e.sharedAt {
+		e.sharedAt[s] = -1
+	}
+	for i, s := range oneRound.Shared {
+		e.sharedAt[s] = int32(i)
+	}
+	e.updates = make([][]sharedInc, len(oneRound.Rules))
+	for ri, r := range oneRound.Rules {
+		for s, inc := range r.Update {
+			e.updates[ri] = append(e.updates[ri], sharedInc{pos: e.sharedPos(s), inc: inc})
+		}
+		slices.SortFunc(e.updates[ri], func(a, b sharedInc) int { return a.pos - b.pos })
+	}
+	return e, nil
 }
 
 // TA returns the (one-round) automaton the engine checks.

@@ -27,23 +27,23 @@ func schemaShapedSystem(seed int64, locs, slots, guards int) []expr.Lin {
 	for k := 0; k < slots; k++ {
 		from[k] = rng.Intn(locs)
 		to[k] = (from[k] + 1 + rng.Intn(locs-1)) % locs
-		l := expr.Lin{Coeffs: map[expr.Sym]int64{expr.Sym(from[k]): 1}}
+		l := expr.Var(expr.Sym(from[k]))
 		for j := 0; j <= k; j++ {
 			switch from[k] {
 			case to[j]:
-				l.Coeffs[factor(j)] = 1
+				setCoeff(&l, factor(j), 1)
 			case from[j]:
-				l.Coeffs[factor(j)] = -1
+				setCoeff(&l, factor(j), -1)
 			}
 		}
 		rows = append(rows, l)
 	}
 	for g := 0; g < guards; g++ {
 		rule := rng.Intn(locs)
-		l := expr.Lin{Coeffs: map[expr.Sym]int64{}, Const: -int64(1 + rng.Intn(3))}
+		l := expr.NewLin(-int64(1 + rng.Intn(3)))
 		for k := 0; k < slots*(g+1)/guards; k++ {
 			if to[k] == rule {
-				l.Coeffs[factor(k)] = 1
+				setCoeff(&l, factor(k), 1)
 			}
 		}
 		rows = append(rows, l)
@@ -122,10 +122,10 @@ func guardRow(t *tableau) expr.Lin {
 			symOf[int(id)] = expr.Sym(s)
 		}
 	}
-	l := expr.Lin{Coeffs: map[expr.Sym]int64{}, Const: -2}
+	l := expr.NewLin(-2)
 	for _, id := range t.basic {
-		if s, ok := symOf[id]; ok && len(l.Coeffs) < 8 {
-			l.Coeffs[s] = 1
+		if s, ok := symOf[id]; ok && len(l.Terms()) < 8 {
+			setCoeff(&l, s, 1)
 		}
 	}
 	return l
@@ -142,28 +142,30 @@ func BenchmarkAddGE(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t.addGE(l)
-		t.basic, t.consts, t.rows, t.own = t.basic[:rows], t.consts[:rows], t.rows[:rows], t.own[:rows]
+		t.basic, t.consts, t.rows = t.basic[:rows], t.consts[:rows], t.rows[:rows]
 		t.colAt, t.rowAt = t.colAt[:vars], t.rowAt[:vars]
 		t.nextVar = vars
 	}
 }
 
-var cloneSink *tableau
-
-// BenchmarkTableauClone measures the copy a check pays the first time it
-// mutates a basis that a Push saved.
-func BenchmarkTableauClone(b *testing.B) {
+// BenchmarkScopeUndo measures what a search node pays to be undone: a scope
+// opened on the solved dictionary, one typical pivot in it (which saves the
+// rows it writes on the trail), and the undo that restores them.
+func BenchmarkScopeUndo(b *testing.B) {
 	t := benchTableau(b)
+	e, r := typicalPivot(t)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cloneSink = t.clone(0)
+		t.mark()
+		t.pivot(e, r)
+		t.undo()
 	}
 }
 
 // BenchmarkPushCheckPop measures one cursor step through the public API:
-// Push, assert one more row, a warm-started CheckRational (lazy clone, addGE,
-// dual restore) and Pop back to the shared basis.
+// Push, assert one more row, a warm-started CheckRational (addGE and dual
+// restore in place) and Pop, which undoes them.
 func BenchmarkPushCheckPop(b *testing.B) {
 	s := NewSolver(expr.NewTable())
 	for _, l := range schemaShapedSystem(1, 10, 230, 20) {
@@ -197,7 +199,7 @@ func caseSplitClauses(rows []expr.Lin, locs, slots int) []Clause {
 		keeps := l.Clone()
 		keeps.Const--
 		clauses = append(clauses, ClauseOf(
-			expr.GEZero(expr.Lin{Coeffs: map[expr.Sym]int64{expr.Sym(locs + k): -1}}),
+			expr.GEZero(expr.Term(expr.Sym(locs+k), -1)),
 			expr.GEZero(keeps)))
 	}
 	return clauses
@@ -205,8 +207,9 @@ func caseSplitClauses(rows []expr.Lin, locs, slots int) []Clause {
 
 // BenchmarkCaseSplit measures one whole lazy case-splitting search below the
 // solved 250 x 240 system — 43 nodes, 66 pivots, under spec_suite's 2.9 a node —
-// and so the per-node toll: a Push, a literal asserted, a warm check on a
-// clone of the parent basis, every clause evaluated at the solution, a Pop.
+// and so the per-node toll: a Push, a literal asserted, a warm check on the
+// parent basis in place, every clause evaluated at the solution, a Pop that
+// undoes the check.
 func BenchmarkCaseSplit(b *testing.B) {
 	rows := schemaShapedSystem(1, 10, 230, 20)
 	clauses := caseSplitClauses(rows, 10, 230)

@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/expr"
@@ -115,7 +116,9 @@ func (p *poller) aborted() bool {
 func (s *Solver) CheckClauses(clauses []Clause, limits ClauseLimits) (Status, Model, error) {
 	limits = limits.withDefaults()
 	splits := 0
-	return s.checkClausesRec(clauses, limits, &splits, newPoller(limits))
+	// The search reorders its own copy of the list in place (see
+	// checkClausesRec), never the caller's.
+	return s.checkClausesRec(slices.Clone(clauses), limits, &splits, newPoller(limits))
 }
 
 func (s *Solver) assertLit(l Lit) {
@@ -177,10 +180,17 @@ func (s *Solver) checkClausesRec(clauses []Clause, limits ClauseLimits, splits *
 		violated = 0
 	}
 
+	// The branches search the other clauses in their order: the split clause
+	// moves to the end of the list, the branches get the rest as its prefix,
+	// and the clause moves back before this call returns.
 	clause := clauses[violated]
-	rest := make([]Clause, 0, len(clauses)-1)
-	rest = append(rest, clauses[:violated]...)
-	rest = append(rest, clauses[violated+1:]...)
+	copy(clauses[violated:], clauses[violated+1:])
+	clauses[len(clauses)-1] = clause
+	defer func() {
+		copy(clauses[violated+1:], clauses[violated:len(clauses)-1])
+		clauses[violated] = clause
+	}()
+	rest := clauses[:len(clauses)-1]
 
 	sawUnknown := false
 	for _, l := range clause {

@@ -2,7 +2,6 @@ package smt
 
 import (
 	"errors"
-	"sort"
 
 	"repro/internal/expr"
 )
@@ -84,17 +83,13 @@ func (t *denseTableau) basicRowOf(id int) int {
 }
 
 func (t *denseTableau) addGE(l expr.Lin) {
-	syms := make([]expr.Sym, 0, len(l.Coeffs))
-	for s := range l.Coeffs {
-		syms = append(syms, s)
-	}
-	sort.Slice(syms, func(i, j int) bool { return syms[i] < syms[j] })
-	for _, s := range syms {
-		t.colFor(s)
+	for _, term := range l.Terms() {
+		t.colFor(term.Sym)
 	}
 	rowConst := ratInt(l.Const)
 	row := make([]rat, len(t.nonbasic))
-	for s, a := range l.Coeffs {
+	for _, term := range l.Terms() {
+		s, a := term.Sym, term.Coeff
 		id := t.colOf[s]
 		ar := ratInt(a)
 		if j := t.nonbasicColOf(id); j >= 0 {

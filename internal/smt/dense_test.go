@@ -37,11 +37,24 @@ func newSysGen(seed int64, nvars int) *sysGen {
 // lin builds coeffs·x + c >= 0 with c chosen so that the row's value at the
 // hidden point is slack.
 func (g *sysGen) lin(coeffs map[expr.Sym]int64, slack int64) expr.Lin {
-	c := slack
-	for s, a := range coeffs {
-		c -= a * g.point[s]
+	return g.withSlack(lin(coeffs, 0), slack)
+}
+
+// withSlack sets l's constant so that its value at the hidden point is
+// slack.
+func (g *sysGen) withSlack(l expr.Lin, slack int64) expr.Lin {
+	l.Const = slack
+	for _, t := range l.Terms() {
+		l.Const -= t.Coeff * g.point[t.Sym]
 	}
-	return expr.Lin{Coeffs: coeffs, Const: c}
+	return l
+}
+
+// setCoeff makes a the coefficient of s in l.
+func setCoeff(l *expr.Lin, s expr.Sym, a int64) {
+	if err := l.AddTerm(s, a-l.Coeff(s)); err != nil {
+		panic(err)
+	}
 }
 
 // row is an ordinary sparse row. One in forty is violated at the hidden
@@ -72,8 +85,7 @@ func (g *sysGen) row() expr.Lin {
 
 // eqPair is an equality through the hidden point as two opposite rows.
 func (g *sysGen) eqPair() (expr.Lin, expr.Lin) {
-	l := g.row()
-	l.Const = g.lin(l.Coeffs, 0).Const
+	l := g.withSlack(g.row(), 0)
 	return l, l.Neg()
 }
 
@@ -86,9 +98,9 @@ func (g *sysGen) bigRow() expr.Lin {
 		if g.rng.Intn(2) == 0 {
 			a = -a
 		}
-		l.Coeffs[expr.Sym(g.rng.Intn(g.nvars))] = a
+		setCoeff(&l, expr.Sym(g.rng.Intn(g.nvars)), a)
 	}
-	return g.lin(l.Coeffs, int64(g.rng.Intn(3)))
+	return g.withSlack(l, int64(g.rng.Intn(3)))
 }
 
 // edgeRow puts one coefficient of ±2^62 into an ordinary row: a pivot that
@@ -100,8 +112,8 @@ func (g *sysGen) edgeRow() expr.Lin {
 	if g.rng.Intn(2) == 0 {
 		a = -a
 	}
-	l.Coeffs[expr.Sym(g.rng.Intn(g.nvars))] = a
-	return g.lin(l.Coeffs, int64(g.rng.Intn(3)))
+	setCoeff(&l, expr.Sym(g.rng.Intn(g.nvars)), a)
+	return g.withSlack(l, int64(g.rng.Intn(3)))
 }
 
 // batch returns n rows, one in ten of them half of an equality pair.
@@ -266,8 +278,8 @@ func diffTableaus(d *denseTableau, s *tableau, big *bool) string {
 // verdict and pivot count must match the reference after every stage (so
 // its entering/leaving choices were the same ones). Stages mimic the
 // incremental cursor: one fresh solve, then rounds of a few appended rows
-// and a dual restore, on copy-on-write clones every other round; the
-// generation cloned from must still be what it was after each round. Every
+// and a dual restore, each pair of rounds inside a scope; undoing the scope
+// must give back the tableau as it was when the scope opened. Every
 // row keeps its storage rules after every step (rowInvariants), and the
 // mirrored pivots must move rows off the int lane both ways — a non-unit
 // pivot element, an int merge overflowing at 2^62·2 — and back onto it.
@@ -349,11 +361,13 @@ func TestDenseReferenceKernel(t *testing.T) {
 		if !stage("fresh solve", dense.solveFresh, prod.solveFresh) {
 			continue
 		}
-		var prev []frozen // the generation just cloned from, with its deep copies
+		var opened []frozen // the tableaus marked for this pair of rounds, with deep copies taken then
 		for round := 0; round < 12; round++ {
 			if round%2 == 0 {
-				prev = []frozen{{"mirror", mirror, mirror.deepClone()}, {"drivers", prod, prod.deepClone()}}
-				mirror, prod = mirror.clone(0), prod.clone(0)
+				opened = []frozen{{"mirror", mirror, mirror.deepClone()}, {"drivers", prod, prod.deepClone()}}
+				if !mirror.mark() || !prod.mark() {
+					t.Fatalf("seed %d, round %d: a solved tableau refused a mark", seed, round)
+				}
 			}
 			next := g.batch(1 + g.rng.Intn(3))
 			if seed%6 == 0 && round == 4 {
@@ -361,10 +375,18 @@ func TestDenseReferenceKernel(t *testing.T) {
 			}
 			add(next)
 			feasible := stage(fmt.Sprintf("round %d", round), dense.dualRestore, prod.dualRestore)
-			for _, f := range prev {
-				if diff := sameTableau(f.ref, f.live); diff != "" {
-					t.Fatalf("seed %d, round %d: the %s tableau this round's was cloned from changed: %s", seed, round, f.name, diff)
+			if round%2 == 1 || !feasible {
+				// Close the scope: undo must give back the tableau as it was
+				// marked. The rounds go on from a deep copy of where it stood.
+				for k, f := range opened {
+					cont := f.live.deepClone()
+					f.live.undo()
+					if diff := sameTableau(f.ref, f.live); diff != "" {
+						t.Fatalf("seed %d, round %d: undoing the %s tableau's scope left it changed: %s", seed, round, f.name, diff)
+					}
+					opened[k].live = cont
 				}
+				mirror, prod = opened[0].live, opened[1].live
 			}
 			if !feasible {
 				break

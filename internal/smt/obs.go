@@ -13,11 +13,14 @@ var (
 	obsBBNodes       = obs.Default.Counter("smt", "bb_nodes")
 	obsCaseSplits    = obs.Default.Counter("smt", "case_splits")
 	obsDeadlinePolls = obs.Default.Counter("smt", "deadline_polls")
-	// obsLazyClones counts tableau copies materialized by clone-on-first-
-	// check; Push itself no longer copies, so clones − pushes measures how
-	// much the lazy snapshot discipline saves on check-free scopes.
+	// obsLazyClones counts the first check in a scope that writes the
+	// basis a Push saved. Nothing is copied any more (the check writes the
+	// tableau in place and Pop undoes it from the trail); the name is kept
+	// for the event it has always counted, so its values compare across
+	// versions.
 	obsLazyClones = obs.Default.Counter("smt", "lazy_clones")
-	// obsRowsCopied counts the rows those clones then materialized by a
-	// first write; rows_copied ÷ lazy_clones is how local a search node is.
+	// obsRowsCopied counts the rows saved on the trail before their first
+	// write in a scope; rows_copied ÷ lazy_clones is how local a search node
+	// is.
 	obsRowsCopied = obs.Default.Counter("smt", "rows_copied")
 )

@@ -61,11 +61,11 @@ type Solver struct {
 	marks       []int
 
 	// Incremental LP state: the feasible tableau for the first lp.count
-	// asserted constraints, snapshotted across Push/Pop so that sibling
-	// branches restore their parent's basis instead of re-solving phase one.
+	// asserted constraints, saved across Push/Pop so that sibling branches
+	// restore their parent's basis instead of re-solving phase one.
 	lp      lpState
 	lpStack []lpState
-	scratch scratch // kernel buffers shared by every tableau of this solver
+	scratch scratch // storage shared by every tableau of this solver
 
 	// Stats accumulates counters across checks; callers may read or reset.
 	Stats Stats
@@ -74,16 +74,12 @@ type Solver struct {
 type lpState struct {
 	tab   *tableau // nil = must rebuild from scratch
 	count int      // constraints already incorporated
-	// owned reports that tab is referenced by this lpState alone. Push
-	// aliases the tableau into the saved snapshot and clears owned, and the
-	// first check that would mutate it clones it first (clone-on-first-
-	// check), so a deep run of Pushes with no check in between — the seek
-	// phase of the incremental schema walker, and branch-and-bound nodes
-	// pruned before their first LP — costs no copies at all. The invariant
-	// everything below a Push rests on: a tableau that a Push has saved is
-	// never written again (Pop restores it un-owned), and a clone copies a
-	// row before its first write to it (tableau.own).
-	owned bool
+	// saved reports that tab is the basis a Push saved and that no check
+	// has written it since. Push marks the tableau rather than copying it
+	// and the checks inside the scope write it in place, logging on the
+	// trail what Pop's undo needs (see trail); the first check that writes
+	// it is counted as smt.lazy_clones, the event that once cloned it.
+	saved bool
 }
 
 // Stats records solver effort. It is the obs report's struct, so the
@@ -107,19 +103,22 @@ func (s *Solver) AssertAll(cs []expr.Constraint) {
 }
 
 // Push opens a new assertion scope, saving the warm LP basis so that Pop can
-// restore it without re-solving. The basis is saved by reference: the clone
-// that protects it from in-scope mutation is deferred to the first check
-// that actually mutates it (see lpState.owned).
+// restore it without re-solving. Nothing is copied: the tableau is marked,
+// and the checks inside the scope keep writing it in place.
 func (s *Solver) Push() {
 	s.marks = append(s.marks, len(s.constraints))
-	s.lp.owned = false // tab is now shared with the saved snapshot
-	s.lpStack = append(s.lpStack, s.lp)
+	s.lp.saved = true
+	saved := s.lp
+	if saved.tab != nil && !saved.tab.mark() {
+		saved.tab = nil // no trail to restore it from: Pop leaves a rebuild
+	}
+	s.lpStack = append(s.lpStack, saved)
 }
 
 // Pop discards all assertions made since the matching Push. Popping an empty
-// stack is a no-op. The restored basis is treated as shared (deeper stack
-// entries saved before a check may alias the same tableau), so the next
-// mutating check clones it first.
+// stack is a no-op. The basis the Push saved is restored by undoing the
+// scope on its tableau — also when a check inside the scope found it
+// infeasible or replaced it with a rebuilt one.
 func (s *Solver) Pop() {
 	if len(s.marks) == 0 {
 		return
@@ -129,6 +128,9 @@ func (s *Solver) Pop() {
 	s.constraints = s.constraints[:n]
 	s.lp = s.lpStack[len(s.lpStack)-1]
 	s.lpStack = s.lpStack[:len(s.lpStack)-1]
+	if s.lp.tab != nil {
+		s.lp.tab.undo()
+	}
 }
 
 // NumAssertions reports the number of currently asserted constraints.
@@ -220,13 +222,10 @@ func (s *Solver) check() (Status, error) {
 	obsLPChecks.Inc()
 
 	if s.lp.tab != nil && s.lp.count <= len(s.constraints) {
-		if len(s.constraints) > s.lp.count && !s.lp.owned {
-			// Lazy snapshot: the tableau is aliased by a Push-saved lpState
-			// and about to be mutated, so take the private copy now. With no
-			// new constraints the stored (feasible) tableau is read only and
-			// needs no copy at all.
-			s.lp.tab = s.lp.tab.clone(2 * (len(s.constraints) - s.lp.count)) // an equality is two rows
-			s.lp.owned = true
+		if len(s.constraints) > s.lp.count && s.lp.saved {
+			// The first write to a basis a Push saved. With no new
+			// constraints the stored (feasible) tableau is only read.
+			s.lp.saved = false
 			obsLazyClones.Inc()
 		}
 		t := s.lp.tab
@@ -239,12 +238,12 @@ func (s *Solver) check() (Status, error) {
 		feasible, pivots, err := t.dualRestore()
 		s.Stats.Pivots += pivots
 		obsPivots.Add(int64(pivots))
-		obsRowsCopied.Add(int64(t.copied))
-		t.copied = 0
+		obsRowsCopied.Add(int64(t.logged))
+		t.logged = 0
 		if err == nil {
 			if !feasible {
 				// Leave the state invalid; the caller Pops back to the
-				// parent snapshot (or the next check rebuilds).
+				// saved basis (or the next check rebuilds).
 				s.lp.tab = nil
 				return Unsat, nil
 			}
@@ -274,7 +273,7 @@ func (s *Solver) check() (Status, error) {
 		s.lp.tab = nil
 		return Unsat, nil
 	}
-	s.lp = lpState{tab: t, count: len(s.constraints), owned: true}
+	s.lp = lpState{tab: t, count: len(s.constraints)}
 	return Sat, nil
 }
 
@@ -400,9 +399,9 @@ func (s *Solver) Verify(m Model) error {
 		if !ok {
 			return fmt.Errorf("smt: model violates constraint %d: %s", i, c.String(s.tab))
 		}
-		for sym := range c.L.Coeffs {
-			if m.Value(sym) < 0 {
-				return fmt.Errorf("smt: model assigns negative value to %s", s.tab.Name(sym))
+		for _, t := range c.L.Terms() {
+			if m.Value(t.Sym) < 0 {
+				return fmt.Errorf("smt: model assigns negative value to %s", s.tab.Name(t.Sym))
 			}
 		}
 	}

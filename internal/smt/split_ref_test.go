@@ -10,14 +10,15 @@ import (
 )
 
 // The three things a search node did before it cost what it changes, moved
-// here unchanged as the references the production paths are checked against
-// (the dense_ref_test.go pattern); nothing outside the tests uses them.
+// here as the references the production paths are checked against (the
+// dense_ref_test.go pattern); nothing outside the tests uses them.
 
 // deepClone is the clone this package shipped before rows went copy-on-write:
 // every non-zero is copied into two fresh slabs, each row capped at its own
 // length so that growing one cannot run into the next, and the copy gets
 // scratch of its own (the old clone dropped acc and spare for addGE and
-// substitute to regrow). The copy owns every row.
+// substitute to regrow). The copy has no open scope, and no row of it is
+// stamped by one.
 func (t *tableau) deepClone() *tableau {
 	out := &tableau{
 		varOf:    append([]int32(nil), t.varOf...),
@@ -26,7 +27,6 @@ func (t *tableau) deepClone() *tableau {
 		basic:    append([]int(nil), t.basic...),
 		consts:   append([]rat(nil), t.consts...),
 		rows:     make([]row, len(t.rows)),
-		own:      make([]bool, len(t.rows)),
 		colAt:    append([]int32(nil), t.colAt...),
 		rowAt:    append([]int32(nil), t.rowAt...),
 		objC:     t.objC,
@@ -47,7 +47,6 @@ func (t *tableau) deepClone() *tableau {
 		} else {
 			out.rows[i].val = slices.Clone(r.val)
 		}
-		out.own[i] = true
 		idx = idx[n:]
 	}
 	if t.objA != nil {
@@ -61,9 +60,9 @@ func (t *tableau) deepClone() *tableau {
 func holdsRational(c expr.Constraint, m RatModel) (bool, error) {
 	acc := new(big.Rat).SetInt64(c.L.Const)
 	term := new(big.Rat)
-	for s, coeff := range c.L.Coeffs {
-		term.SetInt64(coeff)
-		term.Mul(term, m.Value(s))
+	for _, t := range c.L.Terms() {
+		term.SetInt64(t.Coeff)
+		term.Mul(term, m.Value(t.Sym))
 		acc.Add(acc, term)
 	}
 	switch c.Op {

@@ -24,6 +24,12 @@ import (
 // DPLL(T)-style clause search and branch-and-bound affordable: a child node
 // differs from its parent by one or two rows and typically needs only a few
 // pivots instead of a full phase-one solve.
+//
+// A search node works on the one tableau in place and backtracks by undo:
+// mark opens a scope, every write after it that a later undo must reverse is
+// first logged on the trail, and undo replays the scope's part of the trail
+// backwards. A node therefore pays for the rows its pivots touch, not for the
+// whole dictionary.
 type tableau struct {
 	varOf   []int32 // symbol -> variable id, -1 where the symbol is not interned
 	nextVar int
@@ -32,12 +38,6 @@ type tableau struct {
 	basic    []int // variable ids of basic rows
 	consts   []rat // row constants
 	rows     []row // row coefficients over the nonbasic columns
-	// own[i] reports that rows[i]'s storage is this tableau's alone.
-	// clone shares every row with its source and leaves neither side owning
-	// it; the first write to a row (take) copies it. A search node therefore
-	// pays for the rows its pivots touch, not for the whole dictionary.
-	own    []bool
-	copied int // rows materialised by a first write since the last clone
 
 	// colAt and rowAt locate a variable by id: its nonbasic column or its
 	// basic row, -1 where it is not (both -1 once x0 has been dropped).
@@ -49,18 +49,68 @@ type tableau struct {
 	objC rat
 	x0   int // variable id of the auxiliary variable, -1 if absent
 
+	marks  []mark // open scopes, innermost last
+	logged int    // rows saved on the trail since the last check read it
+
 	*scratch
 }
 
-// scratch holds the buffers the kernel works in. They carry nothing between
-// calls, so one set serves every tableau of a Solver (clone passes the
-// pointer on) and is grown once per query rather than once per search node:
-// acc is addGE's dense accumulator (all zero between calls), syms its sorted
-// symbol list, spare the buffer substitute merges a rewritten row into.
+// scratch holds the storage every tableau of a Solver shares (newTableau
+// passes the pointer on). acc is addGE's dense accumulator (all zero between
+// calls) and spare the buffer substitute merges a rewritten row into; they
+// carry nothing between calls and are grown once per query rather than once
+// per search node. trail carries the open scopes' undo records.
 type scratch struct {
 	acc   []rat
-	syms  []expr.Sym
 	spare row
+	trail trail
+}
+
+// trail is the undo log of the open scopes, innermost last. Scopes nest, so
+// one log serves every tableau of a Solver: a tableau that replaces another
+// inside a scope (a rebuild) is marked only by later, inner scopes, which
+// close first.
+//
+// The invariant undo rests on: inside a scope, a row that existed when the
+// scope opened is saved here before its first write — cells into the slabs
+// idx and num or val, header and constant into saves — and every pivot and
+// every symbol bound to a column are recorded. A row's constant only changes
+// in a write to the row, so the constant at its first write is the one the
+// scope opened with; likewise basic, nonbasic, colAt and rowAt only change
+// in a pivot, which its (column, row) record reverses exactly.
+type trail struct {
+	epoch  uint64    // the last scope id handed out
+	saves  []rowSave // one per row per scope, in write order
+	pivots []pivotAt
+	binds  []expr.Sym // symbols colFor bound to a new variable
+	idx    []int32    // the saved rows' cells, in saves order
+	num    []int64
+	val    []rat
+}
+
+// rowSave is a row's header and constant as a scope opened with them; its
+// cells are the next n entries of the slabs (num or val by lane).
+type rowSave struct {
+	i     int32
+	n     int32
+	onVal bool
+	sig   uint64
+	stamp uint64 // the row's stamp before this save
+	cst   rat
+}
+
+// pivotAt records pivot(e, r).
+type pivotAt struct {
+	e int32
+	r int32
+}
+
+// mark is where a tableau and the trail stood when a scope opened.
+type mark struct {
+	epoch                  uint64
+	rows, cols, vars, syms int // len(rows), len(nonbasic), nextVar, len(varOf)
+	saves, pivots, binds   int // the trail's logs
+	idx, num, val          int // and its slabs
 }
 
 // row holds the non-zero coefficients of one dictionary row, by ascending
@@ -84,6 +134,9 @@ type row struct {
 	num []int64 // num[k] is the coefficient at column idx[k]; never 0 or MinInt64
 	val []rat   // val[k] likewise, never zero; nil while the row is on num
 	sig uint64
+	// stamp is the id of the innermost scope that saved the row on the
+	// trail (0: none open saved it), so a row is saved once per scope.
+	stamp uint64
 }
 
 // colBit is column c's bit in a row signature.
@@ -182,50 +235,90 @@ func newTableau(sc *scratch) *tableau {
 	return &tableau{x0: -1, scratch: sc}
 }
 
-// clone returns a tableau that can be written without disturbing t, with
-// room for extra more rows before an append reallocates. Headers, constants
-// and the id tables are copied — O(rows + variables), mostly small integers;
-// the rows' non-zeros are shared, and from here on neither side owns them
-// (see own). rat values are immutable (an operation returns a new value and
-// never writes through an operand's big.Rat), so sharing cells is safe.
-func (t *tableau) clone(extra int) *tableau {
-	clear(t.own)
-	return &tableau{
-		varOf:    slices.Clone(t.varOf),
-		nextVar:  t.nextVar,
-		nonbasic: slices.Clone(t.nonbasic),
-		basic:    cloneGrow(t.basic, extra),
-		consts:   cloneGrow(t.consts, extra),
-		rows:     cloneGrow(t.rows, extra),
-		own:      make([]bool, len(t.own), len(t.own)+extra),
-		colAt:    cloneGrow(t.colAt, extra),
-		rowAt:    cloneGrow(t.rowAt, extra),
-		objA:     slices.Clone(t.objA),
-		objC:     t.objC,
-		x0:       t.x0,
-		scratch:  t.scratch,
+// mark opens a scope and reports whether it could: a tableau in phase one
+// (x0 or the objective present) adds and deletes columns and rows in ways
+// the trail does not record, and is never marked.
+func (t *tableau) mark() bool {
+	if t.x0 != -1 || t.objA != nil {
+		return false
 	}
+	tr := &t.trail
+	tr.epoch++
+	t.marks = append(t.marks, mark{
+		epoch: tr.epoch,
+		rows:  len(t.rows), cols: len(t.nonbasic), vars: t.nextVar, syms: len(t.varOf),
+		saves: len(tr.saves), pivots: len(tr.pivots), binds: len(tr.binds),
+		idx: len(tr.idx), num: len(tr.num), val: len(tr.val),
+	})
+	return true
 }
 
-// cloneGrow copies s into a slice with room for extra more elements.
-func cloneGrow[T any](s []T, extra int) []T {
-	return append(make([]T, 0, len(s)+extra), s...)
-}
-
-// take makes row i's storage this tableau's own before its first write.
-func (t *tableau) take(i int) {
-	if t.own[i] {
+// save logs row i on the trail before its first write in the innermost
+// scope, if one is open and the row is older than it.
+func (t *tableau) save(i int) {
+	if len(t.marks) == 0 {
 		return
 	}
+	m := &t.marks[len(t.marks)-1]
 	r := &t.rows[i]
-	r.idx = slices.Clone(r.idx)
-	if r.val == nil {
-		r.num = slices.Clone(r.num)
-	} else {
-		r.val = slices.Clone(r.val)
+	if i >= m.rows || r.stamp == m.epoch {
+		return
 	}
-	t.own[i] = true
-	t.copied++
+	tr := &t.trail
+	tr.saves = append(tr.saves, rowSave{
+		i: int32(i), n: int32(len(r.idx)), onVal: r.val != nil,
+		sig: r.sig, stamp: r.stamp, cst: t.consts[i],
+	})
+	tr.idx = append(tr.idx, r.idx...)
+	if r.val == nil {
+		tr.num = append(tr.num, r.num...)
+	} else {
+		tr.val = append(tr.val, r.val...)
+	}
+	r.stamp = m.epoch
+	t.logged++
+}
+
+// undo closes the innermost scope, restoring the tableau to what it was
+// when mark opened it. Saved cells go back into the row's current storage
+// where it has the room, and the rows the scope appended are cut off with
+// their storage left in place for addRow to reuse.
+func (t *tableau) undo() {
+	m := t.marks[len(t.marks)-1]
+	t.marks = t.marks[:len(t.marks)-1]
+	tr := &t.trail
+	idx, num, val := len(tr.idx), len(tr.num), len(tr.val)
+	for k := len(tr.saves) - 1; k >= m.saves; k-- {
+		sv := &tr.saves[k]
+		r := &t.rows[sv.i]
+		n := int(sv.n)
+		idx -= n
+		r.idx = append(r.idx[:0], tr.idx[idx:idx+n]...)
+		if sv.onVal {
+			val -= n
+			r.num, r.val = nil, append(r.val[:0], tr.val[val:val+n]...)
+		} else {
+			num -= n
+			r.num, r.val = append(r.num[:0], tr.num[num:num+n]...), nil
+		}
+		r.sig, r.stamp = sv.sig, sv.stamp
+		t.consts[sv.i] = sv.cst
+	}
+	for k := len(tr.pivots) - 1; k >= m.pivots; k-- {
+		e, r := tr.pivots[k].e, tr.pivots[k].r
+		entered, left := t.basic[r], t.nonbasic[e]
+		t.basic[r], t.nonbasic[e] = left, entered
+		t.rowAt[left], t.colAt[left] = r, -1
+		t.rowAt[entered], t.colAt[entered] = -1, e
+	}
+	for _, s := range tr.binds[m.binds:] {
+		t.varOf[s] = -1
+	}
+	t.rows, t.basic, t.consts = t.rows[:m.rows], t.basic[:m.rows], t.consts[:m.rows]
+	t.nonbasic, t.varOf, t.nextVar = t.nonbasic[:m.cols], t.varOf[:m.syms], m.vars
+	t.colAt, t.rowAt = t.colAt[:m.vars], t.rowAt[:m.vars]
+	tr.saves, tr.pivots, tr.binds = tr.saves[:m.saves], tr.pivots[:m.pivots], tr.binds[:m.binds]
+	tr.idx, tr.num, tr.val = tr.idx[:m.idx], tr.num[:m.num], tr.val[:m.val]
 }
 
 // newVar allocates the next variable id, located nowhere yet.
@@ -264,31 +357,32 @@ func (t *tableau) colFor(s expr.Sym) int {
 	}
 	id := t.newVar()
 	t.varOf[s] = int32(id)
+	if len(t.marks) > 0 {
+		t.trail.binds = append(t.trail.binds, s)
+	}
 	t.newCol(id)
 	return id
 }
 
 // addGE appends the row for L >= 0, rewriting basic variables through their
 // current dictionary rows.
-func (t *tableau) addGE(l expr.Lin) {
-	// Intern symbols in symbol order, so the column layout is stable.
-	// Ranging over the coefficient map here would randomize the layout per
-	// run — and with it which column a degenerate phase one pivots x0 out
-	// on and which optimal vertex the relaxation lands on, making solver
-	// effort (and branch-and-bound paths) differ between identical solves.
-	syms := t.syms[:0]
-	for s := range l.Coeffs {
-		syms = append(syms, s)
-	}
-	slices.Sort(syms)
-	t.syms = syms
-	for len(t.acc) < len(t.nonbasic)+len(syms) {
+func (t *tableau) addGE(l expr.Lin) { t.addRow(l, 1) }
+
+// addRow appends the row for sign·L >= 0 (sign is 1 or -1). The terms come
+// in symbol order, and so new symbols get their columns in symbol order:
+// the column layout — and with it which column a degenerate phase one
+// pivots x0 out on and which optimal vertex the relaxation lands on — is a
+// function of the constraints alone, so identical solves take identical
+// pivots.
+func (t *tableau) addRow(l expr.Lin, sign int64) {
+	terms := l.Terms()
+	for len(t.acc) < len(t.nonbasic)+len(terms) {
 		t.acc = append(t.acc, ratZero)
 	}
-	rowConst := ratInt(l.Const)
-	for _, s := range syms {
-		id := t.colFor(s)
-		ar := ratInt(l.Coeffs[s])
+	rowConst := ratInt(sign * l.Const)
+	for _, term := range terms {
+		id := t.colFor(term.Sym)
+		ar := ratInt(sign * term.Coeff)
 		if c := t.colAt[id]; c >= 0 {
 			t.acc[c] = t.acc[c].add(ar)
 			continue
@@ -314,11 +408,17 @@ func (t *tableau) addGE(l expr.Lin) {
 			ints = ints && fitsNum(a)
 		}
 	}
-	nr := row{idx: make([]int32, 0, nnz)}
+	var nr row
+	if n := len(t.rows); n < cap(t.rows) {
+		// The storage of a row an undo cut off, dead since: reuse it.
+		old := t.rows[:n+1][n]
+		nr.idx, nr.num, nr.val = old.idx[:0], old.num[:0], old.val[:0]
+	}
+	nr.idx = slices.Grow(nr.idx, nnz)
 	if ints {
-		nr.num = make([]int64, 0, nnz)
+		nr.num, nr.val = slices.Grow(nr.num, nnz), nil
 	} else {
-		nr.val = make([]rat, 0, nnz)
+		nr.num, nr.val = nil, slices.Grow(nr.val, nnz)
 	}
 	for c, a := range acc {
 		if a.sign() == 0 {
@@ -338,17 +438,16 @@ func (t *tableau) addGE(l expr.Lin) {
 	t.basic = append(t.basic, slack)
 	t.consts = append(t.consts, rowConst)
 	t.rows = append(t.rows, nr)
-	t.own = append(t.own, true)
 }
 
 // addConstraint appends rows for a constraint (two for an equality).
 func (t *tableau) addConstraint(c expr.Constraint) error {
 	switch c.Op {
 	case expr.GE:
-		t.addGE(c.L)
+		t.addRow(c.L, 1)
 	case expr.EQ:
-		t.addGE(c.L)
-		t.addGE(c.L.Neg())
+		t.addRow(c.L, 1)
+		t.addRow(c.L, -1)
 	default:
 		return fmt.Errorf("smt: unsupported constraint operator %v", c.Op)
 	}
@@ -356,12 +455,12 @@ func (t *tableau) addConstraint(c expr.Constraint) error {
 }
 
 // addX0 introduces the phase-one auxiliary variable with coefficient +1 in
-// every row and the objective -x0, and returns its column.
+// every row and the objective -x0, and returns its column. Phase one runs
+// only on a tableau no scope has marked.
 func (t *tableau) addX0() int32 {
 	t.x0 = t.newVar()
 	c := t.newCol(t.x0)
 	for i := range t.rows {
-		t.take(i)
 		if r := &t.rows[i]; r.val == nil {
 			r.idx = append(r.idx, c)
 			r.num = append(r.num, 1)
@@ -465,8 +564,9 @@ func (t *tableau) dropX0() error {
 			// The row reads x0 = 0: delete it outright.
 			t.basic = append(t.basic[:r], t.basic[r+1:]...)
 			t.consts = append(t.consts[:r], t.consts[r+1:]...)
-			t.rows = append(t.rows[:r], t.rows[r+1:]...)
-			t.own = append(t.own[:r], t.own[r+1:]...)
+			// Delete clears the vacated last slot: a header left there would
+			// share the last row's storage, which addRow would then reuse.
+			t.rows = slices.Delete(t.rows, r, r+1)
 			t.rowAt[t.x0] = -1
 			for _, id := range t.basic[r:] {
 				t.rowAt[id]--
@@ -487,7 +587,6 @@ func (t *tableau) dropX0() error {
 		t.colAt[id]--
 	}
 	for i := range t.rows {
-		t.take(i)
 		r := &t.rows[i]
 		k := r.lowerBound(col)
 		if k < len(r.idx) && r.idx[k] == col {
@@ -551,7 +650,10 @@ func (t *tableau) dualRestore() (bool, int, error) {
 // pivot makes nonbasic column e basic and the basic variable of row r
 // nonbasic, rewriting every row that mentions column e and the objective.
 func (t *tableau) pivot(e int32, r int) {
-	t.take(r)
+	if len(t.marks) > 0 {
+		t.trail.pivots = append(t.trail.pivots, pivotAt{e: e, r: int32(r)})
+	}
+	t.save(r)
 	pr := &t.rows[r]
 	pe := pr.find(e)
 	p := pr.cell(pe)
@@ -607,6 +709,7 @@ func (t *tableau) pivot(e int32, r int) {
 			continue
 		}
 		d := t.rows[i].cell(k)
+		t.save(i)
 		t.consts[i] = t.consts[i].addMul(d, newConst)
 		t.substitute(i, d, e, pr)
 	}
@@ -627,21 +730,15 @@ func (t *tableau) pivot(e int32, r int) {
 // substitute rewrites row i, whose coefficient on column e was d, through
 // the solved pivot row pr: every column of pr gains d·pr[c], and column e —
 // now the leaving variable's — is replaced by d·pr[e]. The two sorted lists
-// are merged into the spare buffer and copied back, so a row's own storage
-// only ever grows to what fill-in has made it need; a row still shared with
-// the tableau this one was cloned from is left alone and gets fresh storage.
-// The merge runs on the int lane when both rows are there; the rat merge is
-// its fallback, taken when either row is on val or an int merge overflows.
+// are merged into the spare buffer and copied back, so a row's storage only
+// ever grows to what fill-in has made it need. The merge runs on the int
+// lane when both rows are there; the rat merge is its fallback, taken when
+// either row is on val or an int merge overflows.
 func (t *tableau) substitute(i int, d rat, e int32, pr *row) {
 	ri := &t.rows[i]
 	out, ok := t.mergeNum(ri, d.n, e, pr)
 	if !ok {
 		out = t.mergeVal(ri, d, e, pr)
-	}
-	if !t.own[i] {
-		// First write to a shared row: the merge is its copy.
-		ri.idx, ri.num, ri.val, t.own[i] = nil, nil, nil, true
-		t.copied++
 	}
 	ri.idx, ri.sig = append(ri.idx[:0], out.idx...), out.sig
 	if out.val == nil {
@@ -768,8 +865,8 @@ func (t *tableau) valueOf(s expr.Sym) rat {
 // value evaluates l at the current basic solution.
 func (t *tableau) value(l expr.Lin) rat {
 	v := ratInt(l.Const)
-	for s, a := range l.Coeffs {
-		v = v.addMul(ratInt(a), t.valueOf(s))
+	for _, term := range l.Terms() {
+		v = v.addMul(ratInt(term.Coeff), t.valueOf(term.Sym))
 	}
 	return v
 }

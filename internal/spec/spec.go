@@ -150,7 +150,8 @@ func (q *Query) Validate(a *ta.TA) error {
 		if c.Op != expr.GE {
 			return fmt.Errorf("spec: query %s: FinalShared constraints must be >=", q.Name)
 		}
-		for s, coeff := range c.L.Coeffs {
+		for _, t := range c.L.Terms() {
+			s, coeff := t.Sym, t.Coeff
 			if !sharedOrParam[s] {
 				return fmt.Errorf("spec: query %s: FinalShared mentions unknown symbol", q.Name)
 			}

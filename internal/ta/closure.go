@@ -2,6 +2,7 @@ package ta
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -29,6 +30,16 @@ func (a *TA) LocSetByName(names ...string) (LocSet, error) {
 		s[id] = true
 	}
 	return s, nil
+}
+
+// Sorted returns the set's locations in ascending order.
+func (s LocSet) Sorted() []LocID {
+	ids := make([]LocID, 0, len(s))
+	for id := range s {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // String renders the set with location names in deterministic order.

@@ -186,20 +186,15 @@ func (b *Builder) SumGeThreshold(shared []expr.Sym, rhs expr.Lin) expr.Constrain
 
 // Lin builds the expression  Σ coeff_i·param_i + c  for guard thresholds.
 func (b *Builder) Lin(c int64, terms ...LinTerm) expr.Lin {
-	l := expr.NewLin(c)
-	for _, t := range terms {
-		if err := l.AddTerm(t.Sym, t.Coeff); err != nil && b.err == nil {
-			b.err = err
-		}
+	l, err := expr.LinOf(c, terms...)
+	if err != nil && b.err == nil {
+		b.err = err
 	}
 	return l
 }
 
 // LinTerm is a coefficient-symbol pair for Builder.Lin.
-type LinTerm struct {
-	Coeff int64
-	Sym   expr.Sym
-}
+type LinTerm = expr.LinTerm
 
 // RuleOpt configures a rule.
 type RuleOpt func(*Rule)
@@ -318,7 +313,8 @@ func (a *TA) Validate() error {
 			if g.Op != expr.GE {
 				return fmt.Errorf("ta %s: rule %s guard must be a >= constraint", a.Name, r.Name)
 			}
-			for s, c := range g.L.Coeffs {
+			for _, t := range g.L.Terms() {
+				s, c := t.Sym, t.Coeff
 				switch {
 				case isShared[s]:
 					if c < 0 {

@@ -307,3 +307,25 @@ func TestValidateRejectsZeroCorrectCount(t *testing.T) {
 		t.Error("constant-zero correct count should be rejected")
 	}
 }
+
+// TestValidateNamesFirstBadTerm: a guard that falls in a shared variable and
+// also mentions a symbol that is neither shared nor a parameter is reported
+// by its first offending term in symbol order, on every call. (Over a
+// coefficient map the report named whichever term the map yielded first.)
+func TestValidateNamesFirstBadTerm(t *testing.T) {
+	const want = "ta mixed: rule r1 guard is not rising in x"
+	for i := 0; i < 200; i++ {
+		b := NewBuilder("mixed")
+		x := b.Shared("x")
+		u := b.ta.Table.Intern("u") // neither shared nor a parameter
+		locA, locB := b.Loc("A", Initial()), b.Loc("B")
+		l, err := expr.LinOf(1, expr.LinTerm{Sym: u, Coeff: 1}, expr.LinTerm{Sym: x, Coeff: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Rule("r1", locA, locB, Guarded(expr.GEZero(l)))
+		if _, err := b.Build(); err == nil || err.Error() != want {
+			t.Fatalf("call %d: Build error %v, want %q", i, err, want)
+		}
+	}
+}

@@ -127,17 +127,11 @@ func Format(a *ta.TA) (string, error) {
 func renderConstraint(a *ta.TA, c expr.Constraint) string {
 	lhs := expr.Lin{}
 	rhs := expr.Lin{}
-	var syms []expr.Sym
-	for s := range c.L.Coeffs {
-		syms = append(syms, s)
-	}
-	sort.Slice(syms, func(i, j int) bool { return syms[i] < syms[j] })
-	for _, s := range syms {
-		coeff := c.L.Coeffs[s]
-		if coeff > 0 {
-			_ = lhs.AddTerm(s, coeff)
+	for _, t := range c.L.Terms() {
+		if t.Coeff > 0 {
+			_ = lhs.AddTerm(t.Sym, t.Coeff)
 		} else {
-			_ = rhs.AddTerm(s, -coeff)
+			_ = rhs.AddTerm(t.Sym, -t.Coeff)
 		}
 	}
 	if c.L.Const > 0 {

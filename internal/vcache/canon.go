@@ -95,12 +95,9 @@ func (c *canon) lin(l expr.Lin) {
 		name  string
 		coeff int64
 	}
-	terms := make([]term, 0, len(l.Coeffs))
-	for s, k := range l.Coeffs {
-		if k == 0 {
-			continue
-		}
-		terms = append(terms, term{c.names[s], k})
+	terms := make([]term, 0, len(l.Terms()))
+	for _, t := range l.Terms() {
+		terms = append(terms, term{c.names[t.Sym], t.Coeff})
 	}
 	sort.Slice(terms, func(i, j int) bool { return terms[i].name < terms[j].name })
 	c.number(l.Const)

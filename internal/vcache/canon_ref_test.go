@@ -14,20 +14,18 @@ import (
 )
 
 // The fmt-based canonical renderer the strconv one in canon.go replaced,
-// kept verbatim as the reference it must match byte for byte
-// (TestCanonicalMatchesReference).
+// kept as the reference it must match byte for byte
+// (TestCanonicalMatchesReference); only its term loop changed, to read the
+// expression's terms rather than its former coefficient map.
 
 func refCanonLin(tab *expr.Table, l expr.Lin) string {
 	type term struct {
 		name  string
 		coeff int64
 	}
-	terms := make([]term, 0, len(l.Coeffs))
-	for s, c := range l.Coeffs {
-		if c == 0 {
-			continue
-		}
-		terms = append(terms, term{tab.Name(s), c})
+	terms := make([]term, 0, len(l.Terms()))
+	for _, t := range l.Terms() {
+		terms = append(terms, term{tab.Name(t.Sym), t.Coeff})
 	}
 	sort.Slice(terms, func(i, j int) bool { return terms[i].name < terms[j].name })
 	var b strings.Builder

@@ -59,7 +59,7 @@ fi
 # owns the CRC32C framing, and the merged full-mode internals stay merged
 # (their names survive only in _test.go references and in CHANGES.md /
 # ROADMAP.md as history). Bracketed like the lint above.
-echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form, request resolution, CLI request front door, in-flight store, campaign seed sweep, one source per automaton and per property, queued copy as content id, one counter system)"
+echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form, request resolution, CLI request front door, in-flight store, campaign seed sweep, one source per automaton and per property, queued copy as content id, one counter system, one tableau undone from its trail, linear forms as sorted terms)"
 SRC=$(find cmd internal -name '*.go' ! -name '*_test.go')
 N=$(grep -l 'json:"lp[_]checks"' $SRC | wc -l)
 [ "$N" -eq 1 ] || { echo "one-definition lint: $N non-test files declare a json:\"lp[_]checks\" field, want 1"; exit 1; }
@@ -92,8 +92,8 @@ fi
 
 # A search node costs what it changes: a RatModel is built only where a model
 # leaves the package (CheckRational), and only tableau.go reads or writes a
-# row's idx/num/val storage or its column signature, so copy-on-write
-# ownership and the int-lane rules have one place to be wrong.
+# row's idx/num/val storage or its column signature, so the trail and the
+# int-lane rules have one place to be wrong.
 # The deep-copying clone, the math/big literal evaluator and the map-scanning
 # fractional picks live on only as the _test.go references.
 KERNEL=$(find internal/smt -name '*.go' ! -name '*_test.go')
@@ -101,6 +101,26 @@ N=$(cat $KERNEL | grep -c '\.model()' || true)
 [ "$N" -eq 1 ] || { echo "one-definition lint: $N non-test callers of tableau.model(), want 1 (Solver.CheckRational)"; exit 1; }
 if grep -nE '\.(idx|num|val|sig)\b|holds[R]ational|deep[C]lone' $(echo "$KERNEL" | grep -v '/tableau\.go$'); then
     echo "one-definition lint: the lines above touch row storage outside tableau.go, or re-grow a per-node copy or model evaluation that lives on as a _test.go reference"
+    exit 1
+fi
+
+# A search node writes the one tableau in place and Pop undoes its scope
+# from the trail: no non-test file of internal/smt copies a tableau or keeps
+# per-row ownership. A linear form is expr.Lin's sorted term slice: no
+# non-test Go reads or writes a Coeffs field, and neither internal/expr nor
+# internal/smt holds a symbol-to-coefficient map. (Valuations stay maps:
+# smt.Model, the parameter valuations and ta.Rule.Update map symbols to
+# values, not coefficients, and are not linear forms.)
+if grep -nE '\bclone\(|clone[G]row|\bown[[:space:]]+\[\]bool|\.own\b' $KERNEL; then
+    echo "one-definition lint: the lines above copy a tableau or track row ownership (a scope is undone from the trail)"
+    exit 1
+fi
+if grep -nE '\.Coeff[s]\b|\bCoeff[s]:' $SRC $(find benchmark examples -name '*.go' ! -name '*_test.go'); then
+    echo "one-definition lint: the lines above use a Coeffs map (read a linear form with expr.Lin.Terms)"
+    exit 1
+fi
+if grep -nE 'map\[(expr\.)?Sym\]int64' $(find internal/expr internal/smt -name '*.go' ! -name '*_test.go') | grep -v ':type Model map\[expr\.Sym\]int64$'; then
+    echo "one-definition lint: the lines above hold a linear form as a map (expr.Lin keeps sorted terms)"
     exit 1
 fi
 
@@ -240,10 +260,10 @@ echo "==> go test -race -run 'Incremental|DeadSubtree' ./internal/smt ./internal
 go test -short -race -run 'Incremental|DeadSubtree' ./internal/smt ./internal/schema
 go test -run '^$' -bench 'SolveRangePrune|SolveRangeSolverBound' -benchtime 1x ./internal/schema
 
-echo "==> smt kernel leg (dense-reference pivots, rat vs math/big, pinned effort counters, copy-on-write ownership, basis readers vs their references, case-split allocation gate; rat fuzz; kernel benchmarks compile and run)"
+echo "==> smt kernel leg (dense-reference pivots, rat vs math/big, pinned effort counters, scopes undone from the trail, basis readers vs their references, case-split allocation gate; rat fuzz; kernel benchmarks compile and run)"
 go test -race -count=1 -run 'Dense|Rat|Effort|Clone|CaseSplit' ./internal/smt ./internal/schema
 go test -run '^$' -fuzz FuzzRatOps -fuzztime 10s ./internal/smt
-go test -run '^$' -bench 'Pivot|AddGE|TableauClone|PushCheckPop|CaseSplit' -benchtime 1x ./internal/smt
+go test -run '^$' -bench 'Pivot|AddGE|ScopeUndo|PushCheckPop|CaseSplit' -benchtime 1x ./internal/smt
 
 echo "==> go test -race ./internal/schema ./internal/core (parallel enumeration determinism)"
 go test -race ./internal/schema ./internal/core
