@@ -46,17 +46,17 @@ func (c Config) Validate() error {
 // accumulate here and take effect once the process enters the round.
 type roundState struct {
 	// bvSenders[v] = distinct processes from which (BV, v) was received.
-	bvSenders [2]map[network.ProcID]bool
+	bvSenders [2]protocol.SenderSet
 	// echoed[v] reports whether this process has broadcast (BV, v).
 	echoed [2]bool
 	// contestants is the bv-delivered value set (Fig. 1 line 7; the paper's
 	// global-scope variable shared between bv-broadcast and propose).
 	contestants [2]bool
 	auxSent     bool
-	// favorites[q] = the contestant set announced by q's aux message
-	// (Alg. 1 line 8), in arrival order.
-	favorites map[network.ProcID][]int
-	favOrder  []network.ProcID
+	// favorites holds, per sender q, the contestant set announced by q's
+	// first aux message (Alg. 1 line 8) as a valueMask, and the senders in
+	// arrival order.
+	favorites protocol.FirstTable
 	// validFavorites counts senders whose announced set is contained in
 	// contestants — the candidates tryDecide's scan would accept. Contestants
 	// only grow, so validity is monotone: the count is bumped per aux arrival
@@ -67,21 +67,43 @@ type roundState struct {
 	validFavorites int
 }
 
-func newRoundState() *roundState {
+func newRoundState(n int) *roundState {
 	return &roundState{
-		bvSenders: [2]map[network.ProcID]bool{make(map[network.ProcID]bool), make(map[network.ProcID]bool)},
-		favorites: make(map[network.ProcID][]int),
+		bvSenders: [2]protocol.SenderSet{protocol.NewSenderSet(n), protocol.NewSenderSet(n)},
+		favorites: protocol.NewFirstTable(n),
 	}
 }
 
-// favoriteValid reports whether every value in set is a contestant.
-func (st *roundState) favoriteValid(set []int) bool {
+// valueMask is a nonempty binary value set, bit v set iff v is a member: the
+// code of one of sanitizeSet's three canonical sets.
+type valueMask = uint8
+
+// maskOf returns the mask of a canonical set.
+func maskOf(set []int) valueMask {
+	var m valueMask
 	for _, v := range set {
-		if !st.contestants[v] {
-			return false
+		m |= 1 << v
+	}
+	return m
+}
+
+// maskSets maps a mask back to its canonical set (see sanitizeSet).
+var maskSets = [4][]int{1: zeroOne[0:1:1], 2: zeroOne[1:2:2], 3: zeroOne[0:2:2]}
+
+// contestantMask is the mask of the round's contestant set.
+func (st *roundState) contestantMask() valueMask {
+	var m valueMask
+	for v, in := range st.contestants {
+		if in {
+			m |= 1 << v
 		}
 	}
-	return true
+	return m
+}
+
+// favoriteValid reports whether every value in the set is a contestant.
+func (st *roundState) favoriteValid(set valueMask) bool {
+	return set&^st.contestantMask() == 0
 }
 
 // recountValidFavorites recomputes validFavorites from scratch; called when
@@ -89,8 +111,8 @@ func (st *roundState) favoriteValid(set []int) bool {
 // when a round state is rebuilt from a clone or a decoded snapshot.
 func (st *roundState) recountValidFavorites() {
 	c := 0
-	for _, q := range st.favOrder {
-		if st.favoriteValid(st.favorites[q]) {
+	for _, q := range st.favorites.Order() {
+		if set, _ := st.favorites.Get(q); st.favoriteValid(set) {
 			c++
 		}
 	}
@@ -110,6 +132,10 @@ type Process struct {
 	est    int
 	round  int
 	rounds map[int]*roundState
+	// last caches the entry of rounds that state returned last (lastRound):
+	// nearly every delivery reads its round's state three times.
+	last      *roundState
+	lastRound int
 
 	decided      bool
 	decision     int
@@ -175,11 +201,15 @@ func (p *Process) Round() int { return p.round }
 func (p *Process) Estimate() int { return p.est }
 
 func (p *Process) state(r int) *roundState {
+	if p.last != nil && p.lastRound == r {
+		return p.last
+	}
 	st, ok := p.rounds[r]
 	if !ok {
-		st = newRoundState()
+		st = newRoundState(p.cfg.N)
 		p.rounds[r] = st
 	}
+	p.last, p.lastRound = st, r
 	return st
 }
 
@@ -212,27 +242,28 @@ func (p *Process) Deliver(m network.Message, send network.Sender) {
 	if m.Round < 0 || m.Round > p.cfg.MaxRounds {
 		return
 	}
+	if m.From < 0 || int(m.From) >= p.cfg.N {
+		return // a sender outside the process set is malformed input
+	}
 	st := p.state(m.Round)
 	switch m.Kind {
 	case network.MsgBV:
 		if m.Value != 0 && m.Value != 1 {
 			return // malformed (Byzantine) content is ignored
 		}
-		if st.bvSenders[m.Value][m.From] {
+		if !st.bvSenders[m.Value].Add(m.From) {
 			return // duplicate: nothing new, no traffic credit
 		}
-		st.bvSenders[m.Value][m.From] = true
 	case network.MsgAux:
-		if _, dup := st.favorites[m.From]; dup {
-			return // only the first aux message per sender counts
-		}
 		set := sanitizeSet(m.Set)
 		if set == nil {
 			return
 		}
-		st.favorites[m.From] = set
-		st.favOrder = append(st.favOrder, m.From)
-		if st.favoriteValid(set) {
+		mask := maskOf(set)
+		if !st.favorites.Add(m.From, mask) {
+			return // only the first aux message per sender counts
+		}
+		if st.favoriteValid(mask) {
 			st.validFavorites++
 		}
 	default:
@@ -248,7 +279,7 @@ var zeroOne = []int{0, 1}
 // sanitizeSet reduces an AUX set to its canonical form — sorted, without
 // repeats — or nil when it is empty or names a value other than 0 and 1. The
 // result is one of three shared slices, {0}, {1} and {0,1}, capacity-capped
-// so an append copies: favorites are only ever read.
+// so an append copies: callers only ever read it.
 func sanitizeSet(set []int) []int {
 	var has [2]bool
 	for _, v := range set {
@@ -277,13 +308,13 @@ func (p *Process) progress(round int, send network.Sender) {
 
 	// Fig. 1 line 4-5: echo v after t+1 distinct (BV, v).
 	for v := 0; v <= 1; v++ {
-		if len(st.bvSenders[v]) >= p.cfg.T+1 && !st.echoed[v] {
+		if st.bvSenders[v].Len() >= p.cfg.T+1 && !st.echoed[v] {
 			p.bvBroadcast(round, v, send)
 		}
 	}
 	// Fig. 1 lines 6-7: deliver v after 2t+1 distinct (BV, v).
 	for v := 0; v <= 1; v++ {
-		if len(st.bvSenders[v]) >= 2*p.cfg.T+1 && !st.contestants[v] {
+		if st.bvSenders[v].Len() >= 2*p.cfg.T+1 && !st.contestants[v] {
 			st.contestants[v] = true
 			p.DeliveryOrder[round] = append(p.DeliveryOrder[round], v)
 			st.recountValidFavorites()
@@ -326,39 +357,25 @@ func (p *Process) tryDecide(send network.Sender) {
 	if st.validFavorites < p.cfg.N-p.cfg.T {
 		return // the scan below cannot reach n-t chosen yet
 	}
-	var chosen []network.ProcID
-	for _, q := range st.favOrder {
-		ok := true
-		for _, v := range st.favorites[q] {
-			if !st.contestants[v] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			chosen = append(chosen, q)
-			if len(chosen) == p.cfg.N-p.cfg.T {
+	// qualifiers is the union of the first n-t valid favorites.
+	var qualifiers valueMask
+	chosen := 0
+	for _, q := range st.favorites.Order() {
+		if set, _ := st.favorites.Get(q); st.favoriteValid(set) {
+			qualifiers |= set
+			if chosen++; chosen == p.cfg.N-p.cfg.T {
 				break
 			}
 		}
 	}
-	if len(chosen) < p.cfg.N-p.cfg.T {
+	if chosen < p.cfg.N-p.cfg.T {
 		return
-	}
-	var qualifiers [2]bool
-	for _, q := range chosen {
-		for _, v := range st.favorites[q] {
-			qualifiers[v] = true
-		}
 	}
 
 	parity := p.round % 2
-	switch {
-	case qualifiers[0] != qualifiers[1]: // singleton {v}
-		v := 0
-		if qualifiers[1] {
-			v = 1
-		}
+	switch qualifiers {
+	case 1, 2: // singleton {v}
+		v := int(qualifiers >> 1)
 		p.est = v
 		if v == parity && !p.decided {
 			p.decided = true

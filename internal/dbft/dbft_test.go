@@ -294,8 +294,8 @@ func TestDuplicateAuxIgnored(t *testing.T) {
 	p.Deliver(network.Message{From: 3, To: 0, Round: 0, Kind: network.MsgAux, Set: []int{0}}, drop)
 	p.Deliver(network.Message{From: 3, To: 0, Round: 0, Kind: network.MsgAux, Set: []int{1}}, drop)
 	st := p.state(0)
-	if len(st.favorites) != 1 || len(st.favorites[3]) != 1 || st.favorites[3][0] != 0 {
-		t.Errorf("favorites = %v, want only the first aux from 3", st.favorites)
+	if set, ok := st.favorites.Get(3); st.favorites.Len() != 1 || !ok || set != maskOf([]int{0}) {
+		t.Errorf("favorites = %+v, want only the first aux from 3", st.favorites)
 	}
 }
 

@@ -34,12 +34,13 @@ func encodeRoundState(e *protocol.Enc, st *roundState) {
 	e.ProcSet(st.bvSenders[0])
 	e.ProcSet(st.bvSenders[1])
 	e.Flags(st.echoed[0], st.echoed[1], st.contestants[0], st.contestants[1], st.auxSent)
-	// favorites in arrival order (favOrder), preserving first-aux-wins
-	// semantics across a recovery.
-	e.Uvarint(uint64(len(st.favOrder)))
-	for _, q := range st.favOrder {
+	// favorites in arrival order, preserving first-aux-wins semantics
+	// across a recovery.
+	e.Uvarint(uint64(st.favorites.Len()))
+	for _, q := range st.favorites.Order() {
+		set, _ := st.favorites.Get(q)
 		e.Int(int(q))
-		e.Ints(st.favorites[q])
+		e.Ints(maskSets[set])
 	}
 }
 
@@ -54,36 +55,39 @@ func (p *Process) RestoreBytes(b []byte) error {
 	decidedRound := d.Int()
 	history := d.Ints()
 	order := protocol.DecMap(d, "delivery-order round", (*protocol.Dec).Ints)
-	rounds := protocol.DecMap(d, "round", decodeRoundState)
+	rounds := protocol.DecMap(d, "round", func(d *protocol.Dec) *roundState {
+		return decodeRoundState(d, p.cfg.N)
+	})
 	outbox := d.Messages()
 	if err := d.Finish("snapshot"); err != nil {
 		return fmt.Errorf("dbft: %w", err)
 	}
-	p.est, p.round, p.rounds = est, round, rounds
+	p.est, p.round, p.rounds, p.last = est, round, rounds, nil
 	p.decided, p.decision, p.decidedRound = decided, decision, decidedRound
 	p.EstimateHistory, p.DeliveryOrder = history, order
 	p.out.Reboot(outbox)
 	return nil
 }
 
-func decodeRoundState(d *protocol.Dec) *roundState {
-	st := newRoundState()
-	st.bvSenders[0] = d.ProcSet("bv sender")
-	st.bvSenders[1] = d.ProcSet("bv sender")
+// decodeRoundState reads one round's state of a process among n.
+func decodeRoundState(d *protocol.Dec, n int) *roundState {
+	st := newRoundState(n)
+	st.bvSenders[0] = d.ProcSet("bv sender", n)
+	st.bvSenders[1] = d.ProcSet("bv sender", n)
 	d.Flags(&st.echoed[0], &st.echoed[1], &st.contestants[0], &st.contestants[1], &st.auxSent)
-	for i, n := 0, d.Len(); i < n && d.Err() == nil; i++ {
+	for i, count := 0, d.Len(); i < count && d.Err() == nil; i++ {
 		q := network.ProcID(d.Int())
 		set := d.Ints()
-		if _, dup := st.favorites[q]; dup {
+		switch {
+		case d.Err() != nil:
+		case q < 0 || int(q) >= n:
+			d.Fail("favorite sender %d outside [0, %d)", q, n)
+		case set == nil || !slices.Equal(set, sanitizeSet(set)):
+			// Deliver only ever stores sanitized, nonempty sets.
+			d.Fail("malformed favorite set %v", set)
+		case !st.favorites.Add(q, maskOf(set)):
 			d.Fail("duplicate favorite %d", q)
 		}
-		// Deliver only ever stores sanitized sets, and the handlers index
-		// contestants by their members.
-		if !slices.Equal(set, sanitizeSet(set)) {
-			d.Fail("malformed favorite set %v", set)
-		}
-		st.favorites[q] = set
-		st.favOrder = append(st.favOrder, q)
 	}
 	if d.Err() == nil {
 		st.recountValidFavorites()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/network"
@@ -165,7 +166,9 @@ func TestDecodeSnapshotIsInjective(t *testing.T) {
 // FuzzSnapshotDecode: RestoreBytes must never panic, any bytes it accepts
 // must re-encode byte-identically, and the restored process must keep
 // handling traffic. Seed corpus: testdata/fuzz/FuzzSnapshotDecode (a valid
-// snapshot, a truncation, a flipped flag byte) plus live states below.
+// snapshot, a truncation, a flipped flag byte, and the outsideSenderSnapshots
+// that name a sender outside [0, n) and must be refused) plus live states
+// below.
 func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{snapshotVersion})
@@ -208,4 +211,83 @@ func FuzzMessageDecode(f *testing.F) {
 		p.Start(send)
 		p.Deliver(m, send)
 	})
+}
+
+// outsideSenderSnapshot is a one-round snapshot of a process among
+// snapCfg.N = 4 whose round holds the BV-0 senders bv and one favorite from
+// fav, written field by field as SnapshotBytes lays them out. With every id
+// in [0, 4) it decodes; with any id outside, no replica can hold that state
+// and decoding must fail.
+func outsideSenderSnapshot(bv []int, fav int) []byte {
+	e := protocol.NewEnc(snapshotVersion)
+	e.Int(0)         // est
+	e.Int(0)         // round
+	e.Bool(false)    // decided
+	e.Int(0)         // decision
+	e.Int(0)         // decided round
+	e.Ints([]int{0}) // estimate history
+	e.Uvarint(0)     // delivery order: no rounds
+	e.Uvarint(1)     // rounds: one,
+	e.Int(0)         // round 0:
+	e.Ints(bv)       // BV-0 senders, as Enc.ProcSet writes them
+	e.Ints(nil)      // BV-1 senders
+	e.Flags(false, false, false, false, false)
+	e.Uvarint(1)     // favorites: one
+	e.Int(fav)       // from fav,
+	e.Ints([]int{1}) // the set {1}
+	e.Messages(nil)  // outbox
+	return e.Bytes()
+}
+
+// outsideSenderSnapshots are the seeds of testdata/fuzz/FuzzSnapshotDecode
+// that name a sender outside [0, n).
+var outsideSenderSnapshots = map[string][]byte{
+	"bv-sender-n":              outsideSenderSnapshot([]int{0, 4}, 1),
+	"bv-sender-negative":       outsideSenderSnapshot([]int{-1, 2}, 1),
+	"favorite-sender-n":        outsideSenderSnapshot([]int{0, 3}, 4),
+	"favorite-sender-negative": outsideSenderSnapshot([]int{0, 3}, -1),
+}
+
+// TestDecodeSnapshotRejectsOutsideSenders: a sender outside [0, n) in a
+// round's BV sets or favorites fails the decode cleanly, and leaves the
+// process as it was.
+func TestDecodeSnapshotRejectsOutsideSenders(t *testing.T) {
+	if err := freshProcess(t, 0).RestoreBytes(outsideSenderSnapshot([]int{0, 3}, 2)); err != nil {
+		t.Fatalf("in-range control snapshot: %v", err)
+	}
+	for name, b := range outsideSenderSnapshots {
+		p := freshProcess(t, 0)
+		before := p.SnapshotBytes()
+		if err := p.RestoreBytes(b); err == nil || !strings.Contains(err.Error(), "outside [0, 4)") {
+			t.Errorf("%s: restore error %v, want one naming the range [0, 4)", name, err)
+		}
+		if !bytes.Equal(p.SnapshotBytes(), before) {
+			t.Errorf("%s: failed restore changed the process", name)
+		}
+	}
+}
+
+// TestDeliverAllocs is the allocation gate on the delivery path: a BV from
+// a sender not seen before, into a round whose state exists, allocates
+// nothing (the sender sets are bitsets sized when the round is created).
+// The threshold t+1 lies beyond the deliveries, so no echo is sent.
+func TestDeliverAllocs(t *testing.T) {
+	cfg := Config{N: 1024, T: 341, MaxRounds: 4}
+	p, err := NewProcess(0, 0, cfg, protocol.AllIDs(cfg.N))
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(network.Message) {}
+	p.Start(send)
+	from := network.ProcID(1)
+	allocs := testing.AllocsPerRun(300, func() {
+		p.Deliver(network.Message{From: from, Round: 0, Kind: network.MsgBV, Value: 1}, send)
+		from++
+	})
+	if allocs != 0 {
+		t.Errorf("a BV from a new sender allocated %v times", allocs)
+	}
+	if got := p.state(0).bvSenders[1].Len(); got != 301 {
+		t.Errorf("%d BV-1 senders recorded, want 301", got)
+	}
 }

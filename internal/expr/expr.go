@@ -255,6 +255,43 @@ func (l *Lin) AddTerm(s Sym, coeff int64) error {
 	return nil
 }
 
+// Plus returns l + coeff·s + c as a new expression that shares nothing with
+// l: one merge into storage sized exactly for the result (s is ignored when
+// coeff is 0). It is Clone, AddTerm and AddConst without the second
+// allocation AddTerm's insert makes.
+func (l Lin) Plus(s Sym, coeff, c int64) (Lin, error) {
+	k, err := addChecked(l.Const, c)
+	if err != nil {
+		return Lin{}, err
+	}
+	i, found, sum := len(l.terms), false, coeff
+	if coeff != 0 {
+		if i, found = l.search(s); found {
+			if sum, err = addChecked(l.terms[i].Coeff, coeff); err != nil {
+				return Lin{}, err
+			}
+		}
+	}
+	n := len(l.terms)
+	switch {
+	case coeff != 0 && !found:
+		n++
+	case found && sum == 0:
+		n--
+	}
+	if n == 0 {
+		return Lin{Const: k}, nil
+	}
+	out := append(make([]LinTerm, 0, n), l.terms[:i]...)
+	if sum != 0 {
+		out = append(out, LinTerm{Sym: s, Coeff: sum})
+	}
+	if found {
+		i++
+	}
+	return Lin{terms: append(out, l.terms[i:]...), Const: k}, nil
+}
+
 // AddConst adds c to l's constant term in place.
 func (l *Lin) AddConst(c int64) error {
 	s, err := addChecked(l.Const, c)

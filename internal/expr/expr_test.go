@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -401,6 +402,56 @@ func TestFailedMergeLeavesLinUnchanged(t *testing.T) {
 			if l.Const != orig.Const || !slices.Equal(l.Terms(), orig.Terms()) {
 				t.Fatalf("%s, call %d: failed merge left %s, want %s", name, i, l.String(tab), orig.String(tab))
 			}
+		}
+	}
+}
+
+// TestPlusMatchesCloneAddTerm holds Plus against the Clone + AddTerm +
+// AddConst sequence it replaces, on random forms with inserts, updates,
+// cancellations and constant-only calls: equal result, exactly sized
+// storage, the argument untouched, and an error exactly where the sequence
+// fails.
+func TestPlusMatchesCloneAddTerm(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	coeffs := []int64{-2, -1, 1, 2, 7, math.MaxInt64, math.MinInt64}
+	for iter := 0; iter < 5000; iter++ {
+		var l Lin
+		for k := rng.Intn(6); k > 0; k-- {
+			_ = l.AddTerm(Sym(rng.Intn(8)), coeffs[rng.Intn(len(coeffs))])
+		}
+		l.Const = coeffs[rng.Intn(len(coeffs))]
+		s, coeff, c := Sym(rng.Intn(8)), int64(0), int64(rng.Intn(5)-2)
+		switch rng.Intn(3) {
+		case 0:
+			coeff = -l.Coeff(s) // cancels when s is present
+		case 1:
+			coeff = coeffs[rng.Intn(len(coeffs))]
+		}
+		kept := l.Clone()
+
+		want := l.Clone()
+		wantErr := want.AddTerm(s, coeff)
+		if wantErr == nil {
+			wantErr = want.AddConst(c)
+		}
+		got, err := l.Plus(s, coeff, c)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%v.Plus(%d, %d, %d): error %v, want %v", l.terms, s, coeff, c, err, wantErr)
+		}
+		if !slices.Equal(l.terms, kept.terms) || l.Const != kept.Const {
+			t.Fatalf("Plus changed its argument")
+		}
+		if err != nil {
+			continue
+		}
+		if !slices.Equal(got.terms, want.terms) || got.Const != want.Const {
+			t.Fatalf("%v.Plus(%d, %d, %d) = %v %+d, want %v %+d", l.terms, s, coeff, c, got.terms, got.Const, want.terms, want.Const)
+		}
+		if cap(got.terms) != len(got.terms) || (got.terms == nil) != (len(got.terms) == 0) {
+			t.Fatalf("Plus storage %d of %d, want exactly sized (nil when empty)", len(got.terms), cap(got.terms))
+		}
+		if len(got.terms) > 0 && len(l.terms) > 0 && &got.terms[0] == &l.terms[0] {
+			t.Fatalf("Plus shares storage with its argument")
 		}
 	}
 }

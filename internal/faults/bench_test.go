@@ -57,15 +57,27 @@ func BenchmarkSendTap(b *testing.B) {
 // TestSendTapAllocs is the allocation gate on the fault plane's per-send
 // path: under the benchmark's plan a send that is neither dropped nor
 // delayed — nineteen in twenty — allocates nothing. It used to render the
-// message twice with fmt.Sprintf and allocate its result slice.
+// message twice with fmt.Sprintf and allocate its result slice. A second
+// pass re-sends the copies that drew a drop: their (receiver, content) now
+// holds a tally, so the budget check reads it from the tally map, and that
+// path allocates nothing either.
 func TestSendTapAllocs(t *testing.T) {
 	inj := NewInjector(benchPlan())
+	sends := benchSends(0)[:4000]
 	clean := 0
-	for _, s := range benchSends(0)[:4000] {
+	var dropped []benchSend
+	for _, s := range sends {
 		logged := len(inj.Events())
 		allocs := testing.AllocsPerRun(1, func() { benchOut = inj.SendTap(s.m, s.id) })
-		if len(inj.Events()) != logged {
-			continue // dropped or delayed: the log entry and the tally allocate
+		if events := inj.Events()[logged:]; len(events) != 0 {
+			// Dropped or delayed: the log entry and the tally allocate.
+			for _, e := range events {
+				if e.Kind == EvDrop {
+					dropped = append(dropped, s)
+					break
+				}
+			}
+			continue
 		}
 		clean++
 		if allocs != 0 {
@@ -74,6 +86,27 @@ func TestSendTapAllocs(t *testing.T) {
 	}
 	if clean < 3000 {
 		t.Fatalf("only %d of 4000 sends took the clean path", clean)
+	}
+
+	budgeted := 0
+	for _, s := range dropped {
+		logged := len(inj.Events())
+		allocs := testing.AllocsPerRun(1, func() { benchOut = inj.SendTap(s.m, s.id) })
+		for _, e := range inj.Events()[logged:] {
+			if e.Kind == EvDrop {
+				t.Fatalf("SendTap(%v, %d) dropped a copy past its budget of 1", s.m, s.id)
+			}
+		}
+		if len(inj.Events()) != logged {
+			continue // delayed
+		}
+		budgeted++
+		if allocs != 0 {
+			t.Fatalf("SendTap(%v, %d) allocated %v times on the budgeted-drop path", s.m, s.id, allocs)
+		}
+	}
+	if budgeted < 100 {
+		t.Fatalf("only %d re-sends took the budgeted-drop path", budgeted)
 	}
 }
 

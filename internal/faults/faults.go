@@ -60,7 +60,7 @@ type DropRule struct {
 	Budget int `json:"budget"`
 }
 
-func (r DropRule) matches(m network.Message) bool {
+func (r *DropRule) matches(m *network.Message) bool {
 	if r.Kind != "" && m.Kind != r.Kind {
 		return false
 	}
@@ -298,7 +298,11 @@ type Injector struct {
 	step      int
 	seq       int64
 	dropCount map[dropKey]int // per-rule, per-message drop tally
-	dupCount  map[copyKey]int // per-message duplicate tally
+	// tallied[to] is a bitset over content ids marking the logical messages
+	// to receiver to that hold a dropCount entry under some rule; see
+	// dropTally.
+	tallied  [][]uint64
+	dupCount map[copyKey]int // per-message duplicate tally
 	// out backs SendTap's result: the original and at most one duplicate.
 	out [2]network.Stamp
 
@@ -447,6 +451,43 @@ type dropKey struct {
 	rule int32
 }
 
+// talliedReceivers bounds the receiver ids tallied covers; a receiver outside
+// [0, talliedReceivers) always has its tallies read from dropCount.
+const talliedReceivers = 1 << 16
+
+// dropTally is dropCount[k], read from the map only when k's bit in tallied
+// is set. A (receiver, content) pair gets its bit on its first drop, under
+// any rule, and never loses it, so a clear bit means no rule has a tally
+// for it: 0, exactly what the map would return. Nearly every copy is a
+// first copy, so this replaces a 16-byte hash with a bit test.
+func (inj *Injector) dropTally(k dropKey) int {
+	if k.to >= 0 && k.to < talliedReceivers {
+		if int(k.to) >= len(inj.tallied) {
+			return 0
+		}
+		bits := inj.tallied[k.to]
+		if w := int(k.id / 64); w >= len(bits) || bits[w]&(1<<(k.id%64)) == 0 {
+			return 0
+		}
+	}
+	return inj.dropCount[k]
+}
+
+// markTallied sets the tallied bit of content id to receiver to.
+func (inj *Injector) markTallied(to network.ProcID, id uint32) {
+	if to < 0 || to >= talliedReceivers {
+		return
+	}
+	if int(to) >= len(inj.tallied) {
+		inj.tallied = append(inj.tallied, make([][]uint64, int(to)+1-len(inj.tallied))...)
+	}
+	w := int(id / 64)
+	if w >= len(inj.tallied[to]) {
+		inj.tallied[to] = append(inj.tallied[to], make([]uint64, w+1-len(inj.tallied[to]))...)
+	}
+	inj.tallied[to][w] |= 1 << (id % 64)
+}
+
 // eventChunk is the fault log's allocation unit.
 const eventChunk = 256
 
@@ -486,18 +527,20 @@ func withSeq(m network.Message, st network.Stamp) network.Message {
 // each with its delay as NotBefore. The returned slice is the injector's own
 // scratch, valid until the next call (see System.SendTap).
 func (inj *Injector) SendTap(m network.Message, id uint32) []network.Stamp {
-	for i, rule := range inj.Plan.Drops {
-		if !rule.matches(m) {
+	for i := range inj.Plan.Drops {
+		rule := &inj.Plan.Drops[i]
+		if !rule.matches(&m) {
 			continue
 		}
 		ruleKey := dropKey{to: m.To, id: id, rule: int32(i)}
-		if rule.Budget >= 0 && inj.dropCount[ruleKey] >= rule.Budget {
+		if rule.Budget >= 0 && inj.dropTally(ruleKey) >= rule.Budget {
 			continue
 		}
 		if rule.Prob < 1 && inj.rng.Float64() >= rule.Prob {
 			continue
 		}
 		inj.dropCount[ruleKey]++
+		inj.markTallied(m.To, id)
 		inj.log(EvDrop, m.To, m)
 		return nil
 	}

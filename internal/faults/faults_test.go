@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -54,6 +55,67 @@ func TestDropBudgetBoundsLoss(t *testing.T) {
 	}
 	if n := CountEvents(inj.Events())[EvDrop]; n != 2 {
 		t.Fatalf("want 2 drop events, got %d", n)
+	}
+}
+
+// TestDropBudgetsPerCopy holds SendTap's budgets on a stream of sends in
+// which every (receiver, content) pair is retransmitted many times, over
+// receivers and content ids that make the injector's tally bitsets grow and
+// receivers outside the range they cover. Under a catch-all Budget 0 rule
+// listed first, a certain Budget 2 rule drops exactly the first two copies
+// of each pair and none after, a Budget 2 rule at probability one half
+// never more than two, and a kind only the Budget 0 rule matches is never
+// dropped.
+func TestDropBudgetsPerCopy(t *testing.T) {
+	inj := NewInjector(Plan{Seed: 3, Drops: []DropRule{
+		{Prob: 1, Budget: 0},
+		{Kind: network.MsgBV, Prob: 1, Budget: 2},
+		{Kind: network.MsgVote, Prob: 0.5, Budget: 2},
+	}})
+	kinds := []network.MsgKind{network.MsgBV, network.MsgVote, network.MsgAux}
+	receivers := []network.ProcID{-3, talliedReceivers, talliedReceivers + 5}
+	for to := network.ProcID(0); to < 300; to += 7 {
+		receivers = append(receivers, to)
+	}
+	type pair struct {
+		to network.ProcID
+		id uint32
+	}
+	sent, drops := map[pair]int{}, map[pair]int{}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 40_000; i++ {
+		id := uint32(rng.Intn(700))
+		m := network.Message{From: network.ProcID(id % 5), To: receivers[rng.Intn(len(receivers))],
+			Kind: kinds[id%3], Round: int(id)}
+		k := pair{m.To, id}
+		stamps := inj.SendTap(m, id)
+		if len(stamps) == 0 {
+			drops[k]++
+		}
+		sent[k]++
+		switch m.Kind {
+		case network.MsgBV:
+			if want := min(sent[k], 2); drops[k] != want {
+				t.Fatalf("BV to %d, content %d: %d drops after %d sends, want %d", m.To, id, drops[k], sent[k], want)
+			}
+		case network.MsgVote:
+			if drops[k] > 2 {
+				t.Fatalf("VOTE to %d, content %d: %d drops, budget 2", m.To, id, drops[k])
+			}
+		case network.MsgAux:
+			if drops[k] != 0 {
+				t.Fatalf("AUX to %d, content %d dropped under a Budget 0 rule", m.To, id)
+			}
+		}
+	}
+	votes := 0
+	for k, n := range drops {
+		if kinds[k.id%3] == network.MsgVote && n == 2 {
+			votes++
+		}
+	}
+	if votes == 0 {
+		t.Fatal("no VOTE pair used its whole budget: the stream exercises nothing")
 	}
 }
 

@@ -3,6 +3,7 @@ package protocol
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/network"
@@ -64,14 +65,14 @@ func (e *Enc) Ints(vs []int) {
 	}
 }
 
-// ProcSet writes a sender set in ascending id order.
-func (e *Enc) ProcSet(set map[network.ProcID]bool) {
-	ids := make([]int, 0, len(set))
-	for id := range set {
-		ids = append(ids, int(id))
+// ProcSet writes a sender set as Ints writes its ids in ascending order.
+func (e *Enc) ProcSet(set SenderSet) {
+	e.Uvarint(uint64(set.Len()))
+	for w, word := range set.words {
+		for ; word != 0; word &= word - 1 {
+			e.Int(w*64 + bits.TrailingZeros64(word))
+		}
 	}
-	sort.Ints(ids)
-	e.Ints(ids)
 }
 
 // EncMap writes an int-keyed map (per-round state) in ascending key order.
@@ -245,17 +246,24 @@ func (d *Dec) Ints() []int {
 	return out
 }
 
-// ProcSet reads a sender set, rejecting ids that do not strictly ascend
-// (duplicates included); what names the set in the error.
-func (d *Dec) ProcSet(what string) map[network.ProcID]bool {
-	ids := d.Ints()
-	set := make(map[network.ProcID]bool, len(ids))
-	for i, id := range ids {
-		if i > 0 && id <= ids[i-1] {
+// ProcSet reads a sender set over [0, n), rejecting ids outside it and ids
+// that do not strictly ascend (duplicates included); what names the set in
+// the error.
+func (d *Dec) ProcSet(what string, n int) SenderSet {
+	set := NewSenderSet(n)
+	count := d.Len()
+	for i, prev := 0, -1; i < count && d.err == nil; i++ {
+		id := d.Int()
+		switch {
+		case d.err != nil:
+		case id < 0 || id >= n:
+			d.Fail("%s %d outside [0, %d)", what, id, n)
+		case id <= prev:
 			d.Fail("%s %d out of order", what, id)
-			break
+		default:
+			set.Add(network.ProcID(id))
+			prev = id
 		}
-		set[network.ProcID(id)] = true
 	}
 	return set
 }

@@ -14,7 +14,10 @@ import (
 
 func TestCodecPrimitivesRoundTrip(t *testing.T) {
 	ints := []int{0, 1, -1, 63, -64, 64, math.MaxInt64, math.MinInt64}
-	set := map[network.ProcID]bool{7: true, 0: true, 300: true}
+	set := NewSenderSet(301)
+	for _, id := range []network.ProcID{7, 0, 300} {
+		set.Add(id)
+	}
 	byRound := map[int][]int{3: {1, 0}, -2: nil, 0: {5}}
 
 	e := NewEnc(9)
@@ -45,7 +48,7 @@ func TestCodecPrimitivesRoundTrip(t *testing.T) {
 	if got := d.Str(); got != "tx\x1fdata" {
 		t.Errorf("str %q", got)
 	}
-	if got := d.ProcSet("sender"); !reflect.DeepEqual(got, set) {
+	if got := d.ProcSet("sender", 301); !reflect.DeepEqual(got, set) {
 		t.Errorf("proc set %v", got)
 	}
 	if got := DecMap(d, "round", (*Dec).Ints); !reflect.DeepEqual(got, byRound) {
@@ -79,8 +82,8 @@ func TestDecoderRejectsWhatNoEncoderEmits(t *testing.T) {
 		{"dangling varint", []byte{0x80}, func(d *Dec) { d.Int() }, "bad varint"},
 		{"string past end", []byte{0x05, 'a'}, func(d *Dec) { d.Str() }, "past end"},
 		{"flags past end", nil, func(d *Dec) { d.Bool() }, "past end"},
-		{"unsorted set", []byte{2, 4, 2}, func(d *Dec) { d.ProcSet("sender") }, "sender 1 out of order"},
-		{"duplicate set member", []byte{2, 4, 4}, func(d *Dec) { d.ProcSet("sender") }, "out of order"},
+		{"unsorted set", []byte{2, 4, 2}, func(d *Dec) { d.ProcSet("sender", 8) }, "sender 1 out of order"},
+		{"duplicate set member", []byte{2, 4, 4}, func(d *Dec) { d.ProcSet("sender", 8) }, "out of order"},
 		{"unsorted map keys", []byte{2, 4, 0, 2, 0}, func(d *Dec) { DecMap(d, "round", (*Dec).Ints) }, "round 1 out of order"},
 		{"duplicate map key", []byte{2, 4, 0, 4, 0}, func(d *Dec) { DecMap(d, "round", (*Dec).Ints) }, "out of order"},
 		{"trailing byte", []byte{0, 0}, func(d *Dec) { d.Bool() }, "trailing"},

@@ -67,7 +67,7 @@ func (c Config) Validate() error {
 // accumulate here and take effect once the process enters the round.
 type roundState struct {
 	// voteSenders[v] = distinct processes from which VOTE(v) was received.
-	voteSenders [2]map[network.ProcID]bool
+	voteSenders [2]protocol.SenderSet
 	// voted[v] reports whether this process has broadcast VOTE(v).
 	voted [2]bool
 	// locked[v] reports whether v reached n-t distinct vote senders — the
@@ -77,19 +77,19 @@ type roundState struct {
 	// step-2 candidate.
 	lockOrder []int
 	candSent  bool
-	// candidates[q] = the candidate bit announced by q's first CAND message.
-	candidates map[network.ProcID]int
-	candOrder  []network.ProcID
+	// candidates holds, per sender q, the candidate bit announced by q's
+	// first CAND message, and the senders in arrival order.
+	candidates protocol.FirstTable
 	// justified counts candidates whose bit is locked locally — the ones the
 	// step-2 exit scan would accept. Locks only grow, so the count is bumped
 	// per arrival and recounted on the (<= 2 per round) lock additions.
 	justified int
 }
 
-func newRoundState() *roundState {
+func newRoundState(n int) *roundState {
 	return &roundState{
-		voteSenders: [2]map[network.ProcID]bool{make(map[network.ProcID]bool), make(map[network.ProcID]bool)},
-		candidates:  make(map[network.ProcID]int),
+		voteSenders: [2]protocol.SenderSet{protocol.NewSenderSet(n), protocol.NewSenderSet(n)},
+		candidates:  protocol.NewFirstTable(n),
 	}
 }
 
@@ -98,8 +98,8 @@ func newRoundState() *roundState {
 // round state is rebuilt from a clone or a decoded snapshot.
 func (st *roundState) recountJustified() {
 	c := 0
-	for _, q := range st.candOrder {
-		if st.locked[st.candidates[q]] {
+	for _, q := range st.candidates.Order() {
+		if b, _ := st.candidates.Get(q); st.locked[b] {
 			c++
 		}
 	}
@@ -118,6 +118,10 @@ type Process struct {
 	est    int
 	round  int
 	rounds map[int]*roundState
+	// last caches the entry of rounds that state returned last (lastRound):
+	// nearly every delivery reads its round's state three times.
+	last      *roundState
+	lastRound int
 
 	decided      bool
 	decision     int
@@ -170,11 +174,15 @@ func (p *Process) Round() int { return p.round }
 func (p *Process) Estimate() int { return p.est }
 
 func (p *Process) state(r int) *roundState {
+	if p.last != nil && p.lastRound == r {
+		return p.last
+	}
 	st, ok := p.rounds[r]
 	if !ok {
-		st = newRoundState()
+		st = newRoundState(p.cfg.N)
 		p.rounds[r] = st
 	}
+	p.last, p.lastRound = st, r
 	return st
 }
 
@@ -206,19 +214,19 @@ func (p *Process) Deliver(m network.Message, send network.Sender) {
 	if m.Value != 0 && m.Value != 1 {
 		return // malformed (Byzantine) content is ignored
 	}
+	if m.From < 0 || int(m.From) >= p.cfg.N {
+		return // so is a sender outside the process set
+	}
 	st := p.state(m.Round)
 	switch m.Kind {
 	case network.MsgVote:
-		if st.voteSenders[m.Value][m.From] {
+		if !st.voteSenders[m.Value].Add(m.From) {
 			return // duplicate: nothing new, no traffic credit
 		}
-		st.voteSenders[m.Value][m.From] = true
 	case network.MsgCand:
-		if _, dup := st.candidates[m.From]; dup {
+		if !st.candidates.Add(m.From, uint8(m.Value)) {
 			return // only the first candidate per sender counts
 		}
-		st.candidates[m.From] = m.Value
-		st.candOrder = append(st.candOrder, m.From)
 		if st.locked[m.Value] {
 			st.justified++
 		}
@@ -239,13 +247,13 @@ func (p *Process) progress(round int, send network.Sender) {
 	// Step 1 amplification: echo v after t+1 distinct VOTE(v) — a locked
 	// bit is thereby always justified by a correct vote.
 	for v := 0; v <= 1; v++ {
-		if len(st.voteSenders[v]) >= p.cfg.T+1 && !st.voted[v] {
+		if st.voteSenders[v].Len() >= p.cfg.T+1 && !st.voted[v] {
 			p.vote(round, v, send)
 		}
 	}
 	// Step 1 threshold-collect: lock v after n-t distinct VOTE(v).
 	for v := 0; v <= 1; v++ {
-		if len(st.voteSenders[v]) >= p.cfg.N-p.cfg.T && !st.locked[v] {
+		if st.voteSenders[v].Len() >= p.cfg.N-p.cfg.T && !st.locked[v] {
 			st.locked[v] = true
 			st.lockOrder = append(st.lockOrder, v)
 			p.LockOrder[round] = append(p.LockOrder[round], v)
@@ -280,8 +288,8 @@ func (p *Process) tryExit(send network.Sender) {
 	}
 	var seen [2]bool
 	chosen := 0
-	for _, q := range st.candOrder {
-		b := st.candidates[q]
+	for _, q := range st.candidates.Order() {
+		b, _ := st.candidates.Get(q)
 		if !st.locked[b] {
 			continue
 		}

@@ -248,7 +248,7 @@ func TestMalformedContentIgnored(t *testing.T) {
 		p.Deliver(m, drop)
 	}
 	st := p.state(0)
-	if len(st.voteSenders[0]) != 0 || len(st.voteSenders[1]) != 0 || len(st.candidates) != 0 {
+	if st.voteSenders[0].Len() != 0 || st.voteSenders[1].Len() != 0 || st.candidates.Len() != 0 {
 		t.Errorf("malformed messages mutated round state: %+v", st)
 	}
 }

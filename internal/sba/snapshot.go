@@ -37,12 +37,13 @@ func encodeRoundState(e *protocol.Enc, st *roundState) {
 	e.ProcSet(st.voteSenders[1])
 	e.Flags(st.voted[0], st.voted[1], st.locked[0], st.locked[1], st.candSent)
 	e.Ints(st.lockOrder)
-	// Candidates in arrival order (candOrder), preserving
-	// first-candidate-wins semantics across a recovery.
-	e.Uvarint(uint64(len(st.candOrder)))
-	for _, q := range st.candOrder {
+	// Candidates in arrival order, preserving first-candidate-wins
+	// semantics across a recovery.
+	e.Uvarint(uint64(st.candidates.Len()))
+	for _, q := range st.candidates.Order() {
+		b, _ := st.candidates.Get(q)
 		e.Int(int(q))
-		e.Int(st.candidates[q])
+		e.Int(int(b))
 	}
 }
 
@@ -57,37 +58,41 @@ func (p *Process) RestoreBytes(b []byte) error {
 	decidedRound := d.Int()
 	history := d.Ints()
 	order := protocol.DecMap(d, "lock-order round", (*protocol.Dec).Ints)
-	rounds := protocol.DecMap(d, "round", decodeRoundState)
+	rounds := protocol.DecMap(d, "round", func(d *protocol.Dec) *roundState {
+		return decodeRoundState(d, p.cfg.N)
+	})
 	outbox := d.Messages()
 	if err := d.Finish("snapshot"); err != nil {
 		return fmt.Errorf("sba: %w", err)
 	}
-	p.est, p.round, p.rounds = est, round, rounds
+	p.est, p.round, p.rounds, p.last = est, round, rounds, nil
 	p.decided, p.decision, p.decidedRound = decided, decision, decidedRound
 	p.EstimateHistory, p.LockOrder = history, order
 	p.out.Reboot(outbox)
 	return nil
 }
 
-func decodeRoundState(d *protocol.Dec) *roundState {
-	st := newRoundState()
-	st.voteSenders[0] = d.ProcSet("vote sender")
-	st.voteSenders[1] = d.ProcSet("vote sender")
+// decodeRoundState reads one round's state of a process among n.
+func decodeRoundState(d *protocol.Dec, n int) *roundState {
+	st := newRoundState(n)
+	st.voteSenders[0] = d.ProcSet("vote sender", n)
+	st.voteSenders[1] = d.ProcSet("vote sender", n)
 	d.Flags(&st.voted[0], &st.voted[1], &st.locked[0], &st.locked[1], &st.candSent)
 	st.lockOrder = d.Ints()
-	for i, n := 0, d.Len(); i < n && d.Err() == nil; i++ {
+	for i, count := 0, d.Len(); i < count && d.Err() == nil; i++ {
 		q := network.ProcID(d.Int())
 		b := d.Int()
-		if _, dup := st.candidates[q]; dup {
+		switch {
+		case d.Err() != nil:
+		case q < 0 || int(q) >= n:
+			d.Fail("candidate sender %d outside [0, %d)", q, n)
+		case b != 0 && b != 1:
+			// Deliver only ever stores binary candidates, and the handlers
+			// index locked by them.
+			d.Fail("non-binary candidate %d", b)
+		case !st.candidates.Add(q, uint8(b)):
 			d.Fail("duplicate candidate %d", q)
 		}
-		// Deliver only ever stores binary candidates, and the handlers index
-		// locked by them.
-		if b != 0 && b != 1 {
-			d.Fail("non-binary candidate %d", b)
-		}
-		st.candidates[q] = b
-		st.candOrder = append(st.candOrder, q)
 	}
 	if d.Err() == nil {
 		st.recountJustified()

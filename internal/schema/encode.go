@@ -64,9 +64,12 @@ type encMark struct {
 	shared     []expr.Lin
 }
 
+// pendingGuard is one lazy guard conjunct of a slot: the constraint and its
+// index in the guard alphabet (analysis.guards), which identifies the guard
+// across slots.
 type pendingGuard struct {
 	slotIdx int
-	key     string
+	guard   int
 	g       expr.Constraint
 }
 
@@ -111,7 +114,7 @@ func (enc *encoding) pop() {
 // full-mode schema.
 func (enc *encoding) addSegment(unlocked guardSet) error {
 	for _, ri := range enc.e.segment(enc.an, unlocked).rules {
-		if err := enc.addSlot(ri, false); err != nil {
+		if err := enc.addSlot(ri, nil); err != nil {
 			return err
 		}
 	}
@@ -181,21 +184,23 @@ func (enc *encoding) atNow(c expr.Constraint) (expr.Constraint, error) {
 	return enc.e.at(c, enc.shared)
 }
 
-// addSlot appends an accelerated firing of the rule. When lazyGuard is set,
-// each guard conjunct later contributes the clause "factor = 0 OR conjunct
-// holds here" (built in finalizeClauses, so that guard assertions can carry
-// their rising-monotonicity implications); otherwise the caller is
-// responsible for guard truth (full mode asserts guards at context
-// boundaries).
-func (enc *encoding) addSlot(ruleIdx int, lazyGuard bool) error {
+// addSlot appends an accelerated firing of the rule. A non-nil lazyGuards
+// names the alphabet index of each of the rule's guard conjuncts (the rule's
+// analysis.ruleGuards entry): each conjunct then later contributes the
+// clause "factor = 0 OR conjunct holds here" (built in finalizeClauses, so
+// that guard assertions can carry their rising-monotonicity implications).
+// With nil the caller is responsible for guard truth (full mode asserts
+// guards at context boundaries).
+func (enc *encoding) addSlot(ruleIdx int, lazyGuards []int) error {
 	e := enc.e
 	r := e.ta.Rules[ruleIdx]
 	d := enc.tab.Intern(fmt.Sprintf("$d%d.%s", len(enc.slots), r.Name))
 
 	// κ[from] >= δ at this frame: κ[from] − δ is both the availability
-	// constraint and the new κ[from] (Lins are immutable once stored).
-	from := enc.kappa[r.From].Clone()
-	if err := from.AddTerm(d, -1); err != nil {
+	// constraint and the new κ[from]. Every update builds a new Lin (Plus):
+	// Lins are immutable once stored.
+	from, err := enc.kappa[r.From].Plus(d, -1, 0)
+	if err != nil {
 		return err
 	}
 	enc.solver.Assert(expr.GEZero(from))
@@ -204,33 +209,23 @@ func (enc *encoding) addSlot(ruleIdx int, lazyGuard bool) error {
 	// carry lazy guards; the others keep a nil entry so indices stay aligned.
 	slotIdx := len(enc.slots)
 	var snap []expr.Lin
-	if lazyGuard && len(r.Guard) > 0 {
-		snap = slices.Clone(enc.shared) // Lins are immutable once stored
+	if len(lazyGuards) > 0 {
+		snap = slices.Clone(enc.shared)
 	}
 	enc.snapshots = append(enc.snapshots, snap)
-	if lazyGuard {
-		for _, g := range r.Guard {
-			enc.lazyGuards = append(enc.lazyGuards, pendingGuard{
-				slotIdx: slotIdx,
-				key:     g.String(e.ta.Table),
-				g:       g,
-			})
-		}
+	for k, gi := range lazyGuards {
+		enc.lazyGuards = append(enc.lazyGuards, pendingGuard{slotIdx: slotIdx, guard: gi, g: r.Guard[k]})
 	}
 
 	// Apply the symbolic update.
 	enc.kappa[r.From] = from
-	to := enc.kappa[r.To].Clone()
-	if err := to.AddTerm(d, 1); err != nil {
+	if enc.kappa[r.To], err = enc.kappa[r.To].Plus(d, 1, 0); err != nil {
 		return err
 	}
-	enc.kappa[r.To] = to
 	for _, u := range e.updates[ruleIdx] {
-		v := enc.shared[u.pos].Clone()
-		if err := v.AddTerm(d, u.inc); err != nil {
+		if enc.shared[u.pos], err = enc.shared[u.pos].Plus(d, u.inc, 0); err != nil {
 			return err
 		}
-		enc.shared[u.pos] = v
 	}
 	enc.slots = append(enc.slots, slot{ruleIdx: ruleIdx, delta: d})
 	return nil
@@ -312,8 +307,8 @@ func (enc *encoding) assertQueryConditions() error {
 			if err := sum.Add(enc.kappa[l]); err != nil {
 				return err
 			}
-			nonzero := enc.kappa[l].Clone()
-			if err := nonzero.AddConst(-1); err != nil {
+			nonzero, err := enc.kappa[l].Plus(0, 0, -1)
+			if err != nil {
 				return err
 			}
 			clause = append(clause, smt.Lit{C: expr.GEZero(nonzero)})
@@ -361,10 +356,10 @@ func (enc *encoding) finalizeClauses() ([]smt.Clause, error) {
 	clauses = append(clauses, enc.goalClauses...)
 	clauses = append(clauses, enc.justiceClauses...)
 
-	// Later frames per guard key, in slot order.
-	laterFrames := make(map[string][]int)
+	// Later frames per alphabet guard, in slot order.
+	laterFrames := make([][]int, len(enc.an.guards))
 	for _, pg := range enc.lazyGuards {
-		laterFrames[pg.key] = append(laterFrames[pg.key], pg.slotIdx)
+		laterFrames[pg.guard] = append(laterFrames[pg.guard], pg.slotIdx)
 	}
 
 	for _, pg := range enc.lazyGuards {
@@ -376,7 +371,7 @@ func (enc *encoding) finalizeClauses() ([]smt.Clause, error) {
 			return nil, err
 		}
 		var implied []expr.Constraint
-		for _, j := range laterFrames[pg.key] {
+		for _, j := range laterFrames[pg.guard] {
 			if j <= pg.slotIdx {
 				continue
 			}

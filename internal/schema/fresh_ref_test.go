@@ -72,7 +72,7 @@ func refAddSegment(enc *encoding, unlocked map[int]bool) error {
 		if !ok {
 			continue
 		}
-		if err := enc.addSlot(ri, false); err != nil {
+		if err := enc.addSlot(ri, nil); err != nil {
 			return err
 		}
 	}

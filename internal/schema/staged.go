@@ -53,7 +53,7 @@ func (e *Engine) checkStaged(q *spec.Query, res *Result, start time.Time) error 
 			if !reach[e.ta.Rules[ri].From] {
 				continue
 			}
-			if err := enc.addSlot(ri, true); err != nil {
+			if err := enc.addSlot(ri, an.ruleGuards[i]); err != nil {
 				return err
 			}
 		}

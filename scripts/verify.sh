@@ -59,7 +59,7 @@ fi
 # owns the CRC32C framing, and the merged full-mode internals stay merged
 # (their names survive only in _test.go references and in CHANGES.md /
 # ROADMAP.md as history). Bracketed like the lint above.
-echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form, request resolution, CLI request front door, in-flight store, campaign seed sweep, one source per automaton and per property, queued copy as content id, one counter system, one tableau undone from its trail, linear forms as sorted terms)"
+echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form, request resolution, CLI request front door, in-flight store, campaign seed sweep, one source per automaton and per property, queued copy as content id, one counter system, one tableau undone from its trail, linear forms as sorted terms, dense sender state)"
 SRC=$(find cmd internal -name '*.go' ! -name '*_test.go')
 N=$(grep -l 'json:"lp[_]checks"' $SRC | wc -l)
 [ "$N" -eq 1 ] || { echo "one-definition lint: $N non-test files declare a json:\"lp[_]checks\" field, want 1"; exit 1; }
@@ -166,6 +166,16 @@ if grep -nE 'Hold[T]ap|delay[U]ntil' $SRC README.md DESIGN.md; then
 fi
 if awk '/^type busEntry struct/,/^}/' internal/network/bus.go | grep -nE '^[[:space:]]+[A-Za-z_]+[[:space:]]+\*?[M]essage([[:space:]]|$)'; then
     echo "one-definition lint: busEntry holds a Message again (a queued copy names its content by id)"
+    exit 1
+fi
+
+# Dense sender state: a round's distinct-sender counters and first-message
+# tables are protocol.SenderSet and protocol.FirstTable over [0, n), so no
+# ProcID-keyed map comes back into the round state or snapshot bodies of
+# dbft and sba, nor into the shared codec.
+if grep -nE 'map\[network\.[P]rocID\]' internal/dbft/dbft.go internal/dbft/snapshot.go \
+    internal/sba/sba.go internal/sba/snapshot.go internal/protocol/codec.go; then
+    echo "one-definition lint: the lines above key round state by a ProcID map (use protocol.SenderSet / protocol.FirstTable)"
     exit 1
 fi
 
