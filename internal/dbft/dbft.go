@@ -245,13 +245,15 @@ func (p *Process) Deliver(m network.Message, send network.Sender) {
 	if m.From < 0 || int(m.From) >= p.cfg.N {
 		return // a sender outside the process set is malformed input
 	}
-	st := p.state(m.Round)
+	// The round state is looked up only for a message that counts: malformed
+	// or unknown content must not create one, or it would grow every later
+	// snapshot.
 	switch m.Kind {
 	case network.MsgBV:
 		if m.Value != 0 && m.Value != 1 {
 			return // malformed (Byzantine) content is ignored
 		}
-		if !st.bvSenders[m.Value].Add(m.From) {
+		if !p.state(m.Round).bvSenders[m.Value].Add(m.From) {
 			return // duplicate: nothing new, no traffic credit
 		}
 	case network.MsgAux:
@@ -260,6 +262,7 @@ func (p *Process) Deliver(m network.Message, send network.Sender) {
 			return
 		}
 		mask := maskOf(set)
+		st := p.state(m.Round)
 		if !st.favorites.Add(m.From, mask) {
 			return // only the first aux message per sender counts
 		}

@@ -318,7 +318,7 @@ func TestHandlersIdempotentUnderDuplication(t *testing.T) {
 			t.Fatal(err)
 		}
 		if duplicate {
-			sys.SendTap = func(m network.Message, _ uint32) []network.Stamp {
+			sys.SendTap = func(m *network.Message, _ uint32) []network.Stamp {
 				return []network.Stamp{{Seq: m.Seq}, {Seq: m.Seq}}
 			}
 		}

@@ -291,3 +291,39 @@ func TestDeliverAllocs(t *testing.T) {
 		t.Errorf("%d BV-1 senders recorded, want 301", got)
 	}
 }
+
+// TestDeliverIgnoredCreatesNoRound: a message Deliver ignores — an unknown
+// kind, a BV value other than 0 and 1, an AUX set that is empty or names
+// another value — creates no round state, so it cannot grow the snapshot of
+// a replica it never moved.
+func TestDeliverIgnoredCreatesNoRound(t *testing.T) {
+	cfg := Config{N: 1024, T: 341, MaxRounds: 12}
+	p, err := NewProcess(0, 0, cfg, protocol.AllIDs(cfg.N))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent []network.Message
+	send := func(m network.Message) { sent = append(sent, m) }
+	p.Start(send)
+	rounds, before, out := len(p.rounds), p.SnapshotBytes(), len(sent)
+	for r := 1; r <= cfg.MaxRounds; r++ {
+		p.Deliver(network.Message{From: 5, Round: r, Kind: "ZAP", Value: 1, Set: []int{0}}, send)
+	}
+	for r := 1; r <= cfg.MaxRounds; r++ {
+		for _, v := range []int{-1, 2, 1 << 40} {
+			p.Deliver(network.Message{From: 5, Round: r, Kind: network.MsgBV, Value: v}, send)
+		}
+		for _, set := range [][]int{nil, {}, {2}, {0, 2}, {-1, 1}} {
+			p.Deliver(network.Message{From: 5, Round: r, Kind: network.MsgAux, Set: set}, send)
+		}
+	}
+	if len(p.rounds) != rounds {
+		t.Errorf("ignored messages created %d round states", len(p.rounds)-rounds)
+	}
+	if !bytes.Equal(p.SnapshotBytes(), before) {
+		t.Error("ignored messages changed the snapshot")
+	}
+	if len(sent) != out {
+		t.Errorf("ignored messages triggered %d sends", len(sent)-out)
+	}
+}

@@ -50,7 +50,7 @@ func BenchmarkSendTap(b *testing.B) {
 			inj = NewInjector(plan)
 		}
 		s := &sends[i%len(sends)]
-		benchOut = inj.SendTap(s.m, s.id)
+		benchOut = inj.SendTap(&s.m, s.id)
 	}
 }
 
@@ -68,7 +68,7 @@ func TestSendTapAllocs(t *testing.T) {
 	var dropped []benchSend
 	for _, s := range sends {
 		logged := len(inj.Events())
-		allocs := testing.AllocsPerRun(1, func() { benchOut = inj.SendTap(s.m, s.id) })
+		allocs := testing.AllocsPerRun(1, func() { benchOut = inj.SendTap(&s.m, s.id) })
 		if events := inj.Events()[logged:]; len(events) != 0 {
 			// Dropped or delayed: the log entry and the tally allocate.
 			for _, e := range events {
@@ -91,7 +91,7 @@ func TestSendTapAllocs(t *testing.T) {
 	budgeted := 0
 	for _, s := range dropped {
 		logged := len(inj.Events())
-		allocs := testing.AllocsPerRun(1, func() { benchOut = inj.SendTap(s.m, s.id) })
+		allocs := testing.AllocsPerRun(1, func() { benchOut = inj.SendTap(&s.m, s.id) })
 		for _, e := range inj.Events()[logged:] {
 			if e.Kind == EvDrop {
 				t.Fatalf("SendTap(%v, %d) dropped a copy past its budget of 1", s.m, s.id)

@@ -3,11 +3,15 @@ package faults
 import (
 	"bufio"
 	"fmt"
+	"math/rand"
 	"os"
 	"strings"
 	"testing"
 
+	"repro/internal/dbft"
+	"repro/internal/network"
 	"repro/internal/obs"
+	"repro/internal/protocol"
 )
 
 // The byte-identity contract of the one-store simulator: for any seeded
@@ -226,30 +230,142 @@ func TestNativeConsensusWithBoundedQueuesDecides(t *testing.T) {
 	}
 }
 
+// busCounterNames are the process-wide bus counters, in the order
+// busCounters lists a BusStats.
+var busCounterNames = []string{"bus_enqueued", "bus_delivered", "bus_relayed", "bus_cap_drops",
+	"bus_egress_drops", "bus_dupemap_filtered", "bus_stalls"}
+
+func busCounters(s network.BusStats) []int64 {
+	return []int64{s.Enqueued, s.Delivered, s.Relayed, s.CapDrops, s.EgressDrops, s.Filtered, s.Stalls}
+}
+
+func loadBusCounters() []int64 {
+	out := make([]int64, len(busCounterNames))
+	for i, name := range busCounterNames {
+		out[i] = obs.Default.Counter("network", name).Load()
+	}
+	return out
+}
+
+// checkPublished fails unless every bus counter stands at base plus what
+// the run's BusStats say, and the bus_peak_depth gauge at the run's peak
+// once it has one.
+func checkPublished(t *testing.T, at string, base []int64, st network.BusStats) {
+	t.Helper()
+	now, want := loadBusCounters(), busCounters(st)
+	for i, name := range busCounterNames {
+		if got := now[i] - base[i]; got != want[i] {
+			t.Fatalf("%s: network.%s moved by %d, the run's BusStats say %d", at, name, got, want[i])
+		}
+	}
+	if g := obs.Default.Gauge("network", "bus_peak_depth").Load(); st.PeakDepth > 0 && g != int64(st.PeakDepth) {
+		t.Fatalf("%s: network.bus_peak_depth is %d, the run's BusStats say %d", at, g, st.PeakDepth)
+	}
+}
+
+// starter broadcasts one BV to every peer from Start, plus one to a process
+// outside the system, and never sends from Deliver.
+type starter struct {
+	id  network.ProcID
+	all []network.ProcID
+}
+
+func (p *starter) ID() network.ProcID { return p.id }
+func (p *starter) Start(send network.Sender) {
+	network.Broadcast(send, append(p.all, 99), network.Message{Kind: network.MsgBV, Value: 1})
+}
+func (p *starter) Deliver(network.Message, network.Sender) {}
+
 // TestBusObsCountersMatchStats: the process-wide bus counters /metricsz and
-// obs.Report publish must move by exactly what the run's own BusStats say,
-// on the topology that exercises them all — kadcast with tight queues relays,
-// overflows and filters replays at enqueue as well as at delivery. Not
+// obs.Report publish, and the bus_peak_depth gauge, must move by exactly
+// what the run's own BusStats say. The bus counts per copy in BusStats alone
+// and publishes at the end of every Step and Inject, so the check holds
+// after each of those calls, not just at the end: on kadcast with tight
+// queues (relays, overflows, replays filtered at enqueue and at delivery),
+// under the Scheduler with an injector (drops, duplicates, delays, a crash)
+// and a stall detector, and on runs whose only sends come from Start and
+// Inject, under the Scheduler and in native mode with an egress cap. Not
 // parallel: the counters are process-wide.
 func TestBusObsCountersMatchStats(t *testing.T) {
-	names := []string{"bus_enqueued", "bus_delivered", "bus_relayed", "bus_cap_drops", "bus_dupemap_filtered"}
-	load := func() []int64 {
-		out := make([]int64, len(names))
-		for i, name := range names {
-			out[i] = obs.Default.Counter("network", name).Load()
-		}
-		return out
-	}
-	before := load()
+	base := loadBusCounters()
 	_, out := runFingerprint(t, goldenBenchShape(40, "gossip", "dbft", 1, 64))
-	after := load()
-	want := []int64{out.Bus.Enqueued, out.Bus.Delivered, out.Bus.Relayed, out.Bus.CapDrops, out.Bus.Filtered}
-	for i, name := range names {
-		if want[i] == 0 {
-			t.Errorf("%s: the run never moved it (bus %+v)", name, out.Bus)
+	for i, name := range busCounterNames[:4] {
+		if busCounters(out.Bus)[i] == 0 {
+			t.Errorf("%s: the kadcast run never moved it (bus %+v)", name, out.Bus)
 		}
-		if got := after[i] - before[i]; got != want[i] {
-			t.Errorf("network.%s moved by %d, the run's BusStats say %d", name, got, want[i])
+	}
+	if out.Bus.Filtered == 0 {
+		t.Errorf("bus_dupemap_filtered: the kadcast run never moved it (bus %+v)", out.Bus)
+	}
+	checkPublished(t, "kadcast run", base, out.Bus)
+
+	// The Scheduler path: seven dbft replicas under a random schedule and
+	// the handmade golden plan, queues capped at 6 copies.
+	cfg := dbft.Config{N: 7, T: 2, MaxRounds: 12}
+	all := protocol.AllIDs(cfg.N)
+	correct, err := dbft.Processes(cfg, []int{0, 1, 1, 0, 1, 0, 1}, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs := make([]network.Process, len(correct))
+	for i, p := range correct {
+		procs[i] = p
+	}
+	inj := NewInjector(goldenHandmade("dbft", "random", nil, 0).Plan)
+	sys, err := network.NewSystemOpts(inj.Wrap(procs), network.RandomScheduler{Rng: rand.New(rand.NewSource(7))},
+		network.Options{Bus: network.BusOptions{QueueCap: 6, Dupemap: true, StallK: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj.Install(sys)
+	sys.TickInterval = 25
+	base = loadBusCounters()
+	for i := 0; i < 3000; i++ {
+		progressed, err := sys.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPublished(t, fmt.Sprintf("scheduler, after step %d", sys.Steps), base, sys.BusStats())
+		if !progressed {
+			break
+		}
+	}
+	if st := sys.BusStats(); st.Delivered == 0 || st.CapDrops == 0 || st.Filtered == 0 || st.Stalls == 0 {
+		t.Errorf("scheduler run left a counter unexercised: %+v", st)
+	}
+
+	// Start and Inject only, under the Scheduler and in native mode, where
+	// an egress cap of 2 and queues of 4 also drop deferred sends: each of
+	// eight starters sends eight copies at once.
+	for _, native := range []bool{false, true} {
+		name := fmt.Sprintf("start and inject, native=%v", native)
+		all := protocol.AllIDs(8)
+		procs := make([]network.Process, len(all))
+		for i, id := range all {
+			procs[i] = &starter{id: id, all: all}
+		}
+		opts := network.Options{Bus: network.BusOptions{QueueCap: 4, Dupemap: true}}
+		if native {
+			opts.Bus.EgressCap, opts.Native = 2, &network.NativeOptions{Batch: 1}
+		}
+		sys, err := network.NewSystemOpts(procs, network.FIFOScheduler{}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := loadBusCounters()
+		for i := 0; i < 40; i++ {
+			if _, err := sys.Step(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			checkPublished(t, fmt.Sprintf("%s, after step %d", name, sys.Steps), base, sys.BusStats())
+			// From 0 and 4 this is a Start content again (a replay); from
+			// 8 it comes from outside the peer set.
+			sys.Inject(network.Message{From: network.ProcID(i % 3 * 4), To: network.ProcID(i % 8), Kind: network.MsgBV, Value: 1})
+			checkPublished(t, fmt.Sprintf("%s, after inject %d", name, i), base, sys.BusStats())
+		}
+		st := sys.BusStats()
+		if st.Delivered == 0 || st.CapDrops == 0 || st.Filtered == 0 || (native && st.EgressDrops == 0) {
+			t.Errorf("%s left a counter unexercised: %+v", name, st)
 		}
 	}
 }

@@ -525,11 +525,12 @@ func withSeq(m network.Message, st network.Stamp) network.Message {
 // content the bus interned as id: it returns one stamp per copy to enqueue
 // — none when a drop rule fires, a second one when a duplicate is injected —
 // each with its delay as NotBefore. The returned slice is the injector's own
-// scratch, valid until the next call (see System.SendTap).
-func (inj *Injector) SendTap(m network.Message, id uint32) []network.Stamp {
+// scratch, valid until the next call; m is only read, and the fault log
+// keeps copies of it, never the pointer (see System.SendTap).
+func (inj *Injector) SendTap(m *network.Message, id uint32) []network.Stamp {
 	for i := range inj.Plan.Drops {
 		rule := &inj.Plan.Drops[i]
-		if !rule.matches(&m) {
+		if !rule.matches(m) {
 			continue
 		}
 		ruleKey := dropKey{to: m.To, id: id, rule: int32(i)}
@@ -541,7 +542,7 @@ func (inj *Injector) SendTap(m network.Message, id uint32) []network.Stamp {
 		}
 		inj.dropCount[ruleKey]++
 		inj.markTallied(m.To, id)
-		inj.log(EvDrop, m.To, m)
+		inj.log(EvDrop, m.To, *m)
 		return nil
 	}
 
@@ -554,7 +555,7 @@ func (inj *Injector) SendTap(m network.Message, id uint32) []network.Stamp {
 		if key := (copyKey{to: m.To, id: id}); inj.dupCount[key] < budget {
 			inj.dupCount[key]++
 			d := inj.stamp()
-			inj.log(EvDuplicate, m.To, withSeq(m, d))
+			inj.log(EvDuplicate, m.To, withSeq(*m, d))
 			out = append(out, d)
 		}
 	}
@@ -562,7 +563,7 @@ func (inj *Injector) SendTap(m network.Message, id uint32) []network.Stamp {
 		for i := range out {
 			if inj.rng.Float64() < inj.Plan.DelayProb {
 				out[i].NotBefore = inj.step + inj.Plan.DelaySteps
-				inj.log(EvDelay, m.To, withSeq(m, out[i]))
+				inj.log(EvDelay, m.To, withSeq(*m, out[i]))
 			}
 		}
 	}

@@ -88,7 +88,7 @@ func TestDropBudgetsPerCopy(t *testing.T) {
 		m := network.Message{From: network.ProcID(id % 5), To: receivers[rng.Intn(len(receivers))],
 			Kind: kinds[id%3], Round: int(id)}
 		k := pair{m.To, id}
-		stamps := inj.SendTap(m, id)
+		stamps := inj.SendTap(&m, id)
 		if len(stamps) == 0 {
 			drops[k]++
 		}

@@ -2,7 +2,10 @@ package network
 
 import (
 	"cmp"
+	"math"
 	"slices"
+
+	"repro/internal/obs"
 )
 
 // BusOptions configure the event-bus message store. The zero value is the
@@ -138,18 +141,28 @@ func (d *dupemap) add(id uint32) bool {
 
 // busEntry is one in-flight copy sitting in a peer's ingress queue: its
 // content is the table entry id names, and the rest is what differs between
-// copies of one content.
+// copies of one content. It is five words: the destination is a queue index
+// (every destination is a peer), the delay and the hop count are 32-bit. The
+// hop sender stays a full ProcID, since Inject may send from outside the
+// peer set.
 type busEntry struct {
-	to ProcID // final destination
 	// hopFrom is the physical sender of this hop (the content's From on the
 	// first hop, the relaying peer afterwards). Partition cuts apply to the
 	// physical link.
 	hopFrom   ProcID
 	seq       int64  // the copy's Seq tag
 	arrival   int64  // global enqueue order; the Scheduler's view merges on it
-	notBefore int    // earliest step this copy may deliver (the stamp's delay)
+	dst       uint32 // final destination's queue index; b.ids[dst] is its ProcID
+	notBefore int32  // earliest step this copy may deliver (the stamp's delay, see stepStamp)
 	hops      int32  // relay hops so far, below maxHops
 	id        uint32 // content id (busStore.contents index)
+}
+
+// stepStamp narrows a Stamp's NotBefore to an entry's 32 bits, saturating: a
+// stamp past math.MaxInt32 holds its copy for as long as the clock can count,
+// where a wrapped, negative one would deliver it at once.
+func stepStamp(step int) int32 {
+	return int32(max(math.MinInt32, min(step, math.MaxInt32)))
 }
 
 // peerQueue is one peer's bounded FIFO ingress queue.
@@ -228,6 +241,10 @@ type busStore struct {
 
 	stats    BusStats
 	stallLog []StallEvent
+	// published is what the process-wide obs counters hold of stats: the
+	// send path counts in stats alone, and publish moves the counters by the
+	// difference once per step (see publish).
+	published BusStats
 
 	// contents is the content table: every distinct message content ever
 	// sent, destination and Seq erased, indexed by content id. A broadcast
@@ -323,14 +340,36 @@ func sameContent(a, b *Message) bool {
 // message rebuilds the Message an entry carries.
 func (b *busStore) message(e *busEntry) Message {
 	m := b.contents[e.id]
-	m.To, m.Seq = e.to, e.seq
+	m.To, m.Seq = b.ids[e.dst], e.seq
 	return m
 }
 
-// filtered counts n copies the replay filter suppressed.
-func (b *busStore) filtered(n int64) {
-	b.stats.Filtered += n
-	obsFiltered.Add(n)
+// publish moves the process-wide bus counters, and the bus_peak_depth gauge,
+// by what stats gained since the last call. The per-copy paths count in
+// stats alone: an atomic add per enqueue is a locked instruction that drains
+// the store buffer, so it bills each copy for the entry store in front of it
+// (DESIGN.md § "Event-bus simulator", *Publishing the bus counters*). The
+// System publishes at the end of every Step and Inject, so outside those
+// calls the counters agree with every System's BusStats.
+func (b *busStore) publish() {
+	s, p := &b.stats, &b.published
+	addDelta(obsEnqueued, s.Enqueued, p.Enqueued)
+	addDelta(obsDelivered, s.Delivered, p.Delivered)
+	addDelta(obsRelayed, s.Relayed, p.Relayed)
+	addDelta(obsCapDrops, s.CapDrops, p.CapDrops)
+	addDelta(obsEgressDrops, s.EgressDrops, p.EgressDrops)
+	addDelta(obsFiltered, s.Filtered, p.Filtered)
+	addDelta(obsStalls, s.Stalls, p.Stalls)
+	if s.PeakDepth > p.PeakDepth {
+		obsPeakDepth.Set(int64(s.PeakDepth))
+	}
+	*p = *s
+}
+
+func addDelta(c *obs.Counter, now, was int64) {
+	if now != was {
+		c.Add(now - was)
+	}
 }
 
 // subscribe restricts a peer's queue to the given topics (first call flips
@@ -345,13 +384,13 @@ func (b *busStore) subscribe(id ProcID, topics ...Topic) {
 	}
 }
 
-// enqueue routes one copy of content id, sent from -> to, onto its first
-// hop's queue.
-func (b *busStore) enqueue(id uint32, from, to ProcID, st Stamp) {
-	e := busEntry{to: to, hopFrom: from, seq: st.Seq, notBefore: st.NotBefore, id: id}
-	hop := to
+// enqueue routes one copy of content id, sent from -> the peer at queue
+// index dst, onto its first hop's queue.
+func (b *busStore) enqueue(id uint32, from ProcID, dst int, st Stamp) {
+	e := busEntry{hopFrom: from, seq: st.Seq, notBefore: stepStamp(st.NotBefore), dst: uint32(dst), id: id}
+	hop := dst
 	if b.sparse {
-		hop = b.topo.NextHop(from, to)
+		hop, _ = b.queueIndex(b.topo.NextHop(from, b.ids[dst]))
 	}
 	b.enqueueAt(hop, &e)
 }
@@ -364,30 +403,28 @@ func (b *busStore) forward(e *busEntry, at ProcID) {
 		return
 	}
 	b.stats.Relayed++
-	obsRelayed.Inc()
 	e.hops++
 	e.hopFrom = at
-	b.enqueueAt(b.topo.NextHop(at, e.to), e)
+	hop, _ := b.queueIndex(b.topo.NextHop(at, b.ids[e.dst]))
+	b.enqueueAt(hop, e)
 }
 
 // enqueueAt pushes a copy of *e, stamped with the next arrival number, onto
-// peer at's queue.
-func (b *busStore) enqueueAt(at ProcID, e *busEntry) {
-	qi, _ := b.queueIndex(at)
+// the queue at index qi.
+func (b *busStore) enqueueAt(qi int, e *busEntry) {
 	q := &b.queues[qi]
-	if at == e.to { // final hop: subscription + replay filters apply
+	if qi == int(e.dst) { // final hop: subscription + replay filters apply
 		if !q.subscribed(&b.contents[e.id]) {
 			b.stats.TopicDrops++
 			return
 		}
 		if q.seen != nil && q.seen.has(e.id) {
-			b.filtered(1)
+			b.stats.Filtered++
 			return
 		}
 	}
 	if b.opts.QueueCap > 0 && q.depth() >= b.opts.QueueCap {
 		b.stats.CapDrops++
-		obsCapDrops.Inc()
 		return
 	}
 	b.arrival++
@@ -395,10 +432,8 @@ func (b *busStore) enqueueAt(at ProcID, e *busEntry) {
 	q.buf = append(q.buf, *e)
 	b.size++
 	b.stats.Enqueued++
-	obsEnqueued.Inc()
 	if d := q.depth(); d > b.stats.PeakDepth {
 		b.stats.PeakDepth = d
-		obsPeakDepth.Set(int64(d))
 	}
 }
 
@@ -412,7 +447,7 @@ func (b *busStore) compatView(step int, cut func(from, to ProcID, step int) bool
 		q := &b.queues[qi]
 		for i := 0; i < q.depth(); i++ {
 			e := q.at(i)
-			if e.notBefore > step || (cut != nil && cut(e.hopFrom, q.id, step)) {
+			if int(e.notBefore) > step || (cut != nil && cut(e.hopFrom, q.id, step)) {
 				continue
 			}
 			b.viewRef = append(b.viewRef, viewRef{peer: qi, pos: i, arrival: e.arrival})
@@ -455,7 +490,6 @@ func (b *busStore) scanStalls(step int) int {
 			q.stalled = true
 			newly++
 			b.stats.Stalls++
-			obsStalls.Inc()
 			if len(b.stallLog) < 64 {
 				b.stallLog = append(b.stallLog, StallEvent{Peer: q.id, Step: step, Depth: q.depth(), Idle: idle})
 			}

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -153,14 +154,14 @@ func TestDupemapEviction(t *testing.T) {
 // TestBusEntrySize: a full mesh holds about n*n queue entries, so their size
 // is the simulator's resident memory. An entry names its content by id in the
 // bus's content table and holds no Message — nor anything else the garbage
-// collector must scan — so the content id shares a word with the hop count
-// and an entry is six words.
+// collector must scan — and its destination, delay, hop count and content
+// id are four 32-bit values, so an entry is five words.
 func TestBusEntrySize(t *testing.T) {
 	if strconv.IntSize != 64 {
 		t.Skip("sizes are for 64-bit ints")
 	}
-	if got := unsafe.Sizeof(busEntry{}); got > 48 {
-		t.Errorf("busEntry is %d bytes, want at most 48", got)
+	if got := unsafe.Sizeof(busEntry{}); got > 40 {
+		t.Errorf("busEntry is %d bytes, want at most 40", got)
 	}
 	typ := reflect.TypeOf(busEntry{})
 	for i := 0; i < typ.NumField(); i++ {
@@ -358,7 +359,7 @@ func TestNativeStampDelays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.SendTap = func(Message, uint32) []Stamp { return []Stamp{{NotBefore: 4}} }
+	sys.SendTap = func(*Message, uint32) []Stamp { return []Stamp{{NotBefore: 4}} }
 	for i := 0; i < 3; i++ {
 		if _, err := sys.Step(); err != nil {
 			t.Fatal(err)
@@ -372,6 +373,42 @@ func TestNativeStampDelays(t *testing.T) {
 	}
 	if len(b.received) != 1 {
 		t.Fatalf("deliveries = %d at step 4, want 1", len(b.received))
+	}
+}
+
+// TestStampBeyondInt32Held: an entry keeps its delay in 32 bits, and a
+// stamp past math.MaxInt32 saturates there rather than wrapping. Under both
+// delivery models such a copy stays held, where a wrapped delay would be
+// negative and deliver it at once, while a stamp below math.MinInt32 still
+// delivers on the first step.
+func TestStampBeyondInt32Held(t *testing.T) {
+	run := func(native bool, nb int) (delivered, inflight int) {
+		b := &sink{id: 1}
+		opts := Options{}
+		if native {
+			opts.Native = &NativeOptions{}
+		}
+		sys, err := NewSystemOpts([]Process{&pingProc{id: 0, peer: 1}, b}, FIFOScheduler{}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.SendTap = func(*Message, uint32) []Stamp { return []Stamp{{NotBefore: nb}} }
+		for i := 0; i < 8; i++ {
+			if _, err := sys.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return len(b.received), sys.Inflight()
+	}
+	for _, native := range []bool{false, true} {
+		for _, nb := range []int{math.MaxInt32 + 1, math.MaxInt32 + 1<<31, 1 << 32, 1<<32 + 3, math.MaxInt} {
+			if d, f := run(native, nb); d != 0 || f != 1 {
+				t.Errorf("native=%v NotBefore=%d: %d delivered, %d in flight after 8 steps, want the copy held", native, nb, d, f)
+			}
+		}
+		if d, _ := run(native, math.MinInt32-5); d != 1 {
+			t.Errorf("native=%v NotBefore=MinInt32-5: %d delivered, want 1", native, d)
+		}
 	}
 }
 

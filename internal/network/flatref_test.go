@@ -207,7 +207,7 @@ func (f *faultPlane) sendTap(Message) []Stamp {
 }
 
 // busTap is sendTap with the System's signature.
-func (f *faultPlane) busTap(m Message, _ uint32) []Stamp { return f.sendTap(m) }
+func (f *faultPlane) busTap(m *Message, _ uint32) []Stamp { return f.sendTap(*m) }
 
 func (f *faultPlane) cutTap(from, to ProcID, step int) bool {
 	for _, c := range f.cuts {

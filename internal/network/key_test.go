@@ -86,7 +86,11 @@ func (c *identityChecker) copyOf(t *testing.T, m Message) copyID {
 		t.Fatalf("copy id %v names two keys %+v and %+v: %#v", cp, prev, k, m)
 	}
 	c.byKey[k], c.byCopy[cp] = cp, k
-	got := c.bus.message(&busEntry{id: cp.id, to: m.To, seq: m.Seq})
+	// An entry's destination is a queue index, and this bus's one queue is
+	// peer 0: the table is checked for the content and the Seq, and To is
+	// put back as the copy id carries it.
+	got := c.bus.message(&busEntry{id: cp.id, seq: m.Seq})
+	got.To = m.To
 	if got.Key() != k || got.Seq != m.Seq || refKeyString(got) != refKeyString(m) {
 		t.Fatalf("content table rebuilt %#v from %#v", got, m)
 	}

@@ -46,7 +46,8 @@ func (s *System) stepWindow() (bool, error) {
 				m := q.egressPop()
 				s.egressUsed[qi]++
 				egressDrained++
-				s.release(m)
+				dst, _ := s.bus.queueIndex(m.To)
+				s.release(s.bus.intern(&m), m.From, dst, m.Seq)
 			}
 		}
 	}
@@ -80,15 +81,10 @@ func (s *System) stepWindow() (bool, error) {
 		d := &s.drains[qi]
 		removed += d.taken
 		s.bus.stats.Delivered += d.delivered
-		obsDelivered.Add(d.delivered)
-		s.bus.filtered(d.filtered)
+		s.bus.stats.Filtered += d.filtered
 		s.Trace = append(s.Trace, d.trace...)
 		s.sender = id
-		for _, r := range d.sends {
-			m := d.contents[r.content]
-			m.To = r.to
-			s.send(m)
-		}
+		s.flush(d, id)
 		for i := range d.relays {
 			s.bus.forward(&d.relays[i], id)
 		}
@@ -132,13 +128,13 @@ func (s *System) drainPeers(w, parts, step int) (err error) {
 		for i := 0; i < q.depth() && d.taken < nat.Batch && scanned < nat.ScanLimit; {
 			e := q.at(i)
 			scanned++
-			if e.notBefore > step || (s.CutTap != nil && s.CutTap(e.hopFrom, q.id, step)) {
+			if int(e.notBefore) > step || (s.CutTap != nil && s.CutTap(e.hopFrom, q.id, step)) {
 				i++ // held: skip, keep scanning
 				continue
 			}
 			d.taken++
 			switch {
-			case e.to != q.id:
+			case int(e.dst) != qi:
 				d.relays = append(d.relays, *e)
 			case q.seen != nil && !q.seen.add(e.id):
 				d.filtered++
@@ -162,4 +158,36 @@ func (s *System) drainPeers(w, parts, step int) (err error) {
 		}
 	}
 	return nil
+}
+
+// flush releases peer from's buffered handler sends in emission order. Each
+// buffered content is stamped with its sender and interned once, at its
+// first send to a peer, and every send releases one copy of that id: what
+// reaches the bus, the tap and the counters is what one send per record
+// would produce, without a Message per copy. Under an egress budget each
+// record still takes the send path, since the egress buffer holds Messages.
+func (s *System) flush(d *peerDrain, from ProcID) {
+	if s.bus.opts.EgressCap > 0 {
+		for _, r := range d.sends {
+			m := d.contents[r.content]
+			m.To = r.to
+			s.send(m)
+		}
+		return
+	}
+	cur, id := int32(-1), uint32(0)
+	for _, r := range d.sends {
+		dst, ok := s.bus.queueIndex(r.to)
+		if !ok {
+			s.DroppedPast++
+			continue
+		}
+		c := &d.contents[r.content]
+		if r.content != cur {
+			cur = r.content
+			c.From = from
+			id = s.bus.intern(c)
+		}
+		s.release(id, from, dst, c.Seq)
+	}
 }

@@ -218,6 +218,13 @@ type System struct {
 	drains     []peerDrain
 	egressUsed []int
 
+	// tapMsg is the message SendTap is handed: content tapID (once tapSet)
+	// with each copy's To and Seq written in, so a broadcast's copies share
+	// one copy out of the content table.
+	tapMsg Message
+	tapID  uint32
+	tapSet bool
+
 	// Trace records every delivered message when enabled.
 	Trace       []Message
 	RecordTrace bool
@@ -233,10 +240,12 @@ type System struct {
 	// reliable and enqueues one copy stamped {m.Seq, 0}. The content id is
 	// stable for the System's lifetime and equal for two messages exactly
 	// when their Keys agree but for To, so (id, m.To) can key per-message
-	// tallies. The System is the only caller and has enqueued every returned
-	// copy before it sends again, so a tap may hand back the same scratch
-	// slice on every call.
-	SendTap func(m Message, id uint32) []Stamp
+	// tallies. m points at the System's own scratch message: the tap must
+	// neither modify it nor keep the pointer past the call (copy *m to keep
+	// it). The System is the only caller and has enqueued every returned copy
+	// before it sends again, so a tap may hand back the same scratch slice on
+	// every call.
+	SendTap func(m *Message, id uint32) []Stamp
 
 	// CutTap reports whether the physical from->to link is severed at the
 	// given step (partitions); a copy on a severed link stays queued. It
@@ -376,7 +385,8 @@ func (s *System) Stalled() []ProcID {
 // cannot forge another process's From — forging would defeat every
 // distinct-sender threshold of the protocols above.
 func (s *System) send(m Message) {
-	if _, ok := s.bus.queueIndex(m.To); !ok {
+	dst, ok := s.bus.queueIndex(m.To)
+	if !ok {
 		s.DroppedPast++
 		return
 	}
@@ -389,7 +399,6 @@ func (s *System) send(m Message) {
 			q := &s.bus.queues[fi]
 			if s.bus.opts.QueueCap > 0 && q.egressDepth() >= s.bus.opts.QueueCap {
 				s.bus.stats.EgressDrops++
-				obsEgressDrops.Inc()
 				return
 			}
 			q.egress = append(q.egress, m)
@@ -397,23 +406,25 @@ func (s *System) send(m Message) {
 		}
 		s.egressUsed[fi]++
 	}
-	s.release(m)
+	s.release(s.bus.intern(&m), m.From, dst, m.Seq)
 }
 
-// release puts a sent message on the wire: it interns the content, then
-// enqueues one copy per stamp the send tap returns, or one copy stamped with
-// the message's own Seq when no tap is installed. The tap sees the interned
+// release puts one sent copy of content id on the wire, from -> the peer at
+// queue index dst: it enqueues one copy per stamp the send tap returns, or
+// one copy stamped seq when no tap is installed. The tap sees the interned
 // Set, so a sender that later mutates its template cannot reach what the
 // fault log recorded either.
-func (s *System) release(m Message) {
-	id := s.bus.intern(&m)
+func (s *System) release(id uint32, from ProcID, dst int, seq int64) {
 	if s.SendTap == nil {
-		s.bus.enqueue(id, m.From, m.To, Stamp{Seq: m.Seq})
+		s.bus.enqueue(id, from, dst, Stamp{Seq: seq})
 		return
 	}
-	m.Set = s.bus.contents[id].Set
-	for _, st := range s.SendTap(m, id) {
-		s.bus.enqueue(id, m.From, m.To, st)
+	if !s.tapSet || s.tapID != id {
+		s.tapMsg, s.tapID, s.tapSet = s.bus.contents[id], id, true
+	}
+	s.tapMsg.To, s.tapMsg.Seq = s.bus.ids[dst], seq
+	for _, st := range s.SendTap(&s.tapMsg, id) {
+		s.bus.enqueue(id, from, dst, st)
 	}
 }
 
@@ -429,10 +440,12 @@ func (s *System) Inflight() int {
 
 // Inject enqueues a message from outside any handler (scripted adversaries,
 // fault-plane tests). Unlike in-handler sends the sender identity is taken
-// from the message itself; the message still passes through SendTap.
+// from the message itself; the message still passes through SendTap, and the
+// obs counters count it before Inject returns.
 func (s *System) Inject(m Message) {
 	s.sender = m.From
 	s.send(m)
+	s.bus.publish()
 }
 
 // start runs every process's Start hook once.
@@ -448,11 +461,20 @@ func (s *System) start() {
 // processes on the first call); when nothing is deliverable, or the
 // Scheduler returns Tick, the step only advances time. It reports false once
 // the system is quiescent. In native mode one Step is one drain window
-// instead (see stepWindow).
-func (s *System) Step() (bool, error) {
+// instead (see stepWindow). Either way the bus's obs counters are brought up
+// to its BusStats before Step returns (see busStore.publish).
+func (s *System) Step() (progressed bool, err error) {
 	if s.native != nil {
-		return s.stepWindow()
+		progressed, err = s.stepWindow()
+	} else {
+		progressed, err = s.stepScheduled()
 	}
+	s.bus.publish()
+	return progressed, err
+}
+
+// stepScheduled is one Step under the Scheduler.
+func (s *System) stepScheduled() (bool, error) {
 	if !s.started {
 		s.start()
 	}
@@ -486,16 +508,14 @@ func (s *System) Step() (bool, error) {
 	s.Steps++
 	e := s.bus.takeCompat(idx, s.Steps)
 	s.bus.scanStalls(s.Steps)
-	qi, _ := s.bus.queueIndex(e.to)
-	if q := &s.bus.queues[qi]; q.seen != nil && !q.seen.add(e.id) {
+	if q := &s.bus.queues[e.dst]; q.seen != nil && !q.seen.add(e.id) {
 		// Replay filter (opt-in): the copy is consumed but not delivered;
 		// the step still advances simulated time.
-		s.bus.filtered(1)
+		s.bus.stats.Filtered++
 		s.tick()
 		return true, nil
 	}
 	s.bus.stats.Delivered++
-	obsDelivered.Inc()
 	m := s.bus.message(&e)
 	if s.RecordTrace {
 		s.Trace = append(s.Trace, m)

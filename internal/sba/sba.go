@@ -217,13 +217,16 @@ func (p *Process) Deliver(m network.Message, send network.Sender) {
 	if m.From < 0 || int(m.From) >= p.cfg.N {
 		return // so is a sender outside the process set
 	}
-	st := p.state(m.Round)
+	// The round state is looked up only for a message that counts: an
+	// unknown kind must not create one, or it would grow every later
+	// snapshot.
 	switch m.Kind {
 	case network.MsgVote:
-		if !st.voteSenders[m.Value].Add(m.From) {
+		if !p.state(m.Round).voteSenders[m.Value].Add(m.From) {
 			return // duplicate: nothing new, no traffic credit
 		}
 	case network.MsgCand:
+		st := p.state(m.Round)
 		if !st.candidates.Add(m.From, uint8(m.Value)) {
 			return // only the first candidate per sender counts
 		}

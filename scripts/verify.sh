@@ -59,7 +59,7 @@ fi
 # owns the CRC32C framing, and the merged full-mode internals stay merged
 # (their names survive only in _test.go references and in CHANGES.md /
 # ROADMAP.md as history). Bracketed like the lint above.
-echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form, request resolution, CLI request front door, in-flight store, campaign seed sweep, one source per automaton and per property, queued copy as content id, one counter system, one tableau undone from its trail, linear forms as sorted terms, dense sender state)"
+echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form, request resolution, CLI request front door, in-flight store, campaign seed sweep, one source per automaton and per property, queued copy as content id, one counter system, one tableau undone from its trail, linear forms as sorted terms, dense sender state, bus counters published per step)"
 SRC=$(find cmd internal -name '*.go' ! -name '*_test.go')
 N=$(grep -l 'json:"lp[_]checks"' $SRC | wc -l)
 [ "$N" -eq 1 ] || { echo "one-definition lint: $N non-test files declare a json:\"lp[_]checks\" field, want 1"; exit 1; }
@@ -166,6 +166,21 @@ if grep -nE 'Hold[T]ap|delay[U]ntil' $SRC README.md DESIGN.md; then
 fi
 if awk '/^type busEntry struct/,/^}/' internal/network/bus.go | grep -nE '^[[:space:]]+[A-Za-z_]+[[:space:]]+\*?[M]essage([[:space:]]|$)'; then
     echo "one-definition lint: busEntry holds a Message again (a queued copy names its content by id)"
+    exit 1
+fi
+
+# The bus counts each copy in its BusStats alone and busStore.publish moves
+# the process-wide obs counters once per Step and Inject: no other non-test
+# code of internal/network calls an obs instrument (a locked add per copy
+# bills it for the entry store in front of it). A SendTap call hands the tap
+# the System's scratch message by pointer, never a Message by value.
+NETWORK=$(find internal/network -name '*.go' ! -name '*_test.go')
+if awk '/^func /{f=$0} /obs[A-Z][A-Za-z]*\.(Inc|Add|Set)\(|addDelta\(obs/ && f !~ /\) publish\(\)/{print FILENAME":"FNR": "$0; hit=1} END{exit !hit}' $NETWORK; then
+    echo "one-definition lint: the lines above move a bus obs counter outside busStore.publish (count in b.stats)"
+    exit 1
+fi
+if grep -rnE '\.SendTap\([^&][^,)]*,' --include='*.go' cmd internal examples; then
+    echo "one-definition lint: the lines above pass SendTap a Message by value (it takes *Message)"
     exit 1
 fi
 
