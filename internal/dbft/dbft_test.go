@@ -1,6 +1,7 @@
 package dbft
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -249,6 +250,10 @@ func TestDeliveryOrderRecorded(t *testing.T) {
 	}
 }
 
+// TestSanitizeSet: an AUX set is recorded in its canonical form — sorted,
+// without repeats — and one that is empty or names a value other than 0 and
+// 1 is ignored: the replica's snapshot after the delivery equals that of a
+// twin delivered the canonical set, or is unchanged.
 func TestSanitizeSet(t *testing.T) {
 	cases := []struct {
 		in   []int
@@ -264,25 +269,28 @@ func TestSanitizeSet(t *testing.T) {
 		{[]int{1, 7}, nil},
 		{[]int{0, 1, 2}, nil}, // one bad value poisons the whole set
 	}
+	after := func(set []int) []byte {
+		p, err := NewProcess(0, 0, Config{N: 4, T: 1, MaxRounds: 3}, protocol.AllIDs(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		drop := func(network.Message) {}
+		p.Start(drop)
+		if set != nil {
+			p.Deliver(network.Message{From: 3, Round: 0, Kind: network.MsgAux, Value: -1, Set: set}, drop)
+		}
+		return p.SnapshotBytes()
+	}
 	for _, c := range cases {
-		got := sanitizeSet(c.in)
-		if cap(got) != len(got) {
-			t.Errorf("sanitizeSet(%v) has capacity %d past its length %d: an append would write the shared set", c.in, cap(got), len(got))
-		}
-		if len(got) != len(c.want) {
-			t.Errorf("sanitizeSet(%v) = %v, want %v", c.in, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("sanitizeSet(%v) = %v, want %v", c.in, got, c.want)
-			}
+		if !bytes.Equal(after(c.in), after(c.want)) {
+			t.Errorf("AUX set %v not recorded as %v", c.in, c.want)
 		}
 	}
 }
 
 // TestDuplicateAuxIgnored: only a sender's first aux message counts, so a
-// Byzantine process cannot stuff the favorites array.
+// Byzantine process cannot stuff the favorites array: the first aux from a
+// sender changes the replica's state, a second one from it does not.
 func TestDuplicateAuxIgnored(t *testing.T) {
 	cfg := Config{N: 4, T: 1, MaxRounds: 3}
 	p, err := NewProcess(0, 0, cfg, protocol.AllIDs(4))
@@ -291,11 +299,15 @@ func TestDuplicateAuxIgnored(t *testing.T) {
 	}
 	drop := func(network.Message) {}
 	p.Start(drop)
+	started := p.SnapshotBytes()
 	p.Deliver(network.Message{From: 3, To: 0, Round: 0, Kind: network.MsgAux, Set: []int{0}}, drop)
+	first := p.SnapshotBytes()
 	p.Deliver(network.Message{From: 3, To: 0, Round: 0, Kind: network.MsgAux, Set: []int{1}}, drop)
-	st := p.state(0)
-	if set, ok := st.favorites.Get(3); st.favorites.Len() != 1 || !ok || set != maskOf([]int{0}) {
-		t.Errorf("favorites = %+v, want only the first aux from 3", st.favorites)
+	if bytes.Equal(first, started) {
+		t.Error("the first aux from 3 was not recorded")
+	}
+	if !bytes.Equal(p.SnapshotBytes(), first) {
+		t.Error("a second aux from 3 changed the replica")
 	}
 }
 

@@ -107,15 +107,16 @@ type Outcome struct {
 	ReplayChecked     int
 }
 
-// frontEnd is one executable protocol the fault plane can drive: how to
-// build a correct replica, what its Byzantine processes say, and which
-// Outcome field pair its replicas are published in (the frozen benchmark
-// reads Participating and SBAParticipating by name; everything in this
-// package goes through Outcome.Replicas).
+// frontEnd is one executable protocol the fault plane can drive: its rules
+// value (name and message kinds), the Lies its Byzantine processes tell, how
+// to build a correct replica, and which Outcome field pair its replicas are
+// published in (the frozen benchmark reads Participating and
+// SBAParticipating by name; everything in this package goes through
+// Outcome.Replicas).
 type frontEnd struct {
-	name       string
-	newReplica func(sc *Scenario, id network.ProcID, input int, all []network.ProcID) (protocol.Replica, error)
+	rules      *protocol.BinaryRules
 	lies       protocol.Lies
+	newReplica func(sc *Scenario, id network.ProcID, input int, all []network.ProcID) (protocol.Replica, error)
 	publish    func(out *Outcome, correct, participating []protocol.Replica)
 }
 
@@ -124,21 +125,21 @@ type frontEnd struct {
 // adding a front-end is adding an entry.
 var frontEnds = []frontEnd{
 	{
-		name: "dbft",
+		rules: &dbft.Rules,
+		lies:  dbft.Lies,
 		newReplica: func(sc *Scenario, id network.ProcID, input int, all []network.ProcID) (protocol.Replica, error) {
 			return replicaOf(dbft.NewProcess(id, input, dbft.Config{N: sc.N, T: sc.T, MaxRounds: sc.MaxRounds}, all))
 		},
-		lies: dbft.Lies,
 		publish: func(out *Outcome, correct, participating []protocol.Replica) {
 			out.Procs, out.Participating = correct, participating
 		},
 	},
 	{
-		name: "sba",
+		rules: &sba.Rules,
+		lies:  sba.Lies,
 		newReplica: func(sc *Scenario, id network.ProcID, input int, all []network.ProcID) (protocol.Replica, error) {
 			return replicaOf(sba.NewProcess(id, input, sba.Config{N: sc.N, T: sc.T, MaxRounds: sc.MaxRounds}, all))
 		},
-		lies: sba.Lies,
 		publish: func(out *Outcome, correct, participating []protocol.Replica) {
 			out.SBAProcs, out.SBAParticipating = correct, participating
 		},
@@ -175,7 +176,7 @@ func lookupFrontEnd(name string) (frontEnd, bool) {
 		return frontEnds[0], true
 	}
 	for _, fe := range frontEnds {
-		if fe.name == name {
+		if fe.rules.Name == name {
 			return fe, true
 		}
 	}
@@ -317,8 +318,8 @@ func (sc Scenario) Run() (out Outcome) {
 			}
 		}
 	}
-	out.AgreementErr = protocol.Agreement(fe.name, safetySet)
-	out.ValidityErr = protocol.Validity(fe.name, safetySet, sc.Inputs)
+	out.AgreementErr = protocol.Agreement(fe.rules.Name, safetySet)
+	out.ValidityErr = protocol.Validity(fe.rules.Name, safetySet, sc.Inputs)
 	if sc.Durable {
 		sc.checkDurable(inj, &out)
 	}

@@ -74,7 +74,7 @@ func lineCol(s string, off int64) (line, col int) {
 var Protocols, KnownProtocols = func() (map[string]bool, string) {
 	set, names := map[string]bool{"": true}, make([]string, len(frontEnds))
 	for i, fe := range frontEnds {
-		set[fe.name], names[i] = true, fe.name
+		set[fe.rules.Name], names[i] = true, fe.rules.Name
 	}
 	return set, strings.Join(names, ", ")
 }()
@@ -91,7 +91,8 @@ func (sc Scenario) Validate() error {
 		errs = append(errs, path+": "+fmt.Sprintf(format, args...))
 	}
 
-	if !Protocols[sc.Protocol] {
+	fe, known := lookupFrontEnd(sc.Protocol)
+	if !known {
 		bad("protocol", "unknown protocol %q (known protocols: %s)", sc.Protocol, KnownProtocols)
 	}
 	isSBA := sc.Protocol == "sba"
@@ -186,23 +187,13 @@ func (sc Scenario) Validate() error {
 		if d.Prob < 0 || d.Prob > 1 {
 			bad(path+".prob", "probability must be in [0,1], got %v", d.Prob)
 		}
-		// The drop-kind vocabulary is protocol-aware: dbft exchanges BV and
-		// AUX, the sba reduction exchanges VOTE and CAND.
-		if isSBA {
-			switch d.Kind {
-			case "", network.MsgVote, network.MsgCand:
-			default:
-				bad(path+".kind", "unknown message kind %q for protocol \"sba\" (want VOTE or CAND)", d.Kind)
-			}
-			if d.ParityBV {
-				bad(path+".parity_bv", "parity-BV drops are dbft-only")
-			}
-		} else {
-			switch d.Kind {
-			case "", network.MsgBV, network.MsgAux:
-			default:
-				bad(path+".kind", "unknown message kind %q (want BV or AUX)", d.Kind)
-			}
+		// The drop-kind vocabulary is the protocol's two message kinds.
+		if k := d.Kind; known && k != "" && k != fe.rules.Vote && k != fe.rules.Announce {
+			bad(path+".kind", "unknown message kind %q for protocol %q (want %s or %s)",
+				k, fe.rules.Name, fe.rules.Vote, fe.rules.Announce)
+		}
+		if isSBA && d.ParityBV {
+			bad(path+".parity_bv", "parity-BV drops are dbft-only")
 		}
 	}
 	if sc.Plan.DupProb < 0 || sc.Plan.DupProb > 1 {

@@ -79,6 +79,7 @@ func TestValidateFieldPaths(t *testing.T) {
 		{"bad sched", func(sc *Scenario) { sc.Sched = "chaotic" }, "sched"},
 		{"drop prob", func(sc *Scenario) { sc.Plan.Drops = []DropRule{{Prob: 1.5, Budget: 1}} }, "plan.drops[0].prob"},
 		{"drop kind", func(sc *Scenario) { sc.Plan.Drops = []DropRule{{Kind: "ZAP", Prob: 0.5, Budget: 1}} }, "plan.drops[0].kind"},
+		{"drop kind vocabulary", func(sc *Scenario) { sc.Plan.Drops = []DropRule{{Kind: "VOTE", Prob: 0.5, Budget: 1}} }, "want BV or AUX"},
 		{"delay steps", func(sc *Scenario) { sc.Plan.DelayProb = 0.3 }, "plan.delay_steps"},
 		{"partition group", func(sc *Scenario) {
 			sc.Plan.Partitions = []Partition{{Start: 1, Heal: 9, GroupA: []network.ProcID{9}}}

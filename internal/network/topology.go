@@ -1,6 +1,9 @@
 package network
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Topology decides how a message physically travels from its sender to its
 // destination. The base network is fully connected — every pair of processes
@@ -68,25 +71,24 @@ func (k *Kadcast) Neighbors(of ProcID) []ProcID {
 }
 
 // NextHop implements Topology: greedy XOR-distance routing with a direct
-// fallback. Populations that are not powers of two leave holes in the bucket
-// structure (the flipped ID may not exist); the direct fallback keeps those
-// routes valid, it just makes them one hop.
+// fallback. Flipping a set bit b of at^dst cuts the distance by 1<<b, the
+// highest one most, and flipping a clear bit grows it, so the greedy hop
+// flips the highest set bit whose flipped ID exists. Only the bits of peer
+// IDs (1<<b < n) are candidates, so a sender outside the peer set (an
+// injected message) still gets a first hop that stays below n. Populations
+// that are not powers of two leave holes in the bucket structure (the flipped
+// ID may not exist); when every candidate is a hole the direct fallback keeps
+// the route valid, it just makes it one hop.
 func (k *Kadcast) NextHop(at, dst ProcID) ProcID {
-	if at == dst {
-		return dst
-	}
-	best := dst // direct long link: distance 0, always strict progress
-	bestD := int(at) ^ int(dst)
-	for b := 0; 1<<b < k.n; b++ {
-		nb := int(at) ^ (1 << b)
-		if nb >= k.n {
-			continue
+	peerBits := uint(1)<<bits.Len(uint(k.n-1)) - 1
+	for x := uint(at^dst) & peerBits; x != 0; {
+		b := uint(1) << (bits.Len(x) - 1)
+		if nb := at ^ ProcID(b); nb < ProcID(k.n) {
+			return nb
 		}
-		if d := nb ^ int(dst); d < bestD {
-			best, bestD = ProcID(nb), d
-		}
+		x &^= b
 	}
-	return best
+	return dst
 }
 
 // Name implements Topology.

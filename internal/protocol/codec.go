@@ -75,8 +75,9 @@ func (e *Enc) ProcSet(set SenderSet) {
 	}
 }
 
-// EncMap writes an int-keyed map (per-round state) in ascending key order.
-func EncMap[V any](e *Enc, m map[int]V, enc func(*Enc, V)) {
+// EncMap writes an int-keyed map (per-round state) in ascending key order;
+// enc writes one value and is told its key.
+func EncMap[V any](e *Enc, m map[int]V, enc func(e *Enc, key int, v V)) {
 	keys := make([]int, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -85,7 +86,7 @@ func EncMap[V any](e *Enc, m map[int]V, enc func(*Enc, V)) {
 	e.Uvarint(uint64(len(keys)))
 	for _, k := range keys {
 		e.Int(k)
-		enc(e, m[k])
+		enc(e, k, m[k])
 	}
 }
 
@@ -269,13 +270,14 @@ func (d *Dec) ProcSet(what string, n int) SenderSet {
 }
 
 // DecMap reads what EncMap wrote, rejecting keys that do not strictly
-// ascend (duplicates included); what names the key in the error.
-func DecMap[V any](d *Dec, what string, dec func(*Dec) V) map[int]V {
+// ascend (duplicates included); what names the key in the error, and dec
+// reads one value and is told its key.
+func DecMap[V any](d *Dec, what string, dec func(d *Dec, key int) V) map[int]V {
 	m := map[int]V{}
 	n := d.Len()
 	for i, prev := 0, 0; i < n && d.err == nil; i++ {
 		k := d.Int()
-		v := dec(d)
+		v := dec(d, k)
 		if d.err != nil {
 			break
 		}

@@ -1,10 +1,14 @@
 // Package protocol is the kit every executable protocol front-end is built
-// from — the parts no protocol should re-implement. A front-end (internal/dbft,
-// internal/sba) is its round state, its message handlers and the field-by-field
-// body of its snapshot; everything around that lives here:
+// from — the parts no protocol should re-implement:
 //
+//   - the two-step binary round engine, Binary: one replica (round state,
+//     handlers, exit rule), one snapshot codec and one Lies for every protocol
+//     of that shape, each described by a BinaryRules value — internal/dbft and
+//     internal/sba are two such values (binary.go; its checks are in
+//     binarytest);
 //   - the canonical varint codec, the shared network.Message encoding and the
 //     versioned snapshot envelope (codec.go);
+//   - the dense per-round sender state, SenderSet and FirstTable (senders.go);
 //   - the quiet-period retransmission Timer and the Outbox it re-sends
 //     (retx.go);
 //   - the Byzantine scaffold: Silent, and the Adversary that turns a
@@ -12,8 +16,9 @@
 //   - the Replica contract the fault plane drives, and the invariant and
 //     report helpers over it (this file).
 //
-// The package imports no front-end: adding a protocol adds a package beside
-// dbft and sba and one entry in the internal/faults protocol table.
+// The package imports no front-end: adding a two-step binary protocol adds a
+// rules value in a package beside dbft and sba, and one entry in the
+// internal/faults protocol table.
 package protocol
 
 import (

@@ -1,6 +1,7 @@
 package sba
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -227,8 +228,8 @@ func TestDisagreementBeyondResilience(t *testing.T) {
 	}
 }
 
-// TestMalformedContentIgnored: out-of-range values and unknown kinds do not
-// corrupt state or panic.
+// TestMalformedContentIgnored: out-of-range values, rounds and unknown kinds
+// do not corrupt state or panic: the replica's snapshot is unchanged.
 func TestMalformedContentIgnored(t *testing.T) {
 	cfg := Config{N: 4, T: 1, MaxRounds: 5}
 	p, err := NewProcess(0, 1, cfg, protocol.AllIDs(4))
@@ -237,6 +238,7 @@ func TestMalformedContentIgnored(t *testing.T) {
 	}
 	drop := func(network.Message) {}
 	p.Start(drop)
+	before := p.SnapshotBytes()
 	for _, m := range []network.Message{
 		{From: 1, Round: 0, Kind: network.MsgVote, Value: 2},
 		{From: 1, Round: 0, Kind: network.MsgVote, Value: -1},
@@ -247,9 +249,8 @@ func TestMalformedContentIgnored(t *testing.T) {
 	} {
 		p.Deliver(m, drop)
 	}
-	st := p.state(0)
-	if st.voteSenders[0].Len() != 0 || st.voteSenders[1].Len() != 0 || st.candidates.Len() != 0 {
-		t.Errorf("malformed messages mutated round state: %+v", st)
+	if !bytes.Equal(p.SnapshotBytes(), before) {
+		t.Error("malformed messages mutated the replica's state")
 	}
 }
 

@@ -59,7 +59,7 @@ fi
 # owns the CRC32C framing, and the merged full-mode internals stay merged
 # (their names survive only in _test.go references and in CHANGES.md /
 # ROADMAP.md as history). Bracketed like the lint above.
-echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form, request resolution, CLI request front door, in-flight store, campaign seed sweep, one source per automaton and per property, queued copy as content id, one counter system, one tableau undone from its trail, linear forms as sorted terms, dense sender state, bus counters published per step)"
+echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form, request resolution, CLI request front door, in-flight store, campaign seed sweep, one source per automaton and per property, queued copy as content id, one counter system, one tableau undone from its trail, linear forms as sorted terms, dense sender state, bus counters published per step, one binary round engine)"
 SRC=$(find cmd internal -name '*.go' ! -name '*_test.go')
 N=$(grep -l 'json:"lp[_]checks"' $SRC | wc -l)
 [ "$N" -eq 1 ] || { echo "one-definition lint: $N non-test files declare a json:\"lp[_]checks\" field, want 1"; exit 1; }
@@ -188,9 +188,23 @@ fi
 # tables are protocol.SenderSet and protocol.FirstTable over [0, n), so no
 # ProcID-keyed map comes back into the round state or snapshot bodies of
 # dbft and sba, nor into the shared codec.
-if grep -nE 'map\[network\.[P]rocID\]' internal/dbft/dbft.go internal/dbft/snapshot.go \
-    internal/sba/sba.go internal/sba/snapshot.go internal/protocol/codec.go; then
+if grep -nE 'map\[network\.[P]rocID\]' internal/dbft/dbft.go internal/sba/sba.go \
+    internal/protocol/binary.go internal/protocol/codec.go; then
     echo "one-definition lint: the lines above key round state by a ProcID map (use protocol.SenderSet / protocol.FirstTable)"
+    exit 1
+fi
+
+# One binary round engine: the two-step replica (round state, handlers,
+# snapshot body) is protocol.Binary, and dbft and sba are two rules values
+# over it, so exactly one non-test file under internal/ has a SnapshotBytes
+# body and neither front-end declares round state or a replica handler again
+# (dbft's VectorProcess multiplexes instances of the engine; its Deliver is
+# not a round handler).
+N=$(grep -lE '^func \([a-z]+ \*?[A-Za-z]+\) SnapshotBytes\(\) \[\]byte \{' $(find internal -name '*.go' ! -name '*_test.go') | wc -l)
+[ "$N" -eq 1 ] || { echo "one-definition lint: $N non-test files under internal/ define a SnapshotBytes() []byte body, want 1 (protocol.Binary)"; exit 1; }
+if grep -nE '^type roundS[t]ate\b|^func \([a-z]+ \*?Process\) Deliver\(|^func \([^)]*\) progress\(' \
+    $(find internal/dbft internal/sba -name '*.go' ! -name '*_test.go'); then
+    echo "one-definition lint: the lines above declare round state or a handler in a front-end (a two-step binary protocol is a protocol.BinaryRules value)"
     exit 1
 fi
 
