@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/blockchain"
 	"repro/internal/core"
 	"repro/internal/counter"
 	"repro/internal/dbft"
@@ -264,55 +263,6 @@ func BenchmarkSimulationFairRun(b *testing.B) {
 func BenchmarkLemma7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := dbft.RunLemma7(10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkVectorConsensus measures one DBFT vector-consensus decision
-// (n proposals, one binary instance per proposer) under the fair scheduler.
-func BenchmarkVectorConsensus(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := dbft.Config{N: 4, T: 1, MaxRounds: 14}
-		all := protocol.AllIDs(cfg.N)
-		var correct []*dbft.VectorProcess
-		procs := make([]network.Process, 0, cfg.N)
-		for p := 0; p < cfg.N; p++ {
-			vp, err := dbft.NewVectorProcess(network.ProcID(p), "tx", cfg, all)
-			if err != nil {
-				b.Fatal(err)
-			}
-			correct = append(correct, vp)
-			procs = append(procs, vp)
-		}
-		sys, err := network.NewSystem(procs, fairness.Scheduler{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sys.Run(2_000_000, func() bool { return dbft.AllVectorDecided(correct) }); err != nil {
-			b.Fatal(err)
-		}
-		if !dbft.AllVectorDecided(correct) {
-			b.Fatal("vector consensus did not decide")
-		}
-	}
-}
-
-// BenchmarkBlockchainHeight measures one committed superblock of the
-// Red-Belly-style ledger (vector consensus + superblock assembly).
-func BenchmarkBlockchainHeight(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		l, err := blockchain.NewLedger(4, 1, []network.ProcID{3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		l.Submit(0, "a")
-		l.Submit(1, "b")
-		l.Submit(2, "c")
-		if _, err := l.CommitHeight(); err != nil {
-			b.Fatal(err)
-		}
-		if err := l.VerifyChains(); err != nil {
 			b.Fatal(err)
 		}
 	}

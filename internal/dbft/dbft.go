@@ -65,17 +65,10 @@ type Process = protocol.Binary
 
 // NewProcess builds a correct process with the given input value.
 func NewProcess(id network.ProcID, input int, cfg Config, all []network.ProcID) (*Process, error) {
-	return NewProcessInstance(id, input, cfg, all, 0)
-}
-
-// NewProcessInstance builds a correct process bound to a protocol instance:
-// it tags outgoing messages with the instance and ignores messages of other
-// instances. The vector consensus runs one instance per proposer.
-func NewProcessInstance(id network.ProcID, input int, cfg Config, all []network.ProcID, instance int) (*Process, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return protocol.NewBinary(&Rules, id, input, instance, cfg.N, cfg.T, cfg.MaxRounds, all)
+	return protocol.NewBinary(&Rules, id, input, cfg.N, cfg.T, cfg.MaxRounds, all)
 }
 
 // Processes builds n-f correct processes with the given inputs and ids

@@ -250,9 +250,9 @@ func TestDeliveryOrderRecorded(t *testing.T) {
 	}
 }
 
-// TestSanitizeSet: an AUX set is recorded in its canonical form — sorted,
-// without repeats — and one that is empty or names a value other than 0 and
-// 1 is ignored: the replica's snapshot after the delivery equals that of a
+// TestSanitizeSet: an AUX set a sender lists is recorded as its mask —
+// order and repeats do not count — and one that is empty or names a value
+// other than 0 and 1 is ignored: the replica's snapshot after the delivery equals that of a
 // twin delivered the canonical set, or is unchanged.
 func TestSanitizeSet(t *testing.T) {
 	cases := []struct {
@@ -277,7 +277,7 @@ func TestSanitizeSet(t *testing.T) {
 		drop := func(network.Message) {}
 		p.Start(drop)
 		if set != nil {
-			p.Deliver(network.Message{From: 3, Round: 0, Kind: network.MsgAux, Value: -1, Set: set}, drop)
+			p.Deliver(network.Message{From: 3, Round: 0, Kind: network.MsgAux, Value: -1, Set: network.SetOf(set...)}, drop)
 		}
 		return p.SnapshotBytes()
 	}
@@ -300,9 +300,9 @@ func TestDuplicateAuxIgnored(t *testing.T) {
 	drop := func(network.Message) {}
 	p.Start(drop)
 	started := p.SnapshotBytes()
-	p.Deliver(network.Message{From: 3, To: 0, Round: 0, Kind: network.MsgAux, Set: []int{0}}, drop)
+	p.Deliver(network.Message{From: 3, To: 0, Round: 0, Kind: network.MsgAux, Set: network.SetZero}, drop)
 	first := p.SnapshotBytes()
-	p.Deliver(network.Message{From: 3, To: 0, Round: 0, Kind: network.MsgAux, Set: []int{1}}, drop)
+	p.Deliver(network.Message{From: 3, To: 0, Round: 0, Kind: network.MsgAux, Set: network.SetOne}, drop)
 	if bytes.Equal(first, started) {
 		t.Error("the first aux from 3 was not recorded")
 	}

@@ -92,7 +92,7 @@ func RunLemma7(rounds int) ([]Lemma7Result, error) {
 		return nil
 	}
 	// byzSend injects an adversary message directly.
-	byzSend := func(to network.ProcID, round int, kind network.MsgKind, value int, set []int) {
+	byzSend := func(to network.ProcID, round int, kind network.MsgKind, value int, set network.ValueSet) {
 		byID[to].Deliver(network.Message{
 			From: byz, To: to, Round: round, Kind: kind, Value: value, Set: set,
 		}, send)
@@ -112,7 +112,7 @@ func RunLemma7(rounds int) ([]Lemma7Result, error) {
 
 		// Phase A: the singleton delivers w (its own broadcast, the mixed
 		// holder's, and the adversary's) and broadcasts aux {w}.
-		byzSend(ps, r, network.MsgBV, w, nil)
+		byzSend(ps, r, network.MsgBV, w, 0)
 		if err := deliver(ps, ps, r, network.MsgBV, w); err != nil {
 			return nil, err
 		}
@@ -121,7 +121,7 @@ func RunLemma7(rounds int) ([]Lemma7Result, error) {
 		}
 
 		// Phase B: the mixed holder delivers w the same way.
-		byzSend(pm, r, network.MsgBV, w, nil)
+		byzSend(pm, r, network.MsgBV, w, 0)
 		if err := deliver(ps, pm, r, network.MsgBV, w); err != nil {
 			return nil, err
 		}
@@ -135,11 +135,11 @@ func RunLemma7(rounds int) ([]Lemma7Result, error) {
 		if err := deliver(pq, pm, r, network.MsgBV, q); err != nil {
 			return nil, err
 		}
-		byzSend(pm, r, network.MsgBV, q, nil)
+		byzSend(pm, r, network.MsgBV, q, 0)
 		if err := deliver(pm, pm, r, network.MsgBV, q); err != nil {
 			return nil, err
 		}
-		byzSend(pq, r, network.MsgBV, q, nil)
+		byzSend(pq, r, network.MsgBV, q, 0)
 		if err := deliver(pq, pq, r, network.MsgBV, q); err != nil {
 			return nil, err
 		}
@@ -148,7 +148,7 @@ func RunLemma7(rounds int) ([]Lemma7Result, error) {
 		}
 
 		// The q-holder also delivers w so mixed aux sets qualify later.
-		byzSend(pq, r, network.MsgBV, w, nil)
+		byzSend(pq, r, network.MsgBV, w, 0)
 		if err := deliver(ps, pq, r, network.MsgBV, w); err != nil {
 			return nil, err
 		}
@@ -164,7 +164,7 @@ func RunLemma7(rounds int) ([]Lemma7Result, error) {
 		if err := deliver(pm, ps, r, network.MsgAux, -1); err != nil {
 			return nil, err
 		}
-		byzSend(ps, r, network.MsgAux, -1, []int{w})
+		byzSend(ps, r, network.MsgAux, -1, network.SetOf(w))
 
 		// The mixed holder sees {w},{w},{q}: qualifiers {0,1}.
 		if err := deliver(pm, pm, r, network.MsgAux, -1); err != nil {

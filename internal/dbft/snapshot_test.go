@@ -18,6 +18,9 @@ func TestDecodeSnapshotIsInjective(t *testing.T) { binarytest.DecodeSnapshotIsIn
 func TestDecodeSnapshotRejectsOutsideSenders(t *testing.T) {
 	binarytest.DecodeSnapshotRejectsOutsideSenders(t, &Rules)
 }
+func TestDecodeSnapshotRefusesRetiredMessageForms(t *testing.T) {
+	binarytest.DecodeSnapshotRefusesRetiredMessageForms(t, &Rules)
+}
 func TestDeliverAllocs(t *testing.T) { binarytest.DeliverAllocs(t, &Rules) }
 func TestDeliverIgnoredCreatesNoRound(t *testing.T) {
 	binarytest.DeliverIgnoredCreatesNoRound(t, &Rules)

@@ -53,18 +53,9 @@ func (s Scheduler) Next(inflight []network.Message, step int) int {
 }
 
 func (s Scheduler) key(m network.Message) int {
-	// Reliable-broadcast traffic (vector-consensus proposals) first: it is
-	// the prerequisite for starting the binary instances.
-	switch m.Kind {
-	case network.MsgProp, network.MsgEcho, network.MsgReady:
-		if s.Byzantine[m.From] {
-			return 1
-		}
-		return 0
-	}
-	// Then by instance and round, correct senders before Byzantine ones,
-	// parity-value broadcasts first within a round (they make it good).
-	k := 16 + m.Instance*1024 + m.Round*8
+	// By round, correct senders before Byzantine ones, parity-value
+	// broadcasts first within a round (they make it good).
+	k := m.Round * 8
 	if s.Byzantine[m.From] {
 		k += 4
 	}

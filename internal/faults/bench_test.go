@@ -25,7 +25,7 @@ func benchSends(round int) []benchSend {
 	out := make([]benchSend, 0, 2*n*n)
 	for from := 0; from < n; from++ {
 		bv := network.Message{From: network.ProcID(from), Kind: network.MsgBV, Round: round, Value: 1}
-		aux := network.Message{From: network.ProcID(from), Kind: network.MsgAux, Round: round, Set: []int{0, 1}}
+		aux := network.Message{From: network.ProcID(from), Kind: network.MsgAux, Round: round, Set: network.SetBoth}
 		for to := 0; to < n; to++ {
 			bv.To, aux.To = network.ProcID(to), network.ProcID(to)
 			out = append(out, benchSend{bv, uint32(2 * from)}, benchSend{aux, uint32(2*from + 1)})

@@ -37,6 +37,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -46,8 +47,9 @@ import (
 
 // DropRule describes one class of message loss.
 type DropRule struct {
-	// Kind restricts the rule to one message kind ("" = any).
-	Kind network.MsgKind `json:"kind,omitempty"`
+	// Kind restricts the rule to the message kind of that name ("" = any;
+	// Validate holds it to the protocol's two kinds).
+	Kind string `json:"kind,omitempty"`
 	// ParityBV restricts the rule to BV messages carrying their round's
 	// parity value — the messages whose timely delivery makes a round good
 	// (Definition 2). Dropping them unboundedly starves fairness exactly the
@@ -61,7 +63,7 @@ type DropRule struct {
 }
 
 func (r *DropRule) matches(m *network.Message) bool {
-	if r.Kind != "" && m.Kind != r.Kind {
+	if r.Kind != "" && m.Kind.String() != r.Kind {
 		return false
 	}
 	if r.ParityBV && (m.Kind != network.MsgBV || m.Value != m.Round%2) {
@@ -317,10 +319,10 @@ type Injector struct {
 	quarantined map[network.ProcID]string
 	risky       map[network.ProcID]bool
 
-	// auxSeen backs the equivocation oracle: first released AUX content per
-	// (clean replica, instance, round). Contradictions collects conflicts —
-	// a recovered replica contradicting its own pre-crash messages.
-	auxSeen        map[string]string
+	// auxSeen backs the equivocation oracle: first released AUX set per
+	// (clean replica, round). Contradictions collects conflicts — a
+	// recovered replica contradicting its own pre-crash messages.
+	auxSeen        map[auxKey]network.ValueSet
 	Contradictions []string
 	// SilentCorruptions collects flip-oracle hits: corrupted frames that
 	// recovery accepted without a checksum error.
@@ -338,7 +340,7 @@ func NewInjector(plan Plan) *Injector {
 		storageDown: map[network.ProcID]int{},
 		quarantined: map[network.ProcID]string{},
 		risky:       map[network.ProcID]bool{},
-		auxSeen:     map[string]string{},
+		auxSeen:     map[auxKey]network.ValueSet{},
 	}
 }
 
@@ -405,24 +407,45 @@ func (inj *Injector) Quarantined() []network.ProcID {
 	return out
 }
 
+// auxKey names one replica's AUX of one round.
+type auxKey struct {
+	id    network.ProcID
+	round int
+}
+
 // recordRelease is the equivocation oracle tap on every message a clean
 // durable replica releases. A correct process sends at most one AUX per
-// (instance, round), always with the same contestant set; two different
-// contents mean a recovered replica contradicted its pre-crash self.
+// round, always with the same contestant set; two different sets mean a
+// recovered replica contradicted its pre-crash self.
 func (inj *Injector) recordRelease(id network.ProcID, m network.Message) {
 	if m.Kind != network.MsgAux || inj.risky[id] {
 		return
 	}
-	key := fmt.Sprintf("p%d i%d r%d", id, m.Instance, m.Round)
-	content := fmt.Sprintf("%v", m.Set)
-	if prev, ok := inj.auxSeen[key]; ok {
-		if prev != content {
-			inj.Contradictions = append(inj.Contradictions,
-				fmt.Sprintf("%s: aux %s contradicts earlier aux %s", key, content, prev))
-		}
+	k := auxKey{id: id, round: m.Round}
+	prev, ok := inj.auxSeen[k]
+	if !ok {
+		inj.auxSeen[k] = m.Set
 		return
 	}
-	inj.auxSeen[key] = content
+	if prev != m.Set {
+		// The "i0" is the instance of the retired vector consensus,
+		// kept so the text, and every fingerprint over it, stays the same.
+		key := "p" + strconv.Itoa(int(id)) + " i0 r" + strconv.Itoa(m.Round)
+		inj.Contradictions = append(inj.Contradictions,
+			key+": aux "+setText(m.Set)+" contradicts earlier aux "+setText(prev))
+	}
+}
+
+// setText renders a set as fmt's %v renders its canonical list: [0 1].
+func setText(s network.ValueSet) string {
+	b := []byte{'['}
+	for i, v := range s.Values() {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return string(append(b, ']'))
 }
 
 // Install sets the system's three taps: the send path, which also stamps
@@ -824,8 +847,8 @@ func (w *wrapProc) restoreFromDisk() bool {
 	if fresh {
 		if w.started {
 			// Durable state gone after messages were released: rejoining
-			// from scratch could equivocate, so retire the replica (the
-			// ledger layer catches it up by state transfer instead).
+			// from scratch could equivocate, so the replica is retired: a
+			// quarantine, never a silent fresh start.
 			w.inj.quarantineProc(w.ID(), fmt.Sprintf("p%d: wal empty after start (total disk loss)", w.ID()))
 			return false
 		}

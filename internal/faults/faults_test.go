@@ -69,8 +69,8 @@ func TestDropBudgetBoundsLoss(t *testing.T) {
 func TestDropBudgetsPerCopy(t *testing.T) {
 	inj := NewInjector(Plan{Seed: 3, Drops: []DropRule{
 		{Prob: 1, Budget: 0},
-		{Kind: network.MsgBV, Prob: 1, Budget: 2},
-		{Kind: network.MsgVote, Prob: 0.5, Budget: 2},
+		{Kind: "BV", Prob: 1, Budget: 2},
+		{Kind: "VOTE", Prob: 0.5, Budget: 2},
 	}})
 	kinds := []network.MsgKind{network.MsgBV, network.MsgVote, network.MsgAux}
 	receivers := []network.ProcID{-3, talliedReceivers, talliedReceivers + 5}
@@ -195,7 +195,7 @@ func TestSchedulerChoiceUnderInjector(t *testing.T) {
 func TestPlanRoundTrip(t *testing.T) {
 	p := Plan{
 		Seed:       42,
-		Drops:      []DropRule{{Kind: network.MsgBV, ParityBV: true, Prob: 0.5, Budget: 2}},
+		Drops:      []DropRule{{Kind: "BV", ParityBV: true, Prob: 0.5, Budget: 2}},
 		DupProb:    0.25,
 		DupBudget:  2,
 		DelayProb:  0.1,
@@ -320,7 +320,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	preRound, preEst := p.Round(), p.Estimate()
 
 	// Mutate past the snapshot point.
-	p.Deliver(network.Message{From: 1, To: 0, Round: 0, Kind: network.MsgAux, Set: []int{1}}, send)
+	p.Deliver(network.Message{From: 1, To: 0, Round: 0, Kind: network.MsgAux, Set: network.SetOne}, send)
 	if err := p.RestoreBytes(snap); err != nil {
 		t.Fatal(err)
 	}

@@ -1,18 +1,19 @@
 package faults
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/network"
 )
 
-// The bus stores each sent content once: every queued copy of a message, and
-// every trace entry, shares the Set the content table copied at intern time.
-// A delivered Set is therefore read-only — a handler that wrote through it
-// would rewrite the message for every receiver still to get it. The guard
-// below watches every delivery of the dbft and sba chaos seeds, on the
-// Scheduler path and in native drain mode at one and two partitions.
+// The bus stores each sent content once, and every queued copy of a message
+// and every trace entry is rebuilt from it. While a Set was a slice the
+// copies shared it, and a handler that wrote through a delivered Set would
+// have rewritten the message for every receiver still to get it. A Set is a
+// mask now and a Message holds no pointer (TestMessageSize), so no handler
+// can; the guard below stays as the end-to-end witness over every delivery
+// of the dbft and sba chaos seeds, on the Scheduler path and in native
+// drain mode at one and two partitions.
 
 // setGuard wraps one process and keeps every Set delivered to it next to a
 // copy taken before the handler ran.
@@ -23,11 +24,11 @@ type setGuard struct {
 
 type guardedSet struct {
 	m    network.Message
-	want []int
+	want network.ValueSet
 }
 
 func (g *setGuard) Deliver(m network.Message, send network.Sender) {
-	want := slices.Clone(m.Set)
+	want := m.Set
 	g.Process.Deliver(m, send)
 	g.seen = append(g.seen, guardedSet{m: m, want: want})
 }
@@ -78,11 +79,11 @@ func TestDeliveredSetsReadOnly(t *testing.T) {
 				}
 				for _, g := range guards {
 					for _, d := range g.seen {
-						if !slices.Equal(d.m.Set, d.want) {
+						if d.m.Set != d.want {
 							t.Fatalf("%s %s seed %d: %s r%d %d->%d was delivered with Set %v, which now reads %v\nreplay: %s",
-								proto, mode.name, i, d.m.Kind, d.m.Round, d.m.From, d.m.To, d.want, d.m.Set, sc.Encode())
+								proto, mode.name, i, d.m.Kind, d.m.Round, d.m.From, d.m.To, d.want.Values(), d.m.Set.Values(), sc.Encode())
 						}
-						if d.m.Set != nil {
+						if d.m.Set != 0 {
 							sets++
 						}
 					}

@@ -188,7 +188,7 @@ func (sc Scenario) Validate() error {
 			bad(path+".prob", "probability must be in [0,1], got %v", d.Prob)
 		}
 		// The drop-kind vocabulary is the protocol's two message kinds.
-		if k := d.Kind; known && k != "" && k != fe.rules.Vote && k != fe.rules.Announce {
+		if k := d.Kind; known && k != "" && k != fe.rules.Vote.String() && k != fe.rules.Announce.String() {
 			bad(path+".kind", "unknown message kind %q for protocol %q (want %s or %s)",
 				k, fe.rules.Name, fe.rules.Vote, fe.rules.Announce)
 		}

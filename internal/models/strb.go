@@ -5,9 +5,8 @@ import "repro/internal/ta"
 // STReliableBroadcast builds the threshold automaton of the classic
 // Srikanth-Toueg authenticated/reliable broadcast — the original benchmark
 // of threshold-automata verification (John, Konnov, Schmid, Veith, Widder,
-// SPIN'13; reference [33] of the paper) and an ancestor of both the
-// bv-broadcast and the Bracha broadcast this repository implements
-// executably (internal/rbc).
+// SPIN'13; reference [33] of the paper) and an ancestor of the
+// bv-broadcast this repository implements executably (internal/dbft).
 //
 // Locations: a correct process starts in V1 (it received the broadcaster's
 // INIT message) or V0 (it did not); SE = it has sent its ECHO; AC = it has

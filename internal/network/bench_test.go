@@ -103,7 +103,7 @@ func BenchmarkMsgKey(b *testing.B) {
 		m    Message
 	}{
 		{"bv", Message{From: 17, To: 311, Kind: MsgBV, Round: 3, Value: 1}},
-		{"aux01", Message{From: 17, To: 311, Kind: MsgAux, Round: 3, Set: []int{0, 1}}},
+		{"aux01", Message{From: 17, To: 311, Kind: MsgAux, Round: 3, Set: SetBoth}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -125,7 +125,7 @@ func TestEnqueueDrainAllocs(t *testing.T) {
 	const n = 300
 	sys, all := nullMesh(t, n, true)
 	bv := Message{From: 1, Kind: MsgBV, Round: 7, Value: 1}
-	aux := Message{From: 1, Kind: MsgAux, Round: 7, Set: []int{0, 1}}
+	aux := Message{From: 1, Kind: MsgAux, Round: 7, Set: SetBoth}
 	// Warm-up: five other contents to everyone, then the measured two to
 	// receiver 0 only, which interns them.
 	for r := 0; r < 5; r++ {

@@ -65,7 +65,6 @@ type BusStats struct {
 	CapDrops    int64 `json:"cap_drops"`
 	EgressDrops int64 `json:"egress_drops"`
 	Filtered    int64 `json:"filtered"`
-	TopicDrops  int64 `json:"topic_drops"`
 	TTLDrops    int64 `json:"ttl_drops"`
 	Stalls      int64 `json:"stalls"`
 	PeakDepth   int   `json:"peak_depth"`
@@ -78,16 +77,6 @@ type StallEvent struct {
 	Depth int    `json:"depth"`
 	Idle  int    `json:"idle"`
 }
-
-// Topic is a subscription key: messages are matched on (Kind, Instance).
-// Instance AnyInstance matches every instance of the kind.
-type Topic struct {
-	Kind     MsgKind
-	Instance int
-}
-
-// AnyInstance is the Topic wildcard instance.
-const AnyInstance = -1
 
 // maxHops bounds gossip routes as a safety net against topology bugs; the
 // shipped topologies never get near it (greedy XOR routing is loop-free).
@@ -170,8 +159,7 @@ type peerQueue struct {
 	id   ProcID
 	buf  []busEntry
 	head int
-	seen *dupemap       // nil = dupemap off
-	subs map[Topic]bool // nil = subscribed to everything
+	seen *dupemap // nil = dupemap off
 	// egress is the native-mode deferred send buffer (EgressCap overflow).
 	egress     []Message
 	egressHead int
@@ -213,14 +201,6 @@ func (q *peerQueue) egressPop() Message {
 	return m
 }
 
-func (q *peerQueue) subscribed(m *Message) bool {
-	if q.subs == nil {
-		return true
-	}
-	return q.subs[Topic{Kind: m.Kind, Instance: m.Instance}] ||
-		q.subs[Topic{Kind: m.Kind, Instance: AnyInstance}]
-}
-
 // busStore is the in-flight store: a broker over per-peer bounded FIFO
 // queues. Arrival stamps give it a second identity: merging every queue in
 // arrival order yields the in-flight multiset in send order (appends are
@@ -253,9 +233,7 @@ type busStore struct {
 	// seen-set hold a 4-byte id. Only the sequential side of the bus (send,
 	// the egress drain and the window merge) appends to it; native drain
 	// workers read it, to rebuild the messages they deliver, only while no
-	// append can run. Entries are never changed once written, so a
-	// delivered Set is shared by every copy and must be treated as
-	// read-only.
+	// append can run. Entries are never changed once written.
 	contents []Message
 	// interned maps each content's key (MsgKey with To erased) to its id;
 	// last is the id of the most recent send, checked before the map so a
@@ -305,10 +283,8 @@ func (b *busStore) queueIndex(id ProcID) (int, bool) {
 
 // intern returns the id of m's content with the destination and Seq erased —
 // each copy carries its own — adding the content to the table on first
-// sight. Copy-on-intern: the table owns the Set it stores, so a later
-// mutation through the sender's template (a Byzantine strategy reusing one
-// literal, a retransmitted outbox entry) cannot bleed into copies already in
-// flight. An empty Set is stored as nil, the same set.
+// sight. A Message holds no pointer, so the table's entry is a plain copy
+// that no later send can reach.
 func (b *busStore) intern(m *Message) uint32 {
 	if len(b.contents) > 0 && sameContent(&b.contents[b.last], m) {
 		return b.last
@@ -321,9 +297,6 @@ func (b *busStore) intern(m *Message) uint32 {
 		b.interned[k] = id
 		c := *m
 		c.To, c.Seq = 0, 0
-		if c.Set != nil {
-			c.Set = append([]int(nil), c.Set...)
-		}
 		b.contents = append(b.contents, c)
 	}
 	b.last = id
@@ -333,8 +306,7 @@ func (b *busStore) intern(m *Message) uint32 {
 // sameContent reports whether two messages are the same content: equal Keys
 // but for To.
 func sameContent(a, b *Message) bool {
-	return a.From == b.From && a.Round == b.Round && a.Value == b.Value && a.Instance == b.Instance &&
-		a.Proposer == b.Proposer && a.Kind == b.Kind && a.Payload == b.Payload && slices.Equal(a.Set, b.Set)
+	return a.From == b.From && a.Round == b.Round && a.Value == b.Value && a.Kind == b.Kind && a.Set == b.Set
 }
 
 // message rebuilds the Message an entry carries.
@@ -372,18 +344,6 @@ func addDelta(c *obs.Counter, now, was int64) {
 	}
 }
 
-// subscribe restricts a peer's queue to the given topics (first call flips
-// the peer from subscribed-to-everything to explicit subscriptions).
-func (b *busStore) subscribe(id ProcID, topics ...Topic) {
-	q := &b.queues[b.idx[id]]
-	if q.subs == nil {
-		q.subs = make(map[Topic]bool)
-	}
-	for _, t := range topics {
-		q.subs[t] = true
-	}
-}
-
 // enqueue routes one copy of content id, sent from -> the peer at queue
 // index dst, onto its first hop's queue.
 func (b *busStore) enqueue(id uint32, from ProcID, dst int, st Stamp) {
@@ -413,15 +373,9 @@ func (b *busStore) forward(e *busEntry, at ProcID) {
 // the queue at index qi.
 func (b *busStore) enqueueAt(qi int, e *busEntry) {
 	q := &b.queues[qi]
-	if qi == int(e.dst) { // final hop: subscription + replay filters apply
-		if !q.subscribed(&b.contents[e.id]) {
-			b.stats.TopicDrops++
-			return
-		}
-		if q.seen != nil && q.seen.has(e.id) {
-			b.stats.Filtered++
-			return
-		}
+	if qi == int(e.dst) && q.seen != nil && q.seen.has(e.id) { // final hop: replay filter
+		b.stats.Filtered++
+		return
 	}
 	if b.opts.QueueCap > 0 && q.depth() >= b.opts.QueueCap {
 		b.stats.CapDrops++

@@ -172,6 +172,26 @@ func TestBusEntrySize(t *testing.T) {
 	}
 }
 
+// TestMessageSize pins the Message layout: six words with no field the
+// garbage collector must scan, so a Message is copied by a few register
+// moves and the content table, the Scheduler's view, the egress buffers and
+// the fault log hold no pointer (DESIGN.md § "The Message layout").
+func TestMessageSize(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("sizes are for 64-bit ints")
+	}
+	if got := unsafe.Sizeof(Message{}); got != 48 {
+		t.Errorf("Message is %d bytes, want 48", got)
+	}
+	typ := reflect.TypeOf(Message{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.String, reflect.Map, reflect.Interface, reflect.Struct, reflect.Array:
+			t.Errorf("Message.%s is a %s: a Message holds plain words only", f.Name, f.Type)
+		}
+	}
+}
+
 // TestDupemapFiltersReplays: with the replay filter on, a second copy of an
 // already-delivered message is consumed without a delivery — and a copy
 // enqueued after its key was delivered is dropped at enqueue time.
@@ -227,35 +247,10 @@ func TestQueueCapDrops(t *testing.T) {
 	}
 }
 
-func TestTopicSubscriptionFilter(t *testing.T) {
-	a := &collectProc{id: 0}
-	b := &collectProc{id: 1}
-	sys, err := NewSystem([]Process{a, b}, FIFOScheduler{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Subscribe(1, Topic{Kind: MsgBV, Instance: AnyInstance}); err != nil {
-		t.Fatal(err)
-	}
-	sys.Inject(Message{From: 0, To: 1, Kind: MsgAux, Set: []int{1}})
-	sys.Inject(Message{From: 0, To: 1, Kind: MsgBV, Value: 1, Instance: 3})
-	if _, err := sys.Run(100, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(b.received) != 1 || b.received[0].Kind != MsgBV {
-		t.Fatalf("received %v, want only the subscribed BV", b.received)
-	}
-	if got := sys.BusStats().TopicDrops; got != 1 {
-		t.Errorf("TopicDrops = %d, want 1", got)
-	}
-	if err := sys.Subscribe(99); err == nil {
-		t.Error("subscribing an unknown process should error")
-	}
-}
-
-// TestCopyOnEnqueueAliasing is the regression test for the Set-aliasing bug
-// family: a sender that mutates its Set slice after the send must not reach
-// into copies already in flight.
+// TestCopyOnEnqueueAliasing is the regression test for the aliasing bug
+// family: a sender that reuses its message template after the send must not
+// reach into copies already in flight. A Message holds no pointer, so the
+// bus's content table keeps its own copy by construction.
 func TestCopyOnEnqueueAliasing(t *testing.T) {
 	a := &collectProc{id: 0}
 	b := &collectProc{id: 1}
@@ -263,17 +258,17 @@ func TestCopyOnEnqueueAliasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := []int{0, 1}
-	sys.Inject(Message{From: 0, To: 1, Kind: MsgAux, Set: shared})
-	shared[0] = 9 // mutation after enqueue: in-flight copy must not see it
+	template := Message{From: 0, To: 1, Kind: MsgAux, Set: SetBoth}
+	sys.Inject(template)
+	template.Set = SetOne // reuse after enqueue: the in-flight copy must not see it
 	if _, err := sys.Run(100, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(b.received) != 1 {
 		t.Fatalf("deliveries = %d", len(b.received))
 	}
-	if got := b.received[0].Set; !reflect.DeepEqual(got, []int{0, 1}) {
-		t.Errorf("delivered Set = %v, want the pre-mutation {0,1}", got)
+	if got := b.received[0].Set; got != SetBoth {
+		t.Errorf("delivered Set = %v, want the pre-reuse {0,1}", got.Values())
 	}
 }
 
@@ -657,29 +652,29 @@ func TestCompatStallDetection(t *testing.T) {
 	}
 }
 
-// nearCollisions are messages one rendering slip apart: a set whose digits
-// run together, a payload that contains the old keys' separators, fields
-// that differ only in which of two slots a value sits in, and set orders and
-// repeats only a Byzantine sender emits.
+// nearCollisions are messages one rendering slip apart: sets whose digits
+// run together, fields that differ only in which of two slots a value sits
+// in, kinds that share a rendering branch, and the unnamed and out-of-table
+// kinds.
 var nearCollisions = []Message{
 	{From: 1, To: 2, Kind: MsgBV, Value: 3},
-	{From: 1, To: 2, Kind: MsgBV, Value: 3, Instance: 1},
-	{From: 1, To: 2, Kind: MsgAux, Set: []int{1, 2}},
-	{From: 1, To: 2, Kind: MsgAux, Set: []int{12}},
-	{From: 1, To: 2, Kind: MsgAux, Set: []int{0, 1}},
-	{From: 1, To: 2, Kind: MsgAux, Set: []int{1, 0}},
-	{From: 1, To: 2, Kind: MsgAux, Set: []int{0}},
-	{From: 1, To: 2, Kind: MsgAux, Set: []int{0, 0}},
-	{From: 1, To: 2, Kind: MsgAux, Set: []int{1}},
+	{From: 1, To: 2, Kind: MsgBV, Round: 3},
+	{From: 2, To: 1, Kind: MsgBV, Value: 3},
+	{From: 1, To: 2, Kind: MsgVote, Value: 3},
+	{From: 1, To: 2, Kind: MsgCand, Value: 3},
+	{From: 1, To: 2, Kind: MsgAux, Set: SetOf(1, 2)},
+	{From: 1, To: 2, Kind: MsgAux, Set: SetOf(12)},
+	{From: 1, To: 2, Kind: MsgAux, Set: SetBoth},
+	{From: 1, To: 2, Kind: MsgAux, Set: SetZero},
+	{From: 1, To: 2, Kind: MsgAux, Set: SetOne},
 	{From: 1, To: 2, Kind: MsgAux},
-	{From: 1, To: 2, Kind: MsgEcho, Payload: "a|b"},
-	{From: 1, To: 2, Kind: MsgEcho, Payload: "a", Proposer: 1},
-	{From: 1, To: 2, Kind: MsgEcho, Payload: "a"},
-	{From: 1, To: 2, Kind: MsgReady, Payload: "a"},
+	{From: 1, To: 2, Kind: MsgAux, Value: 1},
+	{From: 1, To: 2},
+	{From: 1, To: 2, Kind: MsgKind(9)},
 }
 
 // TestKeyStringInjective spot-checks the message identity over near-colliding
-// messages (Seq must not participate; payload separators must not confuse).
+// messages (Seq must not participate; the Set is compared as a mask).
 // The name is the old string key's; the property it pins moved to Key.
 func TestKeyStringInjective(t *testing.T) {
 	keys := map[MsgKey]int{}
@@ -696,7 +691,7 @@ func TestKeyStringInjective(t *testing.T) {
 	if a.Key() != b.Key() {
 		t.Error("Seq leaked into Key: retransmitted copies would never dedupe")
 	}
-	if (Message{Kind: MsgAux}).Key() != (Message{Kind: MsgAux, Set: []int{}}).Key() {
-		t.Error("a nil and an empty Set are the same set and must share a key")
+	if (Message{Kind: MsgAux, Set: SetOf(1, 0)}).Key() != (Message{Kind: MsgAux, Set: SetOf(0, 1)}).Key() {
+		t.Error("[1,0] and [0,1] are one announcement to every receiver and must share a key")
 	}
 }

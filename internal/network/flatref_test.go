@@ -62,9 +62,6 @@ func (s *flatSystem) send(m Message) {
 	for _, st := range stamps {
 		c := m
 		c.Seq = st.Seq
-		if c.Set != nil {
-			c.Set = append([]int(nil), c.Set...)
-		}
 		s.flat = append(s.flat, flatEntry{msg: c, notBefore: st.NotBefore})
 	}
 }
@@ -160,7 +157,7 @@ func (p *randProc) burst(send Sender) {
 		p.budget--
 		m := Message{To: ProcID(p.rng.Intn(p.n + 1)), Round: p.rng.Intn(4), Kind: MsgBV, Value: p.rng.Intn(2)}
 		if p.rng.Intn(4) == 0 {
-			m.Kind, m.Set = MsgAux, []int{0, 1}[:1+p.rng.Intn(2)]
+			m.Kind, m.Set = MsgAux, []ValueSet{SetZero, SetBoth}[p.rng.Intn(2)]
 		}
 		send(m)
 	}

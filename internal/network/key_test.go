@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,45 +12,53 @@ import (
 
 // refKeyString and refFaultKey are the two string renderings Message.Key
 // replaced — the bus's Message.KeyString and the fault plane's keyString —
-// kept verbatim as the reference the comparable key is held against. Both
-// are injective over the seven message kinds (a Kind containing their
-// separators could fool them; the struct key compares Kind exactly).
+// kept as the reference the comparable key is held against, over the
+// message's six content fields. Both render the Set as its canonical list.
 
 func refKeyString(m Message) string {
 	var b strings.Builder
-	b.Grow(32 + len(m.Payload) + 4*len(m.Set))
 	b.WriteString(strconv.Itoa(int(m.From)))
 	b.WriteByte('|')
 	b.WriteString(strconv.Itoa(int(m.To)))
 	b.WriteByte('|')
 	b.WriteString(strconv.Itoa(m.Round))
 	b.WriteByte('|')
-	b.WriteString(string(m.Kind))
+	b.WriteString(m.Kind.String())
 	b.WriteByte('|')
 	b.WriteString(strconv.Itoa(m.Value))
 	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(int(m.Proposer)))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(m.Instance))
-	b.WriteByte('|')
-	for _, v := range m.Set {
+	for _, v := range m.Set.Values() {
 		b.WriteString(strconv.Itoa(v))
 		b.WriteByte(',')
 	}
-	b.WriteByte('|')
-	// Length-prefixed so a Payload containing separators stays injective.
-	b.WriteString(strconv.Itoa(len(m.Payload)))
-	b.WriteByte(':')
-	b.WriteString(m.Payload)
 	return b.String()
 }
 
 func refFaultKey(m Message) string {
-	return fmt.Sprintf("%d>%d %s r%d v%d i%d p%d %q %v",
-		m.From, m.To, m.Kind, m.Round, m.Value, m.Instance, m.Proposer, m.Payload, m.Set)
+	return fmt.Sprintf("%d>%d %s r%d v%d %v", m.From, m.To, m.Kind, m.Round, m.Value, m.Set.Values())
 }
 
-var allKinds = []MsgKind{MsgBV, MsgAux, MsgProp, MsgEcho, MsgReady, MsgVote, MsgCand}
+// refSetKey is the mask identity of a value list as a receiver reads it
+// (protocol.setMask): which of 0 and 1 it names, and whether it names
+// anything else. Order and repeats do not count.
+func refSetKey(list []int) string {
+	var zero, one, other bool
+	for _, v := range list {
+		switch v {
+		case 0:
+			zero = true
+		case 1:
+			one = true
+		default:
+			other = true
+		}
+	}
+	return fmt.Sprint(zero, one, other)
+}
+
+// allKinds are the named kinds, the unnamed kind 0 and one kind outside the
+// name table.
+var allKinds = []MsgKind{0, MsgBV, MsgAux, MsgVote, MsgCand, MsgKind(9)}
 
 // identityChecker holds two messages against the three identities and the
 // bus's content id, and tallies which cases it has seen. Over every message
@@ -91,7 +99,7 @@ func (c *identityChecker) copyOf(t *testing.T, m Message) copyID {
 	// put back as the copy id carries it.
 	got := c.bus.message(&busEntry{id: cp.id, seq: m.Seq})
 	got.To = m.To
-	if got.Key() != k || got.Seq != m.Seq || refKeyString(got) != refKeyString(m) {
+	if got != m {
 		t.Fatalf("content table rebuilt %#v from %#v", got, m)
 	}
 	return cp
@@ -133,6 +141,11 @@ func (c *identityChecker) check(t *testing.T, a, b Message) {
 	}
 }
 
+// valueLists are the lists a Byzantine sender may name in an AUX: orders,
+// repeats and values other than 0 and 1 among them.
+var valueLists = [][]int{nil, {}, {0}, {1}, {0, 1}, {1, 0}, {0, 0}, {1, 2}, {12}, {2, 1}, {1, 1, 2},
+	{10, 100}, {101, 0}, {1, 0, 10}, {-1}, {1 << 33, 0}}
+
 // TestMsgIdentityMatchesStringKeys is the seeded property test: over
 // generated near-identical pairs the comparable key, both retired string keys
 // and (destination aside) the interned id agree on which messages are the
@@ -140,27 +153,23 @@ func (c *identityChecker) check(t *testing.T, a, b Message) {
 func TestMsgIdentityMatchesStringKeys(t *testing.T) {
 	r := rand.New(rand.NewSource(18))
 	ints := []int{0, 1, 2, 12, -1, -12, 1 << 33, -(1 << 40), 1<<32 + 1}
-	sets := [][]int{nil, {}, {0}, {1}, {0, 1}, {1, 0}, {0, 0}, {1, 2}, {12}, {2, 1}, {1, 1, 2},
-		{10, 100}, {101, 0}, {1, 0, 10}, {-1}, {1 << 33, 0}}
-	payloads := []string{"", "a", "a|b", "a|", "|a", "1:a", "a:b", "a,b", `"a"`, `a"`, "\x00", "a\x00", "[1 2]", "a b"}
 	pick := func() int { return ints[r.Intn(len(ints))] }
 	gen := func() Message {
 		return Message{
 			From: ProcID(pick()), To: ProcID(pick()), Round: pick(), Kind: allKinds[r.Intn(len(allKinds))],
-			Value: pick(), Set: sets[r.Intn(len(sets))], Instance: pick(), Proposer: ProcID(pick()),
-			Payload: payloads[r.Intn(len(payloads))], Seq: r.Int63(),
+			Value: pick(), Set: SetOf(valueLists[r.Intn(len(valueLists))]...), Seq: r.Int63(),
 		}
 	}
 	c := newIdentityChecker()
 	for i := 0; i < 20_000; i++ {
 		a := gen()
-		// b is a with each field redrawn one time in eight, so about a third
+		// b is a with each field redrawn one time in six, so about a third
 		// of the pairs are the same message and most others differ in one
 		// field only. Seq always differs and must never matter.
 		b, other := a, gen()
 		b.Seq = other.Seq
-		for f := 0; f < 9; f++ {
-			if r.Intn(8) != 0 {
+		for f := 0; f < 6; f++ {
+			if r.Intn(6) != 0 {
 				continue
 			}
 			switch f {
@@ -176,12 +185,6 @@ func TestMsgIdentityMatchesStringKeys(t *testing.T) {
 				b.Value = other.Value
 			case 5:
 				b.Set = other.Set
-			case 6:
-				b.Instance = other.Instance
-			case 7:
-				b.Proposer = other.Proposer
-			case 8:
-				b.Payload = other.Payload
 			}
 		}
 		c.check(t, a, b)
@@ -196,29 +199,53 @@ func TestMsgIdentityMatchesStringKeys(t *testing.T) {
 	}
 }
 
+// TestSetOfIsMaskIdentity pins the list-to-set map: two lists give one
+// ValueSet exactly when a receiver reads them as one announcement, and the
+// canonical list of a set is a list of that set.
+func TestSetOfIsMaskIdentity(t *testing.T) {
+	for _, a := range valueLists {
+		for _, b := range valueLists {
+			if same := SetOf(a...) == SetOf(b...); same != (refSetKey(a) == refSetKey(b)) {
+				t.Errorf("SetOf(%v) == SetOf(%v) is %v, mask identity says otherwise", a, b, same)
+			}
+		}
+		s := SetOf(a...)
+		if back := SetOf(s.Values()...); back != s {
+			t.Errorf("SetOf(%v) = %v, but its canonical list %v gives %v", a, s, s.Values(), back)
+		}
+		for v := -1; v <= 2; v++ {
+			if s.Has(v) != ((v == 0 || v == 1) && slices.Contains(a, v)) {
+				t.Errorf("SetOf(%v).Has(%d) = %v", a, v, s.Has(v))
+			}
+		}
+	}
+	if got := SetBoth.Values(); !slices.Equal(got, []int{0, 1}) {
+		t.Errorf("SetBoth.Values() = %v", got)
+	}
+	if got := ValueSet(0).Values(); got != nil {
+		t.Errorf("empty set's canonical list = %#v, want nil", got)
+	}
+}
+
 // appendFuzzMsg and readFuzzMsg are the fuzz target's message encoding: kind
-// index, six varint fields, a set (length byte, 0xff = nil, then varints), a
-// length-prefixed payload. The reader accepts any bytes — a short input reads
-// as zeros — so the fuzzer explores messages, not parse errors.
+// index, four varint fields, a value list (length byte, then varints). The
+// reader accepts any bytes — a short input reads as zeros — so the fuzzer
+// explores messages, not parse errors.
 func appendFuzzMsg(b []byte, m Message) []byte {
 	for i, k := range allKinds {
 		if k == m.Kind {
 			b = append(b, byte(i))
 		}
 	}
-	for _, v := range []int{int(m.From), int(m.To), m.Round, m.Value, m.Instance, int(m.Proposer)} {
+	for _, v := range []int{int(m.From), int(m.To), m.Round, m.Value} {
 		b = binary.AppendVarint(b, int64(v))
 	}
-	if m.Set == nil {
-		b = append(b, 0xff)
-	} else {
-		b = append(b, byte(len(m.Set)))
-		for _, v := range m.Set {
-			b = binary.AppendVarint(b, int64(v))
-		}
+	vals := m.Set.Values()
+	b = append(b, byte(len(vals)))
+	for _, v := range vals {
+		b = binary.AppendVarint(b, int64(v))
 	}
-	b = append(b, byte(len(m.Payload)))
-	return append(b, m.Payload...)
+	return b
 }
 
 func readFuzzMsg(data []byte) (Message, []byte) {
@@ -240,16 +267,12 @@ func readFuzzMsg(data []byte) (Message, []byte) {
 		return int(v)
 	}
 	m := Message{Kind: allKinds[int(next())%len(allKinds)]}
-	m.From, m.To, m.Round = ProcID(varint()), ProcID(varint()), varint()
-	m.Value, m.Instance, m.Proposer = varint(), varint(), ProcID(varint())
-	if n := next(); n != 0xff {
-		m.Set = make([]int, n%8)
-		for i := range m.Set {
-			m.Set[i] = varint()
-		}
+	m.From, m.To, m.Round, m.Value = ProcID(varint()), ProcID(varint()), varint(), varint()
+	list := make([]int, next()%8)
+	for i := range list {
+		list[i] = varint()
 	}
-	n := min(int(next()), len(data))
-	m.Payload, data = string(data[:n]), data[n:]
+	m.Set = SetOf(list...)
 	return m, data
 }
 
@@ -274,33 +297,36 @@ func FuzzMsgIdentity(f *testing.F) {
 func TestFuzzMsgRoundTrip(t *testing.T) {
 	for _, m := range nearCollisions {
 		got, rest := readFuzzMsg(appendFuzzMsg(nil, m))
-		if len(rest) != 0 || refKeyString(got) != refKeyString(m) || (got.Set == nil) != (m.Set == nil) {
+		if len(rest) != 0 || got != m {
 			t.Errorf("round trip of %#v gave %#v (%d bytes left)", m, got, len(rest))
 		}
 	}
 }
 
 // TestContentIDSets pins the content id on the sets that make identity
-// subtle: a nil and an empty Set are one content, a Byzantine [1,0] or [0,0]
-// is not [0,1] or [0], and the table keeps its own copy of the first Set it
-// saw — interned through the last-send shortcut or through the map alike.
+// subtle: a Byzantine [1,0] or [0,0] is the [0,1] or [0] a receiver reads it
+// as, every list naming only other values is one malformed set, and the
+// content id ignores the destination — interned through the last-send
+// shortcut or through the map alike.
 func TestContentIDSets(t *testing.T) {
 	c := newIdentityChecker()
-	aux := func(to ProcID, set []int) Message { return Message{From: 3, To: to, Kind: MsgAux, Round: 2, Set: set} }
-	template := []int{0, 1}
+	aux := func(to ProcID, list ...int) Message {
+		return Message{From: 3, To: to, Kind: MsgAux, Round: 2, Set: SetOf(list...)}
+	}
 	ids := map[string]copyID{}
 	for _, tc := range []struct {
 		name string
 		m    Message
 	}{
-		{"nil", aux(1, nil)}, {"empty", aux(1, []int{})}, {"nil to 2", aux(2, nil)},
-		{"01", aux(1, template)}, {"10", aux(1, []int{1, 0})}, {"01 again", aux(1, []int{0, 1})},
-		{"0", aux(1, []int{0})}, {"00", aux(1, []int{0, 0})}, {"01 to 2", aux(2, template)},
+		{"empty", aux(1)}, {"empty to 2", aux(2)},
+		{"01", aux(1, 0, 1)}, {"10", aux(1, 1, 0)}, {"01 again", aux(1, 0, 1)},
+		{"0", aux(1, 0)}, {"00", aux(1, 0, 0)}, {"01 to 2", aux(2, 0, 1)},
+		{"2", aux(1, 2)}, {"12", aux(1, 12)}, {"02", aux(1, 0, 2)},
 	} {
 		ids[tc.name] = c.copyOf(t, tc.m)
 	}
-	same := [][2]string{{"nil", "empty"}, {"01", "01 again"}}
-	differ := [][2]string{{"nil", "nil to 2"}, {"01", "10"}, {"0", "00"}, {"01", "01 to 2"}, {"nil", "0"}}
+	same := [][2]string{{"01", "01 again"}, {"01", "10"}, {"0", "00"}, {"2", "12"}}
+	differ := [][2]string{{"empty", "empty to 2"}, {"01", "01 to 2"}, {"empty", "0"}, {"2", "02"}, {"0", "02"}}
 	for _, p := range same {
 		if ids[p[0]] != ids[p[1]] {
 			t.Errorf("%s and %s: copy ids %v and %v, want one", p[0], p[1], ids[p[0]], ids[p[1]])
@@ -311,14 +337,10 @@ func TestContentIDSets(t *testing.T) {
 			t.Errorf("%s and %s share copy id %v", p[0], p[1], ids[p[0]])
 		}
 	}
-	if ids["nil"].id != ids["nil to 2"].id || ids["01"].id != ids["01 to 2"].id {
+	if ids["empty"].id != ids["empty to 2"].id || ids["01"].id != ids["01 to 2"].id {
 		t.Error("the content id must not depend on the destination")
 	}
-	if got := c.bus.contents[ids["empty"].id].Set; got != nil {
-		t.Errorf("empty Set stored as %#v, want nil", got)
-	}
-	template[0] = 9 // the sender reuses its literal: the table must not see it
-	if got := c.bus.contents[ids["01"].id].Set; !reflect.DeepEqual(got, []int{0, 1}) {
-		t.Errorf("interned Set = %v after the sender mutated its template, want [0 1]", got)
+	if got := c.bus.contents[ids["10"].id].Set; got != SetBoth {
+		t.Errorf("[1,0] interned as %v, want SetBoth", got)
 	}
 }

@@ -13,8 +13,7 @@
 //
 // One message store backs the System: an event bus, a broker over bounded
 // per-peer FIFO queues with arrival stamps, optional replay filtering
-// (dupemap), stall detection, topic subscriptions and pluggable topologies
-// (see bus.go). The bus stores each sent content once, in a content table
+// (dupemap), stall detection and pluggable topologies (see bus.go). The bus stores each sent content once, in a content table
 // numbered by content id; a queued copy is that id plus its destination and
 // per-copy stamps, and delivery rebuilds the Message from the table. It
 // serves both delivery models. Under a Scheduler, the adversary of Section 2,
@@ -29,64 +28,128 @@
 package network
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"runtime/debug"
 	"sort"
+	"strconv"
 	"strings"
 )
 
 // ProcID identifies a process (0-based).
 type ProcID int
 
-// MsgKind distinguishes the two message types of Algorithm 1.
-type MsgKind string
+// MsgKind distinguishes the message types of the binary protocols. It is one
+// byte; kindNames gives each kind the name it renders, encodes and is
+// written in scenario JSON as. Kind 0 is the unnamed kind: it renders and
+// encodes as "", so a zero Message keeps its text.
+type MsgKind uint8
 
 // Message kinds.
 const (
 	// MsgBV is a binary-value broadcast message (Fig. 1): carries Value.
-	MsgBV MsgKind = "BV"
+	MsgBV MsgKind = iota + 1
 	// MsgAux is an auxiliary message (Alg. 1 line 8): carries Set, the
 	// sender's contestants at broadcast time.
-	MsgAux MsgKind = "AUX"
-	// MsgProp, MsgEcho and MsgReady implement the Bracha reliable broadcast
-	// used by the vector consensus for proposals: they carry Proposer and
-	// Payload.
-	MsgProp  MsgKind = "PROP"
-	MsgEcho  MsgKind = "ECHO"
-	MsgReady MsgKind = "READY"
+	MsgAux
 	// MsgVote and MsgCand are the two message types of the SBA* binary
 	// reduction (internal/sba): a step-1 vote and a step-2 candidate. Both
 	// carry Value.
-	MsgVote MsgKind = "VOTE"
-	MsgCand MsgKind = "CAND"
+	MsgVote
+	MsgCand
 )
+
+// kindNames is the name table of MsgKind, indexed by kind.
+var kindNames = [...]string{"", "BV", "AUX", "VOTE", "CAND"}
+
+// String returns the kind's name; a kind outside the table renders as
+// MsgKind(k), which no decoder accepts.
+func (k MsgKind) String() string {
+	if int(k) < len(kindNames) {
+		return kindNames[k]
+	}
+	return "MsgKind(" + strconv.Itoa(int(k)) + ")"
+}
+
+// ParseMsgKind returns the kind named name, and whether the name is in the
+// table ("" names kind 0).
+func ParseMsgKind(name string) (MsgKind, bool) {
+	for k, n := range kindNames {
+		if n == name {
+			return MsgKind(k), true
+		}
+	}
+	return 0, false
+}
+
+// ValueSet is a set of binary values as a bit mask: bit v stands for value v
+// (0 or 1), and SetMalformed for any other value a list named. Receivers
+// read an announcement this way (a set naming another value is malformed
+// whatever else it names), so two lists with one mask are one message:
+// [1,0] is [0,1], and [0,0] is [0].
+type ValueSet uint8
+
+// The value sets binary consensus sends, and the malformed bit.
+const (
+	SetZero ValueSet = 1 << iota
+	SetOne
+	// SetMalformed marks a list that named a value other than 0 and 1. Its
+	// canonical list writes it as the value 2.
+	SetMalformed
+
+	SetBoth = SetZero | SetOne
+)
+
+// SetOf returns the set of the listed values.
+func SetOf(vals ...int) ValueSet {
+	var s ValueSet
+	for _, v := range vals {
+		switch v {
+		case 0:
+			s |= SetZero
+		case 1:
+			s |= SetOne
+		default:
+			s |= SetMalformed
+		}
+	}
+	return s
+}
+
+// Has reports whether v is in the set (never, for v other than 0 and 1).
+func (s ValueSet) Has(v int) bool { return (v == 0 || v == 1) && s&(1<<v) != 0 }
+
+// Values returns the set's canonical list: its values in ascending order,
+// SetMalformed as 2, nil for the empty set.
+func (s ValueSet) Values() []int {
+	var out []int
+	for v := 0; v <= 2; v++ {
+		if s&(1<<v) != 0 {
+			out = append(out, v)
+		}
+	}
+	return out
+}
 
 // Message is a point-to-point message. Round tags implement
 // communication-closure: receivers buffer future rounds and never act on
-// past ones.
+// past ones. It is six words and holds no pointer, so copying one is a
+// few register moves and a slice of them is not scanned by the collector
+// (DESIGN.md § "The Message layout").
 type Message struct {
 	From  ProcID
 	To    ProcID
 	Round int
-	Kind  MsgKind
-	Value int   // MsgBV
-	Set   []int // MsgAux (sorted)
-
-	// Instance multiplexes independent protocol instances over one network
-	// (the vector consensus runs one binary consensus per proposer).
-	Instance int
-	// Proposer and Payload carry reliable-broadcast content
-	// (MsgProp/MsgEcho/MsgReady).
-	Proposer ProcID
-	Payload  string
+	Value int // MsgBV, MsgVote, MsgCand
 
 	// Seq tags one enqueued copy of a message. The base reliable network
 	// leaves it as sent; a fault layer installed via SendTap stamps it to
 	// track per-copy metadata (delays, duplicates) across the in-flight
 	// multiset. Two copies of the same logical message differ only in Seq.
 	Seq int64
+
+	Kind MsgKind
+	Set  ValueSet // MsgAux
 }
 
 // Stamp is what the send tap decides for one copy of a sent message: its
@@ -101,45 +164,18 @@ type Stamp struct {
 // logical message share a key. The bus interns it with To erased into a
 // content id (see busStore.intern), so (id, To) is the same identity as
 // MsgKey, and that pair is what the fault plane's per-message budgets count
-// against. Nothing is formatted to build it, and two keys are equal exactly
-// when the messages agree field for field (a nil and an empty Set are the
-// same set).
+// against. Two keys are equal exactly when the messages agree field for
+// field, the Set compared as a mask.
 type MsgKey struct {
-	from, to, proposer     ProcID
-	round, value, instance int
-	kind                   MsgKind
-	payload                string
-	set                    string // setKey(Set)
+	from, to     ProcID
+	round, value int
+	kind         MsgKind
+	set          ValueSet
 }
 
 // Key returns the message's content identity.
 func (m Message) Key() MsgKey {
-	return MsgKey{from: m.From, to: m.To, proposer: m.Proposer, round: m.Round, value: m.Value,
-		instance: m.Instance, kind: m.Kind, payload: m.Payload, set: setKey(m.Set)}
-}
-
-// setKey encodes a Set injectively, keeping order and duplicates: a Byzantine
-// sender may emit [1,0] or [0,0], and those are different messages from
-// [0,1] and [0]. Varints are prefix-free, so their concatenation needs no
-// separator. The four sets binary consensus sends are substrings of one
-// constant and cost no allocation.
-func setKey(set []int) string {
-	const zeroOne = "\x00\x02" // varint(0) varint(1)
-	switch {
-	case len(set) == 0:
-		return ""
-	case len(set) == 1 && set[0] == 0:
-		return zeroOne[:1]
-	case len(set) == 1 && set[0] == 1:
-		return zeroOne[1:]
-	case len(set) == 2 && set[0] == 0 && set[1] == 1:
-		return zeroOne
-	}
-	b := make([]byte, 0, 2*len(set))
-	for _, v := range set {
-		b = binary.AppendVarint(b, int64(v))
-	}
-	return string(b)
+	return MsgKey{from: m.From, to: m.To, round: m.Round, value: m.Value, kind: m.Kind, set: m.Set}
 }
 
 func (m Message) String() string {
@@ -148,14 +184,13 @@ func (m Message) String() string {
 		return fmt.Sprintf("BV(r%d,%d) %d->%d", m.Round, m.Value, m.From, m.To)
 	case MsgVote, MsgCand:
 		return fmt.Sprintf("%s(r%d,%d) %d->%d", m.Kind, m.Round, m.Value, m.From, m.To)
-	case MsgProp, MsgEcho, MsgReady:
-		return fmt.Sprintf("%s(p%d,%q) %d->%d", m.Kind, m.Proposer, m.Payload, m.From, m.To)
 	default:
-		vals := make([]string, len(m.Set))
-		for i, v := range m.Set {
-			vals[i] = fmt.Sprintf("%d", v)
+		vals := m.Set.Values()
+		strs := make([]string, len(vals))
+		for i, v := range vals {
+			strs[i] = strconv.Itoa(v)
 		}
-		return fmt.Sprintf("AUX(r%d,{%s}) %d->%d", m.Round, strings.Join(vals, ","), m.From, m.To)
+		return fmt.Sprintf("AUX(r%d,{%s}) %d->%d", m.Round, strings.Join(strs, ","), m.From, m.To)
 	}
 }
 
@@ -345,18 +380,6 @@ func NewSystemOpts(procs []Process, sched Scheduler, opts Options) (*System, err
 	return s, nil
 }
 
-// Subscribe restricts a process's queue to the given topics. Before the
-// first call a peer receives everything; afterwards only matching
-// (Kind, Instance) messages are enqueued (AnyInstance wildcards the
-// instance).
-func (s *System) Subscribe(id ProcID, topics ...Topic) error {
-	if _, ok := s.procs[id]; !ok {
-		return fmt.Errorf("network: subscribe: unknown process %d", id)
-	}
-	s.bus.subscribe(id, topics...)
-	return nil
-}
-
 // BusStats returns a snapshot of the bus counters.
 func (s *System) BusStats() BusStats {
 	return s.bus.stats
@@ -411,9 +434,7 @@ func (s *System) send(m Message) {
 
 // release puts one sent copy of content id on the wire, from -> the peer at
 // queue index dst: it enqueues one copy per stamp the send tap returns, or
-// one copy stamped seq when no tap is installed. The tap sees the interned
-// Set, so a sender that later mutates its template cannot reach what the
-// fault log recorded either.
+// one copy stamped seq when no tap is installed.
 func (s *System) release(id uint32, from ProcID, dst int, seq int64) {
 	if s.SendTap == nil {
 		s.bus.enqueue(id, from, dst, Stamp{Seq: seq})

@@ -172,7 +172,7 @@ func TestMessageString(t *testing.T) {
 	if got := bv.String(); got != "BV(r3,1) 1->2" {
 		t.Errorf("String = %q", got)
 	}
-	aux := Message{From: 0, To: 1, Round: 2, Kind: MsgAux, Set: []int{0, 1}}
+	aux := Message{From: 0, To: 1, Round: 2, Kind: MsgAux, Set: SetBoth}
 	if got := aux.String(); got != "AUX(r2,{0,1}) 0->1" {
 		t.Errorf("String = %q", got)
 	}

@@ -49,7 +49,7 @@ func SummarizeTrace(msgs []Message) TraceStats {
 func (s TraceStats) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d deliveries", s.Total)
-	for _, k := range []MsgKind{MsgBV, MsgAux, MsgProp, MsgEcho, MsgReady} {
+	for k := MsgBV; int(k) < len(kindNames); k++ {
 		if c := s.ByKind[k]; c > 0 {
 			fmt.Fprintf(&b, ", %d %s", c, k)
 		}

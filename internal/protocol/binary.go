@@ -41,30 +41,18 @@ type BinaryRules struct {
 	Retransmissions *obs.Counter
 }
 
-// valueMask is a binary value set, bit v set iff v is a member. Every
+// valueMask is a binary value set as a message carries it. Every
 // announcement is read as one: a nonempty mask, so "the announced bits are
 // all collected" is one test against the round's collected mask.
-type valueMask = uint8
+type valueMask = network.ValueSet
 
-// zeroOne backs the three canonical value sets of maskSets.
-var zeroOne = []int{0, 1}
-
-// maskSets maps a mask to its canonical set — sorted, without repeats, nil
-// for the empty mask. The sets are shared and capacity-capped so an append
-// copies: holders only ever read them.
-var maskSets = [4][]int{1: zeroOne[0:1:1], 2: zeroOne[1:2:2], 3: zeroOne[0:2:2]}
-
-// setMask returns the mask of a value set, or 0 when it is empty or names a
-// value other than 0 and 1.
-func setMask(set []int) valueMask {
-	var m valueMask
-	for _, v := range set {
-		if v != 0 && v != 1 {
-			return 0
-		}
-		m |= 1 << v
+// setMask returns the mask an announced set stands for, or 0 when the set
+// is empty or names a value other than 0 and 1.
+func setMask(set network.ValueSet) valueMask {
+	if set&network.SetMalformed != 0 {
+		return 0
 	}
-	return m
+	return set
 }
 
 // bitMask returns the mask {v} of a bit, or 0 when v is not 0 or 1.
@@ -109,7 +97,7 @@ func newBinaryRound(n int) *binaryRound {
 func (st *binaryRound) recountValid() {
 	c := 0
 	for _, q := range st.firsts.Order() {
-		if mask, _ := st.firsts.Get(q); mask&^st.collected == 0 {
+		if mask, _ := st.firsts.Get(q); valueMask(mask)&^st.collected == 0 {
 			c++
 		}
 	}
@@ -118,14 +106,13 @@ func (st *binaryRound) recountValid() {
 
 // Binary is a correct replica of a two-step binary protocol.
 type Binary struct {
-	rules    *BinaryRules
-	id       network.ProcID
-	n        int
-	echo     int // t+1
-	collect  int // rules.Collect(n, t)
-	quorum   int // n-t
-	max      int // MaxRounds
-	instance int // protocol instance (vector consensus multiplexing)
+	rules   *BinaryRules
+	id      network.ProcID
+	n       int
+	echo    int // t+1
+	collect int // rules.Collect(n, t)
+	quorum  int // n-t
+	max     int // MaxRounds
 
 	est    int
 	round  int
@@ -157,9 +144,8 @@ var _ network.Ticker = (*Binary)(nil)
 
 // NewBinary builds a correct replica under rules with the given input bit,
 // among the processes all, n of them tolerating t, running at most maxRounds
-// rounds. It tags outgoing messages with instance and ignores messages of
-// other instances.
-func NewBinary(rules *BinaryRules, id network.ProcID, input, instance, n, t, maxRounds int, all []network.ProcID) (*Binary, error) {
+// rounds.
+func NewBinary(rules *BinaryRules, id network.ProcID, input, n, t, maxRounds int, all []network.ProcID) (*Binary, error) {
 	if input != 0 && input != 1 {
 		return nil, fmt.Errorf("%s: input must be binary, got %d", rules.Name, input)
 	}
@@ -171,7 +157,6 @@ func NewBinary(rules *BinaryRules, id network.ProcID, input, instance, n, t, max
 		collect:      rules.Collect(n, t),
 		quorum:       n - t,
 		max:          maxRounds,
-		instance:     instance,
 		out:          NewOutbox(all, rules.Retransmissions),
 		est:          input,
 		rounds:       map[int]*binaryRound{},
@@ -221,7 +206,7 @@ func (p *Binary) vote(round, v int, send network.Sender) {
 	}
 	st.echoed |= 1 << v
 	p.out.Broadcast(send, network.Message{
-		From: p.id, Round: round, Kind: p.rules.Vote, Value: v, Instance: p.instance,
+		From: p.id, Round: round, Kind: p.rules.Vote, Value: v,
 	})
 }
 
@@ -229,7 +214,7 @@ func (p *Binary) vote(round, v int, send network.Sender) {
 // information is credited as traffic to the retransmission timer (see Timer
 // for the liveness wedge a duplicate's credit would open).
 func (p *Binary) Deliver(m network.Message, send network.Sender) {
-	if m.Instance != p.instance || m.Round < 0 || m.Round > p.max {
+	if m.Round < 0 || m.Round > p.max {
 		return
 	}
 	if m.From < 0 || int(m.From) >= p.n {
@@ -257,7 +242,7 @@ func (p *Binary) Deliver(m network.Message, send network.Sender) {
 			return
 		}
 		st := p.state(m.Round)
-		if !st.firsts.Add(m.From, mask) {
+		if !st.firsts.Add(m.From, uint8(mask)) {
 			return // only a sender's first announcement counts
 		}
 		if mask&^st.collected == 0 {
@@ -295,9 +280,9 @@ func (p *Binary) progress(round int, send network.Sender) {
 	// Alg. 1 lines 7-8: once a bit is collected, announce (once).
 	if !st.announced && st.collected != 0 {
 		st.announced = true
-		m := network.Message{From: p.id, Round: round, Kind: p.rules.Announce, Instance: p.instance}
+		m := network.Message{From: p.id, Round: round, Kind: p.rules.Announce}
 		if p.rules.AnnounceSet {
-			m.Value, m.Set = -1, maskSets[st.collected]
+			m.Value, m.Set = -1, st.collected
 		} else {
 			m.Value = p.CollectOrder[round][0]
 		}
@@ -320,8 +305,8 @@ func (p *Binary) tryExit(send network.Sender) {
 	var union valueMask
 	chosen := 0
 	for _, q := range st.firsts.Order() {
-		if mask, _ := st.firsts.Get(q); mask&^st.collected == 0 {
-			union |= mask
+		if mask, _ := st.firsts.Get(q); valueMask(mask)&^st.collected == 0 {
+			union |= valueMask(mask)
 			if chosen++; chosen == p.quorum {
 				break
 			}
@@ -407,7 +392,7 @@ func (p *Binary) encodeRound(e *Enc, r int, st *binaryRound) {
 		mask, _ := st.firsts.Get(q)
 		e.Int(int(q))
 		if p.rules.AnnounceSet {
-			e.Ints(maskSets[mask])
+			e.ValueSet(valueMask(mask))
 		} else {
 			e.Int(int(mask >> 1))
 		}
@@ -478,10 +463,7 @@ func (p *Binary) decodeRound(d *Dec, r int, order []int) *binaryRound {
 		q := network.ProcID(d.Int())
 		var mask valueMask
 		if p.rules.AnnounceSet {
-			set := d.Ints()
-			if mask = setMask(set); !slices.Equal(set, maskSets[mask]) {
-				mask = 0 // not canonical
-			}
+			mask = setMask(d.ValueSet())
 		} else {
 			mask = bitMask(d.Int())
 		}
@@ -492,7 +474,7 @@ func (p *Binary) decodeRound(d *Dec, r int, order []int) *binaryRound {
 		case mask == 0:
 			// Deliver only ever stores nonempty binary announcements.
 			d.Fail("malformed announcement from %d", q)
-		case !st.firsts.Add(q, mask):
+		case !st.firsts.Add(q, uint8(mask)):
 			d.Fail("duplicate announcement from %d", q)
 		}
 	}
@@ -527,7 +509,7 @@ func (r *BinaryRules) Lies() Lies {
 			send(m)
 			m.Kind = r.Announce
 			if r.AnnounceSet {
-				m.Value, m.Set = -1, maskSets[1<<v]
+				m.Value, m.Set = -1, network.SetOf(v)
 			}
 			send(m)
 		},
@@ -540,8 +522,7 @@ func (r *BinaryRules) Lies() Lies {
 			}
 			m.Kind, m.Value = r.Announce, rng.Intn(3)
 			if r.AnnounceSet {
-				m.Set = maskSets[m.Value+1]
-				m.Value = -1
+				m.Value, m.Set = -1, network.ValueSet(m.Value+1)
 			}
 			send(m)
 		},

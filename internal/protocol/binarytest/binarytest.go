@@ -26,7 +26,7 @@ const (
 
 func newReplica(tb testing.TB, r *protocol.BinaryRules, id network.ProcID, input, n, t, maxRounds int) *protocol.Binary {
 	tb.Helper()
-	p, err := protocol.NewBinary(r, id, input, 0, n, t, maxRounds, protocol.AllIDs(n))
+	p, err := protocol.NewBinary(r, id, input, n, t, maxRounds, protocol.AllIDs(n))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func vote(r *protocol.BinaryRules, from network.ProcID, round, v int) network.Me
 func announce(r *protocol.BinaryRules, from network.ProcID, round, v int) network.Message {
 	m := network.Message{From: from, Round: round, Kind: r.Announce, Value: v}
 	if r.AnnounceSet {
-		m.Value, m.Set = -1, []int{v}
+		m.Value, m.Set = -1, network.SetOf(v)
 	}
 	return m
 }
@@ -164,13 +164,37 @@ func RestoreIsolation(tt *testing.T, r *protocol.BinaryRules) {
 // written field by field as SnapshotBytes lays it out. collected1 marks bit
 // 1 collected; order is the collect-order map's entry for round orderRound
 // (0 unless set), and own round 0's own copy of its order, which CAND rules
-// write into the round state.
+// write into the round state. The outbox is empty, or holds the one message
+// sent.
 type round0 struct {
 	votes      []int
 	from       int
 	collected1 bool
 	orderRound int
 	order, own []int
+	sent       *rawMsg
+}
+
+// rawMsg is a message as the record layout of Enc.Message writes it, every
+// field free: the kind as a name, the set as an int list, and the three
+// retired vector-consensus slots.
+type rawMsg struct {
+	kind               string
+	set                []int
+	instance, proposer int
+	payload            string
+}
+
+func (m rawMsg) encode(e *protocol.Enc) {
+	e.Int(0) // from
+	e.Int(1) // to
+	e.Int(0) // round
+	e.Str(m.kind)
+	e.Int(-1) // value
+	e.Ints(m.set)
+	e.Int(m.instance)
+	e.Int(m.proposer)
+	e.Str(m.payload)
 }
 
 func (s round0) bytes(r *protocol.BinaryRules) []byte {
@@ -203,7 +227,12 @@ func (s round0) bytes(r *protocol.BinaryRules) []byte {
 	} else {
 		e.Int(1)
 	}
-	e.Messages(nil) // outbox
+	if s.sent == nil {
+		e.Messages(nil) // outbox
+	} else {
+		e.Uvarint(1)
+		s.sent.encode(e)
+	}
 	return e.Bytes()
 }
 
@@ -315,10 +344,44 @@ func DecodeSnapshotRejectsOutsideSenders(tt *testing.T, r *protocol.BinaryRules)
 	}
 }
 
+// retiredMessageSnapshots are snapshots whose outbox message carries what
+// the compact network.Message cannot hold, and which the message codec
+// decoded before it: a kind name outside the table, a set list no encoder
+// writes, a nonzero retired slot.
+func retiredMessageSnapshots(r *protocol.BinaryRules) map[string][]byte {
+	snap := func(m rawMsg) []byte { return round0{votes: []int{0, 3}, from: 2, sent: &m}.bytes(r) }
+	return map[string][]byte{
+		"unknown-kind":  snap(rawMsg{kind: "ZAP"}),
+		"set-1-0":       snap(rawMsg{kind: "AUX", set: []int{1, 0}}),
+		"set-0-0":       snap(rawMsg{kind: "AUX", set: []int{0, 0}}),
+		"instance-slot": snap(rawMsg{kind: r.Vote.String(), instance: 1}),
+		"proposer-slot": snap(rawMsg{kind: r.Vote.String(), proposer: 1}),
+		"payload-slot":  snap(rawMsg{kind: r.Vote.String(), payload: "tx"}),
+	}
+}
+
+// DecodeSnapshotRefusesRetiredMessageForms: a snapshot whose outbox holds a
+// message the compact form cannot hold fails the decode and leaves the
+// replica as it was; the same snapshot with a well-formed message restores.
+func DecodeSnapshotRefusesRetiredMessageForms(tt *testing.T, r *protocol.BinaryRules) {
+	control := round0{votes: []int{0, 3}, from: 2, sent: &rawMsg{kind: "AUX", set: []int{0, 1}}}
+	if err := fresh(tt, r, 0).RestoreBytes(control.bytes(r)); err != nil {
+		tt.Fatalf("well-formed outbox message: %v", err)
+	}
+	want := map[string]string{
+		"unknown-kind": "unknown message kind", "set-1-0": "not canonical", "set-0-0": "not canonical",
+		"instance-slot": "retired message slot", "proposer-slot": "retired message slot", "payload-slot": "retired message slot",
+	}
+	for name, b := range retiredMessageSnapshots(r) {
+		refuses(tt, r, name, b, want[name])
+	}
+}
+
 // FuzzSnapshotDecode: RestoreBytes must never panic, any bytes it accepts
 // must re-encode byte-identically, and the restored replica must keep
 // handling traffic. Seeds: the caller's testdata/fuzz/FuzzSnapshotDecode
-// corpus, the outsideSenderSnapshots and live states.
+// corpus, the outsideSenderSnapshots, live states and the
+// retiredMessageSnapshots.
 func FuzzSnapshotDecode(f *testing.F, r *protocol.BinaryRules) {
 	f.Add([]byte{})
 	f.Add([]byte{protocol.BinarySnapshotVersion})
@@ -329,6 +392,9 @@ func FuzzSnapshotDecode(f *testing.F, r *protocol.BinaryRules) {
 		for _, p := range afterSteps(f, r, seed, int(seed)*60, silent) {
 			f.Add(p.SnapshotBytes())
 		}
+	}
+	for _, b := range retiredMessageSnapshots(r) {
+		f.Add(b)
 	}
 	f.Fuzz(func(tt *testing.T, data []byte) {
 		p := fresh(tt, r, 0)
@@ -348,10 +414,10 @@ func FuzzSnapshotDecode(f *testing.F, r *protocol.BinaryRules) {
 
 // FuzzMessageDecode: any record the shared message codec accepts is one WAL
 // recovery may re-deliver, so a replica must survive its delivery whatever
-// it carries (out-of-range rounds, values, sets, instances).
+// it carries (out-of-range rounds, values, malformed sets).
 func FuzzMessageDecode(f *testing.F, r *protocol.BinaryRules) {
 	f.Add([]byte{})
-	f.Add(protocol.EncodeMessage(network.Message{From: 1, To: 2, Kind: r.Announce, Set: []int{0, 1}}))
+	f.Add(protocol.EncodeMessage(network.Message{From: 1, To: 2, Kind: r.Announce, Set: network.SetBoth}))
 	f.Fuzz(func(tt *testing.T, data []byte) {
 		m, err := protocol.DecodeMessage(data)
 		if err != nil {
@@ -404,12 +470,12 @@ func DeliverAllocs(tt *testing.T, r *protocol.BinaryRules) {
 func DeliverIgnoredCreatesNoRound(tt *testing.T, r *protocol.BinaryRules) {
 	const maxRounds = 12
 	badValues := []int{-1, 2, 1 << 40}
-	badSets := [][]int{nil, {}, {2}, {0, 2}, {-1, 1}}
+	badSets := []network.ValueSet{0, network.SetOf(2), network.SetOf(0, 2), network.SetOf(-1, 1)}
 	// Only the field the rules read is broken; the other one runs through
 	// well-formed and malformed contents both.
 	values, sets := append([]int{0, 1}, badValues...), badSets
 	if !r.AnnounceSet {
-		values, sets = badValues, append([][]int{{0}, {1}, {0, 1}}, badSets...)
+		values, sets = badValues, append([]network.ValueSet{network.SetZero, network.SetOne, network.SetBoth}, badSets...)
 	}
 	p := newReplica(tt, r, 0, 0, 1024, 341, maxRounds)
 	var sent []network.Message
@@ -417,7 +483,7 @@ func DeliverIgnoredCreatesNoRound(tt *testing.T, r *protocol.BinaryRules) {
 	p.Start(send)
 	before, out := p.SnapshotBytes(), len(sent)
 	for round := 1; round <= maxRounds; round++ {
-		p.Deliver(network.Message{From: 5, Round: round, Kind: "ZAP", Value: 1, Set: []int{0}}, send)
+		p.Deliver(network.Message{From: 5, Round: round, Kind: network.MsgKind(200), Value: 1, Set: network.SetZero}, send)
 	}
 	for round := 1; round <= maxRounds; round++ {
 		for _, v := range badValues {

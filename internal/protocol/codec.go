@@ -90,17 +90,32 @@ func EncMap[V any](e *Enc, m map[int]V, enc func(e *Enc, key int, v V)) {
 	}
 }
 
-// Message writes one message.
+// ValueSet writes a value set as its canonical list (Ints of its Values),
+// without building the list.
+func (e *Enc) ValueSet(s network.ValueSet) {
+	s &= network.SetBoth | network.SetMalformed
+	e.Uvarint(uint64(bits.OnesCount8(uint8(s))))
+	for v := 0; s != 0; v, s = v+1, s>>1 {
+		if s&1 != 0 {
+			e.Int(v)
+		}
+	}
+}
+
+// Message writes one message. The layout predates the compact Message: the
+// kind is its name, the set its canonical list, and three slots of the
+// retired vector-consensus fields (instance, proposer, payload) follow the
+// set, always zero, so every snapshot and WAL record keeps its bytes.
 func (e *Enc) Message(m network.Message) {
 	e.Int(int(m.From))
 	e.Int(int(m.To))
 	e.Int(m.Round)
-	e.Str(string(m.Kind))
+	e.Str(m.Kind.String())
 	e.Int(m.Value)
-	e.Ints(m.Set)
-	e.Int(m.Instance)
-	e.Int(int(m.Proposer))
-	e.Str(m.Payload)
+	e.ValueSet(m.Set)
+	e.Int(0)  // instance
+	e.Int(0)  // proposer
+	e.Str("") // payload
 	// Seq is per-copy fault-layer metadata, not message content: it is
 	// deliberately not persisted, so retransmitted copies of a recovered
 	// outbox re-enter the network unstamped, exactly like fresh sends.
@@ -290,18 +305,44 @@ func DecMap[V any](d *Dec, what string, dec func(d *Dec, key int) V) map[int]V {
 	return m
 }
 
-// Message reads one message.
+// ValueSet reads what Enc.ValueSet wrote: a strictly ascending list of
+// values in [0, 2], 2 standing for SetMalformed. Any other list — [1,0],
+// [0,0], a value past 2 — is one no encoder emits.
+func (d *Dec) ValueSet() network.ValueSet {
+	var s network.ValueSet
+	n := d.Len()
+	for i, prev := 0, -1; i < n && d.err == nil; i++ {
+		v := d.Int()
+		switch {
+		case d.err != nil:
+		case v <= prev || v > 2:
+			d.Fail("value set not canonical at %d", d.off)
+		default:
+			s |= network.SetOf(v)
+			prev = v
+		}
+	}
+	return s
+}
+
+// Message reads one message, refusing a kind name outside the name table, a
+// set that is not a canonical list and a nonzero retired slot.
 func (d *Dec) Message() network.Message {
 	var m network.Message
 	m.From = network.ProcID(d.Int())
 	m.To = network.ProcID(d.Int())
 	m.Round = d.Int()
-	m.Kind = network.MsgKind(d.Str())
+	name := d.Str()
+	kind, ok := network.ParseMsgKind(name)
+	if !ok {
+		d.Fail("unknown message kind %q", name)
+	}
+	m.Kind = kind
 	m.Value = d.Int()
-	m.Set = d.Ints()
-	m.Instance = d.Int()
-	m.Proposer = network.ProcID(d.Int())
-	m.Payload = d.Str()
+	m.Set = d.ValueSet()
+	if instance, proposer, payload := d.Int(), d.Int(), d.Str(); instance != 0 || proposer != 0 || payload != "" {
+		d.Fail("retired message slot set (instance %d, proposer %d, payload %q)", instance, proposer, payload)
+	}
 	return m
 }
 

@@ -105,9 +105,9 @@ func TestDecoderRejectsWhatNoEncoderEmits(t *testing.T) {
 func TestMessageCodecRoundTrip(t *testing.T) {
 	msgs := []network.Message{
 		{},
-		{From: 1, To: 2, Round: 3, Kind: network.MsgBV, Value: 1, Instance: 2},
-		{From: 0, To: 3, Round: 5, Kind: network.MsgAux, Value: -1, Set: []int{0, 1}},
-		{From: 2, To: 1, Kind: network.MsgProp, Proposer: 2, Payload: "tx\x1fdata"},
+		{From: 1, To: 2, Round: 3, Kind: network.MsgBV, Value: 1},
+		{From: 0, To: 3, Round: 5, Kind: network.MsgAux, Value: -1, Set: network.SetBoth},
+		{From: 2, To: 1, Kind: network.MsgAux, Set: network.SetOf(7, 1)},
 		{From: 3, To: 0, Round: 1, Kind: network.MsgCand, Value: 1},
 		{From: -1, To: -1, Round: -4, Value: -7, Seq: 99}, // Seq not persisted
 	}
@@ -117,8 +117,79 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		m.Seq = 0 // per-copy metadata is deliberately dropped
-		if !reflect.DeepEqual(got, m) {
+		if got != m {
 			t.Errorf("case %d: round-trip %+v != %+v", i, got, m)
+		}
+	}
+}
+
+// rawMessage writes a message record field by field in the layout
+// Enc.Message has always written — the kind as a name, the set as an int
+// list, then the instance, proposer and payload slots — with every field
+// free, including ones no encoder emits.
+func rawMessage(kind string, set []int, instance, proposer int, payload string) []byte {
+	var e Enc
+	e.Int(1)
+	e.Int(2)
+	e.Int(3)
+	e.Str(kind)
+	e.Int(-1)
+	e.Ints(set)
+	e.Int(instance)
+	e.Int(proposer)
+	e.Str(payload)
+	return e.Bytes()
+}
+
+// TestMessageEncodingUnchanged: the compact Message encodes to the bytes the
+// record layout had when Message carried the set as a sorted int list and
+// the vector-consensus fields as zeros — which every snapshot and WAL
+// record a correct replica writes holds.
+func TestMessageEncodingUnchanged(t *testing.T) {
+	for _, tc := range []struct {
+		m    network.Message
+		kind string
+		set  []int
+	}{
+		{network.Message{From: 1, To: 2, Round: 3, Value: -1}, "", nil},
+		{network.Message{From: 1, To: 2, Round: 3, Kind: network.MsgBV, Value: -1}, "BV", nil},
+		{network.Message{From: 1, To: 2, Round: 3, Kind: network.MsgAux, Value: -1, Set: network.SetZero}, "AUX", []int{0}},
+		{network.Message{From: 1, To: 2, Round: 3, Kind: network.MsgAux, Value: -1, Set: network.SetOne}, "AUX", []int{1}},
+		{network.Message{From: 1, To: 2, Round: 3, Kind: network.MsgAux, Value: -1, Set: network.SetBoth}, "AUX", []int{0, 1}},
+		{network.Message{From: 1, To: 2, Round: 3, Kind: network.MsgVote, Value: -1}, "VOTE", nil},
+		{network.Message{From: 1, To: 2, Round: 3, Kind: network.MsgCand, Value: -1}, "CAND", nil},
+	} {
+		if got, want := EncodeMessage(tc.m), rawMessage(tc.kind, tc.set, 0, 0, ""); !bytes.Equal(got, want) {
+			t.Errorf("%v encodes as %x, want %x", tc.m, got, want)
+		}
+	}
+}
+
+// TestDecodeMessageRefusesWhatTheCompactFormCannotHold: a kind name outside
+// the table, a set list that is not canonical, and a nonzero retired slot
+// decoded before the compact Message; none is anything an encoder emits.
+func TestDecodeMessageRefusesWhatTheCompactFormCannotHold(t *testing.T) {
+	for name, tc := range map[string]struct {
+		b    []byte
+		want string
+	}{
+		"unknown kind":      {rawMessage("ZAP", nil, 0, 0, ""), `unknown message kind "ZAP"`},
+		"retired kind":      {rawMessage("PROP", nil, 0, 0, ""), `unknown message kind "PROP"`},
+		"set [1,0]":         {rawMessage("AUX", []int{1, 0}, 0, 0, ""), "not canonical"},
+		"set [0,0]":         {rawMessage("AUX", []int{0, 0}, 0, 0, ""), "not canonical"},
+		"set [3]":           {rawMessage("AUX", []int{3}, 0, 0, ""), "not canonical"},
+		"set [-1]":          {rawMessage("AUX", []int{-1}, 0, 0, ""), "not canonical"},
+		"instance":          {rawMessage("BV", nil, 2, 0, ""), "retired message slot"},
+		"proposer":          {rawMessage("BV", nil, 0, 2, ""), "retired message slot"},
+		"payload":           {rawMessage("BV", nil, 0, 0, "tx"), "retired message slot"},
+		"canonical control": {rawMessage("AUX", []int{0, 1, 2}, 0, 0, ""), ""},
+	} {
+		_, err := DecodeMessage(tc.b)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one naming %q", name, err, tc.want)
 		}
 	}
 }
@@ -128,7 +199,7 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 // testdata/fuzz/FuzzDecodeMessage.
 func FuzzDecodeMessage(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(EncodeMessage(network.Message{From: 1, To: 2, Kind: network.MsgAux, Set: []int{0, 1}}))
+	f.Add(EncodeMessage(network.Message{From: 1, To: 2, Kind: network.MsgAux, Set: network.SetBoth}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeMessage(data)
 		if err != nil {
@@ -176,7 +247,7 @@ func TestOutboxRetransmitsVerbatimAndCounts(t *testing.T) {
 	var wire []network.Message
 	send := func(m network.Message) { wire = append(wire, m) }
 	o.Broadcast(send, network.Message{From: 0, Kind: network.MsgBV, Value: 1})
-	o.Broadcast(send, network.Message{From: 0, Kind: network.MsgAux, Set: []int{1}})
+	o.Broadcast(send, network.Message{From: 0, Kind: network.MsgAux, Set: network.SetOne})
 	first := append([]network.Message(nil), wire...)
 	if len(first) != 6 {
 		t.Fatalf("2 broadcasts to 3 peers put %d messages on the wire", len(first))

@@ -91,7 +91,7 @@ func NewProcess(id network.ProcID, input int, cfg Config, all []network.ProcID) 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return protocol.NewBinary(&Rules, id, input, 0, cfg.N, cfg.T, cfg.MaxRounds, all)
+	return protocol.NewBinary(&Rules, id, input, cfg.N, cfg.T, cfg.MaxRounds, all)
 }
 
 // Processes builds correct processes with the given inputs and ids

@@ -1,4 +1,4 @@
-// Package wal provides the durability layer of the replicated ledger: an
+// Package wal provides the durability layer of the durable replicas: an
 // append-only, length-prefixed, CRC32C-checksummed write-ahead log with
 // configurable fsync discipline, segment rotation and snapshot+truncate
 // compaction. It is the piece PR 1's crash-recovery argument assumed but

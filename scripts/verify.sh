@@ -59,7 +59,7 @@ fi
 # owns the CRC32C framing, and the merged full-mode internals stay merged
 # (their names survive only in _test.go references and in CHANGES.md /
 # ROADMAP.md as history). Bracketed like the lint above.
-echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form, request resolution, CLI request front door, in-flight store, campaign seed sweep, one source per automaton and per property, queued copy as content id, one counter system, one tableau undone from its trail, linear forms as sorted terms, dense sender state, bus counters published per step, one binary round engine)"
+echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form, request resolution, CLI request front door, in-flight store, campaign seed sweep, one source per automaton and per property, queued copy as content id, one counter system, one tableau undone from its trail, linear forms as sorted terms, dense sender state, bus counters published per step, one binary round engine, compact Message)"
 SRC=$(find cmd internal -name '*.go' ! -name '*_test.go')
 N=$(grep -l 'json:"lp[_]checks"' $SRC | wc -l)
 [ "$N" -eq 1 ] || { echo "one-definition lint: $N non-test files declare a json:\"lp[_]checks\" field, want 1"; exit 1; }
@@ -194,12 +194,17 @@ if grep -nE 'map\[network\.[P]rocID\]' internal/dbft/dbft.go internal/sba/sba.go
     exit 1
 fi
 
+# The compact Message: six pointer-free words (TestMessageSize), so none of
+# the retired vector-consensus fields comes back into internal/network.
+if grep -rnwE 'Instanc[e]|Propose[r]|Payloa[d]' internal/network; then
+    echo "one-definition lint: the lines above bring a retired Message field back into internal/network"
+    exit 1
+fi
+
 # One binary round engine: the two-step replica (round state, handlers,
 # snapshot body) is protocol.Binary, and dbft and sba are two rules values
 # over it, so exactly one non-test file under internal/ has a SnapshotBytes
-# body and neither front-end declares round state or a replica handler again
-# (dbft's VectorProcess multiplexes instances of the engine; its Deliver is
-# not a round handler).
+# body and neither front-end declares round state or a replica handler again.
 N=$(grep -lE '^func \([a-z]+ \*?[A-Za-z]+\) SnapshotBytes\(\) \[\]byte \{' $(find internal -name '*.go' ! -name '*_test.go') | wc -l)
 [ "$N" -eq 1 ] || { echo "one-definition lint: $N non-test files under internal/ define a SnapshotBytes() []byte body, want 1 (protocol.Binary)"; exit 1; }
 if grep -nE '^type roundS[t]ate\b|^func \([a-z]+ \*?Process\) Deliver\(|^func \([^)]*\) progress\(' \
@@ -357,8 +362,8 @@ echo "==> sba front-end leg (race-clean units + cross-validation vs specs/sba.ta
 go test -race ./internal/sba
 go test -race -run 'SBA' ./internal/faults ./internal/models ./internal/counter
 
-# Every example program runs to a zero exit. Only fairconsensus and
-# blockchain print byte-stable output, so the exit code is the gate.
+# Every example program runs to a zero exit. Only fairconsensus prints
+# byte-stable output, so the exit code is the gate.
 echo "==> examples leg (every examples/* program exits 0)"
 for EX in examples/*/; do
     go run "./$EX" > /dev/null || { echo "examples leg: $EX exited non-zero"; exit 1; }
