@@ -19,6 +19,11 @@
 // most once per proposer. (At the minimal n = 3t+1 the quorum equals 2t+1;
 // for larger n it is strictly larger, and using 2t+1 there would be a
 // classic split-brain bug.)
+//
+// The package stands alone: it carries its own Message type, because the
+// simulator's network.Message holds only the binary consensus fields (see
+// DESIGN.md § "The Message layout"), and no protocol in this repository
+// runs it over the bus.
 package rbc
 
 import (
@@ -27,14 +32,37 @@ import (
 	"repro/internal/network"
 )
 
+// Kind is one step of the broadcast.
+type Kind uint8
+
+const (
+	// Prop introduces the proposer's payload.
+	Prop Kind = iota + 1
+	// Echo repeats the first payload a process saw from a proposer.
+	Echo
+	// Ready vouches that a payload gathered an echo quorum.
+	Ready
+)
+
+// Message is one reliable-broadcast message.
+type Message struct {
+	From, To network.ProcID
+	Kind     Kind
+	Proposer network.ProcID
+	Payload  string
+}
+
+// Sender hands a message to the transport.
+type Sender func(Message)
+
 type key struct {
 	proposer network.ProcID
 	payload  string
 }
 
-// RBC is the reliable-broadcast component of one host process. It is not a
-// network.Process itself: the host forwards PROP/ECHO/READY messages to
-// Handle and receives deliveries through the OnDeliver callback.
+// RBC is the reliable-broadcast component of one host process. The host
+// forwards messages to Handle and receives deliveries through the OnDeliver
+// callback.
 type RBC struct {
 	Me  network.ProcID
 	N   int
@@ -42,19 +70,13 @@ type RBC struct {
 	All []network.ProcID
 	// OnDeliver is invoked exactly once per proposer, with the delivered
 	// payload.
-	OnDeliver func(proposer network.ProcID, payload string, send network.Sender)
+	OnDeliver func(proposer network.ProcID, payload string, send Sender)
 
 	echoed    map[network.ProcID]bool // echoed some payload of this proposer
 	readied   map[key]bool
 	echoes    map[key]map[network.ProcID]bool
 	readies   map[key]map[network.ProcID]bool
 	delivered map[network.ProcID]bool
-
-	// outbox holds one template per logical broadcast (PROP/ECHO/READY) for
-	// retransmission over lossy links. Re-broadcasting recorded content is
-	// idempotent at every receiver: echo/ready quorums are distinct-sender
-	// sets and maybeEcho/maybeReady are latched.
-	outbox []network.Message
 }
 
 func (r *RBC) init() {
@@ -74,44 +96,36 @@ func (r *RBC) Delivered(proposer network.ProcID) bool {
 }
 
 // Propose reliably broadcasts the payload with this process as proposer.
-func (r *RBC) Propose(payload string, send network.Sender) {
+func (r *RBC) Propose(payload string, send Sender) {
 	r.init()
-	r.broadcast(send, network.Message{
-		From: r.Me, Kind: network.MsgProp, Proposer: r.Me, Payload: payload,
-	})
+	r.broadcast(send, Message{From: r.Me, Kind: Prop, Proposer: r.Me, Payload: payload})
 }
 
-func (r *RBC) broadcast(send network.Sender, m network.Message) {
-	r.outbox = append(r.outbox, m)
-	network.Broadcast(send, r.All, m)
-}
-
-// Retransmit re-broadcasts every PROP/ECHO/READY this process has sent.
-// Callers (e.g. the vector consensus tick handler) own the backoff policy.
-func (r *RBC) Retransmit(send network.Sender) {
-	for _, m := range r.outbox {
-		network.Broadcast(send, r.All, m)
+func (r *RBC) broadcast(send Sender, m Message) {
+	for _, to := range r.All {
+		m.To = to
+		send(m)
 	}
 }
 
 // Handle consumes a reliable-broadcast message; it reports whether the
-// message belonged to the protocol (false = not an RBC message).
-func (r *RBC) Handle(m network.Message, send network.Sender) (bool, error) {
+// message belonged to the protocol (false = not a known kind).
+func (r *RBC) Handle(m Message, send Sender) (bool, error) {
 	r.init()
 	switch m.Kind {
-	case network.MsgProp:
+	case Prop:
 		// Only the proposer itself may introduce its payload.
 		if m.From != m.Proposer {
 			return true, nil // forged introduction: ignored
 		}
 		r.maybeEcho(key{m.Proposer, m.Payload}, send)
-	case network.MsgEcho:
+	case Echo:
 		k := key{m.Proposer, m.Payload}
 		r.record(r.echoes, k, m.From)
 		if len(r.echoes[k]) >= r.echoQuorum() {
 			r.maybeReady(k, send)
 		}
-	case network.MsgReady:
+	case Ready:
 		k := key{m.Proposer, m.Payload}
 		r.record(r.readies, k, m.From)
 		// Ready amplification: t+1 READYs prove a correct process saw an
@@ -148,22 +162,18 @@ func (r *RBC) record(m map[key]map[network.ProcID]bool, k key, from network.Proc
 // maybeEcho sends ECHO for the proposer's payload, once per proposer (a
 // Byzantine proposer sending two payloads gets at most one echo from each
 // correct process, which is what prevents two ready quorums).
-func (r *RBC) maybeEcho(k key, send network.Sender) {
+func (r *RBC) maybeEcho(k key, send Sender) {
 	if r.echoed[k.proposer] {
 		return
 	}
 	r.echoed[k.proposer] = true
-	r.broadcast(send, network.Message{
-		From: r.Me, Kind: network.MsgEcho, Proposer: k.proposer, Payload: k.payload,
-	})
+	r.broadcast(send, Message{From: r.Me, Kind: Echo, Proposer: k.proposer, Payload: k.payload})
 }
 
-func (r *RBC) maybeReady(k key, send network.Sender) {
+func (r *RBC) maybeReady(k key, send Sender) {
 	if r.readied[k] {
 		return
 	}
 	r.readied[k] = true
-	r.broadcast(send, network.Message{
-		From: r.Me, Kind: network.MsgReady, Proposer: k.proposer, Payload: k.payload,
-	})
+	r.broadcast(send, Message{From: r.Me, Kind: Ready, Proposer: k.proposer, Payload: k.payload})
 }

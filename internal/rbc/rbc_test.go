@@ -8,7 +8,44 @@ import (
 	"repro/internal/network"
 )
 
-// host wraps an RBC instance as a network.Process for the tests.
+// process is one participant of a test run: a host or an adversary.
+type process interface {
+	ID() network.ProcID
+	Start(send Sender)
+	Deliver(m Message, send Sender)
+}
+
+// run delivers pending messages one at a time, the one at index
+// pick(len(pending)) next, until none is left; it fails the test if
+// maxSteps deliveries do not drain the run.
+func run(t *testing.T, procs []process, pick func(pending int) int, maxSteps int) {
+	t.Helper()
+	byID := make(map[network.ProcID]process, len(procs))
+	var pending []Message
+	send := func(m Message) { pending = append(pending, m) }
+	for _, p := range procs {
+		byID[p.ID()] = p
+	}
+	for _, p := range procs {
+		p.Start(send)
+	}
+	for step := 0; len(pending) > 0; step++ {
+		if step == maxSteps {
+			t.Fatalf("%d messages still pending after %d deliveries", len(pending), maxSteps)
+		}
+		i := pick(len(pending))
+		m := pending[i]
+		pending = append(pending[:i], pending[i+1:]...)
+		if p, ok := byID[m.To]; ok {
+			p.Deliver(m, send)
+		}
+	}
+}
+
+// fifo delivers the oldest pending message first.
+func fifo(int) int { return 0 }
+
+// host wraps an RBC instance as a process for the tests.
 type host struct {
 	id        network.ProcID
 	rbc       *RBC
@@ -20,7 +57,7 @@ func newHost(id network.ProcID, n, t int, all []network.ProcID, proposal string)
 	h := &host{id: id, proposal: proposal, delivered: map[network.ProcID]string{}}
 	h.rbc = &RBC{
 		Me: id, N: n, T: t, All: all,
-		OnDeliver: func(p network.ProcID, payload string, _ network.Sender) {
+		OnDeliver: func(p network.ProcID, payload string, _ Sender) {
 			h.delivered[p] = payload
 		},
 	}
@@ -28,12 +65,12 @@ func newHost(id network.ProcID, n, t int, all []network.ProcID, proposal string)
 }
 
 func (h *host) ID() network.ProcID { return h.id }
-func (h *host) Start(send network.Sender) {
+func (h *host) Start(send Sender) {
 	if h.proposal != "" {
 		h.rbc.Propose(h.proposal, send)
 	}
 }
-func (h *host) Deliver(m network.Message, send network.Sender) {
+func (h *host) Deliver(m Message, send Sender) {
 	_, _ = h.rbc.Handle(m, send)
 }
 
@@ -51,18 +88,12 @@ func TestAllCorrectDeliverAll(t *testing.T) {
 	const n, tt = 4, 1
 	all := ids(n)
 	hosts := make([]*host, n)
-	procs := make([]network.Process, n)
+	procs := make([]process, n)
 	for i := range hosts {
 		hosts[i] = newHost(all[i], n, tt, all, string(rune('a'+i)))
 		procs[i] = hosts[i]
 	}
-	sys, err := network.NewSystem(procs, network.FIFOScheduler{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Run(100000, nil); err != nil {
-		t.Fatal(err)
-	}
+	run(t, procs, fifo, 100000)
 	for _, h := range hosts {
 		if len(h.delivered) != n {
 			t.Errorf("process %d delivered %d proposals, want %d: %v", h.id, len(h.delivered), n, h.delivered)
@@ -83,7 +114,7 @@ type equivocator struct {
 }
 
 func (e *equivocator) ID() network.ProcID { return e.id }
-func (e *equivocator) Start(send network.Sender) {
+func (e *equivocator) Start(send Sender) {
 	for _, to := range e.all {
 		if to == e.id {
 			continue
@@ -92,10 +123,10 @@ func (e *equivocator) Start(send network.Sender) {
 		if to%2 == 0 {
 			payload = "y"
 		}
-		send(network.Message{From: e.id, To: to, Kind: network.MsgProp, Proposer: e.id, Payload: payload})
+		send(Message{From: e.id, To: to, Kind: Prop, Proposer: e.id, Payload: payload})
 	}
 }
-func (e *equivocator) Deliver(network.Message, network.Sender) {}
+func (e *equivocator) Deliver(Message, Sender) {}
 
 // TestEquivocatingProposerAgreement: a Byzantine proposer sending different
 // payloads to different processes cannot make two correct processes deliver
@@ -105,20 +136,14 @@ func TestEquivocatingProposerAgreement(t *testing.T) {
 		const n, tt = 4, 1
 		all := ids(n)
 		hosts := make([]*host, 3)
-		procs := make([]network.Process, 0, n)
+		procs := make([]process, 0, n)
 		for i := 0; i < 3; i++ {
 			hosts[i] = newHost(all[i], n, tt, all, "") // no own proposal
 			procs = append(procs, hosts[i])
 		}
 		procs = append(procs, &equivocator{id: 3, all: all})
 		rng := rand.New(rand.NewSource(seed))
-		sys, err := network.NewSystem(procs, network.RandomScheduler{Rng: rng})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sys.Run(100000, nil); err != nil {
-			t.Fatal(err)
-		}
+		run(t, procs, rng.Intn, 100000)
 		seen := ""
 		for _, h := range hosts {
 			if v, ok := h.delivered[3]; ok {
@@ -144,9 +169,9 @@ func TestForgedIntroductionIgnored(t *testing.T) {
 	const n, tt = 4, 1
 	all := ids(n)
 	h := newHost(0, n, tt, all, "")
-	var sent []network.Message
-	send := func(m network.Message) { sent = append(sent, m) }
-	h.Deliver(network.Message{From: 3, Kind: network.MsgProp, Proposer: 1, Payload: "forged"}, send)
+	var sent []Message
+	send := func(m Message) { sent = append(sent, m) }
+	h.Deliver(Message{From: 3, Kind: Prop, Proposer: 1, Payload: "forged"}, send)
 	if len(sent) != 0 {
 		t.Errorf("forged introduction triggered %d messages", len(sent))
 	}
@@ -158,14 +183,14 @@ func TestReadyAmplification(t *testing.T) {
 	const n, tt = 4, 1
 	all := ids(n)
 	h := newHost(0, n, tt, all, "")
-	var sent []network.Message
-	send := func(m network.Message) { sent = append(sent, m) }
+	var sent []Message
+	send := func(m Message) { sent = append(sent, m) }
 
-	h.Deliver(network.Message{From: 1, Kind: network.MsgReady, Proposer: 2, Payload: "v"}, send)
+	h.Deliver(Message{From: 1, Kind: Ready, Proposer: 2, Payload: "v"}, send)
 	if len(sent) != 0 {
 		t.Fatalf("one READY should not trigger anything, got %d messages", len(sent))
 	}
-	h.Deliver(network.Message{From: 2, Kind: network.MsgReady, Proposer: 2, Payload: "v"}, send)
+	h.Deliver(Message{From: 2, Kind: Ready, Proposer: 2, Payload: "v"}, send)
 	// t+1 = 2 READYs: the host joins with its own READY broadcast (n copies).
 	if len(sent) != n {
 		t.Fatalf("after t+1 READYs: %d messages, want %d (own READY broadcast)", len(sent), n)
@@ -173,7 +198,7 @@ func TestReadyAmplification(t *testing.T) {
 	if h.rbc.Delivered(2) {
 		t.Fatal("must not deliver before 2t+1 READYs")
 	}
-	h.Deliver(network.Message{From: 3, Kind: network.MsgReady, Proposer: 2, Payload: "v"}, send)
+	h.Deliver(Message{From: 3, Kind: Ready, Proposer: 2, Payload: "v"}, send)
 	if !h.rbc.Delivered(2) {
 		t.Fatal("2t+1 READYs must deliver")
 	}
@@ -182,7 +207,7 @@ func TestReadyAmplification(t *testing.T) {
 	}
 	// Integrity: a second quorum for a different payload cannot deliver.
 	for _, from := range []network.ProcID{0, 1, 2} {
-		h.Deliver(network.Message{From: from, Kind: network.MsgReady, Proposer: 2, Payload: "other"}, send)
+		h.Deliver(Message{From: from, Kind: Ready, Proposer: 2, Payload: "other"}, send)
 	}
 	if got := h.delivered[2]; got != "v" {
 		t.Errorf("second delivery changed payload to %q", got)
@@ -199,7 +224,7 @@ type splitBrainAdversary struct {
 }
 
 func (a *splitBrainAdversary) ID() network.ProcID { return a.id }
-func (a *splitBrainAdversary) Start(send network.Sender) {
+func (a *splitBrainAdversary) Start(send Sender) {
 	for _, to := range a.all {
 		if to == a.id {
 			continue
@@ -208,12 +233,12 @@ func (a *splitBrainAdversary) Start(send network.Sender) {
 		if to >= 2 {
 			payload = "y"
 		}
-		for _, kind := range []network.MsgKind{network.MsgProp, network.MsgEcho, network.MsgReady} {
-			send(network.Message{From: a.id, To: to, Kind: kind, Proposer: a.id, Payload: payload})
+		for _, kind := range []Kind{Prop, Echo, Ready} {
+			send(Message{From: a.id, To: to, Kind: kind, Proposer: a.id, Payload: payload})
 		}
 	}
 }
-func (a *splitBrainAdversary) Deliver(network.Message, network.Sender) {}
+func (a *splitBrainAdversary) Deliver(Message, Sender) {}
 
 // TestEchoQuorumPreventsSplitBrain is the regression test for the echo
 // quorum: at n=5, t=1, a fully equivocating proposer (who also echoes and
@@ -224,19 +249,13 @@ func TestEchoQuorumPreventsSplitBrain(t *testing.T) {
 	const n, tt = 5, 1
 	all := ids(n)
 	hosts := make([]*host, 4)
-	procs := make([]network.Process, 0, n)
+	procs := make([]process, 0, n)
 	for i := 0; i < 4; i++ {
 		hosts[i] = newHost(all[i], n, tt, all, "")
 		procs = append(procs, hosts[i])
 	}
 	procs = append(procs, &splitBrainAdversary{id: 4, all: all})
-	sys, err := network.NewSystem(procs, network.FIFOScheduler{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Run(100000, nil); err != nil {
-		t.Fatal(err)
-	}
+	run(t, procs, fifo, 100000)
 	seen := ""
 	for _, h := range hosts {
 		if v, ok := h.delivered[4]; ok {
