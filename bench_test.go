@@ -232,9 +232,9 @@ func itoa(v int64) string {
 // liar.
 func BenchmarkSimulationFairRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := dbft.Config{N: 4, T: 1, MaxRounds: 12}
+		cfg := protocol.Config{N: 4, T: 1, MaxRounds: 12}
 		all := protocol.AllIDs(cfg.N)
-		correct, err := dbft.Processes(cfg, []int{0, 1, 1}, all)
+		correct, err := dbft.Rules.Processes(cfg, []int{0, 1, 1}, all)
 		if err != nil {
 			b.Fatal(err)
 		}

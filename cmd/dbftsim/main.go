@@ -1,11 +1,12 @@
 // Command dbftsim runs an executable consensus protocol front-end on the
 // simulated asynchronous network, with configurable Byzantine strategies and
-// schedulers. The -protocol selector picks the front-end: dbft (the default —
-// Algorithm 1 over the Fig. 1 bv-broadcast) or sba (the SBA*-style binary
-// reduction). It also replays the Appendix B non-termination execution
-// (-lemma7, dbft-only), runs randomized fault-injection campaigns (-chaos),
-// runs storage-fault torture campaigns over the durable WAL-backed replicas
-// (-torture, dbft-only) and replays single chaos scenarios (-plan).
+// schedulers. The -protocol selector picks the front-end, a rules value of
+// the two-step binary engine: dbft (the default — Algorithm 1 over the
+// Fig. 1 bv-broadcast) or sba (the SBA*-style binary reduction). It also
+// replays the Appendix B non-termination execution (-lemma7, Algorithm 1
+// only), runs randomized fault-injection campaigns (-chaos), runs
+// storage-fault torture campaigns over durable WAL-backed replicas of
+// either front-end (-torture) and replays single chaos scenarios (-plan).
 //
 // Usage examples:
 //
@@ -16,6 +17,7 @@
 //	dbftsim -chaos -chaos-seeds 200 -n 4 -t 1 -seed 1
 //	dbftsim -chaos -protocol sba -chaos-seeds 200 -n 4 -t 1 -seed 1
 //	dbftsim -torture -torture-seeds 200 -n 4 -t 1 -seed 1
+//	dbftsim -torture -protocol sba -torture-seeds 200 -n 4 -t 1 -seed 1
 //	dbftsim -plan '{"protocol":"sba","n":4,"t":1,...}'   (or -plan @scenario.json)
 //
 // The campaign modes accept the observability flags -trace out.jsonl (one
@@ -75,7 +77,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("dbftsim", flag.ContinueOnError)
-	proto := fs.String("protocol", "dbft", "protocol front-end: dbft or sba (single runs, -chaos and -plan)")
+	proto := fs.String("protocol", "dbft", "protocol front-end: dbft or sba (single runs, -chaos, -torture and -plan)")
 	n := fs.Int("n", 4, "total number of processes")
 	t := fs.Int("t", 1, "tolerated Byzantine processes")
 	inputs := fs.String("inputs", "0,1,1", "comma-separated binary inputs of the correct processes")
@@ -125,12 +127,9 @@ func run(args []string) error {
 		return runCampaign(c, *chaosV, of)
 	}
 	if *torture {
-		if isSBA {
-			return fmt.Errorf("-torture exercises durable WAL replicas, which are dbft-only; it does not accept -protocol sba")
-		}
 		// Torture schedules keep the campaign's default step budget: -steps
 		// is not applied.
-		c.Runs, c.Durable = *tortureSeeds, true
+		c.Runs, c.Protocol, c.Durable = *tortureSeeds, *proto, true
 		return runCampaign(c, *tortureV, of)
 	}
 
@@ -146,9 +145,9 @@ func run(args []string) error {
 		return runSingleSBA(ins, strategies, *n, *t, *maxRounds, *maxSteps, *tick, *seed, *sched)
 	}
 
-	cfg := dbft.Config{N: *n, T: *t, MaxRounds: *maxRounds}
+	cfg := protocol.Config{N: *n, T: *t, MaxRounds: *maxRounds}
 	all := protocol.AllIDs(*n)
-	correct, err := dbft.Processes(cfg, ins, all)
+	correct, err := dbft.Rules.Processes(cfg, ins, all)
 	if err != nil {
 		return err
 	}

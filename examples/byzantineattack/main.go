@@ -42,10 +42,10 @@ func run() error {
 
 	// Part 2: the concrete attack on the executable algorithm.
 	fmt.Println("\nsimulated attack: n=4, t=1 but f=2 coordinated equivocators")
-	cfg := dbft.Config{N: 4, T: 1, MaxRounds: 8}
+	cfg := protocol.Config{N: 4, T: 1, MaxRounds: 8}
 	all := protocol.AllIDs(cfg.N)
 	inputs := []int{0, 1}
-	correct, err := dbft.Processes(cfg, inputs, all)
+	correct, err := dbft.Rules.Processes(cfg, inputs, all)
 	if err != nil {
 		return err
 	}

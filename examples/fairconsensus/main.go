@@ -32,10 +32,10 @@ func main() {
 
 func run() error {
 	// Part 1: a fair execution of the real algorithm.
-	cfg := dbft.Config{N: 4, T: 1, MaxRounds: 12}
+	cfg := protocol.Config{N: 4, T: 1, MaxRounds: 12}
 	all := protocol.AllIDs(cfg.N)
 	inputs := []int{0, 1, 1}
-	correct, err := dbft.Processes(cfg, inputs, all)
+	correct, err := dbft.Rules.Processes(cfg, inputs, all)
 	if err != nil {
 		return err
 	}

@@ -10,36 +10,10 @@
 package dbft
 
 import (
-	"fmt"
-
 	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/protocol"
 )
-
-// Config carries the static parameters of a run.
-type Config struct {
-	N int // total number of processes
-	T int // tolerated Byzantine processes (algorithm constant)
-	// MaxRounds caps execution; a correct process stops advancing past it.
-	// The decision rule itself needs no cap (Alg. 1 loops forever to help
-	// laggards; the cap keeps simulations finite).
-	MaxRounds int
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.N <= 0 {
-		return fmt.Errorf("dbft: n must be positive, got %d", c.N)
-	}
-	if c.T < 0 {
-		return fmt.Errorf("dbft: t must be nonnegative, got %d", c.T)
-	}
-	if c.MaxRounds <= 0 {
-		return fmt.Errorf("dbft: MaxRounds must be positive, got %d", c.MaxRounds)
-	}
-	return nil
-}
 
 // Rules is Algorithm 1 over the Fig. 1 bv-broadcast as a rules value of the
 // protocol kit's two-step binary engine: a bit is bv-delivered (becomes a
@@ -62,22 +36,6 @@ var Lies = Rules.Lies()
 // Process is a correct DBFT process. Its CollectOrder[r] lists the values in
 // bv-delivery order for round r (used to detect v-good executions, Def. 2).
 type Process = protocol.Binary
-
-// NewProcess builds a correct process with the given input value.
-func NewProcess(id network.ProcID, input int, cfg Config, all []network.ProcID) (*Process, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return protocol.NewBinary(&Rules, id, input, cfg.N, cfg.T, cfg.MaxRounds, all)
-}
-
-// Processes builds n-f correct processes with the given inputs and ids
-// 0..len(inputs)-1; ids beyond are left to Byzantine strategies.
-func Processes(cfg Config, inputs []int, all []network.ProcID) ([]*Process, error) {
-	return protocol.Processes(inputs, func(id network.ProcID, input int) (*Process, error) {
-		return NewProcess(id, input, cfg, all)
-	})
-}
 
 // GoodValue reports, for Def. 2, whether the round-r bv-broadcast execution
 // recorded by the processes was v-good: every correct process delivered v

@@ -10,10 +10,10 @@ import (
 	"repro/internal/protocol"
 )
 
-func buildSystem(t *testing.T, cfg Config, inputs []int, byzFactory func(id network.ProcID, all []network.ProcID) network.Process, sched network.Scheduler) (*network.System, []*Process) {
+func buildSystem(t *testing.T, cfg protocol.Config, inputs []int, byzFactory func(id network.ProcID, all []network.ProcID) network.Process, sched network.Scheduler) (*network.System, []*Process) {
 	t.Helper()
 	all := protocol.AllIDs(cfg.N)
-	correct, err := Processes(cfg, inputs, all)
+	correct, err := Rules.Processes(cfg, inputs, all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,26 +35,11 @@ func silentFactory(id network.ProcID, _ []network.ProcID) network.Process {
 	return &protocol.Silent{Id: id}
 }
 
-func TestConfigValidate(t *testing.T) {
-	for _, bad := range []Config{
-		{N: 0, T: 0, MaxRounds: 5},
-		{N: 4, T: -1, MaxRounds: 5},
-		{N: 4, T: 1, MaxRounds: 0},
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("config %+v should be invalid", bad)
-		}
-	}
-	if _, err := NewProcess(0, 2, Config{N: 4, T: 1, MaxRounds: 5}, protocol.AllIDs(4)); err == nil {
-		t.Error("non-binary input should be rejected")
-	}
-}
-
 // TestUnanimousDecidesOwnValue: with all correct processes proposing v and
 // no Byzantine interference, everyone decides v (validity + termination).
 func TestUnanimousDecidesOwnValue(t *testing.T) {
 	for v := 0; v <= 1; v++ {
-		cfg := Config{N: 4, T: 1, MaxRounds: 10}
+		cfg := protocol.Config{N: 4, T: 1, MaxRounds: 10}
 		inputs := []int{v, v, v}
 		sys, correct := buildSystem(t, cfg, inputs, silentFactory, network.FIFOScheduler{})
 		if _, err := sys.Run(100000, func() bool { return protocol.AllDecided(correct) }); err != nil {
@@ -81,7 +66,7 @@ func TestUnanimousDecidesOwnValue(t *testing.T) {
 // strategies: agreement and validity must hold on every run with f <= t.
 func TestSplitInputsSafetyUnderRandomSchedules(t *testing.T) {
 	prop := func(seed int64, inputBits uint8, strategy uint8) bool {
-		cfg := Config{N: 4, T: 1, MaxRounds: 6}
+		cfg := protocol.Config{N: 4, T: 1, MaxRounds: 6}
 		rng := rand.New(rand.NewSource(seed))
 		inputs := []int{int(inputBits) & 1, int(inputBits>>1) & 1, int(inputBits>>2) & 1}
 		all := protocol.AllIDs(cfg.N)
@@ -95,7 +80,7 @@ func TestSplitInputsSafetyUnderRandomSchedules(t *testing.T) {
 		default:
 			byz = Lies.Liar(3, all, rng)
 		}
-		correct, err := Processes(cfg, inputs, all)
+		correct, err := Rules.Processes(cfg, inputs, all)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,14 +106,14 @@ func TestSplitInputsSafetyUnderRandomSchedules(t *testing.T) {
 // TestLargerSystemSafety repeats the fuzzing at n=7, t=2, f=2.
 func TestLargerSystemSafety(t *testing.T) {
 	prop := func(seed int64, inputBits uint8) bool {
-		cfg := Config{N: 7, T: 2, MaxRounds: 6}
+		cfg := protocol.Config{N: 7, T: 2, MaxRounds: 6}
 		rng := rand.New(rand.NewSource(seed))
 		inputs := make([]int, 5)
 		for i := range inputs {
 			inputs[i] = int(inputBits>>i) & 1
 		}
 		all := protocol.AllIDs(cfg.N)
-		correct, err := Processes(cfg, inputs, all)
+		correct, err := Rules.Processes(cfg, inputs, all)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,10 +149,10 @@ func TestLargerSystemSafety(t *testing.T) {
 // different values — the simulator counterpart of the Inv1_0
 // counterexample of Section 6.
 func TestDisagreementBeyondResilience(t *testing.T) {
-	cfg := Config{N: 4, T: 1, MaxRounds: 8}
+	cfg := protocol.Config{N: 4, T: 1, MaxRounds: 8}
 	all := protocol.AllIDs(cfg.N)
 	inputs := []int{0, 1}
-	correct, err := Processes(cfg, inputs, all)
+	correct, err := Rules.Processes(cfg, inputs, all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +223,7 @@ func multiset(es []int) [2]int {
 
 // TestDeliveryOrderRecorded checks the Def. 2 instrumentation.
 func TestDeliveryOrderRecorded(t *testing.T) {
-	cfg := Config{N: 4, T: 1, MaxRounds: 5}
+	cfg := protocol.Config{N: 4, T: 1, MaxRounds: 5}
 	inputs := []int{1, 1, 1}
 	sys, correct := buildSystem(t, cfg, inputs, silentFactory, network.FIFOScheduler{})
 	if _, err := sys.Run(100000, func() bool { return protocol.AllDecided(correct) }); err != nil {
@@ -270,7 +255,7 @@ func TestSanitizeSet(t *testing.T) {
 		{[]int{0, 1, 2}, nil}, // one bad value poisons the whole set
 	}
 	after := func(set []int) []byte {
-		p, err := NewProcess(0, 0, Config{N: 4, T: 1, MaxRounds: 3}, protocol.AllIDs(4))
+		p, err := Rules.NewProcess(0, 0, protocol.Config{N: 4, T: 1, MaxRounds: 3}, protocol.AllIDs(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,8 +277,8 @@ func TestSanitizeSet(t *testing.T) {
 // Byzantine process cannot stuff the favorites array: the first aux from a
 // sender changes the replica's state, a second one from it does not.
 func TestDuplicateAuxIgnored(t *testing.T) {
-	cfg := Config{N: 4, T: 1, MaxRounds: 3}
-	p, err := NewProcess(0, 0, cfg, protocol.AllIDs(4))
+	cfg := protocol.Config{N: 4, T: 1, MaxRounds: 3}
+	p, err := Rules.NewProcess(0, 0, cfg, protocol.AllIDs(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,10 +302,10 @@ func TestDuplicateAuxIgnored(t *testing.T) {
 // the unmodified system.
 func TestHandlersIdempotentUnderDuplication(t *testing.T) {
 	run := func(duplicate bool) []*Process {
-		cfg := Config{N: 4, T: 1, MaxRounds: 8}
+		cfg := protocol.Config{N: 4, T: 1, MaxRounds: 8}
 		all := protocol.AllIDs(cfg.N)
 		inputs := []int{0, 1, 1}
-		correct, err := Processes(cfg, inputs, all)
+		correct, err := Rules.Processes(cfg, inputs, all)
 		if err != nil {
 			t.Fatal(err)
 		}

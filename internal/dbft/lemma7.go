@@ -40,12 +40,12 @@ func RunLemma7(rounds int) ([]Lemma7Result, error) {
 	if rounds < 1 {
 		return nil, fmt.Errorf("dbft: rounds must be positive")
 	}
-	cfg := Config{N: n, T: t, MaxRounds: rounds + 1}
+	cfg := protocol.Config{N: n, T: t, MaxRounds: rounds + 1}
 	all := protocol.AllIDs(n)
 
 	// Round 0 has parity q=0, w=1: inputs give two w-holders (p0, p1) and
 	// one q-holder (p2).
-	procs, err := Processes(cfg, []int{1, 1, 0}, all)
+	procs, err := Rules.Processes(cfg, []int{1, 1, 0}, all)
 	if err != nil {
 		return nil, err
 	}

@@ -10,10 +10,10 @@ import (
 	"repro/internal/protocol"
 )
 
-func run(t *testing.T, inputs []int, cfg dbft.Config, byz []network.Process, sched network.Scheduler) (*network.System, []*dbft.Process) {
+func run(t *testing.T, inputs []int, cfg protocol.Config, byz []network.Process, sched network.Scheduler) (*network.System, []*dbft.Process) {
 	t.Helper()
 	all := protocol.AllIDs(cfg.N)
-	correct, err := dbft.Processes(cfg, inputs, all)
+	correct, err := dbft.Rules.Processes(cfg, inputs, all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestTerminationUnderFairScheduler(t *testing.T) {
 	for name, mk := range strategies {
 		for bits := 0; bits < 8; bits++ {
 			inputs := []int{bits & 1, (bits >> 1) & 1, (bits >> 2) & 1}
-			cfg := dbft.Config{N: 4, T: 1, MaxRounds: 12}
+			cfg := protocol.Config{N: 4, T: 1, MaxRounds: 12}
 			rng := rand.New(rand.NewSource(int64(bits)))
 			byz := mk(protocol.AllIDs(cfg.N), rng)
 			sys, correct := run(t, inputs, cfg, []network.Process{byz}, Scheduler{Byzantine: byzSet})
@@ -81,7 +81,7 @@ func TestTerminationUnderFairScheduler(t *testing.T) {
 func TestGoodRoundImpliesQuickDecision(t *testing.T) {
 	prop := func(seed int64, bits uint8) bool {
 		inputs := []int{int(bits) & 1, int(bits>>1) & 1, int(bits>>2) & 1}
-		cfg := dbft.Config{N: 4, T: 1, MaxRounds: 12}
+		cfg := protocol.Config{N: 4, T: 1, MaxRounds: 12}
 		rng := rand.New(rand.NewSource(seed))
 		byz := dbft.Lies.Liar(3, protocol.AllIDs(cfg.N), rng)
 		sys, correct := run(t, inputs, cfg, []network.Process{byz}, Scheduler{Byzantine: map[network.ProcID]bool{3: true}})
@@ -109,7 +109,7 @@ func TestGoodRoundImpliesQuickDecision(t *testing.T) {
 // TestGoodRoundDetection exercises the Definition 2 detector directly.
 func TestGoodRoundDetection(t *testing.T) {
 	// Unanimous value 0 in round 0: the round is 0-good, and 0 == parity.
-	cfg := dbft.Config{N: 4, T: 1, MaxRounds: 6}
+	cfg := protocol.Config{N: 4, T: 1, MaxRounds: 6}
 	sys, correct := run(t, []int{0, 0, 0}, cfg,
 		[]network.Process{&protocol.Silent{Id: 3}}, network.FIFOScheduler{})
 	if _, _, err := RunToDecision(sys, correct, 200000); err != nil {

@@ -301,9 +301,9 @@ func TestBusObsCountersMatchStats(t *testing.T) {
 
 	// The Scheduler path: seven dbft replicas under a random schedule and
 	// the handmade golden plan, queues capped at 6 copies.
-	cfg := dbft.Config{N: 7, T: 2, MaxRounds: 12}
+	cfg := protocol.Config{N: 7, T: 2, MaxRounds: 12}
 	all := protocol.AllIDs(cfg.N)
-	correct, err := dbft.Processes(cfg, []int{0, 1, 1, 0, 1, 0, 1}, all)
+	correct, err := dbft.Rules.Processes(cfg, []int{0, 1, 1, 0, 1, 0, 1}, all)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,9 +29,8 @@ type Campaign struct {
 	T        int
 
 	// Protocol selects the executable front-end for every generated
-	// scenario: "" or "dbft" (default), or "sba". Durable campaigns are
-	// dbft-only: Validate rejects a durable sba scenario, and dbftsim
-	// -torture refuses -protocol sba.
+	// scenario: "" or "dbft" (default), or "sba". Both chaos and durable
+	// campaigns run either rules value.
 	Protocol string
 
 	// Durable selects the storage-torture generator (see RandomScenario).

@@ -108,16 +108,15 @@ type Outcome struct {
 }
 
 // frontEnd is one executable protocol the fault plane can drive: its rules
-// value (name and message kinds), the Lies its Byzantine processes tell, how
-// to build a correct replica, and which Outcome field pair its replicas are
-// published in (the frozen benchmark reads Participating and
+// value (name, message kinds and the constructor of its correct replicas),
+// the Lies its Byzantine processes tell, and which Outcome field pair its
+// replicas are published in (the frozen benchmark reads Participating and
 // SBAParticipating by name; everything in this package goes through
 // Outcome.Replicas).
 type frontEnd struct {
-	rules      *protocol.BinaryRules
-	lies       protocol.Lies
-	newReplica func(sc *Scenario, id network.ProcID, input int, all []network.ProcID) (protocol.Replica, error)
-	publish    func(out *Outcome, correct, participating []protocol.Replica)
+	rules   *protocol.BinaryRules
+	lies    protocol.Lies
+	publish func(out *Outcome, correct, participating []protocol.Replica)
 }
 
 // frontEnds is the protocol table; the first entry is what an empty
@@ -127,9 +126,6 @@ var frontEnds = []frontEnd{
 	{
 		rules: &dbft.Rules,
 		lies:  dbft.Lies,
-		newReplica: func(sc *Scenario, id network.ProcID, input int, all []network.ProcID) (protocol.Replica, error) {
-			return replicaOf(dbft.NewProcess(id, input, dbft.Config{N: sc.N, T: sc.T, MaxRounds: sc.MaxRounds}, all))
-		},
 		publish: func(out *Outcome, correct, participating []protocol.Replica) {
 			out.Procs, out.Participating = correct, participating
 		},
@@ -137,9 +133,6 @@ var frontEnds = []frontEnd{
 	{
 		rules: &sba.Rules,
 		lies:  sba.Lies,
-		newReplica: func(sc *Scenario, id network.ProcID, input int, all []network.ProcID) (protocol.Replica, error) {
-			return replicaOf(sba.NewProcess(id, input, sba.Config{N: sc.N, T: sc.T, MaxRounds: sc.MaxRounds}, all))
-		},
 		publish: func(out *Outcome, correct, participating []protocol.Replica) {
 			out.SBAProcs, out.SBAParticipating = correct, participating
 		},
@@ -159,15 +152,6 @@ var Schedulers = map[string]func(seed int64, byz map[network.ProcID]bool) networ
 		return fairness.Scheduler{Byzantine: byz}
 	},
 	"native": func(int64, map[network.ProcID]bool) network.Scheduler { return nil },
-}
-
-// replicaOf adapts a front-end constructor's result, keeping a failed
-// construction a nil interface rather than a typed nil pointer.
-func replicaOf[P protocol.Replica](p P, err error) (protocol.Replica, error) {
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 // lookupFrontEnd resolves a Scenario.Protocol value.
@@ -209,17 +193,17 @@ func (sc Scenario) Run() (out Outcome) {
 		return fail(fmt.Errorf("unknown protocol %q (known protocols: %s)", sc.Protocol, KnownProtocols))
 	}
 
+	cfg := protocol.Config{N: sc.N, T: sc.T, MaxRounds: sc.MaxRounds}
 	all := protocol.AllIDs(sc.N)
-	newReplica := func(id network.ProcID, input int) (protocol.Replica, error) {
-		return fe.newReplica(&sc, id, input, all)
-	}
-	correct, err := protocol.Processes(sc.Inputs, newReplica)
+	replicas, err := fe.rules.Processes(cfg, sc.Inputs, all)
 	if err != nil {
 		return fail(err)
 	}
 	byzSet := map[network.ProcID]bool{}
+	correct := make([]protocol.Replica, 0, len(replicas))
 	procs := make([]network.Process, 0, sc.N)
-	for _, p := range correct {
+	for _, p := range replicas {
+		correct = append(correct, p)
 		procs = append(procs, p)
 	}
 	for i, strat := range sc.Byz {
@@ -246,9 +230,10 @@ func (sc Scenario) Run() (out Outcome) {
 
 	inj := NewInjector(sc.Plan)
 	if sc.Durable {
+		inj.rules = fe.rules
 		for _, p := range correct {
 			id := p.ID()
-			inj.AttachStore(id, newReplicaStore(id, func() (protocol.Replica, error) { return newReplica(id, 0) },
+			inj.AttachStore(id, newReplicaStore(id, func() (*protocol.Binary, error) { return fe.rules.NewProcess(id, 0, cfg, all) },
 				sc.Plan.storageFor(id), sc.Plan.Seed*1_000_003+int64(id)+11))
 		}
 	}

@@ -319,10 +319,13 @@ type Injector struct {
 	quarantined map[network.ProcID]string
 	risky       map[network.ProcID]bool
 
-	// auxSeen backs the equivocation oracle: first released AUX set per
-	// (clean replica, round). Contradictions collects conflicts — a
-	// recovered replica contradicting its own pre-crash messages.
-	auxSeen        map[auxKey]network.ValueSet
+	// rules names the announcement the equivocation oracle watches; nil
+	// outside durable scenarios. announced backs the oracle: the first
+	// released announcement per (clean replica, round). Contradictions
+	// collects conflicts — a recovered replica contradicting its own
+	// pre-crash messages.
+	rules          *protocol.BinaryRules
+	announced      map[announceKey]network.ValueSet
 	Contradictions []string
 	// SilentCorruptions collects flip-oracle hits: corrupted frames that
 	// recovery accepted without a checksum error.
@@ -340,7 +343,7 @@ func NewInjector(plan Plan) *Injector {
 		storageDown: map[network.ProcID]int{},
 		quarantined: map[network.ProcID]string{},
 		risky:       map[network.ProcID]bool{},
-		auxSeen:     map[auxKey]network.ValueSet{},
+		announced:   map[announceKey]network.ValueSet{},
 	}
 }
 
@@ -407,32 +410,40 @@ func (inj *Injector) Quarantined() []network.ProcID {
 	return out
 }
 
-// auxKey names one replica's AUX of one round.
-type auxKey struct {
+// announceKey names one replica's announcement of one round.
+type announceKey struct {
 	id    network.ProcID
 	round int
 }
 
 // recordRelease is the equivocation oracle tap on every message a clean
-// durable replica releases. A correct process sends at most one AUX per
-// round, always with the same contestant set; two different sets mean a
-// recovered replica contradicted its pre-crash self.
+// durable replica releases. A correct process sends at most one
+// announcement per round (dbft's AUX, sba's CAND), always with the same
+// content; two different ones mean a recovered replica contradicted its
+// pre-crash self. The announcement is read as the engine reads it: the set
+// when the rules announce sets, else the bit in Value.
 func (inj *Injector) recordRelease(id network.ProcID, m network.Message) {
-	if m.Kind != network.MsgAux || inj.risky[id] {
+	r := inj.rules
+	if r == nil || m.Kind != r.Announce || inj.risky[id] {
 		return
 	}
-	k := auxKey{id: id, round: m.Round}
-	prev, ok := inj.auxSeen[k]
+	set := m.Set
+	if !r.AnnounceSet {
+		set = network.SetOf(m.Value)
+	}
+	k := announceKey{id: id, round: m.Round}
+	prev, ok := inj.announced[k]
 	if !ok {
-		inj.auxSeen[k] = m.Set
+		inj.announced[k] = set
 		return
 	}
-	if prev != m.Set {
+	if prev != set {
 		// The "i0" is the instance of the retired vector consensus,
 		// kept so the text, and every fingerprint over it, stays the same.
 		key := "p" + strconv.Itoa(int(id)) + " i0 r" + strconv.Itoa(m.Round)
+		kind := strings.ToLower(r.Announce.String())
 		inj.Contradictions = append(inj.Contradictions,
-			key+": aux "+setText(m.Set)+" contradicts earlier aux "+setText(prev))
+			key+": "+kind+" "+setText(set)+" contradicts earlier "+kind+" "+setText(prev))
 	}
 }
 
@@ -729,13 +740,18 @@ func (w *wrapProc) Deliver(m network.Message, send network.Sender) {
 		// Persist-before-release: buffer the handler's sends, append the
 		// delivered message to the WAL, and only then let the sends out. A
 		// kill during the append loses only state nobody else has seen, so
-		// clean-crash recovery can never equivocate.
+		// clean-crash recovery can never equivocate. A kind outside the
+		// name table has no record a recovery could decode; the engine
+		// ignores it, so leaving it out of the log keeps replay equal to
+		// the live state.
 		var buf []network.Message
 		w.inner.Deliver(m, func(out network.Message) { buf = append(buf, out) })
-		if err := w.store.appendMsg(m); err != nil {
-			w.storageFailure(err)
-			w.inj.log(EvLost, w.ID(), m)
-			return
+		if m.Kind.Named() {
+			if err := w.store.appendMsg(m); err != nil {
+				w.storageFailure(err)
+				w.inj.log(EvLost, w.ID(), m)
+				return
+			}
 		}
 		w.release(buf, send)
 		return

@@ -299,9 +299,9 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	// mutating the original, restore into the copy: the restored state must
 	// match the snapshot point, and replaying the same messages must be
 	// idempotent.
-	cfg := dbft.Config{N: 4, T: 1, MaxRounds: 8}
+	cfg := protocol.Config{N: 4, T: 1, MaxRounds: 8}
 	all := protocol.AllIDs(4)
-	p, err := dbft.NewProcess(0, 1, cfg, all)
+	p, err := dbft.Rules.NewProcess(0, 1, cfg, all)
 	if err != nil {
 		t.Fatal(err)
 	}

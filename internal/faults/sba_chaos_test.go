@@ -115,7 +115,8 @@ func TestSBAScenarioCrashRecovery(t *testing.T) {
 }
 
 // TestSBAValidateRejections: the sba front-end rejects dbft-only scenario
-// features with field-specific errors.
+// features (the Definition 2 parity drops, BV kinds) with field-specific
+// errors.
 func TestSBAValidateRejections(t *testing.T) {
 	base := Scenario{
 		Protocol: "sba", N: 4, T: 1, MaxRounds: 8, MaxSteps: 1000, Tick: 25,
@@ -126,11 +127,6 @@ func TestSBAValidateRejections(t *testing.T) {
 		mut  func(*Scenario)
 		want string
 	}{
-		{"durable", func(sc *Scenario) { sc.Durable = true }, "dbft-only"},
-		{"storage", func(sc *Scenario) {
-			sc.Durable = true
-			sc.Plan.Storage = []StorageFault{{Proc: 0, Kind: StoreKill, Append: 1}}
-		}, "storage faults are dbft-only"},
 		{"parity_bv", func(sc *Scenario) {
 			sc.Plan.Drops = []DropRule{{ParityBV: true, Prob: 1, Budget: -1}}
 		}, "parity-BV drops are dbft-only"},
@@ -152,5 +148,12 @@ func TestSBAValidateRejections(t *testing.T) {
 	sc.Plan.Drops = []DropRule{{Kind: "VOTE", Prob: 0.5, Budget: 1}, {Kind: "CAND", Prob: 0.5, Budget: 1}}
 	if err := sc.Validate(); err != nil {
 		t.Errorf("VOTE/CAND drops should validate for sba: %v", err)
+	}
+	// Durable WALs and storage faults serve every rules value.
+	sc = base
+	sc.Durable = true
+	sc.Plan.Storage = []StorageFault{{Proc: 0, Kind: StoreKill, Append: 1}}
+	if err := sc.Validate(); err != nil {
+		t.Errorf("a durable sba scenario with storage faults should validate: %v", err)
 	}
 }

@@ -279,9 +279,9 @@ const walCompactEvery = 8
 // Recovery = RestoreBytes(base snapshot) + re-Deliver of the logged suffix.
 type replicaStore struct {
 	id network.ProcID
-	// fresh builds a blank replica of the owner's protocol and parameters,
-	// the starting point of the replay oracle.
-	fresh func() (protocol.Replica, error)
+	// fresh builds a blank replica of the owner's rules and parameters, the
+	// starting point of the replay oracle.
+	fresh func() (*protocol.Binary, error)
 	fs    *StorageFS
 	dir   string
 
@@ -296,7 +296,7 @@ type replicaStore struct {
 	silent []string
 }
 
-func newReplicaStore(id network.ProcID, fresh func() (protocol.Replica, error), faults []StorageFault, seed int64) *replicaStore {
+func newReplicaStore(id network.ProcID, fresh func() (*protocol.Binary, error), faults []StorageFault, seed int64) *replicaStore {
 	dir := "wal"
 	return &replicaStore{
 		id:    id,

@@ -3,6 +3,8 @@ package faults
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/network"
 )
 
 // durableScenario is a quiet durable baseline: 4 replicas, no network
@@ -95,6 +97,48 @@ func TestCrashWindowRecoversFromDisk(t *testing.T) {
 	n := CountEvents(out.Events)
 	if n[EvCrash] == 0 || n[EvReplay] == 0 {
 		t.Fatalf("expected crash + disk replay, got %v", n)
+	}
+}
+
+// oddKinds hands its process, before every delivery, a message whose kind
+// is outside the name table: no decoder accepts its encoding, and the
+// engine ignores it.
+type oddKinds struct {
+	network.Process
+}
+
+func (o oddKinds) Deliver(m network.Message, send network.Sender) {
+	o.Process.Deliver(network.Message{From: 1, To: o.ID(), Kind: 200, Value: 1}, send)
+	o.Process.Deliver(m, send)
+}
+
+func (o oddKinds) OnTick(step int, send network.Sender) {
+	o.Process.(network.Ticker).OnTick(step, send)
+}
+
+// TestDurableOutOfTableKindRecovers: a durable replica delivered messages of
+// an unnamed kind keeps them out of its WAL, so it recovers from disk after
+// a crash window and its live state equals a fresh replay of its log.
+func TestDurableOutOfTableKindRecovers(t *testing.T) {
+	for _, proto := range []string{"dbft", "sba"} {
+		sc := durableScenario(7, nil)
+		sc.Protocol = proto
+		sc.Plan.Crashes = []Crash{{Proc: 2, At: 40, Recover: 400}}
+		sc.wrap = func(procs []network.Process) []network.Process {
+			procs[2] = oddKinds{procs[2]}
+			return procs
+		}
+		out := sc.Run()
+		assertCleanRun(t, out)
+		if len(out.Quarantined) > 0 {
+			t.Fatalf("%s: quarantined %v: %v", proto, out.Quarantined, out.QuarantineReasons)
+		}
+		if n := CountEvents(out.Events); n[EvCrash] == 0 || n[EvReplay] == 0 {
+			t.Fatalf("%s: expected crash + disk replay, got %v", proto, n)
+		}
+		if out.ReplayChecked != 4 {
+			t.Errorf("%s: replay-checked %d of 4 replicas", proto, out.ReplayChecked)
+		}
 	}
 }
 

@@ -51,6 +51,27 @@ func TestTortureCampaign(t *testing.T) {
 	t.Logf("%s", res)
 }
 
+// TestSBADurableTorture is the storage-torture gate over the sba rules
+// value: the same kill/corrupt/restart schedules as the dbft campaign, with
+// the equivocation oracle reading CAND. The (7,2) leg is the one a
+// release-before-persist fault in the durable path trips; (4,1) alone
+// passes it.
+func TestSBADurableTorture(t *testing.T) {
+	for _, c := range []Campaign{
+		{Protocol: "sba", Runs: 200, BaseSeed: 1, N: 4, T: 1, Durable: true, Workers: 4},
+		{Protocol: "sba", Runs: 200, BaseSeed: 1, N: 7, T: 2, Durable: true, Workers: 4},
+	} {
+		res := c.Run()
+		for _, v := range res.Violations {
+			t.Errorf("n=%d t=%d: %s", c.N, c.T, v)
+		}
+		if res.Runs != c.Runs || res.ReplayChecks == 0 || res.Quarantines == 0 {
+			t.Errorf("n=%d t=%d: %s", c.N, c.T, res)
+		}
+		t.Logf("n=%d t=%d: %s", c.N, c.T, res)
+	}
+}
+
 // TestTortureStop: the Stop hook ends the campaign between runs with
 // partial results and a resumable seed.
 func TestTortureStop(t *testing.T) {

@@ -95,15 +95,6 @@ func (sc Scenario) Validate() error {
 	if !known {
 		bad("protocol", "unknown protocol %q (known protocols: %s)", sc.Protocol, KnownProtocols)
 	}
-	isSBA := sc.Protocol == "sba"
-	if isSBA {
-		if sc.Durable {
-			bad("durable", "durable WAL replicas are dbft-only; protocol \"sba\" uses in-memory crash-recovery snapshots")
-		}
-		if len(sc.Plan.Storage) > 0 {
-			bad("plan.storage", "storage faults are dbft-only (they require durable WALs)")
-		}
-	}
 	if sc.N <= 0 {
 		bad("n", "must be positive, got %d", sc.N)
 	}
@@ -192,7 +183,8 @@ func (sc Scenario) Validate() error {
 			bad(path+".kind", "unknown message kind %q for protocol %q (want %s or %s)",
 				k, fe.rules.Name, fe.rules.Vote, fe.rules.Announce)
 		}
-		if isSBA && d.ParityBV {
+		// Parity-BV drops select BV messages (Definition 2).
+		if known && d.ParityBV && fe.rules.Vote != network.MsgBV {
 			bad(path+".parity_bv", "parity-BV drops are dbft-only")
 		}
 	}

@@ -62,10 +62,14 @@ const (
 // kindNames is the name table of MsgKind, indexed by kind.
 var kindNames = [...]string{"", "BV", "AUX", "VOTE", "CAND"}
 
+// Named reports whether the kind is in the name table: only such a kind
+// has an encoding a decoder accepts.
+func (k MsgKind) Named() bool { return int(k) < len(kindNames) }
+
 // String returns the kind's name; a kind outside the table renders as
 // MsgKind(k), which no decoder accepts.
 func (k MsgKind) String() string {
-	if int(k) < len(kindNames) {
+	if k.Named() {
 		return kindNames[k]
 	}
 	return "MsgKind(" + strconv.Itoa(int(k)) + ")"

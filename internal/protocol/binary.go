@@ -37,8 +37,39 @@ type BinaryRules struct {
 	// Value (sba's CAND), and each round's snapshot repeats the round's
 	// collect order, the order its announcement is read from.
 	AnnounceSet bool
+	// Resilient says the rules are sound only for n > 3t, and Validate
+	// refuses any other configuration (sba: two n-t quorums must intersect
+	// in a correct process). Without it n <= 3t runs too, as dbft's
+	// counterexample executions do.
+	Resilient bool
 	// Retransmissions counts the outbox re-broadcasts of every replica.
 	Retransmissions *obs.Counter
+}
+
+// Config carries the static parameters of a run.
+type Config struct {
+	N int // total number of processes
+	T int // tolerated Byzantine processes (algorithm constant)
+	// MaxRounds caps execution; a correct process stops advancing past it.
+	// The decision rule itself needs no cap (Alg. 1 loops forever to help
+	// laggards; the cap keeps simulations finite).
+	MaxRounds int
+}
+
+// Validate checks a configuration against the rules; its errors are
+// prefixed with the rules' name.
+func (r *BinaryRules) Validate(cfg Config) error {
+	switch {
+	case cfg.N <= 0:
+		return fmt.Errorf("%s: n must be positive, got %d", r.Name, cfg.N)
+	case cfg.T < 0:
+		return fmt.Errorf("%s: t must be nonnegative, got %d", r.Name, cfg.T)
+	case r.Resilient && cfg.N <= 3*cfg.T:
+		return fmt.Errorf("%s: resilience requires n > 3t, got n=%d t=%d", r.Name, cfg.N, cfg.T)
+	case cfg.MaxRounds <= 0:
+		return fmt.Errorf("%s: MaxRounds must be positive, got %d", r.Name, cfg.MaxRounds)
+	}
+	return nil
 }
 
 // valueMask is a binary value set as a message carries it. Every
@@ -142,26 +173,42 @@ type Binary struct {
 var _ Replica = (*Binary)(nil)
 var _ network.Ticker = (*Binary)(nil)
 
-// NewBinary builds a correct replica under rules with the given input bit,
-// among the processes all, n of them tolerating t, running at most maxRounds
-// rounds.
-func NewBinary(rules *BinaryRules, id network.ProcID, input, n, t, maxRounds int, all []network.ProcID) (*Binary, error) {
+// NewProcess builds a correct replica under the rules with the given input
+// bit, among the processes all.
+func (r *BinaryRules) NewProcess(id network.ProcID, input int, cfg Config, all []network.ProcID) (*Binary, error) {
+	if err := r.Validate(cfg); err != nil {
+		return nil, err
+	}
 	if input != 0 && input != 1 {
-		return nil, fmt.Errorf("%s: input must be binary, got %d", rules.Name, input)
+		return nil, fmt.Errorf("%s: input must be binary, got %d", r.Name, input)
 	}
 	return &Binary{
-		rules:        rules,
+		rules:        r,
 		id:           id,
-		n:            n,
-		echo:         t + 1,
-		collect:      rules.Collect(n, t),
-		quorum:       n - t,
-		max:          maxRounds,
-		out:          NewOutbox(all, rules.Retransmissions),
+		n:            cfg.N,
+		echo:         cfg.T + 1,
+		collect:      r.Collect(cfg.N, cfg.T),
+		quorum:       cfg.N - cfg.T,
+		max:          cfg.MaxRounds,
+		out:          NewOutbox(all, r.Retransmissions),
 		est:          input,
 		rounds:       map[int]*binaryRound{},
 		CollectOrder: map[int][]int{},
 	}, nil
+}
+
+// Processes builds one correct replica per input with ids
+// 0..len(inputs)-1; ids beyond are left to Byzantine strategies.
+func (r *BinaryRules) Processes(cfg Config, inputs []int, all []network.ProcID) ([]*Binary, error) {
+	out := make([]*Binary, 0, len(inputs))
+	for i, in := range inputs {
+		p, err := r.NewProcess(network.ProcID(i), in, cfg, all)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, p)
+	}
+	return out, nil
 }
 
 // ID implements network.Process.

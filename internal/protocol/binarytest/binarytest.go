@@ -26,7 +26,7 @@ const (
 
 func newReplica(tb testing.TB, r *protocol.BinaryRules, id network.ProcID, input, n, t, maxRounds int) *protocol.Binary {
 	tb.Helper()
-	p, err := protocol.NewBinary(r, id, input, n, t, maxRounds, protocol.AllIDs(n))
+	p, err := r.NewProcess(id, input, protocol.Config{N: n, T: t, MaxRounds: maxRounds}, protocol.AllIDs(n))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -1,9 +1,10 @@
 // Package protocol is the kit every executable protocol front-end is built
 // from — the parts no protocol should re-implement:
 //
-//   - the two-step binary round engine, Binary: one replica (round state,
-//     handlers, exit rule), one snapshot codec and one Lies for every protocol
-//     of that shape, each described by a BinaryRules value — internal/dbft and
+//   - the two-step binary round engine, Binary: one Config and Validate, one
+//     constructor (NewProcess, Processes), one replica (round state, handlers,
+//     exit rule), one snapshot codec and one Lies for every protocol of that
+//     shape, each described by a BinaryRules value — internal/dbft and
 //     internal/sba are two such values (binary.go; its checks are in
 //     binarytest);
 //   - the canonical varint codec, the shared network.Message encoding and the
@@ -62,20 +63,6 @@ func AllIDs(n int) []network.ProcID {
 		out[i] = network.ProcID(i)
 	}
 	return out
-}
-
-// Processes builds one correct process per input with ids 0..len(inputs)-1;
-// ids beyond are left to Byzantine strategies.
-func Processes[R any](inputs []int, build func(id network.ProcID, input int) (R, error)) ([]R, error) {
-	out := make([]R, 0, len(inputs))
-	for i, in := range inputs {
-		p, err := build(network.ProcID(i), in)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }
 
 // Agreement checks that no two decided processes decided differently,

@@ -28,49 +28,22 @@
 package sba
 
 import (
-	"fmt"
-
 	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/protocol"
 )
 
-// Config carries the static parameters of a run.
-type Config struct {
-	N int // total number of processes
-	T int // tolerated Byzantine processes (algorithm constant)
-	// MaxRounds caps execution; a correct process stops advancing past it.
-	MaxRounds int
-}
-
-// Validate checks the configuration. The reduction thresholds require
-// n > 3t (quorum intersection of two n-t quorums contains a correct
-// process).
-func (c Config) Validate() error {
-	if c.N <= 0 {
-		return fmt.Errorf("sba: n must be positive, got %d", c.N)
-	}
-	if c.T < 0 {
-		return fmt.Errorf("sba: t must be nonnegative, got %d", c.T)
-	}
-	if c.N <= 3*c.T {
-		return fmt.Errorf("sba: reduction requires n > 3t, got n=%d t=%d", c.N, c.T)
-	}
-	if c.MaxRounds <= 0 {
-		return fmt.Errorf("sba: MaxRounds must be positive, got %d", c.MaxRounds)
-	}
-	return nil
-}
-
 // Rules is the reduction as a rules value of the protocol kit's two-step
 // binary engine: a bit locks at n-t distinct VOTE(v), and the CAND
 // announcement is the first-locked bit, justified at a receiver by a local
-// lock of the same bit.
+// lock of the same bit. The thresholds need n > 3t (two n-t quorums
+// intersect in a correct process), so the rules are Resilient.
 var Rules = protocol.BinaryRules{
 	Name:            "sba",
 	Vote:            network.MsgVote,
 	Announce:        network.MsgCand,
 	Collect:         func(n, t int) int { return n - t },
+	Resilient:       true,
 	Retransmissions: obs.Default.Counter("sba", "retransmissions"),
 }
 
@@ -85,19 +58,3 @@ var Lies = Rules.Lies()
 // bits in step-1 lock order for round r; the first entry is the candidate
 // the process propagated.
 type Process = protocol.Binary
-
-// NewProcess builds a correct process with the given input bit.
-func NewProcess(id network.ProcID, input int, cfg Config, all []network.ProcID) (*Process, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return protocol.NewBinary(&Rules, id, input, cfg.N, cfg.T, cfg.MaxRounds, all)
-}
-
-// Processes builds correct processes with the given inputs and ids
-// 0..len(inputs)-1; ids beyond are left to Byzantine strategies.
-func Processes(cfg Config, inputs []int, all []network.ProcID) ([]*Process, error) {
-	return protocol.Processes(inputs, func(id network.ProcID, input int) (*Process, error) {
-		return NewProcess(id, input, cfg, all)
-	})
-}

@@ -10,10 +10,10 @@ import (
 	"repro/internal/protocol"
 )
 
-func buildSystem(t *testing.T, cfg Config, inputs []int, byzFactory func(id network.ProcID, all []network.ProcID) network.Process, sched network.Scheduler) (*network.System, []*Process) {
+func buildSystem(t *testing.T, cfg protocol.Config, inputs []int, byzFactory func(id network.ProcID, all []network.ProcID) network.Process, sched network.Scheduler) (*network.System, []*Process) {
 	t.Helper()
 	all := protocol.AllIDs(cfg.N)
-	correct, err := Processes(cfg, inputs, all)
+	correct, err := Rules.Processes(cfg, inputs, all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,28 +35,12 @@ func silentFactory(id network.ProcID, _ []network.ProcID) network.Process {
 	return &protocol.Silent{Id: id}
 }
 
-func TestConfigValidate(t *testing.T) {
-	for _, bad := range []Config{
-		{N: 0, T: 0, MaxRounds: 5},
-		{N: 4, T: -1, MaxRounds: 5},
-		{N: 4, T: 1, MaxRounds: 0},
-		{N: 6, T: 2, MaxRounds: 5}, // n <= 3t
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("config %+v should be invalid", bad)
-		}
-	}
-	if _, err := NewProcess(0, 2, Config{N: 4, T: 1, MaxRounds: 5}, protocol.AllIDs(4)); err == nil {
-		t.Error("non-binary input should be rejected")
-	}
-}
-
 // TestUnanimousReducesToOwnValue: with all correct processes proposing v and
 // no Byzantine interference the reduction returns v at the first round with
 // parity v (strong validity + termination).
 func TestUnanimousReducesToOwnValue(t *testing.T) {
 	for v := 0; v <= 1; v++ {
-		cfg := Config{N: 4, T: 1, MaxRounds: 10}
+		cfg := protocol.Config{N: 4, T: 1, MaxRounds: 10}
 		inputs := []int{v, v, v}
 		sys, correct := buildSystem(t, cfg, inputs, silentFactory, network.FIFOScheduler{})
 		if _, err := sys.Run(100000, func() bool { return protocol.AllDecided(correct) }); err != nil {
@@ -89,7 +73,7 @@ func TestUnanimousReducesToOwnValue(t *testing.T) {
 // parity b — the rotating-default decide rule.
 func TestDecidedRoundParityMatchesBit(t *testing.T) {
 	prop := func(seed int64, inputBits uint8) bool {
-		cfg := Config{N: 4, T: 1, MaxRounds: 8}
+		cfg := protocol.Config{N: 4, T: 1, MaxRounds: 8}
 		rng := rand.New(rand.NewSource(seed))
 		inputs := []int{int(inputBits) & 1, int(inputBits>>1) & 1, int(inputBits>>2) & 1}
 		sys, correct := buildSystem(t, cfg, inputs, silentFactory, network.RandomScheduler{Rng: rng})
@@ -113,7 +97,7 @@ func TestDecidedRoundParityMatchesBit(t *testing.T) {
 // strategies: agreement and validity must hold on every run with f <= t.
 func TestSplitInputsSafetyUnderRandomSchedules(t *testing.T) {
 	prop := func(seed int64, inputBits uint8, strategy uint8) bool {
-		cfg := Config{N: 4, T: 1, MaxRounds: 6}
+		cfg := protocol.Config{N: 4, T: 1, MaxRounds: 6}
 		rng := rand.New(rand.NewSource(seed))
 		inputs := []int{int(inputBits) & 1, int(inputBits>>1) & 1, int(inputBits>>2) & 1}
 		all := protocol.AllIDs(cfg.N)
@@ -127,7 +111,7 @@ func TestSplitInputsSafetyUnderRandomSchedules(t *testing.T) {
 		default:
 			byz = Lies.Liar(3, all, rng)
 		}
-		correct, err := Processes(cfg, inputs, all)
+		correct, err := Rules.Processes(cfg, inputs, all)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,14 +137,14 @@ func TestSplitInputsSafetyUnderRandomSchedules(t *testing.T) {
 // TestLargerSystemSafety repeats the fuzzing at n=7, t=2, f=2.
 func TestLargerSystemSafety(t *testing.T) {
 	prop := func(seed int64, inputBits uint8) bool {
-		cfg := Config{N: 7, T: 2, MaxRounds: 6}
+		cfg := protocol.Config{N: 7, T: 2, MaxRounds: 6}
 		rng := rand.New(rand.NewSource(seed))
 		inputs := make([]int, 5)
 		for i := range inputs {
 			inputs[i] = int(inputBits>>i) & 1
 		}
 		all := protocol.AllIDs(cfg.N)
-		correct, err := Processes(cfg, inputs, all)
+		correct, err := Rules.Processes(cfg, inputs, all)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,10 +182,10 @@ func TestLargerSystemSafety(t *testing.T) {
 func TestDisagreementBeyondResilience(t *testing.T) {
 	found := false
 	for seed := int64(0); seed < 50 && !found; seed++ {
-		cfg := Config{N: 4, T: 1, MaxRounds: 8}
+		cfg := protocol.Config{N: 4, T: 1, MaxRounds: 8}
 		all := protocol.AllIDs(cfg.N)
 		inputs := []int{0, 1}
-		correct, err := Processes(cfg, inputs, all)
+		correct, err := Rules.Processes(cfg, inputs, all)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,8 +215,8 @@ func TestDisagreementBeyondResilience(t *testing.T) {
 // TestMalformedContentIgnored: out-of-range values, rounds and unknown kinds
 // do not corrupt state or panic: the replica's snapshot is unchanged.
 func TestMalformedContentIgnored(t *testing.T) {
-	cfg := Config{N: 4, T: 1, MaxRounds: 5}
-	p, err := NewProcess(0, 1, cfg, protocol.AllIDs(4))
+	cfg := protocol.Config{N: 4, T: 1, MaxRounds: 5}
+	p, err := Rules.NewProcess(0, 1, cfg, protocol.AllIDs(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,10 +242,10 @@ func TestMalformedContentIgnored(t *testing.T) {
 // behaves identically — drive two copies through the same suffix and
 // compare canonical encodings.
 func TestSnapshotRestoreEquivalence(t *testing.T) {
-	cfg := Config{N: 4, T: 1, MaxRounds: 6}
+	cfg := protocol.Config{N: 4, T: 1, MaxRounds: 6}
 	all := protocol.AllIDs(4)
 	mk := func() *Process {
-		p, err := NewProcess(0, 1, cfg, all)
+		p, err := Rules.NewProcess(0, 1, cfg, all)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -405,7 +405,7 @@ func (enc *encoding) solve() (smt.Status, *Counterexample, error) {
 		return 0, nil, err
 	}
 	limits := smt.ClauseLimits{
-		MaxSplits: enc.e.opts.MaxSplits,
+		MaxSplits: MaxSplits,
 		Stop:      enc.e.opts.Stop,
 		Deadline:  enc.deadline, // zero = none; honored down in branch-and-bound
 	}

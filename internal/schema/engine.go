@@ -74,13 +74,19 @@ func ParseMode(s string) (Mode, error) {
 	}
 }
 
+// MaxSplits bounds lazy case splitting per schema, and ExtraPasses is the
+// safety-margin passes staged schemas add. Both are fixed; every cache key
+// still names them (vcache).
+const (
+	MaxSplits   = 1 << 16
+	ExtraPasses = 1
+)
+
 // Options configures an Engine.
 type Options struct {
 	Mode Mode
 	// MaxSchemas bounds full enumeration (0 = 100,000, the paper's cutoff).
 	MaxSchemas int
-	// MaxSplits bounds lazy case splitting per schema (0 = 65,536).
-	MaxSplits int
 	// Timeout bounds one Check call (0 = no timeout).
 	Timeout time.Duration
 	// Stop, when set, is polled inside the schema enumeration and the SMT
@@ -96,8 +102,6 @@ type Options struct {
 	// schema count, and the lexicographically-least counterexample context
 	// (see parallel.go for the argument).
 	Workers int
-	// ExtraPasses adds safety-margin passes to staged schemas (default 1).
-	ExtraPasses int
 	// Trace, when non-nil, receives structured span events: one "query"
 	// span per Check, one "schema" event per discharged schema with encode
 	// and solve durations. Purely observational — a nil tracer costs one
@@ -234,13 +238,6 @@ func New(a *ta.TA, opts Options) (*Engine, error) {
 	}
 	if opts.MaxSchemas <= 0 {
 		opts.MaxSchemas = 100_000
-	}
-	if opts.MaxSplits <= 0 {
-		opts.MaxSplits = 1 << 16
-	}
-	if opts.ExtraPasses <= 0 {
-		// Negative margins would undercut the staged soundness bound.
-		opts.ExtraPasses = 1
 	}
 	e := &Engine{ta: oneRound, opts: opts, baseSyms: oneRound.Table.Len()}
 	e.sharedAt = make([]int32, e.baseSyms)

@@ -42,7 +42,7 @@ func (e *Engine) checkStaged(q *spec.Query, res *Result, start time.Time) error 
 	if cap := an.gatingGuards + 1; passes > cap {
 		passes = cap
 	}
-	passes += e.opts.ExtraPasses
+	passes += ExtraPasses
 
 	reach := an.reachAt(len(an.reachByLevel)) // fixpoint reachability
 	for p := 0; p < passes; p++ {

@@ -263,20 +263,16 @@ func CanonicalQuery(a *ta.TA, q *spec.Query) string {
 // and so is Timeout (budget outcomes are never cached, and non-budget
 // results do not depend on the wall clock).
 type Config struct {
-	Mode        string
-	MaxSchemas  int
-	MaxSplits   int
-	ExtraPasses int
+	Mode       string
+	MaxSchemas int
 }
 
 // ConfigOf extracts the key-relevant configuration from resolved schema
 // options (use schema.Engine.Opts(), which has the defaults applied).
 func ConfigOf(o schema.Options) Config {
 	return Config{
-		Mode:        o.Mode.String(),
-		MaxSchemas:  o.MaxSchemas,
-		MaxSplits:   o.MaxSplits,
-		ExtraPasses: o.ExtraPasses,
+		Mode:       o.Mode.String(),
+		MaxSchemas: o.MaxSchemas,
 	}
 }
 
@@ -286,9 +282,9 @@ func (c *canon) config(cfg Config) {
 	c.str(" max_schemas ")
 	c.number(int64(cfg.MaxSchemas))
 	c.str(" max_splits ")
-	c.number(int64(cfg.MaxSplits))
+	c.number(schema.MaxSplits)
 	c.str(" extra_passes ")
-	c.number(int64(cfg.ExtraPasses))
+	c.number(schema.ExtraPasses)
 	c.b = append(c.b, '\n')
 }
 

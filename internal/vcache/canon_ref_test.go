@@ -126,7 +126,7 @@ func refKey(a *ta.TA, q *spec.Query, cfg Config, engineVersion string) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "vcache/1\nengine %s\n", engineVersion)
 	fmt.Fprintf(h, "mode %s max_schemas %d max_splits %d extra_passes %d\n",
-		cfg.Mode, cfg.MaxSchemas, cfg.MaxSplits, cfg.ExtraPasses)
+		cfg.Mode, cfg.MaxSchemas, 1<<16, 1)
 	io.WriteString(h, refCanonicalTA(a))
 	io.WriteString(h, refCanonicalQuery(a, q))
 	return hex.EncodeToString(h.Sum(nil))

@@ -157,7 +157,7 @@ func TestCanonicalMatchesReference(t *testing.T) {
 					t.Fatalf("%s/%s: canonical query differs from the reference:\n got %q\nwant %q", c.name, c.qs[i].Name, got, want)
 				}
 			}
-			for _, cfg := range []Config{{Mode: "staged", MaxSchemas: 100_000, MaxSplits: 1 << 16, ExtraPasses: 1}, {Mode: "full", MaxSchemas: 7}} {
+			for _, cfg := range []Config{{Mode: "staged", MaxSchemas: 100_000}, {Mode: "full", MaxSchemas: 7}} {
 				keys := Keys(a, c.qs, cfg, EngineVersion)
 				if len(keys) != len(c.qs) {
 					t.Fatalf("%s: %d keys for %d queries", c.name, len(keys), len(c.qs))

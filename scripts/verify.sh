@@ -59,7 +59,7 @@ fi
 # owns the CRC32C framing, and the merged full-mode internals stay merged
 # (their names survive only in _test.go references and in CHANGES.md /
 # ROADMAP.md as history). Bracketed like the lint above.
-echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form, request resolution, CLI request front door, in-flight store, campaign seed sweep, one source per automaton and per property, queued copy as content id, one counter system, one tableau undone from its trail, linear forms as sorted terms, dense sender state, bus counters published per step, one binary round engine, compact Message)"
+echo "==> one-definition lint (solver counters, crc32 framing, retired full-mode internals, enabled-rule predicate, message identity, model and row-storage callers, shard-record form, request resolution, CLI request front door, in-flight store, campaign seed sweep, one source per automaton and per property, queued copy as content id, one counter system, one tableau undone from its trail, linear forms as sorted terms, dense sender state, bus counters published per step, one binary round engine, compact Message, one rules value)"
 SRC=$(find cmd internal -name '*.go' ! -name '*_test.go')
 N=$(grep -l 'json:"lp[_]checks"' $SRC | wc -l)
 [ "$N" -eq 1 ] || { echo "one-definition lint: $N non-test files declare a json:\"lp[_]checks\" field, want 1"; exit 1; }
@@ -213,6 +213,22 @@ if grep -nE '^type roundS[t]ate\b|^func \([a-z]+ \*?Process\) Deliver\(|^func \(
     exit 1
 fi
 
+# One rules value: a two-step binary protocol is a protocol.BinaryRules value
+# plus its Lies, and the engine owns its Config, Validate and constructors, so
+# neither front-end declares them again; internal/rbc, the one protocol that
+# was not a rules value, stays gone; and the durable plane (WALs, storage
+# faults, -torture) serves every rules value, so none of it is dbft-only.
+if grep -nE '^type Config struct|^func NewProcess\b|^func Processes\b' \
+    $(find internal/dbft internal/sba -name '*.go' ! -name '*_test.go'); then
+    echo "one-definition lint: the lines above declare a front-end config or constructor (use protocol.Config and the rules value's NewProcess / Processes)"
+    exit 1
+fi
+[ ! -d internal/rbc ] || { echo "one-definition lint: internal/rbc is back (a protocol is a protocol.BinaryRules value)"; exit 1; }
+if grep -rniE '(durable|storage|wal|torture).*dbft-only' --include='*.go' internal/faults cmd/dbftsim; then
+    echo "one-definition lint: the lines above make a durable or storage feature dbft-only (it serves every rules value)"
+    exit 1
+fi
+
 # One seed sweep for every campaign: sweep.Run is the only seed loop, the
 # storage-torture campaign is a Durable faults.Campaign, and queue and
 # cluster torture report sweep.Violation.
@@ -354,8 +370,10 @@ for PROTO in dbft sba; do
     campaign_smoke "chaos-$PROTO" -chaos -protocol "$PROTO" -chaos-seeds 25
 done
 
-echo "==> storage torture smoke (fixed seed, 10 runs, -j 1 vs -j 4)"
-campaign_smoke torture -torture -torture-seeds 10
+for PROTO in dbft sba; do
+    echo "==> storage torture smoke ($PROTO, fixed seed, 10 runs, -j 1 vs -j 4)"
+    campaign_smoke "torture-$PROTO" -torture -protocol "$PROTO" -torture-seeds 10
+done
 rm -rf "$CAMPDIR"
 
 echo "==> sba front-end leg (race-clean units + cross-validation vs specs/sba.ta)"
