@@ -6,9 +6,12 @@ import (
 	"repro/internal/protocol/binarytest"
 )
 
-// The snapshot-codec, decoder and delivery-path checks of the two-step
-// binary engine, run with this package's rules (see package binarytest).
+// The configuration, snapshot-codec, decoder and delivery-path checks of the
+// two-step binary engine, run with this package's rules (see package binarytest).
 // The seed corpora of the fuzz targets are in testdata/fuzz.
+
+// dbft is safe for any n and t, so only the shared checks refuse.
+func TestConfigValidate(t *testing.T) { binarytest.ConfigValidate(t, &Rules, false) }
 
 func TestSnapshotCodecRoundTrip(t *testing.T)    { binarytest.SnapshotCodecRoundTrip(t, &Rules) }
 func TestSnapshotCanonicalEncoding(t *testing.T) { binarytest.SnapshotCanonicalEncoding(t, &Rules) }

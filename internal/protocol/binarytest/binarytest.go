@@ -1,6 +1,6 @@
 // Package binarytest is the test table of the protocol kit's two-step binary
-// engine (protocol.Binary): the snapshot-codec, decoder and delivery-path
-// checks every protocol.BinaryRules value must pass. Each front-end's test
+// engine (protocol.Binary): the configuration, snapshot-codec, decoder and
+// delivery-path checks every protocol.BinaryRules value must pass. Each front-end's test
 // file runs every check with its own rules value, under the test names the
 // front-end has always had, next to its seed corpora in testdata/fuzz.
 package binarytest
@@ -500,5 +500,54 @@ func DeliverIgnoredCreatesNoRound(tt *testing.T, r *protocol.BinaryRules) {
 	}
 	if len(sent) != out {
 		tt.Errorf("ignored messages triggered %d sends", len(sent)-out)
+	}
+}
+
+// ConfigValidate is the configuration table of a rules value: the shared
+// checks refuse the same configurations under every rules name, n <= 3t is
+// refused exactly when the caller says the rules are resilient, and the
+// constructors refuse what Validate refuses and a non-binary input.
+func ConfigValidate(tt *testing.T, r *protocol.BinaryRules, resilient bool) {
+	tooFew := ""
+	if resilient {
+		tooFew = r.Name + ": resilience requires n > 3t, got n=6 t=2"
+	}
+	for _, tc := range []struct {
+		cfg  protocol.Config
+		want string // "" = valid
+	}{
+		{protocol.Config{N: 0, T: 0, MaxRounds: 5}, r.Name + ": n must be positive, got 0"},
+		{protocol.Config{N: 4, T: -1, MaxRounds: 5}, r.Name + ": t must be nonnegative, got -1"},
+		{protocol.Config{N: 4, T: 1, MaxRounds: 0}, r.Name + ": MaxRounds must be positive, got 0"},
+		{protocol.Config{N: 6, T: 2, MaxRounds: 5}, tooFew},
+		{protocol.Config{N: 4, T: 1, MaxRounds: 5}, ""},
+	} {
+		err := r.Validate(tc.cfg)
+		if tc.want == "" {
+			if err != nil {
+				tt.Errorf("%+v: %v", tc.cfg, err)
+			}
+			continue
+		}
+		if err == nil || err.Error() != tc.want {
+			tt.Errorf("%+v: error %v, want %q", tc.cfg, err, tc.want)
+		}
+		if _, perr := r.Processes(tc.cfg, []int{0, 1}, protocol.AllIDs(4)); perr == nil || perr.Error() != tc.want {
+			tt.Errorf("%+v: Processes error %v, want %q", tc.cfg, perr, tc.want)
+		}
+	}
+	cfg := protocol.Config{N: 4, T: 1, MaxRounds: 5}
+	if _, err := r.NewProcess(0, 2, cfg, protocol.AllIDs(4)); err == nil || !strings.Contains(err.Error(), "input must be binary") {
+		tt.Errorf("non-binary input: error %v", err)
+	}
+	inputs := []int{1, 0, 1}
+	procs, err := r.Processes(cfg, inputs, protocol.AllIDs(4))
+	if err != nil {
+		tt.Fatal(err)
+	}
+	for i, p := range procs {
+		if p.ID() != network.ProcID(i) || p.Estimate() != inputs[i] {
+			tt.Errorf("process %d has id %d and estimate %d", i, p.ID(), p.Estimate())
+		}
 	}
 }
